@@ -12,6 +12,17 @@
 // runaway loop-control tokens from flooding it; tokens from waves older
 // than the youngest resident instance are always admitted (displacing it),
 // so the oldest wave always makes progress.
+//
+// Every call that takes a localIdx relies on one contract: a local index
+// identifies exactly one (instruction, thread) pair within the table's PE.
+// The simulator gets this from the instruction store, which binds each
+// thread's instance of an instruction under its own dense index. The
+// k-bound is therefore kept as a live-instance counter per local index
+// (plus a cached youngest instance), and the in-memory overflow area is
+// keyed by (local index, wave) and counted per local index, so the common
+// rejected or first-operand token costs a few loads rather than a K-set
+// scan and a hash of its (instruction, tag). Two (instruction, thread)
+// pairs sharing an index would share one k-quota.
 package match
 
 import (
@@ -60,6 +71,12 @@ type Entry struct {
 	valid   bool
 }
 
+// memKey names an instance in the in-memory table: its local index above
+// its wave. (The index stands for the instruction and the thread.)
+type memKey uint64
+
+func keyOf(localIdx int, wave uint32) memKey { return memKey(localIdx)<<32 | memKey(wave) }
+
 // Complete reports whether all required operands are present.
 func (e *Entry) Complete() bool { return e.Present == e.Required }
 
@@ -73,16 +90,28 @@ type Stats struct {
 	BankRejects  uint64 // tokens rejected by bank conflicts
 }
 
-type key struct {
-	inst isa.InstID
-	tag  isa.Tag
+// instState is the per-local-index bookkeeping behind the k-bound and the
+// overflow lookup.
+type instState struct {
+	// young caches the live instance with the highest wave. It is never
+	// maintained on release, only revalidated on use: it is current iff the
+	// entry it points at is still a live instance of this index at wave.
+	young *Entry
+	// wave bounds every live instance's wave from above, and is the
+	// youngest's wave exactly whenever young validates.
+	wave uint32
+	live int32 // valid physical entries (what scanInstances would count)
+	ov   int32 // instances displaced to the in-memory table
+	// ovLo..ovHi covers the displaced instances' waves (it only widens
+	// while ov > 0), so a token outside it needs no in-memory lookup.
+	ovLo, ovHi uint32
 }
 
 // Table is one PE's matching table plus its in-memory overflow area.
 type Table struct {
 	cfg      Config
 	sets     [][]Entry // [set][way]
-	overflow map[key]*Entry
+	overflow map[memKey]*Entry
 	// free recycles overflow entries: an overflow hit returns its *Entry
 	// here, the next displacement reuses it, so steady-state eviction
 	// churn allocates nothing.
@@ -92,30 +121,35 @@ type Table struct {
 	// completed instance is copied into a scheduling-queue entry at once).
 	done     Entry
 	live     int
-	releases uint64 // bumps whenever an entry frees (quota may have opened)
+	idx      []instState // per local index
 	stats    Stats
 	bankUsed []uint64 // cycle stamp per bank, for arrival limiting
 
-	// OnRelease, when set, is invoked whenever an entry frees. Senders
-	// holding k-rejected tokens for that (instruction, thread) use it to
-	// know the quota may have opened.
-	OnRelease func(inst isa.InstID, thread uint32)
+	// OnRelease, when set, is invoked with the freed entry's local index
+	// whenever an entry frees. Senders holding k-rejected tokens for that
+	// (instruction, thread) use it to know the quota may have opened.
+	OnRelease func(localIdx int)
 }
 
-// New creates a matching table.
-func New(cfg Config) *Table {
+// New creates a matching table for a PE with insts instructions bound
+// (local indexes 0..insts-1). A larger index arriving later — a fault
+// remap binds more instructions to a survivor — grows the table's
+// per-index state on first use.
+func New(cfg Config, insts int) *Table {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	numSets := cfg.Entries / cfg.Assoc
+	entries := make([]Entry, cfg.Entries) // one block: a machine builds hundreds of tables
 	sets := make([][]Entry, numSets)
 	for i := range sets {
-		sets[i] = make([]Entry, cfg.Assoc)
+		sets[i] = entries[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	return &Table{
 		cfg:      cfg,
 		sets:     sets,
-		overflow: make(map[key]*Entry),
+		overflow: make(map[memKey]*Entry),
+		idx:      make([]instState, insts),
 		bankUsed: make([]uint64, cfg.Banks),
 	}
 }
@@ -129,20 +163,11 @@ func (t *Table) Stats() Stats { return t.stats }
 // Live returns the number of valid physical entries.
 func (t *Table) Live() int { return t.live }
 
-// Releases returns a counter that advances whenever an entry frees; callers
-// polling a rejected token can skip retries while it is unchanged.
-func (t *Table) Releases() uint64 { return t.releases }
-
 // set computes the set index for a dynamic instance: the paper's hash
 // I*k + (w mod k), folded onto the physical sets.
 func (t *Table) set(localIdx int, tag isa.Tag) int {
 	k := t.cfg.K
 	return (localIdx*k + int(tag.Wave)%k) % len(t.sets)
-}
-
-// Bank returns the arrival bank for a dynamic instance.
-func (t *Table) Bank(localIdx int, tag isa.Tag) int {
-	return t.set(localIdx, tag) % t.cfg.Banks
 }
 
 // Outcome describes what happened to an inserted token.
@@ -175,13 +200,12 @@ const (
 // Insert enforces the per-cycle bank limit (one token per bank per cycle):
 // a second token hashing to the same bank in one cycle is Rejected.
 func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64, overflowPenalty uint64) (Outcome, *Entry) {
-	bank := t.Bank(localIdx, tok.Tag)
+	si := t.set(localIdx, tok.Tag)
+	bank := si % t.cfg.Banks // sets interleave across the arrival banks
 	if t.bankUsed[bank] == cycle+1 {
 		t.stats.BankRejects++
 		return RejectedBank, nil
 	}
-
-	si := t.set(localIdx, tok.Tag)
 	set := t.sets[si]
 
 	// Look for the instance in the physical set.
@@ -193,19 +217,20 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 			break
 		}
 	}
+	st := t.inst(localIdx)
 	readyAt := cycle + 1
-	if slot == nil && len(t.overflow) > 0 {
+	if slot == nil && st.ov > 0 && st.ovLo <= tok.Tag.Wave && tok.Tag.Wave <= st.ovHi {
 		// Check the in-memory overflow table: a hit there is a
 		// matching-table miss (the partner was displaced earlier).
-		k := key{inst: tok.Dest.Inst, tag: tok.Tag}
+		k := keyOf(localIdx, tok.Tag.Wave)
 		if oe, ok := t.overflow[k]; ok {
 			t.stats.OverflowHits++
 			delete(t.overflow, k)
+			st.ov--
 			slot = t.allocate(si)
 			*slot = *oe
 			t.free = append(t.free, oe)
-			slot.valid = true
-			t.live++
+			t.admit(st, slot)
 			readyAt = cycle + 1 + overflowPenalty
 		}
 	}
@@ -215,20 +240,15 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 		// admitted (displacing that instance to memory), or loop-control
 		// tokens racing ahead would deadlock the pipeline: the bound
 		// throttles young waves, never the oldest.
-		count, youngest := t.scanInstances(tok.Dest.Inst, localIdx, tok.Tag.Thread)
-		if count >= t.cfg.K {
-			if youngest == nil || youngest.Tag.Wave <= tok.Tag.Wave {
+		if int(st.live) >= t.cfg.K {
+			youngest := t.youngest(st, tok.Dest.Inst, localIdx, tok.Tag.Thread)
+			if youngest.Tag.Wave <= tok.Tag.Wave {
 				t.stats.KRejects++
 				return Rejected, nil
 			}
-			ov := t.newOverflow()
-			*ov = *youngest
-			t.overflow[key{inst: ov.Inst, tag: ov.Tag}] = ov
-			t.stats.Evictions++
-			t.release(youngest)
+			t.displace(youngest)
 		}
 		slot = t.allocate(si)
-		slot.valid = true
 		slot.Inst = tok.Dest.Inst
 		slot.LocalIdx = localIdx
 		slot.Tag = tok.Tag
@@ -237,7 +257,7 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 		slot.Required = required
 		slot.AddrSent = false
 		slot.ReadyAt = readyAt
-		t.live++
+		t.admit(st, slot)
 	}
 
 	t.bankUsed[bank] = cycle + 1
@@ -257,10 +277,45 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 	return Stored, slot
 }
 
+// inst returns the bookkeeping for a local index, growing it for an index
+// bound after construction. The pointer is valid until the next call
+// (nothing else grows the per-index state).
+func (t *Table) inst(localIdx int) *instState {
+	if localIdx >= len(t.idx) {
+		t.idx = append(t.idx, make([]instState, localIdx+1-len(t.idx))...)
+	}
+	return &t.idx[localIdx]
+}
+
+// admit marks a filled slot live and counts it against its local index.
+func (t *Table) admit(st *instState, e *Entry) {
+	e.valid = true
+	t.live++
+	st.live++
+	if st.live == 1 || e.Tag.Wave >= st.wave {
+		st.young, st.wave = e, e.Tag.Wave
+	}
+}
+
+// youngest returns the live instance of a local index with the highest
+// wave; the index must have at least one. The cached answer stands while
+// the entry it names is still that instance: admit moves the cache forward
+// on every new highest wave, so only the youngest's own departure (rare in
+// a loop, where the oldest wave finishes first) forces a rescan.
+func (t *Table) youngest(st *instState, inst isa.InstID, localIdx int, thread uint32) *Entry {
+	if y := st.young; y != nil && y.valid && y.LocalIdx == localIdx && y.Tag.Wave == st.wave {
+		return y
+	}
+	_, y := t.scanInstances(inst, localIdx, thread)
+	st.young, st.wave = y, y.Tag.Wave
+	return y
+}
+
 // scanInstances counts the live instances of (inst, thread) and finds the
 // one with the highest wave. The hash confines an instruction's instances
 // to K sets (one per wave residue), so the scan touches at most K*assoc
-// entries.
+// entries. It runs only when the youngest cache has gone stale, and is the
+// oracle the per-index counters are tested against.
 func (t *Table) scanInstances(inst isa.InstID, localIdx int, thread uint32) (int, *Entry) {
 	count := 0
 	var youngest *Entry
@@ -306,15 +361,36 @@ func (t *Table) release(e *Entry) {
 	}
 	e.valid = false
 	t.live--
-	t.releases++
+	t.idx[e.LocalIdx].live--
 	if t.OnRelease != nil {
-		t.OnRelease(e.Inst, e.Tag.Thread)
+		t.OnRelease(e.LocalIdx)
 	}
 }
 
+// displace moves a live entry to the in-memory table and frees its slot.
+func (t *Table) displace(e *Entry) {
+	var ov *Entry
+	if n := len(t.free); n > 0 {
+		ov, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		ov = new(Entry)
+	}
+	*ov = *e
+	t.overflow[keyOf(ov.LocalIdx, ov.Tag.Wave)] = ov
+	st := &t.idx[ov.LocalIdx]
+	if w := ov.Tag.Wave; st.ov == 0 {
+		st.ovLo, st.ovHi = w, w
+	} else {
+		st.ovLo, st.ovHi = min(st.ovLo, w), max(st.ovHi, w)
+	}
+	st.ov++
+	t.stats.Evictions++
+	t.release(e)
+}
+
 // allocate finds a free way in set si, evicting the LRU entry to the
-// in-memory table if necessary. The returned slot has valid == false and
-// the caller restores the occupancy accounting.
+// in-memory table if necessary. The returned slot has valid == false; the
+// caller fills it and admits it.
 func (t *Table) allocate(si int) *Entry {
 	set := t.sets[si]
 	var victim *Entry
@@ -328,23 +404,8 @@ func (t *Table) allocate(si int) *Entry {
 		}
 	}
 	// Evict the oldest partial match to the in-memory table.
-	ov := t.newOverflow()
-	*ov = *victim
-	t.overflow[key{inst: ov.Inst, tag: ov.Tag}] = ov
-	t.stats.Evictions++
-	t.release(victim)
+	t.displace(victim)
 	return victim
-}
-
-// newOverflow returns a recycled overflow entry, or a fresh one when the
-// free list is empty.
-func (t *Table) newOverflow() *Entry {
-	if n := len(t.free); n > 0 {
-		e := t.free[n-1]
-		t.free = t.free[:n-1]
-		return e
-	}
-	return new(Entry)
 }
 
 // OverflowSize returns how many partial matches live in the in-memory
@@ -371,27 +432,25 @@ func (t *Table) DrainEntries() []Entry {
 		}
 	}
 	if len(t.overflow) > 0 {
-		keys := make([]key, 0, len(t.overflow))
-		for k := range t.overflow {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := keys[i], keys[j]
-			if a.inst != b.inst {
-				return a.inst < b.inst
-			}
-			if a.tag.Thread != b.tag.Thread {
-				return a.tag.Thread < b.tag.Thread
-			}
-			return a.tag.Wave < b.tag.Wave
-		})
-		for _, k := range keys {
-			oe := t.overflow[k]
+		first := len(out)
+		for _, oe := range t.overflow {
 			out = append(out, *oe)
 			t.free = append(t.free, oe)
 		}
-		t.overflow = make(map[key]*Entry)
+		clear(t.overflow)
+		mem := out[first:]
+		sort.Slice(mem, func(i, j int) bool {
+			a, b := &mem[i], &mem[j]
+			if a.Inst != b.Inst {
+				return a.Inst < b.Inst
+			}
+			if a.Tag.Thread != b.Tag.Thread {
+				return a.Tag.Thread < b.Tag.Thread
+			}
+			return a.Tag.Wave < b.Tag.Wave
+		})
 	}
+	clear(t.idx)
 	return out
 }
 
@@ -403,13 +462,12 @@ func (t *Table) DrainEntries() []Entry {
 // penalty. Adoption bypasses bank limits — it models a repair action,
 // not an arrival.
 func (t *Table) Adopt(e Entry, localIdx int, readyAt uint64) {
-	si := t.set(localIdx, e.Tag)
-	slot := t.allocate(si)
+	st := t.inst(localIdx)
+	slot := t.allocate(t.set(localIdx, e.Tag))
 	*slot = e
 	slot.LocalIdx = localIdx
-	slot.valid = true
 	if slot.ReadyAt < readyAt {
 		slot.ReadyAt = readyAt
 	}
-	t.live++
+	t.admit(st, slot)
 }

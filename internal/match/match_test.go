@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,11 @@ import (
 )
 
 func cfg() Config { return Config{Entries: 16, Assoc: 2, Banks: 4, K: 2} }
+
+// insts is how many local indexes the tests' tables are sized for. The
+// tests follow the package contract — one local index per (instruction,
+// thread) — and mostly use the instruction number as thread 0's index.
+const insts = 32
 
 func tok(inst isa.InstID, thread, wave uint32, port isa.PortID, v uint64) isa.Token {
 	return isa.Token{
@@ -37,7 +43,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestTwoOperandMatch(t *testing.T) {
-	tb := New(cfg())
+	tb := New(cfg(), insts)
 	out, e := tb.Insert(tok(5, 0, 0, 0, 11), 5, 0b011, 0, 10)
 	if out != Stored || e == nil || e.Complete() {
 		t.Fatalf("first operand: out=%v", out)
@@ -61,7 +67,7 @@ func TestTwoOperandMatch(t *testing.T) {
 }
 
 func TestDifferentWavesDoNotAlias(t *testing.T) {
-	tb := New(cfg())
+	tb := New(cfg(), insts)
 	tb.Insert(tok(5, 0, 0, 0, 1), 5, 0b011, 0, 10)
 	out, _ := tb.Insert(tok(5, 0, 1, 1, 2), 5, 0b011, 1, 10)
 	if out == Completed {
@@ -73,16 +79,22 @@ func TestDifferentWavesDoNotAlias(t *testing.T) {
 }
 
 func TestDifferentThreadsDoNotAlias(t *testing.T) {
-	tb := New(cfg())
+	tb := New(cfg(), insts)
+	// Thread 1's instance of instruction 5 is bound under its own local
+	// index; 13 hashes wave 0 to the same set as 5 does (8 sets, K = 2),
+	// so only the tag keeps the two apart.
+	if tb.set(5, isa.Tag{}) != tb.set(13, isa.Tag{Thread: 1}) {
+		t.Fatal("test setup: indexes 5 and 13 should share a set")
+	}
 	tb.Insert(tok(5, 0, 0, 0, 1), 5, 0b011, 0, 10)
-	out, _ := tb.Insert(tok(5, 1, 0, 1, 2), 5, 0b011, 1, 10)
+	out, _ := tb.Insert(tok(5, 1, 0, 1, 2), 13, 0b011, 1, 10)
 	if out == Completed {
 		t.Fatal("tokens from different threads must not match")
 	}
 }
 
 func TestBankConflictRejects(t *testing.T) {
-	tb := New(cfg())
+	tb := New(cfg(), insts)
 	// Same instruction, same wave, different ports: same bank.
 	out, _ := tb.Insert(tok(3, 0, 0, 0, 1), 3, 0b011, 7, 10)
 	if out != Stored {
@@ -104,7 +116,7 @@ func TestBankConflictRejects(t *testing.T) {
 
 func TestKLoopBounding(t *testing.T) {
 	c := cfg() // K = 2
-	tb := New(c)
+	tb := New(c, insts)
 	// Three waves of the same instruction: the third must be rejected.
 	for w := uint32(0); w < 2; w++ {
 		if out, _ := tb.Insert(tok(1, 0, w, 0, 1), 1, 0b011, uint64(w), 10); out != Stored {
@@ -117,20 +129,59 @@ func TestKLoopBounding(t *testing.T) {
 	if tb.Stats().KRejects != 1 {
 		t.Errorf("k rejects = %d, want 1", tb.Stats().KRejects)
 	}
-	// A different thread is not throttled by this instruction's count.
-	if out, _ := tb.Insert(tok(1, 9, 2, 0, 1), 1, 0b011, 6, 10); out != Stored {
+	// A different thread is not throttled by this instruction's count. Its
+	// instance of instruction 1 has a local index of its own (the package
+	// contract); 9 hashes to the very sets index 1 uses, so the quota is
+	// shown to be per (instruction, thread) and not per set.
+	if tb.set(9, isa.Tag{Wave: 2}) != tb.set(1, isa.Tag{Wave: 2}) {
+		t.Fatal("test setup: indexes 1 and 9 should share their sets")
+	}
+	if out, _ := tb.Insert(tok(1, 9, 2, 0, 1), 9, 0b011, 6, 10); out != Stored {
 		t.Fatalf("other thread should be admitted, got %v", out)
+	}
+	// ...and it does not eat into thread 0's quota either: once a wave of
+	// thread 0 drains, the next is admitted with thread 9's entry resident.
+	tb.Release(tb.Lookup(1, 1, isa.Tag{Wave: 0}))
+	if out, _ := tb.Insert(tok(1, 0, 2, 0, 1), 1, 0b011, 7, 10); out != Stored {
+		t.Fatalf("wave 2 should be admitted after a release, got %v", out)
+	}
+}
+
+// TestKBoundAdmitsOlderWave pins the displacement rule: at the bound, a
+// token older than the youngest resident instance gets in by displacing it
+// to the in-memory table, and the displaced instance is found there later.
+func TestKBoundAdmitsOlderWave(t *testing.T) {
+	tb := New(cfg(), 0) // sized for nothing: per-index state grows on use
+	for _, w := range []uint32{1, 2} {
+		if out, _ := tb.Insert(tok(3, 0, w, 0, uint64(w)), 3, 0b011, uint64(w), 10); out != Stored {
+			t.Fatalf("wave %d: %v", w, out)
+		}
+	}
+	if out, _ := tb.Insert(tok(3, 0, 0, 0, 7), 3, 0b011, 3, 10); out != Stored {
+		t.Fatalf("older wave should displace the youngest, got %v", out)
+	}
+	if s := tb.Stats(); s.Evictions != 1 || s.KRejects != 0 || tb.OverflowSize() != 1 {
+		t.Fatalf("stats = %+v, overflow = %d; want one eviction", s, tb.OverflowSize())
+	}
+	if tb.Lookup(3, 3, isa.Tag{Wave: 2}) != nil {
+		t.Fatal("wave 2 (the youngest) should have been displaced")
+	}
+	// Wave 2's partner finds its instance in memory (a known instance is
+	// never subject to the bound) and completes it at the miss penalty.
+	out, e := tb.Insert(tok(3, 0, 2, 1, 9), 3, 0b011, 4, 10)
+	if out != Completed || e.Vals != [3]uint64{2, 9, 0} || e.ReadyAt != 4+1+10 {
+		t.Fatalf("displaced instance: out=%v entry=%+v", out, e)
 	}
 }
 
 func TestOverflowEvictionAndRetrieval(t *testing.T) {
 	// One set (entries=assoc) so every instance collides.
-	tb := New(Config{Entries: 2, Assoc: 2, Banks: 1, K: 8})
+	tb := New(Config{Entries: 2, Assoc: 2, Banks: 1, K: 8}, insts)
 	// Fill both ways with partial matches of insts 1, 2.
-	tb.Insert(tok(1, 0, 0, 0, 1), 0, 0b011, 0, 10)
-	tb.Insert(tok(2, 0, 0, 0, 2), 0, 0b011, 1, 10)
+	tb.Insert(tok(1, 0, 0, 0, 1), 1, 0b011, 0, 10)
+	tb.Insert(tok(2, 0, 0, 0, 2), 2, 0b011, 1, 10)
 	// Inst 3 evicts the LRU (inst 1).
-	tb.Insert(tok(3, 0, 0, 0, 3), 0, 0b011, 2, 10)
+	tb.Insert(tok(3, 0, 0, 0, 3), 3, 0b011, 2, 10)
 	if tb.Stats().Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", tb.Stats().Evictions)
 	}
@@ -138,7 +189,7 @@ func TestOverflowEvictionAndRetrieval(t *testing.T) {
 		t.Fatalf("overflow size = %d, want 1", tb.OverflowSize())
 	}
 	// The partner of inst 1 arrives: overflow hit, completes with penalty.
-	out, e := tb.Insert(tok(1, 0, 0, 1, 11), 0, 0b011, 3, 10)
+	out, e := tb.Insert(tok(1, 0, 0, 1, 11), 1, 0b011, 3, 10)
 	if out != Completed {
 		t.Fatalf("overflow retrieval should complete, got %v", out)
 	}
@@ -154,7 +205,7 @@ func TestOverflowEvictionAndRetrieval(t *testing.T) {
 }
 
 func TestLookupAndRelease(t *testing.T) {
-	tb := New(cfg())
+	tb := New(cfg(), insts)
 	tg := isa.Tag{Thread: 0, Wave: 4}
 	tb.Insert(isa.Token{Tag: tg, Value: 9, Dest: isa.Target{Inst: 7, Port: 0}}, 7, 0b011, 0, 10)
 	e := tb.Lookup(7, 7, tg)
@@ -172,7 +223,7 @@ func TestLookupAndRelease(t *testing.T) {
 
 func TestHashSpreadsWaves(t *testing.T) {
 	c := Config{Entries: 32, Assoc: 2, Banks: 4, K: 4}
-	tb := New(c)
+	tb := New(c, insts)
 	// The paper's hash I*k + (w mod k): consecutive waves of one
 	// instruction land in k distinct sets.
 	seen := map[int]bool{}
@@ -189,7 +240,7 @@ func TestHashSpreadsWaves(t *testing.T) {
 // deterministic bound — and live never goes negative.
 func TestInsertCompleteInvariant(t *testing.T) {
 	f := func(instRaw uint8, wave uint8, a, b uint64) bool {
-		tb := New(Config{Entries: 64, Assoc: 2, Banks: 4, K: 64})
+		tb := New(Config{Entries: 64, Assoc: 2, Banks: 4, K: 64}, insts)
 		inst := isa.InstID(instRaw % 32)
 		w := uint32(wave)
 		o1, _ := tb.Insert(tok(inst, 0, w, 0, a), int(inst), 0b011, 0, 5)
@@ -205,7 +256,7 @@ func TestInsertCompleteInvariant(t *testing.T) {
 }
 
 func TestThreeInputInstruction(t *testing.T) {
-	tb := New(cfg())
+	tb := New(cfg(), insts)
 	tb.Insert(tok(4, 0, 0, 0, 1), 4, 0b111, 0, 10)
 	tb.Insert(tok(4, 0, 0, 1, 2), 4, 0b111, 1, 10)
 	out, e := tb.Insert(tok(4, 0, 0, 2, 1), 4, 0b111, 2, 10)
@@ -214,5 +265,128 @@ func TestThreeInputInstruction(t *testing.T) {
 	}
 	if e.Vals != [3]uint64{1, 2, 1} {
 		t.Errorf("vals = %v", e.Vals)
+	}
+}
+
+// checkIndexState compares a table's per-local-index bookkeeping with what
+// it summarizes: the live counter and youngest cache against a
+// scanInstances walk of the physical sets, the overflow counter and wave
+// range against the in-memory map. instOf maps a local index back to its (instruction,
+// thread).
+func checkIndexState(t *testing.T, step int, tb *Table, instOf func(li int) (isa.InstID, uint32)) {
+	t.Helper()
+	ovByIdx := make(map[int]int32)
+	for k, oe := range tb.overflow {
+		if k != keyOf(oe.LocalIdx, oe.Tag.Wave) {
+			t.Fatalf("step %d: overflow key %#x holds index %d, wave %d", step, k, oe.LocalIdx, oe.Tag.Wave)
+		}
+		ovByIdx[oe.LocalIdx]++
+		if st := &tb.idx[oe.LocalIdx]; oe.Tag.Wave < st.ovLo || oe.Tag.Wave > st.ovHi {
+			t.Fatalf("step %d: index %d: displaced wave %d outside the lookup range %d..%d",
+				step, oe.LocalIdx, oe.Tag.Wave, st.ovLo, st.ovHi)
+		}
+	}
+	live := 0
+	for li := range tb.idx {
+		st := &tb.idx[li]
+		inst, thread := instOf(li)
+		count, young := tb.scanInstances(inst, li, thread)
+		if int(st.live) != count {
+			t.Fatalf("step %d: index %d: live counter %d, scan counts %d", step, li, st.live, count)
+		}
+		live += count
+		if st.ov != ovByIdx[li] {
+			t.Fatalf("step %d: index %d: overflow counter %d, map holds %d", step, li, st.ov, ovByIdx[li])
+		}
+		delete(ovByIdx, li)
+		if count == 0 {
+			continue
+		}
+		if st.wave < young.Tag.Wave {
+			t.Fatalf("step %d: index %d: wave bound %d below live wave %d", step, li, st.wave, young.Tag.Wave)
+		}
+		// A cache that validates must already name the scan's answer; one
+		// that does not is rescanned, which the copy keeps out of tb.
+		cached := *st
+		if got := tb.youngest(&cached, inst, li, thread); got != young {
+			t.Fatalf("step %d: index %d: youngest is wave %d, scan says %d", step, li, got.Tag.Wave, young.Tag.Wave)
+		}
+	}
+	if len(ovByIdx) != 0 {
+		t.Fatalf("step %d: overflow entries under unknown indexes: %v", step, ovByIdx)
+	}
+	if live != tb.Live() {
+		t.Fatalf("step %d: Live() = %d, sets hold %d", step, tb.Live(), live)
+	}
+}
+
+// TestIndexStateMatchesScan drives random Insert / Release / DrainEntries →
+// Adopt sequences through small tables (so set eviction, k-rejects,
+// displacement of the youngest and overflow hits are all common) and checks
+// after every step that the per-index counters, the youngest cache and the
+// overflow counts say exactly what a scan of the sets and the map would.
+// The release callback's index is checked against the freed entry's.
+func TestIndexStateMatchesScan(t *testing.T) {
+	const (
+		threads = 2
+		perThr  = 5
+		nIdx    = threads * perThr
+	)
+	instOf := func(li int) (isa.InstID, uint32) { return isa.InstID(li % perThr), uint32(li / perThr) }
+	shapes := []Config{
+		{Entries: 8, Assoc: 2, Banks: 2, K: 2},
+		{Entries: 4, Assoc: 1, Banks: 1, K: 3},
+		{Entries: 6, Assoc: 3, Banks: 4, K: 4}, // K above the set count: the scan wraps
+		{Entries: 16, Assoc: 2, Banks: 4, K: 1},
+	}
+	for si, c := range shapes {
+		rng := rand.New(rand.NewSource(int64(si) + 1))
+		newTable := func(sized int) *Table {
+			tb := New(c, sized)
+			tb.OnRelease = func(li int) {
+				if li < 0 || li >= len(tb.idx) {
+					t.Fatalf("shape %d: release callback for index %d of %d", si, li, len(tb.idx))
+				}
+			}
+			return tb
+		}
+		tb, spare := newTable(nIdx), newTable(0)
+		cycle := uint64(0)
+		base := uint32(0) // waves wander upward so old and young tokens mix
+		for step := 0; step < 6000; step++ {
+			switch op := rng.Intn(20); {
+			case op < 15:
+				li := rng.Intn(nIdx)
+				inst, thread := instOf(li)
+				wave := base + uint32(rng.Intn(6))
+				if rng.Intn(3) > 0 {
+					cycle++ // otherwise same cycle: bank conflicts
+				}
+				tb.Insert(tok(inst, thread, wave, isa.PortID(rng.Intn(2)), uint64(step)), li, 0b011, cycle, 5)
+			case op < 18:
+				li := rng.Intn(nIdx)
+				inst, thread := instOf(li)
+				if e := tb.Lookup(inst, li, isa.Tag{Thread: thread, Wave: base + uint32(rng.Intn(6))}); e != nil {
+					tb.Release(e)
+				}
+			case op < 19:
+				base++
+			default:
+				// Map the PE out: everything it holds moves to the spare.
+				for _, e := range tb.DrainEntries() {
+					li := int(e.Tag.Thread)*perThr + int(e.Inst)
+					spare.Adopt(e, li, cycle+20)
+				}
+				checkIndexState(t, step, tb, instOf)
+				if tb.Live() != 0 || tb.OverflowSize() != 0 {
+					t.Fatalf("shape %d step %d: drained table holds %d+%d", si, step, tb.Live(), tb.OverflowSize())
+				}
+				tb, spare = spare, tb
+			}
+			checkIndexState(t, step, tb, instOf)
+		}
+		if s := tb.Stats(); s.KRejects == 0 && c.K < 4 {
+			t.Errorf("shape %d: sequence never hit the k-bound (%+v)", si, s)
+		}
 	}
 }

@@ -6,11 +6,12 @@ import (
 	"wavescalar/internal/workload"
 )
 
-// steadyProc builds an fft/small processor and runs it past startup, so
-// every freelist is primed and tokens are in full flight.
-func steadyProc(tb testing.TB) (*Processor, uint64) {
+// steadyProc builds app at the small scale on the baseline machine and
+// runs it past startup, so every freelist is primed and tokens are in full
+// flight.
+func steadyProc(tb testing.TB, app string) (*Processor, uint64) {
 	tb.Helper()
-	w, err := workload.ByName("fft")
+	w, err := workload.ByName(app)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -27,32 +28,77 @@ func steadyProc(tb testing.TB) (*Processor, uint64) {
 	return p, warm
 }
 
-// TestSteadyStateZeroAlloc drives the simulator mid-run — tokens flowing
-// through matching tables, store buffers and the NoC — and requires the
-// per-cycle tick to allocate nothing: the freelists and recycled buffers
-// must cover the whole token path.
-func TestSteadyStateZeroAlloc(t *testing.T) {
-	p, c := steadyProc(t)
-	per := testing.AllocsPerRun(2000, func() {
-		p.tick(c)
-		c++
-	})
-	if per != 0 {
-		t.Errorf("steady-state tick allocates %.2f objects/cycle, want 0", per)
+// kRejects sums the matching tables' k-bound rejections so far.
+func kRejects(p *Processor) uint64 {
+	var n uint64
+	for _, pe := range p.pes {
+		n += pe.mt.Stats().KRejects
 	}
+	return n
+}
+
+// TestSteadyStateZeroAlloc drives the simulator mid-run and requires the
+// per-cycle tick to allocate nothing: the freelists and recycled buffers
+// must cover the whole token path. fft has tokens flowing through matching
+// tables, store buffers and the NoC; mcf is the reject-heavy case (some 30
+// rejected input attempts per instruction), where tokens churn between the
+// input queue, the parked lists and the reinject list.
+func TestSteadyStateZeroAlloc(t *testing.T) {
+	for _, app := range []string{"fft", "mcf"} {
+		p, c := steadyProc(t, app)
+		before := kRejects(p)
+		per := testing.AllocsPerRun(2000, func() {
+			p.tick(c)
+			c++
+		})
+		if per != 0 {
+			t.Errorf("%s: steady-state tick allocates %.2f objects/cycle, want 0", app, per)
+		}
+		if parks := kRejects(p) - before; app == "mcf" && parks < 2000 {
+			t.Errorf("mcf: only %d tokens parked over the measured cycles; the fixture is not reject-heavy", parks)
+		}
+	}
+}
+
+// BenchmarkInputReject is the ledger's sim.ns_per_input_attempt under
+// go test -bench: whole mcf/small runs (96 % of whose matching-table input
+// attempts are rejected), timed from injection to quiescence, divided by
+// the attempts made — tokens written plus tokens refused.
+func BenchmarkInputReject(b *testing.B) {
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst := w.Build(workload.Small)
+	var attempts uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := New(Baseline(BaselineArch()), inst.Prog, inst.Params(1), Memory(inst.Mem))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		st, err := p.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		attempts += st.Match.Inserts + st.InputRejects
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(attempts), "ns/attempt")
 }
 
 // BenchmarkSteadyStateTick measures the per-cycle cost of the active-set
 // scheduler mid-run; -benchmem must report 0 allocs/op.
 func BenchmarkSteadyStateTick(b *testing.B) {
-	p, c := steadyProc(b)
+	p, c := steadyProc(b, "fft")
 	const limit = 150_000 // stay inside the run (fft/small is ~177k cycles)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if c == limit {
 			b.StopTimer()
-			p, c = steadyProc(b)
+			p, c = steadyProc(b, "fft")
 			b.StartTimer()
 		}
 		p.tick(c)

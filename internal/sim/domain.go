@@ -104,7 +104,7 @@ func (d *domainUnit) tick(c uint64) {
 				}
 			}
 		}
-		p.pe(msg.dst).enqueueIn(inMsg{readyAt: c + 2, sentAt: msg.sentAt, tok: msg.tok})
+		p.pe(msg.dst).enqueueIn(c+2, msg.sentAt, msg.tok)
 	}
 	// MEM: one request per cycle toward the owning store buffer.
 	if !d.memQ.empty() && d.memQ.peek(0).readyAt <= c {

@@ -155,7 +155,7 @@ func (p *Processor) killPEs(c uint64, dead []place.PEAddr) {
 	migrated, err := p.placement.Remap(
 		func(a place.PEAddr) bool { return p.pe(a).dead },
 		func(thread uint32, inst isa.InstID, from, to place.PEAddr) {
-			p.pe(to).ist.Bind(p.istKey(thread, inst))
+			p.pe(to).bind(p.istKey(thread, inst))
 		},
 	)
 	if err != nil {
@@ -179,24 +179,27 @@ func (p *Processor) migratePE(c, readyAt uint64, pe *peUnit) int {
 	moved := 0
 	sendTok := func(tok isa.Token) {
 		dst := p.loc(tok.Tag.Thread, tok.Dest.Inst)
-		p.pe(dst).enqueueIn(inMsg{readyAt: readyAt, tok: tok})
+		p.pe(dst).enqueueIn(readyAt, 0, tok)
 		moved++
 	}
-
-	// Input queue, reinjection buffer, and parked (k-rejected) tokens.
-	for !pe.inQ.empty() {
-		sendTok(pe.inQ.popFront().tok)
-	}
-	for _, tok := range pe.reinject {
-		sendTok(tok)
-	}
-	pe.reinject = nil
-	for _, toks := range pe.parked {
-		for _, tok := range toks {
-			sendTok(tok)
+	drain := func(l *tokList) {
+		for i := l.head; i != nilTok; {
+			nd := pe.toks.nodes[i]
+			pe.toks.put(i)
+			sendTok(nd.tok)
+			i = nd.next
 		}
+		*l = tokList{}
 	}
-	pe.parked = make(map[parkKey][]isa.Token)
+
+	// Input queue, reinjection list, and parked (k-rejected) tokens, the
+	// last in ascending local-index order so the new hosts see one
+	// arrival order on every run.
+	drain(&pe.inQ)
+	drain(&pe.reinject)
+	for li := range pe.parked {
+		drain(&pe.parked[li])
+	}
 	pe.parkedCount = 0
 
 	// Partial matches (physical and overflow) adopt wholesale so

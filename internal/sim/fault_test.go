@@ -9,6 +9,8 @@ import (
 	"wavescalar/internal/fault"
 	"wavescalar/internal/graph"
 	"wavescalar/internal/isa"
+	"wavescalar/internal/place"
+	"wavescalar/internal/workload"
 )
 
 // simShape mirrors the shape New derives for a configuration.
@@ -320,5 +322,93 @@ func TestDegradationMonotone(t *testing.T) {
 	}
 	if aipc[len(aipc)-1] >= aipc[0] {
 		t.Errorf("25%% dead should cost performance: %.4f vs clean %.4f", aipc[len(aipc)-1], aipc[0])
+	}
+}
+
+// scoutParked runs a fault-free copy of cfg cycle by cycle and returns the
+// cycle at whose start some PE holds tokens parked on the most different
+// local indexes (at least two), with that PE's address. A kill event at
+// that cycle finds the PE in exactly this state: a script of scheduled
+// kills perturbs nothing before its first event.
+func scoutParked(t *testing.T, cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) (uint64, place.PEAddr) {
+	t.Helper()
+	cfg.Fault = nil
+	p, err := New(cfg, prog, params, mem)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	p.inject()
+	var (
+		most  int
+		cycle uint64
+		addr  place.PEAddr
+	)
+	for c := uint64(0); c < 100_000 && p.haltCount < p.threads; c++ {
+		p.tick(c)
+		for _, pe := range p.pes {
+			held := 0
+			for li := range pe.parked {
+				if !pe.parked[li].empty() {
+					held++
+				}
+			}
+			if held > most {
+				most, cycle, addr = held, c+1, pe.addr
+			}
+		}
+	}
+	if most < 2 {
+		t.Fatal("no PE ever held tokens parked on two instructions")
+	}
+	return cycle, addr
+}
+
+// TestKillWithParkedTokensDeterministic kills a PE while it holds
+// k-rejected tokens parked on several instructions of a loop kernel. The
+// tokens re-deliver to the instructions' new hosts in ascending
+// local-index order, so every run of the script must agree on every
+// statistic, halt value and memory word. (The parked lists were once a map
+// drained in Go's map order: on this two-PE machine, where every migrated
+// token lands on the one survivor, twenty runs gave fourteen digests.)
+func TestKillWithParkedTokensDeterministic(t *testing.T) {
+	w, err := workload.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := w.Build(workload.Tiny)
+	for _, k := range []int{1, 2} {
+		cfg := smallCfg()
+		cfg.K = k
+		cfg.Arch.Domains, cfg.Arch.PEs = 1, 2
+		cycle, addr := scoutParked(t, cfg, inst.Prog, inst.Params(1), Memory(inst.Mem))
+		cfg.Fault = &fault.Script{
+			Seed:   3,
+			Events: []fault.Event{{Cycle: cycle, Kind: fault.KindKillPE, Cluster: addr.Cluster, Domain: addr.Domain, PE: addr.PE}},
+		}
+		var first *Stats
+		var firstProc *Processor
+		for run := 0; run < 20; run++ {
+			proc, err := New(cfg, inst.Prog, inst.Params(1), Memory(inst.Mem))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			st, err := proc.Run()
+			if err != nil {
+				t.Fatalf("k=%d run %d: %v", k, run, err)
+			}
+			if st.Fault.TokensMigrated == 0 {
+				t.Fatalf("k=%d: the kill at cycle %d migrated no tokens", k, cycle)
+			}
+			if first == nil {
+				first, firstProc = st, proc
+				continue
+			}
+			if st.Digest() != first.Digest() {
+				t.Fatalf("k=%d run %d: stats diverged\nfirst: %+v\nthis:  %+v", k, run, first, st)
+			}
+			if !reflect.DeepEqual(proc.haltValues, firstProc.haltValues) || !reflect.DeepEqual(proc.Mem(), firstProc.Mem()) {
+				t.Fatalf("k=%d run %d: halt values or memory image diverged", k, run)
+			}
+		}
 	}
 }

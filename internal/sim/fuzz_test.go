@@ -183,6 +183,155 @@ func FuzzFifoOps(f *testing.F) {
 	})
 }
 
+// tokListModel is the plain-slice reference FuzzTokListOps holds a
+// tokPool and its lists against: the same three kinds of list a PE keeps,
+// as slices of token ids.
+type tokListModel struct {
+	inQ, reinject []uint64
+	parked        [4][]uint64
+}
+
+// checkTokLists walks every list forwards and backwards against the model
+// and then accounts for the whole pool: each node is on exactly one list
+// or on the free list, so nothing leaked and nothing was freed twice.
+func checkTokLists(t *testing.T, step int, p *tokPool, inQ, reinject *tokList, parked []tokList, m *tokListModel) {
+	t.Helper()
+	seen := make([]bool, len(p.nodes))
+	claim := func(what string, i int32) {
+		if i <= nilTok || int(i) >= len(p.nodes) {
+			t.Fatalf("step %d: %s reaches node %d of %d", step, what, i, len(p.nodes))
+		}
+		if seen[i] {
+			t.Fatalf("step %d: %s reaches node %d a second time", step, what, i)
+		}
+		seen[i] = true
+	}
+	walk := func(what string, l *tokList, want []uint64) {
+		if int(l.n) != len(want) || l.empty() != (len(want) == 0) {
+			t.Fatalf("step %d: %s: n = %d, empty = %v, want %d tokens", step, what, l.n, l.empty(), len(want))
+		}
+		k, prev := 0, nilTok
+		for i := l.head; i != nilTok; i = p.nodes[i].next {
+			claim(what, i)
+			if k >= len(want) || p.nodes[i].tok.Value != want[k] {
+				t.Fatalf("step %d: %s[%d] = token %d, want %v", step, what, k, p.nodes[i].tok.Value, want)
+			}
+			if p.nodes[i].prev != prev {
+				t.Fatalf("step %d: %s[%d].prev = %d, want %d", step, what, k, p.nodes[i].prev, prev)
+			}
+			prev = i
+			k++
+		}
+		if k != len(want) || l.tail != prev {
+			t.Fatalf("step %d: %s walked %d of %d tokens, tail = %d, last = %d", step, what, k, len(want), l.tail, prev)
+		}
+	}
+	walk("inQ", inQ, m.inQ)
+	walk("reinject", reinject, m.reinject)
+	for li := range parked {
+		walk("parked", &parked[li], m.parked[li])
+	}
+	for i := p.free; i != nilTok; i = p.nodes[i].next {
+		claim("free list", i)
+	}
+	for i := 1; i < len(seen); i++ {
+		if !seen[i] {
+			t.Fatalf("step %d: node %d is on no list and not free", step, i)
+		}
+	}
+}
+
+// FuzzTokListOps drives one PE's worth of intrusive token lists — the
+// input queue, the per-index parked lists and the reinject list, all
+// threaded through one pool — with an arbitrary stream of the INPUT
+// stage's operations, and cross-checks order, links, counts and pool
+// accounting against plain slices after every step. The pool starts on a
+// three-node slab so both the carved capacity and growth past it run.
+func FuzzTokListOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 2, 10, 3, 4, 1})
+	f.Add([]byte{0, 0, 6, 14, 3, 11, 4, 0, 5, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 2, 2, 10, 10, 3, 11, 4, 9, 17, 5})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		slab := make([]tokNode, 4)
+		p := &tokPool{nodes: slab[:1:4]}
+		var inQ, reinject tokList
+		parked := make([]tokList, 4)
+		var m tokListModel
+		next := uint64(1)
+		fresh := func(li int) int32 {
+			i := p.get()
+			p.nodes[i] = tokNode{tok: isa.Token{Value: next}, li: int32(li)}
+			next++
+			return i
+		}
+		// at returns the inQ node at position k, as phaseInput's cursor
+		// would reach it.
+		at := func(k int) int32 {
+			i := inQ.head
+			for ; k > 0; k-- {
+				i = p.nodes[i].next
+			}
+			return i
+		}
+		for step, b := range ops {
+			arg := int(b) / 8
+			switch b % 8 {
+			case 0: // a token arrives
+				m.inQ = append(m.inQ, next)
+				p.pushBack(&inQ, fresh(arg%4))
+			case 1: // the cursor's token is accepted: unlink and recycle
+				if len(m.inQ) == 0 {
+					continue
+				}
+				k := arg % len(m.inQ)
+				i := at(k)
+				p.unlink(&inQ, i)
+				p.put(i)
+				m.inQ = append(m.inQ[:k], m.inQ[k+1:]...)
+			case 2: // the cursor's token is k-rejected: unlink and park
+				if len(m.inQ) == 0 {
+					continue
+				}
+				k := arg % len(m.inQ)
+				i := at(k)
+				li := p.nodes[i].li
+				p.unlink(&inQ, i)
+				p.pushBack(&parked[li], i)
+				m.parked[li] = append(m.parked[li], m.inQ[k])
+				m.inQ = append(m.inQ[:k], m.inQ[k+1:]...)
+			case 3: // the table releases an entry: the herd queues to reinject
+				li := arg % 4
+				p.concat(&reinject, &parked[li])
+				m.reinject = append(m.reinject, m.parked[li]...)
+				m.parked[li] = nil
+			case 4: // phaseInput's splice: reinject goes ahead of the queue
+				p.concat(&reinject, &inQ)
+				inQ, reinject = reinject, tokList{}
+				m.inQ = append(m.reinject, m.inQ...)
+				m.reinject = nil
+			case 5: // the PE is mapped out: every list drains
+				lists := append([]*tokList{&inQ, &reinject}, &parked[0], &parked[1], &parked[2], &parked[3])
+				for _, l := range lists {
+					for i := l.head; i != nilTok; {
+						nx := p.nodes[i].next
+						p.put(i)
+						i = nx
+					}
+					*l = tokList{}
+				}
+				m = tokListModel{}
+			case 6: // a bypassed token is k-rejected: parked without queueing
+				li := arg % 4
+				m.parked[li] = append(m.parked[li], next)
+				p.pushBack(&parked[li], fresh(li))
+			default:
+				continue
+			}
+			checkTokLists(t, step, p, &inQ, &reinject, parked, &m)
+		}
+	})
+}
+
 // FuzzActiveSetOps checks the work-list invariants — arm is idempotent,
 // drain is sorted and complete, nothing armed is ever lost — under an
 // arbitrary interleaving of arms and drains.

@@ -156,7 +156,7 @@ func (p *Processor) clusterPhases(c uint64, base, n int) {
 		}
 	}
 	for _, pe := range pes {
-		if !pe.inQ.empty() || len(pe.reinject) > 0 {
+		if pe.inputPending() {
 			pe.phaseInput(c)
 		}
 	}

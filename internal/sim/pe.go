@@ -9,15 +9,6 @@ import (
 	"wavescalar/internal/trace"
 )
 
-// inMsg is a token in flight toward a PE's INPUT stage. sentAt is the
-// producer's execution-completion cycle, so INPUT can record end-to-end
-// operand delivery latency (Section 4.3's message-latency metric).
-type inMsg struct {
-	readyAt uint64
-	sentAt  uint64
-	tok     isa.Token
-}
-
 // schedKind distinguishes ordinary fires from the two halves of a
 // decoupled store.
 type schedKind uint8
@@ -69,7 +60,6 @@ type peUnit struct {
 	mt   *match.Table
 	ist  *istore.Store
 
-	inQ     fifo[inMsg]
 	schedQ  fifo[schedEntry]
 	pending fifo[execResult] // completion queue (FIFO; latencies are FIFO-ordered per PE)
 	outQ    fifo[outEntry]
@@ -77,22 +67,19 @@ type peUnit struct {
 	stallUntil uint64 // instruction-store miss fetch in progress
 	dead       bool   // killed by a fault script; state already migrated
 
-	// parked holds k-rejected tokens per (instruction, thread): in
-	// hardware the senders keep retrying, but nothing can change until
-	// the matching table releases an entry of the same instruction, so
-	// the model parks them and reinjects on the table's release callback.
-	parked      map[parkKey][]isa.Token
+	// The INPUT stage: every token the PE holds is a node of toks on one
+	// of three kinds of list. inQ is the input queue. parked[li] holds the
+	// tokens k-rejected for local index li, in park order: in hardware the
+	// senders keep retrying, but nothing can change until the matching
+	// table releases an entry of the same instruction, so the model parks
+	// them. The table's release callback moves the whole herd to
+	// reinject, and the next phaseInput splices reinject onto the front of
+	// inQ. parked is sized by the instruction store's bound count.
+	toks        tokPool
+	inQ         tokList
+	reinject    tokList
+	parked      []tokList
 	parkedCount int
-	reinject    []isa.Token
-	// parkFree recycles the per-key token slices: onRelease returns the
-	// emptied slice here and park reuses its capacity, so steady-state
-	// k-reject churn allocates nothing.
-	parkFree [][]isa.Token
-}
-
-type parkKey struct {
-	inst   isa.InstID
-	thread uint32
 }
 
 // Wake helpers arm the PE into a phase's work list; every push into the
@@ -106,18 +93,28 @@ func (pe *peUnit) wakeOutput()   { pe.p.actOutput.arm(pe.gidx) }
 // enqueueIn delivers a token to the PE's input queue. A token that was
 // in flight toward a PE killed mid-delivery heals: it re-resolves the
 // destination instruction's new host and is delivered there instead.
-func (pe *peUnit) enqueueIn(m inMsg) {
+func (pe *peUnit) enqueueIn(readyAt, sentAt uint64, tok isa.Token) {
 	if pe.dead {
-		host := pe.p.pe(pe.p.loc(m.tok.Tag.Thread, m.tok.Dest.Inst))
+		host := pe.p.pe(pe.p.loc(tok.Tag.Thread, tok.Dest.Inst))
 		if host != pe {
 			pe.p.inj.CountHealed()
-			host.inQ.push(m)
-			host.wakeInput()
-			return
+			pe = host
 		}
 	}
-	pe.inQ.push(m)
+	li := pe.ist.LocalIndex(pe.p.istKey(tok.Tag.Thread, tok.Dest.Inst))
+	pe.toks.pushBack(&pe.inQ, pe.newTok(readyAt, sentAt, tok, li))
 	pe.wakeInput()
+}
+
+// newTok takes a node from the pool for a token addressed to local index
+// li.
+func (pe *peUnit) newTok(readyAt, sentAt uint64, tok isa.Token, li int) int32 {
+	i := pe.toks.get()
+	pe.toks.nodes[i] = tokNode{
+		tok: tok, readyAt: readyAt, sentAt: sentAt,
+		li: int32(li), req: pe.p.required[tok.Dest.Inst],
+	}
+	return i
 }
 
 // insert delivers a token to the matching table, recording the insert and
@@ -139,61 +136,74 @@ func (pe *peUnit) insert(c uint64, tok isa.Token, li int, req uint8) (match.Outc
 	return out, e
 }
 
-// park shelves a k-rejected token until the quota can have opened.
-func (pe *peUnit) park(tok isa.Token) {
-	k := parkKey{inst: tok.Dest.Inst, thread: tok.Tag.Thread}
-	s, ok := pe.parked[k]
-	if !ok {
-		if n := len(pe.parkFree); n > 0 {
-			s = pe.parkFree[n-1][:0]
-			pe.parkFree = pe.parkFree[:n-1]
-		}
-	}
-	pe.parked[k] = append(s, tok)
+// park shelves a k-rejected token (an unlinked node) until the quota can
+// have opened. Whatever it was before, a parked token comes back as the
+// reinjection path always delivered it: ready at once, and with no
+// delivery-latency sample.
+func (pe *peUnit) park(i int32) {
+	nd := &pe.toks.nodes[i]
+	nd.readyAt, nd.sentAt = 0, 0
+	pe.toks.pushBack(&pe.parked[nd.li], i)
 	pe.parkedCount++
 }
 
 // onRelease is the matching table's release callback: any tokens parked on
-// the freed instruction re-enter the input queue.
-func (pe *peUnit) onRelease(inst isa.InstID, thread uint32) {
-	if pe.parkedCount == 0 {
+// the freed instruction queue up for reinjection, behind herds released
+// earlier this cycle.
+func (pe *peUnit) onRelease(li int) {
+	herd := &pe.parked[li]
+	if herd.empty() {
 		return
 	}
-	k := parkKey{inst: inst, thread: thread}
-	toks := pe.parked[k]
-	if len(toks) == 0 {
-		return
-	}
-	delete(pe.parked, k)
-	pe.parkedCount -= len(toks)
-	pe.reinject = append(pe.reinject, toks...)
-	pe.parkFree = append(pe.parkFree, toks[:0])
+	pe.parkedCount -= int(herd.n)
+	pe.toks.concat(&pe.reinject, herd)
 	pe.wakeInput()
 }
 
 func newPE(p *Processor, addr place.PEAddr) *peUnit {
-	pe := &peUnit{
-		p:    p,
-		addr: addr,
-		mt: match.New(match.Config{
+	return &peUnit{p: p, addr: addr, ist: istore.New(p.cfg.Arch.Virt)}
+}
+
+// buildInput sizes every PE's INPUT stage once the placement is bound and
+// the instruction stores know their counts: the parked lists come out of
+// one machine-wide slab, and each matching table is told how many local
+// indexes it serves. Token pools allocate on first use.
+func (p *Processor) buildInput() {
+	bound := 0
+	for _, pe := range p.pes {
+		bound += pe.ist.Bound()
+	}
+	lists := make([]tokList, bound)
+	for _, pe := range p.pes {
+		n := pe.ist.Bound()
+		pe.parked, lists = lists[:n:n], lists[n:]
+		pe.mt = match.New(match.Config{
 			Entries: p.cfg.Arch.Match,
 			Assoc:   p.cfg.MatchAssoc,
 			Banks:   p.cfg.MatchBanks,
 			K:       p.cfg.K,
-		}),
-		ist:    istore.New(p.cfg.Arch.Virt),
-		parked: make(map[parkKey][]isa.Token),
+		}, n)
+		pe.mt.OnRelease = pe.onRelease
 	}
-	pe.mt.OnRelease = pe.onRelease
-	return pe
 }
+
+// bind places one more instruction on a running PE (a fault remap) and
+// gives it a parked list.
+func (pe *peUnit) bind(key isa.InstID) {
+	li := pe.ist.Bind(key)
+	for len(pe.parked) <= li {
+		pe.parked = append(pe.parked, tokList{})
+	}
+}
+
+// inputPending reports whether phaseInput has anything to look at.
+func (pe *peUnit) inputPending() bool { return !pe.inQ.empty() || !pe.reinject.empty() }
 
 // busy reports whether the PE has any work in flight (idle PEs are skipped).
 // Parked tokens do not make a PE busy on their own: they only move when the
 // matching table frees an entry, which requires other activity first.
 func (pe *peUnit) busy() bool {
-	return !pe.inQ.empty() || !pe.schedQ.empty() || !pe.pending.empty() ||
-		!pe.outQ.empty() || len(pe.reinject) > 0
+	return pe.inputPending() || !pe.schedQ.empty() || !pe.pending.empty() || !pe.outQ.empty()
 }
 
 // idleParked reports tokens parked with no way to ever reinject (used by
@@ -273,10 +283,11 @@ func (pe *peUnit) acceptBypass(c uint64, tok isa.Token) {
 	out, e := pe.insert(c, tok, li, req)
 	switch out {
 	case match.Rejected:
-		pe.park(tok)
+		pe.park(pe.newTok(0, 0, tok, li))
 	case match.RejectedBank:
 		// Bank pressure: fall back to the ordinary input path.
-		pe.enqueueIn(inMsg{readyAt: c + 1, tok: tok})
+		pe.toks.pushBack(&pe.inQ, pe.newTok(c+1, 0, tok, li))
+		pe.wakeInput()
 	case match.Completed:
 		ready := c
 		if !pe.p.cfg.SpecFire {
@@ -474,7 +485,7 @@ func (pe *peUnit) phaseOutput(c uint64) {
 				pe.p.rec.Message(c, trace.LevelDomain, trace.ClassOperand,
 					pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, dst.Cluster)
 			}
-			pe.p.pe(dst).enqueueIn(inMsg{readyAt: c + 1, sentAt: e.sentAt, tok: tok})
+			pe.p.pe(dst).enqueueIn(c+1, e.sentAt, tok)
 			continue
 		}
 		lvl := LevelCluster
@@ -497,34 +508,31 @@ func (pe *peUnit) phaseOutput(c uint64) {
 // independently, which reorders arrivals): the scan stops at the window
 // once something was accepted, but continues to the end of the queue while
 // nothing has been, so a token that would unblock a k-bounded jam is always
-// reachable. Deep scans are suppressed while the matching table has
-// released nothing and no token has arrived since the last fruitless one —
-// the outcome could not differ.
+// reachable. pos counts the tokens the cursor has stepped over, which is
+// the queue position the window is measured in.
 func (pe *peUnit) phaseInput(c uint64) {
 	// Tokens released from parking re-enter at the front: they are the
 	// oldest work and the quota just opened for them.
-	for i := len(pe.reinject) - 1; i >= 0; i-- {
-		pe.inQ.pushFront(inMsg{readyAt: c, tok: pe.reinject[i]})
+	if !pe.reinject.empty() {
+		pe.toks.concat(&pe.reinject, &pe.inQ)
+		pe.inQ, pe.reinject = pe.reinject, tokList{}
 	}
-	pe.reinject = pe.reinject[:0]
 
 	accepted := 0
 	window := pe.p.cfg.InputWindow
-	i := 0
-	for accepted < pe.p.cfg.MatchBanks && i < pe.inQ.len() {
-		if i >= window && accepted > 0 {
+	pos := 0
+	for i := pe.inQ.head; i != nilTok && accepted < pe.p.cfg.MatchBanks; {
+		if pos >= window && accepted > 0 {
 			break
 		}
-		m := pe.inQ.peek(i)
-		if m.readyAt > c {
-			i++
+		nd := &pe.toks.nodes[i]
+		next := nd.next
+		if nd.readyAt > c {
+			pos++
+			i = next
 			continue
 		}
-		tok := m.tok
-		sentAt := m.sentAt
-		li := pe.ist.LocalIndex(pe.p.istKey(tok.Tag.Thread, tok.Dest.Inst))
-		req := pe.p.required[tok.Dest.Inst]
-		out, e := pe.insert(c, tok, li, req)
+		out, e := pe.insert(c, nd.tok, int(nd.li), nd.req)
 		if out == match.Rejected {
 			// k-bound: park until the table frees an entry of this
 			// instruction.
@@ -533,19 +541,21 @@ func (pe *peUnit) phaseInput(c uint64) {
 				pe.p.rec.PEStall(c, pe.addr.Cluster, pe.addr.Domain, pe.addr.PE,
 					trace.StallReject, 1)
 			}
-			pe.inQ.remove(i)
-			pe.park(tok)
+			pe.toks.unlink(&pe.inQ, i)
+			pe.park(i)
+			i = next
 			continue
 		}
 		if out == match.RejectedBank {
 			pe.st.InputRejects++
-			i++
+			pos++
+			i = next
 			continue
 		}
-		pe.inQ.remove(i)
+		pe.toks.unlink(&pe.inQ, i)
 		accepted++
-		if sentAt > 0 {
-			pe.st.OperandLatTotal += c - sentAt
+		if nd.sentAt > 0 {
+			pe.st.OperandLatTotal += c - nd.sentAt
 			pe.st.OperandCount++
 		}
 		switch out {
@@ -558,7 +568,9 @@ func (pe *peUnit) phaseInput(c uint64) {
 			})
 			pe.wakeDispatch()
 		case match.Stored:
-			pe.maybeStoreAddrHalf(c, tok, e)
+			pe.maybeStoreAddrHalf(c, nd.tok, e)
 		}
+		pe.toks.put(i)
+		i = next
 	}
 }

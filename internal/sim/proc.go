@@ -299,6 +299,7 @@ func newProc(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memo
 			p.pe(pl.Loc(uint32(t), isa.InstID(i))).ist.Bind(p.istKey(uint32(t), isa.InstID(i)))
 		}
 	}
+	p.buildInput()
 	return p, nil
 }
 
@@ -706,11 +707,11 @@ func (p *Processor) inject() {
 			}
 			for _, tgt := range pr.Targets {
 				dst := p.loc(uint32(t), tgt.Inst)
-				p.pe(dst).enqueueIn(inMsg{readyAt: 0, tok: isa.Token{
+				p.pe(dst).enqueueIn(0, 0, isa.Token{
 					Tag:   isa.Tag{Thread: uint32(t), Wave: 0},
 					Value: v,
 					Dest:  tgt,
-				}})
+				})
 			}
 		}
 	}
@@ -774,7 +775,7 @@ func (p *Processor) scanTick(c uint64) {
 		}
 	}
 	for _, pe := range p.pes {
-		if !pe.inQ.empty() || len(pe.reinject) > 0 {
+		if pe.inputPending() {
 			pe.phaseInput(c)
 		}
 	}
@@ -856,9 +857,9 @@ func (p *Processor) activeTick(c uint64) {
 	}
 	for _, i := range p.actInput.drain() {
 		pe := p.pes[i]
-		if !pe.inQ.empty() || len(pe.reinject) > 0 {
+		if pe.inputPending() {
 			pe.phaseInput(c)
-			if !pe.inQ.empty() || len(pe.reinject) > 0 {
+			if pe.inputPending() {
 				p.actInput.arm(i)
 			}
 		}
@@ -955,7 +956,7 @@ func (p *Processor) dump() string {
 	var states []peState
 	for _, pe := range p.pes {
 		if pe.busy() || pe.parkedCount > 0 {
-			states = append(states, peState{pe.addr, pe.inQ.len(), pe.schedQ.len(), pe.outQ.len(), pe.pending.len(), pe.parkedCount})
+			states = append(states, peState{pe.addr, int(pe.inQ.n), pe.schedQ.len(), pe.outQ.len(), pe.pending.len(), pe.parkedCount})
 		}
 	}
 	sort.Slice(states, func(i, j int) bool { return states[i].in+states[i].sched > states[j].in+states[j].sched })

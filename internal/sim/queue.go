@@ -1,6 +1,10 @@
 package sim
 
-import "slices"
+import (
+	"slices"
+
+	"wavescalar/internal/isa"
+)
 
 // ring is a growable power-of-two circular buffer of component indices —
 // the storage behind the per-cycle work lists. Pushes during a drain land
@@ -118,11 +122,10 @@ func (q *fifo[T]) popFront() T {
 }
 
 // remove deletes the i-th element from the front, preserving order. It
-// shifts whichever side of the removal point is shorter: accepted tokens
-// sit near the front of deep input queues, so shifting the prefix (and
-// banking the freed slot in head, where pushFront reclaims it) turns what
-// was an O(queue) tail copy per accepted token into an O(i) one — the
-// difference between the simulator's hot path being memmove-bound or not.
+// shifts whichever side of the removal point is shorter and banks a freed
+// front slot in head, where pushFront reclaims it. Its one caller picks
+// from the scheduling queue's eight-entry dispatch window, so the shift
+// is a few elements; queues that are removed from at depth are tokLists.
 func (q *fifo[T]) remove(i int) T {
 	idx := q.head + i
 	v := q.items[idx]
@@ -146,9 +149,9 @@ func (q *fifo[T]) remove(i int) T {
 }
 
 // pushFront inserts at the head (used for priority bypass entries and
-// reinjection bursts). When the head has no slack it opens room for many
-// prepends at once, so a burst costs amortized O(1) per token instead of
-// an O(queue) shift each.
+// instruction-miss replays). When the head has no slack it opens room for
+// many prepends at once, so a burst costs amortized O(1) per entry instead
+// of an O(queue) shift each.
 func (q *fifo[T]) pushFront(v T) {
 	if q.head == 0 {
 		n := len(q.items)
@@ -167,4 +170,112 @@ func (q *fifo[T]) pushFront(v T) {
 	}
 	q.head--
 	q.items[q.head] = v
+}
+
+// tokNode is a token held at a PE's INPUT stage: queued, parked on a
+// k-reject, or released and awaiting reinjection. It sits on exactly one
+// tokList at a time and moves between them by relinking, never by copy.
+type tokNode struct {
+	tok     isa.Token
+	readyAt uint64
+	// sentAt is the producer's execution-completion cycle, so INPUT can
+	// record end-to-end operand delivery latency (Section 4.3's
+	// message-latency metric); 0 means no sample is taken.
+	sentAt     uint64
+	next, prev int32
+	// li and req are the destination instruction's local index and
+	// required-operand mask at this PE, resolved once when the token
+	// arrives however many times it is re-offered.
+	li  int32
+	req uint8
+}
+
+// nilTok ends a list. Node 0 of every pool is reserved for it, so the zero
+// tokList is empty and zeroed links point nowhere.
+const nilTok int32 = 0
+
+// tokList is an intrusive doubly-linked list threaded through a tokPool's
+// nodes by index.
+type tokList struct {
+	head, tail int32
+	n          int32
+}
+
+func (l *tokList) empty() bool { return l.head == nilTok }
+
+// tokPool owns one PE's token nodes. Indexes stay valid as the backing
+// slice grows; *tokNode pointers do not survive a get.
+type tokPool struct {
+	nodes []tokNode // nodes[0] is nilTok's slot and is never handed out
+	free  int32     // free list, linked through next
+}
+
+// tokPoolStart is the capacity a pool starts with when its first token
+// arrives. Most PEs of a many-cluster machine running a few threads never
+// see one, so nothing is allocated up front.
+const tokPoolStart = 16
+
+// get returns an unlinked node, recycling a freed one before extending the
+// pool.
+func (p *tokPool) get() int32 {
+	if i := p.free; i != nilTok {
+		p.free = p.nodes[i].next
+		return i
+	}
+	if p.nodes == nil {
+		p.nodes = make([]tokNode, 1, tokPoolStart)
+	}
+	p.nodes = append(p.nodes, tokNode{})
+	return int32(len(p.nodes) - 1)
+}
+
+// put recycles an unlinked node.
+func (p *tokPool) put(i int32) {
+	p.nodes[i].next = p.free
+	p.free = i
+}
+
+func (p *tokPool) pushBack(l *tokList, i int32) {
+	nd := &p.nodes[i]
+	nd.next, nd.prev = nilTok, l.tail
+	if l.tail != nilTok {
+		p.nodes[l.tail].next = i
+	} else {
+		l.head = i
+	}
+	l.tail = i
+	l.n++
+}
+
+// unlink removes node i from l, wherever it sits.
+func (p *tokPool) unlink(l *tokList, i int32) {
+	nd := &p.nodes[i]
+	if nd.prev != nilTok {
+		p.nodes[nd.prev].next = nd.next
+	} else {
+		l.head = nd.next
+	}
+	if nd.next != nilTok {
+		p.nodes[nd.next].prev = nd.prev
+	} else {
+		l.tail = nd.prev
+	}
+	l.n--
+}
+
+// concat moves every node of src to the tail of dst, keeping order, and
+// leaves src empty.
+func (p *tokPool) concat(dst, src *tokList) {
+	if src.head == nilTok {
+		return
+	}
+	if dst.tail == nilTok {
+		*dst = *src
+	} else {
+		p.nodes[dst.tail].next = src.head
+		p.nodes[src.head].prev = dst.tail
+		dst.tail = src.tail
+		dst.n += src.n
+	}
+	*src = tokList{}
 }

@@ -162,8 +162,9 @@ func TestFifoRemove(t *testing.T) {
 	}
 }
 
-// TestFifoPushFront interleaves pushFront bursts (the reinjection
-// pattern) with pops and removes, checking order against a reference.
+// TestFifoPushFront interleaves pushFront bursts (bypass-completed and
+// replayed scheduling entries) with pops, checking order against a
+// reference.
 func TestFifoPushFront(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var q fifo[int]
