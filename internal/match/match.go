@@ -23,6 +23,16 @@
 // rejected or first-operand token costs a few loads rather than a K-set
 // scan and a hash of its (instruction, tag). Two (instruction, thread)
 // pairs sharing an index would share one k-quota.
+//
+// The same per-index state decides most refusals before the table is
+// touched (CertainReject). A token whose arrival bank is free is certainly
+// k-rejected when three facts hold for its local index: the index already
+// has K live instances; the token's wave is above the recorded wave, which
+// bounds every live wave of the index from above, so no set entry can be
+// its partner and the youngest resident instance is no younger than it;
+// and its instance was not displaced to the in-memory table, so there is
+// no partner to fetch back either. Insert would then return Rejected
+// having changed nothing but the KRejects counter.
 package match
 
 import (
@@ -170,6 +180,14 @@ func (t *Table) set(localIdx int, tag isa.Tag) int {
 	return (localIdx*k + int(tag.Wave)%k) % len(t.sets)
 }
 
+// Bank returns the arrival bank a token of the given wave addressed to
+// localIdx contends for: sets interleave across the banks. It depends only
+// on the index, the wave and the table's geometry, so a sender can compute
+// it once however often the token is re-offered.
+func (t *Table) Bank(localIdx int, wave uint32) int {
+	return t.set(localIdx, isa.Tag{Wave: wave}) % t.cfg.Banks
+}
+
 // Outcome describes what happened to an inserted token.
 type Outcome int
 
@@ -198,10 +216,13 @@ const (
 // the in-memory matching table.
 //
 // Insert enforces the per-cycle bank limit (one token per bank per cycle):
-// a second token hashing to the same bank in one cycle is Rejected.
+// a second token hashing to the same bank in one cycle is RejectedBank —
+// not Rejected: nothing about the table has to change for a retry next
+// cycle to succeed, so the sender keeps the token queued instead of parking
+// it. The bank is tested first, and a bank reject changes only BankRejects.
 func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64, overflowPenalty uint64) (Outcome, *Entry) {
 	si := t.set(localIdx, tok.Tag)
-	bank := si % t.cfg.Banks // sets interleave across the arrival banks
+	bank := si % t.cfg.Banks // == t.Bank(localIdx, tok.Tag.Wave)
 	if t.bankUsed[bank] == cycle+1 {
 		t.stats.BankRejects++
 		return RejectedBank, nil
@@ -219,13 +240,12 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 	}
 	st := t.inst(localIdx)
 	readyAt := cycle + 1
-	if slot == nil && st.ov > 0 && st.ovLo <= tok.Tag.Wave && tok.Tag.Wave <= st.ovHi {
+	if slot == nil {
 		// Check the in-memory overflow table: a hit there is a
 		// matching-table miss (the partner was displaced earlier).
-		k := keyOf(localIdx, tok.Tag.Wave)
-		if oe, ok := t.overflow[k]; ok {
+		if oe := t.displaced(st, localIdx, tok.Tag.Wave); oe != nil {
 			t.stats.OverflowHits++
-			delete(t.overflow, k)
+			delete(t.overflow, keyOf(localIdx, tok.Tag.Wave))
 			st.ov--
 			slot = t.allocate(si)
 			*slot = *oe
@@ -275,6 +295,53 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 		return Completed, &t.done
 	}
 	return Stored, slot
+}
+
+// CertainReject is the reject rule Insert implies, read from per-index
+// state without touching the sets or the token. For a token of the given
+// wave addressed to localIdx, arriving at bank (== t.Bank(localIdx, wave))
+// in the given cycle, it reports whether Insert's outcome is already
+// certain, and then which:
+//
+//   - RejectedBank iff the bank has taken a token this cycle;
+//   - else Rejected iff the index has K live instances, wave is above the
+//     bound on its live waves, and the instance is not displaced (see the
+//     package comment).
+//
+// Insert would return the same outcome having moved only BankRejects or
+// KRejects (and at most revalidated the youngest cache; skipping that
+// leaves a looser bound, never a wrong one), so a caller may count the
+// refusal with CountRejects instead of calling Insert. Anything else is not
+// certain — it may still be refused — and must be offered to Insert.
+func (t *Table) CertainReject(localIdx int, wave uint32, bank int, cycle uint64) (Outcome, bool) {
+	if t.bankUsed[bank] == cycle+1 {
+		return RejectedBank, true
+	}
+	if localIdx >= len(t.idx) {
+		return Stored, false // bound after construction, nothing live yet
+	}
+	st := &t.idx[localIdx]
+	if int(st.live) < t.cfg.K || wave <= st.wave || t.displaced(st, localIdx, wave) != nil {
+		return Stored, false
+	}
+	return Rejected, true
+}
+
+// displaced returns the in-memory table's entry for the instance
+// (localIdx, wave), or nil. The map is consulted only when the index has
+// something displaced and wave lies inside the displaced range.
+func (t *Table) displaced(st *instState, localIdx int, wave uint32) *Entry {
+	if st.ov == 0 || wave < st.ovLo || wave > st.ovHi {
+		return nil
+	}
+	return t.overflow[keyOf(localIdx, wave)]
+}
+
+// CountRejects adds k-loop and bank refusals a caller decided with
+// CertainReject, so the counters read as if each had gone through Insert.
+func (t *Table) CountRejects(k, bank uint64) {
+	t.stats.KRejects += k
+	t.stats.BankRejects += bank
 }
 
 // inst returns the bookkeeping for a local index, growing it for an index

@@ -1,7 +1,9 @@
 package match
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -320,12 +322,89 @@ func checkIndexState(t *testing.T, step int, tb *Table, instOf func(li int) (isa
 	}
 }
 
+// tableState is everything a refused Insert must leave alone, copied out
+// of a table: the sets, the in-memory table, the counters, the bank stamps
+// and the per-index state less the youngest cache (young and wave, which a
+// k-reject may revalidate; waves holds the bounds apart).
+type tableState struct {
+	sets     []Entry // set by set
+	overflow map[memKey]Entry
+	idx      []instState
+	waves    []uint32
+	live     int
+	stats    Stats
+	bankUsed []uint64
+}
+
+func stateOf(tb *Table) tableState {
+	s := tableState{
+		overflow: make(map[memKey]Entry, len(tb.overflow)),
+		idx:      append([]instState(nil), tb.idx...),
+		live:     tb.Live(),
+		stats:    tb.Stats(),
+		bankUsed: append([]uint64(nil), tb.bankUsed...),
+	}
+	for _, set := range tb.sets {
+		s.sets = append(s.sets, set...)
+	}
+	for k, oe := range tb.overflow {
+		s.overflow[k] = *oe
+	}
+	for i := range s.idx {
+		s.waves = append(s.waves, s.idx[i].wave)
+		s.idx[i].young, s.idx[i].wave = nil, 0
+	}
+	return s
+}
+
+// insertRuled asks the reject rule and then Inserts. When the rule is
+// certain, Insert must return the outcome it named and leave the table as
+// it was but for that outcome's one counter (the wave bound may tighten).
+// It returns Insert's outcome and whether the rule had decided it.
+func insertRuled(t *testing.T, tb *Table, tk isa.Token, li int, cycle uint64) (Outcome, bool) {
+	t.Helper()
+	wave := tk.Tag.Wave
+	ruled, certain := tb.CertainReject(li, wave, tb.Bank(li, wave), cycle)
+	if !certain {
+		out, _ := tb.Insert(tk, li, 0b011, cycle, 5)
+		return out, false
+	}
+	want := stateOf(tb)
+	out, _ := tb.Insert(tk, li, 0b011, cycle, 5)
+	switch {
+	case out != ruled:
+		t.Fatalf("index %d wave %d: rule was certain of outcome %d, Insert returned %d", li, wave, ruled, out)
+	case out == Rejected:
+		want.stats.KRejects++
+	case out == RejectedBank:
+		want.stats.BankRejects++
+	default:
+		t.Fatalf("index %d wave %d: rule was certain of outcome %d, which is not a refusal", li, wave, out)
+	}
+	got := stateOf(tb)
+	for i, w := range got.waves {
+		if w > want.waves[i] {
+			t.Fatalf("index %d wave %d: refused Insert loosened index %d's wave bound %d to %d", li, wave, i, want.waves[i], w)
+		}
+	}
+	if got.live != want.live || got.stats != want.stats || !slices.Equal(got.bankUsed, want.bankUsed) ||
+		!slices.Equal(got.idx, want.idx) || !slices.Equal(got.sets, want.sets) || !maps.Equal(got.overflow, want.overflow) {
+		t.Fatalf("index %d wave %d: Insert refused (outcome %d) but changed the table:\n got %+v\nwant %+v", li, wave, out, got, want)
+	}
+	return out, true
+}
+
 // TestIndexStateMatchesScan drives random Insert / Release / DrainEntries →
 // Adopt sequences through small tables (so set eviction, k-rejects,
 // displacement of the youngest and overflow hits are all common) and checks
 // after every step that the per-index counters, the youngest cache and the
 // overflow counts say exactly what a scan of the sets and the map would.
 // The release callback's index is checked against the freed entry's.
+//
+// Every Insert goes through insertRuled, which holds the reject rule to
+// what Insert then does; the rule must decide at least half of the walk's
+// k-rejects (and some bank rejects), so it cannot rot into never being
+// certain.
 func TestIndexStateMatchesScan(t *testing.T) {
 	const (
 		threads = 2
@@ -353,6 +432,7 @@ func TestIndexStateMatchesScan(t *testing.T) {
 		tb, spare := newTable(nIdx), newTable(0)
 		cycle := uint64(0)
 		base := uint32(0) // waves wander upward so old and young tokens mix
+		var kRejects, kCertain, bankCertain int
 		for step := 0; step < 6000; step++ {
 			switch op := rng.Intn(20); {
 			case op < 15:
@@ -362,7 +442,16 @@ func TestIndexStateMatchesScan(t *testing.T) {
 				if rng.Intn(3) > 0 {
 					cycle++ // otherwise same cycle: bank conflicts
 				}
-				tb.Insert(tok(inst, thread, wave, isa.PortID(rng.Intn(2)), uint64(step)), li, 0b011, cycle, 5)
+				out, ruled := insertRuled(t, tb, tok(inst, thread, wave, isa.PortID(rng.Intn(2)), uint64(step)), li, cycle)
+				switch {
+				case out == Rejected:
+					kRejects++
+					if ruled {
+						kCertain++
+					}
+				case ruled:
+					bankCertain++
+				}
 			case op < 18:
 				li := rng.Intn(nIdx)
 				inst, thread := instOf(li)
@@ -387,6 +476,9 @@ func TestIndexStateMatchesScan(t *testing.T) {
 		}
 		if s := tb.Stats(); s.KRejects == 0 && c.K < 4 {
 			t.Errorf("shape %d: sequence never hit the k-bound (%+v)", si, s)
+		}
+		if 2*kCertain < kRejects || bankCertain == 0 {
+			t.Errorf("shape %d: the rule decided %d of %d k-rejects and %d bank rejects", si, kCertain, kRejects, bankCertain)
 		}
 	}
 }

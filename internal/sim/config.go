@@ -157,6 +157,10 @@ func BaselineArch() area.Params {
 	}
 }
 
+// maxMatchBanks bounds MatchBanks so that a token's arrival bank fits the
+// sixteen bits a tokNode keeps for it.
+const maxMatchBanks = 1 << 16
+
 // Validate checks the configuration for structural sanity. The simulator
 // accepts shapes outside the area model's ranges (the Table 4 tuning
 // procedure uses an effectively infinite matching table); range policing
@@ -181,6 +185,9 @@ func (c Config) Validate() error {
 	}
 	if c.PSQs < 0 || c.PSQEntries < 0 {
 		return fmt.Errorf("sim: negative PSQ configuration")
+	}
+	if c.MatchBanks > maxMatchBanks {
+		return fmt.Errorf("sim: MatchBanks must be at most %d, got %d", maxMatchBanks, c.MatchBanks)
 	}
 	if c.Arch.Match%c.MatchAssoc != 0 {
 		return fmt.Errorf("sim: matching entries %d not divisible by associativity %d",

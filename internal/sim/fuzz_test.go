@@ -251,6 +251,7 @@ func FuzzTokListOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 10, 3, 4, 1})
 	f.Add([]byte{0, 0, 6, 14, 3, 11, 4, 0, 5, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 2, 10, 10, 3, 11, 4, 9, 17, 5})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 103, 0, 0, 0, 71, 255, 19, 4, 39, 5})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		slab := make([]tokNode, 4)
 		p := &tokPool{nodes: slab[:1:4]}
@@ -324,8 +325,16 @@ func FuzzTokListOps(f *testing.F) {
 				li := arg % 4
 				m.parked[li] = append(m.parked[li], next)
 				p.pushBack(&parked[li], fresh(li))
-			default:
-				continue
+			case 7: // a run of k-rejects at the cursor parks as one block
+				if len(m.inQ) == 0 {
+					continue
+				}
+				k := arg % len(m.inQ)
+				n := 1 + (arg/4)%(len(m.inQ)-k)
+				li := (arg / 2) % 4
+				p.moveRun(&parked[li], &inQ, at(k), at(k+n-1), int32(n))
+				m.parked[li] = append(m.parked[li], m.inQ[k:k+n]...)
+				m.inQ = append(m.inQ[:k], m.inQ[k+n:]...)
 			}
 			checkTokLists(t, step, p, &inQ, &reinject, parked, &m)
 		}
@@ -338,8 +347,9 @@ func FuzzTokListOps(f *testing.F) {
 func FuzzActiveSetOps(f *testing.F) {
 	f.Add([]byte{5, 3, 5, 255, 7})
 	f.Add([]byte{255, 0, 0, 255, 255, 1, 255})
+	f.Add([]byte{63, 64, 129, 0, 64, 255, 128, 127, 255})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		const n = 32
+		const n = 130 // three bitmap words, the last one partial
 		s := newActiveSet(n)
 		armed := make(map[int32]bool)
 		for step, b := range ops {

@@ -113,6 +113,7 @@ func (pe *peUnit) newTok(readyAt, sentAt uint64, tok isa.Token, li int) int32 {
 	pe.toks.nodes[i] = tokNode{
 		tok: tok, readyAt: readyAt, sentAt: sentAt,
 		li: int32(li), req: pe.p.required[tok.Dest.Inst],
+		bank: uint16(pe.mt.Bank(li, tok.Tag.Wave)),
 	}
 	return i
 }
@@ -136,15 +137,51 @@ func (pe *peUnit) insert(c uint64, tok isa.Token, li int, req uint8) (match.Outc
 	return out, e
 }
 
-// park shelves a k-rejected token (an unlinked node) until the quota can
-// have opened. Whatever it was before, a parked token comes back as the
-// reinjection path always delivered it: ready at once, and with no
-// delivery-latency sample.
-func (pe *peUnit) park(i int32) {
-	nd := &pe.toks.nodes[i]
-	nd.readyAt, nd.sentAt = 0, 0
-	pe.toks.pushBack(&pe.parked[nd.li], i)
-	pe.parkedCount++
+// parkRun shelves the k-rejected token at the input queue's node i until
+// the quota can have opened, together with the run behind it: the tokens
+// that follow for the same local index, are ready, find their bank free
+// and are certainly k-rejected too (match.Table.CertainReject; nothing in
+// the table changes inside a run, so each is judged as it would have been
+// at the cursor). The run moves to the tail of the index's parked list in
+// one block. Whatever it was before, a parked token comes back as the
+// reinjection path always delivered it — ready at once, and with no
+// delivery-latency sample — so a herd that is re-parked is read, never
+// written. Every token of the run is one refused input attempt, counted
+// and traced as such. It returns the node after the run and the run's
+// length.
+func (pe *peUnit) parkRun(c uint64, i int32) (int32, uint64) {
+	nodes := pe.toks.nodes
+	nd := &nodes[i]
+	li, first, n := nd.li, i, int32(0)
+	for {
+		if rec := pe.p.rec; rec != nil {
+			rec.PEStall(c, pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, trace.StallReject, 1)
+		}
+		if nd.readyAt != 0 {
+			nd.readyAt = 0
+		}
+		if nd.sentAt != 0 {
+			nd.sentAt = 0
+		}
+		n++
+		next := nd.next
+		if next == nilTok {
+			break
+		}
+		nd = &nodes[next]
+		if nd.li != li || nd.readyAt > c {
+			break
+		}
+		if out, ok := pe.mt.CertainReject(int(li), nd.tok.Tag.Wave, int(nd.bank), c); !ok || out != match.Rejected {
+			break
+		}
+		i = next
+	}
+	after := nodes[i].next
+	pe.toks.moveRun(&pe.parked[li], &pe.inQ, first, i, n)
+	pe.parkedCount += int(n)
+	pe.st.InputRejects += uint64(n)
+	return after, uint64(n)
 }
 
 // onRelease is the matching table's release callback: any tokens parked on
@@ -283,7 +320,8 @@ func (pe *peUnit) acceptBypass(c uint64, tok isa.Token) {
 	out, e := pe.insert(c, tok, li, req)
 	switch out {
 	case match.Rejected:
-		pe.park(pe.newTok(0, 0, tok, li))
+		pe.toks.pushBack(&pe.parked[li], pe.newTok(0, 0, tok, li))
+		pe.parkedCount++
 	case match.RejectedBank:
 		// Bank pressure: fall back to the ordinary input path.
 		pe.toks.pushBack(&pe.inQ, pe.newTok(c+1, 0, tok, li))
@@ -510,6 +548,12 @@ func (pe *peUnit) phaseOutput(c uint64) {
 // nothing has been, so a token that would unblock a k-bounded jam is always
 // reachable. pos counts the tokens the cursor has stepped over, which is
 // the queue position the window is measured in.
+//
+// Most attempts are refused, and most refusals are certain before the table
+// is touched: the cursor asks the table's reject rule first and offers the
+// token to Insert only when the rule cannot tell. Neither kind of refusal
+// changes accepted and only a bank reject advances pos, so the two stop
+// tests above cannot fire inside a run of k-rejects.
 func (pe *peUnit) phaseInput(c uint64) {
 	// Tokens released from parking re-enter at the front: they are the
 	// oldest work and the quota just opened for them.
@@ -521,6 +565,7 @@ func (pe *peUnit) phaseInput(c uint64) {
 	accepted := 0
 	window := pe.p.cfg.InputWindow
 	pos := 0
+	var kCertain, bankCertain uint64 // refusals decided without Insert
 	for i := pe.inQ.head; i != nilTok && accepted < pe.p.cfg.MatchBanks; {
 		if pos >= window && accepted > 0 {
 			break
@@ -532,21 +577,29 @@ func (pe *peUnit) phaseInput(c uint64) {
 			i = next
 			continue
 		}
-		out, e := pe.insert(c, nd.tok, int(nd.li), nd.req)
-		if out == match.Rejected {
-			// k-bound: park until the table frees an entry of this
-			// instruction.
-			pe.st.InputRejects++
-			if pe.p.rec != nil {
-				pe.p.rec.PEStall(c, pe.addr.Cluster, pe.addr.Domain, pe.addr.PE,
-					trace.StallReject, 1)
-			}
-			pe.toks.unlink(&pe.inQ, i)
-			pe.park(i)
-			i = next
-			continue
+		var e *match.Entry
+		out, certain := pe.mt.CertainReject(int(nd.li), nd.tok.Tag.Wave, int(nd.bank), c)
+		if !certain {
+			out, e = pe.insert(c, nd.tok, int(nd.li), nd.req)
 		}
-		if out == match.RejectedBank {
+		switch out {
+		case match.Rejected:
+			// k-bound: park until the table frees an entry of this
+			// instruction, and with the token the run of certain k-rejects
+			// behind it.
+			var n uint64
+			i, n = pe.parkRun(c, i)
+			if !certain {
+				n-- // Insert counted the run's head itself
+			}
+			kCertain += n
+			continue
+		case match.RejectedBank:
+			// Lost the bank this cycle: the token stays queued, where a
+			// retry next cycle can succeed.
+			if certain {
+				bankCertain++
+			}
 			pe.st.InputRejects++
 			pos++
 			i = next
@@ -573,4 +626,5 @@ func (pe *peUnit) phaseInput(c uint64) {
 		pe.toks.put(i)
 		i = next
 	}
+	pe.mt.CountRejects(kCertain, bankCertain)
 }

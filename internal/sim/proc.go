@@ -799,9 +799,9 @@ func (p *Processor) activeTick(c uint64) {
 		// Work-list occupancy before the drains mutate it: PE visits sum
 		// the four phase sets (one PE can appear in several).
 		p.rec.SchedOccupancy(c,
-			p.actComplete.work.len()+p.actDispatch.work.len()+
-				p.actOutput.work.len()+p.actInput.work.len(),
-			p.actDomain.work.len(), p.actSB.work.len())
+			p.actComplete.len()+p.actDispatch.len()+
+				p.actOutput.len()+p.actInput.len(),
+			p.actDomain.len(), p.actSB.len())
 	}
 	p.grid.Tick(c)
 	p.cacheSys.Tick(c)

@@ -1,76 +1,34 @@
 package sim
 
 import (
-	"slices"
+	"math/bits"
 
 	"wavescalar/internal/isa"
 )
 
-// ring is a growable power-of-two circular buffer of component indices —
-// the storage behind the per-cycle work lists. Pushes during a drain land
-// behind the drain's snapshot, so producers can arm components while the
-// scheduler is iterating without invalidating the iteration.
-type ring struct {
-	buf  []int32
-	head int
-	n    int
-}
-
-func (r *ring) len() int { return r.n }
-
-func (r *ring) push(v int32) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
-}
-
-func (r *ring) popFront() int32 {
-	v := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return v
-}
-
-// grow doubles the buffer, unwrapping the live region to the front.
-func (r *ring) grow() {
-	size := len(r.buf) * 2
-	if size == 0 {
-		size = 16
-	}
-	nb := make([]int32, size)
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = nb
-	r.head = 0
-}
-
 // activeSet is one scheduling phase's work list: the set of component
-// indices with (potentially) actionable state. arm is idempotent — a
-// component already in the set is not enqueued twice — so every queue-push
-// site can arm unconditionally. drain snapshots the current membership in
-// ascending index order (the full-scan loop's visit order, which the
-// equivalence guarantee depends on) and clears the armed flags, so work
-// discovered during the drain re-arms into the next drain.
+// indices with (potentially) actionable state, one bit each. arm is
+// idempotent — a component already in the set is not added twice — so
+// every queue-push site can arm unconditionally. drain snapshots the
+// current membership in ascending index order (the full-scan loop's visit
+// order, which the equivalence guarantee depends on; a walk over the words
+// yields it by construction) and clears the set, so work discovered during
+// the drain re-arms into the next drain.
 type activeSet struct {
-	work   ring
-	armed  []bool
+	bits   []uint64
 	frozen bool
 	out    []int32 // drain scratch, reused across cycles
 }
 
 func newActiveSet(n int) *activeSet {
-	return &activeSet{armed: make([]bool, n)}
+	return &activeSet{bits: make([]uint64, (n+63)/64)}
 }
 
 func (s *activeSet) arm(i int32) {
-	if s.frozen || s.armed[i] {
+	if s.frozen {
 		return
 	}
-	s.armed[i] = true
-	s.work.push(i)
+	s.bits[i>>6] |= 1 << (i & 63)
 }
 
 // freeze makes arm a read-only no-op. The cluster-parallel scheduler
@@ -79,18 +37,30 @@ func (s *activeSet) arm(i int32) {
 // writes (and therefore free of data races) without touching call sites.
 func (s *activeSet) freeze() { s.frozen = true }
 
-// drain returns the armed indices sorted ascending and empties the set.
+// len returns how many components are armed.
+func (s *activeSet) len() int {
+	n := 0
+	for _, w := range s.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// drain returns the armed indices in ascending order and empties the set.
 // The returned slice is valid until the next drain.
 func (s *activeSet) drain() []int32 {
-	n := s.work.len()
-	s.out = s.out[:0]
-	for k := 0; k < n; k++ {
-		i := s.work.popFront()
-		s.armed[i] = false
-		s.out = append(s.out, i)
+	out := s.out[:0]
+	for wi, w := range s.bits {
+		if w == 0 {
+			continue
+		}
+		s.bits[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
 	}
-	slices.Sort(s.out)
-	return s.out
+	s.out = out
+	return out
 }
 
 // fifo is a slice-backed queue with an amortized-O(1) pop-front.
@@ -183,11 +153,14 @@ type tokNode struct {
 	// message-latency metric); 0 means no sample is taken.
 	sentAt     uint64
 	next, prev int32
-	// li and req are the destination instruction's local index and
-	// required-operand mask at this PE, resolved once when the token
-	// arrives however many times it is re-offered.
-	li  int32
-	req uint8
+	// li, req and bank are the destination instruction's local index and
+	// required-operand mask at this PE and the matching-table bank the
+	// token arrives at, resolved once when the token arrives however many
+	// times it is re-offered. (bank rides in what was padding: the node
+	// stays 56 bytes.)
+	li   int32
+	req  uint8
+	bank uint16
 }
 
 // nilTok ends a list. Node 0 of every pool is reserved for it, so the zero
@@ -261,6 +234,33 @@ func (p *tokPool) unlink(l *tokList, i int32) {
 		l.tail = nd.prev
 	}
 	l.n--
+}
+
+// moveRun moves the n-node run first..last of src to the tail of dst,
+// keeping order. Only the links at the run's two ends and its neighbours
+// are written, however long the run is.
+func (p *tokPool) moveRun(dst, src *tokList, first, last, n int32) {
+	before, after := p.nodes[first].prev, p.nodes[last].next
+	if before != nilTok {
+		p.nodes[before].next = after
+	} else {
+		src.head = after
+	}
+	if after != nilTok {
+		p.nodes[after].prev = before
+	} else {
+		src.tail = before
+	}
+	src.n -= n
+	p.nodes[first].prev = dst.tail
+	p.nodes[last].next = nilTok
+	if dst.tail != nilTok {
+		p.nodes[dst.tail].next = first
+	} else {
+		dst.head = first
+	}
+	dst.tail = last
+	dst.n += n
 }
 
 // concat moves every node of src to the tail of dst, keeping order, and

@@ -312,6 +312,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg, sumLoopProg(), nil, nil); err == nil {
 		t.Error("zero threads accepted")
 	}
+	cfg = smallCfg()
+	cfg.MatchBanks = maxMatchBanks + 1 // a bank index would not fit a tokNode
+	if _, err := New(cfg, sumLoopProg(), []map[string]uint64{{"n": 1}}, nil); err == nil {
+		t.Error("more matching-table banks than a token node can name accepted")
+	}
 }
 
 func TestVirtualizationThrashing(t *testing.T) {
