@@ -95,9 +95,12 @@ func benchSweep(b *testing.B, apps []wavescalar.Workload, threads []int, nPoints
 	}
 	var frontier []wavescalar.Evaluated
 	for i := 0; i < b.N; i++ {
-		results := design.Sweep(sub, apps, wavescalar.SweepOptions{
+		results, err := design.SweepContext(context.Background(), sub, apps, wavescalar.SweepOptions{
 			Scale: wavescalar.ScaleTiny, ThreadCounts: threads,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, r := range results {
 			if r.Err != nil {
 				b.Fatal(r.Err)
@@ -152,10 +155,12 @@ func BenchmarkFigure7ScalableDesigns(b *testing.B) {
 	}
 	var plan []design.ScaledPoint
 	for i := 0; i < b.N; i++ {
-		results := design.Sweep(sub, apps, wavescalar.SweepOptions{
+		results, err := design.SweepContext(context.Background(), sub, apps, wavescalar.SweepOptions{
 			Scale: wavescalar.ScaleTiny, ThreadCounts: []int{1, 4, 16},
 		})
-		var err error
+		if err != nil {
+			b.Fatal(err)
+		}
 		plan, err = design.ScalingPlan(results)
 		if err != nil {
 			b.Fatal(err)
@@ -293,7 +298,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	inst := w.Build(workload.Small)
 	var dyn uint64
 	for i := 0; i < b.N; i++ {
-		st, err := design.RunOnce(cfg, inst, 1)
+		st, err := design.RunOnceContext(context.Background(), cfg, inst, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -68,7 +68,6 @@ func main() {
 	resume := flag.Bool("resume", false, "replay the journal at startup (warm restart)")
 	cacheLimit := flag.Int("cache-limit", 0, "max cached cells, LRU-evicted (0 = unlimited)")
 	par := flag.Int("parallel", 0, "concurrent simulations per sweep job (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", -1, "same-workload design points per batched simulator pass (0 or 1 disables; default 8)")
 	drain := flag.Duration("drain", 2*time.Minute, "graceful-shutdown drain deadline for in-flight simulations")
 	roleName := flag.String("role", "single", "fabric role: single, coordinator, or worker")
 	coordinator := flag.String("coordinator", "", "coordinator base URL (worker role), e.g. http://coord:8080")
@@ -120,9 +119,6 @@ func main() {
 	}
 	if *par > 0 {
 		opts = append(opts, wavescalar.ServerParallelism(*par))
-	}
-	if *batch >= 0 {
-		opts = append(opts, wavescalar.ServerBatch(*batch))
 	}
 	if *journalPath != "" {
 		opts = append(opts, wavescalar.ServerJournal(*journalPath, *resume))

@@ -45,7 +45,6 @@ func main() {
 	maxPoints := flag.Int("max", 0, "evaluate at most this many designs (0 = all)")
 	maxApps := flag.Int("maxapps", 0, "evaluate at most this many workloads (0 = all)")
 	par := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", -1, "same-workload design points per batched simulator pass (0 or 1 disables; default 8)")
 	csvPath := flag.String("csv", "", "also write the sweep results to this CSV file")
 	journalPath := flag.String("journal", "", "append completed cells to this JSONL journal")
 	resume := flag.Bool("resume", false, "replay the journal first and simulate only missing cells")
@@ -96,9 +95,6 @@ func main() {
 	}
 	if *par > 0 {
 		opts = append(opts, wavescalar.WithParallelism(*par))
-	}
-	if *batch >= 0 {
-		opts = append(opts, wavescalar.WithExploreBatch(*batch))
 	}
 	if *journalPath != "" {
 		opts = append(opts, wavescalar.WithJournal(*journalPath, *resume))

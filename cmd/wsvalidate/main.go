@@ -80,7 +80,6 @@ func runFuzz(args []string) int {
 	budget := fs.Int("budget", 0, "stop drawing new cases after this many simulator runs (0 = unlimited)")
 	shrinkBudget := fs.Int("shrink-budget", 150, "max checks spent minimizing each failure")
 	skipMono := fs.Bool("skip-monotone", false, "skip the nested-kill-fraction degradation check")
-	batched := fs.Bool("batch", false, "route every simulator run through the batch runner")
 	corpus := fs.String("corpus", "", "export every shrunk failure as a witness into this directory")
 	out := fs.String("o", "", "write the JSON report here instead of stdout")
 	quiet := fs.Bool("quiet", false, "no per-case progress on stderr")
@@ -88,7 +87,7 @@ func runFuzz(args []string) int {
 		return 2
 	}
 
-	ck := &validate.Checker{Batched: *batched}
+	ck := &validate.Checker{}
 	opt := validate.FuzzOptions{
 		Seed: *seed, Seeds: *seeds, Budget: *budget,
 		ShrinkBudget: *shrinkBudget, SkipMonotone: *skipMono,

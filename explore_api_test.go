@@ -84,7 +84,7 @@ func TestBuildProcessorMatchesRunWorkload(t *testing.T) {
 }
 
 // TestNewExplorerRootAPI drives the re-exported engine end to end: sweep,
-// journal, resume, and agreement with the direct design.Sweep.
+// journal, resume, and agreement with the direct design.SweepContext.
 func TestNewExplorerRootAPI(t *testing.T) {
 	points := wavescalar.ViableDesigns()[:2]
 	w, err := wavescalar.WorkloadByName("gzip")
@@ -117,11 +117,14 @@ func TestNewExplorerRootAPI(t *testing.T) {
 		t.Errorf("progress = %+v, want %d cells simulated", lastProg, len(points))
 	}
 
-	want := design.Sweep(points, apps, wavescalar.SweepOptions{
+	want, err := design.SweepContext(context.Background(), points, apps, wavescalar.SweepOptions{
 		Scale: wavescalar.ScaleTiny, ThreadCounts: []int{1},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("explorer results differ from direct design.Sweep:\ngot  %+v\nwant %+v", got, want)
+		t.Errorf("explorer results differ from direct design.SweepContext:\ngot  %+v\nwant %+v", got, want)
 	}
 
 	// Resume from the journal: zero simulations.

@@ -2,6 +2,7 @@ package design
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -114,7 +115,10 @@ func TestFrontierTable(t *testing.T) {
 func TestSweepSmall(t *testing.T) {
 	pts := Viable()[:2]
 	apps := []workload.Workload{mustWorkload(t, "gzip")}
-	res := Sweep(pts, apps, SweepOptions{Scale: workload.Tiny})
+	res, err := SweepContext(context.Background(), pts, apps, SweepOptions{Scale: workload.Tiny, ThreadCounts: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 2 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -141,10 +145,11 @@ func TestBestThreadsPicksWinner(t *testing.T) {
 	arch := sim.BaselineArch()
 	arch.Clusters = 4
 	cfg := sim.Baseline(arch)
-	aipc, n, err := BestThreads(cfg, inst, []int{1, 4})
+	br, err := BestThreadsContext(context.Background(), cfg, inst, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	aipc, n := br.AIPC, br.Threads
 	if n != 4 {
 		t.Errorf("best thread count = %d, want 4 on a 4-cluster machine", n)
 	}
@@ -193,7 +198,10 @@ func mustWorkload(t *testing.T, name string) workload.Workload {
 
 func TestWriteCSV(t *testing.T) {
 	apps := []workload.Workload{mustWorkload(t, "gzip")}
-	res := Sweep(Viable()[:2], apps, SweepOptions{Scale: workload.Tiny})
+	res, err := SweepContext(context.Background(), Viable()[:2], apps, SweepOptions{Scale: workload.Tiny, ThreadCounts: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, res, apps); err != nil {
 		t.Fatal(err)

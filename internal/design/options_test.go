@@ -77,7 +77,7 @@ func TestBestThreadsErrorNamesWorkloadAndJoinsFailures(t *testing.T) {
 	cfg := sim.Baseline(sim.BaselineArch())
 	cfg.MaxCycles = 100 // every run deterministically exceeds this
 
-	_, _, err := BestThreads(cfg, inst, []int{1})
+	_, err := BestThreadsContext(context.Background(), cfg, inst, []int{1})
 	if err == nil {
 		t.Fatal("expected failure")
 	}
@@ -91,7 +91,7 @@ func TestBestThreadsErrorNamesWorkloadAndJoinsFailures(t *testing.T) {
 	}
 
 	// No counts within the workload's thread limit: named, no join.
-	_, _, err = BestThreads(sim.Baseline(sim.BaselineArch()), inst, []int{16})
+	_, err = BestThreadsContext(context.Background(), sim.Baseline(sim.BaselineArch()), inst, []int{16})
 	if err == nil || !strings.Contains(err.Error(), "gzip") {
 		t.Errorf("limit error does not name the workload: %v", err)
 	}
@@ -105,10 +105,11 @@ func TestBestThreadsSurvivesPartialFailures(t *testing.T) {
 	cfg := sim.Baseline(arch)
 	// 1 thread succeeds; 1024 is over the instance's thread limit and is
 	// skipped — the search must still return the viable count.
-	aipc, n, err := BestThreads(cfg, inst, []int{1, 1024})
+	br, err := BestThreadsContext(context.Background(), cfg, inst, []int{1, 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
+	aipc, n := br.AIPC, br.Threads
 	if n != 1 || aipc <= 0 {
 		t.Errorf("best = (%v, %d)", aipc, n)
 	}

@@ -16,9 +16,7 @@ import (
 
 // ErrBadOptions is the sentinel wrapped by the validating entry points
 // (SweepContext, TuneContext and the explore engine) when their options
-// are malformed. Match it with errors.Is. The deprecated non-context
-// entry points keep their historical silent defaulting for
-// compatibility.
+// are malformed. Match it with errors.Is.
 var ErrBadOptions = errors.New("design: bad options")
 
 // ConfigureFunc adapts the baseline microarchitecture to one design
@@ -31,13 +29,8 @@ type ConfigureFunc func(p Point) sim.Config
 // microarchitecture on the point's architectural parameters.
 func BaselineConfigure(p Point) sim.Config { return sim.Baseline(p.Arch) }
 
-// RunOnce executes a workload instance on a configuration with the given
-// thread count and returns the run statistics.
-func RunOnce(cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, error) {
-	return RunOnceContext(context.Background(), cfg, inst, threads)
-}
-
-// RunOnceContext is RunOnce with cancellation: the simulation aborts
+// RunOnceContext executes a workload instance on a configuration with the
+// given thread count and returns the run statistics. The simulation aborts
 // within a few thousand cycles of ctx ending.
 func RunOnceContext(ctx context.Context, cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, error) {
 	proc, err := sim.New(cfg, inst.Prog, inst.Params(threads), sim.Memory(inst.Mem))
@@ -63,22 +56,11 @@ type BestRun struct {
 	Sims int
 }
 
-// BestThreads runs the instance at each thread count and returns the best
-// AIPC and the count achieving it — the paper's "we ran each application
-// with a range of thread counts and report results for the
-// best-performing thread count".
-func BestThreads(cfg sim.Config, inst *workload.Instance, counts []int) (float64, int, error) {
-	br, err := BestThreadsContext(context.Background(), cfg, inst, counts)
-	if err != nil {
-		return 0, 0, err
-	}
-	return br.AIPC, br.Threads, nil
-}
-
-// BestThreadsContext is the context-aware form of BestThreads. Thread
-// counts that fail (deadlock, cycle limit) no longer abort the search:
-// the search continues, and only if no count is viable does it return an
-// error naming the workload and joining every per-count failure.
+// BestThreadsContext runs the instance at each thread count and returns
+// the best AIPC and the count achieving it, as the paper reports each
+// application at its best-performing thread count. A count that fails
+// (deadlock, cycle limit) does not abort the search; only if none is viable
+// is the error one naming the workload and joining every per-count failure.
 func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Instance, counts []int) (BestRun, error) {
 	var best BestRun
 	var errs []error
@@ -115,79 +97,6 @@ func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Inst
 	return best, nil
 }
 
-// BestThreadsBatch is BestThreadsContext for many design points of the
-// same workload in one batched pass: one program validation and one
-// placement per machine shape feed every (config, thread count) lane via
-// sim.NewBatch. Results are byte-identical to calling BestThreadsContext
-// per config — same winners, same accounting, same error text — so
-// cached and journaled sweep cells cannot tell the difference.
-//
-// The per-config slices are indexed like cfgs; exactly one of
-// runs[i]/errs[i] is meaningful per config. The final error is
-// infrastructure only (cancellation, or a batch that could not build);
-// when it is non-nil the per-config slices are invalid and the caller
-// should fall back to the sequential path or abort.
-func BestThreadsBatch(ctx context.Context, cfgs []sim.Config, inst *workload.Instance, counts []int) ([]BestRun, []error, error) {
-	runs := make([]BestRun, len(cfgs))
-	errsOut := make([]error, len(cfgs))
-	viable := make([]int, 0, len(counts))
-	for _, n := range counts {
-		if n <= inst.MaxThreads {
-			viable = append(viable, n)
-		}
-	}
-	if len(viable) == 0 {
-		for i := range cfgs {
-			errsOut[i] = fmt.Errorf("design: no viable thread count for %q: none of %v within the workload's limit of %d threads",
-				inst.Prog.Name, counts, inst.MaxThreads)
-		}
-		return runs, errsOut, nil
-	}
-	lanes := make([]sim.Lane, 0, len(cfgs)*len(viable))
-	for _, cfg := range cfgs {
-		for _, n := range viable {
-			lanes = append(lanes, sim.Lane{Config: cfg, Params: inst.Params(n)})
-		}
-	}
-	b, err := sim.NewBatch(inst.Prog, sim.Memory(inst.Mem), lanes)
-	if err != nil {
-		return nil, nil, err
-	}
-	res := b.RunContext(ctx)
-	for ci := range cfgs {
-		var best BestRun
-		var errs []error
-		for vi, n := range viable {
-			lr := res[ci*len(viable)+vi]
-			if lr.Err != nil {
-				if ctx.Err() != nil {
-					return nil, nil, lr.Err
-				}
-				errs = append(errs, fmt.Errorf("threads=%d: %w", n, lr.Err))
-				continue
-			}
-			best.Sims++
-			best.SimCycles += lr.Stats.Cycles
-			if a := lr.Stats.AIPC(); a > best.AIPC {
-				best.AIPC, best.Threads, best.Cycles = a, n, lr.Stats.Cycles
-				best.Traffic = lr.Stats.TrafficTotal()
-			}
-		}
-		if best.Threads == 0 {
-			if len(errs) > 0 {
-				errsOut[ci] = fmt.Errorf("design: no viable thread count for %q: %w",
-					inst.Prog.Name, errors.Join(errs...))
-			} else {
-				errsOut[ci] = fmt.Errorf("design: no viable thread count for %q: none of %v within the workload's limit of %d threads",
-					inst.Prog.Name, counts, inst.MaxThreads)
-			}
-			continue
-		}
-		runs[ci] = best
-	}
-	return runs, errsOut, nil
-}
-
 // SweepResult is one design point's measured performance across a suite.
 type SweepResult struct {
 	Point
@@ -213,8 +122,7 @@ type SweepOptions struct {
 }
 
 // Validate reports whether the options are usable, wrapping ErrBadOptions
-// on failure. SweepContext (and the explore engine) validate eagerly; the
-// deprecated Sweep keeps its historical defaulting.
+// on failure. SweepContext (and the explore engine) validate eagerly.
 func (o SweepOptions) Validate() error {
 	if o.Scale.Iters <= 0 || o.Scale.Footprint <= 0 {
 		return fmt.Errorf("%w: scale %+v (Iters and Footprint must be positive; use workload.Tiny/Small/Medium)",
@@ -234,22 +142,6 @@ func (o SweepOptions) Validate() error {
 	return nil
 }
 
-// Sweep evaluates every design point on every workload. Individual
-// simulations are deterministic; the sweep runs them concurrently and
-// reassembles results in input order.
-//
-// Deprecated: use SweepContext, which validates its options and supports
-// cancellation, or the explore engine for caching and resume. Sweep keeps
-// the historical behaviour of silently defaulting empty ThreadCounts to
-// {1}.
-func Sweep(points []Point, apps []workload.Workload, opt SweepOptions) []SweepResult {
-	if len(opt.ThreadCounts) == 0 {
-		opt.ThreadCounts = []int{1}
-	}
-	results, _ := sweep(context.Background(), points, apps, opt)
-	return results
-}
-
 // SweepContext evaluates every design point on every workload, validating
 // opt eagerly (errors wrap ErrBadOptions) and honouring ctx: on
 // cancellation it returns the partial results computed so far together
@@ -258,10 +150,6 @@ func SweepContext(ctx context.Context, points []Point, apps []workload.Workload,
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return sweep(ctx, points, apps, opt)
-}
-
-func sweep(ctx context.Context, points []Point, apps []workload.Workload, opt SweepOptions) ([]SweepResult, error) {
 	if opt.Parallelism <= 0 {
 		opt.Parallelism = runtime.GOMAXPROCS(0)
 	}

@@ -43,9 +43,8 @@ type Progress struct {
 	// CacheHits were answered from the cache/journal without simulating;
 	// Simulated ran; Failed of the simulated ended in a deterministic
 	// error (and were cached as such). Remote counts the simulated cells
-	// a CellRunner executed on another node (WithRunner). Batched counts
-	// the simulated cells that ran inside a same-workload batch
-	// (WithBatch) rather than as dedicated simulations.
+	// a CellRunner executed on another node (WithRunner). Batched is always
+	// 0; the field stays only because bench/ledger/sweepwl.go reads it.
 	CacheHits, Simulated, Failed, Remote, Batched int
 	// SimCycles totals simulated machine cycles this sweep.
 	SimCycles uint64
@@ -142,24 +141,6 @@ func WithRunner(fn CellRunner) Option {
 	}
 }
 
-// WithBatch sets how many same-workload design points a sweep groups
-// into one batched simulation pass (sim.NewBatch): the program is
-// validated once and same-shape fault-free configs share one placement,
-// so K design points cost one graph build instead of K. The default is
-// 8; 0 or 1 disables batching. Results — stats, winners, error text,
-// cache keys, journal records — are byte-identical to unbatched sweeps
-// (cells that a CellRunner would ship to remote workers are never
-// batched locally).
-func WithBatch(k int) Option {
-	return func(e *Explorer) error {
-		if k < 0 {
-			return fmt.Errorf("%w: batch size %d must be non-negative", design.ErrBadOptions, k)
-		}
-		e.batch = k
-		return nil
-	}
-}
-
 // WithCacheLimit caps the result cache at n cells, evicting least
 // recently used entries beyond it (see Cache.SetLimit). The default is
 // unlimited — the right choice for one-shot CLI sweeps; a long-running
@@ -183,7 +164,6 @@ type Explorer struct {
 	scale        workload.Scale
 	threadCounts []int
 	parallelism  int
-	batch        int
 	configure    design.ConfigureFunc
 	cache        *Cache
 	cacheLimit   int
@@ -208,7 +188,6 @@ func New(opts ...Option) (*Explorer, error) {
 		scale:        workload.Tiny,
 		threadCounts: []int{1},
 		parallelism:  runtime.GOMAXPROCS(0),
-		batch:        8,
 		configure:    design.BaselineConfigure,
 		cache:        nil,
 	}
@@ -282,7 +261,7 @@ type SweepSpec struct {
 }
 
 // Sweep evaluates every design point on every workload, in the same shape
-// design.Sweep returns, but cell by cell through the cache and journal.
+// design.SweepContext returns, but cell by cell through the cache and journal.
 // On cancellation it returns the partial results together with an error
 // wrapping ctx's cause; completed cells are already journaled, so a rerun
 // with the same journal and resume resumes where this run stopped and the
@@ -379,7 +358,7 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		}
 	}
 
-	// runCell is the unbatched unit of work: cache check, optional remote
+	// runCell is the unit of work: cache check, optional remote
 	// execution, local simulation, write-through, accounting.
 	runCell := func(pi, ai int) {
 		key := keys[pi][ai]
@@ -435,71 +414,7 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		})
 	}
 
-	// runChunk batches a group of same-workload cache misses through one
-	// sim.NewBatch pass. Outcomes — cells, keys, journal records, error
-	// text — are byte-identical to runCell's, so batching is invisible to
-	// the cache and the journal.
-	runChunk := func(ai int, pis []int) {
-		miss := make([]int, 0, len(pis))
-		for _, pi := range pis {
-			if cell, ok := e.cache.Cell(keys[pi][ai]); ok {
-				cells[pi][ai] = cell
-				account(func(p *Progress) { p.Done++; p.CacheHits++ })
-				continue
-			}
-			miss = append(miss, pi)
-		}
-		if len(miss) == 0 || ctx.Err() != nil {
-			return
-		}
-		cfgs := make([]sim.Config, len(miss))
-		for i, pi := range miss {
-			cfgs[i] = configs[pi]
-		}
-		brs, berrs, err := design.BestThreadsBatch(ctx, cfgs, instances[ai], threadCounts)
-		if err != nil {
-			if ctx.Err() != nil {
-				return // cancelled mid-batch: cache nothing partial
-			}
-			// The batch itself could not build; the sequential path is
-			// always equivalent, so fall back cell by cell.
-			for _, pi := range miss {
-				runCell(pi, ai)
-			}
-			return
-		}
-		for i, pi := range miss {
-			cell := newCell(keys[pi][ai], apps[ai].Name, configs[pi], scale)
-			failed := 0
-			if berrs[i] != nil {
-				cell.Err = berrs[i].Error()
-				failed = 1
-			} else {
-				br := brs[i]
-				cell.AIPC, cell.Threads = br.AIPC, br.Threads
-				cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
-				cell.Traffic = br.Traffic
-			}
-			journalCell(cell)
-			cells[pi][ai] = cell
-			account(func(p *Progress) {
-				p.Done++
-				p.Simulated++
-				p.Batched++
-				p.Failed += failed
-				p.SimCycles += cell.SimCycles
-			})
-		}
-	}
-
-	// A job is one workload with one or more design points: a single point
-	// outside batching, a same-workload chunk with it. Remote runners keep
-	// per-cell dispatch — the fabric shards and retries at cell granularity.
-	type sweepJob struct {
-		ai  int
-		pis []int
-	}
-	useBatch := e.batch > 1 && e.runner == nil
+	type sweepJob struct{ pi, ai int }
 	jobs := make(chan sweepJob)
 	var wg sync.WaitGroup
 	for w := 0; w < e.parallelism; w++ {
@@ -507,46 +422,17 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		go func() {
 			defer wg.Done()
 			for job := range jobs {
-				if useBatch {
-					runChunk(job.ai, job.pis)
-				} else {
-					runCell(job.pis[0], job.ai)
-				}
+				runCell(job.pi, job.ai)
 			}
 		}()
 	}
-	send := func(j sweepJob) bool {
-		select {
-		case <-ctx.Done():
-			return false
-		case jobs <- j:
-			return true
-		}
-	}
-	if useBatch {
-	batched:
+dispatch:
+	for pi := range points {
 		for ai := range apps {
-			for lo := 0; lo < len(points); lo += e.batch {
-				hi := lo + e.batch
-				if hi > len(points) {
-					hi = len(points)
-				}
-				pis := make([]int, hi-lo)
-				for i := range pis {
-					pis[i] = lo + i
-				}
-				if !send(sweepJob{ai: ai, pis: pis}) {
-					break batched
-				}
-			}
-		}
-	} else {
-	dispatch:
-		for pi := range points {
-			for ai := range apps {
-				if !send(sweepJob{ai: ai, pis: []int{pi}}) {
-					break dispatch
-				}
+			select {
+			case <-ctx.Done():
+				break dispatch
+			case jobs <- sweepJob{pi, ai}:
 			}
 		}
 	}
@@ -586,7 +472,7 @@ var errIncomplete = errors.New("explore: cell not evaluated")
 // assemble folds per-cell outcomes back into design.SweepResult rows, one
 // per point, in input order. A point with any failed or missing cell gets
 // Err set (joining every per-app failure) and no Mean, matching
-// design.Sweep's contract that failed points drop out of frontiers.
+// design.SweepContext's contract that failed points drop out of frontiers.
 func assemble(points []design.Point, apps []workload.Workload, cells [][]Cell, cancelErr error) []design.SweepResult {
 	results := make([]design.SweepResult, len(points))
 	for pi, pt := range points {

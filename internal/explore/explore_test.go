@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -381,7 +380,6 @@ func TestNewValidatesOptions(t *testing.T) {
 		"nil cache":            {WithCache(nil)},
 		"nil configure":        {WithConfigure(nil)},
 		"empty journal path":   {WithJournal("", false)},
-		"negative batch":       {WithBatch(-1)},
 	}
 	for name, opts := range cases {
 		if _, err := New(opts...); !errors.Is(err, design.ErrBadOptions) {
@@ -453,67 +451,5 @@ func TestSweepCancelledBeforeStart(t *testing.T) {
 	}
 	if len(results) != 1 || results[0].Err == nil {
 		t.Errorf("cancelled sweep should mark unevaluated points failed: %+v", results)
-	}
-}
-
-// TestSweepBatchedMatchesUnbatched: batching same-workload cell groups
-// through one simulator pass is invisible — results and journal records
-// are byte-identical to the per-cell path, and the batched run reports
-// where its cells came from via Progress.Batched.
-func TestSweepBatchedMatchesUnbatched(t *testing.T) {
-	points := testPoints(t, 3)
-	apps := testApps(t, "gzip", "mcf")
-	seqJournal := filepath.Join(t.TempDir(), "seq.jsonl")
-	batJournal := filepath.Join(t.TempDir(), "bat.jsonl")
-
-	seq, err := New(WithBatch(0), WithJournal(seqJournal, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := seq.Sweep(context.Background(), points, apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := seq.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if p := seq.LastProgress(); p.Batched != 0 {
-		t.Errorf("unbatched sweep reported %d batched cells", p.Batched)
-	}
-
-	bat, err := New(WithBatch(2), WithJournal(batJournal, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := bat.Sweep(context.Background(), points, apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bat.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p := bat.LastProgress()
-	if p.Batched != len(points)*len(apps) {
-		t.Errorf("Batched = %d, want %d (every cell through the batch path)", p.Batched, len(points)*len(apps))
-	}
-	if p.Simulated != len(points)*len(apps) {
-		t.Errorf("Simulated = %d, want %d", p.Simulated, len(points)*len(apps))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("batched sweep results diverge:\ngot  %+v\nwant %+v", got, want)
-	}
-
-	// Journal records must be interchangeable: sorted record sets equal.
-	read := func(path string) []string {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
-		sort.Strings(lines)
-		return lines
-	}
-	if sl, bl := read(seqJournal), read(batJournal); !reflect.DeepEqual(sl, bl) {
-		t.Errorf("journal records diverge between batched and unbatched sweeps:\nseq: %v\nbat: %v", sl, bl)
 	}
 }

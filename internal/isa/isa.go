@@ -328,22 +328,24 @@ func (p *Program) Validate() error {
 	if len(p.Insts) == 0 {
 		return fmt.Errorf("isa: program %q has no instructions", p.Name)
 	}
-	checkTarget := func(who string, t Target) error {
+	// checkTarget returns what is wrong with t, phrased to follow the name
+	// of its holder, or "" — so a valid program formats nothing.
+	checkTarget := func(t Target) string {
 		if t.Inst < 0 || int(t.Inst) >= len(p.Insts) {
-			return fmt.Errorf("isa: %s targets out-of-range instruction %d", who, t.Inst)
+			return fmt.Sprintf("targets out-of-range instruction %d", t.Inst)
 		}
 		dst := &p.Insts[t.Inst]
 		if int(t.Port) >= dst.NumInputs() {
 			// Steer uses ports 0 and 2 only.
 			if !(dst.Op == OpSteer && t.Port == 2) {
-				return fmt.Errorf("isa: %s targets port %d of %s %q (arity %d)",
-					who, t.Port, dst.Op, dst.Name, dst.NumInputs())
+				return fmt.Sprintf("targets port %d of %s %q (arity %d)",
+					t.Port, dst.Op, dst.Name, dst.NumInputs())
 			}
 		}
 		if dst.Op == OpSteer && t.Port == 1 {
-			return fmt.Errorf("isa: %s targets steer port 1 (predicate is port 2)", who)
+			return "targets steer port 1 (predicate is port 2)"
 		}
-		return nil
+		return ""
 	}
 	for i := range p.Insts {
 		in := &p.Insts[i]
@@ -353,24 +355,19 @@ func (p *Program) Validate() error {
 		if in.Op.IsMemory() != (in.Mem != nil) {
 			return fmt.Errorf("isa: instruction %d (%s) memory annotation mismatch", i, in.Op)
 		}
-		if in.Op == OpSteer == (in.DestsT == nil) && in.Op == OpSteer {
-			// A steer with no true-side consumers is legal (it discards),
-			// so no error; this branch documents the intent.
-			_ = in
-		}
-		who := fmt.Sprintf("instruction %d (%s)", i, in.Op)
 		for _, t := range in.Dests {
-			if err := checkTarget(who, t); err != nil {
-				return err
+			if bad := checkTarget(t); bad != "" {
+				return fmt.Errorf("isa: instruction %d (%s) %s", i, in.Op, bad)
 			}
 		}
+		// A steer with no true-side consumers is legal (it discards).
 		for _, t := range in.DestsT {
-			if err := checkTarget(who+" [true side]", t); err != nil {
-				return err
+			if bad := checkTarget(t); bad != "" {
+				return fmt.Errorf("isa: instruction %d (%s) [true side] %s", i, in.Op, bad)
 			}
 		}
 		if in.Op != OpSteer && len(in.DestsT) > 0 {
-			return fmt.Errorf("isa: %s has true-side destinations but is not a steer", who)
+			return fmt.Errorf("isa: instruction %d (%s) has true-side destinations but is not a steer", i, in.Op)
 		}
 	}
 	if p.Halt < 0 || int(p.Halt) >= len(p.Insts) || p.Insts[p.Halt].Op != OpHalt {
@@ -386,8 +383,8 @@ func (p *Program) Validate() error {
 		}
 		seen[pr.Name] = true
 		for _, t := range pr.Targets {
-			if err := checkTarget("param "+pr.Name, t); err != nil {
-				return err
+			if bad := checkTarget(t); bad != "" {
+				return fmt.Errorf("isa: param %s %s", pr.Name, bad)
 			}
 		}
 	}

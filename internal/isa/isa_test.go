@@ -257,6 +257,52 @@ func TestValidateSteerPorts(t *testing.T) {
 	}
 }
 
+// TestValidateTargetErrorText pins the exact text of every target error,
+// which is assembled from the holder's name only once a target is found bad.
+func TestValidateTargetErrorText(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Program)
+		want   string
+	}{
+		{"out of range", func(p *Program) { p.Insts[0].Dests = []Target{{9, 0}} },
+			"isa: instruction 0 (const) targets out-of-range instruction 9"},
+		{"negative", func(p *Program) { p.Insts[0].Dests = []Target{{-1, 0}} },
+			"isa: instruction 0 (const) targets out-of-range instruction -1"},
+		{"bad port", func(p *Program) { p.Insts[2].Dests = []Target{{3, 1}} },
+			`isa: instruction 2 (steer) targets port 1 of halt "stop" (arity 1)`},
+		{"steer port 1", func(p *Program) { p.Insts[1].Dests = []Target{{2, 1}} },
+			"isa: instruction 1 (const) targets steer port 1 (predicate is port 2)"},
+		{"true side out of range", func(p *Program) { p.Insts[2].DestsT = []Target{{7, 0}} },
+			"isa: instruction 2 (steer) [true side] targets out-of-range instruction 7"},
+		{"true side bad port", func(p *Program) { p.Insts[2].DestsT = []Target{{3, 2}} },
+			`isa: instruction 2 (steer) [true side] targets port 2 of halt "stop" (arity 1)`},
+		{"true side on non-steer", func(p *Program) { p.Insts[0].DestsT = []Target{{3, 0}} },
+			"isa: instruction 0 (const) has true-side destinations but is not a steer"},
+		{"param out of range", func(p *Program) { p.Params[0].Targets = []Target{{42, 0}} },
+			"isa: param start targets out-of-range instruction 42"},
+		{"param steer port 1", func(p *Program) { p.Params[0].Targets = []Target{{2, 1}} },
+			"isa: param start targets steer port 1 (predicate is port 2)"},
+	}
+	for _, c := range cases {
+		p := &Program{Name: "steer", Halt: 3}
+		p.Insts = []Instruction{
+			{ID: 0, Op: OpConst, Imm: 1, Dests: []Target{{2, 0}}},
+			{ID: 1, Op: OpConst, Imm: 0, Dests: []Target{{2, 2}}},
+			{ID: 2, Op: OpSteer, Dests: []Target{{3, 0}}, DestsT: []Target{{3, 0}}},
+			{ID: 3, Op: OpHalt, Name: "stop"},
+		}
+		p.Params = []Param{{Name: "start", Targets: []Target{{0, 0}, {1, 0}}}}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s: program rejected before mutation: %v", c.name, err)
+		}
+		c.mutate(p)
+		if err := p.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s:\n got %v\nwant %s", c.name, err, c.want)
+		}
+	}
+}
+
 func TestCountableStatic(t *testing.T) {
 	p := validProgram()
 	if got := p.CountableStatic(); got != 1 { // only the addi

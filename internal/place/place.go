@@ -66,8 +66,13 @@ type Placement struct {
 	// loc[thread][inst]
 	loc  [][]PEAddr
 	home []int // home cluster per thread
-	// perPE[cluster][domain][pe] counts bound instructions (all threads).
-	perPE [][][]int
+	// perPE counts bound instructions (all threads) per PE; see bound.
+	perPE []int
+}
+
+// bound returns the binding counter of the PE at a.
+func (p *Placement) bound(a PEAddr) *int {
+	return &p.perPE[(a.Cluster*p.cfg.Domains+a.Domain)*p.cfg.PEs+a.PE]
 }
 
 // Place computes a placement for threads copies of prog on the machine.
@@ -79,14 +84,7 @@ func Place(prog *isa.Program, threads int, cfg Config) (*Placement, error) {
 		return nil, fmt.Errorf("place: bad machine shape %+v", cfg)
 	}
 	order := dfsOrder(prog)
-	p := &Placement{cfg: cfg}
-	p.perPE = make([][][]int, cfg.Clusters)
-	for c := range p.perPE {
-		p.perPE[c] = make([][]int, cfg.Domains)
-		for d := range p.perPE[c] {
-			p.perPE[c][d] = make([]int, cfg.PEs)
-		}
-	}
+	p := &Placement{cfg: cfg, perPE: make([]int, cfg.Clusters*cfg.Domains*cfg.PEs)}
 	n := len(prog.Insts)
 	pesPerCluster := cfg.Domains * cfg.PEs
 
@@ -118,7 +116,7 @@ func Place(prog *isa.Program, threads int, cfg Config) (*Placement, error) {
 			}
 			a := pes[slot]
 			loc[inst] = a
-			p.perPE[a.Cluster][a.Domain][a.PE]++
+			*p.bound(a)++
 		}
 		p.loc = append(p.loc, loc)
 		p.home = append(p.home, home)
@@ -135,19 +133,15 @@ func (p *Placement) Loc(thread uint32, inst isa.InstID) PEAddr {
 func (p *Placement) Home(thread uint32) int { return p.home[thread] }
 
 // Bound returns how many instructions (across threads) are bound to a PE.
-func (p *Placement) Bound(a PEAddr) int { return p.perPE[a.Cluster][a.Domain][a.PE] }
+func (p *Placement) Bound(a PEAddr) int { return *p.bound(a) }
 
 // MaxBound returns the largest per-PE binding count, a proxy for
 // instruction-store pressure.
 func (p *Placement) MaxBound() int {
 	m := 0
-	for _, c := range p.perPE {
-		for _, d := range c {
-			for _, n := range d {
-				if n > m {
-					m = n
-				}
-			}
+	for _, n := range p.perPE {
+		if n > m {
+			m = n
 		}
 	}
 	return m
@@ -181,12 +175,12 @@ func (p *Placement) Remap(dead func(PEAddr) bool, moved func(thread uint32, inst
 			}
 			best := alive[0]
 			for _, a := range alive[1:] {
-				if p.perPE[a.Cluster][a.Domain][a.PE] < p.perPE[best.Cluster][best.Domain][best.PE] {
+				if *p.bound(a) < *p.bound(best) {
 					best = a
 				}
 			}
-			p.perPE[from.Cluster][from.Domain][from.PE]--
-			p.perPE[best.Cluster][best.Domain][best.PE]++
+			*p.bound(from)--
+			*p.bound(best)++
 			p.loc[t][i] = best
 			migrated++
 			if moved != nil {

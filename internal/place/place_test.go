@@ -182,3 +182,88 @@ func TestScatterPolicyDestroysLocality(t *testing.T) {
 		t.Errorf("scatter pod-locality (%.2f) should be below chunked (%.2f)", s, l)
 	}
 }
+
+// recount tallies bindings per PE from Loc alone, independently of the
+// placement's own counters.
+func recount(pl *Placement, prog *isa.Program, threads int) map[PEAddr]int {
+	n := make(map[PEAddr]int)
+	for th := 0; th < threads; th++ {
+		for i := range prog.Insts {
+			n[pl.Loc(uint32(th), isa.InstID(i))]++
+		}
+	}
+	return n
+}
+
+// TestBoundCountersTrackLoc: Bound and MaxBound agree with a recount from
+// Loc on every PE of the machine, before and after a Remap, and Remap
+// rebinds in (thread, instruction) order onto the least-loaded survivor,
+// the first in ring order among equals.
+func TestBoundCountersTrackLoc(t *testing.T) {
+	prog, c, threads := chainProg(300), cfg(), 3
+	pl, err := Place(prog, threads, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		want, max := recount(pl, prog, threads), 0
+		for _, a := range clusterRing(c, 0) {
+			if pl.Bound(a) != want[a] {
+				t.Fatalf("%s: Bound(%+v) = %d, recount %d", when, a, pl.Bound(a), want[a])
+			}
+			if want[a] > max {
+				max = want[a]
+			}
+		}
+		if pl.MaxBound() != max {
+			t.Fatalf("%s: MaxBound = %d, recount %d", when, pl.MaxBound(), max)
+		}
+	}
+	check("placed")
+
+	dead := func(a PEAddr) bool { return a.Cluster == 1 || (a.Cluster == 0 && a.Domain == 2) }
+	load := recount(pl, prog, threads)
+	lastT, lastI, moves := uint32(0), isa.InstID(-1), 0
+	migrated, err := pl.Remap(dead, func(th uint32, inst isa.InstID, from, to PEAddr) {
+		if th < lastT || (th == lastT && inst <= lastI) {
+			t.Fatalf("move (%d,%d) after (%d,%d): not in (thread, instruction) order", th, inst, lastT, lastI)
+		}
+		lastT, lastI = th, inst
+		var best *PEAddr
+		for _, a := range clusterRing(c, 0) {
+			a := a
+			if !dead(a) && (best == nil || load[a] < load[*best]) {
+				best = &a
+			}
+		}
+		if !dead(from) || to != *best {
+			t.Fatalf("move (%d,%d) %+v -> %+v, want a dead source and target %+v", th, inst, from, to, *best)
+		}
+		load[from]--
+		load[to]++
+		moves++
+	})
+	if err != nil || migrated != moves || moves == 0 {
+		t.Fatalf("Remap = (%d, %v) with %d callbacks", migrated, err, moves)
+	}
+	check("remapped")
+}
+
+// TestPlaceAllocsIndependentOfShape: the binding counters are one slice,
+// so carving the same PEs into clusters and domains allocates nothing more.
+func TestPlaceAllocsIndependentOfShape(t *testing.T) {
+	prog := chainProg(200)
+	allocs := func(c Config) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Place(prog, 1, c); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	flat := allocs(Config{Clusters: 1, Domains: 1, PEs: 16 * 4 * 8, Virt: 16})
+	tiled := allocs(Config{Clusters: 16, Domains: 4, PEs: 8, Virt: 16})
+	if tiled != flat {
+		t.Errorf("Place allocated %.0f objects on 16x4x8 and %.0f on 1x1x512", tiled, flat)
+	}
+}

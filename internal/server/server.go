@@ -157,17 +157,6 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithBatch sets how many same-workload design points a sweep batches
-// through one simulator pass (default 8; 0 or 1 disables batching).
-// Batching never changes results — cells, cache keys, and journal
-// records are byte-identical to the unbatched path.
-func WithBatch(k int) Option {
-	return func(s *Server) error {
-		s.exploreOpts = append(s.exploreOpts, explore.WithBatch(k))
-		return nil
-	}
-}
-
 // WithRole selects the daemon's fabric role (default RoleSingle).
 func WithRole(r Role) Option {
 	return func(s *Server) error {

@@ -30,15 +30,6 @@ const (
 	// and store buffer is visited every cycle. Kept as the oracle the
 	// active-set scheduler is verified against.
 	SchedFullScan
-	// SchedClusterPar runs each cluster's PE pipeline phases on its own
-	// goroutine with a barrier at every NoC boundary (the serial head of
-	// the cycle: grid, caches, store buffers, domain pseudo-PEs). PE-phase
-	// effects are cluster-local, so results stay byte-identical to the
-	// serial schedulers; determinism comes from disjoint per-cluster state
-	// plus ascending-cluster merges of the staged counters and halts. The
-	// mode silently falls back to SchedActiveSet when its preconditions
-	// don't hold (fault script, tracing, or a single-cluster machine).
-	SchedClusterPar
 )
 
 // Config describes one WaveScalar processor configuration plus the

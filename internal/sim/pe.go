@@ -51,12 +51,25 @@ type outEntry struct {
 	memReq  *storebuf.Request
 }
 
+// phaseStats holds the counters the PE pipeline phases increment.
+type phaseStats struct {
+	Traffic         [numLevels][numClasses]uint64
+	OperandLatTotal uint64
+	OperandCount    uint64
+	Dispatches      uint64
+	Dynamic         uint64
+	Countable       uint64
+	SpecFires       uint64
+	OutQStalls      uint64
+	InputRejects    uint64
+}
+
 // peUnit is one processing element's pipeline state.
 type peUnit struct {
 	p    *Processor
 	addr place.PEAddr
 	gidx int32       // index into Processor.pes, for the active-set work lists
-	st   *phaseStats // counter shard: per-cluster under SchedClusterPar, shared otherwise
+	st   *phaseStats // the processor's phase counters
 	mt   *match.Table
 	ist  *istore.Store
 
@@ -419,7 +432,7 @@ func (pe *peUnit) execute(c uint64, id isa.InstID, tag isa.Tag, vals [3]uint64, 
 	if in.Op.Countable() && kind == schedFire {
 		pe.st.Countable++
 	}
-	pe.noteProgress(c)
+	p.progress = c
 	if p.rec != nil {
 		p.rec.PEFire(c, pe.addr.Cluster, pe.addr.Domain, pe.addr.PE,
 			int32(id), isa.ExecLatency(in.Op))
@@ -429,7 +442,7 @@ func (pe *peUnit) execute(c uint64, id isa.InstID, tag isa.Tag, vals [3]uint64, 
 
 	switch in.Op {
 	case isa.OpHalt:
-		pe.noteHalt(c, tag.Thread, vals[0])
+		p.threadHalted(c, tag.Thread, vals[0])
 		return
 	case isa.OpSteer:
 		dests := in.Dests

@@ -84,11 +84,8 @@ type Processor struct {
 	// Free lists for the token path's transient objects. They hold
 	// steady-state allocations at ~zero: messages and payloads recycle at
 	// the NoC sink, store-buffer requests after the buffer copies them in,
-	// destination slices when the output queue drains. Messages and
-	// payloads are only touched from the serial sections of a tick; the
-	// request and target lists are also used inside PE pipeline phases, so
-	// they are sharded by cluster — disjoint per goroutine under the
-	// cluster-parallel scheduler, and behaviorally identical otherwise.
+	// destination slices when the output queue drains. The request and
+	// target lists are kept per cluster.
 	msgFree []*noc.Message
 	payFree []*operandPayload
 	reqFree [][]*storebuf.Request
@@ -112,43 +109,7 @@ type Processor struct {
 	progress   uint64
 	cycle      uint64
 	stats      Stats
-
-	// phStats are the counters the PE pipeline phases increment, kept out
-	// of stats so the cluster-parallel scheduler can shard them: one shard
-	// per cluster in parallel mode (each touched by exactly one goroutine),
-	// a single shared shard otherwise. collect folds them into stats.
-	phStats []phaseStats
-	// parMode enables the per-cluster goroutine tick (SchedClusterPar with
-	// no fault injector, no trace recorder, and more than one cluster).
-	parMode bool
-	par     *parPool // lazily started cluster workers (parMode only)
-
-	// Stepper state: RunContext is a loop over step, and the batch runner
-	// interleaves many lanes through the same state machine so K design
-	// points advance in one pass with per-lane retirement.
-	started  bool
-	runPhase runPhase
-	runC     uint64 // cycle counter shared by the run and drain phases
-	drainC   uint64 // post-halt drain cycles spent
-	finalErr error  // latched terminal error (nil after a clean finish)
-}
-
-// runPhase is the stepper's position in a run's lifecycle.
-type runPhase int
-
-const (
-	phaseRunning runPhase = iota
-	phaseDraining
-	phaseFinished
-)
-
-// sharedBuild carries the machine-independent pieces of a build that
-// NewBatch computes once and shares across lanes of the same workload:
-// the validated program's operand-requirement masks and — for faultless
-// lanes of identical shape and thread count — the placement itself.
-type sharedBuild struct {
-	required  []uint8
-	placement *place.Placement // nil: compute per lane
+	phStats    phaseStats // folded into stats by collect
 }
 
 // New builds a processor for prog with one parameter map per thread.
@@ -157,14 +118,6 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	return newProc(cfg, prog, params, mem, nil)
-}
-
-// newProc is the constructor behind New and NewBatch. When sh is non-nil
-// the caller has already validated prog and computed its operand masks
-// (and possibly a shareable placement), so those steps are skipped —
-// the batch runner's "one graph build feeding all K machine configs".
-func newProc(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory, sh *sharedBuild) (*Processor, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -173,18 +126,12 @@ func newProc(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memo
 		return nil, fmt.Errorf("sim: need at least one thread")
 	}
 	threads := len(params)
-	var pl *place.Placement
-	if sh != nil && sh.placement != nil {
-		pl = sh.placement
-	} else {
-		var err error
-		pl, err = place.Place(prog, threads, place.Config{
-			Clusters: cfg.Arch.Clusters, Domains: cfg.Arch.Domains,
-			PEs: cfg.Arch.PEs, Virt: cfg.Arch.Virt, Policy: cfg.Placement,
-		})
-		if err != nil {
-			return nil, err
-		}
+	pl, err := place.Place(prog, threads, place.Config{
+		Clusters: cfg.Arch.Clusters, Domains: cfg.Arch.Domains,
+		PEs: cfg.Arch.PEs, Virt: cfg.Arch.Virt, Policy: cfg.Placement,
+	})
+	if err != nil {
+		return nil, err
 	}
 	p := &Processor{
 		cfg:        cfg,
@@ -202,13 +149,9 @@ func newProc(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memo
 	for a, v := range mem {
 		p.mem[a] = v
 	}
-	if sh != nil {
-		p.required = sh.required
-	} else {
-		p.required = make([]uint8, len(prog.Insts))
-		for i := range prog.Insts {
-			p.required[i] = requiredMask(&prog.Insts[i])
-		}
+	p.required = make([]uint8, len(prog.Insts))
+	for i := range prog.Insts {
+		p.required[i] = requiredMask(&prog.Insts[i])
 	}
 
 	// Build the machine.
@@ -219,7 +162,6 @@ func newProc(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memo
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	p.inj = inj
-	p.parMode = cfg.Sched == SchedClusterPar && inj == nil && cfg.Trace == nil && arch.Clusters > 1
 	for ci := 0; ci < arch.Clusters; ci++ {
 		for di := 0; di < arch.Domains; di++ {
 			p.domains = append(p.domains, &domainUnit{p: p, cluster: ci, index: di})
@@ -230,21 +172,10 @@ func newProc(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memo
 	}
 	for i, pe := range p.pes {
 		pe.gidx = int32(i)
+		pe.st = &p.phStats
 	}
 	for i, d := range p.domains {
 		d.gidx = int32(i)
-	}
-	if p.parMode {
-		p.phStats = make([]phaseStats, arch.Clusters)
-	} else {
-		p.phStats = make([]phaseStats, 1)
-	}
-	for _, pe := range p.pes {
-		if p.parMode {
-			pe.st = &p.phStats[pe.addr.Cluster]
-		} else {
-			pe.st = &p.phStats[0]
-		}
 	}
 	p.reqFree = make([][]*storebuf.Request, arch.Clusters)
 	p.tgtFree = make([][][]isa.Target, arch.Clusters)
@@ -254,14 +185,6 @@ func newProc(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memo
 	p.actInput = newActiveSet(len(p.pes))
 	p.actDomain = newActiveSet(len(p.domains))
 	p.actSB = newActiveSet(arch.Clusters)
-	if p.parMode {
-		// The parallel tick full-scans each cluster, so the work lists are
-		// unused — freeze them so arm() (called from concurrent PE phases)
-		// becomes a read-only no-op instead of a data race.
-		for _, s := range []*activeSet{p.actComplete, p.actDispatch, p.actOutput, p.actInput, p.actDomain, p.actSB} {
-			s.freeze()
-		}
-	}
 	for ci := 0; ci < arch.Clusters; ci++ {
 		ci := ci
 		var extraDelay func(seq uint64) uint64
@@ -551,12 +474,6 @@ func (p *Processor) respondMem(cycle uint64, cluster int, inst isa.InstID, tag i
 // compare.
 const cancelCheckMask = 1<<12 - 1
 
-// stepQuantum is how many cycles RunContext advances per step call. Large
-// enough that the stepper's phase dispatch is invisible next to the
-// per-cycle machine work, small enough that terminal conditions surface
-// promptly.
-const stepQuantum = 1 << 16
-
 // drainBudget bounds the post-halt drain that flushes in-flight memory
 // so the functional state reflects every store.
 const drainBudget = 2_000_000
@@ -576,113 +493,59 @@ func (p *Processor) Run() (*Stats, error) {
 // error wrapping ErrInternal, with a cycle-stamped machine dump: a bad
 // run never takes down the process (the explorer and the simulation
 // daemon both run many configurations per process).
-func (p *Processor) RunContext(ctx context.Context) (*Stats, error) {
-	for {
-		st, done, err := p.step(ctx, stepQuantum)
-		if done {
-			return st, err
-		}
-	}
-}
-
-// finish latches a terminal outcome: step returns it on this and every
-// later call, and the cluster-parallel worker pool (if any) shuts down.
-func (p *Processor) finish(err error) {
-	p.finalErr = err
-	p.runPhase = phaseFinished
-	p.stopPar()
-}
-
-// terminal reports the latched outcome in step's return shape.
-func (p *Processor) terminal() (*Stats, bool, error) {
-	if p.finalErr != nil {
-		return nil, true, p.finalErr
-	}
-	return &p.stats, true, nil
-}
-
-// step advances the machine by at most budget cycles, returning done=true
-// once the run reaches a terminal state (success or error). It is the
-// resumable core shared by RunContext and the batch runner: all halt,
-// stall, MaxCycles, drain and cancellation bookkeeping of a full run
-// lives here, so an interleaved batch lane behaves byte-identically to a
-// dedicated run. Terminal outcomes latch; calling step again just
-// returns the same result.
-func (p *Processor) step(ctx context.Context, budget uint64) (st *Stats, done bool, err error) {
-	if p.runPhase == phaseFinished {
-		return p.terminal()
-	}
+func (p *Processor) RunContext(ctx context.Context) (st *Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			e := fmt.Errorf("sim: %w: panic at cycle %d: %v\n%s\nstack:\n%s",
+			st, err = nil, fmt.Errorf("sim: %w: panic at cycle %d: %v\n%s\nstack:\n%s",
 				ErrInternal, p.cycle, r, p.dump(), debug.Stack())
-			p.finish(e)
-			st, done, err = nil, true, e
 		}
 	}()
-	if !p.started {
-		p.started = true
-		p.inject()
-	}
-	for ; budget > 0; budget-- {
-		if p.runPhase == phaseRunning && p.haltCount >= p.threads {
-			p.stats.Cycles = p.lastHalt + 1
-			p.runPhase = phaseDraining
+	p.inject()
+	c := uint64(0)
+	for ; p.haltCount < p.threads; c++ {
+		if c&cancelCheckMask == 0 {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, fmt.Errorf("sim: run cancelled at cycle %d: %w", c, cerr)
+			}
 		}
-		if p.runPhase == phaseDraining && (p.drainC >= drainBudget || p.quiesced()) {
-			if !p.quiesced() {
-				if p.faultsManifested() {
-					p.finish(fmt.Errorf("sim: %w: post-halt drain stuck (fault report: %s):\n%s",
-						ErrFaultStall, p.inj.Report(), p.dump()))
-				} else {
-					p.finish(fmt.Errorf("sim: %w:\n%s", ErrNotQuiesced, p.dump()))
-				}
-				return p.terminal()
-			}
-			p.collect()
-			p.finish(nil)
-			return p.terminal()
+		if c >= p.cfg.MaxCycles {
+			return nil, fmt.Errorf("sim: %w: MaxCycles=%d (%d/%d threads done)",
+				ErrMaxCycles, p.cfg.MaxCycles, p.haltCount, p.threads)
 		}
-		c := p.runC
-		if p.runPhase == phaseRunning {
-			if c&cancelCheckMask == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					p.finish(fmt.Errorf("sim: run cancelled at cycle %d: %w", c, cerr))
-					return p.terminal()
-				}
+		if c > p.progress && c-p.progress > p.cfg.StallLimit {
+			if p.faultsManifested() {
+				return nil, fmt.Errorf("sim: %w for %d cycles at cycle %d (fault report: %s):\n%s",
+					ErrFaultStall, p.cfg.StallLimit, c, p.inj.Report(), p.dump())
 			}
-			if c >= p.cfg.MaxCycles {
-				p.finish(fmt.Errorf("sim: %w: MaxCycles=%d (%d/%d threads done)",
-					ErrMaxCycles, p.cfg.MaxCycles, p.haltCount, p.threads))
-				return p.terminal()
-			}
-			if c > p.progress && c-p.progress > p.cfg.StallLimit {
-				if p.faultsManifested() {
-					p.finish(fmt.Errorf("sim: %w for %d cycles at cycle %d (fault report: %s):\n%s",
-						ErrFaultStall, p.cfg.StallLimit, c, p.inj.Report(), p.dump()))
-				} else {
-					p.finish(fmt.Errorf("sim: %w for %d cycles at cycle %d:\n%s",
-						ErrDeadlock, p.cfg.StallLimit, c, p.dump()))
-				}
-				return p.terminal()
-			}
-		} else {
-			if p.drainC&cancelCheckMask == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					p.finish(fmt.Errorf("sim: run cancelled during drain at cycle %d: %w", c, cerr))
-					return p.terminal()
-				}
-			}
-			p.drainC++
+			return nil, fmt.Errorf("sim: %w for %d cycles at cycle %d:\n%s",
+				ErrDeadlock, p.cfg.StallLimit, c, p.dump())
 		}
 		p.tick(c)
 		if rerr := p.runErr(c); rerr != nil {
-			p.finish(rerr)
-			return p.terminal()
+			return nil, rerr
 		}
-		p.runC++
 	}
-	return nil, false, nil
+	p.stats.Cycles = p.lastHalt + 1
+	for drained := uint64(0); !p.quiesced(); drained, c = drained+1, c+1 {
+		if drained >= drainBudget {
+			if p.faultsManifested() {
+				return nil, fmt.Errorf("sim: %w: post-halt drain stuck (fault report: %s):\n%s",
+					ErrFaultStall, p.inj.Report(), p.dump())
+			}
+			return nil, fmt.Errorf("sim: %w:\n%s", ErrNotQuiesced, p.dump())
+		}
+		if drained&cancelCheckMask == 0 {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, fmt.Errorf("sim: run cancelled during drain at cycle %d: %w", c, cerr)
+			}
+		}
+		p.tick(c)
+		if rerr := p.runErr(c); rerr != nil {
+			return nil, rerr
+		}
+	}
+	p.collect()
+	return &p.stats, nil
 }
 
 // runErr surfaces fatal conditions latched by component callbacks during
@@ -719,16 +582,11 @@ func (p *Processor) inject() {
 }
 
 // tick advances the whole machine one cycle under the configured
-// scheduling strategy. SchedClusterPar runs only when its preconditions
-// held at construction (no fault script, no trace, >1 cluster); otherwise
-// it falls back to the active-set scheduler, which is always equivalent.
+// scheduling strategy.
 func (p *Processor) tick(c uint64) {
-	switch {
-	case p.parMode:
-		p.parTick(c)
-	case p.cfg.Sched == SchedFullScan:
+	if p.cfg.Sched == SchedFullScan {
 		p.scanTick(c)
-	default:
+	} else {
 		p.activeTick(c)
 	}
 }
@@ -892,26 +750,22 @@ func (p *Processor) quiesced() bool {
 	return true
 }
 
-// collect aggregates component statistics. Phase counters accumulate in
-// per-cluster shards (one shard in serial modes) and fold here, so the
-// serial and cluster-parallel schedulers share one aggregation path.
+// collect aggregates component statistics.
 func (p *Processor) collect() {
-	for i := range p.phStats {
-		sh := &p.phStats[i]
-		for lvl := range sh.Traffic {
-			for cls := range sh.Traffic[lvl] {
-				p.stats.Traffic[lvl][cls] += sh.Traffic[lvl][cls]
-			}
+	sh := &p.phStats
+	for lvl := range sh.Traffic {
+		for cls := range sh.Traffic[lvl] {
+			p.stats.Traffic[lvl][cls] += sh.Traffic[lvl][cls]
 		}
-		p.stats.OperandLatTotal += sh.OperandLatTotal
-		p.stats.OperandCount += sh.OperandCount
-		p.stats.Dispatches += sh.Dispatches
-		p.stats.Dynamic += sh.Dynamic
-		p.stats.Countable += sh.Countable
-		p.stats.SpecFires += sh.SpecFires
-		p.stats.OutQStalls += sh.OutQStalls
-		p.stats.InputRejects += sh.InputRejects
 	}
+	p.stats.OperandLatTotal += sh.OperandLatTotal
+	p.stats.OperandCount += sh.OperandCount
+	p.stats.Dispatches += sh.Dispatches
+	p.stats.Dynamic += sh.Dynamic
+	p.stats.Countable += sh.Countable
+	p.stats.SpecFires += sh.SpecFires
+	p.stats.OutQStalls += sh.OutQStalls
+	p.stats.InputRejects += sh.InputRejects
 	for _, pe := range p.pes {
 		ms := pe.mt.Stats()
 		p.stats.Match.Inserts += ms.Inserts

@@ -15,9 +15,8 @@ import (
 // yields it by construction) and clears the set, so work discovered during
 // the drain re-arms into the next drain.
 type activeSet struct {
-	bits   []uint64
-	frozen bool
-	out    []int32 // drain scratch, reused across cycles
+	bits []uint64
+	out  []int32 // drain scratch, reused across cycles
 }
 
 func newActiveSet(n int) *activeSet {
@@ -25,17 +24,8 @@ func newActiveSet(n int) *activeSet {
 }
 
 func (s *activeSet) arm(i int32) {
-	if s.frozen {
-		return
-	}
 	s.bits[i>>6] |= 1 << (i & 63)
 }
-
-// freeze makes arm a read-only no-op. The cluster-parallel scheduler
-// full-scans every cluster, so its work lists are never drained; freezing
-// them keeps the arm calls issued concurrently from PE phases free of
-// writes (and therefore free of data races) without touching call sites.
-func (s *activeSet) freeze() { s.frozen = true }
 
 // len returns how many components are armed.
 func (s *activeSet) len() int {

@@ -18,10 +18,9 @@
 // red nightly run is one `wsvalidate -repro <token>` away from a
 // debugger.
 //
-// The harness exists so aggressive hot-path work (batched simulation,
-// parallel cycle execution) can proceed behind a safety net that checks
-// far more of the configuration × workload × fault space than the unit
-// tests reach.
+// The harness exists so aggressive hot-path work can proceed behind a
+// safety net that checks far more of the configuration × workload × fault
+// space than the unit tests reach.
 package validate
 
 import (
@@ -118,7 +117,6 @@ const (
 	KindFaultIdentity  = "fault-identity"   // empty fault script ≠ faultless run
 	KindSchedDiverged  = "sched-divergence" // full-scan ≠ active-set scheduler
 	KindCacheDiverged  = "cache-divergence" // cache hit ≠ recompute
-	KindBatchDiverged  = "batch-divergence" // batched lane ≠ dedicated run
 )
 
 func (f *Failure) Error() string {
@@ -173,11 +171,6 @@ type Checker struct {
 	// Every sim-side run — the differential run, the determinism rerun,
 	// and the fault-identity and scheduler variants — goes through it.
 	RunSim RunSimFunc
-	// Batched routes every real simulator run through a one-lane batch
-	// (RealSimBatched), so a fuzzing pass exercises the batch runner's
-	// code paths on every case instead of only in the batch variant.
-	// Ignored when RunSim is set.
-	Batched bool
 	// Sims counts simulator runs performed, for budget accounting.
 	Sims int
 }
@@ -191,9 +184,6 @@ func (ck *Checker) runSim(cfg sim.Config, inst *workload.Instance, threads int) 
 	fn := ck.RunSim
 	if fn == nil {
 		fn = RealSim
-		if ck.Batched {
-			fn = RealSimBatched
-		}
 	}
 	return fn(cfg, inst, threads)
 }
@@ -213,28 +203,6 @@ func RealSim(cfg sim.Config, inst *workload.Instance, threads int) (*SimOutcome,
 			out.HaltValues[t] = proc.HaltValue(uint32(t))
 		}
 		out.Mem = proc.Mem()
-	}
-	return out, nil
-}
-
-// RealSimBatched runs one case through a one-lane batch — the batch
-// runner's build-share and stepper machinery with none of the lane
-// interleaving — and extracts the same outcome RealSim would. Used when
-// Checker.Batched is set so every fuzz case also validates the batch
-// path.
-func RealSimBatched(cfg sim.Config, inst *workload.Instance, threads int) (*SimOutcome, error) {
-	b, err := sim.NewBatch(inst.Prog, sim.Memory(inst.Mem), []sim.Lane{{Config: cfg, Params: inst.Params(threads)}})
-	if err != nil {
-		return nil, err
-	}
-	if berr := b.BuildErr(0); berr != nil {
-		return nil, berr
-	}
-	r := b.Run()[0]
-	out := &SimOutcome{Stats: r.Stats, Err: r.Err}
-	if r.Err == nil {
-		out.HaltValues = r.HaltValues
-		out.Mem = map[uint64]uint64(r.Mem)
 	}
 	return out, nil
 }
@@ -369,15 +337,13 @@ func diffMemory(c Case, simMem map[uint64]uint64, refMem ref.Memory) *Failure {
 // by the case seed so a shrunk case (which keeps its seed) re-runs the
 // same variant and the repro token replays the same work.
 func (ck *Checker) checkVariant(c Case, cfg sim.Config, inst *workload.Instance, threads int, out *SimOutcome) (*Failure, error) {
-	switch fault.Mix(c.Seed, 0x1A11) % 4 {
+	switch fault.Mix(c.Seed, 0x1A11) % 3 {
 	case 0:
 		return ck.checkFaultIdentity(c, cfg, inst, threads, out)
 	case 1:
 		return ck.checkSched(c, cfg, inst, threads, out)
-	case 2:
-		return ck.checkCache(c, cfg, threads)
 	default:
-		return ck.checkBatch(c, cfg, inst, threads, out)
+		return ck.checkCache(c, cfg, threads)
 	}
 }
 
@@ -399,40 +365,6 @@ func (ck *Checker) checkFaultIdentity(c Case, cfg sim.Config, inst *workload.Ins
 	if d1, d2 := out.digest(), eout.digest(); d1 != d2 {
 		return &Failure{Case: c, Kind: KindFaultIdentity,
 			Detail: fmt.Sprintf("empty fault script changed the outcome: %s vs %s", d1, d2)}, nil
-	}
-	return nil, nil
-}
-
-// checkBatch verifies the batch-execution invariant: running the case's
-// config as two identical lanes of one batch must give each lane an
-// outcome byte-identical to the dedicated run — the guarantee that lets
-// sweeps batch design points without moving a single cached digest.
-func (ck *Checker) checkBatch(c Case, cfg sim.Config, inst *workload.Instance, threads int, out *SimOutcome) (*Failure, error) {
-	params := inst.Params(threads)
-	b, err := sim.NewBatch(inst.Prog, sim.Memory(inst.Mem), []sim.Lane{
-		{Config: cfg, Params: params},
-		{Config: cfg, Params: params},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("validate: building batch: %w", err)
-	}
-	for i := 0; i < b.Lanes(); i++ {
-		if berr := b.BuildErr(i); berr != nil {
-			return nil, fmt.Errorf("validate: building batch lane %d: %w", i, berr)
-		}
-	}
-	ck.Sims += b.Lanes()
-	want := out.digest()
-	for i, r := range b.Run() {
-		bo := &SimOutcome{Stats: r.Stats, Err: r.Err}
-		if r.Err == nil {
-			bo.HaltValues = r.HaltValues
-			bo.Mem = map[uint64]uint64(r.Mem)
-		}
-		if d := bo.digest(); d != want {
-			return &Failure{Case: c, Kind: KindBatchDiverged,
-				Detail: fmt.Sprintf("batched lane %d diverged from the dedicated run: %s vs %s", i, d, want)}, nil
-		}
 	}
 	return nil, nil
 }

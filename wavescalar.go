@@ -86,35 +86,7 @@ const (
 	// SchedFullScan is the legacy reference scheduler, kept as the oracle
 	// the active-set scheduler is verified against.
 	SchedFullScan = sim.SchedFullScan
-	// SchedClusterPar runs each cluster's PE pipeline phases on its own
-	// goroutine with barrier sync at NoC boundaries. Results stay
-	// byte-identical to the serial schedulers; the mode falls back to
-	// SchedActiveSet when a fault script, tracing, or a single-cluster
-	// machine rules it out.
-	SchedClusterPar = sim.SchedClusterPar
 )
-
-// Batched same-shape simulation: K design points of one workload in one
-// pass, sharing program validation, operand-mask computation and (for
-// same-shape fault-free lanes) placement.
-type (
-	// BatchLane is one design point in a batch: a config plus per-thread
-	// parameter maps.
-	BatchLane = sim.Lane
-	// BatchLaneResult is one lane's outcome — Stats on success or the
-	// exact error a dedicated run would have returned.
-	BatchLaneResult = sim.LaneResult
-	// Batch is a built batch; run it once with Run or RunContext.
-	Batch = sim.Batch
-)
-
-// NewBatch builds a batch of simulators for prog, one per lane. Lanes
-// retire independently; each lane's results (stats digests, halt values,
-// memory, error text) are byte-identical to a dedicated New + RunContext.
-// Use Batch.SetWorkers to fan whole lanes across goroutines.
-func NewBatch(prog *Program, mem Memory, lanes []BatchLane) (*Batch, error) {
-	return sim.NewBatch(prog, mem, lanes)
-}
 
 // Run-failure sentinels, matchable with errors.Is on the error a Run
 // returns.
@@ -526,11 +498,6 @@ func WithConfigure(fn ConfigureFunc) ExploreOption { return explore.WithConfigur
 // (default: unlimited). Evictions are counted in the cache's Stats.
 func WithCacheLimit(n int) ExploreOption { return explore.WithCacheLimit(n) }
 
-// WithExploreBatch sets how many same-workload design points a sweep
-// simulates per batched pass (default 8; 0 or 1 disables batching).
-// Results are byte-identical to the unbatched path.
-func WithExploreBatch(k int) ExploreOption { return explore.WithBatch(k) }
-
 // Serving: the simulation-as-a-service daemon (internal/server), an
 // HTTP/JSON API over the exploration engine with a bounded worker pool,
 // singleflight deduplication of identical in-flight runs, and Prometheus
@@ -582,11 +549,6 @@ func ServerJournal(path string, resume bool) ServerOption { return server.WithJo
 // ServerParallelism sets how many simulations a sweep job runs
 // concurrently (default GOMAXPROCS).
 func ServerParallelism(n int) ServerOption { return server.WithParallelism(n) }
-
-// ServerBatch sets how many same-workload design points a sweep batches
-// through one simulator pass (default 8; 0 or 1 disables batching).
-// Results are byte-identical either way.
-func ServerBatch(k int) ServerOption { return server.WithBatch(k) }
 
 // Distributed sweep fabric (internal/cluster): a coordinator shards sweep
 // cells across registered workers via a consistent hash ring on the

@@ -1,6 +1,7 @@
 package wavescalar_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -94,7 +95,11 @@ func TestDesignSpaceAPI(t *testing.T) {
 	}
 	// A miniature sweep through the public API.
 	apps := []wavescalar.Workload{mustWL(t, "gzip")}
-	res := design.Sweep(viable[:2], apps, wavescalar.SweepOptions{Scale: wavescalar.ScaleTiny})
+	res, err := design.SweepContext(context.Background(), viable[:2], apps,
+		wavescalar.SweepOptions{Scale: wavescalar.ScaleTiny, ThreadCounts: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f := wavescalar.SweepFrontier(res); len(f) == 0 {
 		t.Error("empty frontier")
 	}
