@@ -76,7 +76,7 @@ func BenchmarkTable4Tuning(b *testing.B) {
 			}
 			var tn wavescalar.Tuning
 			for i := 0; i < b.N; i++ {
-				tn, err = wavescalar.TuneMatchingTable(w, opt)
+				tn, err = wavescalar.TuneMatchingTable(context.Background(), w, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -84,6 +84,21 @@ func BenchmarkTable4Tuning(b *testing.B) {
 			b.Logf("%s: k_opt=%d u_opt=%d ratio=%.2f", tn.App, tn.KOpt, tn.UOpt, tn.Ratio)
 		})
 	}
+}
+
+// coldSweep runs one Explorer.Sweep at ScaleTiny on a fresh explorer (empty
+// cache, no journal), so every iteration simulates every cell.
+func coldSweep(b *testing.B, points []wavescalar.DesignPoint, apps []wavescalar.Workload, threads []int) []wavescalar.SweepResult {
+	exp, err := wavescalar.NewExplorer(wavescalar.WithThreadCounts(threads...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer exp.Close()
+	results, err := exp.Sweep(context.Background(), points, apps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return results
 }
 
 // benchSweep runs a small design-space sweep and logs the frontier.
@@ -95,12 +110,7 @@ func benchSweep(b *testing.B, apps []wavescalar.Workload, threads []int, nPoints
 	}
 	var frontier []wavescalar.Evaluated
 	for i := 0; i < b.N; i++ {
-		results, err := design.SweepContext(context.Background(), sub, apps, wavescalar.SweepOptions{
-			Scale: wavescalar.ScaleTiny, ThreadCounts: threads,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		results := coldSweep(b, sub, apps, threads)
 		for _, r := range results {
 			if r.Err != nil {
 				b.Fatal(r.Err)
@@ -155,13 +165,8 @@ func BenchmarkFigure7ScalableDesigns(b *testing.B) {
 	}
 	var plan []design.ScaledPoint
 	for i := 0; i < b.N; i++ {
-		results, err := design.SweepContext(context.Background(), sub, apps, wavescalar.SweepOptions{
-			Scale: wavescalar.ScaleTiny, ThreadCounts: []int{1, 4, 16},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err = design.ScalingPlan(results)
+		var err error
+		plan, err = design.ScalingPlan(coldSweep(b, sub, apps, []int{1, 4, 16}))
 		if err != nil {
 			b.Fatal(err)
 		}

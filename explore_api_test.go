@@ -84,7 +84,8 @@ func TestBuildProcessorMatchesRunWorkload(t *testing.T) {
 }
 
 // TestNewExplorerRootAPI drives the re-exported engine end to end: sweep,
-// journal, resume, and agreement with the direct design.SweepContext.
+// journal, resume, and agreement of every cell with a direct
+// design.BestThreadsContext of it.
 func TestNewExplorerRootAPI(t *testing.T) {
 	points := wavescalar.ViableDesigns()[:2]
 	w, err := wavescalar.WorkloadByName("gzip")
@@ -117,14 +118,19 @@ func TestNewExplorerRootAPI(t *testing.T) {
 		t.Errorf("progress = %+v, want %d cells simulated", lastProg, len(points))
 	}
 
-	want, err := design.SweepContext(context.Background(), points, apps, wavescalar.SweepOptions{
-		Scale: wavescalar.ScaleTiny, ThreadCounts: []int{1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("explorer results differ from direct design.SweepContext:\ngot  %+v\nwant %+v", got, want)
+	for i, pt := range points {
+		br, err := design.BestThreadsContext(context.Background(), wavescalar.Baseline(pt.Arch), w.Build(wavescalar.ScaleTiny), []int{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := wavescalar.SweepResult{
+			Point: pt, Mean: br.AIPC,
+			AIPC:    map[string]float64{w.Name: br.AIPC},
+			Threads: map[string]int{w.Name: br.Threads},
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("explorer row %d differs from a direct design.BestThreadsContext:\ngot  %+v\nwant %+v", i, got[i], want)
+		}
 	}
 
 	// Resume from the journal: zero simulations.

@@ -107,6 +107,12 @@ type ExecResponse struct {
 	Version version.Info `json:"version"`
 }
 
+// MaxJournalDelta bounds the body of one POST /v1/cluster/journal. The
+// coordinator refuses a larger delta with 413 rather than merging a
+// prefix of it, and the Shipper never sends more than this per call: a
+// longer journal tail ships over several calls.
+const MaxJournalDelta = 64 << 20
+
 // JournalResponse is the body of POST /v1/cluster/journal: the
 // coordinator acknowledging a shipped journal delta. Received counts
 // the records in the delta; Merged counts the ones that were new to the

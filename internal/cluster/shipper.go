@@ -139,11 +139,17 @@ func (sh *Shipper) Run(ctx context.Context) error {
 	}
 }
 
+// shipLimit caps the bytes one ShipOnce reads and posts (a variable only so
+// a test can lower it).
+var shipLimit int64 = MaxJournalDelta
+
 // ShipOnce ships the journal delta since the last acknowledged offset,
 // returning how many records the coordinator received. Only complete
-// lines ship — a record mid-append waits for the next tick. A journal
-// that shrank (restart without -resume truncates it) resets the offset
-// and re-ships from the top; merging is idempotent on the cell key.
+// lines ship — a record mid-append waits for the next tick — and at most
+// MaxJournalDelta bytes per call, cut at the last newline: the rest of a
+// longer tail ships on the next call. A journal that shrank (restart
+// without -resume truncates it) resets the offset and re-ships from the
+// top; merging is idempotent on the cell key.
 func (sh *Shipper) ShipOnce(ctx context.Context) (int, error) {
 	f, err := os.Open(sh.JournalPath)
 	if os.IsNotExist(err) {
@@ -166,12 +172,15 @@ func (sh *Shipper) ShipOnce(ctx context.Context) (int, error) {
 	if _, err := f.Seek(sh.offset, io.SeekStart); err != nil {
 		return 0, err
 	}
-	buf := make([]byte, st.Size()-sh.offset)
+	buf := make([]byte, min(st.Size()-sh.offset, shipLimit))
 	if _, err := io.ReadFull(f, buf); err != nil {
 		return 0, err
 	}
 	end := bytes.LastIndexByte(buf, '\n')
 	if end < 0 {
+		if int64(len(buf)) == shipLimit {
+			return 0, fmt.Errorf("cluster: journal record at offset %d exceeds the %d-byte ship limit", sh.offset, shipLimit)
+		}
 		return 0, nil // one torn record so far; wait for its newline
 	}
 	payload := buf[:end+1]

@@ -258,3 +258,53 @@ func TestShipperRetriesCounterAndBackoffLoop(t *testing.T) {
 		t.Errorf("delivered %q, want the full journal line", delivered[0])
 	}
 }
+
+// TestShipperCapsEachPost: a journal tail longer than the per-POST limit
+// arrives complete over several ShipOnce calls — every payload within the
+// limit and cut at a newline, no byte shipped twice — and a single record
+// that can never fit is an error, not a silent stall.
+func TestShipperCapsEachPost(t *testing.T) {
+	defer func(prev int64) { shipLimit = prev }(shipLimit)
+	shipLimit = 20
+
+	journal := filepath.Join(t.TempDir(), "worker.jsonl")
+	var want strings.Builder
+	for i := 1; i <= 9; i++ {
+		want.WriteString(`{"a":` + itoa(i) + "}\n") // 8 bytes a record
+	}
+	if err := os.WriteFile(journal, []byte(want.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var payloads []string
+	coord := fakeCoordinator(t, &payloads)
+	defer coord.Close()
+	sh := &Shipper{Coordinator: coord.URL, JournalPath: journal}
+
+	records := 0
+	for {
+		n, err := sh.ShipOnce(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		records += n
+	}
+	for i, p := range payloads {
+		if int64(len(p)) > shipLimit || !strings.HasSuffix(p, "\n") {
+			t.Errorf("payload %d is %d bytes (limit %d) or torn: %q", i, len(p), shipLimit, p)
+		}
+	}
+	if got := strings.Join(payloads, ""); got != want.String() || records != 9 || len(payloads) < 2 {
+		t.Errorf("shipped %d records in %d posts:\n%q\nwant the journal once, over several posts:\n%q",
+			records, len(payloads), got, want.String())
+	}
+
+	if err := os.WriteFile(journal, []byte(strings.Repeat("x", 30)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&Shipper{Coordinator: coord.URL, JournalPath: journal}).ShipOnce(context.Background()); err == nil {
+		t.Error("a record longer than the ship limit was not reported")
+	}
+}

@@ -115,10 +115,7 @@ func TestFrontierTable(t *testing.T) {
 func TestSweepSmall(t *testing.T) {
 	pts := Viable()[:2]
 	apps := []workload.Workload{mustWorkload(t, "gzip")}
-	res, err := SweepContext(context.Background(), pts, apps, SweepOptions{Scale: workload.Tiny, ThreadCounts: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepDirect(t, pts, apps, []int{1})
 	if len(res) != 2 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -162,7 +159,7 @@ func TestTuneGzip(t *testing.T) {
 	opt := DefaultTuneOptions()
 	opt.Ks = []int{1, 2, 4}
 	opt.Us = []int{1, 4, 16, 64}
-	tn, err := Tune(mustWorkload(t, "gzip"), opt)
+	tn, err := TuneContext(context.Background(), mustWorkload(t, "gzip"), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +184,28 @@ func TestMaxRatio(t *testing.T) {
 	}
 }
 
+// sweepDirect evaluates every point on every app with one
+// BestThreadsContext per cell at Tiny scale on the baseline
+// microarchitecture — the rows Frontier and WriteCSV consume, produced
+// without the explore engine (which this package cannot import).
+func sweepDirect(t *testing.T, pts []Point, apps []workload.Workload, counts []int) []SweepResult {
+	t.Helper()
+	res := make([]SweepResult, len(pts))
+	for pi, pt := range pts {
+		r := SweepResult{Point: pt, AIPC: map[string]float64{}, Threads: map[string]int{}}
+		for _, app := range apps {
+			br, err := BestThreadsContext(context.Background(), BaselineConfigure(pt), app.Build(workload.Tiny), counts)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", app.Name, pt.Arch, err)
+			}
+			r.AIPC[app.Name], r.Threads[app.Name] = br.AIPC, br.Threads
+			r.Mean += br.AIPC / float64(len(apps))
+		}
+		res[pi] = r
+	}
+	return res
+}
+
 func mustWorkload(t *testing.T, name string) workload.Workload {
 	t.Helper()
 	w, err := workload.ByName(name)
@@ -198,10 +217,7 @@ func mustWorkload(t *testing.T, name string) workload.Workload {
 
 func TestWriteCSV(t *testing.T) {
 	apps := []workload.Workload{mustWorkload(t, "gzip")}
-	res, err := SweepContext(context.Background(), Viable()[:2], apps, SweepOptions{Scale: workload.Tiny, ThreadCounts: []int{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepDirect(t, Viable()[:2], apps, []int{1})
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, res, apps); err != nil {
 		t.Fatal(err)

@@ -10,24 +10,23 @@ import (
 	"wavescalar/internal/workload"
 )
 
-func TestSweepContextRejectsBadOptions(t *testing.T) {
-	pts := Viable()[:1]
-	apps := []workload.Workload{mustWorkload(t, "gzip")}
-	cases := map[string]SweepOptions{
-		"zero scale":           {ThreadCounts: []int{1}},
-		"empty thread counts":  {Scale: workload.Tiny},
-		"zero thread count":    {Scale: workload.Tiny, ThreadCounts: []int{0}},
-		"negative thread":      {Scale: workload.Tiny, ThreadCounts: []int{-2}},
-		"negative parallelism": {Scale: workload.Tiny, ThreadCounts: []int{1}, Parallelism: -1},
+func TestValidateRunRejectsBadOptions(t *testing.T) {
+	cases := map[string]struct {
+		scale  workload.Scale
+		counts []int
+	}{
+		"zero scale":          {counts: []int{1}},
+		"empty thread counts": {scale: workload.Tiny},
+		"zero thread count":   {scale: workload.Tiny, counts: []int{0}},
+		"negative thread":     {scale: workload.Tiny, counts: []int{-2}},
 	}
-	for name, opt := range cases {
-		if _, err := SweepContext(context.Background(), pts, apps, opt); !errors.Is(err, ErrBadOptions) {
+	for name, tc := range cases {
+		if err := ValidateRun(tc.scale, tc.counts); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("%s: error = %v, want ErrBadOptions", name, err)
 		}
 	}
-	// A valid option set passes.
-	if _, err := SweepContext(context.Background(), pts, apps,
-		SweepOptions{Scale: workload.Tiny, ThreadCounts: []int{1}}); err != nil {
+	// A valid pair passes.
+	if err := ValidateRun(workload.Tiny, []int{1}); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
 }
@@ -53,19 +52,20 @@ func TestTuneContextRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestConfigureFuncShared pins the satellite requirement that sweep and
-// tune options share one ConfigureFunc type.
+// TestConfigureFuncShared pins that one ConfigureFunc value serves both
+// the sweep's point-to-config mapping (BaselineConfigure is one, and
+// explore.WithConfigure/SweepSpec.Configure take the same type) and the
+// tuning procedure's options.
 func TestConfigureFuncShared(t *testing.T) {
 	var fn ConfigureFunc = func(p Point) sim.Config {
-		cfg := sim.Baseline(p.Arch)
+		cfg := BaselineConfigure(p)
 		cfg.K = 2
 		return cfg
 	}
-	so := SweepOptions{Scale: workload.Tiny, ThreadCounts: []int{1}, Configure: fn}
-	to := TuneOptions{Scale: workload.Tiny, Ks: []int{1, 2}, Us: []int{1, 2}, Tol: 0.05, Configure: fn}
-	if err := so.Validate(); err != nil {
-		t.Error(err)
+	if cfg := fn(Viable()[0]); cfg.K != 2 || cfg.Validate() != nil {
+		t.Errorf("configured point: K=%d, Validate=%v", cfg.K, cfg.Validate())
 	}
+	to := TuneOptions{Scale: workload.Tiny, Ks: []int{1, 2}, Us: []int{1, 2}, Tol: 0.05, Configure: fn}
 	if err := to.Validate(); err != nil {
 		t.Error(err)
 	}
@@ -126,12 +126,11 @@ func TestRunOnceContextCancelled(t *testing.T) {
 	}
 }
 
-func TestSweepContextCancelled(t *testing.T) {
+func TestBestThreadsContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pts := Viable()[:2]
-	apps := []workload.Workload{mustWorkload(t, "gzip")}
-	_, err := SweepContext(ctx, pts, apps, SweepOptions{Scale: workload.Tiny, ThreadCounts: []int{1}})
+	inst := mustWorkload(t, "gzip").Build(workload.Tiny)
+	_, err := BestThreadsContext(ctx, sim.Baseline(sim.BaselineArch()), inst, []int{1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}

@@ -6,23 +6,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
-	"sync"
 
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
 
 // ErrBadOptions is the sentinel wrapped by the validating entry points
-// (SweepContext, TuneContext and the explore engine) when their options
+// (ValidateRun, TuneContext and the explore engine) when their options
 // are malformed. Match it with errors.Is.
 var ErrBadOptions = errors.New("design: bad options")
 
 // ConfigureFunc adapts the baseline microarchitecture to one design
-// point (e.g. setting K, or an ablation knob). SweepOptions and
-// TuneOptions share this type, so one configuration policy serves both
-// the Pareto sweep and the Table 4 tuning procedure.
+// point (e.g. setting K, or an ablation knob). The explore engine's
+// sweeps and TuneOptions share this type, so one configuration policy
+// serves both the Pareto sweep and the Table 4 tuning procedure.
 type ConfigureFunc func(p Point) sim.Config
 
 // BaselineConfigure is the default ConfigureFunc: the paper's Table 1
@@ -111,108 +109,32 @@ type SweepResult struct {
 	Err error
 }
 
-// SweepOptions configures a design-space sweep.
-type SweepOptions struct {
-	Scale        workload.Scale
-	ThreadCounts []int // for multithreaded workloads; {1} for single-threaded
-	Parallelism  int   // concurrent simulations; 0 = GOMAXPROCS
-	// Configure adapts the baseline microarchitecture per design (e.g.,
-	// setting K); nil uses BaselineConfigure.
-	Configure ConfigureFunc
-}
-
-// Validate reports whether the options are usable, wrapping ErrBadOptions
-// on failure. SweepContext (and the explore engine) validate eagerly.
-func (o SweepOptions) Validate() error {
-	if o.Scale.Iters <= 0 || o.Scale.Footprint <= 0 {
+// validateScale is the scale check ValidateRun and TuneOptions.Validate
+// share.
+func validateScale(sc workload.Scale) error {
+	if sc.Iters <= 0 || sc.Footprint <= 0 {
 		return fmt.Errorf("%w: scale %+v (Iters and Footprint must be positive; use workload.Tiny/Small/Medium)",
-			ErrBadOptions, o.Scale)
-	}
-	if len(o.ThreadCounts) == 0 {
-		return fmt.Errorf("%w: ThreadCounts is empty (use []int{1} for single-threaded suites)", ErrBadOptions)
-	}
-	for _, n := range o.ThreadCounts {
-		if n <= 0 {
-			return fmt.Errorf("%w: thread count %d must be positive", ErrBadOptions, n)
-		}
-	}
-	if o.Parallelism < 0 {
-		return fmt.Errorf("%w: Parallelism %d must be non-negative (0 means GOMAXPROCS)", ErrBadOptions, o.Parallelism)
+			ErrBadOptions, sc)
 	}
 	return nil
 }
 
-// SweepContext evaluates every design point on every workload, validating
-// opt eagerly (errors wrap ErrBadOptions) and honouring ctx: on
-// cancellation it returns the partial results computed so far together
-// with an error wrapping ctx's cause.
-func SweepContext(ctx context.Context, points []Point, apps []workload.Workload, opt SweepOptions) ([]SweepResult, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
+// ValidateRun reports whether a workload scale and a list of thread counts
+// describe runnable cells, wrapping ErrBadOptions on failure. The explore
+// engine and the daemon's fabric endpoint validate eagerly with it.
+func ValidateRun(sc workload.Scale, threadCounts []int) error {
+	if err := validateScale(sc); err != nil {
+		return err
 	}
-	if opt.Parallelism <= 0 {
-		opt.Parallelism = runtime.GOMAXPROCS(0)
+	if len(threadCounts) == 0 {
+		return fmt.Errorf("%w: ThreadCounts is empty (use []int{1} for single-threaded suites)", ErrBadOptions)
 	}
-	configure := opt.Configure
-	if configure == nil {
-		configure = BaselineConfigure
-	}
-
-	// Build instances once; they are read-only during simulation (the
-	// simulator copies the seed memory).
-	instances := make([]*workload.Instance, len(apps))
-	for i, w := range apps {
-		instances[i] = w.Build(opt.Scale)
-	}
-
-	results := make([]SweepResult, len(points))
-	type job struct{ pi int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < opt.Parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				pt := points[j.pi]
-				res := SweepResult{
-					Point:   pt,
-					AIPC:    make(map[string]float64, len(apps)),
-					Threads: make(map[string]int, len(apps)),
-				}
-				cfg := configure(pt)
-				sum := 0.0
-				for ai, app := range apps {
-					br, err := BestThreadsContext(ctx, cfg, instances[ai], opt.ThreadCounts)
-					if err != nil {
-						res.Err = fmt.Errorf("%s on %s: %w", app.Name, pt.Arch, err)
-						break
-					}
-					res.AIPC[app.Name] = br.AIPC
-					res.Threads[app.Name] = br.Threads
-					sum += br.AIPC
-				}
-				if res.Err == nil {
-					res.Mean = sum / float64(len(apps))
-				}
-				results[j.pi] = res
-			}
-		}()
-	}
-dispatch:
-	for i := range points {
-		select {
-		case <-ctx.Done():
-			break dispatch
-		case jobs <- job{pi: i}:
+	for _, n := range threadCounts {
+		if n <= 0 {
+			return fmt.Errorf("%w: thread count %d must be positive", ErrBadOptions, n)
 		}
 	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return results, fmt.Errorf("design: sweep cancelled: %w", err)
-	}
-	return results, nil
+	return nil
 }
 
 // Frontier extracts the Pareto frontier from sweep results (failed points

@@ -34,7 +34,7 @@ type TuneOptions struct {
 	// Configure overrides the tuning machine: it receives TunePoint()
 	// (the narrow single-pod tuning configuration) and returns the base
 	// config the k/u sweeps perturb; nil uses BaselineConfigure. It is
-	// the same ConfigureFunc type SweepOptions uses.
+	// the same ConfigureFunc type the explore engine's sweeps use.
 	Configure ConfigureFunc
 	// Advisor, when non-nil, predicts a configuration's AIPC without
 	// simulating (ok false when the model cannot answer). The k sweep
@@ -49,9 +49,8 @@ type TuneOptions struct {
 // Validate reports whether the options are usable, wrapping ErrBadOptions
 // on failure. TuneContext (and the explore engine) validate eagerly.
 func (o TuneOptions) Validate() error {
-	if o.Scale.Iters <= 0 || o.Scale.Footprint <= 0 {
-		return fmt.Errorf("%w: scale %+v (Iters and Footprint must be positive; use workload.Tiny/Small/Medium)",
-			ErrBadOptions, o.Scale)
+	if err := validateScale(o.Scale); err != nil {
+		return err
 	}
 	for name, vals := range map[string][]int{"Ks": o.Ks, "Us": o.Us} {
 		if len(vals) == 0 {
@@ -98,14 +97,9 @@ func TunePoint() Point {
 	return Point{Arch: arch, Area: area.Total(arch)}
 }
 
-// Tune computes k_opt, u_opt and the virtualization ratio for one
-// workload, following Section 4.2.
-func Tune(w workload.Workload, opt TuneOptions) (Tuning, error) {
-	return TuneContext(context.Background(), w, opt)
-}
-
-// TuneContext is Tune with eager option validation (errors wrap
-// ErrBadOptions) and cancellation.
+// TuneContext computes k_opt, u_opt and the virtualization ratio for one
+// workload, following Section 4.2. Options are validated eagerly (errors
+// wrap ErrBadOptions) and ctx cancels the simulations.
 func TuneContext(ctx context.Context, w workload.Workload, opt TuneOptions) (Tuning, error) {
 	if err := opt.Validate(); err != nil {
 		return Tuning{}, err
@@ -214,19 +208,6 @@ func TuneContext(ctx context.Context, w workload.Workload, opt TuneOptions) (Tun
 		Ratio:  float64(kOpt) / float64(uOpt),
 		Pruned: pruned,
 	}, nil
-}
-
-// TuneAll tunes every registered workload.
-func TuneAll(opt TuneOptions) ([]Tuning, error) {
-	var out []Tuning
-	for _, w := range workload.All() {
-		tn, err := Tune(w, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tn)
-	}
-	return out, nil
 }
 
 // MaxRatio returns the largest (most conservative) virtualization ratio,

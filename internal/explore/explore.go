@@ -68,8 +68,8 @@ func WithThreadCounts(counts ...int) Option {
 	return func(e *Explorer) error { e.threadCounts = append([]int(nil), counts...); return nil }
 }
 
-// WithParallelism sets the number of concurrent simulations (default
-// GOMAXPROCS).
+// WithParallelism sets the number of concurrent simulations (default, and
+// 0, GOMAXPROCS).
 func WithParallelism(n int) Option {
 	return func(e *Explorer) error { e.parallelism = n; return nil }
 }
@@ -202,11 +202,14 @@ func New(opts ...Option) (*Explorer, error) {
 	if e.cacheLimit > 0 {
 		e.cache.SetLimit(e.cacheLimit)
 	}
-	if err := (design.SweepOptions{
-		Scale: e.scale, ThreadCounts: e.threadCounts,
-		Parallelism: e.parallelism, Configure: e.configure,
-	}).Validate(); err != nil {
+	if err := design.ValidateRun(e.scale, e.threadCounts); err != nil {
 		return nil, err
+	}
+	switch {
+	case e.parallelism < 0:
+		return nil, fmt.Errorf("%w: Parallelism %d must be non-negative (0 means GOMAXPROCS)", design.ErrBadOptions, e.parallelism)
+	case e.parallelism == 0:
+		e.parallelism = runtime.GOMAXPROCS(0)
 	}
 	if e.journalPath != "" {
 		j, loaded, err := openJournal(e.journalPath, e.resume, e.cache)
@@ -260,8 +263,9 @@ type SweepSpec struct {
 	Configure design.ConfigureFunc
 }
 
-// Sweep evaluates every design point on every workload, in the same shape
-// design.SweepContext returns, but cell by cell through the cache and journal.
+// Sweep evaluates every design point on every workload, one
+// design.SweepResult row per point, cell by cell through the cache and
+// journal.
 // On cancellation it returns the partial results together with an error
 // wrapping ctx's cause; completed cells are already journaled, so a rerun
 // with the same journal and resume resumes where this run stopped and the
@@ -288,10 +292,7 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	if spec.Configure != nil {
 		configure = spec.Configure
 	}
-	if err := (design.SweepOptions{
-		Scale: scale, ThreadCounts: threadCounts,
-		Parallelism: e.parallelism, Configure: configure,
-	}).Validate(); err != nil {
+	if err := design.ValidateRun(scale, threadCounts); err != nil {
 		return nil, err
 	}
 
@@ -323,9 +324,27 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		progMu    sync.Mutex
 		firstJErr error
 	)
-	account := func(update func(*Progress)) {
+	// account folds one answered cell into the sweep's progress and
+	// publishes the snapshot.
+	account := func(cell Cell, src cellSource, jerr error) {
 		progMu.Lock()
-		update(&prog)
+		defer progMu.Unlock()
+		if jerr != nil && firstJErr == nil {
+			firstJErr = jerr
+		}
+		prog.Done++
+		if src == srcCache {
+			prog.CacheHits++
+		} else {
+			prog.Simulated++
+			if cell.Err != "" {
+				prog.Failed++
+			}
+			if src == srcRemote {
+				prog.Remote++
+			}
+			prog.SimCycles += cell.SimCycles
+		}
 		prog.Elapsed = time.Since(start)
 		if secs := prog.Elapsed.Seconds(); secs > 0 {
 			prog.CellsPerSec = float64(prog.Done) / secs
@@ -342,76 +361,17 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		if progress != nil {
 			progress(snap)
 		}
-		progMu.Unlock()
 	}
 
-	journalCell := func(cell Cell) {
-		e.cache.PutCell(cell)
-		if e.journal != nil {
-			if jerr := e.journal.append(cellRecord(cell)); jerr != nil {
-				progMu.Lock()
-				if firstJErr == nil {
-					firstJErr = jerr
-				}
-				progMu.Unlock()
-			}
-		}
-	}
-
-	// runCell is the unit of work: cache check, optional remote
-	// execution, local simulation, write-through, accounting.
+	// runCell is the unit of work: one evalCell on the instance built
+	// above, the runner consulted on a miss.
 	runCell := func(pi, ai int) {
-		key := keys[pi][ai]
-		if cell, ok := e.cache.Cell(key); ok {
-			cells[pi][ai] = cell
-			account(func(p *Progress) { p.Done++; p.CacheHits++ })
-			return
+		cell, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, e.runner)
+		if src == srcNone {
+			return // cancelled: drain the queue without simulating
 		}
-		if ctx.Err() != nil {
-			return // drain the queue without simulating
-		}
-		var cell Cell
-		remote := 0
-		if e.runner != nil {
-			// Remote execution first; any failure (no workers,
-			// network, retries exhausted) falls back to simulating
-			// locally, so a degraded fabric never loses cells.
-			rc, rerr := e.runner(ctx, key, configs[pi], apps[ai].Name, scale, threadCounts)
-			if rerr == nil && rc.Key == key {
-				cell, remote = rc, 1
-			} else if ctx.Err() != nil {
-				return
-			}
-		}
-		failed := 0
-		if remote == 0 {
-			br, err := design.BestThreadsContext(ctx, configs[pi], instances[ai], threadCounts)
-			if err != nil && ctx.Err() != nil {
-				// Cancelled mid-cell: do not cache or journal a
-				// non-deterministic partial outcome.
-				return
-			}
-			cell = newCell(key, apps[ai].Name, configs[pi], scale)
-			if err != nil {
-				cell.Err = err.Error()
-			} else {
-				cell.AIPC, cell.Threads = br.AIPC, br.Threads
-				cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
-				cell.Traffic = br.Traffic
-			}
-		}
-		if cell.Err != "" {
-			failed = 1
-		}
-		journalCell(cell)
 		cells[pi][ai] = cell
-		account(func(p *Progress) {
-			p.Done++
-			p.Simulated++
-			p.Failed += failed
-			p.Remote += remote
-			p.SimCycles += cell.SimCycles
-		})
+		account(cell, src, jerr)
 	}
 
 	type sweepJob struct{ pi, ai int }
@@ -452,6 +412,72 @@ dispatch:
 	return results, nil
 }
 
+// cellSource says where evalCell's answer came from.
+type cellSource int
+
+const (
+	srcNone   cellSource = iota // cancelled: no answer, nothing cached or journaled
+	srcCache                    // already cached (or journaled and replayed)
+	srcLocal                    // simulated here
+	srcRemote                   // simulated by the CellRunner
+)
+
+// evalCell is the one way a cell is produced: cache lookup, optional remote
+// execution, the local best-thread-count search, write-through. RunOne
+// passes a nil inst so a hit never builds the workload; Sweep passes the
+// instance it built once for the whole sweep. runner is nil outside sweeps.
+// A returned error is the context's on srcNone and a failed journal
+// append otherwise (the cell is still valid and cached).
+func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w workload.Workload, inst *workload.Instance,
+	sc workload.Scale, threadCounts []int, runner CellRunner) (Cell, cellSource, error) {
+	if cell, ok := e.cache.Cell(key); ok {
+		return cell, srcCache, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return Cell{}, srcNone, err
+	}
+	if runner != nil {
+		// Remote execution first; any failure (no workers, network,
+		// retries exhausted) falls back to simulating locally, so a
+		// degraded fabric never loses cells.
+		rc, rerr := runner(ctx, key, cfg, w.Name, sc, threadCounts)
+		if rerr == nil && rc.Key == key {
+			return rc, srcRemote, e.commit(rc)
+		}
+		if err := ctx.Err(); err != nil {
+			return Cell{}, srcNone, err
+		}
+	}
+	if inst == nil {
+		inst = w.Build(sc)
+	}
+	br, err := design.BestThreadsContext(ctx, cfg, inst, threadCounts)
+	if err != nil && ctx.Err() != nil {
+		// Cancelled mid-cell: do not cache or journal a non-deterministic
+		// partial outcome.
+		return Cell{}, srcNone, err
+	}
+	cell := newCell(key, w.Name, cfg, sc)
+	if err != nil {
+		cell.Err = err.Error()
+	} else {
+		cell.AIPC, cell.Threads = br.AIPC, br.Threads
+		cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
+		cell.Traffic = br.Traffic
+	}
+	return cell, srcLocal, e.commit(cell)
+}
+
+// commit writes a completed cell through to the cache and, when there is
+// one, the journal.
+func (e *Explorer) commit(cell Cell) error {
+	e.cache.PutCell(cell)
+	if e.journal != nil {
+		return e.journal.append(cellRecord(cell))
+	}
+	return nil
+}
+
 // newCell stamps a fresh cell with its identity and provenance: the
 // fields every outcome (success or deterministic failure) carries, and
 // that surrogate training later reads back out of the journal.
@@ -471,8 +497,8 @@ var errIncomplete = errors.New("explore: cell not evaluated")
 
 // assemble folds per-cell outcomes back into design.SweepResult rows, one
 // per point, in input order. A point with any failed or missing cell gets
-// Err set (joining every per-app failure) and no Mean, matching
-// design.SweepContext's contract that failed points drop out of frontiers.
+// Err set (joining every per-app failure) and no Mean, so failed points
+// drop out of design.Frontier.
 func assemble(points []design.Point, apps []workload.Workload, cells [][]Cell, cancelErr error) []design.SweepResult {
 	results := make([]design.SweepResult, len(points))
 	for pi, pt := range points {
@@ -522,37 +548,11 @@ func assemble(points []design.Point, apps []workload.Workload, cells [][]Cell, c
 // The error return is reserved for non-deterministic outcomes that must
 // not be cached: cancellation and malformed arguments.
 func (e *Explorer) RunOne(ctx context.Context, cfg sim.Config, w workload.Workload, sc workload.Scale, threadCounts []int) (Cell, bool, error) {
-	if err := (design.SweepOptions{
-		Scale: sc, ThreadCounts: threadCounts,
-		Parallelism: e.parallelism, Configure: e.configure,
-	}).Validate(); err != nil {
+	if err := design.ValidateRun(sc, threadCounts); err != nil {
 		return Cell{}, false, err
 	}
-	key := CellKey(cfg, w.Name, sc, threadCounts)
-	if cell, ok := e.cache.Cell(key); ok {
-		return cell, true, nil
-	}
-	inst := w.Build(sc)
-	br, err := design.BestThreadsContext(ctx, cfg, inst, threadCounts)
-	if err != nil && ctx.Err() != nil {
-		// Cancelled mid-cell: do not cache a partial outcome.
-		return Cell{}, false, err
-	}
-	cell := newCell(key, w.Name, cfg, sc)
-	if err != nil {
-		cell.Err = err.Error()
-	} else {
-		cell.AIPC, cell.Threads = br.AIPC, br.Threads
-		cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
-		cell.Traffic = br.Traffic
-	}
-	e.cache.PutCell(cell)
-	if e.journal != nil {
-		if jerr := e.journal.append(cellRecord(cell)); jerr != nil {
-			return cell, false, jerr
-		}
-	}
-	return cell, false, nil
+	cell, src, err := e.evalCell(ctx, CellKey(cfg, w.Name, sc, threadCounts), cfg, w, nil, sc, threadCounts, nil)
+	return cell, src == srcCache, err
 }
 
 // Cache returns the explorer's result cache (private or shared), for
@@ -569,11 +569,7 @@ func (e *Explorer) RecordCell(cell Cell) error {
 	if cell.Key == "" {
 		return fmt.Errorf("%w: cell without key", design.ErrBadOptions)
 	}
-	e.cache.PutCell(cell)
-	if e.journal != nil {
-		return e.journal.append(cellRecord(cell))
-	}
-	return nil
+	return e.commit(cell)
 }
 
 // Tune runs the Table 4 procedure for one workload through the cache and

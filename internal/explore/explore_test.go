@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -385,6 +386,11 @@ func TestNewValidatesOptions(t *testing.T) {
 		if _, err := New(opts...); !errors.Is(err, design.ErrBadOptions) {
 			t.Errorf("%s: error = %v, want ErrBadOptions", name, err)
 		}
+	}
+	// Zero parallelism means GOMAXPROCS, as the rejection's text says: a
+	// sweep must get workers, not hang.
+	if e, err := New(WithParallelism(0)); err != nil || e.parallelism != runtime.GOMAXPROCS(0) {
+		t.Errorf("WithParallelism(0): explorer %+v, error %v; want GOMAXPROCS workers", e, err)
 	}
 }
 

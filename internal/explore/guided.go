@@ -87,10 +87,7 @@ func (e *Explorer) SweepGuided(ctx context.Context, points []design.Point, apps 
 	if len(spec.ThreadCounts) > 0 {
 		threadCounts = spec.ThreadCounts
 	}
-	if err := (design.SweepOptions{
-		Scale: scale, ThreadCounts: threadCounts,
-		Parallelism: e.parallelism, Configure: e.configure,
-	}).Validate(); err != nil {
+	if err := design.ValidateRun(scale, threadCounts); err != nil {
 		return nil, err
 	}
 	if len(points) == 0 || len(apps) == 0 {

@@ -263,7 +263,7 @@ func TestTenantQuota(t *testing.T) {
 	defer close(block)
 	// Park the only pool worker so admitted jobs stay queued and the
 	// quota stays charged.
-	if err := srv.enqueue(&job{kind: "run", block: block}); err != nil {
+	if err := srv.enqueue(&job{block: block}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,0 +1,221 @@
+package server
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log"
+	"math"
+	"math/rand"
+	"net/http"
+	"runtime/debug"
+	"strconv"
+	"time"
+
+	"wavescalar/internal/cli"
+)
+
+// routes builds the instrumented mux. Every route is wrapped so request
+// counts and latency histograms are labeled by pattern, not raw URL (no
+// cardinality explosion from job ids).
+func (s *Server) routes() *http.ServeMux {
+	mux := http.NewServeMux()
+	handle := func(pattern string, h http.HandlerFunc) {
+		mux.Handle(pattern, s.instrument(pattern, h))
+	}
+	handle("GET /healthz", s.handleHealthz)
+	handle("GET /metrics", s.handleMetrics)
+	handle("GET /v1/workloads", s.handleWorkloads)
+	handle("GET /v1/designs", s.handleDesigns)
+	handle("POST /v1/runs", s.handleRun)
+	handle("POST /v1/predict", s.handlePredict)
+	handle("POST /v1/sweeps", s.handleSweep)
+	handle("POST /v1/scenarios", s.handleScenarioPost)
+	handle("GET /v1/scenarios/{digest}", s.handleScenarioGet)
+	handle("GET /v1/jobs/{id}", s.handleJobGet)
+	handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
+	// Fabric endpoints. execute is served in every role ("any node can
+	// answer any cell"); the membership endpoints require a coordinator.
+	handle("POST /v1/cluster/execute", s.handleClusterExecute)
+	handle("POST /v1/cluster/register", s.handleClusterRegister)
+	handle("POST /v1/cluster/heartbeat", s.handleClusterHeartbeat)
+	handle("POST /v1/cluster/deregister", s.handleClusterDeregister)
+	handle("POST /v1/cluster/journal", s.handleClusterJournal)
+	handle("GET /v1/cluster/workers", s.handleClusterWorkers)
+	return mux
+}
+
+// retryAfterValue renders the 429 Retry-After hint: the configured base
+// jittered ±20%, so a thundering herd of synchronized clients (or a
+// fleet of coordinators retrying cells) spreads out instead of returning
+// in lockstep.
+func (s *Server) retryAfterValue() string {
+	jittered := s.retryAfter.Seconds() * (0.8 + 0.4*rand.Float64())
+	secs := int(math.Round(jittered))
+	if secs < 1 {
+		secs = 1
+	}
+	return strconv.Itoa(secs)
+}
+
+// writeAdmissionErr maps an admission failure (full queue, over-quota
+// tenant, shutdown) onto the API's backpressure responses. The two 429
+// causes carry distinct machine-readable codes so clients can tell
+// "the daemon is saturated" from "my tenant is over quota".
+func (s *Server) writeAdmissionErr(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errQueueFull):
+		s.metrics.add(&s.metrics.rejectedFull, 1)
+		w.Header().Set("Retry-After", s.retryAfterValue())
+		writeErrCode(w, http.StatusTooManyRequests, "queue_full", "admission queue full; retry")
+	case errors.Is(err, errQuotaExceeded):
+		w.Header().Set("Retry-After", s.retryAfterValue())
+		writeErrCode(w, http.StatusTooManyRequests, "quota_exceeded", "tenant quota exceeded; retry")
+	default:
+		writeErr(w, http.StatusServiceUnavailable, "shutting down")
+	}
+}
+
+// admit charges tenant's quota and enqueues the job, settling the quota on
+// failure. On success the job carries the tenant and the worker pool
+// releases it when the job resolves. An empty tenant is fabric traffic,
+// charged nothing: the originating sweep already paid at the coordinator.
+func (s *Server) admit(jb *job, tenant string) error {
+	if tenant != "" {
+		if err := s.quotas.acquire(tenant); err != nil {
+			return err
+		}
+	}
+	jb.tenant = tenant
+	if err := s.enqueue(jb); err != nil {
+		jb.tenant = ""
+		s.quotas.release(tenant)
+		return err
+	}
+	return nil
+}
+
+// statusWriter captures the response code for metrics and whether any
+// bytes have been written — the panic middleware can only substitute a
+// 500 while the response is still untouched.
+type statusWriter struct {
+	http.ResponseWriter
+	code  int
+	wrote bool
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.wrote = true
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	w.wrote = true
+	return w.ResponseWriter.Write(b)
+}
+
+// instrument wraps a handler with request metrics and panic recovery. A
+// panicking handler must not take the daemon down with it: the panic is
+// logged with a request id and a stack trace, counted in
+// wsd_panics_total, and — if the handler had not started the response —
+// answered with a 500 carrying the same request id so operators can
+// correlate the client-visible error with the server log.
+func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		start := time.Now()
+		defer func() {
+			if rec := recover(); rec != nil {
+				id := s.reqSeq.Add(1)
+				s.metrics.add(&s.metrics.panics, 1)
+				log.Printf("server: panic serving %s (request %d): %v\n%s", pattern, id, rec, debug.Stack())
+				if !sw.wrote {
+					writeErr(sw, http.StatusInternalServerError, "internal error (request %d)", id)
+				}
+			}
+			s.metrics.observeRequest(pattern, r.Method, sw.code, time.Since(start).Seconds())
+		}()
+		h(sw, r)
+	})
+}
+
+// writeJSON responds with one JSON object in the shared CLI convention.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	cli.WriteJSON(w, v)
+}
+
+// apiError is the API's uniform error envelope: every non-2xx response
+// body is {"error":{"code","message"}}, where code is a stable
+// machine-readable slug and message is for humans.
+type apiError struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+}
+
+// errCode maps an HTTP status to its default error code. Handlers that
+// need a more specific code (queue_full vs quota_exceeded, both 429) use
+// writeErrCode directly.
+func errCode(status int) string {
+	switch status {
+	case http.StatusBadRequest:
+		return "bad_request"
+	case http.StatusNotFound:
+		return "not_found"
+	case http.StatusConflict:
+		return "conflict"
+	case http.StatusRequestEntityTooLarge:
+		return "too_large"
+	case http.StatusTooManyRequests:
+		return "too_many_requests"
+	case http.StatusServiceUnavailable:
+		return "unavailable"
+	case http.StatusGatewayTimeout:
+		return "timeout"
+	default:
+		return "internal"
+	}
+}
+
+// writeErr responds with the API's uniform error envelope, deriving the
+// code from the status.
+func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
+	writeErrCode(w, code, errCode(code), fmt.Sprintf(format, args...))
+}
+
+// writeErrCode responds with an explicit error code.
+func writeErrCode(w http.ResponseWriter, status int, code, msg string) {
+	writeJSON(w, status, map[string]apiError{"error": {Code: code, Message: msg}})
+}
+
+// maxBodyBytes bounds every JSON request body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body, at most maxBodyBytes of it,
+// into v. On failure it has answered (413 or 400) and reports false.
+// strict rejects unknown fields.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, strict bool) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(r.Body)
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(v); err != nil {
+		writeBodyErr(w, "bad request body", err)
+		return false
+	}
+	return true
+}
+
+// writeBodyErr answers a failed body read or decode: 413 when the body ran
+// past its limit, 400 otherwise.
+func writeBodyErr(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+		return
+	}
+	writeErr(w, http.StatusBadRequest, "%s: %v", what, err)
+}

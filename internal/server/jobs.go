@@ -2,13 +2,15 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 
+	"wavescalar/internal/cli"
 	"wavescalar/internal/design"
 	"wavescalar/internal/explore"
-	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
 
@@ -30,16 +32,6 @@ const (
 	stateCancelled = "cancelled"
 )
 
-// runSpec is the resolved work of one POST /v1/runs or
-// POST /v1/cluster/execute: a fully validated simulator configuration
-// plus workload, so the worker does no parsing.
-type runSpec struct {
-	cfg          sim.Config
-	w            workload.Workload
-	scale        workload.Scale
-	threadCounts []int
-}
-
 // sweepSpec is the resolved work of one POST /v1/sweeps. configure, when
 // non-nil, overrides the explorer's point→config mapping (scenario sweeps
 // use it to fold a fault script into every design point).
@@ -51,22 +43,23 @@ type sweepSpec struct {
 	configure    design.ConfigureFunc
 }
 
-// job is one unit of queued work: a synchronous run (completed through
-// its flight call), a synchronous multi-phase scenario run, or an
-// asynchronous sweep (tracked in the job registry).
+// The two kinds of queued work.
+const (
+	jobCells = "cells"
+	jobSweep = "sweep"
+)
+
+// job is one unit of queued work: the cells one synchronous request leads
+// (each completed through its flight call), or an asynchronous sweep
+// (tracked in the job registry).
 type job struct {
-	kind string // "run", "scenario" or "sweep"
+	kind string // jobCells or jobSweep
 	// tenant is the admission-quota bucket this job occupies until it
-	// resolves ("" when quotas are disabled or the job never acquired).
+	// resolves ("" for fabric traffic or a job that never acquired).
 	tenant string
 
-	// Run jobs: the singleflight call every waiter blocks on.
-	key  string
-	call *flightCall
-	run  *runSpec
-
-	// Scenario jobs: the ordered phases and their completion channel.
-	scn *scenarioSpec
+	// Cells jobs: what to run, in request order, and whom to wake.
+	cells []ledCell
 
 	// Sweep jobs: identity, per-job cancellation and observable state.
 	id     string
@@ -153,17 +146,220 @@ func (r *registry) remove(id string) {
 	delete(r.m, id)
 }
 
-// all returns every registered job (for shutdown bookkeeping).
-func (r *registry) all() []*job {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*job, 0, len(r.m))
-	for _, j := range r.m {
-		out = append(out, j)
+// jobID renders sequential, zero-padded ids: stable, log-friendly, and
+// unambiguous in a single-process daemon.
+func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
+
+// sweepRequest is the body of POST /v1/sweeps: a suite, explicit app
+// list, or scenario evaluated over the viable design space, optionally
+// subsampled. A scenario supplies apps, scale, thread counts and fault
+// script itself (and must be uniform across its phases).
+type sweepRequest struct {
+	Suite        string          `json:"suite,omitempty"`
+	Apps         []string        `json:"apps,omitempty"`
+	Scenario     json.RawMessage `json:"scenario,omitempty"`      // digest string or inline document
+	Scale        string          `json:"scale,omitempty"`         // default "tiny"
+	ThreadCounts []int           `json:"thread_counts,omitempty"` // default {1}; splash2 defaults to {1,4,16,64}
+	MaxPoints    int             `json:"max_points,omitempty"`    // 0 = every viable design
+}
+
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	var req sweepRequest
+	if !decodeBody(w, r, &req, true) {
+		return
+	}
+
+	var (
+		apps      []workload.Workload
+		sc        workload.Scale
+		counts    []int
+		configure design.ConfigureFunc
+	)
+	if len(req.Scenario) > 0 {
+		if req.Suite != "" || len(req.Apps) > 0 || req.Scale != "" || len(req.ThreadCounts) > 0 {
+			writeErr(w, http.StatusBadRequest,
+				"scenario is mutually exclusive with suite, apps, scale and thread_counts (the scenario carries them)")
+			return
+		}
+		scn, status, err := s.resolveScenario(req.Scenario)
+		if err != nil {
+			writeErr(w, status, "%v", err)
+			return
+		}
+		plan, err := scenarioSweepPlan(scn)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		apps, sc, counts, configure = plan.apps, plan.scale, plan.threads, plan.configure()
+	} else {
+		switch {
+		case len(req.Apps) > 0:
+			for _, name := range req.Apps {
+				wl, err := workload.ByName(name)
+				if err != nil {
+					writeErr(w, http.StatusNotFound, "%v", err)
+					return
+				}
+				apps = append(apps, wl)
+			}
+		case req.Suite != "":
+			suite, ok := suiteByName(req.Suite)
+			if !ok {
+				writeErr(w, http.StatusBadRequest, "unknown suite %q (spec2000, mediabench, splash2, tiled)", req.Suite)
+				return
+			}
+			apps = workload.BySuite(suite)
+		default:
+			writeErr(w, http.StatusBadRequest, "suite, apps or scenario is required")
+			return
+		}
+
+		scaleName := req.Scale
+		if scaleName == "" {
+			scaleName = "tiny"
+		}
+		var err error
+		sc, err = cli.ParseScale(scaleName)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		counts = req.ThreadCounts
+		if len(counts) == 0 {
+			counts = []int{1}
+			if req.Suite == "splash2" {
+				counts = []int{1, 4, 16, 64}
+			}
+		}
+		for _, n := range counts {
+			if n < 1 {
+				writeErr(w, http.StatusBadRequest, "thread count %d must be positive", n)
+				return
+			}
+		}
+	}
+	points := design.Viable()
+	if req.MaxPoints > 0 && req.MaxPoints < len(points) {
+		points = subsample(points, req.MaxPoints)
+	}
+	if s.isClosing() {
+		writeErr(w, http.StatusServiceUnavailable, "shutting down")
+		return
+	}
+
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	jb := &job{
+		kind:  jobSweep,
+		sweep: &sweepSpec{points: points, apps: apps, scale: sc, threadCounts: counts, configure: configure},
+		ctx:   ctx, cancel: cancel,
+		state: stateQueued,
+	}
+	jb.progress.Total = len(points) * len(apps)
+	id := s.jobs.add(jb)
+	if err := s.admit(jb, tenantOf(r)); err != nil {
+		s.jobs.remove(id)
+		cancel()
+		s.writeAdmissionErr(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, map[string]any{
+		"id": id, "status": stateQueued,
+		"cells": len(points) * len(apps),
+		"poll":  "/v1/jobs/" + id,
+	})
+}
+
+// subsample picks n points evenly across the ordered design list, the
+// same policy as wspareto -max.
+func subsample(pts []design.Point, n int) []design.Point {
+	out := make([]design.Point, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, pts[i*len(pts)/n])
 	}
 	return out
 }
 
-// jobID renders sequential, zero-padded ids: stable, log-friendly, and
-// unambiguous in a single-process daemon.
-func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
+func suiteByName(name string) (workload.Suite, bool) {
+	for _, su := range workload.Suites() {
+		if su.String() == name {
+			return su, true
+		}
+	}
+	return 0, false
+}
+
+// jobProgress is the wire form of a sweep's progress.
+type jobProgress struct {
+	Done      int     `json:"done"`
+	Total     int     `json:"total"`
+	CacheHits int     `json:"cache_hits"`
+	Simulated int     `json:"simulated"`
+	Remote    int     `json:"remote"`
+	Failed    int     `json:"failed"`
+	SimCycles uint64  `json:"sim_cycles"`
+	ElapsedS  float64 `json:"elapsed_s"`
+}
+
+// sweepRow is one design's outcome in a finished sweep job.
+type sweepRow struct {
+	Arch     string             `json:"arch"`
+	AreaMM2  float64            `json:"area_mm2"`
+	MeanAIPC float64            `json:"mean_aipc"`
+	AIPC     map[string]float64 `json:"aipc,omitempty"`
+	Threads  map[string]int     `json:"threads,omitempty"`
+	Err      string             `json:"err,omitempty"`
+}
+
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	jb, ok := s.jobs.get(id)
+	if !ok {
+		writeErr(w, http.StatusNotFound, "unknown job %q", id)
+		return
+	}
+	state, p, results, jerr := jb.snapshot()
+	resp := map[string]any{
+		"id":    id,
+		"state": state,
+		"progress": jobProgress{
+			Done: p.Done, Total: p.Total, CacheHits: p.CacheHits,
+			Simulated: p.Simulated, Remote: p.Remote, Failed: p.Failed,
+			SimCycles: p.SimCycles, ElapsedS: p.Elapsed.Seconds(),
+		},
+	}
+	if jerr != nil {
+		resp["error"] = jerr.Error()
+	}
+	if state == stateDone {
+		rows := make([]sweepRow, len(results))
+		for i, res := range results {
+			rows[i] = sweepRow{
+				Arch: res.Arch.String(), AreaMM2: res.Area, MeanAIPC: res.Mean,
+				AIPC: res.AIPC, Threads: res.Threads,
+			}
+			if res.Err != nil {
+				rows[i].Err = res.Err.Error()
+			}
+		}
+		frontier := design.Frontier(results)
+		front := make([]map[string]any, len(frontier))
+		for i, f := range frontier {
+			front[i] = map[string]any{"arch": f.Arch.String(), "area_mm2": f.Area, "aipc": f.AIPC}
+		}
+		resp["result"] = map[string]any{"designs": rows, "frontier": front}
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	jb, ok := s.jobs.get(id)
+	if !ok {
+		writeErr(w, http.StatusNotFound, "unknown job %q", id)
+		return
+	}
+	jb.cancel()
+	state, _, _, _ := jb.snapshot()
+	writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "state": state, "status": "cancel requested"})
+}

@@ -3,16 +3,22 @@ package server
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"time"
+
+	"wavescalar/internal/version"
 )
 
 // metrics is a minimal Prometheus-exposition registry. The repo takes no
 // dependencies, so the daemon hand-rolls the text format (which is the
 // stable, officially documented wire format): counters for requests,
-// simulations, jobs and dedup; histograms for request latency; gauges are
-// sampled live at scrape time by the /metrics handler.
+// simulations, jobs and dedup; histograms for request latency; everything
+// else is sampled live at scrape time by the /metrics handler and handed
+// to write as rows.
 type metrics struct {
 	mu sync.Mutex
 	// requests[path][method|code] — request counts by route and outcome.
@@ -86,84 +92,111 @@ func (h *histogram) observe(v float64) {
 	h.total++
 }
 
-// gauge is one live-sampled value for the exposition.
-type gauge struct {
-	name, help string
-	value      float64
+// series is one non-histogram metric family of the exposition. Every such
+// family on /metrics — the registry's counters, the live-sampled gauges,
+// build info, quota, cluster, surrogate and external counters — is one of
+// these rows, rendered by appendSeries.
+type series struct {
+	name, help, typ string
+	samples         []sample
 }
 
-// write renders the registry plus the sampled gauges in Prometheus text
-// exposition format, deterministically ordered.
-func (m *metrics) write(w io.Writer, gauges []gauge) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// sample is one line of a series. value is a uint64, an int or a float64:
+// %v renders the integers in decimal and the float as %g.
+type sample struct {
+	labels string // `{k="v",...}` from labels(), or "" on an unlabelled series
+	value  any
+}
 
-	fmt.Fprint(w, "# HELP wsd_http_requests_total HTTP requests by route, method and status code.\n")
-	fmt.Fprint(w, "# TYPE wsd_http_requests_total counter\n")
-	for _, path := range sortedKeys(m.requests) {
-		byOutcome := m.requests[path]
-		outcomes := make([]string, 0, len(byOutcome))
-		for k := range byOutcome {
-			outcomes = append(outcomes, k)
+func counter(name, help string, v any) series {
+	return series{name, help, "counter", []sample{{"", v}}}
+}
+
+func gauge(name, help string, v any) series {
+	return series{name, help, "gauge", []sample{{"", v}}}
+}
+
+// labels renders key, value pairs as a Prometheus label set.
+func labels(kv ...string) string {
+	b := []byte{'{'}
+	for i := 0; i < len(kv); i += 2 {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		sort.Strings(outcomes)
-		for _, k := range outcomes {
-			method, code, _ := strings.Cut(k, "|")
-			fmt.Fprintf(w, "wsd_http_requests_total{path=%q,method=%q,code=%q} %d\n",
-				path, method, code, byOutcome[k])
+		b = append(append(b, kv[i]...), '=')
+		b = strconv.AppendQuote(b, kv[i+1])
+	}
+	return string(append(b, '}'))
+}
+
+// appendSeries renders rows in Prometheus text exposition format onto b. A
+// row without help text (an external counter registered without one) gets
+// no HELP line.
+func appendSeries(b []byte, rows ...series) []byte {
+	for _, s := range rows {
+		if s.help != "" {
+			b = append(append(append(append(append(b, "# HELP "...), s.name...), ' '), s.help...), '\n')
+		}
+		b = append(append(append(append(append(b, "# TYPE "...), s.name...), ' '), s.typ...), '\n')
+		for _, sm := range s.samples {
+			b = fmt.Appendf(append(append(b, s.name...), sm.labels...), " %v\n", sm.value)
 		}
 	}
+	return b
+}
 
-	fmt.Fprint(w, "# HELP wsd_http_request_duration_seconds HTTP request latency by route.\n")
-	fmt.Fprint(w, "# TYPE wsd_http_request_duration_seconds histogram\n")
+// write renders the whole exposition, deterministically ordered: request
+// counts, the latency histograms, the registry's counters, then rest (what
+// the /metrics handler samples live at scrape time).
+func (m *metrics) write(w io.Writer, rest []series) {
+	m.mu.Lock()
+	requests := series{name: "wsd_http_requests_total", help: "HTTP requests by route, method and status code.", typ: "counter"}
+	for _, path := range sortedKeys(m.requests) {
+		byOutcome := m.requests[path]
+		for _, k := range sortedKeys(byOutcome) {
+			method, code, _ := strings.Cut(k, "|")
+			requests.samples = append(requests.samples,
+				sample{labels("path", path, "method", method, "code", code), byOutcome[k]})
+		}
+	}
+	b := appendSeries(make([]byte, 0, 16<<10), requests)
+
+	b = append(b, "# HELP wsd_http_request_duration_seconds HTTP request latency by route.\n"...)
+	b = append(b, "# TYPE wsd_http_request_duration_seconds histogram\n"...)
 	for _, path := range sortedKeys(m.latency) {
 		h := m.latency[path]
 		cum := uint64(0)
 		for i, le := range latencyBuckets {
 			cum += h.counts[i]
-			fmt.Fprintf(w, "wsd_http_request_duration_seconds_bucket{path=%q,le=\"%g\"} %d\n",
+			b = fmt.Appendf(b, "wsd_http_request_duration_seconds_bucket{path=%q,le=\"%g\"} %d\n",
 				path, le, cum)
 		}
-		fmt.Fprintf(w, "wsd_http_request_duration_seconds_bucket{path=%q,le=\"+Inf\"} %d\n", path, h.total)
-		fmt.Fprintf(w, "wsd_http_request_duration_seconds_sum{path=%q} %g\n", path, h.sum)
-		fmt.Fprintf(w, "wsd_http_request_duration_seconds_count{path=%q} %d\n", path, h.total)
+		b = fmt.Appendf(b, "wsd_http_request_duration_seconds_bucket{path=%q,le=\"+Inf\"} %d\n", path, h.total)
+		b = fmt.Appendf(b, "wsd_http_request_duration_seconds_sum{path=%q} %g\n", path, h.sum)
+		b = fmt.Appendf(b, "wsd_http_request_duration_seconds_count{path=%q} %d\n", path, h.total)
 	}
 
-	fmt.Fprint(w, "# HELP wsd_sims_total Simulations executed by the worker pool, by outcome.\n")
-	fmt.Fprint(w, "# TYPE wsd_sims_total counter\n")
-	fmt.Fprintf(w, "wsd_sims_total{outcome=\"completed\"} %d\n", m.simsCompleted)
-	fmt.Fprintf(w, "wsd_sims_total{outcome=\"failed\"} %d\n", m.simsFailed)
-	fmt.Fprintf(w, "wsd_sims_total{outcome=\"cancelled\"} %d\n", m.simsCancelled)
-
-	fmt.Fprint(w, "# HELP wsd_jobs_total Async sweep jobs finished, by outcome.\n")
-	fmt.Fprint(w, "# TYPE wsd_jobs_total counter\n")
-	fmt.Fprintf(w, "wsd_jobs_total{outcome=\"completed\"} %d\n", m.jobsCompleted)
-	fmt.Fprintf(w, "wsd_jobs_total{outcome=\"failed\"} %d\n", m.jobsFailed)
-	fmt.Fprintf(w, "wsd_jobs_total{outcome=\"cancelled\"} %d\n", m.jobsCancelled)
-
-	fmt.Fprint(w, "# HELP wsd_singleflight_shared_total Run requests that piggybacked on an identical in-flight simulation.\n")
-	fmt.Fprint(w, "# TYPE wsd_singleflight_shared_total counter\n")
-	fmt.Fprintf(w, "wsd_singleflight_shared_total %d\n", m.dedupShared)
-
-	fmt.Fprint(w, "# HELP wsd_admission_rejected_total Requests rejected with 429 because the queue was full.\n")
-	fmt.Fprint(w, "# TYPE wsd_admission_rejected_total counter\n")
-	fmt.Fprintf(w, "wsd_admission_rejected_total %d\n", m.rejectedFull)
-
-	fmt.Fprint(w, "# HELP wsd_journal_errors_total Journal appends that failed (results still served from memory).\n")
-	fmt.Fprint(w, "# TYPE wsd_journal_errors_total counter\n")
-	fmt.Fprintf(w, "wsd_journal_errors_total %d\n", m.journalErrors)
-
-	fmt.Fprint(w, "# HELP wsd_panics_total Handler panics recovered by the middleware (each served a 500).\n")
-	fmt.Fprint(w, "# TYPE wsd_panics_total counter\n")
-	fmt.Fprintf(w, "wsd_panics_total %d\n", m.panics)
-
-	fmt.Fprint(w, "# HELP wsd_fault_sims_total Simulations executed with a fault-injection script attached.\n")
-	fmt.Fprint(w, "# TYPE wsd_fault_sims_total counter\n")
-	fmt.Fprintf(w, "wsd_fault_sims_total %d\n", m.faultSims)
-
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", g.name, g.help, g.name, g.name, g.value)
+	byOutcome := func(completed, failed, cancelled uint64) []sample {
+		return []sample{
+			{`{outcome="completed"}`, completed},
+			{`{outcome="failed"}`, failed},
+			{`{outcome="cancelled"}`, cancelled},
+		}
 	}
+	b = appendSeries(b,
+		series{"wsd_sims_total", "Simulations executed by the worker pool, by outcome.", "counter",
+			byOutcome(m.simsCompleted, m.simsFailed, m.simsCancelled)},
+		series{"wsd_jobs_total", "Async sweep jobs finished, by outcome.", "counter",
+			byOutcome(m.jobsCompleted, m.jobsFailed, m.jobsCancelled)},
+		counter("wsd_singleflight_shared_total", "Run requests that piggybacked on an identical in-flight simulation.", m.dedupShared),
+		counter("wsd_admission_rejected_total", "Requests rejected with 429 because the queue was full.", m.rejectedFull),
+		counter("wsd_journal_errors_total", "Journal appends that failed (results still served from memory).", m.journalErrors),
+		counter("wsd_panics_total", "Handler panics recovered by the middleware (each served a 500).", m.panics),
+		counter("wsd_fault_sims_total", "Simulations executed with a fault-injection script attached.", m.faultSims),
+	)
+	m.mu.Unlock()
+	w.Write(appendSeries(b, rest...)) // an error here is the scraper hanging up
+
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -173,4 +206,99 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	st := s.cache.Stats()
+	body := map[string]any{
+		"status":         "ok",
+		"version":        version.Get("wsd"),
+		"role":           string(s.role),
+		"workers":        s.workers,
+		"busy":           s.busy.Load(),
+		"queue_depth":    len(s.queue),
+		"queue_capacity": s.queueDepth,
+		"cache": map[string]any{
+			"cells": st.Cells, "limit": st.Limit,
+			"hits": st.Hits, "misses": st.Misses,
+			"evictions": st.Evictions, "hit_ratio": st.HitRatio(),
+		},
+		"uptime_s": time.Since(s.start).Seconds(),
+	}
+	if s.coord != nil {
+		cs := s.coord.Stats()
+		body["cluster"] = map[string]any{
+			"workers":      cs.Workers,
+			"remote_cells": cs.RemoteCells,
+			"requeues":     cs.Requeues,
+		}
+	}
+	if s.sur != nil {
+		info := map[string]any{"threshold": s.sur.threshold, "trained": s.sur.model != nil}
+		if s.sur.model != nil {
+			info["kind"] = s.sur.model.Kind
+			info["samples"] = s.sur.model.Samples
+		}
+		body["surrogate"] = info
+	}
+	if s.isClosing() {
+		body["status"] = "draining"
+		writeJSON(w, http.StatusServiceUnavailable, body)
+		return
+	}
+	writeJSON(w, http.StatusOK, body)
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	st := s.cache.Stats()
+	bi := version.Get("wsd")
+	rows := []series{
+		gauge("wsd_queue_depth", "Jobs waiting in the admission queue.", float64(len(s.queue))),
+		gauge("wsd_queue_capacity", "Admission queue bound.", float64(s.queueDepth)),
+		gauge("wsd_workers", "Worker pool size.", float64(s.workers)),
+		gauge("wsd_workers_busy", "Workers executing a job right now.", float64(s.busy.Load())),
+		gauge("wsd_cache_entries", "Cells in the result cache.", float64(st.Cells)),
+		gauge("wsd_cache_limit", "LRU cap on the result cache (0 = unlimited).", float64(st.Limit)),
+		gauge("wsd_cache_hits_total", "Result-cache lookups answered without simulating.", float64(st.Hits)),
+		gauge("wsd_cache_misses_total", "Result-cache lookups that required work.", float64(st.Misses)),
+		gauge("wsd_cache_evictions_total", "Cells evicted by the LRU limit.", float64(st.Evictions)),
+		gauge("wsd_cache_hit_ratio", "Hits over all cache lookups.", st.HitRatio()),
+		{"wsd_build_info", "Build identity of this daemon (value is always 1).", "gauge", []sample{
+			{labels("version", bi.Version, "commit", bi.Commit, "go", bi.Go, "role", string(s.role)), 1}}},
+		counter("wsd_quota_rejected_total", "Requests rejected with 429 because the tenant was over its admission quota.", s.quotas.rejections()),
+	}
+
+	// Fabric metrics exist only where the fabric does: on the coordinator.
+	if s.coord != nil {
+		cs := s.coord.Stats()
+		inflight := series{name: "wsd_cluster_worker_inflight", help: "Cells currently dispatched to each worker.", typ: "gauge"}
+		for _, wi := range s.coord.Registry().Snapshot() {
+			inflight.samples = append(inflight.samples, sample{labels("worker", wi.ID), wi.Inflight})
+		}
+		s.metrics.mu.Lock()
+		merged := s.metrics.journalMerged
+		s.metrics.mu.Unlock()
+		rows = append(rows,
+			gauge("wsd_cluster_workers", "Workers currently holding a live lease.", cs.Workers),
+			inflight,
+			counter("wsd_cluster_cells_dispatched_total", "Cell execution attempts sent to workers.", cs.Dispatched),
+			counter("wsd_cluster_remote_cells_total", "Cells completed by workers.", cs.RemoteCells),
+			counter("wsd_cluster_requeues_total", "Failed attempts retried on another worker.", cs.Requeues),
+			counter("wsd_cluster_remote_errors_total", "Cell execution attempts that failed.", cs.RemoteErrors),
+			counter("wsd_cluster_lease_expirations_total", "Workers dropped for missing heartbeats.", cs.LeaseExpirations),
+			counter("wsd_cluster_journal_merged_total", "New cells folded in from shipped worker journal deltas.", merged),
+		)
+	}
+	// Surrogate serving metrics exist only when a model was configured.
+	if s.sur != nil {
+		rows = append(rows, s.sur.series()...)
+	}
+	// Counters owned by the embedding process (WithExternalCounter), e.g.
+	// the journal shipper's retry count, sampled live at scrape time.
+	for _, ec := range s.external {
+		rows = append(rows, counter(ec.name, ec.help, ec.value()))
+	}
+
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.metrics.write(w, rows)
 }

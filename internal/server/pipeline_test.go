@@ -1,0 +1,355 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"wavescalar/internal/design"
+	"wavescalar/internal/explore"
+)
+
+// Tests of the one request pipeline (Server.cells): what scenario runs
+// acquire by sharing the plain run's code, and the branches no test
+// reached while there were three copies of it.
+
+// waitUntil polls cond (an event published by another goroutine through a
+// lock or an atomic) until it holds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func (s *Server) counter(c *uint64) uint64 {
+	s.metrics.mu.Lock()
+	defer s.metrics.mu.Unlock()
+	return *c
+}
+
+// parkWorker occupies one pool worker until the returned release runs.
+func parkWorker(t *testing.T, srv *Server) (release func()) {
+	t.Helper()
+	block := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(block) }) }
+	t.Cleanup(release)
+	srv.queue <- &job{block: block}
+	waitUntil(t, "the worker to park", func() bool { return len(srv.queue) == 0 })
+	return release
+}
+
+func scenarioBody(workloads ...string) string {
+	phases := make([]string, len(workloads))
+	for i, w := range workloads {
+		phases[i] = fmt.Sprintf(`{"name":"p%d","workload":{"name":%q}}`, i, w)
+	}
+	return `{"scenario":{"scenario":"v1","scale":"tiny","threads":[1],"phases":[` + strings.Join(phases, ",") + `]}}`
+}
+
+// TestConcurrentIdenticalScenarioRuns: the daemon's cost model — N
+// identical in-flight requests cost one simulation — holds for scenario
+// runs as it does for plain ones: eight concurrent posts of one scenario
+// cost one simulation and one journal record per distinct phase key.
+func TestConcurrentIdenticalScenarioRuns(t *testing.T) {
+	for _, workloads := range [][]string{{"fft"}, {"fft", "lu", "gzip"}} {
+		t.Run(fmt.Sprintf("%d-phase", len(workloads)), func(t *testing.T) {
+			journal := filepath.Join(t.TempDir(), "wsd.jsonl")
+			srv, err := New(WithWorkers(4), WithJournal(journal, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			defer srv.Close()
+
+			const n = 8
+			body := scenarioBody(workloads...)
+			type phase struct {
+				Key    string          `json:"key"`
+				Result json.RawMessage `json:"result"`
+			}
+			statuses := make([]int, n)
+			replies := make([][]phase, n)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					statuses[i] = resp.StatusCode
+					var parsed struct {
+						Phases []phase `json:"phases"`
+					}
+					if err := json.NewDecoder(resp.Body).Decode(&parsed); err != nil {
+						t.Error(err)
+					}
+					replies[i] = parsed.Phases
+				}(i)
+			}
+			close(start)
+			wg.Wait()
+
+			for i := range replies {
+				if statuses[i] != http.StatusOK || len(replies[i]) != len(workloads) {
+					t.Fatalf("request %d: status %d, %d phases", i, statuses[i], len(replies[i]))
+				}
+				for p, ph := range replies[i] {
+					if ph.Key != replies[0][p].Key || !bytes.Equal(ph.Result, replies[0][p].Result) {
+						t.Errorf("request %d phase %d: %s %s differs from %s %s",
+							i, p, ph.Key, ph.Result, replies[0][p].Key, replies[0][p].Result)
+					}
+				}
+			}
+			if got := srv.counter(&srv.metrics.simsCompleted); got != uint64(len(workloads)) {
+				t.Errorf("%d simulations completed, want %d (one per distinct phase key)", got, len(workloads))
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bytes.Count(data, []byte{'\n'}); got != len(workloads) {
+				t.Errorf("journal holds %d records, want %d:\n%s", got, len(workloads), data)
+			}
+		})
+	}
+}
+
+// surrogateTestCache is a cache of synthetic cells, enough for
+// WithSurrogateTrain to fit a serving model without simulating.
+func surrogateTestCache() *explore.Cache {
+	c := explore.NewCache()
+	for i, pt := range design.Viable()[:8] {
+		c.PutCell(explore.Cell{
+			Key: fmt.Sprintf("synthetic-%02d", i), App: "fft", Arch: pt.Arch.String(),
+			AIPC: 1 + float64(i)/10, Threads: 1, Cycles: uint64(1000 + i), SimCycles: uint64(1000 + i),
+			Traffic: uint64(500 + i), ScaleIters: 4, ScaleFootprint: 64, K: 4,
+		})
+	}
+	return c
+}
+
+// TestScenarioPhaseValidatesSurrogate: a cell /v1/predict answered from
+// the model and a scenario phase later simulated for real feeds the
+// observed-error metrics, as a plain run of it does.
+func TestScenarioPhaseValidatesSurrogate(t *testing.T) {
+	_, ts := newTestServer(t, WithCache(surrogateTestCache()), WithSurrogateTrain(), WithSurrogateThreshold(1000))
+
+	resp := post(t, ts.URL+"/v1/predict", `{"workload":"fft","scale":"tiny","threads":1,"config":{"clusters":4}}`)
+	pred := decode[struct{ Key, Source string }](t, resp)
+	if pred.Source != "surrogate" {
+		t.Fatalf("predict not answered from the model: %+v", pred)
+	}
+	resp = post(t, ts.URL+"/v1/runs",
+		`{"config":{"clusters":4},"scenario":{"scenario":"v1","workload":{"name":"fft"},"scale":"tiny","threads":[1]}}`)
+	run := decode[scenarioRunResponse](t, resp)
+	if len(run.Phases) != 1 || run.Phases[0].Key != pred.Key || run.Phases[0].Cached {
+		t.Fatalf("scenario phase is not a cold run of the predicted cell %s: %+v", pred.Key, run)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := readAll(t, mresp); !strings.Contains(text, "wsd_surrogate_validations_total 1\n") {
+		t.Errorf("scenario phase did not validate the prediction:\n%s", grepMetric(text, "wsd_surrogate_validations"))
+	}
+}
+
+// TestWaitTimeout reaches the wait's deadline branch: a cold run and a cold
+// scenario with a millisecond timeout_s get 504 while the work stays
+// queued, and once it completes the retry is a cache hit carrying the
+// result a cold run on another daemon produces.
+func TestWaitTimeout(t *testing.T) {
+	for name, tc := range map[string]struct {
+		body, timed string
+		cells       uint64
+	}{
+		"run":      {`{"workload":"fft"}`, `{"workload":"fft","timeout_s":0.001}`, 1},
+		"scenario": {scenarioBody("fft", "lu"), strings.Replace(scenarioBody("fft", "lu"), "{", `{"timeout_s":0.001,`, 1), 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, ts := newTestServer(t, WithWorkers(1))
+			release := parkWorker(t, srv)
+
+			resp := post(t, ts.URL+"/v1/runs", tc.timed)
+			if apiErr := errEnvelope(t, resp); resp.StatusCode != http.StatusGatewayTimeout || apiErr.Code != "timeout" {
+				t.Fatalf("timed-out wait: status %d, error %+v; want 504 timeout", resp.StatusCode, apiErr)
+			}
+			release()
+			waitUntil(t, "the abandoned work to complete", func() bool { return srv.counter(&srv.metrics.simsCompleted) == tc.cells })
+
+			status, retry := postRaw(t, ts.URL+"/v1/runs", tc.body)
+			_, ref := newTestServer(t)
+			_, cold := postRaw(t, ref.URL+"/v1/runs", tc.body)
+			want := bytes.ReplaceAll(cold, []byte(`"cached":false`), []byte(`"cached":true`))
+			if status != http.StatusOK || !bytes.Contains(cold, []byte(`"cached":false`)) || !bytes.Equal(retry, want) {
+				t.Errorf("retry after completion: status %d\n%s\nwant the cold response with cached true:\n%s", status, retry, cold)
+			}
+		})
+	}
+}
+
+// TestScenarioRepeatedKeyCached: a scenario whose phases repeat a cell
+// simulates it once and reports the repeat cached.
+func TestScenarioRepeatedKeyCached(t *testing.T) {
+	srv, ts := newTestServer(t)
+	resp := post(t, ts.URL+"/v1/runs", scenarioBody("fft", "fft"))
+	run := decode[scenarioRunResponse](t, resp)
+	if resp.StatusCode != http.StatusOK || len(run.Phases) != 2 {
+		t.Fatalf("status %d: %+v", resp.StatusCode, run)
+	}
+	if run.Cached || run.Phases[0].Cached || !run.Phases[1].Cached {
+		t.Errorf("cached flags: scenario %v, phases %v %v; want false, false true",
+			run.Cached, run.Phases[0].Cached, run.Phases[1].Cached)
+	}
+	if run.Phases[0].Key != run.Phases[1].Key || run.Phases[0].Result != run.Phases[1].Result {
+		t.Errorf("repeat differs from the first occurrence: %+v", run.Phases)
+	}
+	if got := srv.counter(&srv.metrics.simsCompleted); got != 1 {
+		t.Errorf("%d simulations, want 1", got)
+	}
+}
+
+// TestShutdownCompletesEveryLedCall: a queued job that Shutdown overtakes
+// resolves every call it led — the request that led them and the
+// followers waiting on its second and third cells all get 503, none hangs.
+func TestShutdownCompletesEveryLedCall(t *testing.T) {
+	srv, ts := newTestServer(t, WithWorkers(1), WithQueueDepth(4))
+	release := parkWorker(t, srv)
+
+	statuses := make(chan int, 3)
+	fire := func(body string) {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			statuses <- 0
+			return
+		}
+		resp.Body.Close()
+		statuses <- resp.StatusCode
+	}
+	go fire(scenarioBody("fft", "lu", "gzip"))
+	waitUntil(t, "the scenario's job to queue", func() bool { return len(srv.queue) == 1 })
+	go fire(`{"workload":"lu"}`)
+	go fire(`{"workload":"gzip"}`)
+	waitUntil(t, "both followers to join", func() bool { return srv.counter(&srv.metrics.dedupShared) == 2 })
+
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- srv.Shutdown(context.Background()) }()
+	waitUntil(t, "admissions to close", srv.isClosing)
+	release()
+	for i := 0; i < 3; i++ {
+		if status := <-statuses; status != http.StatusServiceUnavailable {
+			t.Errorf("waiter %d: status %d, want 503", i, status)
+		}
+	}
+	if err := <-shutdown; err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.counter(&srv.metrics.simsCancelled); got != 3 {
+		t.Errorf("%d cells counted cancelled, want 3", got)
+	}
+}
+
+// TestFollowerTakesNoSlotAndNoQuota: with the depth-1 queue full and the
+// tenant at its quota of one — both held by the leader's queued job — an
+// identical request still joins and is answered: it leads nothing, so it
+// is never admitted.
+func TestFollowerTakesNoSlotAndNoQuota(t *testing.T) {
+	srv, ts := newTestServer(t, WithWorkers(1), WithQueueDepth(1), WithTenantQuota(1))
+	release := parkWorker(t, srv)
+
+	statuses := make(chan int, 2)
+	fire := func() {
+		resp := post(t, ts.URL+"/v1/runs", `{"workload":"fft"}`)
+		resp.Body.Close()
+		statuses <- resp.StatusCode
+	}
+	go fire()
+	waitUntil(t, "the leader's job to fill the queue", func() bool { return len(srv.queue) == 1 })
+	go fire()
+	waitUntil(t, "the follower to join", func() bool { return srv.counter(&srv.metrics.dedupShared) == 1 })
+	release()
+	for i := 0; i < 2; i++ {
+		if status := <-statuses; status != http.StatusOK {
+			t.Errorf("request %d: status %d, want 200", i, status)
+		}
+	}
+	if full, quota := srv.counter(&srv.metrics.rejectedFull), srv.quotas.rejections(); full != 0 || quota != 0 {
+		t.Errorf("rejections: queue %d, quota %d; want none", full, quota)
+	}
+}
+
+// TestOversizeBodyRejected: a JSON body over the 1 MiB ceiling is refused
+// with 413 too_large, on the decoded and the raw-read path alike.
+func TestOversizeBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	big := `{"workload":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, path := range []string{"/v1/runs", "/v1/scenarios"} {
+		resp := post(t, ts.URL+path, big)
+		if apiErr := errEnvelope(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge || apiErr.Code != "too_large" {
+			t.Errorf("%s: status %d, error %+v; want 413 too_large", path, resp.StatusCode, apiErr)
+		}
+	}
+}
+
+// TestMetricsSkeletonGolden pins the order, names, help strings and types
+// of every series on /metrics in the single, coordinator and surrogate
+// configurations (testdata/metrics_skeleton_*.golden).
+func TestMetricsSkeletonGolden(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"single": {
+			WithExternalCounter("wsd_shipper_retries_total", "Journal ship attempts that failed and were rescheduled.", func() uint64 { return 3 }),
+			WithExternalCounter("wsd_nohelp_total", "", func() uint64 { return 1 }),
+		},
+		"coordinator": {WithRole(RoleCoordinator)},
+		"surrogate":   {WithCache(surrogateTestCache()), WithSurrogateTrain()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, ts := newTestServer(t, opts...)
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var skeleton []string
+			for _, line := range strings.Split(readAll(t, resp), "\n") {
+				if strings.HasPrefix(line, "#") {
+					skeleton = append(skeleton, line)
+				}
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "metrics_skeleton_"+name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(skeleton, "\n") + "\n"; got != string(want) {
+				t.Errorf("HELP/TYPE skeleton drifted:\n%s\nwant:\n%s", got, want)
+			}
+		})
+	}
+}

@@ -13,12 +13,13 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"os"
-	"time"
+	"slices"
 
 	"wavescalar/internal/area"
 	"wavescalar/internal/design"
@@ -131,9 +132,9 @@ type scenarioResponse struct {
 // answers created=false with the same digest — the dedup signal clients
 // and CI rely on.
 func (s *Server) handleScenarioPost(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
+		writeBodyErr(w, "reading body", err)
 		return
 	}
 	sc, err := scenario.Parse(body)
@@ -186,7 +187,7 @@ func (s *Server) resolveScenario(raw json.RawMessage) (*scenario.Scenario, int, 
 		sc, ok := s.scenarios[digest]
 		s.scnMu.Unlock()
 		if !ok {
-			return nil, http.StatusNotFound, &scenarioRefError{digest}
+			return nil, http.StatusNotFound, fmt.Errorf("unknown scenario %s (POST the document to /v1/scenarios first, or inline it)", digest)
 		}
 		return sc, 0, nil
 	}
@@ -197,48 +198,18 @@ func (s *Server) resolveScenario(raw json.RawMessage) (*scenario.Scenario, int, 
 	return sc, 0, nil
 }
 
-type scenarioRefError struct{ digest string }
-
-func (e *scenarioRefError) Error() string {
-	return "unknown scenario " + e.digest + " (POST the document to /v1/scenarios first, or inline it)"
-}
-
-// scenarioPhaseSpec is one phase lowered to a runnable cell: the same
-// (config, workload, scale, threads) tuple a plain run carries, so key
-// computation and execution are shared verbatim.
-type scenarioPhaseSpec struct {
-	name      string
-	cfg       sim.Config
-	w         workload.Workload
-	scale     workload.Scale
-	scaleName string
-	threads   []int
-	key       string
-}
-
-// scenarioSpec is the resolved work of one scenario run: phases execute
-// in order on a pool worker, each through the explorer's cache/journal
-// write-through. Only the worker writes results/cached/err, and only
-// after done closes do waiters read them — no lock needed.
-type scenarioSpec struct {
-	phases  []scenarioPhaseSpec
-	done    chan struct{}
-	results []explore.Cell
-	cached  []bool
-	err     error
-}
-
 // lowerScenario resolves the scenario's phases against a base
 // configuration: phase fault scripts are validated against the machine
 // shape and folded into per-phase configs, and every phase gets its cell
 // key — the fault digest inside the config keeps faulty phases from
-// colliding with clean ones.
-func lowerScenario(sc *scenario.Scenario, base sim.Config) ([]scenarioPhaseSpec, error) {
+// colliding with clean ones. Each phase is the same cellSpec a plain run
+// resolves to, so key computation and execution are shared verbatim.
+func lowerScenario(sc *scenario.Scenario, base sim.Config) ([]cellSpec, error) {
 	phases, err := sc.ResolvePhases()
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]scenarioPhaseSpec, len(phases))
+	specs := make([]cellSpec, len(phases))
 	for i, ph := range phases {
 		cfg := base
 		if !ph.Fault.Empty() {
@@ -247,10 +218,10 @@ func lowerScenario(sc *scenario.Scenario, base sim.Config) ([]scenarioPhaseSpec,
 			}
 			cfg.Fault = ph.Fault
 		}
-		specs[i] = scenarioPhaseSpec{
-			name: ph.Name, cfg: cfg, w: ph.Workload,
-			scale: ph.Scale, scaleName: ph.ScaleName, threads: ph.Threads,
-			key: explore.CellKey(cfg, ph.Workload.Name, ph.Scale, ph.Threads),
+		specs[i] = cellSpec{
+			cfg: cfg, w: ph.Workload, scale: ph.Scale, threads: ph.Threads,
+			key:       explore.CellKey(cfg, ph.Workload.Name, ph.Scale, ph.Threads),
+			scaleName: ph.ScaleName, phase: ph.Name,
 		}
 	}
 	return specs, nil
@@ -295,71 +266,25 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request, req *
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	digest := sc.Digest()
+	// Phases go through the same pipeline as plain runs, in order: a
+	// re-run is answered entirely from the cache, and a phase someone else
+	// is already simulating is waited for, not simulated twice.
+	got, ok := s.cells(w, r, specs, "scenario", tenantOf(r), s.waitFor(req.TimeoutS))
+	if !ok {
+		return
+	}
 	areaMM2 := area.Total(cfg.Arch)
-
-	respond := func(cells []explore.Cell, cached []bool) {
-		resp := scenarioRunResponse{Scenario: digest, Cached: true}
-		for i, spec := range specs {
-			if !cached[i] {
-				resp.Cached = false
-			}
-			resp.Phases = append(resp.Phases, scenarioPhaseResult{
-				Phase: spec.name, Key: spec.key, Cached: cached[i],
-				Result: cellResult(cells[i], areaMM2, spec.scaleName),
-			})
-		}
-		writeJSON(w, http.StatusOK, resp)
-	}
-
-	// Fast path: every phase already in the cache (memory or replayed
-	// journal) — a scenario re-run costs zero simulation.
-	cells := make([]explore.Cell, len(specs))
-	cached := make([]bool, len(specs))
-	hit := 0
+	resp := scenarioRunResponse{Scenario: sc.Digest(), Cached: true}
 	for i, spec := range specs {
-		if cell, ok := s.cache.Cell(spec.key); ok {
-			cells[i], cached[i] = cell, true
-			hit++
+		if !got[i].cached {
+			resp.Cached = false
 		}
+		resp.Phases = append(resp.Phases, scenarioPhaseResult{
+			Phase: spec.phase, Key: spec.key, Cached: got[i].cached,
+			Result: cellResult(got[i].cell, areaMM2, spec.scaleName),
+		})
 	}
-	if hit == len(specs) {
-		respond(cells, cached)
-		return
-	}
-	if s.isClosing() {
-		writeErr(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-
-	jb := &job{
-		kind: "scenario",
-		scn:  &scenarioSpec{phases: specs, done: make(chan struct{})},
-	}
-	if err := s.admit(r, jb); err != nil {
-		s.writeAdmissionErr(w, err)
-		return
-	}
-	timeout := s.requestTimeout
-	if req.TimeoutS > 0 {
-		timeout = time.Duration(req.TimeoutS * float64(time.Second))
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-jb.scn.done:
-		if jb.scn.err != nil {
-			writeErr(w, http.StatusServiceUnavailable, "%v", jb.scn.err)
-			return
-		}
-		respond(jb.scn.results, jb.scn.cached)
-	case <-timer.C:
-		// Phases keep running and land in the cache; a retry after they
-		// complete is a pure cache hit.
-		writeErr(w, http.StatusGatewayTimeout, "deadline exceeded waiting for scenario; retry later for the cached result")
-	case <-r.Context().Done():
-		writeErr(w, http.StatusGatewayTimeout, "caller gave up; the scenario continues and will be cached")
-	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // scenarioSweep is the sweep a scenario defines: the distinct phase
@@ -382,7 +307,7 @@ func scenarioSweepPlan(sc *scenario.Scenario) (scenarioSweep, error) {
 	}
 	first := phases[0]
 	for _, ph := range phases[1:] {
-		if ph.Scale != first.Scale || !equalInts(ph.Threads, first.Threads) || ph.Fault.Digest() != first.Fault.Digest() {
+		if ph.Scale != first.Scale || !slices.Equal(ph.Threads, first.Threads) || ph.Fault.Digest() != first.Fault.Digest() {
 			return scenarioSweep{}, errScenarioSweep
 		}
 	}
@@ -397,25 +322,7 @@ func scenarioSweepPlan(sc *scenario.Scenario) (scenarioSweep, error) {
 	return plan, nil
 }
 
-var errScenarioSweep = &scenarioSweepError{}
-
-type scenarioSweepError struct{}
-
-func (*scenarioSweepError) Error() string {
-	return "scenario sweeps need a uniform scale, threads and fault across phases (per-phase overrides describe different sweeps)"
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+var errScenarioSweep = errors.New("scenario sweeps need a uniform scale, threads and fault across phases (per-phase overrides describe different sweeps)")
 
 // configure returns the sweep's ConfigureFunc: nil (baseline) without a
 // fault script, otherwise a wrapper folding the script into every design

@@ -3,27 +3,36 @@
 // engine, built for many concurrent clients evaluating design points
 // against a shared, content-addressed result store.
 //
-// The serving model, in one pass through a request:
+// The serving model, in one pass through a request. Every route that
+// answers with a cell — POST /v1/runs (plain or scenario), the
+// POST /v1/predict fallback, POST /v1/cluster/execute — is resolve →
+// Server.cells → render, so what follows holds for all of them:
 //
-//   - POST /v1/runs resolves the request to a simulator configuration and
-//     computes internal/explore's content-addressed cell key. A cache hit
+//   - The request resolves to N cells (one; one per phase for a scenario):
+//     a simulator configuration, workload, scale and thread counts, plus
+//     internal/explore's content-addressed cell key. A cache hit
 //     (in-memory, or replayed from the JSONL journal at startup) answers
 //     with zero simulation.
-//   - On a miss, the request joins a singleflight group keyed by the same
-//     key: one leader enqueues a job, every identical concurrent request
-//     waits on the leader's result, so N identical in-flight requests
-//     cost exactly one simulation.
-//   - The admission queue is bounded. When it is full the leader is
-//     rejected with 429 and a Retry-After hint — backpressure, not
-//     collapse: latency degrades before throughput does.
-//   - A fixed worker pool drains the queue. Workers execute runs through
-//     Explorer.RunOne (cache + journal write-through) and sweeps through
-//     Explorer.SweepWith, both under the server's base context so a
-//     client disconnect never kills a simulation other waiters share.
+//   - Each missing key joins a singleflight group keyed by the same key:
+//     the request leading a key arranges its simulation, every concurrent
+//     request for it waits on the leader's result, so N identical
+//     in-flight requests cost exactly one simulation per distinct cell.
+//   - The keys a request leads go to the admission queue as one job. The
+//     queue is bounded: when it is full the leader is rejected with 429
+//     and a Retry-After hint — backpressure, not collapse: latency
+//     degrades before throughput does. A request that leads nothing is
+//     never admitted.
+//   - A fixed worker pool drains the queue. Workers run a job's cells in
+//     order through Explorer.RunOne (cache + journal write-through) and
+//     sweeps through Explorer.SweepWith, under the server's base context
+//     and the sweep's own, so a client disconnect never kills a simulation
+//     other waiters share; the request's timeout bounds only its wait.
+//   - JSON bodies are bounded (1 MiB; 413 beyond it).
 //   - Shutdown stops admissions (new work gets 503), rejects queued jobs
-//     that have not started, lets in-flight simulations drain (escalating
-//     to context cancellation — sim.Processor.RunContext — if the drain
-//     deadline passes), then flushes and closes the journal.
+//     that have not started — completing every call they led — lets
+//     in-flight simulations drain (escalating to context cancellation —
+//     sim.Processor.RunContext — if the drain deadline passes), then
+//     flushes and closes the journal.
 //
 // GET /metrics exposes the whole pipeline in Prometheus text format:
 // request counts and latencies, queue depth, worker utilization, cache
@@ -77,9 +86,10 @@ func ParseRole(s string) (Role, error) {
 // Option configures New (functional options, mirroring explore.New).
 type Option func(*Server) error
 
-// WithWorkers sets the worker-pool size (default GOMAXPROCS). Each run
-// job occupies one worker for one simulation; each sweep job occupies one
-// worker and fans out internally to the explorer's parallelism.
+// WithWorkers sets the worker-pool size (default GOMAXPROCS). Each cells
+// job occupies one worker for the simulations it leads; each sweep job
+// occupies one worker and fans out internally to the explorer's
+// parallelism.
 func WithWorkers(n int) Option {
 	return func(s *Server) error {
 		if n < 1 {
@@ -402,88 +412,28 @@ func (s *Server) worker() {
 func (s *Server) rejectQueued(jb *job) {
 	defer s.quotas.release(jb.tenant)
 	switch jb.kind {
-	case "run":
-		s.metrics.add(&s.metrics.simsCancelled, 1)
-		s.flight.complete(jb.key, jb.call, explore.Cell{}, errShuttingDown)
-	case "scenario":
-		s.metrics.add(&s.metrics.simsCancelled, 1)
-		jb.scn.err = errShuttingDown
-		close(jb.scn.done)
-	case "sweep":
+	case jobCells:
+		for _, lc := range jb.cells {
+			s.metrics.add(&s.metrics.simsCancelled, 1)
+			s.flight.complete(lc.spec.key, lc.call, explore.Cell{}, errShuttingDown)
+		}
+	case jobSweep:
 		s.metrics.add(&s.metrics.jobsCancelled, 1)
 		jb.finish(nil, errShuttingDown, true)
 	}
 }
 
-// execute runs one job on the server's base context: request contexts
-// bound only the wait, never the simulation, so a disconnecting client
-// cannot kill work that concurrent identical requests (or the cache)
-// will use.
+// execute runs one job. Cells run in request order on the server's base
+// context (see runCell); a sweep runs on its own cancellable context.
 func (s *Server) execute(jb *job) {
 	defer s.quotas.release(jb.tenant)
 	switch jb.kind {
-	case "run":
-		spec := jb.run
-		cell, cached, err := s.exp.RunOne(s.baseCtx, spec.cfg, spec.w, spec.scale, spec.threadCounts)
-		if cell.Key == "" {
-			// Cancelled mid-simulation (shutdown drain deadline).
-			s.metrics.add(&s.metrics.simsCancelled, 1)
-			s.flight.complete(jb.key, jb.call, explore.Cell{}, errShuttingDown)
-			return
+	case jobCells:
+		for _, lc := range jb.cells {
+			s.runCell(lc)
 		}
-		if err != nil {
-			// The cell is valid but the journal append failed; serve the
-			// result and surface the durability problem as a metric.
-			s.metrics.add(&s.metrics.journalErrors, 1)
-		}
-		if !cached {
-			if !spec.cfg.Fault.Empty() {
-				s.metrics.add(&s.metrics.faultSims, 1)
-			}
-			if cell.Err != "" {
-				s.metrics.add(&s.metrics.simsFailed, 1)
-			} else {
-				s.metrics.add(&s.metrics.simsCompleted, 1)
-			}
-		}
-		// A real measurement of a cell the surrogate once answered closes
-		// the loop on the model's observed error.
-		s.sur.observe(jb.key, cell)
-		s.flight.complete(jb.key, jb.call, cell, nil)
 
-	case "scenario":
-		// Phases run in order through the same RunOne pipeline as plain
-		// runs: cache fast path, journal write-through, shared metrics.
-		// Per-phase dedup against concurrent identical runs comes from the
-		// cache (a phase cell simulated by anyone is a hit for everyone).
-		spec := jb.scn
-		spec.results = make([]explore.Cell, len(spec.phases))
-		spec.cached = make([]bool, len(spec.phases))
-		for i, ph := range spec.phases {
-			cell, cached, err := s.exp.RunOne(s.baseCtx, ph.cfg, ph.w, ph.scale, ph.threads)
-			if cell.Key == "" {
-				s.metrics.add(&s.metrics.simsCancelled, 1)
-				spec.err = errShuttingDown
-				break
-			}
-			if err != nil {
-				s.metrics.add(&s.metrics.journalErrors, 1)
-			}
-			if !cached {
-				if !ph.cfg.Fault.Empty() {
-					s.metrics.add(&s.metrics.faultSims, 1)
-				}
-				if cell.Err != "" {
-					s.metrics.add(&s.metrics.simsFailed, 1)
-				} else {
-					s.metrics.add(&s.metrics.simsCompleted, 1)
-				}
-			}
-			spec.results[i], spec.cached[i] = cell, cached
-		}
-		close(spec.done)
-
-	case "sweep":
+	case jobSweep:
 		jb.setState(stateRunning)
 		spec := jb.sweep
 		results, err := s.exp.SweepWith(jb.ctx, spec.points, spec.apps, explore.SweepSpec{

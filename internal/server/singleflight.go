@@ -36,7 +36,7 @@ func newFlightGroup() *flightGroup {
 
 // join returns the call for key, creating it if absent. leader reports
 // whether the caller created the call (and so must arrange its execution
-// or abandon it).
+// or complete it with an error).
 func (g *flightGroup) join(key string) (call *flightCall, leader bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -50,18 +50,13 @@ func (g *flightGroup) join(key string) (call *flightCall, leader bool) {
 
 // complete resolves the call and wakes every waiter. The call is removed
 // from the group first, so requests arriving after completion start fresh
-// (and will hit the result cache instead).
+// (and will hit the result cache instead). A leader whose job never got
+// queued (admission failure) completes its call with that error, so the
+// next request for the key can lead again.
 func (g *flightGroup) complete(key string, c *flightCall, cell explore.Cell, err error) {
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
 	c.cell, c.err = cell, err
 	close(c.done)
-}
-
-// abandon removes a call that never got queued (admission failure), so
-// the next request for the key can lead again. Waiters that joined in the
-// window are woken with err.
-func (g *flightGroup) abandon(key string, c *flightCall, err error) {
-	g.complete(key, c, explore.Cell{}, err)
 }

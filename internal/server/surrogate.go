@@ -9,13 +9,13 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"log"
 	"math"
 	"net/http"
 	"sync"
 
+	"wavescalar/internal/area"
 	"wavescalar/internal/design"
 	"wavescalar/internal/explore"
 	"wavescalar/internal/surrogate"
@@ -161,6 +161,26 @@ func (st *surrogateState) observe(key string, cell explore.Cell) {
 	st.errSum += math.Abs(cell.AIPC-pred) / math.Max(math.Abs(cell.AIPC), 0.01)
 }
 
+// series renders the surrogate's bookkeeping as /metrics rows.
+func (st *surrogateState) series() []series {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	fallbacks := series{name: "wsd_surrogate_fallbacks_total", help: "/v1/predict requests that fell back to the simulation pipeline, by reason.", typ: "counter"}
+	for _, reason := range sortedKeys(st.fallbacks) {
+		fallbacks.samples = append(fallbacks.samples, sample{labels("reason", reason), st.fallbacks[reason]})
+	}
+	rows := []series{
+		counter("wsd_surrogate_predictions_total", "/v1/predict requests answered from the model without simulating.", st.predictions),
+		fallbacks,
+		counter("wsd_surrogate_validations_total", "Predicted cells later simulated for real (the observed-error sample count).", st.validations),
+		counter("wsd_surrogate_observed_error_sum", "Summed relative AIPC error of validated predictions (divide by validations for the mean).", st.errSum),
+	}
+	if st.model != nil {
+		rows = append(rows, gauge("wsd_surrogate_model_samples", "Training-set size of the serving model.", st.model.Samples))
+	}
+	return append(rows, gauge("wsd_surrogate_confidence_threshold", "RelAIPC gate above which /v1/predict falls back to simulation.", st.threshold))
+}
+
 // predictModel identifies the serving model in a prediction response.
 type predictModel struct {
 	Kind      string  `json:"kind"`
@@ -201,51 +221,46 @@ type predictResponse struct {
 // model cannot answer confidently, the byte-identical /v1/runs response.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req, true) {
 		return
 	}
 	if len(req.Scenario) > 0 {
 		writeErr(w, http.StatusBadRequest, "scenarios are multi-cell and not predictable; POST /v1/runs instead")
 		return
 	}
-	res, status, err := resolveRun(&req)
+	spec, status, err := resolveRun(&req)
 	if err != nil {
 		writeErr(w, status, "%v", err)
 		return
 	}
 
-	// Real data always wins: a cached cell is a measurement, so serve it
-	// exactly as /v1/runs would (serveRun's fast path).
-	if _, ok := s.cache.Cell(res.key); ok {
-		s.sur.fallback("cached")
-		s.serveRun(w, r, res, req.TimeoutS)
-		return
-	}
+	_, measured := s.cache.Cell(spec.key)
 	switch {
+	case measured:
+		// Real data always wins: a cached cell is a measurement, so serve
+		// it exactly as /v1/runs would.
+		s.sur.fallback("cached")
 	case s.sur == nil || s.sur.model == nil:
 		s.sur.fallback("no_model")
-	case !res.cfg.Fault.Empty():
+	case !spec.cfg.Fault.Empty():
 		// Fault-injected cells never train the model; never answer them
 		// from it either.
 		s.sur.fallback("fault")
 	default:
-		x := surrogate.Features(res.cfg, res.w.Name, res.scale, res.threads)
+		x := surrogate.Features(spec.cfg, spec.w.Name, spec.scale, req.Threads)
 		pred := s.sur.model.Predict(x)
 		if pred.RelAIPC <= s.sur.threshold {
-			s.sur.predicted(res.key, pred.AIPC)
+			s.sur.predicted(spec.key, pred.AIPC)
 			writeJSON(w, http.StatusOK, predictResponse{
-				Key:    res.key,
+				Key:    spec.key,
 				Source: "surrogate",
 				Model: predictModel{
 					Kind: s.sur.model.Kind, Samples: s.sur.model.Samples,
 					Threshold: s.sur.threshold,
 				},
 				Result: predictResult{
-					App: res.w.Name, Arch: res.cfg.Arch.String(), AreaMM2: res.areaMM2,
-					Scale: res.scaleName, Threads: res.threads,
+					App: spec.w.Name, Arch: spec.cfg.Arch.String(), AreaMM2: area.Total(spec.cfg.Arch),
+					Scale: spec.scaleName, Threads: req.Threads,
 					AIPC: pred.AIPC, SigmaAIPC: pred.SigmaAIPC, RelSigma: pred.RelAIPC,
 					Cycles: pred.Cycles, Traffic: pred.Traffic,
 				},
@@ -254,5 +269,5 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		s.sur.fallback("low_confidence")
 	}
-	s.serveRun(w, r, res, req.TimeoutS)
+	s.serveRun(w, r, spec, req.TimeoutS)
 }

@@ -161,17 +161,23 @@ func (c Config) Validate() error {
 		c.Arch.Virt <= 0 || c.Arch.Match <= 0 || c.Arch.L1KB <= 0 || c.Arch.L2MB < 0 {
 		return fmt.Errorf("sim: non-positive architecture parameter: %+v", c.Arch)
 	}
-	pos := map[string]int{
-		"K": c.K, "MatchAssoc": c.MatchAssoc, "MatchBanks": c.MatchBanks,
-		"OverflowPenalty": c.OverflowPenalty, "InstMissPenalty": c.InstMissPenalty,
-		"PodSize": c.PodSize, "OutQCap": c.OutQCap, "InputWindow": c.InputWindow,
-		"SBContexts": c.SBContexts, "SBPipeLat": c.SBPipeLat + 1,
-		"L1Lat": c.L1Lat, "L1Ports": c.L1Ports, "L2Lat": c.L2Lat, "MemLat": c.MemLat,
-		"NocBW": c.NocBW, "NocQCap": c.NocQCap, "NetPEBW": c.NetPEBW,
+	// A fixed table in Config field order: the first bad knob named is
+	// always the same one (the text reaches API bodies and cached
+	// Cell.Err), and a valid configuration allocates nothing.
+	pos := [...]struct {
+		name string
+		v    int
+	}{
+		{"K", c.K}, {"MatchAssoc", c.MatchAssoc}, {"MatchBanks", c.MatchBanks},
+		{"OverflowPenalty", c.OverflowPenalty}, {"InstMissPenalty", c.InstMissPenalty},
+		{"PodSize", c.PodSize}, {"OutQCap", c.OutQCap}, {"InputWindow", c.InputWindow},
+		{"SBContexts", c.SBContexts}, {"SBPipeLat", c.SBPipeLat + 1},
+		{"L1Lat", c.L1Lat}, {"L1Ports", c.L1Ports}, {"L2Lat", c.L2Lat}, {"MemLat", c.MemLat},
+		{"NocBW", c.NocBW}, {"NocQCap", c.NocQCap}, {"NetPEBW", c.NetPEBW},
 	}
-	for name, v := range pos {
-		if v <= 0 {
-			return fmt.Errorf("sim: %s must be positive, got %d", name, v)
+	for _, p := range pos {
+		if p.v <= 0 {
+			return fmt.Errorf("sim: %s must be positive, got %d", p.name, p.v)
 		}
 	}
 	if c.PSQs < 0 || c.PSQEntries < 0 {

@@ -319,6 +319,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidateDeterministic: the knob named by a multiply-bad
+// configuration is the first in Config field order on every call (the text
+// is served in 400 bodies and cached inside Cell.Err), and checking a valid
+// configuration allocates nothing.
+func TestConfigValidateDeterministic(t *testing.T) {
+	bad := smallCfg()
+	bad.K, bad.L1Lat, bad.NocBW = 0, 0, 0
+	const want = "sim: K must be positive, got 0"
+	for i := 0; i < 200; i++ {
+		if err := bad.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: error %v, want %q", i, err, want)
+		}
+	}
+	good := smallCfg()
+	if per := testing.AllocsPerRun(100, func() {
+		if err := good.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); per != 0 {
+		t.Errorf("Validate on a valid config: %v allocs, want 0", per)
+	}
+}
+
 func TestVirtualizationThrashing(t *testing.T) {
 	// A machine whose instruction stores are far too small for the
 	// program suffers instruction-store misses and slows down.

@@ -15,8 +15,9 @@
 //     AIPC, traffic by interconnect level, and component counters.
 //   - Area: the paper's Table 3 area model (TotalArea, ClusterBudget).
 //   - Design space: enumeration, pruning, matching-table tuning and
-//     Pareto analysis (DesignSpace, ViableDesigns, Sweep, ParetoFrontier,
-//     TuneMatchingTable).
+//     Pareto analysis (DesignSpace, ViableDesigns, ParetoFrontier,
+//     SweepFrontier, TuneMatchingTable); sweeps run on the exploration
+//     engine below.
 //   - Exploration: the resumable, cancellable sweep engine with result
 //     caching and journaling (NewExplorer with functional options).
 //   - Serving: the simulation-as-a-service daemon — an HTTP/JSON API over
@@ -249,8 +250,6 @@ type (
 	Evaluated = design.Evaluated
 	// SweepResult is a design's performance across a suite.
 	SweepResult = design.SweepResult
-	// SweepOptions configures Sweep.
-	SweepOptions = design.SweepOptions
 	// Tuning is a Table 4 row: k_opt, u_opt, virtualization ratio.
 	Tuning = design.Tuning
 	// TuneOptions configures TuneMatchingTable.
@@ -426,9 +425,10 @@ func ParetoFrontier(evals []Evaluated) []Evaluated { return design.Pareto(evals)
 // SweepFrontier extracts the frontier directly from sweep results.
 func SweepFrontier(results []SweepResult) []Evaluated { return design.Frontier(results) }
 
-// TuneMatchingTable runs the Table 4 procedure for one workload.
-func TuneMatchingTable(w Workload, opt TuneOptions) (Tuning, error) {
-	return design.Tune(w, opt)
+// TuneMatchingTable runs the Table 4 procedure for one workload; ctx
+// cancels its simulations.
+func TuneMatchingTable(ctx context.Context, w Workload, opt TuneOptions) (Tuning, error) {
+	return design.TuneContext(ctx, w, opt)
 }
 
 // DefaultTuneOptions mirrors the paper's tuning procedure.
@@ -453,7 +453,7 @@ type (
 	// ExploreCell is one cached (design point, workload) measurement.
 	ExploreCell = explore.Cell
 	// ConfigureFunc adapts the baseline microarchitecture to one design
-	// point; SweepOptions, TuneOptions and WithConfigure share it.
+	// point; TuneOptions and WithConfigure share it.
 	ConfigureFunc = design.ConfigureFunc
 )
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"wavescalar"
-	"wavescalar/internal/design"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -95,8 +94,12 @@ func TestDesignSpaceAPI(t *testing.T) {
 	}
 	// A miniature sweep through the public API.
 	apps := []wavescalar.Workload{mustWL(t, "gzip")}
-	res, err := design.SweepContext(context.Background(), viable[:2], apps,
-		wavescalar.SweepOptions{Scale: wavescalar.ScaleTiny, ThreadCounts: []int{1}})
+	exp, err := wavescalar.NewExplorer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	res, err := exp.Sweep(context.Background(), viable[:2], apps)
 	if err != nil {
 		t.Fatal(err)
 	}
