@@ -238,8 +238,9 @@ func New(cfg Config, done DoneFunc, send SendFunc) *System {
 	s.numSets = cfg.L1KB * 1024 / cfg.LineBytes / cfg.L1Assoc
 	for i := 0; i < cfg.Clusters; i++ {
 		sets := make([][]way, s.numSets)
+		ways := make([]way, s.numSets*cfg.L1Assoc) // one block per L1, not one per set
 		for j := range sets {
-			sets[j] = make([]way, cfg.L1Assoc)
+			sets[j], ways = ways[:cfg.L1Assoc:cfg.L1Assoc], ways[cfg.L1Assoc:]
 		}
 		s.l1s = append(s.l1s, &l1{sets: sets, mshrs: make(map[uint64]*mshr)})
 	}

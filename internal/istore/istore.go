@@ -6,14 +6,16 @@
 // then behaves as a cache over the bound set — dispatching a non-resident
 // instruction stalls while it is fetched from memory, which the paper
 // measures as roughly three times the cost of a matching-table miss.
+//
+// An instruction is named by its local index: Bind hands out 0, 1, 2, ...
+// in binding order, and the store is one array over those indexes, holding
+// each instruction's residency and its links on an intrusive LRU list.
+// Which instruction a local index stands for is the caller's business (the
+// simulator keeps one machine-wide table from instruction instance to
+// local index), so an access costs no lookup.
 package istore
 
-import (
-	"container/list"
-	"fmt"
-
-	"wavescalar/internal/isa"
-)
+import "fmt"
 
 // Stats counts instruction-store events.
 type Stats struct {
@@ -21,81 +23,128 @@ type Stats struct {
 	Misses uint64
 }
 
+// none ends the LRU list.
+const none int32 = -1
+
+// slot is one bound instruction: whether it is resident and, if it is, its
+// neighbours on the LRU list.
+type slot struct {
+	prev, next int32 // toward the most / least recently used
+	resident   bool
+}
+
 // Store is one PE's instruction store.
 type Store struct {
 	capacity int
-	resident map[isa.InstID]*list.Element
-	lru      *list.List // front = most recent
-	bound    map[isa.InstID]int
+	slots    []slot // by local index
+	mru, lru int32  // ends of the resident list
+	resident int
 	stats    Stats
 }
 
 // New creates a store with the given capacity (the V parameter).
 func New(capacity int) *Store {
+	return &NewSet(capacity, []int{0})[0]
+}
+
+// NewSet creates one store of the given capacity per entry of bound, the
+// i-th with bound[i] instructions already bound (local indexes
+// 0..bound[i]-1, in that order). The stores and their per-index state come
+// from two allocations however many stores there are; each store's share
+// is cut to length, so a later Bind reallocates that store's array and
+// never writes into its neighbour's.
+func NewSet(capacity int, bound []int) []Store {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("istore: capacity must be positive, got %d", capacity))
 	}
-	return &Store{
-		capacity: capacity,
-		resident: make(map[isa.InstID]*list.Element),
-		lru:      list.New(),
-		bound:    make(map[isa.InstID]int),
+	total := 0
+	for _, n := range bound {
+		total += n
 	}
+	slab := make([]slot, total)
+	stores := make([]Store, len(bound))
+	for i, n := range bound {
+		s := &stores[i]
+		*s = Store{capacity: capacity, slots: slab[:0:n], mru: none, lru: none}
+		slab = slab[n:]
+		for k := 0; k < n; k++ {
+			s.Bind()
+		}
+	}
+	return stores
 }
 
-// Bind registers a static instruction as placed on this PE and returns its
-// local index (the matching-table hash input). Binding the same
-// instruction twice returns the same index. The first `capacity`
+// Bind registers one more static instruction as placed on this PE and
+// returns its local index (the matching-table hash input): 0 for the first
+// instruction bound, 1 for the next, and so on. The first `capacity`
 // instructions bound start out resident.
-func (s *Store) Bind(id isa.InstID) int {
-	if idx, ok := s.bound[id]; ok {
-		return idx
-	}
-	idx := len(s.bound)
-	s.bound[id] = idx
-	if s.lru.Len() < s.capacity {
-		s.resident[id] = s.lru.PushFront(id)
-	}
-	return idx
-}
-
-// LocalIndex returns the instruction's local index. The instruction must
-// have been bound.
-func (s *Store) LocalIndex(id isa.InstID) int {
-	idx, ok := s.bound[id]
-	if !ok {
-		panic(fmt.Sprintf("istore: instruction %d not bound to this PE", id))
+func (s *Store) Bind() int {
+	idx := len(s.slots)
+	s.slots = append(s.slots, slot{})
+	if s.resident < s.capacity {
+		s.touch(int32(idx))
 	}
 	return idx
 }
 
 // Bound returns how many instructions are bound to the PE.
-func (s *Store) Bound() int { return len(s.bound) }
+func (s *Store) Bound() int { return len(s.slots) }
 
 // Oversubscribed reports whether more instructions are bound than fit.
-func (s *Store) Oversubscribed() bool { return len(s.bound) > s.capacity }
+func (s *Store) Oversubscribed() bool { return len(s.slots) > s.capacity }
 
-// Access touches the instruction for dispatch. It returns true on a hit;
-// on a miss it makes the instruction resident (evicting the LRU one) and
-// returns false, and the caller charges the instruction-miss penalty.
-func (s *Store) Access(id isa.InstID) bool {
-	if _, ok := s.bound[id]; !ok {
-		panic(fmt.Sprintf("istore: access to unbound instruction %d", id))
+// Access touches the instruction at local index idx for dispatch. It
+// returns true on a hit; on a miss it makes the instruction resident
+// (evicting the LRU one) and returns false, and the caller charges the
+// instruction-miss penalty.
+func (s *Store) Access(idx int) bool {
+	if idx < 0 || idx >= len(s.slots) {
+		panic(fmt.Sprintf("istore: access to unbound local index %d (%d bound)", idx, len(s.slots)))
 	}
-	if el, ok := s.resident[id]; ok {
-		s.lru.MoveToFront(el)
+	i := int32(idx)
+	if s.slots[i].resident {
 		s.stats.Hits++
+		if s.mru != i {
+			s.unlink(i)
+			s.touch(i)
+		}
 		return true
 	}
 	s.stats.Misses++
-	if s.lru.Len() >= s.capacity {
-		back := s.lru.Back()
-		victim := back.Value.(isa.InstID)
-		s.lru.Remove(back)
-		delete(s.resident, victim)
+	if s.resident >= s.capacity {
+		s.unlink(s.lru)
 	}
-	s.resident[id] = s.lru.PushFront(id)
+	s.touch(i)
 	return false
+}
+
+// touch makes a non-resident instruction the most recently used resident.
+func (s *Store) touch(i int32) {
+	s.slots[i] = slot{prev: none, next: s.mru, resident: true}
+	if s.mru != none {
+		s.slots[s.mru].prev = i
+	} else {
+		s.lru = i
+	}
+	s.mru = i
+	s.resident++
+}
+
+// unlink takes a resident instruction out of the store.
+func (s *Store) unlink(i int32) {
+	sl := &s.slots[i]
+	if sl.prev != none {
+		s.slots[sl.prev].next = sl.next
+	} else {
+		s.mru = sl.next
+	}
+	if sl.next != none {
+		s.slots[sl.next].prev = sl.prev
+	} else {
+		s.lru = sl.prev
+	}
+	sl.resident = false
+	s.resident--
 }
 
 // Stats returns the store's counters.

@@ -1,40 +1,38 @@
 package istore
 
 import (
+	"container/list"
+	"math/rand"
 	"testing"
-
-	"wavescalar/internal/isa"
 )
+
+// bindN binds n instructions and returns the store.
+func bindN(s *Store, n int) *Store {
+	for i := 0; i < n; i++ {
+		s.Bind()
+	}
+	return s
+}
 
 func TestBindAssignsLocalIndexes(t *testing.T) {
 	s := New(4)
-	if got := s.Bind(10); got != 0 {
-		t.Errorf("first bind index = %d, want 0", got)
+	for want := 0; want < 3; want++ {
+		if got := s.Bind(); got != want {
+			t.Errorf("bind %d returned index %d", want, got)
+		}
 	}
-	if got := s.Bind(20); got != 1 {
-		t.Errorf("second bind index = %d, want 1", got)
-	}
-	if got := s.Bind(10); got != 0 {
-		t.Errorf("rebind index = %d, want 0", got)
-	}
-	if got := s.LocalIndex(20); got != 1 {
-		t.Errorf("LocalIndex(20) = %d, want 1", got)
-	}
-	if s.Bound() != 2 {
-		t.Errorf("bound = %d, want 2", s.Bound())
+	if s.Bound() != 3 {
+		t.Errorf("bound = %d, want 3", s.Bound())
 	}
 }
 
 func TestUnderCapacityAlwaysHits(t *testing.T) {
-	s := New(4)
-	for i := isa.InstID(0); i < 4; i++ {
-		s.Bind(i)
-	}
+	s := bindN(New(4), 4)
 	if s.Oversubscribed() {
 		t.Fatal("4 of 4 should not be oversubscribed")
 	}
 	for round := 0; round < 3; round++ {
-		for i := isa.InstID(0); i < 4; i++ {
+		for i := 0; i < 4; i++ {
 			if !s.Access(i) {
 				t.Fatalf("round %d: access %d missed", round, i)
 			}
@@ -47,17 +45,14 @@ func TestUnderCapacityAlwaysHits(t *testing.T) {
 }
 
 func TestOversubscriptionThrashes(t *testing.T) {
-	s := New(2)
-	for i := isa.InstID(0); i < 4; i++ {
-		s.Bind(i)
-	}
+	s := bindN(New(2), 4)
 	if !s.Oversubscribed() {
 		t.Fatal("4 of 2 should be oversubscribed")
 	}
 	// Cyclic access over 4 instructions with capacity 2 under LRU misses
 	// every time after warmup.
 	for round := 0; round < 3; round++ {
-		for i := isa.InstID(0); i < 4; i++ {
+		for i := 0; i < 4; i++ {
 			s.Access(i)
 		}
 	}
@@ -72,10 +67,7 @@ func TestOversubscriptionThrashes(t *testing.T) {
 }
 
 func TestLRUKeepsHotInstructions(t *testing.T) {
-	s := New(2)
-	for i := isa.InstID(0); i < 3; i++ {
-		s.Bind(i)
-	}
+	s := bindN(New(2), 3)
 	s.Access(0)
 	s.Access(1)
 	s.Access(0) // 0 is now MRU
@@ -99,7 +91,109 @@ func TestPanics(t *testing.T) {
 		f()
 	}
 	assertPanics("zero capacity", func() { New(0) })
-	s := New(2)
-	assertPanics("unbound access", func() { s.Access(42) })
-	assertPanics("unbound index", func() { s.LocalIndex(42) })
+	s := bindN(New(2), 2)
+	assertPanics("unbound access", func() { s.Access(2) })
+	assertPanics("negative access", func() { s.Access(-1) })
+}
+
+// refStore is the store this package had before it was index-addressed — a
+// map of bound instructions, a map of resident ones and a container/list
+// LRU — kept as the reference the array store is held against. An
+// instruction's id here is its local index.
+type refStore struct {
+	capacity int
+	resident map[int]*list.Element
+	lru      *list.List // front = most recent
+	bound    map[int]int
+	stats    Stats
+}
+
+func newRefStore(capacity int) *refStore {
+	return &refStore{
+		capacity: capacity,
+		resident: make(map[int]*list.Element),
+		lru:      list.New(),
+		bound:    make(map[int]int),
+	}
+}
+
+func (s *refStore) bind() int {
+	idx := len(s.bound)
+	s.bound[idx] = idx
+	if s.lru.Len() < s.capacity {
+		s.resident[idx] = s.lru.PushFront(idx)
+	}
+	return idx
+}
+
+func (s *refStore) access(id int) bool {
+	if el, ok := s.resident[id]; ok {
+		s.lru.MoveToFront(el)
+		s.stats.Hits++
+		return true
+	}
+	s.stats.Misses++
+	if s.lru.Len() >= s.capacity {
+		back := s.lru.Back()
+		s.lru.Remove(back)
+		delete(s.resident, back.Value.(int))
+	}
+	s.resident[id] = s.lru.PushFront(id)
+	return false
+}
+
+// TestMatchesMapAndListStore walks the array store and the reference
+// through one seeded random sequence of binds and accesses and requires
+// the same index from every bind, the same hit or miss from every access
+// and the same counters at the end. The capacities cover a one-entry
+// store, the smallest real LRU and one larger than most of the walk's
+// working sets; every walk ends oversubscribed, and binds keep arriving
+// after accesses have begun, as a fault remap produces them. Half the
+// stores start from NewSet with instructions already bound, sharing a slab
+// with a neighbour whose state must not move.
+func TestMatchesMapAndListStore(t *testing.T) {
+	for _, capacity := range []int{1, 2, 8} {
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*16 + int64(capacity)))
+			pre := 0
+			if seed%2 == 1 {
+				pre = 1 + rng.Intn(2*capacity)
+			}
+			set := NewSet(capacity, []int{pre, 3})
+			s := &set[0]
+			neighbourSlots := append([]slot(nil), set[1].slots...)
+			ref := newRefStore(capacity)
+			for i := 0; i < pre; i++ {
+				ref.bind()
+			}
+			for step := 0; step < 4000; step++ {
+				if s.Bound() == 0 || (s.Bound() < 4*capacity && rng.Intn(50) == 0) {
+					if got, want := s.Bind(), ref.bind(); got != want {
+						t.Fatalf("capacity %d seed %d step %d: Bind = %d, reference %d", capacity, seed, step, got, want)
+					}
+					continue
+				}
+				// A skewed pick, so some instructions stay hot while the
+				// rest churn.
+				id := rng.Intn(s.Bound())
+				if rng.Intn(2) == 0 {
+					id = rng.Intn(1 + id/2)
+				}
+				if got, want := s.Access(id), ref.access(id); got != want {
+					t.Fatalf("capacity %d seed %d step %d: Access(%d) = %v, reference %v", capacity, seed, step, id, got, want)
+				}
+			}
+			if s.Stats() != ref.stats {
+				t.Errorf("capacity %d seed %d: stats %+v, reference %+v", capacity, seed, s.Stats(), ref.stats)
+			}
+			if !s.Oversubscribed() || s.Stats().Misses == 0 {
+				t.Errorf("capacity %d seed %d: walk never oversubscribed the store (%d bound, %+v)", capacity, seed, s.Bound(), s.Stats())
+			}
+			for i, sl := range set[1].slots {
+				if sl != neighbourSlots[i] {
+					t.Fatalf("capacity %d seed %d: binding past the carve moved the neighbour's slot %d: %+v, was %+v", capacity, seed, i, sl, neighbourSlots[i])
+				}
+			}
+		}
+	}
 }

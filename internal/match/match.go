@@ -62,30 +62,31 @@ func (c Config) Validate() error {
 }
 
 // Entry is one matching-table row: a partially matched dynamic instruction
-// instance.
+// instance. It is laid out to fill exactly one 64-byte cache line — the
+// eight-byte fields first, the four byte-wide ones last — so the set probe
+// every arriving token makes costs one line per way.
 type Entry struct {
-	Inst     isa.InstID
-	LocalIdx int // instruction's index within its PE's store (hash input)
-	Tag      isa.Tag
-	Vals     [3]uint64
-	Present  uint8
-	Required uint8
+	Vals [3]uint64
 	// ReadyAt is the earliest cycle the entry may be scheduled, pushed
 	// back when an operand had to be fetched from the in-memory table.
-	ReadyAt uint64
+	ReadyAt  uint64
+	touched  uint64 // for LRU within the set
+	Tag      isa.Tag
+	Inst     isa.InstID
+	LocalIdx int32 // instruction's index within its PE's store (hash input)
+	Present  uint8
+	Required uint8
 	// AddrSent marks a store whose address half has already dispatched
 	// (store decoupling).
 	AddrSent bool
-
-	touched uint64 // for LRU within the set
-	valid   bool
+	valid    bool
 }
 
 // memKey names an instance in the in-memory table: its local index above
 // its wave. (The index stands for the instruction and the thread.)
 type memKey uint64
 
-func keyOf(localIdx int, wave uint32) memKey { return memKey(localIdx)<<32 | memKey(wave) }
+func keyOf(localIdx int32, wave uint32) memKey { return memKey(localIdx)<<32 | memKey(wave) }
 
 // Complete reports whether all required operands are present.
 func (e *Entry) Complete() bool { return e.Present == e.Required }
@@ -117,15 +118,17 @@ type instState struct {
 	ovLo, ovHi uint32
 }
 
-// Table is one PE's matching table plus its in-memory overflow area.
+// Table is one PE's matching table plus its in-memory overflow area. The
+// physical entries and the overflow map are allocated when the first token
+// arrives: most PEs of a many-cluster machine running a few threads never
+// see one, and a table that never does costs its header.
 type Table struct {
-	cfg      Config
-	sets     [][]Entry // [set][way]
-	overflow map[memKey]*Entry
-	// free recycles overflow entries: an overflow hit returns its *Entry
-	// here, the next displacement reuses it, so steady-state eviction
-	// churn allocates nothing.
-	free []*Entry
+	cfg     Config
+	numSets int
+	// entries is every set's ways back to back: set si is
+	// entries[si*Assoc : (si+1)*Assoc]. Nil until the first token.
+	entries  []Entry
+	overflow map[memKey]Entry // the in-memory table; nil until the first displacement
 	// done is the scratch slot returned by Insert's Completed path; it is
 	// valid only until the next Insert, which every caller respects (the
 	// completed instance is copied into a scheduling-queue entry at once).
@@ -135,10 +138,17 @@ type Table struct {
 	stats    Stats
 	bankUsed []uint64 // cycle stamp per bank, for arrival limiting
 
-	// OnRelease, when set, is invoked with the freed entry's local index
-	// whenever an entry frees. Senders holding k-rejected tokens for that
+	// OnRelease, when set, is told the freed entry's local index whenever
+	// an entry frees. Senders holding k-rejected tokens for that
 	// (instruction, thread) use it to know the quota may have opened.
-	OnRelease func(localIdx int)
+	OnRelease Releaser
+}
+
+// Releaser is what a table's owner implements to hear of freed entries. It
+// is an interface and not a func so that the owner's pointer is the whole
+// value: a machine of hundreds of tables allocates no closure per table.
+type Releaser interface {
+	Released(localIdx int)
 }
 
 // New creates a matching table for a PE with insts instructions bound
@@ -146,26 +156,50 @@ type Table struct {
 // remap binds more instructions to a survivor — grows the table's
 // per-index state on first use.
 func New(cfg Config, insts int) *Table {
+	return &NewSet(cfg, []int{insts})[0]
+}
+
+// NewSet creates one matching table per entry of insts, the i-th for a PE
+// with insts[i] instructions bound. The tables, their per-index state and
+// their bank stamps come from three allocations however many tables there
+// are; each table's share is cut to length, so per-index state that grows
+// later reallocates and never writes into a neighbour's.
+func NewSet(cfg Config, insts []int) []Table {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	numSets := cfg.Entries / cfg.Assoc
-	entries := make([]Entry, cfg.Entries) // one block: a machine builds hundreds of tables
-	sets := make([][]Entry, numSets)
-	for i := range sets {
-		sets[i] = entries[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
+	total := 0
+	for _, n := range insts {
+		total += n
 	}
-	return &Table{
-		cfg:      cfg,
-		sets:     sets,
-		overflow: make(map[memKey]*Entry),
-		idx:      make([]instState, insts),
-		bankUsed: make([]uint64, cfg.Banks),
+	idx := make([]instState, total)
+	banks := make([]uint64, len(insts)*cfg.Banks)
+	tables := make([]Table, len(insts))
+	for i, n := range insts {
+		tables[i] = Table{
+			cfg:      cfg,
+			numSets:  cfg.Entries / cfg.Assoc,
+			idx:      idx[:n:n],
+			bankUsed: banks[:cfg.Banks:cfg.Banks],
+		}
+		idx, banks = idx[n:], banks[cfg.Banks:]
 	}
+	return tables
 }
 
 // NumSets returns the number of sets.
-func (t *Table) NumSets() int { return len(t.sets) }
+func (t *Table) NumSets() int { return t.numSets }
+
+// ways returns set si, allocating the physical entries on first use. The
+// read-only callers (Lookup, scanInstances) test for nil entries first, so
+// reading a table no token has reached allocates nothing.
+func (t *Table) ways(si int) []Entry {
+	if t.entries == nil {
+		t.entries = make([]Entry, t.cfg.Entries)
+	}
+	a := t.cfg.Assoc
+	return t.entries[si*a : (si+1)*a]
+}
 
 // Stats returns a copy of the table's counters.
 func (t *Table) Stats() Stats { return t.stats }
@@ -177,7 +211,7 @@ func (t *Table) Live() int { return t.live }
 // I*k + (w mod k), folded onto the physical sets.
 func (t *Table) set(localIdx int, tag isa.Tag) int {
 	k := t.cfg.K
-	return (localIdx*k + int(tag.Wave)%k) % len(t.sets)
+	return (localIdx*k + int(tag.Wave)%k) % t.numSets
 }
 
 // Bank returns the arrival bank a token of the given wave addressed to
@@ -227,7 +261,7 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 		t.stats.BankRejects++
 		return RejectedBank, nil
 	}
-	set := t.sets[si]
+	set := t.ways(si)
 
 	// Look for the instance in the physical set.
 	var slot *Entry
@@ -243,13 +277,12 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 	if slot == nil {
 		// Check the in-memory overflow table: a hit there is a
 		// matching-table miss (the partner was displaced earlier).
-		if oe := t.displaced(st, localIdx, tok.Tag.Wave); oe != nil {
+		if oe, ok := t.displaced(st, localIdx, tok.Tag.Wave); ok {
 			t.stats.OverflowHits++
-			delete(t.overflow, keyOf(localIdx, tok.Tag.Wave))
+			delete(t.overflow, keyOf(int32(localIdx), tok.Tag.Wave))
 			st.ov--
 			slot = t.allocate(si)
-			*slot = *oe
-			t.free = append(t.free, oe)
+			*slot = oe
 			t.admit(st, slot)
 			readyAt = cycle + 1 + overflowPenalty
 		}
@@ -270,7 +303,7 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 		}
 		slot = t.allocate(si)
 		slot.Inst = tok.Dest.Inst
-		slot.LocalIdx = localIdx
+		slot.LocalIdx = int32(localIdx)
 		slot.Tag = tok.Tag
 		slot.Vals = [3]uint64{}
 		slot.Present = 0
@@ -321,20 +354,24 @@ func (t *Table) CertainReject(localIdx int, wave uint32, bank int, cycle uint64)
 		return Stored, false // bound after construction, nothing live yet
 	}
 	st := &t.idx[localIdx]
-	if int(st.live) < t.cfg.K || wave <= st.wave || t.displaced(st, localIdx, wave) != nil {
+	if int(st.live) < t.cfg.K || wave <= st.wave {
+		return Stored, false
+	}
+	if _, ok := t.displaced(st, localIdx, wave); ok {
 		return Stored, false
 	}
 	return Rejected, true
 }
 
 // displaced returns the in-memory table's entry for the instance
-// (localIdx, wave), or nil. The map is consulted only when the index has
-// something displaced and wave lies inside the displaced range.
-func (t *Table) displaced(st *instState, localIdx int, wave uint32) *Entry {
+// (localIdx, wave), if it holds one. The map is consulted only when the
+// index has something displaced and wave lies inside the displaced range.
+func (t *Table) displaced(st *instState, localIdx int, wave uint32) (Entry, bool) {
 	if st.ov == 0 || wave < st.ovLo || wave > st.ovHi {
-		return nil
+		return Entry{}, false
 	}
-	return t.overflow[keyOf(localIdx, wave)]
+	e, ok := t.overflow[keyOf(int32(localIdx), wave)]
+	return e, ok
 }
 
 // CountRejects adds k-loop and bank refusals a caller decided with
@@ -370,7 +407,7 @@ func (t *Table) admit(st *instState, e *Entry) {
 // on every new highest wave, so only the youngest's own departure (rare in
 // a loop, where the oldest wave finishes first) forces a rescan.
 func (t *Table) youngest(st *instState, inst isa.InstID, localIdx int, thread uint32) *Entry {
-	if y := st.young; y != nil && y.valid && y.LocalIdx == localIdx && y.Tag.Wave == st.wave {
+	if y := st.young; y != nil && y.valid && int(y.LocalIdx) == localIdx && y.Tag.Wave == st.wave {
 		return y
 	}
 	_, y := t.scanInstances(inst, localIdx, thread)
@@ -386,13 +423,13 @@ func (t *Table) youngest(st *instState, inst isa.InstID, localIdx int, thread ui
 func (t *Table) scanInstances(inst isa.InstID, localIdx int, thread uint32) (int, *Entry) {
 	count := 0
 	var youngest *Entry
-	n := t.cfg.K
-	if n > len(t.sets) {
-		n = len(t.sets)
+	if t.entries == nil {
+		return 0, nil
 	}
+	n := min(t.cfg.K, t.numSets)
 	base := localIdx * t.cfg.K
 	for r := 0; r < n; r++ {
-		set := t.sets[(base+r)%len(t.sets)]
+		set := t.ways((base + r) % t.numSets)
 		for w := range set {
 			e := &set[w]
 			if e.valid && e.Inst == inst && e.Tag.Thread == thread {
@@ -409,7 +446,10 @@ func (t *Table) scanInstances(inst isa.InstID, localIdx int, thread uint32) (int
 // Lookup returns the live entry for (inst, tag), or nil. It checks only the
 // physical table (used by the speculative-fire path and store decoupling).
 func (t *Table) Lookup(inst isa.InstID, localIdx int, tag isa.Tag) *Entry {
-	set := t.sets[t.set(localIdx, tag)]
+	if t.entries == nil {
+		return nil
+	}
+	set := t.ways(t.set(localIdx, tag))
 	for w := range set {
 		e := &set[w]
 		if e.valid && e.Inst == inst && e.Tag == tag {
@@ -430,22 +470,18 @@ func (t *Table) release(e *Entry) {
 	t.live--
 	t.idx[e.LocalIdx].live--
 	if t.OnRelease != nil {
-		t.OnRelease(e.LocalIdx)
+		t.OnRelease.Released(int(e.LocalIdx))
 	}
 }
 
 // displace moves a live entry to the in-memory table and frees its slot.
 func (t *Table) displace(e *Entry) {
-	var ov *Entry
-	if n := len(t.free); n > 0 {
-		ov, t.free = t.free[n-1], t.free[:n-1]
-	} else {
-		ov = new(Entry)
+	if t.overflow == nil {
+		t.overflow = make(map[memKey]Entry)
 	}
-	*ov = *e
-	t.overflow[keyOf(ov.LocalIdx, ov.Tag.Wave)] = ov
-	st := &t.idx[ov.LocalIdx]
-	if w := ov.Tag.Wave; st.ov == 0 {
+	t.overflow[keyOf(e.LocalIdx, e.Tag.Wave)] = *e
+	st := &t.idx[e.LocalIdx]
+	if w := e.Tag.Wave; st.ov == 0 {
 		st.ovLo, st.ovHi = w, w
 	} else {
 		st.ovLo, st.ovHi = min(st.ovLo, w), max(st.ovHi, w)
@@ -459,7 +495,7 @@ func (t *Table) displace(e *Entry) {
 // in-memory table if necessary. The returned slot has valid == false; the
 // caller fills it and admits it.
 func (t *Table) allocate(si int) *Entry {
-	set := t.sets[si]
+	set := t.ways(si)
 	var victim *Entry
 	for w := range set {
 		e := &set[w]
@@ -479,6 +515,10 @@ func (t *Table) allocate(si int) *Entry {
 // table (diagnostic).
 func (t *Table) OverflowSize() int { return len(t.overflow) }
 
+// Allocated reports whether the table holds its physical entries yet: it
+// allocates them when its first token arrives (diagnostic).
+func (t *Table) Allocated() bool { return t.entries != nil }
+
 // DrainEntries removes and returns every partial match the table holds —
 // physical entries in set order, then in-memory overflow entries in
 // deterministic (instruction, tag) order. Used when a PE is mapped out:
@@ -486,23 +526,20 @@ func (t *Table) OverflowSize() int { return len(t.overflow) }
 // invoked (the table's owner is being dismantled, not making progress).
 func (t *Table) DrainEntries() []Entry {
 	var out []Entry
-	for si := range t.sets {
-		for w := range t.sets[si] {
-			e := &t.sets[si][w]
-			if e.valid {
-				ec := *e
-				ec.valid = false
-				out = append(out, ec)
-				e.valid = false
-				t.live--
-			}
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.valid {
+			ec := *e
+			ec.valid = false
+			out = append(out, ec)
+			e.valid = false
+			t.live--
 		}
 	}
 	if len(t.overflow) > 0 {
 		first := len(out)
 		for _, oe := range t.overflow {
-			out = append(out, *oe)
-			t.free = append(t.free, oe)
+			out = append(out, oe)
 		}
 		clear(t.overflow)
 		mem := out[first:]
@@ -532,7 +569,7 @@ func (t *Table) Adopt(e Entry, localIdx int, readyAt uint64) {
 	st := t.inst(localIdx)
 	slot := t.allocate(t.set(localIdx, e.Tag))
 	*slot = e
-	slot.LocalIdx = localIdx
+	slot.LocalIdx = int32(localIdx)
 	if slot.ReadyAt < readyAt {
 		slot.ReadyAt = readyAt
 	}

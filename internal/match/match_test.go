@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"wavescalar/internal/isa"
 )
@@ -22,6 +23,57 @@ func tok(inst isa.InstID, thread, wave uint32, port isa.PortID, v uint64) isa.To
 		Tag:   isa.Tag{Thread: thread, Wave: wave},
 		Value: v,
 		Dest:  isa.Target{Inst: inst, Port: port},
+	}
+}
+
+// TestEntrySize pins a matching-table row at one 64-byte cache line: the
+// set probe an arriving token makes reads one line per way.
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 64 {
+		t.Errorf("Entry is %d bytes, want 64", got)
+	}
+}
+
+// TestUntouchedTableHoldsNoEntries checks that the physical entries and the
+// in-memory table wait for a token: every read-only call works on a table
+// that has none, a refused token allocates nothing either, and the first
+// token written brings the whole flat array. Tables of one NewSet keep to
+// their own share of the per-index state when one of them grows.
+func TestUntouchedTableHoldsNoEntries(t *testing.T) {
+	set := NewSet(cfg(), []int{2, 3})
+	tb, neighbour := &set[0], &set[1]
+	tg := isa.Tag{Wave: 1}
+	if e := tb.Lookup(1, 1, tg); e != nil {
+		t.Errorf("Lookup on an untouched table = %+v", e)
+	}
+	if out, certain := tb.CertainReject(1, 1, tb.Bank(1, 1), 0); certain {
+		t.Errorf("CertainReject on an untouched table is certain of outcome %d", out)
+	}
+	if got := tb.DrainEntries(); len(got) != 0 || tb.Live() != 0 || tb.OverflowSize() != 0 {
+		t.Errorf("untouched table drained %d entries (live %d, overflow %d)", len(got), tb.Live(), tb.OverflowSize())
+	}
+	if tb.entries != nil || tb.overflow != nil {
+		t.Fatalf("reads allocated: %d entries, overflow map %v", len(tb.entries), tb.overflow != nil)
+	}
+	if tb.NumSets() != 8 {
+		t.Errorf("NumSets = %d before any token, want 8", tb.NumSets())
+	}
+
+	// An index bound after construction grows this table's per-index state
+	// out of the shared slab; the neighbour's is left alone.
+	if out, _ := tb.Insert(tok(9, 0, 1, 0, 7), 2, 0b011, 0, 10); out != Stored {
+		t.Fatalf("first insert = %v, want Stored", out)
+	}
+	if len(tb.entries) != cfg().Entries || tb.overflow != nil {
+		t.Errorf("after one token: %d entries (want %d), overflow map %v (want none)", len(tb.entries), cfg().Entries, tb.overflow != nil)
+	}
+	if neighbour.entries != nil {
+		t.Error("a token for one table allocated its neighbour's entries")
+	}
+	for li, st := range neighbour.idx {
+		if st != (instState{}) {
+			t.Errorf("growing one table's index state wrote the neighbour's index %d: %+v", li, st)
+		}
 	}
 }
 
@@ -277,7 +329,7 @@ func TestThreeInputInstruction(t *testing.T) {
 // thread).
 func checkIndexState(t *testing.T, step int, tb *Table, instOf func(li int) (isa.InstID, uint32)) {
 	t.Helper()
-	ovByIdx := make(map[int]int32)
+	ovByIdx := make(map[int32]int32)
 	for k, oe := range tb.overflow {
 		if k != keyOf(oe.LocalIdx, oe.Tag.Wave) {
 			t.Fatalf("step %d: overflow key %#x holds index %d, wave %d", step, k, oe.LocalIdx, oe.Tag.Wave)
@@ -297,10 +349,10 @@ func checkIndexState(t *testing.T, step int, tb *Table, instOf func(li int) (isa
 			t.Fatalf("step %d: index %d: live counter %d, scan counts %d", step, li, st.live, count)
 		}
 		live += count
-		if st.ov != ovByIdx[li] {
-			t.Fatalf("step %d: index %d: overflow counter %d, map holds %d", step, li, st.ov, ovByIdx[li])
+		if st.ov != ovByIdx[int32(li)] {
+			t.Fatalf("step %d: index %d: overflow counter %d, map holds %d", step, li, st.ov, ovByIdx[int32(li)])
 		}
-		delete(ovByIdx, li)
+		delete(ovByIdx, int32(li))
 		if count == 0 {
 			continue
 		}
@@ -327,7 +379,7 @@ func checkIndexState(t *testing.T, step int, tb *Table, instOf func(li int) (isa
 // and the per-index state less the youngest cache (young and wave, which a
 // k-reject may revalidate; waves holds the bounds apart).
 type tableState struct {
-	sets     []Entry // set by set
+	entries  []Entry // set by set
 	overflow map[memKey]Entry
 	idx      []instState
 	waves    []uint32
@@ -338,17 +390,12 @@ type tableState struct {
 
 func stateOf(tb *Table) tableState {
 	s := tableState{
-		overflow: make(map[memKey]Entry, len(tb.overflow)),
+		entries:  slices.Clone(tb.entries),
+		overflow: maps.Clone(tb.overflow),
 		idx:      append([]instState(nil), tb.idx...),
 		live:     tb.Live(),
 		stats:    tb.Stats(),
 		bankUsed: append([]uint64(nil), tb.bankUsed...),
-	}
-	for _, set := range tb.sets {
-		s.sets = append(s.sets, set...)
-	}
-	for k, oe := range tb.overflow {
-		s.overflow[k] = *oe
 	}
 	for i := range s.idx {
 		s.waves = append(s.waves, s.idx[i].wave)
@@ -388,11 +435,16 @@ func insertRuled(t *testing.T, tb *Table, tk isa.Token, li int, cycle uint64) (O
 		}
 	}
 	if got.live != want.live || got.stats != want.stats || !slices.Equal(got.bankUsed, want.bankUsed) ||
-		!slices.Equal(got.idx, want.idx) || !slices.Equal(got.sets, want.sets) || !maps.Equal(got.overflow, want.overflow) {
+		!slices.Equal(got.idx, want.idx) || !slices.Equal(got.entries, want.entries) || !maps.Equal(got.overflow, want.overflow) {
 		t.Fatalf("index %d wave %d: Insert refused (outcome %d) but changed the table:\n got %+v\nwant %+v", li, wave, out, got, want)
 	}
 	return out, true
 }
+
+// releaseFunc adapts a func to Releaser.
+type releaseFunc func(localIdx int)
+
+func (f releaseFunc) Released(localIdx int) { f(localIdx) }
 
 // TestIndexStateMatchesScan drives random Insert / Release / DrainEntries →
 // Adopt sequences through small tables (so set eviction, k-rejects,
@@ -422,11 +474,11 @@ func TestIndexStateMatchesScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(si) + 1))
 		newTable := func(sized int) *Table {
 			tb := New(c, sized)
-			tb.OnRelease = func(li int) {
+			tb.OnRelease = releaseFunc(func(li int) {
 				if li < 0 || li >= len(tb.idx) {
 					t.Fatalf("shape %d: release callback for index %d of %d", si, li, len(tb.idx))
 				}
-			}
+			})
 			return tb
 		}
 		tb, spare := newTable(nIdx), newTable(0)

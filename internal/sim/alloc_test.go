@@ -6,20 +6,13 @@ import (
 	"wavescalar/internal/workload"
 )
 
-// steadyProc builds app at the small scale on the baseline machine and
-// runs it past startup, so every freelist is primed and tokens are in full
-// flight.
-func steadyProc(tb testing.TB, app string) (*Processor, uint64) {
+// steadyProc builds app at the small scale on the baseline machine
+// replicated to clusters clusters and runs it past startup, so every
+// freelist is primed, every ring has reached its depth and tokens are in
+// full flight.
+func steadyProc(tb testing.TB, app string, clusters, threads int) (*Processor, uint64) {
 	tb.Helper()
-	w, err := workload.ByName(app)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	inst := w.Build(workload.Small)
-	p, err := New(Baseline(BaselineArch()), inst.Prog, inst.Params(1), Memory(inst.Mem))
-	if err != nil {
-		tb.Fatal(err)
-	}
+	p := buildOn(tb, app, workload.Small, clusters, threads, nil)
 	p.inject()
 	const warm = 5000
 	for c := uint64(0); c < warm; c++ {
@@ -31,8 +24,8 @@ func steadyProc(tb testing.TB, app string) (*Processor, uint64) {
 // kRejects sums the matching tables' k-bound rejections so far.
 func kRejects(p *Processor) uint64 {
 	var n uint64
-	for _, pe := range p.pes {
-		n += pe.mt.Stats().KRejects
+	for i := range p.pes {
+		n += p.pes[i].mt.Stats().KRejects
 	}
 	return n
 }
@@ -42,19 +35,25 @@ func kRejects(p *Processor) uint64 {
 // must cover the whole token path. fft has tokens flowing through matching
 // tables, store buffers and the NoC; mcf is the reject-heavy case (some 30
 // rejected input attempts per instruction), where tokens churn between the
-// input queue, the parked lists and the reinject list.
+// input queue, the parked lists and the reinject list. fft on four clusters
+// with four threads adds the grid, remote store-buffer requests and four
+// store buffers turning waves over.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	for _, app := range []string{"fft", "mcf"} {
-		p, c := steadyProc(t, app)
+	for _, tc := range []struct {
+		app               string
+		clusters, threads int
+	}{{"fft", 1, 1}, {"mcf", 1, 1}, {"fft", 4, 4}} {
+		p, c := steadyProc(t, tc.app, tc.clusters, tc.threads)
 		before := kRejects(p)
 		per := testing.AllocsPerRun(2000, func() {
 			p.tick(c)
 			c++
 		})
 		if per != 0 {
-			t.Errorf("%s: steady-state tick allocates %.2f objects/cycle, want 0", app, per)
+			t.Errorf("%s on %d clusters, %d threads: steady-state tick allocates %.2f objects/cycle, want 0",
+				tc.app, tc.clusters, tc.threads, per)
 		}
-		if parks := kRejects(p) - before; app == "mcf" && parks < 2000 {
+		if parks := kRejects(p) - before; tc.app == "mcf" && parks < 2000 {
 			t.Errorf("mcf: only %d tokens parked over the measured cycles; the fixture is not reject-heavy", parks)
 		}
 	}
@@ -91,14 +90,14 @@ func BenchmarkInputReject(b *testing.B) {
 // BenchmarkSteadyStateTick measures the per-cycle cost of the active-set
 // scheduler mid-run; -benchmem must report 0 allocs/op.
 func BenchmarkSteadyStateTick(b *testing.B) {
-	p, c := steadyProc(b, "fft")
+	p, c := steadyProc(b, "fft", 1, 1)
 	const limit = 150_000 // stay inside the run (fft/small is ~177k cycles)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if c == limit {
 			b.StopTimer()
-			p, c = steadyProc(b, "fft")
+			p, c = steadyProc(b, "fft", 1, 1)
 			b.StartTimer()
 		}
 		p.tick(c)

@@ -155,7 +155,7 @@ func (p *Processor) killPEs(c uint64, dead []place.PEAddr) {
 	migrated, err := p.placement.Remap(
 		func(a place.PEAddr) bool { return p.pe(a).dead },
 		func(thread uint32, inst isa.InstID, from, to place.PEAddr) {
-			p.pe(to).bind(p.istKey(thread, inst))
+			p.pe(to).bind(thread, inst)
 		},
 	)
 	if err != nil {
@@ -206,8 +206,7 @@ func (p *Processor) migratePE(c, readyAt uint64, pe *peUnit) int {
 	// accumulated operands and store-decoupling state survive.
 	for _, e := range pe.mt.DrainEntries() {
 		npe := p.pe(p.loc(e.Tag.Thread, e.Inst))
-		key := p.istKey(e.Tag.Thread, e.Inst)
-		npe.mt.Adopt(e, npe.ist.LocalIndex(key), readyAt)
+		npe.mt.Adopt(e, p.localIndex(e.Tag.Thread, e.Inst), readyAt)
 		moved++
 	}
 

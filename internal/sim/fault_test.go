@@ -230,7 +230,7 @@ func TestRunRecoversPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc.pes[0].ist = nil // sabotage: first INPUT touch nil-derefs
+	proc.pes[0].ist = nil // sabotage: the PE's first dispatch nil-derefs
 	_, err = proc.Run()
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
@@ -345,7 +345,8 @@ func scoutParked(t *testing.T, cfg Config, prog *isa.Program, params []map[strin
 	)
 	for c := uint64(0); c < 100_000 && p.haltCount < p.threads; c++ {
 		p.tick(c)
-		for _, pe := range p.pes {
+		for i := range p.pes {
+			pe := &p.pes[i]
 			held := 0
 			for li := range pe.parked {
 				if !pe.parked[li].empty() {

@@ -126,40 +126,73 @@ func TestFuzzSimMatchesReference(t *testing.T) {
 	}
 }
 
+// checkFifo holds a fifo of pointers against the plain-slice reference:
+// the length, every position through peek, and — looking under the ring —
+// that each slot outside the live window is nil, so a vacated slot keeps
+// nothing reachable.
+func checkFifo(t *testing.T, step int, q *fifo[*int], want []int) {
+	t.Helper()
+	if q.len() != len(want) || q.empty() != (len(want) == 0) {
+		t.Fatalf("step %d: len = %d, empty = %v, want %d elements", step, q.len(), q.empty(), len(want))
+	}
+	for i, w := range want {
+		if got := *q.peek(i); got == nil || *got != w {
+			t.Fatalf("step %d: peek(%d) = %v, want %d", step, i, got, w)
+		}
+	}
+	if n := len(q.buf); n&(n-1) != 0 {
+		t.Fatalf("step %d: ring has %d slots, not a power of two", step, n)
+	}
+	for s, v := range q.buf {
+		if live := (s-q.head)&(len(q.buf)-1) < q.n; !live && v != nil {
+			t.Fatalf("step %d: vacated slot %d (head %d, n %d) still holds %d", step, s, q.head, q.n, *v)
+		}
+	}
+}
+
 // FuzzFifoOps drives a fifo with an arbitrary operation stream and
-// cross-checks every observation against a plain-slice reference. The
-// scheduler's correctness rests on these queues preserving FIFO order
-// through head compaction, in-place slack opening and mid-queue removal,
-// so the structure gets an unbounded adversary in addition to the
-// randomized tests in queue_test.go. Run nightly with -fuzz (see
-// .github/workflows/nightly.yml).
+// cross-checks every observation against a plain-slice reference, after
+// every step. The scheduler's correctness rests on these queues preserving
+// FIFO order through wrap-around, growth and mid-queue removal, so the
+// ring gets an unbounded adversary in addition to the randomized tests in
+// queue_test.go. The elements are pointers, so the check also proves that
+// whatever leaves the queue leaves its slot zeroed. Run nightly with -fuzz
+// (see .github/workflows/nightly.yml).
 func FuzzFifoOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 3})
 	f.Add([]byte{2, 2, 2, 0, 1, 0, 1, 0, 1})
 	f.Add([]byte{0, 0, 0, 0, 3, 3, 3, 3, 2, 1})
+	// The tail wraps past the last slot (head 4, seven elements in eight
+	// slots), then the ring fills and grows while wrapped.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1})
+	// remove shifts the front side across the seam (head 6, position 3)...
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 15, 1, 1})
+	// ...and the back side across it (head 3, position 4 of seven).
+	f.Add([]byte{0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 19, 1, 1, 1})
+	// pushFront wraps the head below slot 0, then lands on a full ring.
+	f.Add([]byte{0, 2, 0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var q fifo[int]
+		var q fifo[*int]
 		var fref []int
 		next := 0
+		fresh := func() *int { v := next; next++; return &v }
 		for step, b := range ops {
 			switch b % 4 {
 			case 0: // push
-				q.push(next)
 				fref = append(fref, next)
-				next++
+				q.push(fresh())
 			case 1: // popFront
 				if len(fref) == 0 {
 					continue
 				}
 				got, want := q.popFront(), fref[0]
 				fref = fref[1:]
-				if got != want {
-					t.Fatalf("step %d: popFront = %d, want %d", step, got, want)
+				if *got != want {
+					t.Fatalf("step %d: popFront = %d, want %d", step, *got, want)
 				}
 			case 2: // pushFront
-				q.pushFront(next)
 				fref = append([]int{next}, fref...)
-				next++
+				q.pushFront(fresh())
 			case 3: // remove at a position derived from the opcode
 				if len(fref) == 0 {
 					continue
@@ -167,18 +200,11 @@ func FuzzFifoOps(f *testing.F) {
 				i := (int(b) / 4) % len(fref)
 				got, want := q.remove(i), fref[i]
 				fref = append(fref[:i], fref[i+1:]...)
-				if got != want {
-					t.Fatalf("step %d: remove(%d) = %d, want %d", step, i, got, want)
+				if *got != want {
+					t.Fatalf("step %d: remove(%d) = %d, want %d", step, i, *got, want)
 				}
 			}
-			if q.len() != len(fref) {
-				t.Fatalf("step %d: len = %d, want %d", step, q.len(), len(fref))
-			}
-		}
-		for i, want := range fref {
-			if got := *q.peek(i); got != want {
-				t.Fatalf("final peek(%d) = %d, want %d", i, got, want)
-			}
+			checkFifo(t, step, &q, fref)
 		}
 	})
 }

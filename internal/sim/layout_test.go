@@ -1,0 +1,243 @@
+package sim
+
+import (
+	"errors"
+	"maps"
+	"testing"
+
+	"wavescalar/internal/fault"
+	"wavescalar/internal/isa"
+	"wavescalar/internal/workload"
+)
+
+// buildOn builds app at a scale on the Table 1 machine replicated to
+// clusters clusters, with the given thread count.
+func buildOn(tb testing.TB, app string, sc workload.Scale, clusters, threads int, edit func(*Config)) *Processor {
+	tb.Helper()
+	w, err := workload.ByName(app)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inst := w.Build(sc)
+	arch := BaselineArch()
+	arch.Clusters = clusters
+	cfg := Baseline(arch)
+	if edit != nil {
+		edit(&cfg)
+	}
+	p, err := New(cfg, inst.Prog, inst.Params(threads), Memory(inst.Mem))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// TestRunTwiceReturnsErrAlreadyRun checks that a Processor runs once and
+// says so: a second Run is the caller's mistake, reported as ErrAlreadyRun
+// and not — as it was when the parameter tokens were injected into the
+// finished machine — as ErrInternal with a machine dump, and it leaves the
+// first run's statistics, memory and halt values alone. Both a kernel with
+// stores and a store-free loop (whose waves still carry a memory no-op)
+// used to trip the store buffer.
+func TestRunTwiceReturnsErrAlreadyRun(t *testing.T) {
+	fft, err := workload.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := fft.Build(workload.Tiny)
+	cases := []struct {
+		name   string
+		prog   *isa.Program
+		params []map[string]uint64
+		mem    Memory
+	}{
+		{"fft", inst.Prog, inst.Params(1), Memory(inst.Mem)},
+		{"sumloop", sumLoopProg(), []map[string]uint64{{"n": 20}}, nil},
+	}
+	for _, c := range cases {
+		p, err := New(smallCfg(), c.prog, c.params, c.mem)
+		if err != nil {
+			t.Fatalf("%s: New: %v", c.name, err)
+		}
+		st, err := p.Run()
+		if err != nil {
+			t.Fatalf("%s: first run: %v", c.name, err)
+		}
+		digest, halt, mem := st.Digest(), p.HaltValue(0), maps.Clone(p.Mem())
+
+		again, err := p.Run()
+		if !errors.Is(err, ErrAlreadyRun) || again != nil {
+			t.Fatalf("%s: second run = (%v, %v), want ErrAlreadyRun", c.name, again, err)
+		}
+		if errors.Is(err, ErrInternal) || len(err.Error()) > 80 {
+			t.Errorf("%s: second run reports a simulator fault or a dump: %v", c.name, err)
+		}
+		if st.Digest() != digest || p.HaltValue(0) != halt || !maps.Equal(p.Mem(), mem) {
+			t.Errorf("%s: second run disturbed the first run's statistics, halt value or memory", c.name)
+		}
+	}
+}
+
+// TestUntouchedPEsAllocateNothing runs one thread on sixteen clusters: 480
+// of the 512 PEs never receive a token, and each must end the run owning
+// only what the machine's slabs gave it — no matching-table entries, no
+// token pool, no queue buffers — while exactly the PEs whose tables were
+// written to hold entries.
+func TestUntouchedPEsAllocateNothing(t *testing.T) {
+	p := buildOn(t, "fft", workload.Tiny, 16, 1, nil)
+	for i := range p.pes {
+		if pe := &p.pes[i]; pe.mt.Allocated() || pe.toks.nodes != nil {
+			t.Fatalf("PE %+v holds run-time buffers before the run", pe.addr)
+		}
+	}
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	touched := 0
+	for i := range p.pes {
+		pe := &p.pes[i]
+		written := pe.mt.Stats().Inserts > 0
+		if pe.mt.Allocated() != written {
+			t.Errorf("PE %+v: table entries allocated = %v, tokens written = %d", pe.addr, pe.mt.Allocated(), pe.mt.Stats().Inserts)
+		}
+		if written {
+			touched++
+			continue
+		}
+		if pe.toks.nodes != nil || pe.schedQ.buf != nil || pe.pending.buf != nil || pe.outQ.buf != nil {
+			t.Errorf("PE %+v received no token but allocated a pool or a queue", pe.addr)
+		}
+	}
+	if per := p.cfg.Arch.Domains * p.cfg.Arch.PEs; touched == 0 || touched > per {
+		t.Errorf("%d PEs were written to; one thread should touch between 1 and one cluster's %d", touched, per)
+	}
+}
+
+// remapDigest is Stats.Digest() of TestRemapBindsPastSlabCarve's run at the
+// commit before the machine was built from slabs, when every PE owned
+// separately allocated state and could not alias a neighbour's.
+const remapDigest = "194eb7c3db84aecce20fa98c54c859753ab1df862885547507581076d71f3fb1"
+
+// TestRemapBindsPastSlabCarve kills a domain of a two-cluster machine
+// mid-run, so the survivors of both clusters bind instructions they were
+// not sized for. Every PE's share of the slabs is cut to length, so those
+// binds must reallocate the survivor's own arrays: each PE's parked lists
+// still match its store, the machine's local-index table still names every
+// instance of a PE exactly once, and the run's statistics are the ones the
+// separately allocated machine produced for the same script.
+func TestRemapBindsPastSlabCarve(t *testing.T) {
+	script := &fault.Script{
+		Seed:   5,
+		Events: []fault.Event{{Cycle: 400, Kind: fault.KindKillDomain, Cluster: 0, Domain: 1}},
+	}
+	p := buildOn(t, "fft", workload.Tiny, 2, 2, func(cfg *Config) { cfg.Fault = script })
+	before := make([]int, len(p.pes))
+	for i := range p.pes {
+		pe := &p.pes[i]
+		before[i] = pe.ist.Bound()
+		if len(pe.parked) != before[i] || cap(pe.parked) != before[i] {
+			t.Fatalf("PE %+v: %d bound, parked lists len %d cap %d: the carve is not cut to length",
+				pe.addr, before[i], len(pe.parked), cap(pe.parked))
+		}
+	}
+	st, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Fault.InstsMigrated == 0 {
+		t.Fatal("the kill migrated no instructions")
+	}
+	grown := 0
+	for i := range p.pes {
+		pe := &p.pes[i]
+		if len(pe.parked) != pe.ist.Bound() {
+			t.Errorf("PE %+v: %d bound but %d parked lists", pe.addr, pe.ist.Bound(), len(pe.parked))
+		}
+		if pe.ist.Bound() > before[i] {
+			grown++
+		}
+	}
+	if grown == 0 {
+		t.Error("no survivor bound past its carve")
+	}
+	seen := make([]map[int32]bool, len(p.pes))
+	for th := 0; th < p.threads; th++ {
+		for i := range p.prog.Insts {
+			host := p.peIndex(p.loc(uint32(th), isa.InstID(i)))
+			li := p.localIdx[p.istKey(uint32(th), isa.InstID(i))]
+			if seen[host] == nil {
+				seen[host] = make(map[int32]bool)
+			}
+			if int(li) >= p.pes[host].ist.Bound() || seen[host][li] {
+				t.Fatalf("thread %d inst %d: local index %d at PE %+v is out of range or taken", th, i, li, p.pes[host].addr)
+			}
+			seen[host][li] = true
+		}
+	}
+	if got := st.Digest(); got != remapDigest {
+		t.Errorf("digest %s, want %s (the same script before the slabs)", got, remapDigest)
+	}
+}
+
+// flowCell is the ledger's heaviest sim_flow op, gemm-as-4x4x4/tiny on
+// sixteen clusters (512 PEs), run with sixteen threads: the machine and the
+// built workload, for the callers that construct it many times.
+func flowCell(tb testing.TB) (Config, *workload.Instance) {
+	tb.Helper()
+	w, err := workload.ByName("gemm-as-4x4x4")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	arch := BaselineArch()
+	arch.Clusters = 16
+	return Baseline(arch), w.Build(workload.Tiny)
+}
+
+// flowCellAllocBudget bounds the mallocs of sim.New for the flow cell's
+// machine. The count repeats exactly (248 when this was written: the slabs,
+// the grid, the caches, sixteen store buffers and the functional memory);
+// the headroom is for Go releases and the race detector, and stops short of
+// the machine's 512 PEs, so no per-PE allocation fits under it.
+const flowCellAllocBudget = 400
+
+// TestConstructAllocBudget pins what the layout costs to build: the sixteen
+// cluster, sixteen-thread machine of BenchmarkFlowCell, 512 PEs and 64
+// domain units, must come from a number of allocations that does not grow
+// with its PE count.
+func TestConstructAllocBudget(t *testing.T) {
+	cfg, inst := flowCell(t)
+	params, mem := inst.Params(16), Memory(inst.Mem)
+	per := testing.AllocsPerRun(5, func() {
+		if _, err := New(cfg, inst.Prog, params, mem); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if per > flowCellAllocBudget {
+		t.Errorf("sim.New on 16 clusters x 16 threads allocates %.0f objects, budget %d", per, flowCellAllocBudget)
+	}
+	t.Logf("sim.New: %.0f allocations for %d PEs", per, 16*cfg.Arch.Domains*cfg.Arch.PEs)
+}
+
+// BenchmarkFlowCell is the micro twin of the ledger's heaviest sim_flow op:
+// gemm-as-4x4x4/tiny on sixteen clusters with sixteen threads, from sim.New
+// to quiescence. It reports host time per simulated instruction, and with
+// ReportAllocs the mallocs of one whole cell, construction included.
+func BenchmarkFlowCell(b *testing.B) {
+	cfg, inst := flowCell(b)
+	params, mem := inst.Params(16), Memory(inst.Mem)
+	var dynamic uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := New(cfg, inst.Prog, params, mem)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := p.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		dynamic += st.Dynamic
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(dynamic), "ns/inst")
+}

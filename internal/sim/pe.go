@@ -114,7 +114,7 @@ func (pe *peUnit) enqueueIn(readyAt, sentAt uint64, tok isa.Token) {
 			pe = host
 		}
 	}
-	li := pe.ist.LocalIndex(pe.p.istKey(tok.Tag.Thread, tok.Dest.Inst))
+	li := pe.p.localIndex(tok.Tag.Thread, tok.Dest.Inst)
 	pe.toks.pushBack(&pe.inQ, pe.newTok(readyAt, sentAt, tok, li))
 	pe.wakeInput()
 }
@@ -197,10 +197,10 @@ func (pe *peUnit) parkRun(c uint64, i int32) (int32, uint64) {
 	return after, uint64(n)
 }
 
-// onRelease is the matching table's release callback: any tokens parked on
-// the freed instruction queue up for reinjection, behind herds released
-// earlier this cycle.
-func (pe *peUnit) onRelease(li int) {
+// Released is the matching table's release callback (match.Releaser): any
+// tokens parked on the freed instruction queue up for reinjection, behind
+// herds released earlier this cycle.
+func (pe *peUnit) Released(li int) {
 	herd := &pe.parked[li]
 	if herd.empty() {
 		return
@@ -210,40 +210,14 @@ func (pe *peUnit) onRelease(li int) {
 	pe.wakeInput()
 }
 
-func newPE(p *Processor, addr place.PEAddr) *peUnit {
-	return &peUnit{p: p, addr: addr, ist: istore.New(p.cfg.Arch.Virt)}
-}
-
-// buildInput sizes every PE's INPUT stage once the placement is bound and
-// the instruction stores know their counts: the parked lists come out of
-// one machine-wide slab, and each matching table is told how many local
-// indexes it serves. Token pools allocate on first use.
-func (p *Processor) buildInput() {
-	bound := 0
-	for _, pe := range p.pes {
-		bound += pe.ist.Bound()
-	}
-	lists := make([]tokList, bound)
-	for _, pe := range p.pes {
-		n := pe.ist.Bound()
-		pe.parked, lists = lists[:n:n], lists[n:]
-		pe.mt = match.New(match.Config{
-			Entries: p.cfg.Arch.Match,
-			Assoc:   p.cfg.MatchAssoc,
-			Banks:   p.cfg.MatchBanks,
-			K:       p.cfg.K,
-		}, n)
-		pe.mt.OnRelease = pe.onRelease
-	}
-}
-
-// bind places one more instruction on a running PE (a fault remap) and
-// gives it a parked list.
-func (pe *peUnit) bind(key isa.InstID) {
-	li := pe.ist.Bind(key)
-	for len(pe.parked) <= li {
-		pe.parked = append(pe.parked, tokList{})
-	}
+// bind places one more instruction instance on a running PE (a fault
+// remap): it takes the store's next local index, which the machine's table
+// records in place of the index it had at its dead host, and gets a parked
+// list.
+func (pe *peUnit) bind(thread uint32, inst isa.InstID) {
+	li := pe.ist.Bind()
+	pe.p.localIdx[pe.p.istKey(thread, inst)] = int32(li)
+	pe.parked = append(pe.parked, tokList{})
 }
 
 // inputPending reports whether phaseInput has anything to look at.
@@ -328,7 +302,7 @@ func (pe *peUnit) deliver(c uint64, r execResult) {
 // if it completes the instance, the entry is scheduled for this cycle
 // (back-to-back execution) at the front of the queue.
 func (pe *peUnit) acceptBypass(c uint64, tok isa.Token) {
-	li := pe.ist.LocalIndex(pe.p.istKey(tok.Tag.Thread, tok.Dest.Inst))
+	li := pe.p.localIndex(tok.Tag.Thread, tok.Dest.Inst)
 	req := pe.p.required[tok.Dest.Inst]
 	out, e := pe.insert(c, tok, li, req)
 	switch out {
@@ -396,7 +370,7 @@ func (pe *peUnit) phaseDispatch(c uint64) {
 func (pe *peUnit) dispatch(c uint64, se schedEntry) {
 	if se.kind == schedStoreAddr {
 		// The entry may have completed (and fully dispatched) already.
-		e := pe.mt.Lookup(se.inst, pe.ist.LocalIndex(pe.p.istKey(se.tag.Thread, se.inst)), se.tag)
+		e := pe.mt.Lookup(se.inst, pe.p.localIndex(se.tag.Thread, se.inst), se.tag)
 		if e == nil || e.AddrSent || e.Present != 0b001 {
 			return
 		}
@@ -405,7 +379,7 @@ func (pe *peUnit) dispatch(c uint64, se schedEntry) {
 		return
 	}
 	// Instruction store residency.
-	if !pe.ist.Access(pe.p.istKey(se.tag.Thread, se.inst)) {
+	if !pe.ist.Access(pe.p.localIndex(se.tag.Thread, se.inst)) {
 		pe.stallUntil = c + uint64(pe.p.cfg.InstMissPenalty)
 		se.readyAt = pe.stallUntil
 		pe.schedQ.pushFront(se)

@@ -11,6 +11,8 @@ import (
 	"wavescalar/internal/cache"
 	"wavescalar/internal/fault"
 	"wavescalar/internal/isa"
+	"wavescalar/internal/istore"
+	"wavescalar/internal/match"
 	"wavescalar/internal/noc"
 	"wavescalar/internal/place"
 	"wavescalar/internal/storebuf"
@@ -28,6 +30,10 @@ var (
 	// ErrNotQuiesced means in-flight state failed to drain after all
 	// threads halted (a lost token or stuck queue).
 	ErrNotQuiesced = errors.New("post-halt drain did not quiesce")
+	// ErrAlreadyRun means Run or RunContext was called a second time. A
+	// Processor runs one program once; the first run's Stats, memory and
+	// halt values are left as they were.
+	ErrAlreadyRun = errors.New("processor has already run")
 )
 
 // Memory is the simulator's flat functional memory (64-bit words keyed by
@@ -54,11 +60,20 @@ type Processor struct {
 	prog      *isa.Program
 	placement *place.Placement
 	required  []uint8 // operand mask per instruction
-	threads   int
-	params    []map[string]uint64
+	// localIdx is the machine's one table from an instruction instance
+	// (istKey) to its local index at the PE that hosts it: the name the
+	// instruction goes by in that PE's instruction store, matching table
+	// and parked lists. It is written where instructions are bound (build,
+	// and peUnit.bind on a fault remap) and read once per arriving token.
+	localIdx []int32
+	threads  int
+	params   []map[string]uint64
 
-	pes      []*peUnit
-	domains  []*domainUnit
+	// The machine's components are values in per-machine slabs, visited by
+	// index; see build for what is carved up front and what waits for a
+	// first token.
+	pes      []peUnit
+	domains  []domainUnit
 	sbs      []*storebuf.Buffer
 	cacheSys *cache.System
 	grid     *noc.Grid
@@ -102,6 +117,7 @@ type Processor struct {
 	// use is behind a nil check, so the disabled path costs one branch).
 	rec *trace.Recorder
 
+	ran        bool // Run has been called: a Processor runs once
 	halted     []bool
 	haltValues []uint64
 	haltCount  int
@@ -162,21 +178,7 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	p.inj = inj
-	for ci := 0; ci < arch.Clusters; ci++ {
-		for di := 0; di < arch.Domains; di++ {
-			p.domains = append(p.domains, &domainUnit{p: p, cluster: ci, index: di})
-			for pi := 0; pi < arch.PEs; pi++ {
-				p.pes = append(p.pes, newPE(p, place.PEAddr{Cluster: ci, Domain: di, PE: pi}))
-			}
-		}
-	}
-	for i, pe := range p.pes {
-		pe.gidx = int32(i)
-		pe.st = &p.phStats
-	}
-	for i, d := range p.domains {
-		d.gidx = int32(i)
-	}
+	p.build()
 	p.reqFree = make([][]*storebuf.Request, arch.Clusters)
 	p.tgtFree = make([][][]isa.Target, arch.Clusters)
 	p.actComplete = newActiveSet(len(p.pes))
@@ -213,23 +215,77 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 		L2Lat: cfg.L2Lat, MemLat: cfg.MemLat, Trace: cfg.Trace,
 	}, p.cacheDone, p.cacheSend)
 
-	// Bind placed instructions to their PEs' instruction stores. Each
-	// thread gets its own instance (the placement isolates threads, so a
-	// machine's instruction capacity gates how many threads fit — the
-	// paper's Table 5 mechanism for thread-count jumps).
-	for t := 0; t < threads; t++ {
-		for i := range prog.Insts {
-			p.pe(pl.Loc(uint32(t), isa.InstID(i))).ist.Bind(p.istKey(uint32(t), isa.InstID(i)))
-		}
-	}
-	p.buildInput()
 	return p, nil
 }
 
-// istKey names a thread's instance of a static instruction in the
-// instruction stores.
-func (p *Processor) istKey(thread uint32, inst isa.InstID) isa.InstID {
-	return isa.InstID(int(thread)*len(p.prog.Insts) + int(inst))
+// build lays the PEs and domain units out once the placement is known.
+// Everything whose size the placement fixes comes from a per-machine slab:
+// the PEs and domain units themselves, and — sized by how many instructions
+// the placement binds to each PE — the instruction stores, the matching
+// tables' headers and per-index state, and the parked lists. Every PE's
+// share is cut to length (s[:n:n]), so a fault remap that binds one more
+// instruction reallocates that PE's share instead of writing into its
+// neighbour's. What depends on the run waits for it: a PE's queues, its
+// token pool and its matching table's entries are allocated when its first
+// token arrives, so a PE that never receives one costs its headers.
+//
+// Instructions are bound in (thread, instruction) order, each thread its
+// own instance (the placement isolates threads, so a machine's instruction
+// capacity gates how many threads fit — the paper's Table 5 mechanism for
+// thread-count jumps).
+func (p *Processor) build() {
+	arch, nInst := p.cfg.Arch, len(p.prog.Insts)
+	bound := make([]int, arch.Clusters*arch.Domains*arch.PEs)
+	p.localIdx = make([]int32, p.threads*nInst)
+	for t := 0; t < p.threads; t++ {
+		for i := 0; i < nInst; i++ {
+			n := &bound[p.peIndex(p.placement.Loc(uint32(t), isa.InstID(i)))]
+			p.localIdx[p.istKey(uint32(t), isa.InstID(i))] = int32(*n)
+			*n++
+		}
+	}
+	stores := istore.NewSet(arch.Virt, bound)
+	tables := match.NewSet(match.Config{
+		Entries: arch.Match,
+		Assoc:   p.cfg.MatchAssoc,
+		Banks:   p.cfg.MatchBanks,
+		K:       p.cfg.K,
+	}, bound)
+	lists := make([]tokList, len(p.localIdx)) // one parked list per bound instance
+
+	p.pes = make([]peUnit, len(bound))
+	p.domains = make([]domainUnit, arch.Clusters*arch.Domains)
+	for ci := 0; ci < arch.Clusters; ci++ {
+		for di := 0; di < arch.Domains; di++ {
+			gd := ci*arch.Domains + di
+			p.domains[gd] = domainUnit{p: p, cluster: ci, index: di, gidx: int32(gd)}
+			for pi := 0; pi < arch.PEs; pi++ {
+				gi := gd*arch.PEs + pi
+				n := bound[gi]
+				pe := &p.pes[gi]
+				*pe = peUnit{
+					p: p, addr: place.PEAddr{Cluster: ci, Domain: di, PE: pi},
+					gidx: int32(gi), st: &p.phStats,
+					mt: &tables[gi], ist: &stores[gi],
+					parked: lists[:n:n],
+				}
+				lists = lists[n:]
+				pe.mt.OnRelease = pe
+			}
+		}
+	}
+}
+
+// istKey names a thread's instance of a static instruction: its row of
+// localIdx.
+func (p *Processor) istKey(thread uint32, inst isa.InstID) int {
+	return int(thread)*len(p.prog.Insts) + int(inst)
+}
+
+// localIndex returns the local index (thread, inst) goes by at the PE that
+// hosts it.
+func (p *Processor) localIndex(thread uint32, inst isa.InstID) int {
+	return int(p.localIdx[p.istKey(thread, inst)])
 }
 
 // requiredMask returns the operand-presence mask an instruction fires on.
@@ -247,15 +303,18 @@ func requiredMask(in *isa.Instruction) uint8 {
 	}
 }
 
-// pe returns the PE at an address.
-func (p *Processor) pe(a place.PEAddr) *peUnit {
-	arch := p.cfg.Arch
-	return p.pes[(a.Cluster*arch.Domains+a.Domain)*arch.PEs+a.PE]
+// peIndex returns a PE's position in Processor.pes.
+func (p *Processor) peIndex(a place.PEAddr) int {
+	arch := &p.cfg.Arch
+	return (a.Cluster*arch.Domains+a.Domain)*arch.PEs + a.PE
 }
+
+// pe returns the PE at an address.
+func (p *Processor) pe(a place.PEAddr) *peUnit { return &p.pes[p.peIndex(a)] }
 
 // domain returns a cluster's domain unit.
 func (p *Processor) domain(cluster, d int) *domainUnit {
-	return p.domains[cluster*p.cfg.Arch.Domains+d]
+	return &p.domains[cluster*p.cfg.Arch.Domains+d]
 }
 
 // loc returns the PE hosting (thread, inst).
@@ -487,7 +546,8 @@ func (p *Processor) Run() (*Stats, error) {
 // cancellation every few thousand cycles. A cancelled run returns an
 // error wrapping ctx's cause (matchable with errors.Is against
 // context.Canceled or context.DeadlineExceeded); the processor's state is
-// then mid-flight and the Processor must not be reused.
+// then mid-flight. However a run ended, the Processor cannot be run again:
+// a second call returns ErrAlreadyRun and touches nothing.
 //
 // A panic anywhere in the simulator core is recovered and returned as an
 // error wrapping ErrInternal, with a cycle-stamped machine dump: a bad
@@ -500,6 +560,10 @@ func (p *Processor) RunContext(ctx context.Context) (st *Stats, err error) {
 				ErrInternal, p.cycle, r, p.dump(), debug.Stack())
 		}
 	}()
+	if p.ran {
+		return nil, fmt.Errorf("sim: %w", ErrAlreadyRun)
+	}
+	p.ran = true
 	p.inject()
 	c := uint64(0)
 	for ; p.haltCount < p.threads; c++ {
@@ -611,29 +675,29 @@ func (p *Processor) scanTick(c uint64) {
 		}
 		p.outbox.popFront()
 	}
-	for _, d := range p.domains {
-		if d.busy() {
+	for i := range p.domains {
+		if d := &p.domains[i]; d.busy() {
 			d.tick(c)
 		}
 	}
 	// PE pipeline phases, each across all PEs, so pod bypass is symmetric.
-	for _, pe := range p.pes {
-		if !pe.pending.empty() {
+	for i := range p.pes {
+		if pe := &p.pes[i]; !pe.pending.empty() {
 			pe.phaseComplete(c)
 		}
 	}
-	for _, pe := range p.pes {
-		if !pe.schedQ.empty() {
+	for i := range p.pes {
+		if pe := &p.pes[i]; !pe.schedQ.empty() {
 			pe.phaseDispatch(c)
 		}
 	}
-	for _, pe := range p.pes {
-		if !pe.outQ.empty() {
+	for i := range p.pes {
+		if pe := &p.pes[i]; !pe.outQ.empty() {
 			pe.phaseOutput(c)
 		}
 	}
-	for _, pe := range p.pes {
-		if pe.inputPending() {
+	for i := range p.pes {
+		if pe := &p.pes[i]; pe.inputPending() {
 			pe.phaseInput(c)
 		}
 	}
@@ -678,7 +742,7 @@ func (p *Processor) activeTick(c uint64) {
 		p.outbox.popFront()
 	}
 	for _, i := range p.actDomain.drain() {
-		d := p.domains[i]
+		d := &p.domains[i]
 		if d.busy() {
 			d.tick(c)
 			if d.busy() {
@@ -687,7 +751,7 @@ func (p *Processor) activeTick(c uint64) {
 		}
 	}
 	for _, i := range p.actComplete.drain() {
-		pe := p.pes[i]
+		pe := &p.pes[i]
 		if !pe.pending.empty() {
 			pe.phaseComplete(c)
 			if !pe.pending.empty() {
@@ -696,7 +760,7 @@ func (p *Processor) activeTick(c uint64) {
 		}
 	}
 	for _, i := range p.actDispatch.drain() {
-		pe := p.pes[i]
+		pe := &p.pes[i]
 		if !pe.schedQ.empty() {
 			pe.phaseDispatch(c)
 			if !pe.schedQ.empty() {
@@ -705,7 +769,7 @@ func (p *Processor) activeTick(c uint64) {
 		}
 	}
 	for _, i := range p.actOutput.drain() {
-		pe := p.pes[i]
+		pe := &p.pes[i]
 		if !pe.outQ.empty() {
 			pe.phaseOutput(c)
 			if !pe.outQ.empty() {
@@ -714,7 +778,7 @@ func (p *Processor) activeTick(c uint64) {
 		}
 	}
 	for _, i := range p.actInput.drain() {
-		pe := p.pes[i]
+		pe := &p.pes[i]
 		if pe.inputPending() {
 			pe.phaseInput(c)
 			if pe.inputPending() {
@@ -737,13 +801,13 @@ func (p *Processor) quiesced() bool {
 			return false
 		}
 	}
-	for _, d := range p.domains {
-		if d.busy() {
+	for i := range p.domains {
+		if p.domains[i].busy() {
 			return false
 		}
 	}
-	for _, pe := range p.pes {
-		if pe.busy() || pe.idleParked() > 0 {
+	for i := range p.pes {
+		if pe := &p.pes[i]; pe.busy() || pe.idleParked() > 0 {
 			return false
 		}
 	}
@@ -766,7 +830,8 @@ func (p *Processor) collect() {
 	p.stats.SpecFires += sh.SpecFires
 	p.stats.OutQStalls += sh.OutQStalls
 	p.stats.InputRejects += sh.InputRejects
-	for _, pe := range p.pes {
+	for i := range p.pes {
+		pe := &p.pes[i]
 		ms := pe.mt.Stats()
 		p.stats.Match.Inserts += ms.Inserts
 		p.stats.Match.Matches += ms.Matches
@@ -808,8 +873,8 @@ func (p *Processor) dump() string {
 		in, sched, out, pend, parked int
 	}
 	var states []peState
-	for _, pe := range p.pes {
-		if pe.busy() || pe.parkedCount > 0 {
+	for i := range p.pes {
+		if pe := &p.pes[i]; pe.busy() || pe.parkedCount > 0 {
 			states = append(states, peState{pe.addr, int(pe.inQ.n), pe.schedQ.len(), pe.outQ.len(), pe.pending.len(), pe.parkedCount})
 		}
 	}

@@ -53,83 +53,89 @@ func (s *activeSet) drain() []int32 {
 	return out
 }
 
-// fifo is a slice-backed queue with an amortized-O(1) pop-front.
+// fifo is a queue on a power-of-two ring: nothing is allocated until the
+// first push, the buffer then starts at fifoStart slots and doubles when
+// full, and every position is masked index arithmetic, so a queue that
+// holds a few entries keeps re-using the same few cache lines however many
+// pass through it.
 type fifo[T any] struct {
-	items []T
-	head  int
+	buf  []T // nil, or a power-of-two number of slots
+	head int // slot of the front element
+	n    int
 }
 
-func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+// fifoStart is a ring's first capacity.
+const fifoStart = 8
 
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
+func (q *fifo[T]) len() int { return q.n }
 
-func (q *fifo[T]) empty() bool { return q.len() == 0 }
+func (q *fifo[T]) empty() bool { return q.n == 0 }
 
-// peek returns the i-th element from the front.
-func (q *fifo[T]) peek(i int) *T { return &q.items[q.head+i] }
+// slot returns the buffer position of the i-th element from the front.
+func (q *fifo[T]) slot(i int) int { return (q.head + i) & (len(q.buf) - 1) }
+
+// grow doubles a full ring, unwrapping it so the front lands in slot 0.
+func (q *fifo[T]) grow() {
+	buf := make([]T, max(fifoStart, 2*len(q.buf)))
+	n := copy(buf, q.buf[q.head:])
+	copy(buf[n:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
+}
+
+func (q *fifo[T]) push(v T) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[q.slot(q.n)] = v
+	q.n++
+}
+
+// peek returns the i-th element from the front. The pointer is good until
+// the queue is next changed.
+func (q *fifo[T]) peek(i int) *T { return &q.buf[q.slot(i)] }
 
 func (q *fifo[T]) popFront() T {
-	v := q.items[q.head]
 	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head > 64 && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head = q.slot(1)
+	q.n--
 	return v
 }
 
-// remove deletes the i-th element from the front, preserving order. It
-// shifts whichever side of the removal point is shorter and banks a freed
-// front slot in head, where pushFront reclaims it. Its one caller picks
-// from the scheduling queue's eight-entry dispatch window, so the shift
-// is a few elements; queues that are removed from at depth are tokLists.
+// remove deletes the i-th element from the front, preserving order, by
+// shifting whichever side of it is shorter one slot toward it. Its one
+// caller picks from the scheduling queue's eight-entry dispatch window, so
+// the shift is a few elements; queues that are removed from at depth are
+// tokLists.
 func (q *fifo[T]) remove(i int) T {
-	idx := q.head + i
-	v := q.items[idx]
 	var zero T
-	if 2*i < q.len() {
-		copy(q.items[q.head+1:idx+1], q.items[q.head:idx])
-		q.items[q.head] = zero
-		q.head++
-		if q.head > 64 && q.head*2 >= len(q.items) {
-			n := copy(q.items, q.items[q.head:])
-			clear(q.items[n:])
-			q.items = q.items[:n]
-			q.head = 0
+	v := q.buf[q.slot(i)]
+	if 2*i < q.n {
+		for ; i > 0; i-- {
+			q.buf[q.slot(i)] = q.buf[q.slot(i-1)]
 		}
-		return v
+		q.buf[q.head] = zero
+		q.head = q.slot(1)
+	} else {
+		for ; i < q.n-1; i++ {
+			q.buf[q.slot(i)] = q.buf[q.slot(i+1)]
+		}
+		q.buf[q.slot(q.n-1)] = zero
 	}
-	copy(q.items[idx:], q.items[idx+1:])
-	q.items[len(q.items)-1] = zero
-	q.items = q.items[:len(q.items)-1]
+	q.n--
 	return v
 }
 
 // pushFront inserts at the head (used for priority bypass entries and
-// instruction-miss replays). When the head has no slack it opens room for
-// many prepends at once, so a burst costs amortized O(1) per entry instead
-// of an O(queue) shift each.
+// instruction-miss replays).
 func (q *fifo[T]) pushFront(v T) {
-	if q.head == 0 {
-		n := len(q.items)
-		slack := n/4 + 8
-		if cap(q.items) >= n+slack {
-			// Spare tail capacity: shift in place instead of allocating.
-			q.items = q.items[:n+slack]
-			copy(q.items[slack:], q.items[:n])
-			clear(q.items[:slack])
-		} else {
-			items := make([]T, slack+n)
-			copy(items[slack:], q.items)
-			q.items = items
-		}
-		q.head = slack
+	if q.n == len(q.buf) {
+		q.grow()
 	}
-	q.head--
-	q.items[q.head] = v
+	q.head = q.slot(len(q.buf) - 1)
+	q.buf[q.head] = v
+	q.n++
 }
 
 // tokNode is a token held at a PE's INPUT stage: queued, parked on a

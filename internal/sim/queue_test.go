@@ -57,7 +57,8 @@ func TestActiveSetDrainSnapshot(t *testing.T) {
 }
 
 // TestFifoRemove cross-checks remove (both the shift-prefix and
-// shift-suffix paths, compaction included) against a reference slice.
+// shift-suffix paths, on a ring that wraps and grows) against a reference
+// slice.
 func TestFifoRemove(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q fifo[int]
@@ -125,8 +126,9 @@ func TestFifoPushFront(t *testing.T) {
 	}
 }
 
-// TestFifoPushFrontAfterDrain hits the head==0 slack-opening path on an
-// emptied-then-reused queue.
+// TestFifoPushFrontAfterDrain prepends to an emptied-then-reused queue:
+// the head walks down from wherever the drain left it, wrapping below slot
+// 0, and the ring grows when the burst fills it.
 func TestFifoPushFrontAfterDrain(t *testing.T) {
 	var q fifo[int]
 	for i := 0; i < 100; i++ {

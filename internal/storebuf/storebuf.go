@@ -118,14 +118,6 @@ type op struct {
 	readyAt uint64
 }
 
-// waveCtx is one active ordering context.
-type waveCtx struct {
-	thread  uint32
-	wave    uint32
-	ripple  *waveorder.Wave
-	pending []op
-}
-
 // psq is a partial store queue.
 type psq struct {
 	valid   bool
@@ -141,11 +133,22 @@ type threadState struct {
 	nextWave uint32
 	// spill holds ops for waves that do not yet own a context.
 	spill map[uint32][]op
-	// active is the context serving nextWave, if granted.
-	active *waveCtx
+	// active marks the thread as holding an ordering context, which always
+	// serves nextWave: ripple is that wave's issue state and pending its
+	// ops not yet issued. Both live here by value, reset at each grant, so
+	// wave turnover allocates nothing.
+	active  bool
+	ripple  waveorder.Wave
+	pending []op
 	// waiting marks the thread as queued for a context grant.
 	waiting bool
 }
+
+// spillStart is the capacity a wave's op slice starts with when no
+// completed wave has left one to recycle: a wave's ops arrive one at a
+// time, and growing from one by doubling would reallocate three times on
+// the way here.
+const spillStart = 8
 
 // Buffer is one cluster's wave-ordered store buffer.
 type Buffer struct {
@@ -235,8 +238,8 @@ func (b *Buffer) Enqueue(cycle uint64, r Request) {
 		}
 	}
 
-	if ts.active != nil && ts.active.wave == r.Tag.Wave {
-		ts.active.pending = append(ts.active.pending, o)
+	if ts.active && r.Tag.Wave == ts.nextWave {
+		ts.pending = append(ts.pending, o)
 		return
 	}
 	if r.Tag.Wave < ts.nextWave {
@@ -247,11 +250,13 @@ func (b *Buffer) Enqueue(cycle uint64, r Request) {
 		if n := len(b.opFree); n > 0 {
 			sp = b.opFree[n-1][:0]
 			b.opFree = b.opFree[:n-1]
+		} else {
+			sp = make([]op, 0, spillStart)
 		}
 	}
 	ts.spill[r.Tag.Wave] = append(sp, o)
 	b.spillLive++
-	if r.Tag.Wave == ts.nextWave && ts.active == nil && !ts.waiting {
+	if r.Tag.Wave == ts.nextWave && !ts.active && !ts.waiting {
 		ts.waiting = true
 		b.grantQ = append(b.grantQ, r.Tag.Thread)
 	}
@@ -282,7 +287,7 @@ func (b *Buffer) mergeStoreData(cycle uint64, ts *threadState, r Request) bool {
 		}
 		return false
 	}
-	if ts.active != nil && ts.active.wave == r.Tag.Wave && merge(ts.active.pending) {
+	if ts.active && r.Tag.Wave == ts.nextWave && merge(ts.pending) {
 		return true
 	}
 	return merge(ts.spill[r.Tag.Wave])
@@ -301,8 +306,8 @@ func (b *Buffer) takeEarlyData(ts *threadState, r Request) (uint64, bool) {
 		}
 		return 0, false
 	}
-	if ts.active != nil && ts.active.wave == r.Tag.Wave {
-		if d, ok := take(&ts.active.pending); ok {
+	if ts.active && r.Tag.Wave == ts.nextWave {
+		if d, ok := take(&ts.pending); ok {
 			return d, true
 		}
 	}
@@ -318,29 +323,29 @@ func (b *Buffer) takeEarlyData(ts *threadState, r Request) (uint64, bool) {
 // Tick advances the buffer one cycle: grants free contexts to waiting
 // threads and ripples every active context.
 func (b *Buffer) Tick(cycle uint64) {
-	// Grant contexts FIFO.
-	for b.inUse < b.cfg.Contexts && len(b.grantQ) > 0 {
-		tid := b.grantQ[0]
-		b.grantQ = b.grantQ[1:]
-		ts := b.thread(tid)
+	// Grant contexts FIFO. The granted prefix is closed up in place, so the
+	// queue keeps its backing array.
+	granted := 0
+	for ; b.inUse < b.cfg.Contexts && granted < len(b.grantQ); granted++ {
+		ts := b.thread(b.grantQ[granted])
 		ts.waiting = false
-		if ts.active != nil {
+		if ts.active {
 			continue
 		}
-		ctx := &waveCtx{thread: tid, wave: ts.nextWave, ripple: waveorder.NewWave()}
-		ctx.pending = ts.spill[ts.nextWave]
-		b.spillLive -= len(ctx.pending)
+		ts.active, ts.ripple = true, waveorder.Wave{}
+		ts.pending = ts.spill[ts.nextWave]
+		b.spillLive -= len(ts.pending)
 		delete(ts.spill, ts.nextWave)
-		ts.active = ctx
 		b.inUse++
 	}
+	b.grantQ = b.grantQ[:copy(b.grantQ, b.grantQ[granted:])]
 	if len(b.grantQ) > 0 {
 		b.stats.ContextStalls += uint64(len(b.grantQ))
 	}
 
 	for _, tid := range b.threadIDs {
 		ts := b.threads[tid]
-		if ts.active != nil {
+		if ts.active {
 			b.ripple(cycle, tid, ts)
 		}
 	}
@@ -348,12 +353,11 @@ func (b *Buffer) Tick(cycle uint64) {
 
 // ripple issues every currently issuable op of the thread's active wave.
 func (b *Buffer) ripple(cycle uint64, tid uint32, ts *threadState) {
-	ctx := ts.active
 	for {
 		progress := false
-		for i := 0; i < len(ctx.pending); i++ {
-			o := ctx.pending[i]
-			if o.readyAt > cycle || !ctx.ripple.CanIssue(o.req.Mem) {
+		for i := 0; i < len(ts.pending); i++ {
+			o := ts.pending[i]
+			if o.readyAt > cycle || !ts.ripple.CanIssue(o.req.Mem) {
 				continue
 			}
 			// A data half that arrived before its address and never
@@ -367,8 +371,8 @@ func (b *Buffer) ripple(cycle uint64, tid uint32, ts *threadState) {
 				b.stats.PSQStalls++
 				return
 			}
-			ctx.ripple.Issue(o.req.Mem)
-			ctx.pending = append(ctx.pending[:i], ctx.pending[i+1:]...)
+			ts.ripple.Issue(o.req.Mem)
+			ts.pending = append(ts.pending[:i], ts.pending[i+1:]...)
 			progress = true
 			break
 		}
@@ -376,19 +380,20 @@ func (b *Buffer) ripple(cycle uint64, tid uint32, ts *threadState) {
 			break
 		}
 	}
-	if ctx.ripple.Complete() {
-		if len(ctx.pending) != 0 {
+	if ts.ripple.Complete() {
+		if len(ts.pending) != 0 {
 			panic(fmt.Sprintf("storebuf: wave t%d.w%d completed with %d ops pending",
-				tid, ctx.wave, len(ctx.pending)))
+				tid, ts.nextWave, len(ts.pending)))
 		}
-		ts.active = nil
-		if cap(ctx.pending) > 0 {
-			b.opFree = append(b.opFree, ctx.pending[:0])
+		ts.active = false
+		if cap(ts.pending) > 0 {
+			b.opFree = append(b.opFree, ts.pending[:0])
 		}
+		ts.pending = nil
 		b.inUse--
 		b.stats.WavesDone++
 		if b.cfg.Trace != nil {
-			b.cfg.Trace.SBCommit(cycle, b.cfg.Cluster, tid, ctx.wave)
+			b.cfg.Trace.SBCommit(cycle, b.cfg.Cluster, tid, ts.nextWave)
 		}
 		ts.nextWave++
 		if _, ok := ts.spill[ts.nextWave]; ok && !ts.waiting {
@@ -422,7 +427,7 @@ func (b *Buffer) issueOp(cycle uint64, o op) bool {
 		for i := range b.psqs {
 			q := &b.psqs[i]
 			if !q.valid {
-				*q = psq{valid: true, addr: r.Addr, inst: r.Inst, tag: r.Tag}
+				*q = psq{valid: true, addr: r.Addr, inst: r.Inst, tag: r.Tag, queue: q.queue}
 				b.psqLive++
 				b.stats.PSQAllocs++
 				return true
@@ -460,7 +465,7 @@ func (b *Buffer) drainPSQ(cycle uint64, q *psq) {
 	for _, is := range q.queue {
 		b.emit(cycle, is)
 	}
-	*q = psq{}
+	*q = psq{queue: q.queue[:0]} // the queue keeps its capacity
 	b.psqLive--
 }
 

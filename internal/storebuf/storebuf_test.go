@@ -297,3 +297,51 @@ func TestRandomArrivalGlobalOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestWaveTurnoverAllocatesNothing turns a single thread's waves over after
+// a warm-up and requires the buffer to allocate nothing per wave: the
+// ordering context and its ripple state live in the thread's record, the
+// grant queue and a drained partial store queue keep their backing arrays,
+// and spilled op slices recycle. Each wave runs the whole path — ops for
+// the next wave spill while this one is active, a decoupled store takes a
+// partial store queue and captures the load behind it, its data half
+// drains the queue, the wave completes and the next is granted — and each
+// measured run is one whole wave, so a single allocation per wave reads as
+// one, not as a fraction that rounds away.
+func TestWaveTurnoverAllocatesNothing(t *testing.T) {
+	issued := 0
+	b := New(cfg(), func(uint64, Issued) { issued++ })
+	cycle, wave := uint64(0), uint32(0)
+	enqueueWave := func(w uint32) {
+		b.Enqueue(cycle, Request{Kind: ReqStoreAddr, Inst: 1, Tag: tag(0, w), Mem: mi(isa.SeqNone, 0, 1), Addr: 64})
+		b.Enqueue(cycle, Request{Kind: ReqLoad, Inst: 2, Tag: tag(0, w), Mem: mi(0, 1, 2), Addr: 64})
+		b.Enqueue(cycle, Request{Kind: ReqNop, Inst: 3, Tag: tag(0, w), Mem: mi(1, 2, isa.SeqNone)})
+	}
+	enqueueWave(0)
+	turn := func() {
+		enqueueWave(wave + 1) // spills: this wave still owns the context
+		cycle++
+		b.Tick(cycle) // store to a PSQ, load captured behind it, nop issues: wave done
+		b.Enqueue(cycle, Request{Kind: ReqStoreData, Inst: 1, Tag: tag(0, wave), Data: uint64(wave)})
+		wave++
+	}
+	for i := 0; i < 8; i++ {
+		turn()
+	}
+	before := b.Stats()
+	const waves = 300
+	if per := testing.AllocsPerRun(waves, turn); per != 0 {
+		t.Errorf("a wave's turnover allocates %.0f objects, want 0", per)
+	}
+	// AllocsPerRun calls turn once more than it measures.
+	after := b.Stats()
+	if got := after.WavesDone - before.WavesDone; got != waves+1 {
+		t.Errorf("%d waves completed over %d turns", got, waves+1)
+	}
+	if got := after.PSQAllocs - before.PSQAllocs; got != waves+1 {
+		t.Errorf("%d partial store queues granted over %d turns", got, waves+1)
+	}
+	if want := 3 * int(wave); issued != want {
+		t.Errorf("%d ops issued, want %d", issued, want)
+	}
+}
