@@ -9,6 +9,7 @@ package design
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"wavescalar/internal/area"
 )
@@ -72,8 +73,17 @@ var Rules = []string{
 // Viable applies the pruning rules and returns the surviving designs,
 // sorted by area. The paper reports 41 survivors from its (not fully
 // published) rule list; this list lands in the same regime and brackets
-// the same Pareto structure.
+// the same Pareto structure. The list is a pure function of the area
+// model, so it is computed once per process; every caller gets its own
+// copy to sort, truncate or overwrite.
 func Viable() []Point {
+	return append([]Point(nil), viable()...)
+}
+
+var viable = sync.OnceValue(prune)
+
+// prune is one Enumerate-and-prune pass.
+func prune() []Point {
 	var out []Point
 	for _, pt := range Enumerate() {
 		a := pt.Arch

@@ -3,7 +3,9 @@ package design
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"wavescalar/internal/sim"
@@ -63,6 +65,38 @@ func TestViableProperties(t *testing.T) {
 	if pts[0].Area > 60 || pts[len(pts)-1].Area < 300 {
 		t.Errorf("viable area range [%.0f, %.0f] does not span the paper's 40-400",
 			pts[0].Area, pts[len(pts)-1].Area)
+	}
+}
+
+// Viable is computed once per process, but every caller (wspareto, wsarea,
+// wssurrogate, the daemon's subsample, the facade) owns what it gets back:
+// sorting, truncating, appending to or overwriting one returned slice must
+// not reach the next caller's.
+func TestViableReturnsACopy(t *testing.T) {
+	fresh := prune()
+	if len(fresh) != 79 {
+		t.Fatalf("Enumerate-and-prune keeps %d designs, want 79", len(fresh))
+	}
+	// Concurrent callers, as the daemon's handlers are; -race watches.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := Viable()
+			if !slices.Equal(got, fresh) {
+				t.Error("Viable() differs from a fresh Enumerate-and-prune")
+			}
+			slices.Reverse(got)
+			for i := range got {
+				got[i] = Point{}
+			}
+			_ = append(got[:1], Point{Area: -1})
+		}()
+	}
+	wg.Wait()
+	if again := Viable(); !slices.Equal(again, fresh) {
+		t.Fatal("mutating Viable() results changed the next call's")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"wavescalar/internal/design"
@@ -26,21 +27,81 @@ import (
 // would change every process) — and only when non-empty, so keys for
 // clean runs are unchanged and journals from before fault injection
 // existed still resume.
+//
+// The pre-image is the text fmt.Sprintf("cell|%+v|%s|%+v|%v", cfg, app, sc,
+// threadCounts) prints for the cleaned configuration, written by hand
+// because a cache hit spent a third of its time in fmt's reflection; the
+// tests in cellkey_test.go hold the two equal byte for byte, so every key
+// and journal record of any earlier revision is still a hit.
 func CellKey(cfg sim.Config, app string, sc workload.Scale, threadCounts []int) string {
-	cfg.Trace = nil
-	// The scheduling strategy is excluded for the same reason as the trace
-	// recorder: the active-set and full-scan schedulers produce
-	// byte-identical Stats (enforced by the equivalence tests), so the
-	// sweep cache stays valid across either.
-	cfg.Sched = 0
-	script := cfg.Fault
-	cfg.Fault = nil
-	h := sha256.New()
-	fmt.Fprintf(h, "cell|%+v|%s|%+v|%v", cfg, app, sc, threadCounts)
-	if !script.Empty() {
-		fmt.Fprintf(h, "|fault|%s", script.Digest())
+	var buf [512]byte // a clean pre-image is about 400 bytes
+	sum := sha256.Sum256(appendCellPreimage(buf[:0], &cfg, app, sc, threadCounts))
+	var key [32]byte
+	hex.Encode(key[:], sum[:16])
+	return string(key[:])
+}
+
+// appendCellPreimage appends what CellKey hashes. Trace and Sched never
+// change results (the active-set and full-scan schedulers produce
+// byte-identical Stats, enforced by the equivalence tests), so they are
+// written as their zero values whatever cfg holds; so is Fault, whose
+// content follows as a digest instead.
+func appendCellPreimage(b []byte, cfg *sim.Config, app string, sc workload.Scale, threadCounts []int) []byte {
+	field := func(name string, v int) {
+		b = append(b, name...)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
+	a := &cfg.Arch
+	field("cell|{Arch:C", a.Clusters) // area.Params.String()
+	field(" D", a.Domains)
+	field(" P", a.PEs)
+	field(" V", a.Virt)
+	field(" M", a.Match)
+	field(" L1:", a.L1KB)
+	field("KB L2:", a.L2MB)
+	field("MB K:", cfg.K)
+	field(" MatchAssoc:", cfg.MatchAssoc)
+	field(" MatchBanks:", cfg.MatchBanks)
+	field(" OverflowPenalty:", cfg.OverflowPenalty)
+	field(" InstMissPenalty:", cfg.InstMissPenalty)
+	field(" Placement:", int(cfg.Placement))
+	field(" PodSize:", cfg.PodSize)
+	field(" OutQCap:", cfg.OutQCap)
+	b = append(b, " SpecFire:"...)
+	b = strconv.AppendBool(b, cfg.SpecFire)
+	field(" InputWindow:", cfg.InputWindow)
+	field(" SBContexts:", cfg.SBContexts)
+	field(" PSQs:", cfg.PSQs)
+	field(" PSQEntries:", cfg.PSQEntries)
+	field(" SBPipeLat:", cfg.SBPipeLat)
+	field(" L1Lat:", cfg.L1Lat)
+	field(" L1Ports:", cfg.L1Ports)
+	field(" L2Lat:", cfg.L2Lat)
+	field(" MemLat:", cfg.MemLat)
+	field(" NocBW:", cfg.NocBW)
+	field(" NocQCap:", cfg.NocQCap)
+	field(" NetPEBW:", cfg.NetPEBW)
+	b = append(b, " Sched:0 MaxCycles:"...)
+	b = strconv.AppendUint(b, cfg.MaxCycles, 10)
+	b = append(b, " StallLimit:"...)
+	b = strconv.AppendUint(b, cfg.StallLimit, 10)
+	b = append(b, " Trace:<nil> Fault:<nil>}|"...)
+	b = append(b, app...)
+	field("|{Iters:", sc.Iters)
+	field(" Footprint:", sc.Footprint)
+	b = append(b, "}|["...)
+	for i, n := range threadCounts {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+	}
+	b = append(b, ']')
+	if !cfg.Fault.Empty() {
+		b = append(b, "|fault|"...)
+		b = append(b, cfg.Fault.Digest()...)
+	}
+	return b
 }
 
 // TuneKey returns the cache key for one workload's Table 4 tuning: the

@@ -39,6 +39,16 @@ func TestCellKeyFaultScript(t *testing.T) {
 	if faulty == clean {
 		t.Error("fault script did not change the cell key")
 	}
+	// The script rides behind the clean pre-image as "|fault|<digest>", and
+	// the key is the one the fmt-built pre-image gave.
+	cleanPre := string(appendCellPreimage(nil, &cfg, "gzip", workload.Tiny, []int{1}))
+	faultyPre := string(appendCellPreimage(nil, &withFault, "gzip", workload.Tiny, []int{1}))
+	if want := cleanPre + "|fault|" + withFault.Fault.Digest(); faultyPre != want {
+		t.Errorf("faulty pre-image = %q, want %q", faultyPre, want)
+	}
+	if want := "edf0d57f19781e647667136ee8635a78"; faulty != want {
+		t.Errorf("faulty cell key = %s, want %s", faulty, want)
+	}
 
 	// Content-addressed: a distinct allocation of the same script hashes
 	// identically (a pointer leak into the key would break this).

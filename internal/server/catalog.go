@@ -1,8 +1,9 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"wavescalar/internal/design"
 	"wavescalar/internal/workload"
@@ -25,7 +26,16 @@ type tilingInfo struct {
 	Tile   [3]int `json:"tile"`   // gemm: Tm×Tn×Tk; conv: Tx×Ty×Tc
 }
 
-func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
+// The two catalogues are pure functions of what the process was built
+// with — the workload registry is filled in init only (ByName resolves an
+// unregistered tiled kernel without registering it) and the viable list
+// is a constant of the area model — so each body is encoded once.
+var (
+	workloadsBody = sync.OnceValue(func() []byte { return encodeJSON(workloadsListing()) })
+	designsBody   = sync.OnceValue(func() []byte { return encodeJSON(designsListing(design.Viable())) })
+)
+
+func workloadsListing() map[string]any {
 	all := workload.All()
 	rows := make([]workloadRow, len(all))
 	for i, wl := range all {
@@ -37,21 +47,10 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 			rows[i].Tiling = &tilingInfo{Family: family, Order: order, Tile: tile}
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(rows), "workloads": rows})
+	return map[string]any{"count": len(rows), "workloads": rows}
 }
 
-func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
-	points := design.Viable()
-	if maxStr := r.URL.Query().Get("max"); maxStr != "" {
-		var n int
-		if _, err := fmt.Sscanf(maxStr, "%d", &n); err != nil || n < 1 {
-			writeErr(w, http.StatusBadRequest, "bad max %q", maxStr)
-			return
-		}
-		if n < len(points) {
-			points = subsample(points, n)
-		}
-	}
+func designsListing(points []design.Point) map[string]any {
 	rows := make([]map[string]any, len(points))
 	for i, pt := range points {
 		rows[i] = map[string]any{
@@ -60,5 +59,24 @@ func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
 			"capacity": pt.Arch.Capacity(),
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(rows), "designs": rows})
+	return map[string]any{"count": len(rows), "designs": rows}
+}
+
+func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
+	writeEncoded(w, workloadsBody())
+}
+
+func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
+	if maxStr := r.URL.Query().Get("max"); maxStr != "" {
+		n, err := strconv.Atoi(maxStr)
+		if err != nil || n < 1 {
+			writeErr(w, http.StatusBadRequest, "bad max %q", maxStr)
+			return
+		}
+		if points := design.Viable(); n < len(points) {
+			writeJSON(w, http.StatusOK, designsListing(subsample(points, n)))
+			return
+		}
+	}
+	writeEncoded(w, designsBody())
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -145,6 +146,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	cli.WriteJSON(w, v)
+}
+
+// encodeJSON is the body writeJSON would send for v, for the responses
+// that are encoded once and served many times.
+func encodeJSON(v any) []byte {
+	var buf bytes.Buffer
+	if err := cli.WriteJSON(&buf, v); err != nil {
+		panic(err) // only static, encodable values reach here
+	}
+	return buf.Bytes()
+}
+
+// writeEncoded responds 200 with a body from encodeJSON.
+func writeEncoded(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // apiError is the API's uniform error envelope: every non-2xx response

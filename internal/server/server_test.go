@@ -108,13 +108,20 @@ func TestDesignsEndpoint(t *testing.T) {
 		t.Errorf("design row missing area: %v", body.Designs[0])
 	}
 
-	bad, err := http.Get(ts.URL + "/v1/designs?max=zero")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad max: status %d, want 400", bad.StatusCode)
+	// max is a whole decimal number or nothing: trailing garbage and a
+	// leading (percent-encoded) space used to parse as their digits.
+	for raw, shown := range map[string]string{"zero": "zero", "0": "0", "-3": "-3", "12abc": "12abc", "%2010": " 10"} {
+		bad, err := http.Get(ts.URL + "/v1/designs?max=" + raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad.StatusCode != http.StatusBadRequest {
+			t.Errorf("max=%s: status %d, want 400", raw, bad.StatusCode)
+		}
+		want := apiError{Code: "bad_request", Message: fmt.Sprintf("bad max %q", shown)}
+		if got := errEnvelope(t, bad); got != want {
+			t.Errorf("max=%s: error %+v, want %+v", raw, got, want)
+		}
 	}
 }
 
