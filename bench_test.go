@@ -76,8 +76,13 @@ func BenchmarkTable4Tuning(b *testing.B) {
 			}
 			var tn wavescalar.Tuning
 			for i := 0; i < b.N; i++ {
-				tn, err = wavescalar.TuneMatchingTable(context.Background(), w, opt)
+				// A fresh explorer per iteration: an empty cache, so every
+				// k and u step simulates.
+				exp, err := wavescalar.NewExplorer()
 				if err != nil {
+					b.Fatal(err)
+				}
+				if tn, _, err = exp.Tune(context.Background(), w, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -130,20 +135,20 @@ func benchSweep(b *testing.B, apps []wavescalar.Workload, threads []int, nPoints
 // BenchmarkTable5ParetoSplash2 regenerates the shape of Table 5: the
 // Pareto-optimal configurations for the Splash2 suite.
 func BenchmarkTable5ParetoSplash2(b *testing.B) {
-	apps := wavescalar.WorkloadsBySuite(wavescalar.SuiteSplash)[:3] // fft, lu, ocean
+	apps := workload.BySuite(workload.Splash)[:3] // fft, lu, ocean
 	benchSweep(b, apps, []int{1, 4, 16}, 5)
 }
 
 // BenchmarkFigure6ParetoSpec regenerates the single-threaded Spec series
 // of Figure 6 on a design subsample.
 func BenchmarkFigure6ParetoSpec(b *testing.B) {
-	apps := wavescalar.WorkloadsBySuite(wavescalar.SuiteSpec)[:3]
+	apps := workload.BySuite(workload.Spec)[:3]
 	benchSweep(b, apps, []int{1}, 4)
 }
 
 // BenchmarkFigure6ParetoMediabench regenerates the Mediabench series.
 func BenchmarkFigure6ParetoMediabench(b *testing.B) {
-	apps := wavescalar.WorkloadsBySuite(wavescalar.SuiteMedia)
+	apps := workload.BySuite(workload.Media)
 	benchSweep(b, apps, []int{1}, 4)
 }
 
@@ -151,7 +156,7 @@ func BenchmarkFigure6ParetoMediabench(b *testing.B) {
 // best one-cluster design naively replicated versus the area-efficient
 // tile, against the frontier.
 func BenchmarkFigure7ScalableDesigns(b *testing.B) {
-	apps := wavescalar.WorkloadsBySuite(wavescalar.SuiteSplash)[:2]
+	apps := workload.BySuite(workload.Splash)[:2]
 	points := wavescalar.ViableDesigns()
 	var picks []wavescalar.DesignPoint
 	for _, p := range points {

@@ -36,6 +36,7 @@ import (
 	"wavescalar/internal/cli"
 	"wavescalar/internal/design"
 	"wavescalar/internal/version"
+	"wavescalar/internal/workload"
 )
 
 func main() {
@@ -65,17 +66,18 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	st, apps, threads, err := suiteOf(*suite)
-	if err != nil {
-		fail(err)
+	st, threads, ok := workload.SuiteByName(*suite)
+	if !ok {
+		fail(fmt.Errorf("unknown suite %q", *suite))
 	}
+	apps := workload.BySuite(st)
 	if *maxApps > 0 && *maxApps < len(apps) {
 		apps = apps[:*maxApps]
 	}
 
 	points := wavescalar.ViableDesigns()
 	if *maxPoints > 0 && *maxPoints < len(points) {
-		points = subsample(points, *maxPoints)
+		points = design.Subsample(points, *maxPoints)
 	}
 	fmt.Printf("evaluating %d designs on %s (%d apps, scale %s, threads %v)\n\n",
 		len(points), st, len(apps), *scale, threads)
@@ -247,29 +249,6 @@ func appSummary(r wavescalar.SweepResult) string {
 		s += fmt.Sprintf("%s=%.2f(t%d) ", n, r.AIPC[n], r.Threads[n])
 	}
 	return s
-}
-
-func suiteOf(name string) (wavescalar.Suite, []wavescalar.Workload, []int, error) {
-	switch name {
-	case "spec2000":
-		return wavescalar.SuiteSpec, wavescalar.WorkloadsBySuite(wavescalar.SuiteSpec), []int{1}, nil
-	case "mediabench":
-		return wavescalar.SuiteMedia, wavescalar.WorkloadsBySuite(wavescalar.SuiteMedia), []int{1}, nil
-	case "splash2":
-		return wavescalar.SuiteSplash, wavescalar.WorkloadsBySuite(wavescalar.SuiteSplash),
-			[]int{1, 4, 16, 64}, nil
-	case "tiled":
-		return wavescalar.SuiteTiled, wavescalar.WorkloadsBySuite(wavescalar.SuiteTiled), []int{1}, nil
-	}
-	return 0, nil, nil, fmt.Errorf("unknown suite %q", name)
-}
-
-func subsample(pts []wavescalar.DesignPoint, n int) []wavescalar.DesignPoint {
-	out := make([]wavescalar.DesignPoint, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, pts[i*len(pts)/n])
-	}
-	return out
 }
 
 func fail(err error) {

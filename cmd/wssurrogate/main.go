@@ -175,11 +175,11 @@ func cmdEval(args []string) {
 	if err != nil {
 		fail("eval: %v", err)
 	}
-	st, apps, threads, err := suiteOf(*suite)
-	if err != nil {
-		fail("eval: %v", err)
+	st, threads, ok := workload.SuiteByName(*suite)
+	if !ok {
+		fail("eval: unknown suite %q", *suite)
 	}
-	_ = st
+	apps := workload.BySuite(st)
 	points := design.Viable()
 	logf := func(format string, a ...any) {
 		if !*quiet {
@@ -386,20 +386,6 @@ func cmdPredict(args []string) {
 		"cycles": out.Cycles, "traffic": out.Traffic,
 		"model": pred.Kind,
 	})
-}
-
-func suiteOf(name string) (workload.Suite, []workload.Workload, []int, error) {
-	switch name {
-	case "spec2000":
-		return workload.Spec, workload.BySuite(workload.Spec), []int{1}, nil
-	case "mediabench":
-		return workload.Media, workload.BySuite(workload.Media), []int{1}, nil
-	case "splash2":
-		return workload.Splash, workload.BySuite(workload.Splash), []int{1, 4, 16, 64}, nil
-	case "tiled":
-		return workload.Tiled, workload.BySuite(workload.Tiled), []int{1}, nil
-	}
-	return 0, nil, nil, fmt.Errorf("unknown suite %q", name)
 }
 
 func fail(format string, a ...any) {

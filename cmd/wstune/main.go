@@ -1,12 +1,13 @@
 // Command wstune reproduces Table 4: the per-application matching-table
-// tuning (k_opt, u_opt, virtualization ratio), run through the
-// exploration engine so completed tunings can be journaled and resumed.
+// tuning (k_opt, u_opt, virtualization ratio). Every k and u step is one
+// cell of the exploration engine, so a journaled run resumes at the step it
+// was interrupted in and its journal is ordinary sweep/surrogate data.
 //
 // Usage:
 //
 //	wstune                 # tune every bundled workload
 //	wstune -app gzip       # tune one
-//	wstune -journal t.jsonl -resume   # skip already-journaled workloads
+//	wstune -journal t.jsonl -resume   # simulate only the steps not yet journaled
 //	wstune -surrogate model.json      # model-prune non-competitive k candidates
 package main
 
@@ -19,14 +20,15 @@ import (
 	"os/signal"
 
 	"wavescalar"
+	"wavescalar/internal/cli"
 	"wavescalar/internal/version"
 )
 
 func main() {
 	app := flag.String("app", "", "tune only this workload")
 	scale := flag.String("scale", "tiny", "workload scale: tiny, small, medium")
-	journalPath := flag.String("journal", "", "append completed tunings to this JSONL journal")
-	resume := flag.Bool("resume", false, "replay the journal first and tune only missing workloads")
+	journalPath := flag.String("journal", "", "append each completed k/u step (one cell) to this JSONL journal")
+	resume := flag.Bool("resume", false, "replay the journal first and simulate only the missing cells")
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = none)")
 	surrogatePath := flag.String("surrogate", "", "prune non-competitive k candidates with this model file (wssurrogate train)")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -41,20 +43,14 @@ func main() {
 	}
 
 	opt := wavescalar.DefaultTuneOptions()
-	switch *scale {
-	case "tiny":
-		opt.Scale = wavescalar.ScaleTiny
-	case "small":
-		opt.Scale = wavescalar.ScaleSmall
-	case "medium":
-		opt.Scale = wavescalar.ScaleMedium
-	default:
-		fail(fmt.Errorf("unknown scale %q", *scale))
+	sc, err := cli.ParseScale(*scale)
+	if err != nil {
+		fail(err)
 	}
+	opt.Scale = sc
 
 	var model *wavescalar.Surrogate
 	if *surrogatePath != "" {
-		var err error
 		if model, err = wavescalar.LoadSurrogate(*surrogatePath); err != nil {
 			fail(err)
 		}
@@ -89,7 +85,7 @@ func main() {
 	}
 	defer exp.Close()
 	if *resume {
-		fmt.Fprintf(os.Stderr, "resumed %d journaled records from %s\n", exp.Resumed(), *journalPath)
+		fmt.Fprintf(os.Stderr, "resumed %d journaled cells from %s\n", exp.Resumed(), *journalPath)
 	}
 
 	fmt.Println("Table 4: matching-table tuning (k_opt on an infinite table;")
@@ -112,7 +108,7 @@ func main() {
 				}
 				fmt.Fprintln(os.Stderr, "wstune:", err)
 				if *journalPath != "" {
-					fmt.Fprintf(os.Stderr, "wstune: completed tunings are journaled; rerun with -journal %s -resume to continue\n", *journalPath)
+					fmt.Fprintf(os.Stderr, "wstune: completed cells are journaled; rerun with -journal %s -resume to continue\n", *journalPath)
 				}
 				os.Exit(3)
 			}

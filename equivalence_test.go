@@ -10,10 +10,11 @@ import (
 	"testing"
 
 	"wavescalar"
+	"wavescalar/internal/sim"
 )
 
 // runSched runs one kernel at tiny scale under the given scheduling mode.
-func runSched(t *testing.T, name string, mode wavescalar.SchedMode, threads int) *wavescalar.Stats {
+func runSched(t *testing.T, name string, mode sim.SchedMode, threads int) *wavescalar.Stats {
 	t.Helper()
 	cfg := wavescalar.Baseline(wavescalar.BaselineArch())
 	cfg.Sched = mode
@@ -36,8 +37,8 @@ func TestSchedulerEquivalence(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			active := runSched(t, w.Name, wavescalar.SchedActiveSet, 1)
-			scan := runSched(t, w.Name, wavescalar.SchedFullScan, 1)
+			active := runSched(t, w.Name, sim.SchedActiveSet, 1)
+			scan := runSched(t, w.Name, sim.SchedFullScan, 1)
 			if !reflect.DeepEqual(active, scan) {
 				t.Errorf("stats diverge between schedulers\nactive-set: %+v\nfull-scan:  %+v", active, scan)
 			}
@@ -62,12 +63,12 @@ func TestSchedulerEquivalenceMultithreaded(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := wavescalar.Baseline(arch)
-			cfg.Sched = wavescalar.SchedActiveSet
+			cfg.Sched = sim.SchedActiveSet
 			active, err := runWorkload(cfg, name, wavescalar.ScaleTiny, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Sched = wavescalar.SchedFullScan
+			cfg.Sched = sim.SchedFullScan
 			scan, err := runWorkload(cfg, name, wavescalar.ScaleTiny, 2)
 			if err != nil {
 				t.Fatal(err)

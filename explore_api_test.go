@@ -101,7 +101,6 @@ func TestNewExplorerRootAPI(t *testing.T) {
 		wavescalar.WithScale(wavescalar.ScaleTiny),
 		wavescalar.WithThreadCounts(1),
 		wavescalar.WithParallelism(2),
-		wavescalar.WithCache(wavescalar.NewExploreCache()),
 		wavescalar.WithProgress(func(p wavescalar.ExploreProgress) { lastProg = p }),
 	)
 	if err != nil {

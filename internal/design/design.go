@@ -119,6 +119,17 @@ func prune() []Point {
 	return out
 }
 
+// Subsample picks n of pts evenly spaced, in order — how wspareto -max and
+// the daemon's max / max_points thin the area-sorted viable list. n must be
+// in [1, len(pts)].
+func Subsample(pts []Point, n int) []Point {
+	out := make([]Point, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, pts[i*len(pts)/n])
+	}
+	return out
+}
+
 // Evaluated pairs a design point with its measured performance.
 type Evaluated struct {
 	Point

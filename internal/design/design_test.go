@@ -3,6 +3,7 @@ package design
 import (
 	"bytes"
 	"context"
+	"errors"
 	"slices"
 	"strings"
 	"sync"
@@ -189,11 +190,21 @@ func TestBestThreadsPicksWinner(t *testing.T) {
 	}
 }
 
+// measureDirect is a Tune measure that simulates inst with one
+// BestThreadsContext per step — what the explore engine's cell does,
+// without the engine (which this package cannot import).
+func measureDirect(inst *workload.Instance) func(sim.Config) (float64, error) {
+	return func(cfg sim.Config) (float64, error) {
+		br, err := BestThreadsContext(context.Background(), cfg, inst, []int{1})
+		return br.AIPC, err
+	}
+}
+
 func TestTuneGzip(t *testing.T) {
 	opt := DefaultTuneOptions()
 	opt.Ks = []int{1, 2, 4}
 	opt.Us = []int{1, 4, 16, 64}
-	tn, err := TuneContext(context.Background(), mustWorkload(t, "gzip"), opt)
+	tn, err := Tune("gzip", opt, measureDirect(mustWorkload(t, "gzip").Build(opt.Scale)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +216,59 @@ func TestTuneGzip(t *testing.T) {
 	}
 	if tn.Ratio <= 0 || tn.Ratio > 4 {
 		t.Errorf("ratio = %v", tn.Ratio)
+	}
+}
+
+// TestTuneSelection drives the Table 4 selection rules with a synthetic
+// measure: the smallest k within Tol of the best, the last u before AIPC
+// drops by more than Tol, an advisor that only prunes, and step errors
+// that name the workload and the step.
+func TestTuneSelection(t *testing.T) {
+	opt := TuneOptions{Scale: workload.Tiny, Ks: []int{1, 2, 4}, Us: []int{1, 2, 4, 8}, Tol: 0.05}
+	kAIPC := map[int]float64{1: 0.80, 2: 0.97, 4: 1.00}
+	var measured []sim.Config
+	measure := func(cfg sim.Config) (float64, error) {
+		measured = append(measured, cfg)
+		if cfg.Arch.Match == 4096 {
+			return kAIPC[cfg.K], nil
+		}
+		if cfg.Arch.Match >= 256 { // M = 512/u: u = 1, 2 hold up; u = 4 drops
+			return 0.97, nil
+		}
+		return 0.5, nil
+	}
+	tn, err := Tune("synthetic", opt, measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Tuning{App: "synthetic", KOpt: 2, UOpt: 2, Ratio: 1}); tn != want {
+		t.Errorf("tuning = %+v, want %+v", tn, want)
+	}
+	if len(measured) != 3+3 { // every k, then u = 1, 2 and the u = 4 that dropped
+		t.Errorf("measured %d configurations, want 6", len(measured))
+	}
+
+	// The advisor rules k=1 out (0.5 is far below the band), so it is
+	// never measured; the selection among the rest is unchanged.
+	measured = nil
+	advised := opt
+	advised.Advisor = func(cfg sim.Config) (float64, bool) { return map[int]float64{1: 0.5, 2: 1, 4: 1}[cfg.K], true }
+	tn, err = Tune("synthetic", advised, measure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tn.KOpt != 2 || tn.UOpt != 2 || tn.Pruned != 1 || len(measured) != 2+3 {
+		t.Errorf("advised tuning = %+v over %d measurements, want k_opt 2, u_opt 2, 1 pruned, 5 measured", tn, len(measured))
+	}
+
+	failing := func(cfg sim.Config) (float64, error) {
+		if cfg.Arch.Match != 4096 {
+			return 0, errors.New("boom")
+		}
+		return 1, nil
+	}
+	if _, err := Tune("synthetic", opt, failing); err == nil || !strings.Contains(err.Error(), "synthetic at u=1: boom") {
+		t.Errorf("step failure = %v, want one naming the workload and u=1", err)
 	}
 }
 

@@ -32,7 +32,6 @@ func TestValidateRunRejectsBadOptions(t *testing.T) {
 }
 
 func TestTuneContextRejectsBadOptions(t *testing.T) {
-	w := mustWorkload(t, "gzip")
 	base := DefaultTuneOptions()
 	mutate := map[string]func(*TuneOptions){
 		"zero scale":    func(o *TuneOptions) { o.Scale = workload.Scale{} },
@@ -46,7 +45,11 @@ func TestTuneContextRejectsBadOptions(t *testing.T) {
 	for name, mut := range mutate {
 		opt := base
 		mut(&opt)
-		if _, err := TuneContext(context.Background(), w, opt); !errors.Is(err, ErrBadOptions) {
+		measure := func(sim.Config) (float64, error) {
+			t.Errorf("%s: measured a step despite bad options", name)
+			return 0, nil
+		}
+		if _, err := Tune("gzip", opt, measure); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("%s: error = %v, want ErrBadOptions", name, err)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // ErrBadOptions is the sentinel wrapped by the validating entry points
-// (ValidateRun, TuneContext and the explore engine) when their options
+// (ValidateRun, Tune and the explore engine) when their options
 // are malformed. Match it with errors.Is.
 var ErrBadOptions = errors.New("design: bad options")
 

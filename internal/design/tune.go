@@ -1,7 +1,6 @@
 package design
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -47,7 +46,7 @@ type TuneOptions struct {
 }
 
 // Validate reports whether the options are usable, wrapping ErrBadOptions
-// on failure. TuneContext (and the explore engine) validate eagerly.
+// on failure. Tune validates eagerly.
 func (o TuneOptions) Validate() error {
 	if err := validateScale(o.Scale); err != nil {
 		return err
@@ -97,10 +96,13 @@ func TunePoint() Point {
 	return Point{Arch: arch, Area: area.Total(arch)}
 }
 
-// TuneContext computes k_opt, u_opt and the virtualization ratio for one
-// workload, following Section 4.2. Options are validated eagerly (errors
-// wrap ErrBadOptions) and ctx cancels the simulations.
-func TuneContext(ctx context.Context, w workload.Workload, opt TuneOptions) (Tuning, error) {
+// Tune computes k_opt, u_opt and the virtualization ratio for one workload,
+// following Section 4.2. It owns the selection logic only: every
+// single-thread AIPC it compares comes from measure — the explore engine
+// passes its cached, journaled cell (Explorer.Tune) — so this package never
+// simulates on a tuning's behalf. Options are validated eagerly (errors
+// wrap ErrBadOptions); a measure error aborts the tuning, named by step.
+func Tune(app string, opt TuneOptions, measure func(sim.Config) (float64, error)) (Tuning, error) {
 	if err := opt.Validate(); err != nil {
 		return Tuning{}, err
 	}
@@ -108,12 +110,18 @@ func TuneContext(ctx context.Context, w workload.Workload, opt TuneOptions) (Tun
 	if configure == nil {
 		configure = BaselineConfigure
 	}
-	inst := w.Build(opt.Scale)
+	tuneConfig := func(match, k int) sim.Config {
+		cfg := configure(TunePoint())
+		cfg.Arch.Match = match
+		cfg.K = k
+		return cfg
+	}
 
-	// Step 1: k_opt on an effectively infinite matching table. With an
-	// Advisor, candidates predicted to land clearly outside the tolerance
-	// band (more than 2×Tol below the best prediction) are skipped; the
-	// selection below still compares only simulated candidates.
+	// Step 1: k_opt on an effectively infinite matching table (M = 4096,
+	// far beyond any instance demand). With an Advisor, candidates predicted
+	// to land clearly outside the tolerance band (more than 2×Tol below the
+	// best prediction) are skipped; the selection below still compares only
+	// measured candidates.
 	skip := make([]bool, len(opt.Ks))
 	pruned := 0
 	if opt.Advisor != nil {
@@ -121,10 +129,7 @@ func TuneContext(ctx context.Context, w workload.Workload, opt TuneOptions) (Tun
 		have := make([]bool, len(opt.Ks))
 		bestPred := 0.0
 		for i, k := range opt.Ks {
-			cfg := configure(TunePoint())
-			cfg.Arch.Match = 4096
-			cfg.K = k
-			if a, ok := opt.Advisor(cfg); ok {
+			if a, ok := opt.Advisor(tuneConfig(4096, k)); ok {
 				preds[i], have[i] = a, true
 				if a > bestPred {
 					bestPred = a
@@ -144,28 +149,23 @@ func TuneContext(ctx context.Context, w workload.Workload, opt TuneOptions) (Tun
 		}
 	}
 	kAIPC := make([]float64, len(opt.Ks))
-	simulated := make([]bool, len(opt.Ks))
 	best := 0.0
 	for i, k := range opt.Ks {
 		if skip[i] {
 			continue
 		}
-		cfg := configure(TunePoint())
-		cfg.Arch.Match = 4096 // "infinite": far beyond any instance demand
-		cfg.K = k
-		st, err := RunOnceContext(ctx, cfg, inst, 1)
+		a, err := measure(tuneConfig(4096, k))
 		if err != nil {
-			return Tuning{}, fmt.Errorf("design: tuning %s at k=%d: %w", w.Name, k, err)
+			return Tuning{}, fmt.Errorf("design: tuning %s at k=%d: %w", app, k, err)
 		}
-		kAIPC[i] = st.AIPC()
-		simulated[i] = true
-		if kAIPC[i] > best {
-			best = kAIPC[i]
+		kAIPC[i] = a
+		if a > best {
+			best = a
 		}
 	}
 	kOpt := opt.Ks[len(opt.Ks)-1]
 	for i, k := range opt.Ks {
-		if simulated[i] && kAIPC[i] >= best*(1-opt.Tol) {
+		if !skip[i] && kAIPC[i] >= best*(1-opt.Tol) {
 			kOpt = k
 			break
 		}
@@ -182,14 +182,10 @@ func TuneContext(ctx context.Context, w workload.Workload, opt TuneOptions) (Tun
 		if m%2 != 0 {
 			m++ // keep divisible by the 2-way associativity
 		}
-		cfg := configure(TunePoint())
-		cfg.Arch.Match = m
-		cfg.K = kOpt
-		st, err := RunOnceContext(ctx, cfg, inst, 1)
+		a, err := measure(tuneConfig(m, kOpt))
 		if err != nil {
-			return Tuning{}, fmt.Errorf("design: tuning %s at u=%d: %w", w.Name, u, err)
+			return Tuning{}, fmt.Errorf("design: tuning %s at u=%d: %w", app, u, err)
 		}
-		a := st.AIPC()
 		if i == 0 {
 			ref = a
 			uOpt = u
@@ -202,7 +198,7 @@ func TuneContext(ctx context.Context, w workload.Workload, opt TuneOptions) (Tun
 	}
 
 	return Tuning{
-		App:    w.Name,
+		App:    app,
 		KOpt:   kOpt,
 		UOpt:   uOpt,
 		Ratio:  float64(kOpt) / float64(uOpt),

@@ -4,12 +4,10 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
 
-	"wavescalar/internal/design"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
@@ -104,28 +102,6 @@ func appendCellPreimage(b []byte, cfg *sim.Config, app string, sc workload.Scale
 	return b
 }
 
-// TuneKey returns the cache key for one workload's Table 4 tuning: the
-// base configuration the k/u sweeps perturb, the workload name, and the
-// tuning schedule (scale, Ks, Us, Tol).
-func TuneKey(base sim.Config, app string, opt design.TuneOptions) string {
-	base.Trace = nil
-	base.Sched = 0 // scheduler strategy never changes results (see CellKey)
-	script := base.Fault
-	base.Fault = nil
-	h := sha256.New()
-	fmt.Fprintf(h, "tune|%+v|%s|%+v|%v|%v|%v", base, app, opt.Scale, opt.Ks, opt.Us, opt.Tol)
-	if !script.Empty() {
-		fmt.Fprintf(h, "|fault|%s", script.Digest())
-	}
-	// Advisor-assisted tunings prune their k sweep with a surrogate, so
-	// they may not be bit-equal to exhaustive ones; keep the two result
-	// populations apart in the cache and journal.
-	if opt.Advisor != nil {
-		fmt.Fprintf(h, "|advised")
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
-}
-
 // Cell is one completed (design point, workload) measurement — the unit
 // of caching, journaling and resume. Deterministic failures (deadlocks,
 // cycle-limit aborts) are cells too: they are cached by their error text
@@ -159,11 +135,10 @@ type Cell struct {
 // exported so long-running services can report hit ratios and eviction
 // pressure.
 type CacheStats struct {
-	// Cells and Tunings count the stored entries; Limit is the LRU cap on
-	// cells (0 = unlimited).
-	Cells, Tunings, Limit int
-	// Hits and Misses count lookups (cells and tunings alike); Evictions
-	// counts cells dropped to honour the limit.
+	// Cells counts the stored entries; Limit is the LRU cap (0 = unlimited).
+	Cells, Limit int
+	// Hits and Misses count lookups; Evictions counts cells dropped to
+	// honour the limit.
 	Hits, Misses, Evictions uint64
 }
 
@@ -182,28 +157,21 @@ func (s CacheStats) HitRatio() float64 {
 //
 // By default the cache grows without bound (a full Pareto sweep is a few
 // hundred thousand cells at most, and a CLI process is short-lived). A
-// long-running daemon can cap it with SetLimit, which turns the cell
-// store into an LRU: lookups refresh recency, and inserts beyond the
-// limit evict the least recently used cell. Tunings are not subject to
-// the limit — there is at most one per (workload, schedule) and the
-// tuning store stays trivially small.
+// long-running daemon can cap it with SetLimit, which turns the store
+// into an LRU: lookups refresh recency, and inserts beyond the limit evict
+// the least recently used cell.
 type Cache struct {
-	mu      sync.Mutex
-	limit   int
-	cells   map[string]*list.Element // elements hold Cell values
-	order   *list.List               // front = most recently used
-	tunings map[string]design.Tuning
+	mu    sync.Mutex
+	limit int
+	cells map[string]*list.Element // elements hold Cell values
+	order *list.List               // front = most recently used
 
 	hits, misses, evictions uint64
 }
 
 // NewCache returns an empty, unbounded in-memory cache.
 func NewCache() *Cache {
-	return &Cache{
-		cells:   make(map[string]*list.Element),
-		order:   list.New(),
-		tunings: make(map[string]design.Tuning),
-	}
+	return &Cache{cells: make(map[string]*list.Element), order: list.New()}
 }
 
 // SetLimit caps the cell store at n entries, evicting least-recently-used
@@ -275,39 +243,12 @@ func (c *Cache) Cells() []Cell {
 	return out
 }
 
-// Tuning looks up a completed tuning by key.
-func (c *Cache) Tuning(key string) (design.Tuning, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tn, ok := c.tunings[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return tn, ok
-}
-
-// PutTuning stores a completed tuning.
-func (c *Cache) PutTuning(key string, tn design.Tuning) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tunings[key] = tn
-}
-
-// Len returns the number of cached cells plus tunings.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.cells) + len(c.tunings)
-}
-
 // Stats returns a snapshot of the cache's size and lookup counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Cells: len(c.cells), Tunings: len(c.tunings), Limit: c.limit,
+		Cells: len(c.cells), Limit: c.limit,
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 	}
 }

@@ -1,8 +1,8 @@
 // Package explore is the design-space exploration engine: it orchestrates
 // the paper's Pareto sweep (Section 4.2, >21,000 enumerated configurations
-// × 15 workloads) and Table 4 tuning on top of internal/design, adding
-// what a production-scale sweep needs and a one-shot goroutine fan-out
-// lacks:
+// × 15 workloads) and Table 4 tuning on top of internal/design — both as
+// loops over one unit, the cell — adding what a production-scale sweep
+// needs and a one-shot goroutine fan-out lacks:
 //
 //   - a content-addressed result cache (see CellKey) so identical
 //     simulations — within a sweep, across overlapping sweeps, or across
@@ -559,43 +559,26 @@ func (e *Explorer) RunOne(ctx context.Context, cfg sim.Config, w workload.Worklo
 // callers that report its statistics or pre-warm it.
 func (e *Explorer) Cache() *Cache { return e.cache }
 
-// RecordCell commits an externally completed cell to the cache and the
-// journal — the write-through the cluster tier uses to stream cells
-// completed on remote workers into the coordinator's shared result space.
-// Because cells are content-addressed, recording the same cell twice is
-// idempotent in the cache; the journal tolerates duplicate records (resume
-// replays them onto the same key).
-func (e *Explorer) RecordCell(cell Cell) error {
-	if cell.Key == "" {
-		return fmt.Errorf("%w: cell without key", design.ErrBadOptions)
-	}
-	return e.commit(cell)
-}
-
-// Tune runs the Table 4 procedure for one workload through the cache and
-// journal: a previously journaled tuning with the same workload, schedule
-// and base configuration is returned without simulating.
+// Tune runs the Table 4 procedure for one workload with every measurement
+// a cell: design.Tune picks k_opt and u_opt, and each single-thread AIPC it
+// asks for is RunOne's — cached, journaled and resumable like any sweep
+// cell, and shared with every other tuning, sweep or /v1/runs request that
+// measures the same configuration. cached reports that every step was a
+// cache hit, i.e. the tuning simulated nothing. A step that fails
+// deterministically is a cached cell too, so the same error comes back from
+// the cache on the next call.
 func (e *Explorer) Tune(ctx context.Context, w workload.Workload, opt design.TuneOptions) (design.Tuning, bool, error) {
-	if err := opt.Validate(); err != nil {
-		return design.Tuning{}, false, err
-	}
-	configure := opt.Configure
-	if configure == nil {
-		configure = design.BaselineConfigure
-	}
-	key := TuneKey(configure(design.TunePoint()), w.Name, opt)
-	if tn, ok := e.cache.Tuning(key); ok {
-		return tn, true, nil
-	}
-	tn, err := design.TuneContext(ctx, w, opt)
-	if err != nil {
-		return design.Tuning{}, false, err
-	}
-	e.cache.PutTuning(key, tn)
-	if e.journal != nil {
-		if jerr := e.journal.append(tuningRecord(key, tn)); jerr != nil {
-			return tn, false, jerr
+	cached := true
+	tn, err := design.Tune(w.Name, opt, func(cfg sim.Config) (float64, error) {
+		cell, hit, err := e.RunOne(ctx, cfg, w, opt.Scale, []int{1})
+		if err != nil {
+			return 0, err
 		}
-	}
-	return tn, false, nil
+		cached = cached && hit
+		if cell.Err != "" {
+			return 0, errors.New(cell.Err)
+		}
+		return cell.AIPC, nil
+	})
+	return tn, cached && err == nil, err
 }

@@ -394,6 +394,10 @@ func TestNewValidatesOptions(t *testing.T) {
 	}
 }
 
+// TestTuneCachesThroughJournal: a tuning is a loop over cells, so the
+// journal resumes it at the cell it was interrupted in, not at the
+// workload: cancel after the k sweep, reopen with resume, and only the u
+// sweep simulates; reopen again and nothing does.
 func TestTuneCachesThroughJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tune.jsonl")
 	w, err := workload.ByName("gzip")
@@ -404,16 +408,41 @@ func TestTuneCachesThroughJournal(t *testing.T) {
 	opt.Ks = []int{1, 2}
 	opt.Us = []int{1, 4}
 
-	first, err := New(WithJournal(path, false))
+	plain, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, hit, err := first.Tune(context.Background(), w, opt)
+	want, hit, err := plain.Tune(context.Background(), w, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Error("first tuning reported a cache hit")
+	}
+	steps := int(plain.Cache().Stats().Misses) // every step of a cold tuning misses
+	if steps != len(opt.Ks)+len(opt.Us) {
+		t.Fatalf("uninterrupted tuning took %d cells, want %d", steps, len(opt.Ks)+len(opt.Us))
+	}
+
+	// Interrupt: the tuning asks Configure for a machine once per step, so
+	// cancelling on the call after the last k leaves exactly the k sweep
+	// journaled.
+	first, err := New(WithJournal(path, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	interrupted := opt
+	interrupted.Configure = func(p design.Point) sim.Config {
+		if calls++; calls > len(opt.Ks) {
+			cancel()
+		}
+		return design.BaselineConfigure(p)
+	}
+	if _, _, err := first.Tune(ctx, w, interrupted); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted tuning: error = %v, want context.Canceled", err)
 	}
 	if err := first.Close(); err != nil {
 		t.Fatal(err)
@@ -423,24 +452,128 @@ func TestTuneCachesThroughJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer second.Close()
+	if second.Resumed() != len(opt.Ks) {
+		t.Errorf("resumed %d cells, want the %d of the k sweep", second.Resumed(), len(opt.Ks))
+	}
 	got, hit, err := second.Tune(context.Background(), w, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
-		t.Error("journaled tuning was re-simulated")
+	if hit {
+		t.Error("a tuning that still had its u sweep to run reported a full cache hit")
+	}
+	if st := second.Cache().Stats(); int(st.Hits) != len(opt.Ks) || int(st.Misses) != steps-len(opt.Ks) {
+		t.Errorf("resumed tuning: %d hits, %d simulated; want %d and %d (the u sweep only)",
+			st.Hits, st.Misses, len(opt.Ks), steps-len(opt.Ks))
+	}
+	if got != want {
+		t.Errorf("resumed tuning %+v != uninterrupted %+v", got, want)
+	}
+	if err := second.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	third, err := New(WithJournal(path, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer third.Close()
+	got, hit, err = third.Tune(context.Background(), w, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit || third.Cache().Stats().Misses != 0 {
+		t.Errorf("journaled tuning was re-simulated: hit=%v, stats %+v", hit, third.Cache().Stats())
 	}
 	if got != want {
 		t.Errorf("replayed tuning %+v != %+v", got, want)
 	}
+	// The journal is ordinary cell data: surrogate training reads it.
+	if n := len(CellSamples(third.Cache().Cells())); n != steps {
+		t.Errorf("a tuning's journal yields %d training samples, want %d", n, steps)
+	}
 
-	// A different schedule must miss.
+	// A different schedule shares the cells both measure and simulates
+	// only the step it adds (u=2).
 	opt.Us = []int{1, 2}
-	if _, hit, err := second.Tune(context.Background(), w, opt); err != nil {
+	if _, hit, err := third.Tune(context.Background(), w, opt); err != nil {
 		t.Fatal(err)
 	} else if hit {
-		t.Error("tuning with a different schedule hit the cache")
+		t.Error("tuning with a new u step reported a full cache hit")
+	}
+	if misses := third.Cache().Stats().Misses; misses != 1 {
+		t.Errorf("new schedule simulated %d cells, want 1", misses)
+	}
+}
+
+// TestTuneTable4Pinned pins wstune's whole table: every registered
+// workload's k_opt and u_opt under the default schedule, as tuned before
+// tunings ran as cells (the first 15 rows are results/table4_tuning.txt).
+func TestTuneTable4Pinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tunes all 21 workloads")
+	}
+	want := []struct {
+		app        string
+		kOpt, uOpt int
+	}{
+		{"ammp", 2, 64}, {"art", 1, 8}, {"equake", 1, 64}, {"gzip", 1, 64}, {"mcf", 1, 16}, {"twolf", 1, 8},
+		{"djpeg", 2, 64}, {"mpeg2encode", 1, 32}, {"rawdaudio", 1, 64},
+		{"fft", 2, 2}, {"lu", 3, 16}, {"ocean", 1, 64}, {"radix", 1, 64}, {"raytrace", 1, 2}, {"water", 1, 64},
+		{"conv-is-4x4x2", 1, 64}, {"conv-os-4x4x2", 1, 64}, {"conv-ws-4x4x2", 1, 64},
+		{"gemm-as-4x4x4", 1, 64}, {"gemm-bs-4x4x4", 1, 64}, {"gemm-os-4x4x4", 1, 64},
+	}
+	apps := workload.All()
+	if len(apps) != len(want) {
+		t.Fatalf("%d registered workloads, table pins %d", len(apps), len(want))
+	}
+	e, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range apps {
+		tn, _, err := e.Tune(context.Background(), w, design.DefaultTuneOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := want[i]
+		if pinned := (design.Tuning{App: row.app, KOpt: row.kOpt, UOpt: row.uOpt, Ratio: float64(row.kOpt) / float64(row.uOpt)}); tn != pinned {
+			t.Errorf("row %d: tuned %+v, pinned %+v", i, tn, pinned)
+		}
+	}
+}
+
+// TestTuneStepFailureIsCached: a step that fails deterministically is a
+// cell like any other — the error names the workload and the step, and a
+// second call gets it from the cache instead of simulating again.
+func TestTuneStepFailureIsCached(t *testing.T) {
+	w, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := design.DefaultTuneOptions()
+	opt.Configure = func(p design.Point) sim.Config {
+		cfg := design.BaselineConfigure(p)
+		cfg.MaxCycles = 1
+		return cfg
+	}
+	e, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call, wantHits := range []uint64{0, 1} {
+		_, hit, err := e.Tune(context.Background(), w, opt)
+		if err == nil || hit {
+			t.Fatalf("call %d: hit=%v error=%v, want a failure", call, hit, err)
+		}
+		for _, want := range []string{"gzip", "k=1", sim.ErrMaxCycles.Error()} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("call %d: error %q does not mention %q", call, err, want)
+			}
+		}
+		if st := e.Cache().Stats(); st.Misses != 1 || st.Hits != wantHits {
+			t.Errorf("call %d: cache stats %+v, want 1 miss and %d hits", call, st, wantHits)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"wavescalar/internal/design"
 	"wavescalar/internal/fault"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
@@ -65,23 +64,6 @@ func TestCellKeyFaultScript(t *testing.T) {
 	}
 }
 
-func TestTuneKeyFaultScript(t *testing.T) {
-	cfg := sim.Baseline(sim.BaselineArch())
-	opt := design.TuneOptions{Scale: workload.Tiny, Ks: []int{1, 2}, Us: []int{1, 2}, Tol: 0.05}
-	clean := TuneKey(cfg, "gzip", opt)
-
-	withEmpty := cfg
-	withEmpty.Fault = &fault.Script{}
-	if TuneKey(withEmpty, "gzip", opt) != clean {
-		t.Error("empty fault script changed the tune key")
-	}
-	withFault := cfg
-	withFault.Fault = &fault.Script{Seed: 9, MemDropRate: 0.1}
-	if TuneKey(withFault, "gzip", opt) == clean {
-		t.Error("fault script did not change the tune key")
-	}
-}
-
 // A torn trailing record must be skipped with a logged warning, not
 // silently: operators should know a cell will re-simulate.
 func TestJournalTornTailLogsWarning(t *testing.T) {
@@ -97,7 +79,7 @@ func TestJournalTornTailLogsWarning(t *testing.T) {
 	defer log.SetOutput(prev)
 
 	cache := NewCache()
-	n, err := loadJournal(path, cache)
+	n, err := ReplayJournal(path, cache)
 	if err != nil {
 		t.Fatalf("torn tail should be tolerated: %v", err)
 	}

@@ -7,19 +7,17 @@ import (
 	"log"
 	"os"
 	"sync"
-
-	"wavescalar/internal/design"
 )
 
 // record is one journal line. The journal is JSONL: one self-contained
-// JSON object per line, appended as each cell (or tuning) completes, so a
-// crashed or cancelled sweep loses at most the cell in flight. A resumed
+// JSON object per line, appended as each cell completes, so a crashed or
+// cancelled sweep or tuning loses at most the cell in flight. A resumed
 // run replays the journal into the cache and simulates only missing
 // cells; because records are content-addressed, a journal can safely be
 // shared by overlapping sweeps and by sweeps with different options —
 // mismatched cells simply never get looked up.
 type record struct {
-	Kind    string  `json:"kind"` // "cell" or "tuning"
+	Kind    string  `json:"kind"` // always "cell"; see walkJournal for "tuning"
 	Key     string  `json:"key"`
 	App     string  `json:"app"`
 	Arch    string  `json:"arch,omitempty"`
@@ -35,10 +33,6 @@ type record struct {
 	K              int    `json:"k,omitempty"`
 	Fault          string `json:"fault,omitempty"`
 	Err            string `json:"err,omitempty"`
-	// Tuning fields (kind "tuning").
-	KOpt  int     `json:"k_opt,omitempty"`
-	UOpt  int     `json:"u_opt,omitempty"`
-	Ratio float64 `json:"ratio,omitempty"`
 }
 
 // journal appends completed records to a JSONL file.
@@ -54,7 +48,7 @@ type journal struct {
 func openJournal(path string, resume bool, cache *Cache) (*journal, int, error) {
 	loaded := 0
 	if resume {
-		n, err := loadJournal(path, cache)
+		n, err := ReplayJournal(path, cache)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -71,12 +65,14 @@ func openJournal(path string, resume bool, cache *Cache) (*journal, int, error) 
 	return &journal{f: f, w: bufio.NewWriter(f)}, loaded, nil
 }
 
-// walkJournal streams a journal file's records through fn, returning how
-// many records were delivered. A missing file is an empty journal, not an
-// error (so -resume works on the first run too). A torn final line — the
-// signature of a crash mid-append — is skipped with a logged warning; a
-// corrupt or unknown-kind line anywhere else is an error.
-func walkJournal(path string, fn func(record)) (int, error) {
+// walkJournal streams a journal file's cells through fn, returning how
+// many were delivered. A missing file is an empty journal, not an error
+// (so -resume works on the first run too). A "tuning" line — journals
+// written before tunings ran as cells hold them — is skipped silently: its
+// result is recomputed from cells. A torn final line — the signature of a
+// crash mid-append — is skipped with a logged warning; a corrupt or
+// unknown-kind line anywhere else is an error.
+func walkJournal(path string, fn func(Cell)) (int, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return 0, nil
@@ -102,9 +98,10 @@ func walkJournal(path string, fn func(record)) (int, error) {
 			continue
 		}
 		switch rec.Kind {
-		case "cell", "tuning":
-			fn(rec)
+		case "cell":
+			fn(rec.cell())
 			n++
+		case "tuning": // a pre-cell journal's summary line: skipped, not counted
 		default:
 			pendingErr = fmt.Errorf("explore: journal %s line %d: unknown kind %q", path, line, rec.Kind)
 		}
@@ -121,36 +118,11 @@ func walkJournal(path string, fn func(record)) (int, error) {
 	return n, nil
 }
 
-// loadJournal replays a journal file into the cache, returning how many
-// records were loaded.
-func loadJournal(path string, cache *Cache) (int, error) {
-	return walkJournal(path, func(rec record) { storeRecord(cache, rec) })
-}
-
-// storeRecord inserts one journal record into the cache.
-func storeRecord(cache *Cache, rec record) {
-	switch rec.Kind {
-	case "cell":
-		cache.PutCell(Cell{
-			Key: rec.Key, App: rec.App, Arch: rec.Arch,
-			AIPC: rec.AIPC, Threads: rec.Threads,
-			Cycles: rec.Cycles, SimCycles: rec.Sim, Traffic: rec.Traffic,
-			ScaleIters: rec.ScaleIters, ScaleFootprint: rec.ScaleFootprint,
-			K: rec.K, FaultDigest: rec.Fault, Err: rec.Err,
-		})
-	case "tuning":
-		cache.PutTuning(rec.Key, design.Tuning{
-			App: rec.App, KOpt: rec.KOpt, UOpt: rec.UOpt, Ratio: rec.Ratio,
-		})
-	}
-}
-
 // ReplayJournal replays the journal file at path into cache, returning
-// how many records were loaded. It is loadJournal exported for the
-// cluster tier, which pre-warms worker caches from a shared journal
-// without constructing an Explorer.
+// how many cells were loaded. Resume uses it, and so does anything that
+// reads a journal without constructing an Explorer.
 func ReplayJournal(path string, cache *Cache) (int, error) {
-	return loadJournal(path, cache)
+	return walkJournal(path, cache.PutCell)
 }
 
 // MergeJournal folds another journal file into this explorer's result
@@ -164,23 +136,13 @@ func ReplayJournal(path string, cache *Cache) (int, error) {
 func (e *Explorer) MergeJournal(path string) (int, error) {
 	merged := 0
 	var firstErr error
-	_, err := walkJournal(path, func(rec record) {
-		switch rec.Kind {
-		case "cell":
-			if _, ok := e.cache.Cell(rec.Key); ok {
-				return
-			}
-		case "tuning":
-			if _, ok := e.cache.Tuning(rec.Key); ok {
-				return
-			}
+	_, err := walkJournal(path, func(cell Cell) {
+		if _, ok := e.cache.Cell(cell.Key); ok {
+			return
 		}
-		storeRecord(e.cache, rec)
 		merged++
-		if e.journal != nil {
-			if jerr := e.journal.append(rec); jerr != nil && firstErr == nil {
-				firstErr = jerr
-			}
+		if jerr := e.commit(cell); jerr != nil && firstErr == nil {
+			firstErr = jerr
 		}
 	})
 	if err != nil {
@@ -218,6 +180,17 @@ func (j *journal) close() error {
 	return j.f.Close()
 }
 
+// cell is cellRecord's inverse.
+func (rec record) cell() Cell {
+	return Cell{
+		Key: rec.Key, App: rec.App, Arch: rec.Arch,
+		AIPC: rec.AIPC, Threads: rec.Threads,
+		Cycles: rec.Cycles, SimCycles: rec.Sim, Traffic: rec.Traffic,
+		ScaleIters: rec.ScaleIters, ScaleFootprint: rec.ScaleFootprint,
+		K: rec.K, FaultDigest: rec.Fault, Err: rec.Err,
+	}
+}
+
 func cellRecord(c Cell) record {
 	return record{
 		Kind: "cell", Key: c.Key, App: c.App, Arch: c.Arch,
@@ -225,12 +198,5 @@ func cellRecord(c Cell) record {
 		Sim: c.SimCycles, Traffic: c.Traffic,
 		ScaleIters: c.ScaleIters, ScaleFootprint: c.ScaleFootprint,
 		K: c.K, Fault: c.FaultDigest, Err: c.Err,
-	}
-}
-
-func tuningRecord(key string, tn design.Tuning) record {
-	return record{
-		Kind: "tuning", Key: key, App: tn.App,
-		KOpt: tn.KOpt, UOpt: tn.UOpt, Ratio: tn.Ratio,
 	}
 }

@@ -1,7 +1,9 @@
 package explore
 
 import (
+	"bytes"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,6 +70,58 @@ func TestJournalMidFileCorruption(t *testing.T) {
 	}
 }
 
+// TestJournalSkipsOldTuningRecords: journals written before tunings ran
+// as cells hold "kind":"tuning" lines. Replay and merge take the cells,
+// skip the tunings without counting them or failing, and still treat a
+// torn last line as the crash signature it is.
+func TestJournalSkipsOldTuningRecords(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := filepath.Join(dir, "old.jsonl")
+	cell1 := `{"kind":"cell","key":"aaaa","app":"fft","aipc":1.5,"threads":1,"cycles":100}`
+	tuning := `{"kind":"tuning","key":"605577779745de2334da1bdea1d1cbfd","app":"ammp","k_opt":2,"u_opt":64,"ratio":0.03125}`
+	cell2 := `{"kind":"cell","key":"bbbb","app":"lu","aipc":2.5,"threads":1,"cycles":200}`
+	writeJournalLines(t, oldPath, cell1, tuning, cell2, `{"kind":"tuning","key":"1a79`)
+
+	var logged bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logged)
+	defer log.SetOutput(prev)
+
+	cache := NewCache()
+	n, err := ReplayJournal(oldPath, cache)
+	if err != nil {
+		t.Fatalf("replaying a journal with old tuning records: %v", err)
+	}
+	if n != 2 || cache.Stats().Cells != 2 {
+		t.Errorf("replayed %d records into %d cells, want the 2 cells only", n, cache.Stats().Cells)
+	}
+	if !strings.Contains(logged.String(), "torn trailing journal record") {
+		t.Errorf("no warning for the torn tail; log output: %q", logged.String())
+	}
+
+	mergedPath := filepath.Join(dir, "merged.jsonl")
+	exp, err := New(WithJournal(mergedPath, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged, err := exp.MergeJournal(oldPath); err != nil || merged != 2 {
+		t.Errorf("first merge: %d records, error %v; want 2, nil", merged, err)
+	}
+	if again, err := exp.MergeJournal(oldPath); err != nil || again != 0 {
+		t.Errorf("second merge: %d records, error %v; want 0, nil (idempotent)", again, err)
+	}
+	if err := exp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(mergedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(out); got != cell1+"\n"+cell2+"\n" {
+		t.Errorf("merged journal holds\n%swant the two cell lines, byte for byte", got)
+	}
+}
+
 // TestJournalMissingFile: resuming from a journal that does not exist yet
 // is an empty journal, not an error.
 func TestJournalMissingFile(t *testing.T) {
@@ -77,10 +131,9 @@ func TestJournalMissingFile(t *testing.T) {
 	}
 }
 
-// TestJournalConcurrentAppend: many goroutines committing cells through
-// RecordCell must interleave into a journal whose every line is intact —
-// the append lock is the only thing between a sweep's workers and a
-// corrupt result space.
+// TestJournalConcurrentAppend: many goroutines committing cells must
+// interleave into a journal whose every line is intact — the append lock
+// is the only thing between a sweep's workers and a corrupt result space.
 func TestJournalConcurrentAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "concurrent.jsonl")
 	exp, err := New(WithJournal(path, false))
@@ -94,7 +147,7 @@ func TestJournalConcurrentAppend(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := exp.RecordCell(fakeCell(i)); err != nil {
+			if err := exp.commit(fakeCell(i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -139,12 +192,12 @@ func TestMergeJournal(t *testing.T) {
 
 	// Coordinator holds cells 0-3; worker holds 2-7 (overlap on 2, 3).
 	for i := 0; i < 4; i++ {
-		if err := coord.RecordCell(fakeCell(i)); err != nil {
+		if err := coord.commit(fakeCell(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 2; i < 8; i++ {
-		if err := worker.RecordCell(fakeCell(i)); err != nil {
+		if err := worker.commit(fakeCell(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +249,7 @@ func TestMergeJournalConcurrentWithAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 100; i < 150; i++ {
-		if err := worker.RecordCell(fakeCell(i)); err != nil {
+		if err := worker.commit(fakeCell(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +266,7 @@ func TestMergeJournalConcurrentWithAppends(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if err := coord.RecordCell(fakeCell(i)); err != nil {
+			if err := coord.commit(fakeCell(i)); err != nil {
 				t.Error(err)
 			}
 		}

@@ -74,7 +74,7 @@ func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if points := design.Viable(); n < len(points) {
-			writeJSON(w, http.StatusOK, designsListing(subsample(points, n)))
+			writeJSON(w, http.StatusOK, designsListing(design.Subsample(points, n)))
 			return
 		}
 	}

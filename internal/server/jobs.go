@@ -193,6 +193,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		apps, sc, counts, configure = plan.apps, plan.scale, plan.threads, plan.configure()
 	} else {
+		suite, suiteCounts, suiteOK := workload.SuiteByName(req.Suite)
 		switch {
 		case len(req.Apps) > 0:
 			for _, name := range req.Apps {
@@ -204,8 +205,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				apps = append(apps, wl)
 			}
 		case req.Suite != "":
-			suite, ok := suiteByName(req.Suite)
-			if !ok {
+			if !suiteOK {
 				writeErr(w, http.StatusBadRequest, "unknown suite %q (spec2000, mediabench, splash2, tiled)", req.Suite)
 				return
 			}
@@ -228,8 +228,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		counts = req.ThreadCounts
 		if len(counts) == 0 {
 			counts = []int{1}
-			if req.Suite == "splash2" {
-				counts = []int{1, 4, 16, 64}
+			if suiteOK {
+				counts = suiteCounts
 			}
 		}
 		for _, n := range counts {
@@ -241,7 +241,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	points := design.Viable()
 	if req.MaxPoints > 0 && req.MaxPoints < len(points) {
-		points = subsample(points, req.MaxPoints)
+		points = design.Subsample(points, req.MaxPoints)
 	}
 	if s.isClosing() {
 		writeErr(w, http.StatusServiceUnavailable, "shutting down")
@@ -268,25 +268,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		"cells": len(points) * len(apps),
 		"poll":  "/v1/jobs/" + id,
 	})
-}
-
-// subsample picks n points evenly across the ordered design list, the
-// same policy as wspareto -max.
-func subsample(pts []design.Point, n int) []design.Point {
-	out := make([]design.Point, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, pts[i*len(pts)/n])
-	}
-	return out
-}
-
-func suiteByName(name string) (workload.Suite, bool) {
-	for _, su := range workload.Suites() {
-		if su.String() == name {
-			return su, true
-		}
-	}
-	return 0, false
 }
 
 // jobProgress is the wire form of a sweep's progress.

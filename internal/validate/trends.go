@@ -10,6 +10,7 @@ import (
 
 	"wavescalar/internal/area"
 	"wavescalar/internal/design"
+	"wavescalar/internal/explore"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
@@ -170,13 +171,17 @@ func ComputeTrends(ctx context.Context) ([]TrendValue, error) {
 	// expectations); the max virtualization ratio is the number the
 	// paper's design sweep consumes.
 	{
+		exp, err := explore.New()
+		if err != nil {
+			return nil, err
+		}
 		var tunings []design.Tuning
 		for _, app := range []string{"equake", "fft"} {
 			w, err := workload.ByName(app)
 			if err != nil {
 				return nil, err
 			}
-			tn, err := design.TuneContext(ctx, w, design.DefaultTuneOptions())
+			tn, _, err := exp.Tune(ctx, w, design.DefaultTuneOptions())
 			if err != nil {
 				return nil, fmt.Errorf("validate: table4 %s: %w", app, err)
 			}

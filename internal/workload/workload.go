@@ -50,6 +50,22 @@ func (s Suite) String() string {
 	return fmt.Sprintf("suite(%d)", int(s))
 }
 
+// SuiteByName resolves a suite's display name to the suite and the thread
+// counts it is evaluated at by default: the multithreaded Splash2 kernels
+// at {1, 4, 16, 64} (the paper reports each application at its best count),
+// the single-threaded suites at {1}.
+func SuiteByName(name string) (Suite, []int, bool) {
+	for _, s := range Suites() {
+		if s.String() == name {
+			if s == Splash {
+				return s, []int{1, 4, 16, 64}, true
+			}
+			return s, []int{1}, true
+		}
+	}
+	return 0, nil, false
+}
+
 // Scale controls how much dynamic work an instance performs. Iters scales
 // loop trip counts; Footprint scales working-set sizes (bytes per thread,
 // approximately).

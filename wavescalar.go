@@ -14,12 +14,12 @@
 //     programs on it (BuildProcessor, RunWorkloadContext); Stats reports
 //     AIPC, traffic by interconnect level, and component counters.
 //   - Area: the paper's Table 3 area model (TotalArea, ClusterBudget).
-//   - Design space: enumeration, pruning, matching-table tuning and
-//     Pareto analysis (DesignSpace, ViableDesigns, ParetoFrontier,
-//     SweepFrontier, TuneMatchingTable); sweeps run on the exploration
-//     engine below.
-//   - Exploration: the resumable, cancellable sweep engine with result
-//     caching and journaling (NewExplorer with functional options).
+//   - Design space: enumeration, pruning and Pareto analysis (DesignSpace,
+//     ViableDesigns, SweepFrontier); sweeps and the Table 4 matching-table
+//     tuning run on the exploration engine below.
+//   - Exploration: the resumable, cancellable engine with result caching
+//     and journaling (NewExplorer with functional options; Explorer.Sweep,
+//     Explorer.Tune).
 //   - Serving: the simulation-as-a-service daemon — an HTTP/JSON API over
 //     the exploration engine with singleflight dedup, a bounded worker
 //     pool and Prometheus metrics (NewServer; cmd/wsd).
@@ -29,6 +29,11 @@
 // cycles of cancellation. Experiments can also be described declaratively
 // as versioned JSON scenario documents (ParseScenario; POST /v1/scenarios
 // on the daemon).
+//
+// The package is a facade over internal/*: it exports what the binaries
+// under cmd/, the programs under examples/ and the README's code use, plus
+// the types and error sentinels those calls hand back. Code inside the
+// module imports internal/* directly (TestFacadeNamesHaveCallers).
 package wavescalar
 
 import (
@@ -70,23 +75,8 @@ type (
 	Program = isa.Program
 	// ProgramBuilder constructs dataflow programs.
 	ProgramBuilder = graph.Builder
-	// TrafficLevel and TrafficClass index Stats.Traffic (Figure 8).
+	// TrafficLevel indexes Stats.Traffic by interconnect level (Figure 8).
 	TrafficLevel = sim.TrafficLevel
-	TrafficClass = sim.TrafficClass
-	// SchedMode selects the simulator's per-cycle scheduling strategy
-	// (Config.Sched). Results are identical in every mode; only host
-	// throughput differs.
-	SchedMode = sim.SchedMode
-)
-
-// Scheduling strategies for Config.Sched.
-const (
-	// SchedActiveSet (default) ticks only components with work: a cycle
-	// costs O(in-flight work) instead of O(machine size).
-	SchedActiveSet = sim.SchedActiveSet
-	// SchedFullScan is the legacy reference scheduler, kept as the oracle
-	// the active-set scheduler is verified against.
-	SchedFullScan = sim.SchedFullScan
 )
 
 // Run-failure sentinels, matchable with errors.Is on the error a Run
@@ -125,22 +115,12 @@ type (
 	// Config.Fault; a nil or empty script leaves the simulation
 	// bit-for-bit identical to a faultless run.
 	FaultScript = fault.Script
-	// FaultEvent is one scheduled hard fault in a script.
-	FaultEvent = fault.Event
 	// FaultShape describes a machine to fault-script validation; derive
 	// one from a configuration with MachineShape.
 	FaultShape = fault.Shape
 	// FaultReport counts the faults a run actually injected and the
 	// state migrated to survive them; see Stats.Fault.
 	FaultReport = fault.Report
-)
-
-// Fault-event kinds understood in scripts.
-const (
-	FaultKillPE      = fault.KindKillPE
-	FaultKillDomain  = fault.KindKillDomain
-	FaultKillCluster = fault.KindKillCluster
-	FaultLinkDown    = fault.KindLinkDown
 )
 
 // ParseFaultScript decodes a JSON fault script, rejecting unknown fields.
@@ -160,18 +140,12 @@ func KillFractionScript(shape FaultShape, fraction float64, seed, cycle uint64) 
 }
 
 // Scenario DSL: declarative experiment descriptions (internal/scenario).
-type (
-	// Scenario is a parsed "scenario v1" document: a workload (named or
-	// tiled-kernel parameters) composed with a scale, thread counts, an
-	// optional fault script, and an optional phase sequence. Digest gives
-	// its content address; ResolvePhases lowers it to runnable phases.
-	Scenario = scenario.Scenario
-	// ScenarioPhase is one step of a scenario before resolution.
-	ScenarioPhase = scenario.Phase
-	// ScenarioWorkload selects a phase's workload by name or by
-	// tiled-kernel parameters.
-	ScenarioWorkload = scenario.WorkloadSpec
-)
+
+// Scenario is a parsed "scenario v1" document: a workload (named or
+// tiled-kernel parameters) composed with a scale, thread counts, an
+// optional fault script, and an optional phase sequence. Digest gives
+// its content address; ResolvePhases lowers it to runnable phases.
+type Scenario = scenario.Scenario
 
 // ErrBadScenario wraps every scenario parse and validation failure.
 var ErrBadScenario = scenario.ErrBadScenario
@@ -189,13 +163,6 @@ type (
 	TraceRecorder = trace.Recorder
 	// TraceOptions sizes a recorder (ring capacity, counter interval).
 	TraceOptions = trace.Options
-	// TraceEvent is one recorded occurrence.
-	TraceEvent = trace.Event
-	// TraceInterval is one bucket of the counter time series.
-	TraceInterval = trace.Interval
-	// TraceTileCount and TraceLinkCount are the hot-spot summary rows.
-	TraceTileCount = trace.TileCount
-	TraceLinkCount = trace.LinkCount
 )
 
 // NewTraceRecorder creates an event recorder. Attach it to Config.Trace,
@@ -220,27 +187,19 @@ const (
 type (
 	// Workload is a named benchmark from the bundled suite.
 	Workload = workload.Workload
-	// WorkloadInstance is a built workload: program + memory + params.
-	WorkloadInstance = workload.Instance
 	// Scale sizes a workload's dynamic work.
 	Scale = workload.Scale
-	// Suite identifies spec2000, mediabench or splash2.
-	Suite = workload.Suite
 )
 
-// Workload scales and suites.
+// Workload scales: ScaleTiny for tests, ScaleSmall for benchmarks.
 var (
-	ScaleTiny   = workload.Tiny
-	ScaleSmall  = workload.Small
-	ScaleMedium = workload.Medium
+	ScaleTiny  = workload.Tiny
+	ScaleSmall = workload.Small
 )
 
-const (
-	SuiteSpec   = workload.Spec
-	SuiteMedia  = workload.Media
-	SuiteSplash = workload.Splash
-	SuiteTiled  = workload.Tiled
-)
+// SuiteSplash is the Workload.Suite of the multithreaded Splash2 kernels,
+// the one suite whose runs scale with the thread count.
+const SuiteSplash = workload.Splash
 
 // Design-space types.
 type (
@@ -252,7 +211,7 @@ type (
 	SweepResult = design.SweepResult
 	// Tuning is a Table 4 row: k_opt, u_opt, virtualization ratio.
 	Tuning = design.Tuning
-	// TuneOptions configures TuneMatchingTable.
+	// TuneOptions configures Explorer.Tune.
 	TuneOptions = design.TuneOptions
 )
 
@@ -312,9 +271,6 @@ func BuildProcessor(prog *Program, opts ...ProcOption) (*Processor, error) {
 // GEMM/conv variants.
 func Workloads() []Workload { return workload.All() }
 
-// WorkloadsBySuite returns one suite's workloads.
-func WorkloadsBySuite(s Suite) []Workload { return workload.BySuite(s) }
-
 // WorkloadByName resolves a workload name: a bundled kernel, or any valid
 // tiled-kernel name (e.g. "gemm-os-8x8x8", "conv-ws-4x4x2"), synthesized
 // on the fly. Unknown names return a *workload.NotFoundError listing the
@@ -366,7 +322,7 @@ func RunWorkloadContext(ctx context.Context, name string, opts ...RunOption) (*S
 		return nil, fmt.Errorf("%w: thread count %d must be positive", ErrBadOptions, o.threads)
 	}
 	if o.scale.Iters <= 0 || o.scale.Footprint <= 0 {
-		return nil, fmt.Errorf("%w: scale %+v (use ScaleTiny/ScaleSmall/ScaleMedium)", ErrBadOptions, o.scale)
+		return nil, fmt.Errorf("%w: scale %+v (use ScaleTiny/ScaleSmall)", ErrBadOptions, o.scale)
 	}
 	w, err := WorkloadByName(name)
 	if err != nil {
@@ -419,19 +375,10 @@ func ViableDesigns() []DesignPoint { return design.Viable() }
 // DesignRules documents the pruning rules applied by ViableDesigns.
 func DesignRules() []string { return append([]string(nil), design.Rules...) }
 
-// ParetoFrontier extracts the Pareto-optimal subset of evaluated designs.
-func ParetoFrontier(evals []Evaluated) []Evaluated { return design.Pareto(evals) }
-
-// SweepFrontier extracts the frontier directly from sweep results.
+// SweepFrontier extracts the Pareto frontier from sweep results.
 func SweepFrontier(results []SweepResult) []Evaluated { return design.Frontier(results) }
 
-// TuneMatchingTable runs the Table 4 procedure for one workload; ctx
-// cancels its simulations.
-func TuneMatchingTable(ctx context.Context, w Workload, opt TuneOptions) (Tuning, error) {
-	return design.TuneContext(ctx, w, opt)
-}
-
-// DefaultTuneOptions mirrors the paper's tuning procedure.
+// DefaultTuneOptions mirrors the paper's tuning procedure (Explorer.Tune).
 func DefaultTuneOptions() TuneOptions { return design.DefaultTuneOptions() }
 
 // Exploration engine: resumable, cancellable sweeps with result caching
@@ -447,14 +394,6 @@ type (
 	// ExploreProgress is the per-cell progress snapshot delivered to
 	// WithProgress (cells done, cache hits, sims/sec, ETA).
 	ExploreProgress = explore.Progress
-	// ExploreCache is the content-addressed simulation result cache;
-	// share one across explorers with WithCache.
-	ExploreCache = explore.Cache
-	// ExploreCell is one cached (design point, workload) measurement.
-	ExploreCell = explore.Cell
-	// ConfigureFunc adapts the baseline microarchitecture to one design
-	// point; TuneOptions and WithConfigure share it.
-	ConfigureFunc = design.ConfigureFunc
 )
 
 // NewExplorer builds the exploration engine. With no options it sweeps at
@@ -468,12 +407,6 @@ type (
 //	)
 //	results, err := exp.Sweep(ctx, points, apps)
 func NewExplorer(opts ...ExploreOption) (*Explorer, error) { return explore.New(opts...) }
-
-// NewExploreCache returns an empty result cache for WithCache.
-func NewExploreCache() *ExploreCache { return explore.NewCache() }
-
-// WithCache shares a result cache between explorers.
-func WithCache(c *ExploreCache) ExploreOption { return explore.WithCache(c) }
 
 // WithJournal backs the cache with a JSONL journal; with resume set,
 // existing records are replayed so only missing cells simulate.
@@ -490,13 +423,6 @@ func WithScale(sc Scale) ExploreOption { return explore.WithScale(sc) }
 
 // WithThreadCounts sets the thread counts tried per cell.
 func WithThreadCounts(counts ...int) ExploreOption { return explore.WithThreadCounts(counts...) }
-
-// WithConfigure sets the per-point microarchitecture adapter.
-func WithConfigure(fn ConfigureFunc) ExploreOption { return explore.WithConfigure(fn) }
-
-// WithCacheLimit caps the result cache at n cells with LRU eviction
-// (default: unlimited). Evictions are counted in the cache's Stats.
-func WithCacheLimit(n int) ExploreOption { return explore.WithCacheLimit(n) }
 
 // Serving: the simulation-as-a-service daemon (internal/server), an
 // HTTP/JSON API over the exploration engine with a bounded worker pool,
@@ -534,9 +460,6 @@ func ServerQueueDepth(n int) ServerOption { return server.WithQueueDepth(n) }
 // ServerRequestTimeout bounds how long a synchronous run request waits
 // for its simulation (default 60s).
 func ServerRequestTimeout(d time.Duration) ServerOption { return server.WithRequestTimeout(d) }
-
-// ServerCache shares a result cache with other explorers or servers.
-func ServerCache(c *ExploreCache) ServerOption { return server.WithCache(c) }
 
 // ServerCacheLimit caps the daemon's result cache at n cells with LRU
 // eviction.
@@ -629,51 +552,16 @@ func ServerSurrogateThreshold(rel float64) ServerOption { return server.WithSurr
 type ClusterShipper = cluster.Shipper
 
 // Surrogate (internal/surrogate): a stdlib-only learned performance
-// predictor trained on journaled sweep cells. It predicts AIPC, cycles
-// and NoC traffic with per-prediction uncertainty, drives the guided
-// (expected-improvement) sweep in the explorer, prunes wstune's k
-// sweep, and backs the daemon's /v1/predict serving path.
+// predictor trained on journaled cells (`wssurrogate train`). It predicts
+// AIPC, cycles and NoC traffic with per-prediction uncertainty, prunes
+// wstune's k sweep (Surrogate.Advisor → TuneOptions.Advisor), and backs
+// the daemon's /v1/predict serving path.
 
-type (
-	// Surrogate is a trained predictor ensemble; build one with
-	// TrainSurrogate or LoadSurrogate.
-	Surrogate = surrogate.Predictor
-	// SurrogateOptions configure training (model kind, seed, folds,
-	// regularization, boosting schedule); the zero value is the default
-	// GBM configuration.
-	SurrogateOptions = surrogate.Options
-	// SurrogateSample is one training row; ExploreCellSamples derives
-	// them from journaled cells.
-	SurrogateSample = surrogate.Sample
-	// SurrogatePrediction is one prediction with uncertainty.
-	SurrogatePrediction = surrogate.Prediction
-	// GuidedSpec configures a surrogate-guided sweep; Guided is its
-	// outcome (frontier-capable results plus budget accounting).
-	GuidedSpec = explore.GuidedSpec
-	// Guided is the outcome of Explorer.SweepGuided.
-	Guided = explore.Guided
-)
+// Surrogate is a trained predictor ensemble; load one with LoadSurrogate.
+type Surrogate = surrogate.Predictor
 
-// TrainSurrogate fits a predictor on the samples (deterministically:
-// the same samples and seed always serialize byte-identically).
-func TrainSurrogate(samples []SurrogateSample, opt SurrogateOptions) (*Surrogate, error) {
-	return surrogate.Train(samples, opt)
-}
-
-// LoadSurrogate reads a model file written by Surrogate.Save (or
-// `wssurrogate train`).
+// LoadSurrogate reads a model file written by `wssurrogate train`.
 func LoadSurrogate(path string) (*Surrogate, error) { return surrogate.Load(path) }
-
-// SurrogateFeatures maps one cell identity onto the model's feature
-// vector.
-func SurrogateFeatures(cfg Config, app string, sc Scale, threads int) []float64 {
-	return surrogate.Features(cfg, app, sc, threads)
-}
-
-// ExploreCellSamples converts journaled cells into surrogate training
-// rows, dropping cells that carry no training signal (failures,
-// fault-injected runs, records predating provenance fields).
-func ExploreCellSamples(cells []ExploreCell) []SurrogateSample { return explore.CellSamples(cells) }
 
 // Energy model (an extension beyond the paper, which defers power to
 // future work).

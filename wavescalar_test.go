@@ -113,10 +113,14 @@ func TestWorkloadsAPI(t *testing.T) {
 	if len(wavescalar.Workloads()) != 21 {
 		t.Errorf("workloads = %d, want 21", len(wavescalar.Workloads()))
 	}
-	if len(wavescalar.WorkloadsBySuite(wavescalar.SuiteSplash)) != 6 {
+	perSuite := map[string]int{}
+	for _, w := range wavescalar.Workloads() {
+		perSuite[w.Suite.String()]++
+	}
+	if perSuite[wavescalar.SuiteSplash.String()] != 6 {
 		t.Error("splash2 should have 6 kernels")
 	}
-	if len(wavescalar.WorkloadsBySuite(wavescalar.SuiteTiled)) != 6 {
+	if perSuite["tiled"] != 6 {
 		t.Error("tiled should register 6 default variants")
 	}
 	// Tiled names resolve dynamically beyond the registered defaults.
