@@ -16,8 +16,8 @@
 //	wsd -role worker -addr :8081 -coordinator http://coord:8080 \
 //	    -advertise http://worker1:8081
 //
-// The coordinator shards sweep cells across registered workers via a
-// consistent hash ring on the content-addressed cell key and falls back
+// The coordinator shards sweep cells across registered workers by
+// rendezvous hashing on the content-addressed cell key and falls back
 // to local simulation when the fabric degrades.
 //
 // Endpoints:
@@ -198,7 +198,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wsd: fabric role %s\n", role)
 	}
 
-	// Worker role: keep this daemon registered on the coordinator's ring.
+	// Worker role: keep this daemon's lease with the coordinator alive.
 	stopAgent := func() {}
 	if role == wavescalar.RoleWorker {
 		adv := *advertise

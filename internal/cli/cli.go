@@ -39,20 +39,6 @@ func ParseScale(name string) (workload.Scale, error) {
 	return workload.Scale{}, fmt.Errorf("unknown scale %q (tiny, small, medium)", name)
 }
 
-// ScaleName is the inverse of ParseScale for the bundled scales; custom
-// scales render as their struct form.
-func ScaleName(sc workload.Scale) string {
-	switch sc {
-	case workload.Tiny:
-		return "tiny"
-	case workload.Small:
-		return "small"
-	case workload.Medium:
-		return "medium"
-	}
-	return fmt.Sprintf("%+v", sc)
-}
-
 // RunReport is the machine-readable result of one simulation run — the
 // object wsim -json emits.
 type RunReport struct {

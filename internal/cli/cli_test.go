@@ -11,13 +11,11 @@ import (
 )
 
 func TestParseScaleRoundTrip(t *testing.T) {
-	for _, name := range []string{"tiny", "small", "medium"} {
-		sc, err := ParseScale(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ScaleName(sc); got != name {
-			t.Errorf("ScaleName(ParseScale(%q)) = %q", name, got)
+	for name, want := range map[string]workload.Scale{
+		"tiny": workload.Tiny, "small": workload.Small, "medium": workload.Medium,
+	} {
+		if sc, err := ParseScale(name); err != nil || sc != want {
+			t.Errorf("ParseScale(%q) = %+v, %v; want %+v", name, sc, err, want)
 		}
 	}
 	if _, err := ParseScale("huge"); err == nil {

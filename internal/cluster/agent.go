@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"time"
@@ -18,8 +15,8 @@ import (
 // lease, re-registers whenever the coordinator stops recognizing it
 // (coordinator restart, expired lease), and deregisters on shutdown so
 // a graceful drain never waits out a lease. It does not execute cells —
-// the worker's HTTP server does that; the Agent only keeps the worker
-// visible on the ring.
+// the worker's HTTP server does that; the Agent only keeps the worker's
+// lease alive.
 type Agent struct {
 	// Coordinator is the coordinator's base URL, e.g. "http://coord:8080".
 	Coordinator string
@@ -97,11 +94,12 @@ func (a *Agent) Run(ctx context.Context) error {
 	}
 }
 
-// registerLoop registers with backoff until success or ctx cancellation,
-// returning the granted lease.
+// registerLoop registers until success or ctx cancellation, returning the
+// granted lease. Failures back off on the shipper's schedule — 1s doubling
+// to 30s, jittered — so a fleet that lost its coordinator re-registers
+// spread out.
 func (a *Agent) registerLoop(ctx context.Context, client *http.Client, logf func(string, ...any)) (time.Duration, error) {
-	backoff := time.Second
-	for {
+	for failures := 1; ; failures++ {
 		lease, err := a.register(ctx, client)
 		if err == nil {
 			logf("cluster: registered %s (%s) with %s, lease %s", a.ID, a.Addr, a.Coordinator, lease)
@@ -110,21 +108,19 @@ func (a *Agent) registerLoop(ctx context.Context, client *http.Client, logf func
 		if ctx.Err() != nil {
 			return 0, ctx.Err()
 		}
-		logf("cluster: register with %s failed (retrying in %s): %v", a.Coordinator, backoff, err)
+		delay := jitter(backoff(time.Second, 30*time.Second, failures))
+		logf("cluster: register with %s failed (retrying in %s): %v", a.Coordinator, delay.Round(time.Millisecond), err)
 		select {
 		case <-ctx.Done():
 			return 0, ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff < 30*time.Second {
-			backoff *= 2
+		case <-time.After(delay):
 		}
 	}
 }
 
 func (a *Agent) register(ctx context.Context, client *http.Client) (time.Duration, error) {
 	var resp RegisterResponse
-	err := a.post(ctx, client, "/v1/cluster/register",
+	err := postJSON(ctx, client, a.Coordinator+"/v1/cluster/register",
 		RegisterRequest{ID: a.ID, Addr: a.Addr, Version: version.Get("wsd")}, &resp)
 	if err != nil {
 		return 0, err
@@ -134,7 +130,7 @@ func (a *Agent) register(ctx context.Context, client *http.Client) (time.Duratio
 
 func (a *Agent) heartbeat(ctx context.Context, client *http.Client, busy int) (bool, error) {
 	var resp HeartbeatResponse
-	err := a.post(ctx, client, "/v1/cluster/heartbeat", HeartbeatRequest{ID: a.ID, Busy: busy}, &resp)
+	err := postJSON(ctx, client, a.Coordinator+"/v1/cluster/heartbeat", HeartbeatRequest{ID: a.ID, Busy: busy}, &resp)
 	if isStatus(err, http.StatusNotFound) {
 		return false, nil
 	}
@@ -149,47 +145,9 @@ func (a *Agent) heartbeat(ctx context.Context, client *http.Client, busy int) (b
 func (a *Agent) deregister(client *http.Client, logf func(string, ...any)) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	if err := a.post(ctx, client, "/v1/cluster/deregister", DeregisterRequest{ID: a.ID}, nil); err != nil {
+	if err := postJSON(ctx, client, a.Coordinator+"/v1/cluster/deregister", DeregisterRequest{ID: a.ID}, nil); err != nil {
 		logf("cluster: deregister from %s failed (lease will expire): %v", a.Coordinator, err)
 		return
 	}
 	logf("cluster: deregistered %s from %s", a.ID, a.Coordinator)
-}
-
-// statusError carries a non-2xx response through the error path.
-type statusError struct {
-	code int
-	body string
-}
-
-func (e *statusError) Error() string { return fmt.Sprintf("status %d: %s", e.code, e.body) }
-
-func isStatus(err error, code int) bool {
-	se, ok := err.(*statusError)
-	return ok && se.code == code
-}
-
-func (a *Agent) post(ctx context.Context, client *http.Client, path string, body, out any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, a.Coordinator+path, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,8 +14,8 @@ import (
 	"wavescalar/internal/workload"
 )
 
-// ErrNoWorkers means the ring is empty: nothing is registered (yet), so
-// the caller should run the cell locally.
+// ErrNoWorkers means no worker holds a live lease (yet), so the caller
+// should run the cell locally.
 var ErrNoWorkers = errors.New("cluster: no workers registered")
 
 // Options configures a Coordinator. The zero value is usable: every
@@ -30,27 +26,28 @@ type Options struct {
 	Lease time.Duration
 	// Attempts bounds how many workers one cell is tried on before the
 	// dispatcher gives up and the cell falls back to local simulation
-	// (default 3). Attempts walk distinct ring successors, so a dead
-	// owner's cells fail over to its neighbors.
+	// (default 3). Attempts walk the cell's distinct owners in rank order,
+	// so a dead owner's cells fail over to the next-ranked worker.
 	Attempts int
 	// Backoff is the base delay between a cell's attempts, doubling each
 	// retry (default 250ms).
 	Backoff time.Duration
 	// ExecTimeout bounds one remote execution attempt (default 2m). It
 	// is the slow-worker failover: a wedged worker loses the cell to the
-	// next ring successor even though its TCP connection is healthy.
+	// next owner even though its TCP connection is healthy.
 	ExecTimeout time.Duration
 	// Client is the HTTP client for worker calls (default: a dedicated
 	// client with sane connection pooling).
 	Client *http.Client
-	// Logf receives dispatch diagnostics (default log.Printf).
+	// Logf receives dispatch and lease-expiry diagnostics (default
+	// log.Printf).
 	Logf func(format string, args ...any)
 }
 
 // Stats is a snapshot of the coordinator's dispatch counters for
 // /metrics.
 type Stats struct {
-	// Workers is the current registered-worker count.
+	// Workers is the count of workers holding a live lease.
 	Workers int
 	// Dispatched counts cells sent to workers (attempts, not unique
 	// cells); RemoteCells counts cells a worker completed.
@@ -64,25 +61,20 @@ type Stats struct {
 }
 
 // Coordinator shards cells across registered workers. It owns the
-// registry and ring (kept in sync via registry callbacks), implements
-// explore.CellRunner for the coordinator's exploration engine, and runs
-// a background lease-expiry loop between Start and Stop.
+// registry — the one membership table, which also decides ownership — and
+// implements explore.CellRunner for the coordinator's exploration engine.
+// It starts nothing: there is no goroutine to stop.
 type Coordinator struct {
-	opt  Options
-	reg  *Registry
-	ring *Ring
+	opt Options
+	reg *Registry
 
 	dispatched  atomic.Uint64
 	remoteCells atomic.Uint64
 	requeues    atomic.Uint64
 	remoteErrs  atomic.Uint64
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
-// NewCoordinator builds a coordinator; call Start to begin lease expiry.
+// NewCoordinator builds a coordinator.
 func NewCoordinator(opt Options) *Coordinator {
 	if opt.Lease <= 0 {
 		opt.Lease = 15 * time.Second
@@ -105,49 +97,20 @@ func NewCoordinator(opt Options) *Coordinator {
 	if opt.Logf == nil {
 		opt.Logf = log.Printf
 	}
-	c := &Coordinator{
-		opt:  opt,
-		ring: NewRing(0),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	c.reg = NewRegistry(opt.Lease, c.ring.Add, c.ring.Remove)
-	return c
+	return &Coordinator{opt: opt, reg: NewRegistry(opt.Lease, opt.Logf)}
 }
 
 // Registry exposes the worker registry (the server's cluster endpoints
 // register, heartbeat, and list through it).
 func (c *Coordinator) Registry() *Registry { return c.reg }
 
-// Start launches the lease-expiry loop.
-func (c *Coordinator) Start() {
-	go func() {
-		defer close(c.done)
-		tick := time.NewTicker(c.opt.Lease / 3)
-		defer tick.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case now := <-tick.C:
-				if expired := c.reg.ExpireStale(now); len(expired) > 0 {
-					c.opt.Logf("cluster: expired worker lease(s): %v", expired)
-				}
-			}
-		}
-	}()
-}
-
-// Stop halts the expiry loop (idempotent).
-func (c *Coordinator) Stop() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.done
-}
-
 // Stats snapshots the dispatch counters.
 func (c *Coordinator) Stats() Stats {
+	// Counting the live leases drops the lapsed ones first, so the two
+	// membership numbers of one snapshot agree.
+	workers := len(c.reg.Snapshot())
 	return Stats{
-		Workers:          c.ring.Len(),
+		Workers:          workers,
 		Dispatched:       c.dispatched.Load(),
 		RemoteCells:      c.remoteCells.Load(),
 		Requeues:         c.requeues.Load(),
@@ -158,31 +121,25 @@ func (c *Coordinator) Stats() Stats {
 
 // RunCell executes one cell on the fabric — the explore.CellRunner the
 // coordinator's exploration engine calls on every sweep cache miss. It
-// tries up to Attempts distinct workers in ring order with exponential
-// backoff between attempts; a failure after the last worker (or an empty
-// ring) returns an error and the engine simulates locally. The returned
-// cell's key is verified against the requested key, so a worker whose
-// key schema drifted (mixed-version fabric) can never commit a result
-// under the wrong address.
+// tries up to Attempts distinct workers in the key's owner order with
+// exponential backoff between attempts; a failure after the last worker
+// (or no live worker) returns an error and the engine simulates locally.
+// The returned cell's key is verified against the requested key, so a
+// worker whose key schema drifted (mixed-version fabric) can never commit
+// a result under the wrong address.
 func (c *Coordinator) RunCell(ctx context.Context, key string, cfg sim.Config, app string, sc workload.Scale, threadCounts []int) (explore.Cell, error) {
 	req := ExecRequest{Key: key, Config: cfg, App: app, Scale: sc, ThreadCounts: threadCounts}
 	req.Config.Trace = nil // observability never crosses the wire
 	var lastErr error
 	for attempt := 0; attempt < c.opt.Attempts; attempt++ {
-		owners := c.ring.Owners(key, c.opt.Attempts)
+		owners := c.reg.Owners(key, c.opt.Attempts)
 		if len(owners) == 0 {
 			if lastErr != nil {
 				return explore.Cell{}, lastErr
 			}
 			return explore.Cell{}, ErrNoWorkers
 		}
-		id := owners[attempt%len(owners)]
-		addr, ok := c.reg.Addr(id)
-		if !ok {
-			// Expired between Owners and Addr; the ring will catch up.
-			lastErr = fmt.Errorf("cluster: worker %s vanished", id)
-			continue
-		}
+		w := owners[attempt%len(owners)]
 		if attempt > 0 {
 			c.requeues.Add(1)
 			delay := c.opt.Backoff << (attempt - 1)
@@ -192,56 +149,38 @@ func (c *Coordinator) RunCell(ctx context.Context, key string, cfg sim.Config, a
 			case <-time.After(delay):
 			}
 		}
-		cell, err := c.execOn(ctx, id, addr, req)
+		cell, err := c.execOn(ctx, w, req)
 		if err == nil {
 			c.remoteCells.Add(1)
-			c.reg.recordResult(id, false)
+			c.reg.recordResult(w.ID, false)
 			return cell, nil
 		}
 		if ctx.Err() != nil {
 			return explore.Cell{}, ctx.Err()
 		}
 		c.remoteErrs.Add(1)
-		c.reg.recordResult(id, true)
-		c.opt.Logf("cluster: cell %s attempt %d/%d on %s failed: %v", key, attempt+1, c.opt.Attempts, id, err)
+		c.reg.recordResult(w.ID, true)
+		c.opt.Logf("cluster: cell %s attempt %d/%d on %s failed: %v", key, attempt+1, c.opt.Attempts, w.ID, err)
 		lastErr = err
 	}
 	return explore.Cell{}, fmt.Errorf("cluster: cell %s exhausted %d attempts: %w", key, c.opt.Attempts, lastErr)
 }
 
 // execOn performs one POST /v1/cluster/execute against a worker.
-func (c *Coordinator) execOn(ctx context.Context, id, addr string, req ExecRequest) (explore.Cell, error) {
+func (c *Coordinator) execOn(ctx context.Context, w WorkerInfo, req ExecRequest) (explore.Cell, error) {
 	c.dispatched.Add(1)
-	c.reg.addInflight(id, 1)
-	defer c.reg.addInflight(id, -1)
+	c.reg.addInflight(w.ID, 1)
+	defer c.reg.addInflight(w.ID, -1)
 
-	body, err := json.Marshal(req)
-	if err != nil {
-		return explore.Cell{}, fmt.Errorf("cluster: encode exec request: %w", err)
-	}
 	ctx, cancel := context.WithTimeout(ctx, c.opt.ExecTimeout)
 	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/cluster/execute", bytes.NewReader(body))
-	if err != nil {
-		return explore.Cell{}, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.opt.Client.Do(httpReq)
-	if err != nil {
-		return explore.Cell{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return explore.Cell{}, fmt.Errorf("worker %s: status %d: %s", id, resp.StatusCode, bytes.TrimSpace(msg))
-	}
 	var er ExecResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		return explore.Cell{}, fmt.Errorf("worker %s: decode response: %w", id, err)
+	if err := postJSON(ctx, c.opt.Client, w.Addr+"/v1/cluster/execute", req, &er); err != nil {
+		return explore.Cell{}, fmt.Errorf("worker %s: %w", w.ID, err)
 	}
 	if er.Cell.Key != req.Key {
 		return explore.Cell{}, fmt.Errorf("worker %s (version %s): returned key %s for requested %s — mixed-version key schema?",
-			id, er.Version.Version, er.Cell.Key, req.Key)
+			w.ID, er.Version.Version, er.Cell.Key, req.Key)
 	}
 	return er.Cell, nil
 }

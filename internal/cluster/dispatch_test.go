@@ -45,10 +45,7 @@ func testCoordinator(t *testing.T, opt Options) *Coordinator {
 	if opt.Backoff == 0 {
 		opt.Backoff = time.Millisecond
 	}
-	c := NewCoordinator(opt)
-	c.Start()
-	t.Cleanup(c.Stop)
-	return c
+	return NewCoordinator(opt)
 }
 
 func runArgs() (sim.Config, string, workload.Scale, []int) {
@@ -84,8 +81,8 @@ func TestRunCellHappyPath(t *testing.T) {
 	}
 }
 
-// TestRunCellFailover kills the key's ring owner and checks the cell is
-// requeued onto the next distinct successor.
+// TestRunCellFailover kills the key's first owner and checks the cell is
+// requeued onto the next distinct one.
 func TestRunCellFailover(t *testing.T) {
 	good := fakeWorker(t, nil)
 	defer good.Close()
@@ -100,7 +97,7 @@ func TestRunCellFailover(t *testing.T) {
 	key := ""
 	for i := 0; i < 10000; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if id, _ := c.ring.Owner(k); id == "dead" {
+		if c.Registry().Owners(k, 1)[0].ID == "dead" {
 			key = k
 			break
 		}

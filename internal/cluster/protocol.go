@@ -1,8 +1,8 @@
 // Package cluster is the distributed sweep fabric: the pieces that turn
 // one wsd daemon into many sharing a single content-addressed result
 // space. A coordinator accepts sweeps through the ordinary /v1/sweeps
-// API, shards their cells across registered workers with a consistent
-// hash ring on explore.CellKey, and streams completed cells back into
+// API, shards their cells across registered workers by rendezvous
+// hashing on explore.CellKey, and streams completed cells back into
 // its own cache and journal — so any node (and any warm restart) can
 // answer any cached cell.
 //
@@ -20,18 +20,28 @@
 //
 // Robustness model:
 //
-//   - Workers register and then heartbeat; a worker that misses its
-//     lease is expired, removed from the ring, and its in-flight cells
-//     fail over (consistent hashing keeps the remap to its arc only).
-//   - Cell dispatch retries across distinct ring successors with
-//     exponential backoff, bounded attempts, and a per-attempt timeout
-//     that also fails over *slow* workers, not just dead ones.
+//   - Workers register and then heartbeat; the lease table (Registry) is
+//     the only membership state, and a worker that misses its lease owns
+//     nothing from that instant: its in-flight cells fail over, and only
+//     the cells it owned move (rendezvous hashing).
+//   - Cell dispatch retries across the cell's distinct owners, in rank
+//     order, with exponential backoff, bounded attempts, and a
+//     per-attempt timeout that also fails over *slow* workers, not just
+//     dead ones.
 //   - When every attempt fails (or no workers are registered), the
 //     coordinator's exploration engine simulates the cell locally: a
 //     degraded fabric loses speed, never results.
 package cluster
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+
 	"wavescalar/internal/explore"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/version"
@@ -130,4 +140,53 @@ type WorkersResponse struct {
 	LeaseS  float64      `json:"lease_s"`
 	Version version.Info `json:"version"`
 	Workers []WorkerInfo `json:"workers"`
+}
+
+// statusError carries a non-2xx response through the error path.
+type statusError struct {
+	code int
+	body string
+}
+
+func (e *statusError) Error() string { return fmt.Sprintf("status %d: %s", e.code, e.body) }
+
+func isStatus(err error, code int) bool {
+	var se *statusError
+	return errors.As(err, &se) && se.code == code
+}
+
+// post is the fabric's one HTTP call: POST body to url and decode a 2xx
+// JSON answer into out (nil discards it). Any other status comes back as
+// a *statusError holding the first 512 bytes of the answer.
+func post(ctx context.Context, client *http.Client, url, contentType string, body []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", contentType)
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512)) // best effort: the status alone is an answer
+		return &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+	}
+	if out == nil {
+		return nil
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("decode response: %w", err)
+	}
+	return nil
+}
+
+// postJSON is post with in marshalled as the body.
+func postJSON(ctx context.Context, client *http.Client, url string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("encode request: %w", err)
+	}
+	return post(ctx, client, url, "application/json", body, out)
 }

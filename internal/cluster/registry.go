@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"sort"
 	"sync"
 	"time"
@@ -29,134 +31,157 @@ type WorkerInfo struct {
 	Failed    uint64 `json:"failed"`
 }
 
-// workerState is the registry's mutable record for one worker.
-type workerState struct {
+// lease is the table's record for one worker.
+type lease struct {
 	info     WorkerInfo
 	lastBeat time.Time
 }
 
-// Registry tracks registered workers and their leases. It is the
-// coordinator's source of truth: the ring is derived from it (Register
-// and expiry keep the two in sync through the onChange hooks).
+// Registry is the fabric's membership: one table of worker leases under
+// one mutex. Nothing is derived from it and kept beside it — which worker
+// owns a cell is computed from the live leases on every call (Owners) —
+// and there is no expiry thread: a lapsed lease is dropped by whichever
+// call next reads the table.
 type Registry struct {
-	mu          sync.Mutex
-	ttl         time.Duration
-	workers     map[string]*workerState
-	expirations uint64
+	ttl  time.Duration
+	logf func(format string, args ...any)
 
-	// onJoin/onLeave fire (outside the lock) when membership changes, so
-	// the owner can mirror the ring.
-	onJoin, onLeave func(id string)
+	mu          sync.Mutex
+	workers     map[string]*lease
+	expirations uint64
 }
 
-// NewRegistry returns an empty registry whose leases last ttl.
-func NewRegistry(ttl time.Duration, onJoin, onLeave func(id string)) *Registry {
-	if onJoin == nil {
-		onJoin = func(string) {}
-	}
-	if onLeave == nil {
-		onLeave = func(string) {}
-	}
-	return &Registry{ttl: ttl, workers: make(map[string]*workerState), onJoin: onJoin, onLeave: onLeave}
+// NewRegistry returns an empty registry whose leases last ttl; logf
+// receives one line per batch of dropped leases.
+func NewRegistry(ttl time.Duration, logf func(format string, args ...any)) *Registry {
+	return &Registry{ttl: ttl, logf: logf, workers: make(map[string]*lease)}
 }
 
 // TTL returns the lease duration.
 func (r *Registry) TTL() time.Duration { return r.ttl }
 
-// Register adds or refreshes a worker. Re-registering an existing ID
-// updates its address and version and renews its lease without
-// disturbing the ring (the ID's arc is unchanged).
-func (r *Registry) Register(req RegisterRequest) {
+// live runs fn on the table under the lock, after dropping (and counting)
+// every lease that lapsed before now — so no reader ever sees a dead lease
+// and each one is counted once, by the first call to notice it. Cells in
+// flight on a dropped worker fail over through the dispatcher's retry path
+// when their HTTP calls error out.
+func (r *Registry) live(fn func(now time.Time)) {
 	now := time.Now()
+	var lapsed []string
 	r.mu.Lock()
-	st, existed := r.workers[req.ID]
-	if !existed {
-		st = &workerState{info: WorkerInfo{ID: req.ID, RegisteredAt: now.Unix()}}
-		r.workers[req.ID] = st
+	for id, l := range r.workers {
+		if now.Sub(l.lastBeat) > r.ttl {
+			lapsed = append(lapsed, id)
+			delete(r.workers, id)
+			r.expirations++
+		}
 	}
-	st.info.Addr = req.Addr
-	st.info.Version = req.Version
-	st.info.LastHeartbeat = now.Unix()
-	st.lastBeat = now
+	fn(now)
 	r.mu.Unlock()
-	if !existed {
-		r.onJoin(req.ID)
+	if len(lapsed) > 0 {
+		sort.Strings(lapsed)
+		r.logf("cluster: expired worker lease(s): %v", lapsed)
 	}
 }
 
-// Heartbeat renews a worker's lease, returning false for unknown IDs
-// (the worker must re-register).
-func (r *Registry) Heartbeat(id string, busy int) bool {
-	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.workers[id]
-	if !ok {
-		return false
-	}
-	st.lastBeat = now
-	st.info.LastHeartbeat = now.Unix()
-	st.info.Busy = busy
-	return true
+// Register adds or refreshes a worker. Re-registering a live ID updates
+// its address and version and renews its lease; its counters and the
+// cells it owns are unchanged.
+func (r *Registry) Register(req RegisterRequest) {
+	r.live(func(now time.Time) {
+		l, ok := r.workers[req.ID]
+		if !ok {
+			l = &lease{info: WorkerInfo{ID: req.ID, RegisteredAt: now.Unix()}}
+			r.workers[req.ID] = l
+		}
+		l.info.Addr = req.Addr
+		l.info.Version = req.Version
+		l.info.LastHeartbeat = now.Unix()
+		l.lastBeat = now
+	})
+}
+
+// Heartbeat renews a worker's lease, returning false for an ID without a
+// live one (the worker must re-register).
+func (r *Registry) Heartbeat(id string, busy int) (ok bool) {
+	r.live(func(now time.Time) {
+		l := r.workers[id]
+		if l == nil {
+			return
+		}
+		ok = true
+		l.lastBeat = now
+		l.info.LastHeartbeat = now.Unix()
+		l.info.Busy = busy
+	})
+	return ok
 }
 
 // Deregister removes a worker immediately — the graceful-drain path,
 // versus waiting out the lease.
 func (r *Registry) Deregister(id string) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	_, ok := r.workers[id]
 	delete(r.workers, id)
-	r.mu.Unlock()
-	if ok {
-		r.onLeave(id)
-	}
 	return ok
 }
 
-// ExpireStale removes every worker whose lease lapsed before now,
-// returning their IDs. The coordinator calls it periodically; in-flight
-// cells on an expired worker fail over through the dispatcher's normal
-// retry path when their HTTP calls error out.
-func (r *Registry) ExpireStale(now time.Time) []string {
-	r.mu.Lock()
-	var expired []string
-	for id, st := range r.workers {
-		if now.Sub(st.lastBeat) > r.ttl {
-			expired = append(expired, id)
-			delete(r.workers, id)
-			r.expirations++
-		}
-	}
-	r.mu.Unlock()
-	for _, id := range expired {
-		r.onLeave(id)
-	}
-	return expired
-}
-
-// Expirations returns the lifetime count of lease expirations.
+// Expirations returns the lifetime count of dropped leases.
 func (r *Registry) Expirations() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.expirations
 }
 
-// Addr returns a worker's dispatch address, if it is still registered.
-func (r *Registry) Addr(id string) (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st, ok := r.workers[id]
-	if !ok {
-		return "", false
+// Owners returns up to n distinct live workers for key, best first — the
+// failover sequence for a cell: attempt i goes to Owners(key, n)[i mod
+// len]. Workers are ranked by rendezvous (highest-random-weight) hashing:
+// each one's score for the key is the first 8 bytes of SHA-256(key, 0x00,
+// worker ID), highest first, ties by ID. The rank of any two workers
+// depends on nothing but the key and their two IDs, so a worker joining
+// takes over exactly the keys it now scores highest on, one leaving hands
+// on exactly the keys it owned, and any two coordinators (or one across a
+// restart) holding the same leases shard identically — while worker churn
+// leaves every other cell on the worker whose cache is warm for it.
+func (r *Registry) Owners(key string, n int) []WorkerInfo {
+	type ranked struct {
+		score uint64
+		l     *lease
 	}
-	return st.info.Addr, true
+	var out []WorkerInfo
+	r.live(func(time.Time) {
+		if n > len(r.workers) {
+			n = len(r.workers)
+		}
+		if n <= 0 {
+			return
+		}
+		rank := make([]ranked, 0, len(r.workers))
+		pre := append([]byte(key), 0)
+		for id, l := range r.workers {
+			sum := sha256.Sum256(append(pre, id...))
+			rank = append(rank, ranked{binary.BigEndian.Uint64(sum[:8]), l})
+		}
+		sort.Slice(rank, func(i, j int) bool {
+			if rank[i].score != rank[j].score {
+				return rank[i].score > rank[j].score
+			}
+			return rank[i].l.info.ID < rank[j].l.info.ID
+		})
+		out = make([]WorkerInfo, n)
+		for i := range out {
+			out[i] = rank[i].l.info
+		}
+	})
+	return out
 }
 
 // addInflight adjusts the coordinator-side in-flight count for id.
 func (r *Registry) addInflight(id string, delta int) {
 	r.mu.Lock()
-	if st, ok := r.workers[id]; ok {
-		st.info.Inflight += delta
+	if l, ok := r.workers[id]; ok {
+		l.info.Inflight += delta
 	}
 	r.mu.Unlock()
 }
@@ -164,24 +189,26 @@ func (r *Registry) addInflight(id string, delta int) {
 // recordResult attributes one dispatch outcome to id.
 func (r *Registry) recordResult(id string, failed bool) {
 	r.mu.Lock()
-	if st, ok := r.workers[id]; ok {
+	if l, ok := r.workers[id]; ok {
 		if failed {
-			st.info.Failed++
+			l.info.Failed++
 		} else {
-			st.info.Completed++
+			l.info.Completed++
 		}
 	}
 	r.mu.Unlock()
 }
 
-// Snapshot returns every worker's state, sorted by ID for stable output.
+// Snapshot returns every live worker's state, sorted by ID for stable
+// output.
 func (r *Registry) Snapshot() []WorkerInfo {
-	r.mu.Lock()
-	out := make([]WorkerInfo, 0, len(r.workers))
-	for _, st := range r.workers {
-		out = append(out, st.info)
-	}
-	r.mu.Unlock()
+	var out []WorkerInfo
+	r.live(func(time.Time) {
+		out = make([]WorkerInfo, 0, len(r.workers))
+		for _, l := range r.workers {
+			out = append(out, l.info)
+		}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

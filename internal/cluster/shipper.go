@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -67,14 +66,17 @@ func (sh *Shipper) nextDelay(consecutive int) time.Duration {
 			maxDelay = 30 * time.Second
 		}
 	}
+	return backoff(base, maxDelay, consecutive)
+}
+
+// backoff is the unjittered delay after the given count of consecutive
+// failures (1 = first): base, doubling per failure up to maxDelay.
+func backoff(base, maxDelay time.Duration, consecutive int) time.Duration {
 	d := base
 	for i := 1; i < consecutive && d < maxDelay; i++ {
 		d *= 2
 	}
-	if d > maxDelay {
-		d = maxDelay
-	}
-	return d
+	return min(d, maxDelay)
 }
 
 // jitter spreads a delay uniformly over [d/2, 3d/2).
@@ -189,23 +191,8 @@ func (sh *Shipper) ShipOnce(ctx context.Context) (int, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		sh.Coordinator+"/v1/cluster/journal", bytes.NewReader(payload))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-	}
 	var ack JournalResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+	if err := post(ctx, client, sh.Coordinator+"/v1/cluster/journal", "application/x-ndjson", payload, &ack); err != nil {
 		return 0, err
 	}
 	sh.offset += int64(len(payload))

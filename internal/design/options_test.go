@@ -57,8 +57,8 @@ func TestTuneContextRejectsBadOptions(t *testing.T) {
 
 // TestConfigureFuncShared pins that one ConfigureFunc value serves both
 // the sweep's point-to-config mapping (BaselineConfigure is one, and
-// explore.WithConfigure/SweepSpec.Configure take the same type) and the
-// tuning procedure's options.
+// explore.SweepSpec.Configure takes the same type) and the tuning
+// procedure's options.
 func TestConfigureFuncShared(t *testing.T) {
 	var fn ConfigureFunc = func(p Point) sim.Config {
 		cfg := BaselineConfigure(p)

@@ -74,18 +74,6 @@ func WithParallelism(n int) Option {
 	return func(e *Explorer) error { e.parallelism = n; return nil }
 }
 
-// WithConfigure sets the ConfigureFunc adapting the baseline
-// microarchitecture per design point (default design.BaselineConfigure).
-func WithConfigure(fn design.ConfigureFunc) Option {
-	return func(e *Explorer) error {
-		if fn == nil {
-			return fmt.Errorf("%w: nil ConfigureFunc", design.ErrBadOptions)
-		}
-		e.configure = fn
-		return nil
-	}
-}
-
 // WithCache shares a result cache between explorers (default: a fresh
 // private cache).
 func WithCache(c *Cache) Option {
@@ -164,7 +152,6 @@ type Explorer struct {
 	scale        workload.Scale
 	threadCounts []int
 	parallelism  int
-	configure    design.ConfigureFunc
 	cache        *Cache
 	cacheLimit   int
 	journalPath  string
@@ -188,7 +175,6 @@ func New(opts ...Option) (*Explorer, error) {
 		scale:        workload.Tiny,
 		threadCounts: []int{1},
 		parallelism:  runtime.GOMAXPROCS(0),
-		configure:    design.BaselineConfigure,
 		cache:        nil,
 	}
 	for _, o := range opts {
@@ -255,8 +241,8 @@ type SweepSpec struct {
 	// Progress overrides WithProgress when non-nil, letting concurrent
 	// sweeps report progress independently.
 	Progress func(Progress)
-	// Configure overrides the explorer's point-to-config mapping when
-	// non-nil. Scenario sweeps use this to fold a fault script into every
+	// Configure replaces the point-to-config mapping (default
+	// design.BaselineConfigure) when non-nil. Scenario sweeps use this to fold a fault script into every
 	// evaluated configuration; because the script lands in each cell's
 	// Config, its digest is part of every CellKey and faulty results never
 	// collide with clean ones.
@@ -288,9 +274,9 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	if spec.Progress != nil {
 		progress = spec.Progress
 	}
-	configure := e.configure
-	if spec.Configure != nil {
-		configure = spec.Configure
+	configure := spec.Configure
+	if configure == nil {
+		configure = design.BaselineConfigure
 	}
 	if err := design.ValidateRun(scale, threadCounts); err != nil {
 		return nil, err

@@ -297,11 +297,11 @@ func TestFailedCellsAreCachedDeterministically(t *testing.T) {
 		return cfg
 	}
 
-	first, err := New(WithCache(cache), WithConfigure(strangle))
+	first, err := New(WithCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := first.Sweep(context.Background(), points, apps)
+	res, err := first.SweepWith(context.Background(), points, apps, SweepSpec{Configure: strangle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +312,11 @@ func TestFailedCellsAreCachedDeterministically(t *testing.T) {
 		t.Errorf("Failed = %d, want 1", p.Failed)
 	}
 
-	second, err := New(WithCache(cache), WithConfigure(strangle))
+	second, err := New(WithCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := second.Sweep(context.Background(), points, apps)
+	res2, err := second.SweepWith(context.Background(), points, apps, SweepSpec{Configure: strangle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,6 @@ func TestNewValidatesOptions(t *testing.T) {
 		"empty thread counts":  {WithThreadCounts()},
 		"degenerate scale":     {WithScale(workload.Scale{})},
 		"nil cache":            {WithCache(nil)},
-		"nil configure":        {WithConfigure(nil)},
 		"empty journal path":   {WithJournal("", false)},
 	}
 	for name, opts := range cases {

@@ -228,7 +228,7 @@ func (e *Explorer) SweepGuided(ctx context.Context, points []design.Point, apps 
 			if !done {
 				continue
 			}
-			cfg := e.configure(points[idx])
+			cfg := design.BaselineConfigure(points[idx])
 			for _, w := range apps {
 				if cell, ok := e.cache.Cell(CellKey(cfg, w.Name, scale, threadCounts)); ok {
 					if s, ok := CellSample(cell); ok {
@@ -297,7 +297,7 @@ func (e *Explorer) SweepGuided(ctx context.Context, points []design.Point, apps 
 			if !done || g.Results[idx].Err != nil {
 				continue
 			}
-			cfg := e.configure(points[idx])
+			cfg := design.BaselineConfigure(points[idx])
 			measX = append(measX, surrogate.Features(cfg, apps[0].Name, scale, maxInt(threadCounts)))
 			measY = append(measY, g.Results[idx].Mean)
 		}
@@ -533,7 +533,7 @@ func (e *Explorer) SweepGuided(ctx context.Context, points []design.Point, apps 
 				cands = append(cands, cand{idx: idx, mu: v, area: pointArea, twin: true})
 				continue
 			}
-			cfg := e.configure(points[idx])
+			cfg := design.BaselineConfigure(points[idx])
 			var mu, sg float64
 			for _, w := range apps {
 				x := surrogate.Features(cfg, w.Name, scale, maxInt(threadCounts))
@@ -694,7 +694,7 @@ func (e *Explorer) SweepGuided(ctx context.Context, points []design.Point, apps 
 	}
 	g.Predictor = pred
 	for idx := range points {
-		cfg := e.configure(points[idx])
+		cfg := design.BaselineConfigure(points[idx])
 		var mu float64
 		for _, w := range apps {
 			m, _, ok := pred.PredictMetric(surrogate.MetricAIPC,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sync"
@@ -65,24 +66,14 @@ func openJournal(path string, resume bool, cache *Cache) (*journal, int, error) 
 	return &journal{f: f, w: bufio.NewWriter(f)}, loaded, nil
 }
 
-// walkJournal streams a journal file's cells through fn, returning how
-// many were delivered. A missing file is an empty journal, not an error
-// (so -resume works on the first run too). A "tuning" line — journals
-// written before tunings ran as cells hold them — is skipped silently: its
-// result is recomputed from cells. A torn final line — the signature of a
-// crash mid-append — is skipped with a logged warning; a corrupt or
-// unknown-kind line anywhere else is an error.
-func walkJournal(path string, fn func(Cell)) (int, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("explore: open journal for resume: %w", err)
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
+// walkJournal streams a journal's cells from r through fn, returning how
+// many were delivered. A "tuning" line — journals written before tunings
+// ran as cells hold them — is skipped silently: its result is recomputed
+// from cells. A torn final line — the signature of a crash mid-append — is
+// skipped with a logged warning; a corrupt line, an unknown kind or a cell
+// without a key (the cache's "no cell") anywhere else is an error.
+func walkJournal(r io.Reader, fn func(Cell)) (int, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	n, line := 0, 0
 	var pendingErr error
@@ -94,20 +85,22 @@ func walkJournal(path string, fn func(Cell)) (int, error) {
 		}
 		var rec record
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			pendingErr = fmt.Errorf("explore: journal %s line %d: %w", path, line, err)
+			pendingErr = fmt.Errorf("explore: journal line %d: %w", line, err)
 			continue
 		}
-		switch rec.Kind {
-		case "cell":
+		switch {
+		case rec.Kind == "cell" && rec.Key != "":
 			fn(rec.cell())
 			n++
-		case "tuning": // a pre-cell journal's summary line: skipped, not counted
+		case rec.Kind == "cell":
+			pendingErr = fmt.Errorf("explore: journal line %d: cell without a key", line)
+		case rec.Kind == "tuning": // a pre-cell journal's summary line: skipped, not counted
 		default:
-			pendingErr = fmt.Errorf("explore: journal %s line %d: unknown kind %q", path, line, rec.Kind)
+			pendingErr = fmt.Errorf("explore: journal line %d: unknown kind %q", line, rec.Kind)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return n, fmt.Errorf("explore: reading journal %s: %w", path, err)
+		return n, fmt.Errorf("explore: reading journal: %w", err)
 	}
 	if pendingErr != nil {
 		// Torn trailing record: the signature of a crash mid-append. The
@@ -120,23 +113,38 @@ func walkJournal(path string, fn func(Cell)) (int, error) {
 
 // ReplayJournal replays the journal file at path into cache, returning
 // how many cells were loaded. Resume uses it, and so does anything that
-// reads a journal without constructing an Explorer.
+// reads a journal without constructing an Explorer. A missing file is an
+// empty journal, not an error (so -resume works on the first run too).
 func ReplayJournal(path string, cache *Cache) (int, error) {
-	return walkJournal(path, cache.PutCell)
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("explore: open journal for resume: %w", err)
+	}
+	defer f.Close()
+	n, err := walkJournal(f, cache.PutCell)
+	if err != nil {
+		return n, fmt.Errorf("%w (in %s)", err, path)
+	}
+	return n, nil
 }
 
-// MergeJournal folds another journal file into this explorer's result
-// space: records whose key is not already cached are inserted into the
-// cache and re-appended to this explorer's journal, so the merged journal
-// is self-contained for the next warm restart. Records already present
-// (by content-addressed key) are skipped, making the merge idempotent —
-// merging the same worker journal twice, or two journals from overlapping
-// sweeps, adds each cell exactly once. It is safe to call concurrently
-// with sweeps appending to the same explorer.
-func (e *Explorer) MergeJournal(path string) (int, error) {
+// MergeJournal folds another journal, read from r, into this explorer's
+// result space: records whose key is not already cached are inserted into
+// the cache and re-appended to this explorer's journal, so the merged
+// journal is self-contained for the next warm restart. Records already
+// present (by content-addressed key) are skipped, making the merge
+// idempotent — merging the same worker journal twice, or two journals from
+// overlapping sweeps, adds each cell exactly once — and a merge cut short
+// by an error from r keeps what it merged, so merging the whole again is
+// the retry. It is safe to call concurrently with sweeps appending to the
+// same explorer.
+func (e *Explorer) MergeJournal(r io.Reader) (int, error) {
 	merged := 0
 	var firstErr error
-	_, err := walkJournal(path, func(cell Cell) {
+	_, err := walkJournal(r, func(cell Cell) {
 		if _, ok := e.cache.Cell(cell.Key); ok {
 			return
 		}

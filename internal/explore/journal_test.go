@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -19,6 +20,17 @@ func fakeCell(i int) Cell {
 		AIPC: float64(i) + 0.5, Threads: 1,
 		Cycles: uint64(1000 + i), SimCycles: uint64(1000 + i),
 	}
+}
+
+// mergeFile merges the journal file at path into e.
+func mergeFile(t *testing.T, e *Explorer, path string) (int, error) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	return e.MergeJournal(f)
 }
 
 func writeJournalLines(t *testing.T, path string, lines ...string) {
@@ -61,6 +73,9 @@ func TestJournalMidFileCorruption(t *testing.T) {
 	for name, lines := range map[string][]string{
 		"garbage":      {good, `{"kind":"cell","key":"bb`, good},
 		"unknown kind": {good, `{"kind":"mystery","key":"bbbb"}`, good},
+		// A cell without a key would be cached under "", which every
+		// reader of a Cell takes to mean "no cell".
+		"keyless cell": {good, `{"kind":"cell","app":"fft","aipc":1.5}`, good},
 	} {
 		path := filepath.Join(t.TempDir(), "corrupt.jsonl")
 		writeJournalLines(t, path, lines...)
@@ -68,6 +83,55 @@ func TestJournalMidFileCorruption(t *testing.T) {
 			t.Errorf("%s mid-file: resume succeeded, want error", name)
 		}
 	}
+}
+
+// TestJournalKeylessTail: a keyless cell as the last line is skipped with
+// the torn-tail warning like any other bad last line, and never cached.
+func TestJournalKeylessTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "keyless.jsonl")
+	writeJournalLines(t, path, `{"kind":"cell","key":"aaaa","app":"fft"}`, `{"kind":"cell"}`)
+	cache := NewCache()
+	n, err := ReplayJournal(path, cache)
+	if err != nil || n != 1 || cache.Stats().Cells != 1 {
+		t.Fatalf("replayed %d records into %d cells, error %v; want the keyed cell alone", n, cache.Stats().Cells, err)
+	}
+	if _, ok := cache.Cell(""); ok {
+		t.Error("a cell is cached under the empty key")
+	}
+}
+
+// FuzzWalkJournal: a journal is bytes from outside — a file a crash tore,
+// or a delta a worker posted. No input may panic the walk, no delivered
+// cell may lack a key, and whatever a merge took from the bytes a second
+// merge of the same bytes finds already there.
+func FuzzWalkJournal(f *testing.F) {
+	cell := `{"kind":"cell","key":"aaaa","app":"fft","aipc":1.5,"threads":1,"cycles":100}`
+	f.Add([]byte(cell + "\n"))
+	f.Add([]byte(cell + "\n" + `{"kind":"tuning","key":"6055","app":"ammp","k_opt":2,"u_opt":64,"ratio":0.03125}` + "\n"))
+	f.Add([]byte(cell + "\n" + `{"kind":"cell","key":"bb`))
+	f.Add([]byte(`{"kind":"cell"}` + "\n" + cell + "\n"))
+	prev := log.Writer()
+	log.SetOutput(io.Discard) // torn-tail warnings, one per input
+	f.Cleanup(func() { log.SetOutput(prev) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		delivered, _ := walkJournal(bytes.NewReader(data), func(c Cell) {
+			if c.Key == "" {
+				t.Error("delivered a cell without a key")
+			}
+		})
+		exp, err := New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer exp.Close()
+		first, _ := exp.MergeJournal(bytes.NewReader(data))
+		if first > delivered {
+			t.Errorf("merged %d of %d delivered cells", first, delivered)
+		}
+		if again, _ := exp.MergeJournal(bytes.NewReader(data)); again != 0 {
+			t.Errorf("second merge of the same bytes merged %d, want 0", again)
+		}
+	})
 }
 
 // TestJournalSkipsOldTuningRecords: journals written before tunings ran
@@ -104,10 +168,10 @@ func TestJournalSkipsOldTuningRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged, err := exp.MergeJournal(oldPath); err != nil || merged != 2 {
+	if merged, err := mergeFile(t, exp, oldPath); err != nil || merged != 2 {
 		t.Errorf("first merge: %d records, error %v; want 2, nil", merged, err)
 	}
-	if again, err := exp.MergeJournal(oldPath); err != nil || again != 0 {
+	if again, err := mergeFile(t, exp, oldPath); err != nil || again != 0 {
 		t.Errorf("second merge: %d records, error %v; want 0, nil (idempotent)", again, err)
 	}
 	if err := exp.Close(); err != nil {
@@ -205,14 +269,14 @@ func TestMergeJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	merged, err := coord.MergeJournal(workerPath)
+	merged, err := mergeFile(t, coord, workerPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if merged != 4 { // cells 4-7; the overlap is already cached
 		t.Errorf("merged %d records, want 4", merged)
 	}
-	again, err := coord.MergeJournal(workerPath)
+	again, err := mergeFile(t, coord, workerPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +335,7 @@ func TestMergeJournalConcurrentWithAppends(t *testing.T) {
 			}
 		}
 	}()
-	merged, err := coord.MergeJournal(workerPath)
+	merged, err := mergeFile(t, coord, workerPath)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)

@@ -219,24 +219,6 @@ func (s *Scenario) ResolvePhases() ([]ResolvedPhase, error) {
 	return out, nil
 }
 
-// Workloads returns the distinct workloads the scenario's phases touch,
-// in phase order — the app axis a sweep over this scenario evaluates.
-func (s *Scenario) Workloads() ([]workload.Workload, error) {
-	phases, err := s.ResolvePhases()
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var out []workload.Workload
-	for _, ph := range phases {
-		if !seen[ph.Workload.Name] {
-			seen[ph.Workload.Name] = true
-			out = append(out, ph.Workload)
-		}
-	}
-	return out, nil
-}
-
 // Digest returns the stable content address of the scenario: the SHA-256
 // of its canonical encoding (the parsed struct re-marshalled, so
 // whitespace and key order in the source document do not matter).

@@ -54,14 +54,6 @@ func TestParseRoundTrip(t *testing.T) {
 	if phases[1].Fault == nil || phases[1].Fault.Seed != 7 {
 		t.Errorf("phase 2 fault %+v", phases[1].Fault)
 	}
-
-	wls, err := s.Workloads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wls) != 2 {
-		t.Errorf("distinct workloads %d, want 2", len(wls))
-	}
 }
 
 // TestDigestCanonical: the digest depends on content, not formatting, and

@@ -5,7 +5,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
 
 	"wavescalar/internal/cluster"
 	"wavescalar/internal/design"
@@ -82,14 +81,17 @@ func (s *Server) handleClusterDeregister(w http.ResponseWriter, r *http.Request)
 }
 
 // handleClusterJournal folds a worker's shipped journal delta into the
-// coordinator's result space. The body is raw JSONL — the exact bytes
-// of the worker's journal tail, at most cluster.MaxJournalDelta of them
-// (a larger body is refused with 413, never truncated: the shipper
-// advances its offset by what it sent) — staged to a temp file and merged
-// through the explorer's idempotent MergeJournal: new cells land in the
-// coordinator's cache *and* journal (so the merge survives the next
-// warm restart), already-known keys are skipped. This is what keeps a
-// worker cold-restart from losing cells it simulated outside a sweep.
+// coordinator's result space. The body is raw JSONL — the exact bytes of
+// the worker's journal tail, at most cluster.MaxJournalDelta of them —
+// merged line by line as it arrives through the explorer's idempotent
+// MergeJournal, so the delta is never held whole: new cells land in the
+// coordinator's cache *and* journal (so the merge survives the next warm
+// restart), already-known keys are skipped. A larger body is refused with
+// 413 — before a byte is read when Content-Length says so, else at the cap,
+// keeping the complete lines merged before it — and never answered 2xx: the
+// shipper advances its offset by what it sent only on 2xx. This is what
+// keeps a worker cold-restart from losing cells it simulated outside a
+// sweep.
 func (s *Server) handleClusterJournal(w http.ResponseWriter, r *http.Request) {
 	if !s.requireCoordinator(w) {
 		return
@@ -98,40 +100,46 @@ func (s *Server) handleClusterJournal(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, cluster.MaxJournalDelta))
-	if err != nil {
-		writeBodyErr(w, "reading body", err)
+	if r.ContentLength > cluster.MaxJournalDelta {
+		writeBodyErr(w, "", &http.MaxBytesError{Limit: cluster.MaxJournalDelta})
 		return
 	}
-	received := bytes.Count(body, []byte{'\n'})
-	if len(body) > 0 && body[len(body)-1] != '\n' {
-		received++
-	}
-	tmp, err := os.CreateTemp("", "wsd-journal-*.jsonl")
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "staging journal delta: %v", err)
-		return
-	}
-	defer os.Remove(tmp.Name())
-	_, werr := tmp.Write(body)
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		writeErr(w, http.StatusInternalServerError, "staging journal delta: %v", werr)
-		return
-	}
-	merged, err := s.exp.MergeJournal(tmp.Name())
+	body := lineCounter{r: http.MaxBytesReader(w, r.Body, cluster.MaxJournalDelta)}
+	merged, err := s.exp.MergeJournal(&body)
+	s.metrics.add(&s.metrics.journalMerged, uint64(merged))
 	if err != nil {
 		// Partial merges are fine (idempotence makes the re-ship safe);
 		// tell the worker so it retries the whole delta.
-		writeErr(w, http.StatusBadRequest, "merging journal delta: %v", err)
+		writeBodyErr(w, "merging journal delta", err)
 		return
 	}
-	s.metrics.add(&s.metrics.journalMerged, uint64(merged))
 	writeJSON(w, http.StatusOK, cluster.JournalResponse{
-		Received: received, Merged: merged, Version: version.Get("wsd"),
+		Received: body.lines(), Merged: merged, Version: version.Get("wsd"),
 	})
+}
+
+// lineCounter counts the lines of what is read through it; a final line
+// without its newline counts.
+type lineCounter struct {
+	r        io.Reader
+	newlines int
+	open     bool // the last byte read was not a newline
+}
+
+func (c *lineCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if n > 0 {
+		c.newlines += bytes.Count(p[:n], []byte{'\n'})
+		c.open = p[n-1] != '\n'
+	}
+	return n, err
+}
+
+func (c *lineCounter) lines() int {
+	if c.open {
+		return c.newlines + 1
+	}
+	return c.newlines
 }
 
 func (s *Server) handleClusterWorkers(w http.ResponseWriter, r *http.Request) {

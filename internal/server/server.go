@@ -63,8 +63,8 @@ type Role string
 const (
 	// RoleSingle (the default) simulates everything locally.
 	RoleSingle Role = "single"
-	// RoleCoordinator shards sweep cells across registered workers via a
-	// consistent hash ring, streams results into its own cache/journal,
+	// RoleCoordinator shards sweep cells across registered workers by
+	// rendezvous hashing, streams results into its own cache/journal,
 	// and serves the /v1/cluster registration endpoints. With no workers
 	// registered it degrades to RoleSingle behavior.
 	RoleCoordinator Role = "coordinator"
@@ -337,9 +337,6 @@ func New(opts ...Option) (*Server, error) {
 		exp.Close()
 		return nil, err
 	}
-	if s.coord != nil {
-		s.coord.Start()
-	}
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.queue = make(chan *job, s.queueDepth)
 	s.mux = s.routes()
@@ -486,9 +483,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 	s.cancelBase()
-	if s.coord != nil {
-		s.coord.Stop()
-	}
 	err := s.exp.Close()
 	if s.scnFile != nil {
 		if cerr := s.scnFile.Close(); err == nil {

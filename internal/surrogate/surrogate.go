@@ -381,43 +381,11 @@ func (p *Predictor) PredictMetric(name string, x []float64) (mean, sigma float64
 	return mean, sigma, true
 }
 
-// Importance returns one metric's learned per-feature sensitivity, in
-// target units per feature unit, averaged over the fold ensemble. For
-// the GBM it is the total boosted swing of each feature's stumps over a
-// unit step; for ridge it is |w|/std, the slope on the raw scale.
-// Features the data never showed to matter (dead axes — say, L2 size on
-// a working set that fits in L1) come out near zero, which is what lets
-// an acquisition loop tell a genuinely unexplored design family from an
-// area-only twin of a measured one.
-func (p *Predictor) Importance(name string) []float64 {
-	mm := p.metric(name)
-	imp := make([]float64, len(featureNames))
-	if mm == nil || len(mm.Folds) == 0 {
-		return imp
-	}
-	for _, fm := range mm.Folds {
-		switch {
-		case fm.GBM != nil:
-			for _, s := range fm.GBM.Stumps {
-				imp[s.Feature] += fm.GBM.Rate * math.Abs(s.Right-s.Left)
-			}
-		case fm.Ridge != nil:
-			for j, w := range fm.Ridge.Weights {
-				imp[j] += math.Abs(w) / fm.Ridge.Std[j]
-			}
-		}
-	}
-	for j := range imp {
-		imp[j] /= float64(len(mm.Folds))
-	}
-	return imp
-}
-
 // PairImportance estimates per-feature sensitivity directly from
 // measurements: it ridge-fits Δy ≈ β·Δx over every pair of the given
-// rows and returns |β| — the empirical response gradient. Unlike
-// Importance it cannot be fooled by a learner overfitting residual
-// noise onto a dead axis: once the data contains a twin pair (two rows
+// rows and returns |β| — the empirical response gradient. Unlike a
+// sensitivity read off a trained model's weights it cannot be fooled by a
+// learner overfitting residual noise onto a dead axis: once the data contains a twin pair (two rows
 // differing only on that axis with equal y), the axis's coefficient is
 // pinned to zero by the strongest evidence available. Rows must share
 // the feature schema; fewer than two rows yield all zeros.

@@ -474,7 +474,7 @@ func ServerJournal(path string, resume bool) ServerOption { return server.WithJo
 func ServerParallelism(n int) ServerOption { return server.WithParallelism(n) }
 
 // Distributed sweep fabric (internal/cluster): a coordinator shards sweep
-// cells across registered workers via a consistent hash ring on the
+// cells across registered workers by rendezvous hashing on the
 // content-addressed cell key, retries failed cells on other workers, and
 // falls back to local simulation — so a degraded fabric loses speed,
 // never results.
