@@ -23,7 +23,6 @@
 // Endpoints:
 //
 //	POST /v1/runs        synchronous single simulation (cached, deduped)
-//	POST /v1/predict     surrogate answer when confident, else a real run
 //	POST /v1/sweeps      asynchronous design-space sweep -> job id
 //	GET  /v1/jobs/{id}   job status, progress, results
 //	DELETE /v1/jobs/{id} cancel a job
@@ -77,9 +76,6 @@ func main() {
 	tenantQuota := flag.Int("tenant-quota", 0, "max queued-or-running jobs per tenant (X-Tenant header); 0 disables")
 	retryAfter := flag.Duration("retry-after", 2*time.Second, "base Retry-After hint on 429 responses (served jittered ±20%)")
 	scenarioStore := flag.String("scenario-store", "", "persist stored scenarios to this JSONL file (default <journal>.scenarios when -journal is set)")
-	surrogateModel := flag.String("surrogate", "", "serve /v1/predict from this model file (wssurrogate train)")
-	surrogateTrain := flag.Bool("surrogate-train", false, "train the /v1/predict model at startup from the resumed journal")
-	surrogateThreshold := flag.Float64("surrogate-threshold", 0, "relative-uncertainty gate above which /v1/predict falls back to simulation (0 = default 0.1)")
 	shipInterval := flag.Duration("ship-interval", 0, "ship journal deltas to the coordinator this often (worker role; 0 disables)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -129,21 +125,6 @@ func main() {
 	}
 	if store != "" {
 		opts = append(opts, wavescalar.ServerScenarioStore(store))
-	}
-	if *surrogateModel != "" && *surrogateTrain {
-		fail(fmt.Errorf("-surrogate and -surrogate-train are mutually exclusive"))
-	}
-	if *surrogateTrain && !*resume {
-		fail(fmt.Errorf("-surrogate-train needs journaled cells; add -journal <file> -resume"))
-	}
-	if *surrogateModel != "" {
-		opts = append(opts, wavescalar.ServerSurrogateModel(*surrogateModel))
-	}
-	if *surrogateTrain {
-		opts = append(opts, wavescalar.ServerSurrogateTrain())
-	}
-	if *surrogateThreshold > 0 {
-		opts = append(opts, wavescalar.ServerSurrogateThreshold(*surrogateThreshold))
 	}
 	var shipper *wavescalar.ClusterShipper
 	if *shipInterval > 0 {

@@ -1,14 +1,13 @@
 // Command wstune reproduces Table 4: the per-application matching-table
 // tuning (k_opt, u_opt, virtualization ratio). Every k and u step is one
 // cell of the exploration engine, so a journaled run resumes at the step it
-// was interrupted in and its journal is ordinary sweep/surrogate data.
+// was interrupted in and its journal is ordinary sweep data.
 //
 // Usage:
 //
 //	wstune                 # tune every bundled workload
 //	wstune -app gzip       # tune one
 //	wstune -journal t.jsonl -resume   # simulate only the steps not yet journaled
-//	wstune -surrogate model.json      # model-prune non-competitive k candidates
 package main
 
 import (
@@ -30,7 +29,6 @@ func main() {
 	journalPath := flag.String("journal", "", "append each completed k/u step (one cell) to this JSONL journal")
 	resume := flag.Bool("resume", false, "replay the journal first and simulate only the missing cells")
 	timeout := flag.Duration("timeout", 0, "abort after this duration (0 = none)")
-	surrogatePath := flag.String("surrogate", "", "prune non-competitive k candidates with this model file (wssurrogate train)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -48,13 +46,6 @@ func main() {
 		fail(err)
 	}
 	opt.Scale = sc
-
-	var model *wavescalar.Surrogate
-	if *surrogatePath != "" {
-		if model, err = wavescalar.LoadSurrogate(*surrogatePath); err != nil {
-			fail(err)
-		}
-	}
 
 	var apps []wavescalar.Workload
 	if *app != "" {
@@ -93,13 +84,8 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-12s %6s %6s %12s\n", "application", "u_opt", "k_opt", "virt. ratio")
 	var tunings []wavescalar.Tuning
-	cached, pruned := 0, 0
+	cached := 0
 	for _, w := range apps {
-		if model != nil {
-			// The advisor is per-app: the feature vector carries the
-			// workload identity, so each app gets its own prune decisions.
-			opt.Advisor = model.Advisor(w.Name, opt.Scale, 1, 0)
-		}
 		tn, hit, err := exp.Tune(ctx, w, opt)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -117,15 +103,11 @@ func main() {
 		if hit {
 			cached++
 		}
-		pruned += tn.Pruned
 		tunings = append(tunings, tn)
 		fmt.Printf("%-12s %6d %6d %12.2f\n", tn.App, tn.UOpt, tn.KOpt, tn.Ratio)
 	}
 	if cached > 0 {
 		fmt.Fprintf(os.Stderr, "wstune: %d of %d tunings served from the journal/cache\n", cached, len(apps))
-	}
-	if model != nil {
-		fmt.Fprintf(os.Stderr, "wstune: surrogate pruned %d k candidates without simulating\n", pruned)
 	}
 	if len(tunings) > 1 {
 		max := tunings[0].Ratio

@@ -70,7 +70,7 @@ func TestViableProperties(t *testing.T) {
 }
 
 // Viable is computed once per process, but every caller (wspareto, wsarea,
-// wssurrogate, the daemon's subsample, the facade) owns what it gets back:
+// the daemon's subsample, the facade) owns what it gets back:
 // sorting, truncating, appending to or overwriting one returned slice must
 // not reach the next caller's.
 func TestViableReturnsACopy(t *testing.T) {
@@ -221,8 +221,8 @@ func TestTuneGzip(t *testing.T) {
 
 // TestTuneSelection drives the Table 4 selection rules with a synthetic
 // measure: the smallest k within Tol of the best, the last u before AIPC
-// drops by more than Tol, an advisor that only prunes, and step errors
-// that name the workload and the step.
+// drops by more than Tol, and step errors that name the workload and the
+// step.
 func TestTuneSelection(t *testing.T) {
 	opt := TuneOptions{Scale: workload.Tiny, Ks: []int{1, 2, 4}, Us: []int{1, 2, 4, 8}, Tol: 0.05}
 	kAIPC := map[int]float64{1: 0.80, 2: 0.97, 4: 1.00}
@@ -246,19 +246,6 @@ func TestTuneSelection(t *testing.T) {
 	}
 	if len(measured) != 3+3 { // every k, then u = 1, 2 and the u = 4 that dropped
 		t.Errorf("measured %d configurations, want 6", len(measured))
-	}
-
-	// The advisor rules k=1 out (0.5 is far below the band), so it is
-	// never measured; the selection among the rest is unchanged.
-	measured = nil
-	advised := opt
-	advised.Advisor = func(cfg sim.Config) (float64, bool) { return map[int]float64{1: 0.5, 2: 1, 4: 1}[cfg.K], true }
-	tn, err = Tune("synthetic", advised, measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tn.KOpt != 2 || tn.UOpt != 2 || tn.Pruned != 1 || len(measured) != 2+3 {
-		t.Errorf("advised tuning = %+v over %d measurements, want k_opt 2, u_opt 2, 1 pruned, 5 measured", tn, len(measured))
 	}
 
 	failing := func(cfg sim.Config) (float64, error) {

@@ -45,7 +45,7 @@ type BestRun struct {
 	AIPC    float64
 	Threads int
 	// Cycles is the winning run's simulated length; Traffic its total
-	// message count (the NoC-pressure objective surrogate models learn).
+	// message count (its NoC pressure).
 	Cycles  uint64
 	Traffic uint64
 	// SimCycles totals simulated cycles across every thread count tried.

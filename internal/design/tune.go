@@ -15,9 +15,6 @@ type Tuning struct {
 	KOpt  int
 	UOpt  int
 	Ratio float64 // virtualization ratio k_opt / u_opt
-	// Pruned counts the k candidates an Advisor skipped without
-	// simulating (0 without an advisor). Not part of the tuning identity.
-	Pruned int
 }
 
 // TuneOptions configures the tuning procedure.
@@ -35,14 +32,6 @@ type TuneOptions struct {
 	// config the k/u sweeps perturb; nil uses BaselineConfigure. It is
 	// the same ConfigureFunc type the explore engine's sweeps use.
 	Configure ConfigureFunc
-	// Advisor, when non-nil, predicts a configuration's AIPC without
-	// simulating (ok false when the model cannot answer). The k sweep
-	// uses it to skip candidates predicted to fall clearly outside the
-	// tolerance band — more than 2×Tol below the best prediction — so a
-	// surrogate-assisted tuning simulates only the contenders. The final
-	// k_opt/u_opt selection is always made from real simulations; the
-	// advisor only prunes, it never decides.
-	Advisor func(cfg sim.Config) (aipc float64, ok bool)
 }
 
 // Validate reports whether the options are usable, wrapping ErrBadOptions
@@ -118,42 +107,10 @@ func Tune(app string, opt TuneOptions, measure func(sim.Config) (float64, error)
 	}
 
 	// Step 1: k_opt on an effectively infinite matching table (M = 4096,
-	// far beyond any instance demand). With an Advisor, candidates predicted
-	// to land clearly outside the tolerance band (more than 2×Tol below the
-	// best prediction) are skipped; the selection below still compares only
-	// measured candidates.
-	skip := make([]bool, len(opt.Ks))
-	pruned := 0
-	if opt.Advisor != nil {
-		preds := make([]float64, len(opt.Ks))
-		have := make([]bool, len(opt.Ks))
-		bestPred := 0.0
-		for i, k := range opt.Ks {
-			if a, ok := opt.Advisor(tuneConfig(4096, k)); ok {
-				preds[i], have[i] = a, true
-				if a > bestPred {
-					bestPred = a
-				}
-			}
-		}
-		for i := range opt.Ks {
-			if have[i] && preds[i] < bestPred*(1-2*opt.Tol) {
-				skip[i] = true
-				pruned++
-			}
-		}
-		if pruned == len(opt.Ks) {
-			// Never prune everything: fall back to the full sweep.
-			skip = make([]bool, len(opt.Ks))
-			pruned = 0
-		}
-	}
+	// far beyond any instance demand).
 	kAIPC := make([]float64, len(opt.Ks))
 	best := 0.0
 	for i, k := range opt.Ks {
-		if skip[i] {
-			continue
-		}
 		a, err := measure(tuneConfig(4096, k))
 		if err != nil {
 			return Tuning{}, fmt.Errorf("design: tuning %s at k=%d: %w", app, k, err)
@@ -165,7 +122,7 @@ func Tune(app string, opt TuneOptions, measure func(sim.Config) (float64, error)
 	}
 	kOpt := opt.Ks[len(opt.Ks)-1]
 	for i, k := range opt.Ks {
-		if !skip[i] && kAIPC[i] >= best*(1-opt.Tol) {
+		if kAIPC[i] >= best*(1-opt.Tol) {
 			kOpt = k
 			break
 		}
@@ -198,11 +155,10 @@ func Tune(app string, opt TuneOptions, measure func(sim.Config) (float64, error)
 	}
 
 	return Tuning{
-		App:    app,
-		KOpt:   kOpt,
-		UOpt:   uOpt,
-		Ratio:  float64(kOpt) / float64(uOpt),
-		Pruned: pruned,
+		App:   app,
+		KOpt:  kOpt,
+		UOpt:  uOpt,
+		Ratio: float64(kOpt) / float64(uOpt),
 	}, nil
 }
 

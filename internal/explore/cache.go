@@ -118,12 +118,12 @@ type Cell struct {
 	Cycles    uint64
 	SimCycles uint64
 	Traffic   uint64
-	// Provenance for surrogate training: the cell's scale, the k-loop
-	// bound of its configuration, and the fault-script digest if one was
-	// injected. Zero values on records journaled before these fields
-	// existed — such cells simply carry less training signal. None of
-	// these participate in the content-addressed Key (the key already
-	// covers the full config/scale/fault identity).
+	// Provenance: the cell's scale, the k-loop bound of its configuration,
+	// and the fault-script digest if one was injected, so a journal line
+	// describes itself to a reader (jq, a plotting script) that cannot
+	// invert the Key. Zero values on records journaled before these
+	// fields existed. None of these participate in the content-addressed
+	// Key (the key already covers the full config/scale/fault identity).
 	ScaleIters     int
 	ScaleFootprint int
 	K              int
@@ -228,10 +228,9 @@ func (c *Cache) PutCell(cell Cell) {
 	c.evictOver()
 }
 
-// Cells returns a snapshot of every cached cell, sorted by key. The
-// deterministic order (independent of insertion and LRU history) is what
-// lets surrogate training over a cache produce byte-identical models for
-// the same cell population. Recency is not touched.
+// Cells returns a snapshot of every cached cell, sorted by key, so the
+// same cell population gives the same snapshot whatever its insertion
+// and LRU history. Recency is not touched.
 func (c *Cache) Cells() []Cell {
 	c.mu.Lock()
 	out := make([]Cell, 0, len(c.cells))

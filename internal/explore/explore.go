@@ -465,8 +465,7 @@ func (e *Explorer) commit(cell Cell) error {
 }
 
 // newCell stamps a fresh cell with its identity and provenance: the
-// fields every outcome (success or deterministic failure) carries, and
-// that surrogate training later reads back out of the journal.
+// fields every outcome (success or deterministic failure) carries.
 func newCell(key, app string, cfg sim.Config, sc workload.Scale) Cell {
 	cell := Cell{
 		Key: key, App: app, Arch: cfg.Arch.String(),

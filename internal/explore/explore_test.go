@@ -487,9 +487,9 @@ func TestTuneCachesThroughJournal(t *testing.T) {
 	if got != want {
 		t.Errorf("replayed tuning %+v != %+v", got, want)
 	}
-	// The journal is ordinary cell data: surrogate training reads it.
-	if n := len(CellSamples(third.Cache().Cells())); n != steps {
-		t.Errorf("a tuning's journal yields %d training samples, want %d", n, steps)
+	// The journal is ordinary cell data: one cell per step.
+	if n := len(third.Cache().Cells()); n != steps {
+		t.Errorf("a tuning's journal yields %d cells, want %d", n, steps)
 	}
 
 	// A different schedule shares the cells both measure and simulates

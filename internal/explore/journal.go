@@ -27,8 +27,8 @@ type record struct {
 	Cycles  uint64  `json:"cycles,omitempty"`
 	Sim     uint64  `json:"sim_cycles,omitempty"`
 	Traffic uint64  `json:"traffic,omitempty"`
-	// Provenance for surrogate training (see Cell); absent on journals
-	// written before these fields existed.
+	// Provenance (see Cell); absent on journals written before these
+	// fields existed, which still replay.
 	ScaleIters     int    `json:"scale_iters,omitempty"`
 	ScaleFootprint int    `json:"scale_fp,omitempty"`
 	K              int    `json:"k,omitempty"`

@@ -40,6 +40,57 @@ func writeJournalLines(t *testing.T, path string, lines ...string) {
 	}
 }
 
+// TestJournalRecordBytesPinned pins the journal's record format by its
+// bytes: two lines as a wspareto sweep and a daemon's fault-injected run
+// wrote them (every provenance field set), replayed into cells and
+// appended back out. A renamed, reordered, dropped or added field fails
+// here before it strands an existing journal.
+func TestJournalRecordBytesPinned(t *testing.T) {
+	const lines = `{"kind":"cell","key":"11a97cf7a3cddd724489c70f8404d7a1","app":"conv-os-4x4x2","arch":"C1 D4 P8 V128 M128 L1:8KB L2:0MB","aipc":5.6380952380952385,"threads":1,"cycles":3780,"sim_cycles":3780,"traffic":33203,"scale_iters":24,"scale_fp":1024,"k":4}
+{"kind":"cell","key":"e52aefdc691e688905a0f1566fa43e34","app":"fft","arch":"C1 D4 P8 V128 M128 L1:32KB L2:1MB","aipc":4.165951359084406,"threads":1,"cycles":4194,"sim_cycles":4194,"traffic":37070,"scale_iters":24,"scale_fp":1024,"k":4,"fault":"bb534d91fb9800b4179dd1fb34d6dab4f466f5e9ba5caa962244315d09d25ebc"}
+`
+	want := []Cell{
+		{Key: "11a97cf7a3cddd724489c70f8404d7a1", App: "conv-os-4x4x2", Arch: "C1 D4 P8 V128 M128 L1:8KB L2:0MB",
+			AIPC: 5.6380952380952385, Threads: 1, Cycles: 3780, SimCycles: 3780, Traffic: 33203,
+			ScaleIters: 24, ScaleFootprint: 1024, K: 4},
+		{Key: "e52aefdc691e688905a0f1566fa43e34", App: "fft", Arch: "C1 D4 P8 V128 M128 L1:32KB L2:1MB",
+			AIPC: 4.165951359084406, Threads: 1, Cycles: 4194, SimCycles: 4194, Traffic: 37070,
+			ScaleIters: 24, ScaleFootprint: 1024, K: 4,
+			FaultDigest: "bb534d91fb9800b4179dd1fb34d6dab4f466f5e9ba5caa962244315d09d25ebc"},
+	}
+
+	var got []Cell
+	if n, err := walkJournal(strings.NewReader(lines), func(c Cell) { got = append(got, c) }); err != nil || n != len(want) {
+		t.Fatalf("walkJournal = %d, %v; want %d cells", n, err, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d replays as %+v, want %+v", i+1, got[i], want[i])
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	j, _, err := openJournal(path, false, NewCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range want {
+		if err := j.append(cellRecord(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(written) != lines {
+		t.Errorf("journal bytes drifted:\n%s\nwant:\n%s", written, lines)
+	}
+}
+
 // TestJournalTornTrailingRecord: a crash mid-append leaves a truncated
 // final line. Resume must load every complete record and skip only the
 // torn one — losing the cell in flight, never the journal.

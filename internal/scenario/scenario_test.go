@@ -137,3 +137,41 @@ func TestParseRejects(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseScenario: Parse meets documents posted by clients and lines of
+// the scenario store. It must never panic, and whatever it accepts must
+// resolve, digest, and survive its own canonical encoding: re-parsing the
+// re-marshalled document gives the same digest (the store's dedup rests
+// on that).
+func FuzzParseScenario(f *testing.F) {
+	f.Add([]byte(sample))
+	f.Add([]byte(`{"scenario": "v1", "workload": {"name": "fft"}}`))
+	f.Add([]byte(`{"scenario": "v1", "workload": {"name": "fft"}} {}`))
+	f.Add([]byte(`{"scenario": "v1", "workload": {"conv": {"order": "zz", "tx": 4, "ty": 4, "tc": 2}}}`))
+	f.Add([]byte(`{"scenario": "v1", "phases": [{"scale": "tiny"}]}`))
+	f.Add([]byte(`["scenario", "v1"]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadScenario) {
+				t.Fatalf("rejection %v does not wrap ErrBadScenario", err)
+			}
+			return
+		}
+		if _, err := s.ResolvePhases(); err != nil {
+			t.Fatalf("accepted scenario does not resolve: %v", err)
+		}
+		digest := s.Digest()
+		canonical, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parse(canonical)
+		if err != nil {
+			t.Fatalf("canonical encoding rejected: %v\n%s", err, canonical)
+		}
+		if again.Digest() != digest {
+			t.Fatalf("digest changed across re-marshal: %s -> %s\n%s", digest, again.Digest(), canonical)
+		}
+	})
+}

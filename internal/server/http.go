@@ -29,7 +29,6 @@ func (s *Server) routes() *http.ServeMux {
 	handle("GET /v1/workloads", s.handleWorkloads)
 	handle("GET /v1/designs", s.handleDesigns)
 	handle("POST /v1/runs", s.handleRun)
-	handle("POST /v1/predict", s.handlePredict)
 	handle("POST /v1/sweeps", s.handleSweep)
 	handle("POST /v1/scenarios", s.handleScenarioPost)
 	handle("GET /v1/scenarios/{digest}", s.handleScenarioGet)

@@ -94,7 +94,7 @@ func (h *histogram) observe(v float64) {
 
 // series is one non-histogram metric family of the exposition. Every such
 // family on /metrics — the registry's counters, the live-sampled gauges,
-// build info, quota, cluster, surrogate and external counters — is one of
+// build info, quota, cluster and external counters — is one of
 // these rows, rendered by appendSeries.
 type series struct {
 	name, help, typ string
@@ -233,14 +233,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"requeues":     cs.Requeues,
 		}
 	}
-	if s.sur != nil {
-		info := map[string]any{"threshold": s.sur.threshold, "trained": s.sur.model != nil}
-		if s.sur.model != nil {
-			info["kind"] = s.sur.model.Kind
-			info["samples"] = s.sur.model.Samples
-		}
-		body["surrogate"] = info
-	}
 	if s.isClosing() {
 		body["status"] = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, body)
@@ -259,9 +251,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("wsd_workers_busy", "Workers executing a job right now.", float64(s.busy.Load())),
 		gauge("wsd_cache_entries", "Cells in the result cache.", float64(st.Cells)),
 		gauge("wsd_cache_limit", "LRU cap on the result cache (0 = unlimited).", float64(st.Limit)),
-		gauge("wsd_cache_hits_total", "Result-cache lookups answered without simulating.", float64(st.Hits)),
-		gauge("wsd_cache_misses_total", "Result-cache lookups that required work.", float64(st.Misses)),
-		gauge("wsd_cache_evictions_total", "Cells evicted by the LRU limit.", float64(st.Evictions)),
+		counter("wsd_cache_hits_total", "Result-cache lookups answered without simulating.", st.Hits),
+		counter("wsd_cache_misses_total", "Result-cache lookups that required work.", st.Misses),
+		counter("wsd_cache_evictions_total", "Cells evicted by the LRU limit.", st.Evictions),
 		gauge("wsd_cache_hit_ratio", "Hits over all cache lookups.", st.HitRatio()),
 		{"wsd_build_info", "Build identity of this daemon (value is always 1).", "gauge", []sample{
 			{labels("version", bi.Version, "commit", bi.Commit, "go", bi.Go, "role", string(s.role)), 1}}},
@@ -288,10 +280,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			counter("wsd_cluster_lease_expirations_total", "Workers dropped for missing heartbeats.", cs.LeaseExpirations),
 			counter("wsd_cluster_journal_merged_total", "New cells folded in from shipped worker journal deltas.", merged),
 		)
-	}
-	// Surrogate serving metrics exist only when a model was configured.
-	if s.sur != nil {
-		rows = append(rows, s.sur.series()...)
 	}
 	// Counters owned by the embedding process (WithExternalCounter), e.g.
 	// the journal shipper's retry count, sampled live at scrape time.

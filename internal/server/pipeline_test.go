@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,9 +14,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"wavescalar/internal/design"
-	"wavescalar/internal/explore"
 )
 
 // Tests of the one request pipeline (Server.cells): what scenario runs
@@ -59,6 +57,22 @@ func scenarioBody(workloads ...string) string {
 		phases[i] = fmt.Sprintf(`{"name":"p%d","workload":{"name":%q}}`, i, w)
 	}
 	return `{"scenario":{"scenario":"v1","scale":"tiny","threads":[1],"phases":[` + strings.Join(phases, ",") + `]}}`
+}
+
+// postRaw posts a JSON body and returns the status plus the exact
+// response bytes — the unit the byte-identity guarantees are stated in.
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
 }
 
 // TestConcurrentIdenticalScenarioRuns: the daemon's cost model — N
@@ -138,46 +152,6 @@ func TestConcurrentIdenticalScenarioRuns(t *testing.T) {
 				t.Errorf("journal holds %d records, want %d:\n%s", got, len(workloads), data)
 			}
 		})
-	}
-}
-
-// surrogateTestCache is a cache of synthetic cells, enough for
-// WithSurrogateTrain to fit a serving model without simulating.
-func surrogateTestCache() *explore.Cache {
-	c := explore.NewCache()
-	for i, pt := range design.Viable()[:8] {
-		c.PutCell(explore.Cell{
-			Key: fmt.Sprintf("synthetic-%02d", i), App: "fft", Arch: pt.Arch.String(),
-			AIPC: 1 + float64(i)/10, Threads: 1, Cycles: uint64(1000 + i), SimCycles: uint64(1000 + i),
-			Traffic: uint64(500 + i), ScaleIters: 4, ScaleFootprint: 64, K: 4,
-		})
-	}
-	return c
-}
-
-// TestScenarioPhaseValidatesSurrogate: a cell /v1/predict answered from
-// the model and a scenario phase later simulated for real feeds the
-// observed-error metrics, as a plain run of it does.
-func TestScenarioPhaseValidatesSurrogate(t *testing.T) {
-	_, ts := newTestServer(t, WithCache(surrogateTestCache()), WithSurrogateTrain(), WithSurrogateThreshold(1000))
-
-	resp := post(t, ts.URL+"/v1/predict", `{"workload":"fft","scale":"tiny","threads":1,"config":{"clusters":4}}`)
-	pred := decode[struct{ Key, Source string }](t, resp)
-	if pred.Source != "surrogate" {
-		t.Fatalf("predict not answered from the model: %+v", pred)
-	}
-	resp = post(t, ts.URL+"/v1/runs",
-		`{"config":{"clusters":4},"scenario":{"scenario":"v1","workload":{"name":"fft"},"scale":"tiny","threads":[1]}}`)
-	run := decode[scenarioRunResponse](t, resp)
-	if len(run.Phases) != 1 || run.Phases[0].Key != pred.Key || run.Phases[0].Cached {
-		t.Fatalf("scenario phase is not a cold run of the predicted cell %s: %+v", pred.Key, run)
-	}
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if text := readAll(t, mresp); !strings.Contains(text, "wsd_surrogate_validations_total 1\n") {
-		t.Errorf("scenario phase did not validate the prediction:\n%s", grepMetric(text, "wsd_surrogate_validations"))
 	}
 }
 
@@ -320,7 +294,7 @@ func TestOversizeBodyRejected(t *testing.T) {
 }
 
 // TestMetricsSkeletonGolden pins the order, names, help strings and types
-// of every series on /metrics in the single, coordinator and surrogate
+// of every series on /metrics in the single and coordinator
 // configurations (testdata/metrics_skeleton_*.golden).
 func TestMetricsSkeletonGolden(t *testing.T) {
 	for name, opts := range map[string][]Option{
@@ -329,7 +303,6 @@ func TestMetricsSkeletonGolden(t *testing.T) {
 			WithExternalCounter("wsd_nohelp_total", "", func() uint64 { return 1 }),
 		},
 		"coordinator": {WithRole(RoleCoordinator)},
-		"surrogate":   {WithCache(surrogateTestCache()), WithSurrogateTrain()},
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, ts := newTestServer(t, opts...)

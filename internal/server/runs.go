@@ -100,9 +100,9 @@ func cellResult(cell explore.Cell, areaMM2 float64, scale string) runResult {
 
 // cellSpec is one resolved cell: the (config, workload, scale, thread
 // counts) tuple with the content-addressed key derived from it, plus the
-// two strings its response row echoes. POST /v1/runs and /v1/predict
-// resolve to one, a scenario to one per phase, /v1/cluster/execute
-// receives one ready-made; the worker does no parsing.
+// two strings its response row echoes. POST /v1/runs resolves to one, a
+// scenario to one per phase, /v1/cluster/execute receives one ready-made;
+// the worker does no parsing.
 type cellSpec struct {
 	cfg     sim.Config
 	w       workload.Workload
@@ -115,9 +115,7 @@ type cellSpec struct {
 }
 
 // resolveRun lowers the per-run fields of a request to a runnable cell.
-// Both /v1/runs and /v1/predict resolve through here, so the predict
-// fallback serves the bytes the run path would have produced. The
-// returned status is meaningful only on error.
+// The returned status is meaningful only on error.
 func resolveRun(req *runRequest) (cellSpec, int, error) {
 	if req.Workload == "" {
 		return cellSpec{}, http.StatusBadRequest, errors.New("workload or scenario is required")
@@ -173,15 +171,14 @@ type ledCell struct {
 }
 
 // cells answers resolved cells, in order — the one request pipeline behind
-// /v1/runs, the /v1/predict fallback, scenario runs and
-// /v1/cluster/execute. Hits are answered from the cache; each missing key
-// joins the flight group; the keys this request leads go to the worker
-// pool as one job, run in order, charged to tenant once ("" charges
-// nothing); then the request waits for every call under one timer
-// (timeout 0: none, the caller bounds the wait) and its own context. A
-// request that leads nothing takes no queue slot and no quota unit. On
-// failure cells has written the response, naming what was being waited
-// for, and reports false.
+// /v1/runs, scenario runs and /v1/cluster/execute. Hits are answered from
+// the cache; each missing key joins the flight group; the keys this
+// request leads go to the worker pool as one job, run in order, charged
+// to tenant once ("" charges nothing); then the request waits for every
+// call under one timer (timeout 0: none, the caller bounds the wait) and
+// its own context. A request that leads nothing takes no queue slot and
+// no quota unit. On failure cells has written the response, naming what
+// was being waited for, and reports false.
 func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec, what, tenant string, timeout time.Duration) ([]answer, bool) {
 	out := make([]answer, len(specs))
 	var calls map[string]*flightCall // by missing key; nil while every cell is a hit
@@ -293,24 +290,7 @@ func (s *Server) runCell(lc ledCell) {
 			s.metrics.add(&s.metrics.simsCompleted, 1)
 		}
 	}
-	// A real measurement of a cell the surrogate once answered closes the
-	// loop on the model's observed error.
-	s.sur.observe(spec.key, cell)
 	s.flight.complete(spec.key, lc.call, cell, nil)
-}
-
-// serveRun answers one resolved cell exactly like POST /v1/runs.
-// /v1/predict falls back through this same function, so a low-confidence
-// prediction and a plain run produce byte-identical responses.
-func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, spec cellSpec, timeoutS float64) {
-	got, ok := s.cells(w, r, []cellSpec{spec}, "simulation", tenantOf(r), s.waitFor(timeoutS))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, runResponse{
-		Key: spec.key, Cached: got[0].cached,
-		Result: cellResult(got[0].cell, area.Total(spec.cfg.Arch), spec.scaleName),
-	})
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -327,5 +307,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, "%v", err)
 		return
 	}
-	s.serveRun(w, r, spec, req.TimeoutS)
+	got, ok := s.cells(w, r, []cellSpec{spec}, "simulation", tenantOf(r), s.waitFor(req.TimeoutS))
+	if !ok {
+		return
+	}
+	writeJSON(w, http.StatusOK, runResponse{
+		Key: spec.key, Cached: got[0].cached,
+		Result: cellResult(got[0].cell, area.Total(spec.cfg.Arch), spec.scaleName),
+	})
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"wavescalar/internal/explore"
@@ -98,6 +100,47 @@ func TestScenarioStore(t *testing.T) {
 		if apiErr := errEnvelope(t, resp); resp.StatusCode != http.StatusBadRequest || apiErr.Code != "bad_request" {
 			t.Errorf("%s: status %d code %q, want 400 bad_request", name, resp.StatusCode, apiErr.Code)
 		}
+	}
+}
+
+// TestScenarioStoreWarmRestart: scenarios posted before a restart must be
+// servable by digest after it, and re-posting must still dedup.
+func TestScenarioStoreWarmRestart(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "wsd.scenarios")
+
+	srv1, err := New(WithScenarioStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(srv1)
+	first := postScenario(t, ts1.URL, scenarioDoc)
+	if !first.Created {
+		t.Fatalf("first post: %+v", first)
+	}
+	ts1.Close()
+	if err := srv1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, err := New(WithScenarioStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	defer srv2.Close()
+
+	resp, err := http.Get(ts2.URL + "/v1/scenarios/" + first.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET after restart: status %d, want 200", resp.StatusCode)
+	}
+	again := postScenario(t, ts2.URL, scenarioDoc)
+	if again.Created || again.Digest != first.Digest {
+		t.Errorf("re-post after restart: %+v, want created=false digest %s", again, first.Digest)
 	}
 }
 

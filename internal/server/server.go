@@ -4,9 +4,9 @@
 // against a shared, content-addressed result store.
 //
 // The serving model, in one pass through a request. Every route that
-// answers with a cell — POST /v1/runs (plain or scenario), the
-// POST /v1/predict fallback, POST /v1/cluster/execute — is resolve →
-// Server.cells → render, so what follows holds for all of them:
+// answers with a cell — POST /v1/runs (plain or scenario) and
+// POST /v1/cluster/execute — is resolve → Server.cells → render, so what
+// follows holds for both:
 //
 //   - The request resolves to N cells (one; one per phase for a scenario):
 //     a simulator configuration, workload, scale and thread counts, plus
@@ -251,13 +251,6 @@ type Server struct {
 	quotas         *tenantQuotas
 	external       []externalCounter
 
-	// Surrogate serving configuration (WithSurrogate*); sur is nil when
-	// /v1/predict should always fall back.
-	surModelPath string
-	surTrain     bool
-	surThreshold float64
-	sur          *surrogateState
-
 	// Scenario-store persistence (WithScenarioStore).
 	scnPath string
 	scnFile *os.File
@@ -326,13 +319,6 @@ func New(opts ...Option) (*Server, error) {
 		return nil, err
 	}
 	s.exp = exp
-	// The surrogate trains (or loads) after the journal replay, so a warm
-	// restart's cells are its training set.
-	s.sur, err = s.newSurrogateState()
-	if err != nil {
-		exp.Close()
-		return nil, err
-	}
 	if err := s.openScenarioStore(); err != nil {
 		exp.Close()
 		return nil, err

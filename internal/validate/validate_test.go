@@ -216,3 +216,33 @@ func TestShrinkRejectsDifferentKind(t *testing.T) {
 		t.Fatalf("hook never ran")
 	}
 }
+
+// FuzzParseToken: repro tokens arrive on wsvalidate's command line and in
+// corpus files. ParseToken must never panic, and a case it accepts must
+// re-encode to a token that parses back to the same case and the same
+// token.
+func FuzzParseToken(f *testing.F) {
+	c := GenerateCase(CaseSeed(3, 14))
+	f.Add(SeedToken(c.Seed))
+	f.Add(CaseToken(c))
+	for _, bad := range []string{"", "x", "q:1", "s:notanumber", "c:!!!", "c:AAAA"} {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, token string) {
+		c, err := ParseToken(token)
+		if err != nil {
+			return
+		}
+		tok := CaseToken(c)
+		back, err := ParseToken(tok)
+		if err != nil {
+			t.Fatalf("re-encoded token %q rejected: %v", tok, err)
+		}
+		if !reflect.DeepEqual(back, c) {
+			t.Fatalf("case changed across its token:\n%+v\n%+v", c, back)
+		}
+		if again := CaseToken(back); again != tok {
+			t.Fatalf("token not a fixed point: %q -> %q", tok, again)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package wasm
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -234,4 +235,48 @@ func fuzzProgram(rng *rand.Rand) *isa.Program {
 	out := l.End(b.ULT(i1, nn), i1, b.Add(acc, b.AndI(pool[len(pool)-1], 255)), nn)
 	b.Halt(out[1])
 	return b.MustFinish()
+}
+
+// FuzzAssemble: the assembler meets hand-written source (wsasm). It must
+// never panic, and a program it accepts must survive its own listing:
+// Disassemble's text reassembles to the same dataflow graph. Two things
+// the listing does not carry are left out of the comparison — an
+// immediate written on an opcode that takes none, and a label's text
+// (printed with %q, read back without unescaping).
+func FuzzAssemble(f *testing.F) {
+	f.Add("\n; a tiny program\n.program tiny\n.param start -> 0.0\n0: const #40 -> 1.0\n1: addi #2 -> 2.0\n2: halt\n")
+	f.Add(".program memsteer\n.param start -> 0.0 1.0 4.2\n0: const #0x100 -> 2.0\n1: const #7 -> 2.1\n" +
+		"2: store \"st\" <.,0,1> -> 3.0\n3: memnop <0,1,.> -> 4.0\n4: steer -> 6.0 => 5.0\n5: nop -> 6.0\n6: halt\n")
+	f.Add(Disassemble(fuzzProgram(rand.New(rand.NewSource(500)))))
+	for _, bad := range []string{
+		".program x\n0 const #1",
+		".program x\n0: const #1 -> one.two\n1: halt",
+		".program x\n0: const #1 <.,0,.> -> 1.0\n1: halt",
+		".program x\n0: const \"oops -> 1.0\n1: halt",
+	} {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Assemble(src)
+		if err != nil {
+			return
+		}
+		text := Disassemble(p)
+		back, err := Assemble(text)
+		if err != nil {
+			t.Fatalf("listing of an accepted program rejected: %v\n%s", err, text)
+		}
+		params := append([]isa.Param(nil), p.Params...) // Disassemble lists them by name
+		sort.Slice(params, func(i, j int) bool { return params[i].Name < params[j].Name })
+		if len(back.Insts) != len(p.Insts) || back.Halt != p.Halt || !reflect.DeepEqual(back.Params, params) {
+			t.Fatalf("program shape differs after round trip:\n%s", text)
+		}
+		for i := range p.Insts {
+			a, z := &p.Insts[i], &back.Insts[i]
+			if a.Op != z.Op || (a.Op.HasImmediate() && a.Imm != z.Imm) || !reflect.DeepEqual(a.Mem, z.Mem) ||
+				!reflect.DeepEqual(a.Dests, z.Dests) || !reflect.DeepEqual(a.DestsT, z.DestsT) {
+				t.Fatalf("inst %d differs after round trip:\n  %+v\n  %+v\n%s", i, a, z, text)
+			}
+		}
+	})
 }

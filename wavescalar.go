@@ -53,7 +53,6 @@ import (
 	"wavescalar/internal/scenario"
 	"wavescalar/internal/server"
 	"wavescalar/internal/sim"
-	"wavescalar/internal/surrogate"
 	"wavescalar/internal/trace"
 	"wavescalar/internal/workload"
 )
@@ -531,37 +530,11 @@ func ServerRetryAfter(d time.Duration) ServerOption { return server.WithRetryAft
 // startup, so a warm restart still serves every stored digest.
 func ServerScenarioStore(path string) ServerOption { return server.WithScenarioStore(path) }
 
-// ServerSurrogateModel serves /v1/predict from the model file at path
-// (written by `wssurrogate train`).
-func ServerSurrogateModel(path string) ServerOption { return server.WithSurrogateModel(path) }
-
-// ServerSurrogateTrain trains the /v1/predict serving model at startup
-// from the journal-replayed cache (falls back to simulation-only
-// serving when the journal is too thin to train).
-func ServerSurrogateTrain() ServerOption { return server.WithSurrogateTrain() }
-
-// ServerSurrogateThreshold sets the confidence gate: /v1/predict
-// answers from the model only when the prediction's relative AIPC
-// uncertainty is at most rel (default 0.1).
-func ServerSurrogateThreshold(rel float64) ServerOption { return server.WithSurrogateThreshold(rel) }
-
 // ClusterShipper tails a worker's journal and ships each new delta to
 // the coordinator's /v1/cluster/journal, so cells a worker simulated
 // outside a sweep survive that worker's cold restarts in the shared
 // result space. Run it in a goroutine next to the ClusterAgent.
 type ClusterShipper = cluster.Shipper
-
-// Surrogate (internal/surrogate): a stdlib-only learned performance
-// predictor trained on journaled cells (`wssurrogate train`). It predicts
-// AIPC, cycles and NoC traffic with per-prediction uncertainty, prunes
-// wstune's k sweep (Surrogate.Advisor → TuneOptions.Advisor), and backs
-// the daemon's /v1/predict serving path.
-
-// Surrogate is a trained predictor ensemble; load one with LoadSurrogate.
-type Surrogate = surrogate.Predictor
-
-// LoadSurrogate reads a model file written by `wssurrogate train`.
-func LoadSurrogate(path string) (*Surrogate, error) { return surrogate.Load(path) }
 
 // Energy model (an extension beyond the paper, which defers power to
 // future work).
