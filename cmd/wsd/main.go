@@ -18,7 +18,10 @@
 //
 // The coordinator shards sweep cells across registered workers by
 // rendezvous hashing on the content-addressed cell key and falls back
-// to local simulation when the fabric degrades.
+// to local simulation when the fabric degrades. Every dispatched cell
+// comes back in its execute response and lands in the coordinator's
+// cache and journal; a worker's own -journal only warm-starts that
+// worker.
 //
 // Endpoints:
 //
@@ -32,7 +35,6 @@
 //	POST /v1/cluster/register    worker registration (coordinator only)
 //	POST /v1/cluster/heartbeat   worker lease renewal (coordinator only)
 //	POST /v1/cluster/deregister  worker graceful drain (coordinator only)
-//	POST /v1/cluster/journal     worker journal delta merge (coordinator only)
 //	GET  /v1/cluster/workers     fabric membership (coordinator only)
 //	GET  /healthz        liveness + role + queue/cache stats
 //	GET  /metrics        Prometheus text exposition
@@ -76,7 +78,6 @@ func main() {
 	tenantQuota := flag.Int("tenant-quota", 0, "max queued-or-running jobs per tenant (X-Tenant header); 0 disables")
 	retryAfter := flag.Duration("retry-after", 2*time.Second, "base Retry-After hint on 429 responses (served jittered ±20%)")
 	scenarioStore := flag.String("scenario-store", "", "persist stored scenarios to this JSONL file (default <journal>.scenarios when -journal is set)")
-	shipInterval := flag.Duration("ship-interval", 0, "ship journal deltas to the coordinator this often (worker role; 0 disables)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -125,23 +126,6 @@ func main() {
 	}
 	if store != "" {
 		opts = append(opts, wavescalar.ServerScenarioStore(store))
-	}
-	var shipper *wavescalar.ClusterShipper
-	if *shipInterval > 0 {
-		if role != wavescalar.RoleWorker {
-			fail(fmt.Errorf("-ship-interval requires -role worker"))
-		}
-		if *journalPath == "" {
-			fail(fmt.Errorf("-ship-interval requires -journal (it ships that file's deltas)"))
-		}
-		shipper = &wavescalar.ClusterShipper{
-			Coordinator: *coordinator, JournalPath: *journalPath,
-			Interval: *shipInterval,
-		}
-		opts = append(opts, wavescalar.ServerExternalCounter(
-			"wsd_shipper_retries_total",
-			"Journal ship attempts that failed and were rescheduled with backoff.",
-			shipper.Retries))
 	}
 
 	// Bind and serve before the (possibly long) warm-restart replay, so
@@ -213,27 +197,6 @@ func main() {
 		}
 	}
 
-	// Worker role with -ship-interval: tail this worker's journal and
-	// ship each delta to the coordinator's shared result space, so a
-	// cold-restarted worker's locally simulated cells are not lost to
-	// the fabric. Stopped after the drain completes, so the final ship
-	// sees every journaled cell.
-	stopShipper := func() {}
-	if shipper != nil {
-		shipCtx, shipCancel := context.WithCancel(context.Background())
-		shipDone := make(chan struct{})
-		go func() {
-			defer close(shipDone)
-			if err := shipper.Run(shipCtx); err != nil {
-				fmt.Fprintln(os.Stderr, "wsd: journal shipper:", err)
-			}
-		}()
-		stopShipper = func() {
-			shipCancel()
-			<-shipDone // final delta shipped (or logged as retryable)
-		}
-	}
-
 	shutdownDone := make(chan error, 1)
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -242,14 +205,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wsd: %s: draining (deadline %s)\n", sig, *drain)
 		// Deregister from the coordinator first so no new cells arrive,
 		// then drain the simulation pipeline while the HTTP server still
-		// delivers results to waiting clients; then close the listener.
+		// delivers results to waiting clients — every cell a coordinator
+		// dispatched here goes back in its execute response — then close
+		// the listener.
 		stopAgent()
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		err := srv.Shutdown(drainCtx)
-		// The journal is flushed and closed now; ship the final delta
-		// before the process goes away.
-		stopShipper()
 		if herr := httpSrv.Shutdown(context.Background()); err == nil {
 			err = herr
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -23,17 +24,8 @@ func TestDaemonSmoke(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("POSIX signal handling")
 	}
-	if testing.Short() {
-		t.Skip("builds and runs the daemon binary")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "wsd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	journal := filepath.Join(dir, "wsd.jsonl")
+	bin := buildWSD(t)
+	journal := filepath.Join(t.TempDir(), "wsd.jsonl")
 	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-journal", journal, "-drain", "60s")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -139,20 +131,77 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
-func TestVersionFlag(t *testing.T) {
+// buildWSD builds the daemon into a temporary directory and returns the
+// binary's path.
+func buildWSD(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds the daemon binary")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "wsd")
+	bin := filepath.Join(t.TempDir(), "wsd")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+func TestVersionFlag(t *testing.T) {
+	bin := buildWSD(t)
 	out, err := exec.Command(bin, "-version").CombinedOutput()
 	if err != nil {
 		t.Fatalf("wsd -version: %v\n%s", err, out)
 	}
 	if !strings.HasPrefix(string(out), "wsd ") {
 		t.Errorf("version output %q", out)
+	}
+}
+
+// deployFlags returns the "- -flag[=value]" items of every command: or
+// args: list in a compose or Kubernetes file — one list per service or
+// container — keyed by the file and line of the list's key.
+func deployFlags(t *testing.T, path string) map[string][]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := map[string][]string{}
+	key, keyIndent := "", 0
+	for i, line := range strings.Split(string(data), "\n") {
+		item := strings.TrimSpace(line)
+		indent := len(line) - len(strings.TrimLeft(line, " "))
+		switch {
+		case item == "command:" || item == "args:":
+			key, keyIndent = fmt.Sprintf("%s:%d", path, i+1), indent
+			lists[key] = nil
+		case key == "" || item == "" || strings.HasPrefix(item, "#"):
+		case indent <= keyIndent:
+			key = ""
+		case strings.HasPrefix(item, "- -"):
+			lists[key] = append(lists[key], strings.TrimPrefix(item, "- "))
+		}
+	}
+	return lists
+}
+
+// TestDeployFilesUseDefinedFlags: every flag docker-compose.yml and
+// deploy/k8s.yaml pass to wsd is one the binary defines. Flags parse
+// before -version is honoured, so the binary exits 0 on the deploy
+// file's flags plus -version, and 2 on any flag it does not define.
+func TestDeployFilesUseDefinedFlags(t *testing.T) {
+	bin := buildWSD(t)
+	for _, path := range []string{"../../docker-compose.yml", "../../deploy/k8s.yaml"} {
+		lists := deployFlags(t, path)
+		if len(lists) == 0 {
+			t.Errorf("%s: no command: or args: list found", path)
+		}
+		for at, flags := range lists {
+			if len(flags) == 0 {
+				t.Errorf("%s: a list without flags", at)
+			}
+			if out, err := exec.Command(bin, append(flags, "-version")...).CombinedOutput(); err != nil {
+				t.Errorf("%s: wsd %s -version: %v\n%s", at, strings.Join(flags, " "), err, out)
+			}
+		}
 	}
 }

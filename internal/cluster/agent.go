@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math/rand"
 	"net/http"
 	"time"
 
@@ -34,9 +35,11 @@ type Agent struct {
 }
 
 // Run registers and heartbeats until ctx is cancelled, then deregisters
-// (best-effort, on a fresh short-lived context). Registration failures
-// are retried with backoff forever — a worker that outlives a
-// coordinator restart rejoins on its own.
+// (best-effort, on a fresh short-lived context) and returns nil. Every
+// cancelled exit takes that one path — including a cancellation that cuts
+// off a registration's answer, which the coordinator may already have
+// accepted. Registration failures are retried with backoff forever — a
+// worker that outlives a coordinator restart rejoins on its own.
 func (a *Agent) Run(ctx context.Context) error {
 	if a.Coordinator == "" || a.ID == "" || a.Addr == "" {
 		return fmt.Errorf("cluster: agent needs Coordinator, ID and Addr")
@@ -49,10 +52,18 @@ func (a *Agent) Run(ctx context.Context) error {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
+	a.holdLease(ctx, client, logf)
+	a.deregister(client, logf)
+	return nil
+}
 
+// holdLease keeps the worker's lease alive until ctx is cancelled: it
+// registers, heartbeats at a third of the granted lease, and re-registers
+// whenever the coordinator stops recognizing it.
+func (a *Agent) holdLease(ctx context.Context, client *http.Client, logf func(string, ...any)) {
 	lease, err := a.registerLoop(ctx, client, logf)
 	if err != nil {
-		return err
+		return
 	}
 	interval := lease / 3
 	if interval <= 0 {
@@ -63,8 +74,7 @@ func (a *Agent) Run(ctx context.Context) error {
 	for {
 		select {
 		case <-ctx.Done():
-			a.deregister(client, logf)
-			return nil
+			return
 		case <-tick.C:
 			busy := 0
 			if a.Busy != nil {
@@ -73,8 +83,7 @@ func (a *Agent) Run(ctx context.Context) error {
 			ok, err := a.heartbeat(ctx, client, busy)
 			if err != nil {
 				if ctx.Err() != nil {
-					a.deregister(client, logf)
-					return nil
+					return
 				}
 				logf("cluster: heartbeat to %s failed: %v", a.Coordinator, err)
 				continue
@@ -83,7 +92,7 @@ func (a *Agent) Run(ctx context.Context) error {
 				// Coordinator forgot us (restart or expiry): rejoin.
 				logf("cluster: lease lost, re-registering %s with %s", a.ID, a.Coordinator)
 				if lease, err = a.registerLoop(ctx, client, logf); err != nil {
-					return err
+					return
 				}
 				if ni := lease / 3; ni > 0 && ni != interval {
 					interval = ni
@@ -95,9 +104,8 @@ func (a *Agent) Run(ctx context.Context) error {
 }
 
 // registerLoop registers until success or ctx cancellation, returning the
-// granted lease. Failures back off on the shipper's schedule — 1s doubling
-// to 30s, jittered — so a fleet that lost its coordinator re-registers
-// spread out.
+// granted lease. Failures back off 1s doubling to 30s, jittered, so a
+// fleet that lost its coordinator re-registers spread out.
 func (a *Agent) registerLoop(ctx context.Context, client *http.Client, logf func(string, ...any)) (time.Duration, error) {
 	for failures := 1; ; failures++ {
 		lease, err := a.register(ctx, client)
@@ -116,6 +124,24 @@ func (a *Agent) registerLoop(ctx context.Context, client *http.Client, logf func
 		case <-time.After(delay):
 		}
 	}
+}
+
+// backoff is the unjittered delay after the given count of consecutive
+// failures (1 = first): base, doubling per failure up to maxDelay.
+func backoff(base, maxDelay time.Duration, consecutive int) time.Duration {
+	d := base
+	for i := 1; i < consecutive && d < maxDelay; i++ {
+		d *= 2
+	}
+	return min(d, maxDelay)
+}
+
+// jitter spreads a delay uniformly over [d/2, 3d/2).
+func jitter(d time.Duration) time.Duration {
+	if d <= 0 {
+		return d
+	}
+	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
 func (a *Agent) register(ctx context.Context, client *http.Client) (time.Duration, error) {

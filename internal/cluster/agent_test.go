@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -75,5 +76,70 @@ func TestAgentRejoinsAfter404(t *testing.T) {
 	}
 	if owned() {
 		t.Error("the agent returned without deregistering")
+	}
+}
+
+// TestAgentDeregistersWhenCancelledMidRegister: the coordinator accepts a
+// registration, but the agent is cancelled before the answer arrives. The
+// coordinator holds a live lease on a draining worker, so the agent must
+// still deregister — exactly once — and return nil.
+func TestAgentDeregistersWhenCancelledMidRegister(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	registered := make(chan struct{})
+	var deregs atomic.Int64
+	coord := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/cluster/register":
+			close(registered)
+			<-ctx.Done() // the answer never reaches the agent
+		case "/v1/cluster/deregister":
+			deregs.Add(1)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer coord.Close()
+
+	done := make(chan error, 1)
+	agent := &Agent{Coordinator: coord.URL, ID: "w", Addr: "http://w", Logf: discard}
+	go func() { done <- agent.Run(ctx) }()
+	<-registered
+	cancel()
+	if err := <-done; err != nil {
+		t.Errorf("Run = %v, want nil", err)
+	}
+	if n := deregs.Load(); n != 1 {
+		t.Errorf("%d deregisters arrived, want exactly 1", n)
+	}
+}
+
+// TestBackoffSchedule: the unjittered delay doubles per consecutive
+// failure from the base up to the cap — the agent's 1s to 30s.
+func TestBackoffSchedule(t *testing.T) {
+	want := []time.Duration{
+		time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second,
+		16 * time.Second, 30 * time.Second, 30 * time.Second,
+	}
+	for i, w := range want {
+		if got := backoff(time.Second, 30*time.Second, i+1); got != w {
+			t.Errorf("failure %d: delay %v, want %v", i+1, got, w)
+		}
+	}
+	if got := backoff(time.Second, 30*time.Second, 50); got != 30*time.Second {
+		t.Errorf("failure 50: delay %v, want the 30s cap", got)
+	}
+}
+
+// TestJitterBounds: jitter keeps the delay within [d/2, 3d/2).
+func TestJitterBounds(t *testing.T) {
+	d := 4 * time.Second
+	for i := 0; i < 200; i++ {
+		j := jitter(d)
+		if j < d/2 || j >= d+d/2 {
+			t.Fatalf("jitter(%v) = %v outside [%v, %v)", d, j, d/2, d+d/2)
+		}
+	}
+	if jitter(0) != 0 {
+		t.Errorf("jitter(0) should be 0")
 	}
 }

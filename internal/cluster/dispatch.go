@@ -149,17 +149,19 @@ func (c *Coordinator) RunCell(ctx context.Context, key string, cfg sim.Config, a
 			case <-time.After(delay):
 			}
 		}
+		l := c.reg.acquire(w.ID)
 		cell, err := c.execOn(ctx, w, req)
 		if err == nil {
 			c.remoteCells.Add(1)
-			c.reg.recordResult(w.ID, false)
+			c.reg.release(l, 1, 0)
 			return cell, nil
 		}
 		if ctx.Err() != nil {
+			c.reg.release(l, 0, 0)
 			return explore.Cell{}, ctx.Err()
 		}
 		c.remoteErrs.Add(1)
-		c.reg.recordResult(w.ID, true)
+		c.reg.release(l, 0, 1)
 		c.opt.Logf("cluster: cell %s attempt %d/%d on %s failed: %v", key, attempt+1, c.opt.Attempts, w.ID, err)
 		lastErr = err
 	}
@@ -169,9 +171,6 @@ func (c *Coordinator) RunCell(ctx context.Context, key string, cfg sim.Config, a
 // execOn performs one POST /v1/cluster/execute against a worker.
 func (c *Coordinator) execOn(ctx context.Context, w WorkerInfo, req ExecRequest) (explore.Cell, error) {
 	c.dispatched.Add(1)
-	c.reg.addInflight(w.ID, 1)
-	defer c.reg.addInflight(w.ID, -1)
-
 	ctx, cancel := context.WithTimeout(ctx, c.opt.ExecTimeout)
 	defer cancel()
 	var er ExecResponse

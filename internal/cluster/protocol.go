@@ -11,12 +11,15 @@
 //
 //   - Simulations are deterministic and cells are content-addressed: the
 //     same key always denotes the same result bytes, so retries,
-//     duplicate dispatches, and cache merges are all idempotent —
+//     duplicate dispatches, and repeated commits are all idempotent —
 //     at-most-once *commit* falls out of the addressing scheme rather
 //     than from distributed coordination.
 //   - The journal is an append-only JSONL log with idempotent replay, so
-//     "one shared result space" is just every node's cells flowing
-//     through the coordinator's journal.
+//     "one shared result space" is the coordinator's journal: every cell
+//     the coordinator dispatches comes back in its execute response and is
+//     committed there. A draining worker finishes the cells it is running
+//     and answers 503 for the ones still queued, which the coordinator
+//     requeues onto their next owner.
 //
 // Robustness model:
 //
@@ -117,23 +120,6 @@ type ExecResponse struct {
 	Version version.Info `json:"version"`
 }
 
-// MaxJournalDelta bounds the body of one POST /v1/cluster/journal. The
-// coordinator refuses a larger delta with 413 rather than merging a
-// prefix of it, and the Shipper never sends more than this per call: a
-// longer journal tail ships over several calls.
-const MaxJournalDelta = 64 << 20
-
-// JournalResponse is the body of POST /v1/cluster/journal: the
-// coordinator acknowledging a shipped journal delta. Received counts
-// the records in the delta; Merged counts the ones that were new to the
-// coordinator's result space (the rest were already present — the
-// idempotence that makes re-shipping after a worker restart safe).
-type JournalResponse struct {
-	Received int          `json:"received"`
-	Merged   int          `json:"merged"`
-	Version  version.Info `json:"version"`
-}
-
 // WorkersResponse is the body of GET /v1/cluster/workers.
 type WorkersResponse struct {
 	Role    string       `json:"role"`
@@ -155,15 +141,19 @@ func isStatus(err error, code int) bool {
 	return errors.As(err, &se) && se.code == code
 }
 
-// post is the fabric's one HTTP call: POST body to url and decode a 2xx
-// JSON answer into out (nil discards it). Any other status comes back as
-// a *statusError holding the first 512 bytes of the answer.
-func post(ctx context.Context, client *http.Client, url, contentType string, body []byte, out any) error {
+// postJSON is the fabric's one HTTP call: POST in, marshalled, to url and
+// decode a 2xx JSON answer into out (nil discards it). Any other status
+// comes back as a *statusError holding the first 512 bytes of the answer.
+func postJSON(ctx context.Context, client *http.Client, url string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return fmt.Errorf("encode request: %w", err)
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
 		return err
@@ -180,13 +170,4 @@ func post(ctx context.Context, client *http.Client, url, contentType string, bod
 		return fmt.Errorf("decode response: %w", err)
 	}
 	return nil
-}
-
-// postJSON is post with in marshalled as the body.
-func postJSON(ctx context.Context, client *http.Client, url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("encode request: %w", err)
-	}
-	return post(ctx, client, url, "application/json", body, out)
 }

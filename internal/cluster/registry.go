@@ -177,26 +177,32 @@ func (r *Registry) Owners(key string, n int) []WorkerInfo {
 	return out
 }
 
-// addInflight adjusts the coordinator-side in-flight count for id.
-func (r *Registry) addInflight(id string, delta int) {
+// acquire counts one dispatch in flight on id's lease and returns that
+// lease (nil when id holds none), so that release lands on the lease the
+// increment did even if the worker re-registers meanwhile.
+func (r *Registry) acquire(id string) *lease {
 	r.mu.Lock()
-	if l, ok := r.workers[id]; ok {
-		l.info.Inflight += delta
+	defer r.mu.Unlock()
+	l := r.workers[id]
+	if l != nil {
+		l.info.Inflight++
 	}
-	r.mu.Unlock()
+	return l
 }
 
-// recordResult attributes one dispatch outcome to id.
-func (r *Registry) recordResult(id string, failed bool) {
-	r.mu.Lock()
-	if l, ok := r.workers[id]; ok {
-		if failed {
-			l.info.Failed++
-		} else {
-			l.info.Completed++
-		}
+// release ends a dispatch begun by acquire, adding completed and failed to
+// the lease's outcome counts (both 0 for a cancelled attempt). A lease
+// dropped from the table meanwhile is unreachable, so its counts leave
+// with it.
+func (r *Registry) release(l *lease, completed, failed uint64) {
+	if l == nil {
+		return
 	}
-	r.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	l.info.Inflight--
+	l.info.Completed += completed
+	l.info.Failed += failed
 }
 
 // Snapshot returns every live worker's state, sorted by ID for stable

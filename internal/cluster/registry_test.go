@@ -1,13 +1,18 @@
 package cluster
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"wavescalar/internal/explore"
 	"wavescalar/internal/version"
 )
 
@@ -238,6 +243,50 @@ func TestRegistryChurnNeverLosesAWorker(t *testing.T) {
 	}
 	if got := r.Expirations(); got < uint64(lapses.Load()) {
 		t.Errorf("expirations = %d, want at least the %d leases the test let lapse", got, lapses.Load())
+	}
+}
+
+// TestInflightSurvivesReregister: a worker that deregisters and registers
+// again while a dispatch to it is in flight gets a fresh lease. The
+// dispatch's release and outcome belong to the lease its increment hit —
+// the dropped one — so the fresh lease reads Inflight 0 and no outcome,
+// where an ID lookup at release time read Inflight -1 on it.
+func TestInflightSurvivesReregister(t *testing.T) {
+	arrived, unblock := make(chan struct{}), make(chan struct{})
+	ws := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ExecRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		close(arrived)
+		<-unblock
+		json.NewEncoder(w).Encode(ExecResponse{Cell: explore.Cell{Key: req.Key, App: req.App, AIPC: 1.5, Threads: 1}})
+	}))
+	defer ws.Close()
+	c := testCoordinator(t, Options{})
+	w1 := RegisterRequest{ID: "w1", Addr: ws.URL}
+	c.Registry().Register(w1)
+
+	cfg, app, sc, counts := runArgs()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RunCell(context.Background(), "key-1", cfg, app, sc, counts)
+		done <- err
+	}()
+	<-arrived
+	if snap := c.Registry().Snapshot(); len(snap) != 1 || snap[0].Inflight != 1 {
+		t.Fatalf("mid-attempt snapshot = %+v, want w1 with 1 in flight", snap)
+	}
+	c.Registry().Deregister("w1")
+	c.Registry().Register(w1)
+	close(unblock)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Registry().Snapshot()
+	if len(snap) != 1 || snap[0].Inflight != 0 || snap[0].Completed != 0 {
+		t.Errorf("fresh lease after the attempt = %+v, want Inflight 0 and no outcome", snap)
 	}
 }
 

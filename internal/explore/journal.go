@@ -131,34 +131,6 @@ func ReplayJournal(path string, cache *Cache) (int, error) {
 	return n, nil
 }
 
-// MergeJournal folds another journal, read from r, into this explorer's
-// result space: records whose key is not already cached are inserted into
-// the cache and re-appended to this explorer's journal, so the merged
-// journal is self-contained for the next warm restart. Records already
-// present (by content-addressed key) are skipped, making the merge
-// idempotent — merging the same worker journal twice, or two journals from
-// overlapping sweeps, adds each cell exactly once — and a merge cut short
-// by an error from r keeps what it merged, so merging the whole again is
-// the retry. It is safe to call concurrently with sweeps appending to the
-// same explorer.
-func (e *Explorer) MergeJournal(r io.Reader) (int, error) {
-	merged := 0
-	var firstErr error
-	_, err := walkJournal(r, func(cell Cell) {
-		if _, ok := e.cache.Cell(cell.Key); ok {
-			return
-		}
-		merged++
-		if jerr := e.commit(cell); jerr != nil && firstErr == nil {
-			firstErr = jerr
-		}
-	})
-	if err != nil {
-		return merged, err
-	}
-	return merged, firstErr
-}
-
 // append writes one record and flushes it, so the journal is durable up
 // to the last completed cell even if the process dies.
 func (j *journal) append(rec record) error {

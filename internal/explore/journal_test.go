@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,17 +21,6 @@ func fakeCell(i int) Cell {
 		AIPC: float64(i) + 0.5, Threads: 1,
 		Cycles: uint64(1000 + i), SimCycles: uint64(1000 + i),
 	}
-}
-
-// mergeFile merges the journal file at path into e.
-func mergeFile(t *testing.T, e *Explorer, path string) (int, error) {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	return e.MergeJournal(f)
 }
 
 func writeJournalLines(t *testing.T, path string, lines ...string) {
@@ -151,10 +141,10 @@ func TestJournalKeylessTail(t *testing.T) {
 	}
 }
 
-// FuzzWalkJournal: a journal is bytes from outside — a file a crash tore,
-// or a delta a worker posted. No input may panic the walk, no delivered
-// cell may lack a key, and whatever a merge took from the bytes a second
-// merge of the same bytes finds already there.
+// FuzzWalkJournal: a journal is bytes from outside — a file a crash tore
+// or another tool wrote. No input may panic the walk, no delivered cell may
+// lack a key, and replaying the same bytes into a fresh cache twice gives
+// the same cells.
 func FuzzWalkJournal(f *testing.F) {
 	cell := `{"kind":"cell","key":"aaaa","app":"fft","aipc":1.5,"threads":1,"cycles":100}`
 	f.Add([]byte(cell + "\n"))
@@ -170,28 +160,27 @@ func FuzzWalkJournal(f *testing.F) {
 				t.Error("delivered a cell without a key")
 			}
 		})
-		exp, err := New()
-		if err != nil {
-			t.Fatal(err)
+		replay := func() []Cell {
+			cache := NewCache()
+			walkJournal(bytes.NewReader(data), cache.PutCell)
+			return cache.Cells()
 		}
-		defer exp.Close()
-		first, _ := exp.MergeJournal(bytes.NewReader(data))
-		if first > delivered {
-			t.Errorf("merged %d of %d delivered cells", first, delivered)
+		first, again := replay(), replay()
+		if len(first) > delivered {
+			t.Errorf("replay cached %d of %d delivered cells", len(first), delivered)
 		}
-		if again, _ := exp.MergeJournal(bytes.NewReader(data)); again != 0 {
-			t.Errorf("second merge of the same bytes merged %d, want 0", again)
+		if !slices.Equal(first, again) {
+			t.Errorf("two replays of the same bytes differ:\n%+v\n%+v", first, again)
 		}
 	})
 }
 
 // TestJournalSkipsOldTuningRecords: journals written before tunings ran
-// as cells hold "kind":"tuning" lines. Replay and merge take the cells,
-// skip the tunings without counting them or failing, and still treat a
-// torn last line as the crash signature it is.
+// as cells hold "kind":"tuning" lines. Replay takes the cells, skips the
+// tunings without counting them or failing, and still treats a torn last
+// line as the crash signature it is.
 func TestJournalSkipsOldTuningRecords(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.jsonl")
+	oldPath := filepath.Join(t.TempDir(), "old.jsonl")
 	cell1 := `{"kind":"cell","key":"aaaa","app":"fft","aipc":1.5,"threads":1,"cycles":100}`
 	tuning := `{"kind":"tuning","key":"605577779745de2334da1bdea1d1cbfd","app":"ammp","k_opt":2,"u_opt":64,"ratio":0.03125}`
 	cell2 := `{"kind":"cell","key":"bbbb","app":"lu","aipc":2.5,"threads":1,"cycles":200}`
@@ -212,28 +201,6 @@ func TestJournalSkipsOldTuningRecords(t *testing.T) {
 	}
 	if !strings.Contains(logged.String(), "torn trailing journal record") {
 		t.Errorf("no warning for the torn tail; log output: %q", logged.String())
-	}
-
-	mergedPath := filepath.Join(dir, "merged.jsonl")
-	exp, err := New(WithJournal(mergedPath, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged, err := mergeFile(t, exp, oldPath); err != nil || merged != 2 {
-		t.Errorf("first merge: %d records, error %v; want 2, nil", merged, err)
-	}
-	if again, err := mergeFile(t, exp, oldPath); err != nil || again != 0 {
-		t.Errorf("second merge: %d records, error %v; want 0, nil (idempotent)", again, err)
-	}
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(mergedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(out); got != cell1+"\n"+cell2+"\n" {
-		t.Errorf("merged journal holds\n%swant the two cell lines, byte for byte", got)
 	}
 }
 
@@ -284,131 +251,6 @@ func TestJournalConcurrentAppend(t *testing.T) {
 		want := fakeCell(i)
 		if got, ok := cache.Cell(want.Key); !ok || got != want {
 			t.Errorf("cell %d: got %+v ok=%v, want %+v", i, got, ok, want)
-		}
-	}
-}
-
-// TestMergeJournal: folding a worker's journal into a coordinator's
-// explorer adds exactly the missing cells, re-appends them so the merged
-// journal is self-contained, and is idempotent on a second merge.
-func TestMergeJournal(t *testing.T) {
-	dir := t.TempDir()
-	coordPath := filepath.Join(dir, "coord.jsonl")
-	workerPath := filepath.Join(dir, "worker.jsonl")
-
-	coord, err := New(WithJournal(coordPath, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	worker, err := New(WithJournal(workerPath, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Coordinator holds cells 0-3; worker holds 2-7 (overlap on 2, 3).
-	for i := 0; i < 4; i++ {
-		if err := coord.commit(fakeCell(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 2; i < 8; i++ {
-		if err := worker.commit(fakeCell(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := worker.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	merged, err := mergeFile(t, coord, workerPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged != 4 { // cells 4-7; the overlap is already cached
-		t.Errorf("merged %d records, want 4", merged)
-	}
-	again, err := mergeFile(t, coord, workerPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != 0 {
-		t.Errorf("re-merge added %d records, want 0 (idempotent)", again)
-	}
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The coordinator's journal is now self-contained: a cold replay
-	// holds the union.
-	cache := NewCache()
-	if _, err := ReplayJournal(coordPath, cache); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		want := fakeCell(i)
-		if got, ok := cache.Cell(want.Key); !ok || got != want {
-			t.Errorf("after merge, cell %d: got %+v ok=%v", i, got, ok)
-		}
-	}
-}
-
-// TestMergeJournalConcurrentWithAppends: merging while another goroutine
-// is appending fresh cells must lose nothing from either stream.
-func TestMergeJournalConcurrentWithAppends(t *testing.T) {
-	dir := t.TempDir()
-	coordPath := filepath.Join(dir, "coord.jsonl")
-	workerPath := filepath.Join(dir, "worker.jsonl")
-
-	worker, err := New(WithJournal(workerPath, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 100; i < 150; i++ {
-		if err := worker.commit(fakeCell(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := worker.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	coord, err := New(WithJournal(coordPath, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			if err := coord.commit(fakeCell(i)); err != nil {
-				t.Error(err)
-			}
-		}
-	}()
-	merged, err := mergeFile(t, coord, workerPath)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged != 50 {
-		t.Errorf("merged %d, want 50", merged)
-	}
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cache := NewCache()
-	loaded, err := ReplayJournal(coordPath, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded != 100 {
-		t.Errorf("replayed %d records, want 100", loaded)
-	}
-	for _, i := range []int{0, 49, 100, 149} {
-		if _, ok := cache.Cell(fakeCell(i).Key); !ok {
-			t.Errorf("cell %d missing after concurrent merge", i)
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -252,6 +256,44 @@ func TestClusterEndpointsRequireCoordinator(t *testing.T) {
 			t.Errorf("%s on single role: status %d, want 409", ep, resp.StatusCode)
 		}
 	}
+}
+
+// FuzzClusterBodies: the four fabric endpoints that parse a body meet bytes
+// from other machines. On a coordinator no input may panic a handler or be
+// answered 5xx.
+func FuzzClusterBodies(f *testing.F) {
+	endpoints := []string{"execute", "register", "heartbeat", "deregister"}
+	cfg, app, sc, counts := sim.Baseline(sim.BaselineArch()), "fft", workload.Tiny, []int{1}
+	exec, err := json.Marshal(cluster.ExecRequest{Key: explore.CellKey(cfg, app, sc, counts), Config: cfg, App: app, Scale: sc, ThreadCounts: counts})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), exec)
+	f.Add(uint8(1), []byte(`{"id":"w1","addr":"http://w1:8080","version":{"tool":"wsd"}}`))
+	f.Add(uint8(2), []byte(`{"id":"w1","busy":2}`))
+	f.Add(uint8(3), []byte(`{"id":"w1"}`))
+
+	srv, err := New(WithRole(RoleCoordinator), WithWorkers(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	prev := log.Writer()
+	log.SetOutput(io.Discard) // one registration line per input
+	f.Cleanup(func() {
+		log.SetOutput(prev)
+		srv.Close()
+	})
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		ep := endpoints[int(which)%len(endpoints)]
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/"+ep, bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Errorf("%s answered %d: %s", ep, rec.Code, rec.Body)
+		}
+		if n := srv.counter(&srv.metrics.panics); n != 0 {
+			t.Fatalf("%s panicked a handler (wsd_panics_total %d)", ep, n)
+		}
+	})
 }
 
 // TestTenantQuota: with a per-tenant cap of 1, a tenant's second

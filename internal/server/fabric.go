@@ -1,8 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"io"
 	"log"
 	"net/http"
 
@@ -78,68 +76,6 @@ func (s *Server) handleClusterDeregister(w http.ResponseWriter, r *http.Request)
 		log.Printf("server: cluster worker %s deregistered (graceful drain)", req.ID)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"ok": found, "version": version.Get("wsd")})
-}
-
-// handleClusterJournal folds a worker's shipped journal delta into the
-// coordinator's result space. The body is raw JSONL — the exact bytes of
-// the worker's journal tail, at most cluster.MaxJournalDelta of them —
-// merged line by line as it arrives through the explorer's idempotent
-// MergeJournal, so the delta is never held whole: new cells land in the
-// coordinator's cache *and* journal (so the merge survives the next warm
-// restart), already-known keys are skipped. A larger body is refused with
-// 413 — before a byte is read when Content-Length says so, else at the cap,
-// keeping the complete lines merged before it — and never answered 2xx: the
-// shipper advances its offset by what it sent only on 2xx. This is what
-// keeps a worker cold-restart from losing cells it simulated outside a
-// sweep.
-func (s *Server) handleClusterJournal(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCoordinator(w) {
-		return
-	}
-	if s.isClosing() {
-		writeErr(w, http.StatusServiceUnavailable, "shutting down")
-		return
-	}
-	if r.ContentLength > cluster.MaxJournalDelta {
-		writeBodyErr(w, "", &http.MaxBytesError{Limit: cluster.MaxJournalDelta})
-		return
-	}
-	body := lineCounter{r: http.MaxBytesReader(w, r.Body, cluster.MaxJournalDelta)}
-	merged, err := s.exp.MergeJournal(&body)
-	s.metrics.add(&s.metrics.journalMerged, uint64(merged))
-	if err != nil {
-		// Partial merges are fine (idempotence makes the re-ship safe);
-		// tell the worker so it retries the whole delta.
-		writeBodyErr(w, "merging journal delta", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, cluster.JournalResponse{
-		Received: body.lines(), Merged: merged, Version: version.Get("wsd"),
-	})
-}
-
-// lineCounter counts the lines of what is read through it; a final line
-// without its newline counts.
-type lineCounter struct {
-	r        io.Reader
-	newlines int
-	open     bool // the last byte read was not a newline
-}
-
-func (c *lineCounter) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.newlines += bytes.Count(p[:n], []byte{'\n'})
-		c.open = p[n-1] != '\n'
-	}
-	return n, err
-}
-
-func (c *lineCounter) lines() int {
-	if c.open {
-		return c.newlines + 1
-	}
-	return c.newlines
 }
 
 func (s *Server) handleClusterWorkers(w http.ResponseWriter, r *http.Request) {

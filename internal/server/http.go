@@ -40,7 +40,6 @@ func (s *Server) routes() *http.ServeMux {
 	handle("POST /v1/cluster/register", s.handleClusterRegister)
 	handle("POST /v1/cluster/heartbeat", s.handleClusterHeartbeat)
 	handle("POST /v1/cluster/deregister", s.handleClusterDeregister)
-	handle("POST /v1/cluster/journal", s.handleClusterJournal)
 	handle("GET /v1/cluster/workers", s.handleClusterWorkers)
 	return mux
 }

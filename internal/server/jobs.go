@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 
 	"wavescalar/internal/cli"
@@ -113,23 +114,50 @@ func (j *job) finish(results []design.SweepResult, err error, cancelled bool) {
 	}
 }
 
+// finished reports whether the job has reached a terminal state.
+func (j *job) finished() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state == stateDone || j.state == stateFailed || j.state == stateCancelled
+}
+
+// maxFinishedJobs bounds how many finished sweep jobs, results included,
+// the registry keeps for GET /v1/jobs/{id}; older ones are forgotten and
+// answer 404 like any unknown id. Queued and running jobs are never
+// forgotten.
+const maxFinishedJobs = 256
+
 // registry tracks async jobs by id.
 type registry struct {
-	mu   sync.Mutex
-	m    map[string]*job
-	next int
+	mu    sync.Mutex
+	m     map[string]*job
+	order []*job // the jobs in m, oldest first
+	next  int
 }
 
 func newRegistry() *registry {
 	return &registry{m: make(map[string]*job)}
 }
 
+// add registers j under a fresh id, first forgetting the oldest finished
+// jobs beyond the newest maxFinishedJobs-1, so that once j finishes too
+// the registry holds at most maxFinishedJobs finished jobs.
 func (r *registry) add(j *job) string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	kept := 0
+	for i := len(r.order) - 1; i >= 0; i-- {
+		if old := r.order[i]; old.finished() {
+			if kept++; kept >= maxFinishedJobs {
+				delete(r.m, old.id)
+			}
+		}
+	}
+	r.order = slices.DeleteFunc(r.order, func(old *job) bool { return r.m[old.id] != old })
 	r.next++
 	j.id = jobID(r.next)
 	r.m[j.id] = j
+	r.order = append(r.order, j)
 	return j.id
 }
 
@@ -144,6 +172,7 @@ func (r *registry) remove(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.m, id)
+	r.order = slices.DeleteFunc(r.order, func(j *job) bool { return j.id == id })
 }
 
 // jobID renders sequential, zero-padded ids: stable, log-friendly, and

@@ -32,7 +32,6 @@ type metrics struct {
 	journalErrors                            uint64
 	panics                                   uint64
 	faultSims                                uint64
-	journalMerged                            uint64
 }
 
 func newMetrics() *metrics {
@@ -94,8 +93,8 @@ func (h *histogram) observe(v float64) {
 
 // series is one non-histogram metric family of the exposition. Every such
 // family on /metrics — the registry's counters, the live-sampled gauges,
-// build info, quota, cluster and external counters — is one of
-// these rows, rendered by appendSeries.
+// build info, quota and cluster counters — is one of these rows, rendered
+// by appendSeries.
 type series struct {
 	name, help, typ string
 	samples         []sample
@@ -129,14 +128,10 @@ func labels(kv ...string) string {
 	return string(append(b, '}'))
 }
 
-// appendSeries renders rows in Prometheus text exposition format onto b. A
-// row without help text (an external counter registered without one) gets
-// no HELP line.
+// appendSeries renders rows in Prometheus text exposition format onto b.
 func appendSeries(b []byte, rows ...series) []byte {
 	for _, s := range rows {
-		if s.help != "" {
-			b = append(append(append(append(append(b, "# HELP "...), s.name...), ' '), s.help...), '\n')
-		}
+		b = append(append(append(append(append(b, "# HELP "...), s.name...), ' '), s.help...), '\n')
 		b = append(append(append(append(append(b, "# TYPE "...), s.name...), ' '), s.typ...), '\n')
 		for _, sm := range s.samples {
 			b = fmt.Appendf(append(append(b, s.name...), sm.labels...), " %v\n", sm.value)
@@ -267,9 +262,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, wi := range s.coord.Registry().Snapshot() {
 			inflight.samples = append(inflight.samples, sample{labels("worker", wi.ID), wi.Inflight})
 		}
-		s.metrics.mu.Lock()
-		merged := s.metrics.journalMerged
-		s.metrics.mu.Unlock()
 		rows = append(rows,
 			gauge("wsd_cluster_workers", "Workers currently holding a live lease.", cs.Workers),
 			inflight,
@@ -278,13 +270,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			counter("wsd_cluster_requeues_total", "Failed attempts retried on another worker.", cs.Requeues),
 			counter("wsd_cluster_remote_errors_total", "Cell execution attempts that failed.", cs.RemoteErrors),
 			counter("wsd_cluster_lease_expirations_total", "Workers dropped for missing heartbeats.", cs.LeaseExpirations),
-			counter("wsd_cluster_journal_merged_total", "New cells folded in from shipped worker journal deltas.", merged),
 		)
-	}
-	// Counters owned by the embedding process (WithExternalCounter), e.g.
-	// the journal shipper's retry count, sampled live at scrape time.
-	for _, ec := range s.external {
-		rows = append(rows, counter(ec.name, ec.help, ec.value()))
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -298,10 +298,7 @@ func TestOversizeBodyRejected(t *testing.T) {
 // configurations (testdata/metrics_skeleton_*.golden).
 func TestMetricsSkeletonGolden(t *testing.T) {
 	for name, opts := range map[string][]Option{
-		"single": {
-			WithExternalCounter("wsd_shipper_retries_total", "Journal ship attempts that failed and were rescheduled.", func() uint64 { return 3 }),
-			WithExternalCounter("wsd_nohelp_total", "", func() uint64 { return 1 }),
-		},
+		"single":      nil,
 		"coordinator": {WithRole(RoleCoordinator)},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -203,27 +203,6 @@ func WithTenantQuota(n int) Option {
 	}
 }
 
-// externalCounter is a process-level counter owned outside the server
-// (e.g. the journal shipper living in cmd/wsd) that /metrics should
-// render alongside the daemon's own.
-type externalCounter struct {
-	name, help string
-	value      func() uint64
-}
-
-// WithExternalCounter exposes a counter owned by the embedding process
-// on /metrics: fn is sampled at scrape time. The name must be a valid
-// Prometheus metric name; counters render in registration order.
-func WithExternalCounter(name, help string, fn func() uint64) Option {
-	return func(s *Server) error {
-		if name == "" || fn == nil {
-			return fmt.Errorf("%w: external counter needs a name and a sampler", design.ErrBadOptions)
-		}
-		s.external = append(s.external, externalCounter{name: name, help: help, value: fn})
-		return nil
-	}
-}
-
 // WithRetryAfter sets the base Retry-After hint on 429 responses
 // (default 2s). The served value is jittered ±20% so synchronized
 // clients don't retry in lockstep against the coordinator.
@@ -249,7 +228,6 @@ type Server struct {
 	role           Role
 	clusterOpt     cluster.Options
 	quotas         *tenantQuotas
-	external       []externalCounter
 
 	// Scenario-store persistence (WithScenarioStore).
 	scnPath string

@@ -292,6 +292,41 @@ func TestJobNotFound(t *testing.T) {
 	}
 }
 
+// TestJobRegistryForgetsOldestFinished: the registry keeps at most
+// maxFinishedJobs finished jobs. After one more finishes, the oldest
+// finished id answers 404 to GET and DELETE, while a running job older
+// than all of them is still served.
+func TestJobRegistryForgetsOldestFinished(t *testing.T) {
+	srv, ts := newTestServer(t)
+	running := srv.jobs.add(&job{kind: jobSweep, state: stateRunning})
+	var ids []string
+	for range maxFinishedJobs + 1 {
+		jb := &job{kind: jobSweep, state: stateQueued}
+		ids = append(ids, srv.jobs.add(jb))
+		jb.finish(nil, nil, false)
+	}
+	status := func(method, id string) int {
+		t.Helper()
+		req, _ := http.NewRequest(method, ts.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		if code := status(method, ids[0]); code != http.StatusNotFound {
+			t.Errorf("%s of the oldest finished job: status %d, want 404", method, code)
+		}
+	}
+	for _, id := range []string{running, ids[1], ids[maxFinishedJobs]} {
+		if code := status(http.MethodGet, id); code != http.StatusOK {
+			t.Errorf("GET %s: status %d, want 200", id, code)
+		}
+	}
+}
+
 func TestJobCancel(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp := post(t, ts.URL+"/v1/sweeps", `{"suite":"mediabench","scale":"medium","max_points":4}`)

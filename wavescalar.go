@@ -514,13 +514,6 @@ func ServerCluster(opt ClusterOptions) ServerOption { return server.WithClusterO
 // Retry-After. 0 (the default) disables quotas.
 func ServerTenantQuota(n int) ServerOption { return server.WithTenantQuota(n) }
 
-// ServerExternalCounter exposes a counter owned by the embedding
-// process (e.g. the ClusterShipper's retry count) on /metrics; fn is
-// sampled at scrape time.
-func ServerExternalCounter(name, help string, fn func() uint64) ServerOption {
-	return server.WithExternalCounter(name, help, fn)
-}
-
 // ServerRetryAfter sets the base Retry-After hint on 429 responses
 // (default 2s); the served value is jittered ±20%.
 func ServerRetryAfter(d time.Duration) ServerOption { return server.WithRetryAfter(d) }
@@ -529,12 +522,6 @@ func ServerRetryAfter(d time.Duration) ServerOption { return server.WithRetryAft
 // created scenarios append as canonical JSON lines and reload at
 // startup, so a warm restart still serves every stored digest.
 func ServerScenarioStore(path string) ServerOption { return server.WithScenarioStore(path) }
-
-// ClusterShipper tails a worker's journal and ships each new delta to
-// the coordinator's /v1/cluster/journal, so cells a worker simulated
-// outside a sweep survive that worker's cold restarts in the shared
-// result space. Run it in a goroutine next to the ClusterAgent.
-type ClusterShipper = cluster.Shipper
 
 // Energy model (an extension beyond the paper, which defers power to
 // future work).
