@@ -64,9 +64,6 @@ func BenchmarkTable3AreaModel(b *testing.B) {
 // BenchmarkTable4Tuning runs the matching-table tuning procedure for one
 // representative application per suite.
 func BenchmarkTable4Tuning(b *testing.B) {
-	opt := wavescalar.DefaultTuneOptions()
-	opt.Ks = []int{1, 2, 4}
-	opt.Us = []int{1, 4, 16, 64}
 	for _, name := range []string{"gzip", "rawdaudio", "fft"} {
 		name := name
 		b.Run(name, func(b *testing.B) {
@@ -82,7 +79,7 @@ func BenchmarkTable4Tuning(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if tn, _, err = exp.Tune(context.Background(), w, opt); err != nil {
+				if tn, _, err = exp.Tune(context.Background(), w, wavescalar.ScaleTiny); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -339,9 +336,9 @@ func BenchmarkAblationPlacement(b *testing.B) {
 	b.ReportMetric(100*sShare, "%pod-local-scatter")
 }
 
-// BenchmarkEnergyModel reports the energy-per-instruction estimate for one
+// BenchmarkEnergyEstimate reports the energy-per-instruction estimate for one
 // representative kernel per suite on the baseline machine.
-func BenchmarkEnergyModel(b *testing.B) {
+func BenchmarkEnergyEstimate(b *testing.B) {
 	cfg := wavescalar.Baseline(wavescalar.BaselineArch())
 	for _, app := range []string{"gzip", "djpeg", "fft"} {
 		app := app
@@ -352,7 +349,7 @@ func BenchmarkEnergyModel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				br := wavescalar.EstimateEnergy(wavescalar.DefaultEnergyModel(), st, cfg.Arch)
+				br := wavescalar.EstimateEnergy(st, cfg.Arch)
 				epi = br.EPI(st.Countable)
 			}
 			b.ReportMetric(epi, "pJ/inst")

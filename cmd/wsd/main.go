@@ -76,7 +76,6 @@ func main() {
 	workerID := flag.String("worker-id", "", "stable worker identity (worker role; default hostname:port)")
 	lease := flag.Duration("lease", 15*time.Second, "worker lease; a worker missing heartbeats this long is dropped (coordinator role)")
 	tenantQuota := flag.Int("tenant-quota", 0, "max queued-or-running jobs per tenant (X-Tenant header); 0 disables")
-	retryAfter := flag.Duration("retry-after", 2*time.Second, "base Retry-After hint on 429 responses (served jittered ±20%)")
 	scenarioStore := flag.String("scenario-store", "", "persist stored scenarios to this JSONL file (default <journal>.scenarios when -journal is set)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -100,10 +99,9 @@ func main() {
 		wavescalar.ServerQueueDepth(*queue),
 		wavescalar.ServerRequestTimeout(*timeout),
 		wavescalar.ServerRole(role),
-		wavescalar.ServerRetryAfter(*retryAfter),
 	}
 	if role == wavescalar.RoleCoordinator {
-		opts = append(opts, wavescalar.ServerCluster(wavescalar.ClusterOptions{Lease: *lease}))
+		opts = append(opts, wavescalar.ServerLease(*lease))
 	}
 	if *tenantQuota > 0 {
 		opts = append(opts, wavescalar.ServerTenantQuota(*tenantQuota))

@@ -101,7 +101,7 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 	for _, want := range []string{
 		`wsd_sims_total{outcome="completed"} 1`,
-		"wsd_cache_hit_ratio",
+		"wsd_cache_hits_total 1",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q", want)

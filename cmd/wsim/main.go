@@ -101,7 +101,7 @@ func main() {
 	fmt.Print(st.Format())
 	if *showEnergy {
 		fmt.Println("\nenergy estimate (90nm event model; comparative, not absolute):")
-		fmt.Print(wavescalar.EstimateEnergy(wavescalar.DefaultEnergyModel(), st, arch).Format(st.Countable))
+		fmt.Print(wavescalar.EstimateEnergy(st, arch).Format(st.Countable))
 	}
 }
 

@@ -40,12 +40,10 @@ func main() {
 		fail(errors.New("-resume requires -journal"))
 	}
 
-	opt := wavescalar.DefaultTuneOptions()
 	sc, err := cli.ParseScale(*scale)
 	if err != nil {
 		fail(err)
 	}
-	opt.Scale = sc
 
 	var apps []wavescalar.Workload
 	if *app != "" {
@@ -66,7 +64,7 @@ func main() {
 		defer cancel()
 	}
 
-	opts := []wavescalar.ExploreOption{wavescalar.WithScale(opt.Scale)}
+	opts := []wavescalar.ExploreOption{wavescalar.WithScale(sc)}
 	if *journalPath != "" {
 		opts = append(opts, wavescalar.WithJournal(*journalPath, *resume))
 	}
@@ -86,7 +84,7 @@ func main() {
 	var tunings []wavescalar.Tuning
 	cached := 0
 	for _, w := range apps {
-		tn, hit, err := exp.Tune(ctx, w, opt)
+		tn, hit, err := exp.Tune(ctx, w, sc)
 		if err != nil {
 			if ctx.Err() != nil {
 				if cerr := exp.Close(); cerr != nil {

@@ -29,9 +29,6 @@ type Agent struct {
 	Busy func() int
 	// Logf receives membership diagnostics (default log.Printf).
 	Logf func(format string, args ...any)
-	// Client is the HTTP client used (default http.DefaultClient with a
-	// 10s timeout).
-	Client *http.Client
 }
 
 // Run registers and heartbeats until ctx is cancelled, then deregisters
@@ -48,10 +45,7 @@ func (a *Agent) Run(ctx context.Context) error {
 	if logf == nil {
 		logf = log.Printf
 	}
-	client := a.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
+	client := &http.Client{Timeout: 10 * time.Second}
 	a.holdLease(ctx, client, logf)
 	a.deregister(client, logf)
 	return nil

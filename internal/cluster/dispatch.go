@@ -18,31 +18,18 @@ import (
 // should run the cell locally.
 var ErrNoWorkers = errors.New("cluster: no workers registered")
 
-// Options configures a Coordinator. The zero value is usable: every
-// field has a production-sane default.
-type Options struct {
-	// Lease is how long a registration lives without a heartbeat
-	// (default 15s). Workers should heartbeat at a third of it.
-	Lease time.Duration
-	// Attempts bounds how many workers one cell is tried on before the
-	// dispatcher gives up and the cell falls back to local simulation
-	// (default 3). Attempts walk the cell's distinct owners in rank order,
-	// so a dead owner's cells fail over to the next-ranked worker.
-	Attempts int
-	// Backoff is the base delay between a cell's attempts, doubling each
-	// retry (default 250ms).
-	Backoff time.Duration
-	// ExecTimeout bounds one remote execution attempt (default 2m). It
-	// is the slow-worker failover: a wedged worker loses the cell to the
-	// next owner even though its TCP connection is healthy.
-	ExecTimeout time.Duration
-	// Client is the HTTP client for worker calls (default: a dedicated
-	// client with sane connection pooling).
-	Client *http.Client
-	// Logf receives dispatch and lease-expiry diagnostics (default
-	// log.Printf).
-	Logf func(format string, args ...any)
-}
+// Dispatch policy. A cell is tried on up to dispatchAttempts workers —
+// its distinct owners in rank order, so a dead owner's cells fail over to
+// the next-ranked worker — before it falls back to local simulation. The
+// delay between attempts starts at dispatchBackoff and doubles per retry;
+// execTimeout bounds one remote attempt, which is the slow-worker
+// failover: a wedged worker loses the cell to the next owner even though
+// its TCP connection is healthy.
+const (
+	dispatchAttempts = 3
+	dispatchBackoff  = 250 * time.Millisecond
+	execTimeout      = 2 * time.Minute
+)
 
 // Stats is a snapshot of the coordinator's dispatch counters for
 // /metrics.
@@ -65,8 +52,8 @@ type Stats struct {
 // implements explore.CellRunner for the coordinator's exploration engine.
 // It starts nothing: there is no goroutine to stop.
 type Coordinator struct {
-	opt Options
-	reg *Registry
+	reg    *Registry
+	client *http.Client
 
 	dispatched  atomic.Uint64
 	remoteCells atomic.Uint64
@@ -74,30 +61,20 @@ type Coordinator struct {
 	remoteErrs  atomic.Uint64
 }
 
-// NewCoordinator builds a coordinator.
-func NewCoordinator(opt Options) *Coordinator {
-	if opt.Lease <= 0 {
-		opt.Lease = 15 * time.Second
+// NewCoordinator builds a coordinator whose worker leases last lease (15s
+// when lease <= 0): a worker missing heartbeats that long owns nothing.
+// Workers heartbeat at a third of it.
+func NewCoordinator(lease time.Duration) *Coordinator {
+	if lease <= 0 {
+		lease = 15 * time.Second
 	}
-	if opt.Attempts <= 0 {
-		opt.Attempts = 3
-	}
-	if opt.Backoff <= 0 {
-		opt.Backoff = 250 * time.Millisecond
-	}
-	if opt.ExecTimeout <= 0 {
-		opt.ExecTimeout = 2 * time.Minute
-	}
-	if opt.Client == nil {
-		opt.Client = &http.Client{Transport: &http.Transport{
+	return &Coordinator{
+		reg: NewRegistry(lease, log.Printf),
+		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     90 * time.Second,
-		}}
+		}},
 	}
-	if opt.Logf == nil {
-		opt.Logf = log.Printf
-	}
-	return &Coordinator{opt: opt, reg: NewRegistry(opt.Lease, opt.Logf)}
 }
 
 // Registry exposes the worker registry (the server's cluster endpoints
@@ -121,9 +98,10 @@ func (c *Coordinator) Stats() Stats {
 
 // RunCell executes one cell on the fabric — the explore.CellRunner the
 // coordinator's exploration engine calls on every sweep cache miss. It
-// tries up to Attempts distinct workers in the key's owner order with
-// exponential backoff between attempts; a failure after the last worker
-// (or no live worker) returns an error and the engine simulates locally.
+// tries up to dispatchAttempts distinct workers in the key's owner order
+// with exponential backoff between attempts; a failure after the last
+// worker (or no live worker) returns an error and the engine simulates
+// locally.
 // The returned cell's key is verified against the requested key, so a
 // worker whose key schema drifted (mixed-version fabric) can never commit
 // a result under the wrong address.
@@ -131,8 +109,8 @@ func (c *Coordinator) RunCell(ctx context.Context, key string, cfg sim.Config, a
 	req := ExecRequest{Key: key, Config: cfg, App: app, Scale: sc, ThreadCounts: threadCounts}
 	req.Config.Trace = nil // observability never crosses the wire
 	var lastErr error
-	for attempt := 0; attempt < c.opt.Attempts; attempt++ {
-		owners := c.reg.Owners(key, c.opt.Attempts)
+	for attempt := 0; attempt < dispatchAttempts; attempt++ {
+		owners := c.reg.Owners(key, dispatchAttempts)
 		if len(owners) == 0 {
 			if lastErr != nil {
 				return explore.Cell{}, lastErr
@@ -142,7 +120,7 @@ func (c *Coordinator) RunCell(ctx context.Context, key string, cfg sim.Config, a
 		w := owners[attempt%len(owners)]
 		if attempt > 0 {
 			c.requeues.Add(1)
-			delay := c.opt.Backoff << (attempt - 1)
+			delay := dispatchBackoff << (attempt - 1)
 			select {
 			case <-ctx.Done():
 				return explore.Cell{}, ctx.Err()
@@ -162,19 +140,19 @@ func (c *Coordinator) RunCell(ctx context.Context, key string, cfg sim.Config, a
 		}
 		c.remoteErrs.Add(1)
 		c.reg.release(l, 0, 1)
-		c.opt.Logf("cluster: cell %s attempt %d/%d on %s failed: %v", key, attempt+1, c.opt.Attempts, w.ID, err)
+		log.Printf("cluster: cell %s attempt %d/%d on %s failed: %v", key, attempt+1, dispatchAttempts, w.ID, err)
 		lastErr = err
 	}
-	return explore.Cell{}, fmt.Errorf("cluster: cell %s exhausted %d attempts: %w", key, c.opt.Attempts, lastErr)
+	return explore.Cell{}, fmt.Errorf("cluster: cell %s exhausted %d attempts: %w", key, dispatchAttempts, lastErr)
 }
 
 // execOn performs one POST /v1/cluster/execute against a worker.
 func (c *Coordinator) execOn(ctx context.Context, w WorkerInfo, req ExecRequest) (explore.Cell, error) {
 	c.dispatched.Add(1)
-	ctx, cancel := context.WithTimeout(ctx, c.opt.ExecTimeout)
+	ctx, cancel := context.WithTimeout(ctx, execTimeout)
 	defer cancel()
 	var er ExecResponse
-	if err := postJSON(ctx, c.opt.Client, w.Addr+"/v1/cluster/execute", req, &er); err != nil {
+	if err := postJSON(ctx, c.client, w.Addr+"/v1/cluster/execute", req, &er); err != nil {
 		return explore.Cell{}, fmt.Errorf("worker %s: %w", w.ID, err)
 	}
 	if er.Cell.Key != req.Key {

@@ -40,20 +40,12 @@ func fakeWorker(t *testing.T, failures *atomic.Int64) *httptest.Server {
 	}))
 }
 
-func testCoordinator(t *testing.T, opt Options) *Coordinator {
-	t.Helper()
-	if opt.Backoff == 0 {
-		opt.Backoff = time.Millisecond
-	}
-	return NewCoordinator(opt)
-}
-
 func runArgs() (sim.Config, string, workload.Scale, []int) {
 	return sim.Baseline(sim.BaselineArch()), "fft", workload.Tiny, []int{1}
 }
 
 func TestRunCellNoWorkers(t *testing.T) {
-	c := testCoordinator(t, Options{})
+	c := NewCoordinator(time.Minute)
 	cfg, app, sc, counts := runArgs()
 	_, err := c.RunCell(context.Background(), "key-1", cfg, app, sc, counts)
 	if !errors.Is(err, ErrNoWorkers) {
@@ -64,7 +56,7 @@ func TestRunCellNoWorkers(t *testing.T) {
 func TestRunCellHappyPath(t *testing.T) {
 	ws := fakeWorker(t, nil)
 	defer ws.Close()
-	c := testCoordinator(t, Options{})
+	c := NewCoordinator(time.Minute)
 	c.Registry().Register(RegisterRequest{ID: "w1", Addr: ws.URL})
 
 	cfg, app, sc, counts := runArgs()
@@ -89,7 +81,7 @@ func TestRunCellFailover(t *testing.T) {
 	dead := fakeWorker(t, nil)
 	dead.Close() // immediately unreachable
 
-	c := testCoordinator(t, Options{Attempts: 3})
+	c := NewCoordinator(time.Minute)
 	c.Registry().Register(RegisterRequest{ID: "good", Addr: good.URL})
 	c.Registry().Register(RegisterRequest{ID: "dead", Addr: dead.URL})
 
@@ -127,7 +119,7 @@ func TestRunCellRetriesSameWorker(t *testing.T) {
 	failures.Store(1) // first call 500s, second succeeds
 	ws := fakeWorker(t, &failures)
 	defer ws.Close()
-	c := testCoordinator(t, Options{Attempts: 3})
+	c := NewCoordinator(time.Minute)
 	c.Registry().Register(RegisterRequest{ID: "w1", Addr: ws.URL})
 
 	cfg, app, sc, counts := runArgs()
@@ -145,7 +137,7 @@ func TestRunCellExhaustsAttempts(t *testing.T) {
 	failures.Store(1000)
 	ws := fakeWorker(t, &failures)
 	defer ws.Close()
-	c := testCoordinator(t, Options{Attempts: 2})
+	c := NewCoordinator(time.Minute)
 	c.Registry().Register(RegisterRequest{ID: "w1", Addr: ws.URL})
 
 	cfg, app, sc, counts := runArgs()
@@ -153,8 +145,8 @@ func TestRunCellExhaustsAttempts(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error after exhausted attempts")
 	}
-	if st := c.Stats(); st.RemoteErrors != 2 || st.Requeues != 1 {
-		t.Errorf("stats = %+v, want 2 errors / 1 requeue", st)
+	if st := c.Stats(); st.RemoteErrors != dispatchAttempts || st.Requeues != dispatchAttempts-1 {
+		t.Errorf("stats = %+v, want %d errors / %d requeues", st, dispatchAttempts, dispatchAttempts-1)
 	}
 }
 
@@ -165,7 +157,7 @@ func TestRunCellKeyMismatch(t *testing.T) {
 		json.NewEncoder(w).Encode(ExecResponse{Cell: explore.Cell{Key: "some-other-key"}})
 	}))
 	defer ws.Close()
-	c := testCoordinator(t, Options{Attempts: 1})
+	c := NewCoordinator(time.Minute)
 	c.Registry().Register(RegisterRequest{ID: "w1", Addr: ws.URL})
 
 	cfg, app, sc, counts := runArgs()

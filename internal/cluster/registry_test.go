@@ -264,7 +264,7 @@ func TestInflightSurvivesReregister(t *testing.T) {
 		json.NewEncoder(w).Encode(ExecResponse{Cell: explore.Cell{Key: req.Key, App: req.App, AIPC: 1.5, Threads: 1}})
 	}))
 	defer ws.Close()
-	c := testCoordinator(t, Options{})
+	c := NewCoordinator(time.Minute)
 	w1 := RegisterRequest{ID: "w1", Addr: ws.URL}
 	c.Registry().Register(w1)
 

@@ -201,10 +201,7 @@ func measureDirect(inst *workload.Instance) func(sim.Config) (float64, error) {
 }
 
 func TestTuneGzip(t *testing.T) {
-	opt := DefaultTuneOptions()
-	opt.Ks = []int{1, 2, 4}
-	opt.Us = []int{1, 4, 16, 64}
-	tn, err := Tune("gzip", opt, measureDirect(mustWorkload(t, "gzip").Build(opt.Scale)))
+	tn, err := Tune("gzip", measureDirect(mustWorkload(t, "gzip").Build(workload.Tiny)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +217,11 @@ func TestTuneGzip(t *testing.T) {
 }
 
 // TestTuneSelection drives the Table 4 selection rules with a synthetic
-// measure: the smallest k within Tol of the best, the last u before AIPC
-// drops by more than Tol, and step errors that name the workload and the
-// step.
+// measure over the paper's schedule: the smallest k within 5 % of the
+// best, the last u before AIPC drops by more than 5 %, and step errors
+// that name the workload and the step.
 func TestTuneSelection(t *testing.T) {
-	opt := TuneOptions{Scale: workload.Tiny, Ks: []int{1, 2, 4}, Us: []int{1, 2, 4, 8}, Tol: 0.05}
-	kAIPC := map[int]float64{1: 0.80, 2: 0.97, 4: 1.00}
+	kAIPC := map[int]float64{1: 0.80, 2: 0.97, 3: 0.98, 4: 1.00, 6: 1.00, 8: 1.00}
 	var measured []sim.Config
 	measure := func(cfg sim.Config) (float64, error) {
 		measured = append(measured, cfg)
@@ -237,15 +233,15 @@ func TestTuneSelection(t *testing.T) {
 		}
 		return 0.5, nil
 	}
-	tn, err := Tune("synthetic", opt, measure)
+	tn, err := Tune("synthetic", measure)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := (Tuning{App: "synthetic", KOpt: 2, UOpt: 2, Ratio: 1}); tn != want {
 		t.Errorf("tuning = %+v, want %+v", tn, want)
 	}
-	if len(measured) != 3+3 { // every k, then u = 1, 2 and the u = 4 that dropped
-		t.Errorf("measured %d configurations, want 6", len(measured))
+	if len(measured) != 6+3 { // every k, then u = 1, 2 and the u = 4 that dropped
+		t.Errorf("measured %d configurations, want 9", len(measured))
 	}
 
 	failing := func(cfg sim.Config) (float64, error) {
@@ -254,7 +250,7 @@ func TestTuneSelection(t *testing.T) {
 		}
 		return 1, nil
 	}
-	if _, err := Tune("synthetic", opt, failing); err == nil || !strings.Contains(err.Error(), "synthetic at u=1: boom") {
+	if _, err := Tune("synthetic", failing); err == nil || !strings.Contains(err.Error(), "synthetic at u=1: boom") {
 		t.Errorf("step failure = %v, want one naming the workload and u=1", err)
 	}
 }
@@ -279,7 +275,7 @@ func sweepDirect(t *testing.T, pts []Point, apps []workload.Workload, counts []i
 	for pi, pt := range pts {
 		r := SweepResult{Point: pt, AIPC: map[string]float64{}, Threads: map[string]int{}}
 		for _, app := range apps {
-			br, err := BestThreadsContext(context.Background(), BaselineConfigure(pt), app.Build(workload.Tiny), counts)
+			br, err := BestThreadsContext(context.Background(), sim.Baseline(pt.Arch), app.Build(workload.Tiny), counts)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", app.Name, pt.Arch, err)
 			}

@@ -31,49 +31,6 @@ func TestValidateRunRejectsBadOptions(t *testing.T) {
 	}
 }
 
-func TestTuneContextRejectsBadOptions(t *testing.T) {
-	base := DefaultTuneOptions()
-	mutate := map[string]func(*TuneOptions){
-		"zero scale":    func(o *TuneOptions) { o.Scale = workload.Scale{} },
-		"empty Ks":      func(o *TuneOptions) { o.Ks = nil },
-		"empty Us":      func(o *TuneOptions) { o.Us = nil },
-		"descending Ks": func(o *TuneOptions) { o.Ks = []int{4, 2, 1} },
-		"zero K":        func(o *TuneOptions) { o.Ks = []int{0, 1} },
-		"zero Tol":      func(o *TuneOptions) { o.Tol = 0 },
-		"Tol >= 1":      func(o *TuneOptions) { o.Tol = 1.5 },
-	}
-	for name, mut := range mutate {
-		opt := base
-		mut(&opt)
-		measure := func(sim.Config) (float64, error) {
-			t.Errorf("%s: measured a step despite bad options", name)
-			return 0, nil
-		}
-		if _, err := Tune("gzip", opt, measure); !errors.Is(err, ErrBadOptions) {
-			t.Errorf("%s: error = %v, want ErrBadOptions", name, err)
-		}
-	}
-}
-
-// TestConfigureFuncShared pins that one ConfigureFunc value serves both
-// the sweep's point-to-config mapping (BaselineConfigure is one, and
-// explore.SweepSpec.Configure takes the same type) and the tuning
-// procedure's options.
-func TestConfigureFuncShared(t *testing.T) {
-	var fn ConfigureFunc = func(p Point) sim.Config {
-		cfg := BaselineConfigure(p)
-		cfg.K = 2
-		return cfg
-	}
-	if cfg := fn(Viable()[0]); cfg.K != 2 || cfg.Validate() != nil {
-		t.Errorf("configured point: K=%d, Validate=%v", cfg.K, cfg.Validate())
-	}
-	to := TuneOptions{Scale: workload.Tiny, Ks: []int{1, 2}, Us: []int{1, 2}, Tol: 0.05, Configure: fn}
-	if err := to.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBestThreadsErrorNamesWorkloadAndJoinsFailures(t *testing.T) {
 	w := mustWorkload(t, "gzip")
 	inst := w.Build(workload.Tiny)

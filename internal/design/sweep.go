@@ -13,19 +13,9 @@ import (
 )
 
 // ErrBadOptions is the sentinel wrapped by the validating entry points
-// (ValidateRun, Tune and the explore engine) when their options
-// are malformed. Match it with errors.Is.
+// (ValidateRun and the explore engine) when their options are malformed.
+// Match it with errors.Is.
 var ErrBadOptions = errors.New("design: bad options")
-
-// ConfigureFunc adapts the baseline microarchitecture to one design
-// point (e.g. setting K, or an ablation knob). The explore engine's
-// sweeps and TuneOptions share this type, so one configuration policy
-// serves both the Pareto sweep and the Table 4 tuning procedure.
-type ConfigureFunc func(p Point) sim.Config
-
-// BaselineConfigure is the default ConfigureFunc: the paper's Table 1
-// microarchitecture on the point's architectural parameters.
-func BaselineConfigure(p Point) sim.Config { return sim.Baseline(p.Arch) }
 
 // RunOnceContext executes a workload instance on a configuration with the
 // given thread count and returns the run statistics. The simulation aborts
@@ -109,22 +99,13 @@ type SweepResult struct {
 	Err error
 }
 
-// validateScale is the scale check ValidateRun and TuneOptions.Validate
-// share.
-func validateScale(sc workload.Scale) error {
-	if sc.Iters <= 0 || sc.Footprint <= 0 {
-		return fmt.Errorf("%w: scale %+v (Iters and Footprint must be positive; use workload.Tiny/Small/Medium)",
-			ErrBadOptions, sc)
-	}
-	return nil
-}
-
 // ValidateRun reports whether a workload scale and a list of thread counts
 // describe runnable cells, wrapping ErrBadOptions on failure. The explore
 // engine and the daemon's fabric endpoint validate eagerly with it.
 func ValidateRun(sc workload.Scale, threadCounts []int) error {
-	if err := validateScale(sc); err != nil {
-		return err
+	if sc.Iters <= 0 || sc.Footprint <= 0 {
+		return fmt.Errorf("%w: scale %+v (Iters and Footprint must be positive; use workload.Tiny/Small/Medium)",
+			ErrBadOptions, sc)
 	}
 	if len(threadCounts) == 0 {
 		return fmt.Errorf("%w: ThreadCounts is empty (use []int{1} for single-threaded suites)", ErrBadOptions)

@@ -2,11 +2,9 @@ package design
 
 import (
 	"fmt"
-	"sort"
 
 	"wavescalar/internal/area"
 	"wavescalar/internal/sim"
-	"wavescalar/internal/workload"
 )
 
 // Tuning reproduces Table 4: the per-application matching-table parameters.
@@ -17,90 +15,45 @@ type Tuning struct {
 	Ratio float64 // virtualization ratio k_opt / u_opt
 }
 
-// TuneOptions configures the tuning procedure.
-type TuneOptions struct {
-	Scale workload.Scale
-	// Ks are the k-loop bounds to sweep (ascending).
-	Ks []int
-	// Us are the over-subscription factors to sweep (ascending).
-	Us []int
-	// Tol is the relative AIPC tolerance: k_opt is the smallest k within
-	// Tol of the best, u_opt the largest u not losing more than Tol.
-	Tol float64
-	// Configure overrides the tuning machine: it receives TunePoint()
-	// (the narrow single-pod tuning configuration) and returns the base
-	// config the k/u sweeps perturb; nil uses BaselineConfigure. It is
-	// the same ConfigureFunc type the explore engine's sweeps use.
-	Configure ConfigureFunc
-}
+// The paper's tuning schedule (Section 4.2): raise k on an effectively
+// infinite matching table until performance stops improving, then with
+// V=256 raise u until performance drops significantly. tuneKs are the
+// k-loop bounds and tuneUs the over-subscription factors swept, both
+// ascending; tuneTol is the relative AIPC tolerance: k_opt is the smallest
+// k within tuneTol of the best, u_opt the largest u not losing more than
+// tuneTol.
+var (
+	tuneKs = []int{1, 2, 3, 4, 6, 8}
+	tuneUs = []int{1, 2, 4, 8, 16, 32, 64}
+)
 
-// Validate reports whether the options are usable, wrapping ErrBadOptions
-// on failure. Tune validates eagerly.
-func (o TuneOptions) Validate() error {
-	if err := validateScale(o.Scale); err != nil {
-		return err
-	}
-	for name, vals := range map[string][]int{"Ks": o.Ks, "Us": o.Us} {
-		if len(vals) == 0 {
-			return fmt.Errorf("%w: %s is empty", ErrBadOptions, name)
-		}
-		if vals[0] <= 0 {
-			return fmt.Errorf("%w: %s must be positive, got %d", ErrBadOptions, name, vals[0])
-		}
-		if !sort.IntsAreSorted(vals) {
-			return fmt.Errorf("%w: %s %v must be ascending", ErrBadOptions, name, vals)
-		}
-	}
-	if o.Tol <= 0 || o.Tol >= 1 {
-		return fmt.Errorf("%w: Tol %v must be in (0, 1)", ErrBadOptions, o.Tol)
-	}
-	return nil
-}
+const tuneTol = 0.05
 
-// DefaultTuneOptions mirrors the paper's procedure: raise k on an
-// effectively infinite matching table until performance stops improving,
-// then with V=256 raise u until performance drops significantly.
-func DefaultTuneOptions() TuneOptions {
-	return TuneOptions{
-		Scale: workload.Tiny,
-		Ks:    []int{1, 2, 3, 4, 6, 8},
-		Us:    []int{1, 2, 4, 8, 16, 32, 64},
-		Tol:   0.05,
-	}
-}
-
-// TunePoint is the machine used for tuning: a single pod (one domain of
+// tunePoint is the machine used for tuning: a single pod (one domain of
 // two PEs) with the largest instruction stores the RTL supports (V=256).
 // The narrow machine concentrates each program's instances onto few
 // matching tables, which is the regime the paper's thousands-of-
 // instructions binaries put a full cluster in; a full cluster would leave
 // our (smaller) kernels with only a handful of instructions per PE and
 // every sweep point flat.
-func TunePoint() Point {
+func tunePoint() area.Params {
 	arch := sim.BaselineArch()
 	arch.Domains = 1
 	arch.PEs = 2
 	arch.Virt = 256
 	arch.Match = 256
-	return Point{Arch: arch, Area: area.Total(arch)}
+	return arch
 }
 
 // Tune computes k_opt, u_opt and the virtualization ratio for one workload,
-// following Section 4.2. It owns the selection logic only: every
-// single-thread AIPC it compares comes from measure — the explore engine
-// passes its cached, journaled cell (Explorer.Tune) — so this package never
-// simulates on a tuning's behalf. Options are validated eagerly (errors
-// wrap ErrBadOptions); a measure error aborts the tuning, named by step.
-func Tune(app string, opt TuneOptions, measure func(sim.Config) (float64, error)) (Tuning, error) {
-	if err := opt.Validate(); err != nil {
-		return Tuning{}, err
-	}
-	configure := opt.Configure
-	if configure == nil {
-		configure = BaselineConfigure
-	}
+// following Section 4.2 on the Table 1 microarchitecture of tunePoint. It
+// owns the selection logic only: every single-thread AIPC it compares comes
+// from measure — the explore engine passes its cached, journaled cell
+// (Explorer.Tune) — so this package never simulates on a tuning's behalf.
+// A measure error aborts the tuning, named by step.
+func Tune(app string, measure func(sim.Config) (float64, error)) (Tuning, error) {
 	tuneConfig := func(match, k int) sim.Config {
-		cfg := configure(TunePoint())
+		cfg := sim.Baseline(tunePoint())
 		cfg.Arch.Match = match
 		cfg.K = k
 		return cfg
@@ -108,9 +61,9 @@ func Tune(app string, opt TuneOptions, measure func(sim.Config) (float64, error)
 
 	// Step 1: k_opt on an effectively infinite matching table (M = 4096,
 	// far beyond any instance demand).
-	kAIPC := make([]float64, len(opt.Ks))
+	kAIPC := make([]float64, len(tuneKs))
 	best := 0.0
-	for i, k := range opt.Ks {
+	for i, k := range tuneKs {
 		a, err := measure(tuneConfig(4096, k))
 		if err != nil {
 			return Tuning{}, fmt.Errorf("design: tuning %s at k=%d: %w", app, k, err)
@@ -120,18 +73,18 @@ func Tune(app string, opt TuneOptions, measure func(sim.Config) (float64, error)
 			best = a
 		}
 	}
-	kOpt := opt.Ks[len(opt.Ks)-1]
-	for i, k := range opt.Ks {
-		if kAIPC[i] >= best*(1-opt.Tol) {
+	kOpt := tuneKs[len(tuneKs)-1]
+	for i, k := range tuneKs {
+		if kAIPC[i] >= best*(1-tuneTol) {
 			kOpt = k
 			break
 		}
 	}
 
 	// Step 2: u_opt with V=256 and M = V*k_opt/u.
-	uOpt := opt.Us[0]
+	uOpt := tuneUs[0]
 	var ref float64
-	for i, u := range opt.Us {
+	for i, u := range tuneUs {
 		m := 256 * kOpt / u
 		if m < 4 {
 			break
@@ -148,7 +101,7 @@ func Tune(app string, opt TuneOptions, measure func(sim.Config) (float64, error)
 			uOpt = u
 			continue
 		}
-		if a < ref*(1-opt.Tol) {
+		if a < ref*(1-tuneTol) {
 			break // performance dropped significantly; previous u wins
 		}
 		uOpt = u

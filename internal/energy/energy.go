@@ -21,43 +21,27 @@ import (
 	"wavescalar/internal/sim"
 )
 
-// Model holds the per-event energy constants (picojoules at 90nm).
-type Model struct {
-	// ALUOp is one integer ALU operation; FPU operations cost FPUFactor
+// The per-event energy constants (picojoules at 90nm).
+const (
+	// aluOp is one integer ALU operation; FPU operations cost fpuFactor
 	// times more.
-	ALUOp     float64
-	FPUFactor float64
-	// SRAMBase and SRAMPerKB give the access energy of an SRAM structure
-	// of a given capacity: E = SRAMBase + SRAMPerKB * KB. Applied to
+	aluOp     = 0.8
+	fpuFactor = 4.0
+	// sramBase and sramPerKB give the access energy of an SRAM structure
+	// of a given capacity: E = sramBase + sramPerKB * KB. Applied to
 	// matching tables, instruction stores and data caches.
-	SRAMBase  float64
-	SRAMPerKB float64
+	sramBase  = 0.4
+	sramPerKB = 0.25
 	// Wire energies per message by interconnect level (distance class).
-	WirePod     float64
-	WireDomain  float64
-	WireCluster float64
-	WireGrid    float64 // per hop is folded into the average
-	// DRAMAccess is one main-memory access.
-	DRAMAccess float64
-	// LeakagePerMM2Cycle is static leakage per mm² per cycle.
-	LeakagePerMM2Cycle float64
-}
-
-// Default90nm returns the reference model.
-func Default90nm() Model {
-	return Model{
-		ALUOp:              0.8,
-		FPUFactor:          4.0,
-		SRAMBase:           0.4,
-		SRAMPerKB:          0.25,
-		WirePod:            0.1,
-		WireDomain:         0.6,
-		WireCluster:        1.8,
-		WireGrid:           6.0,
-		DRAMAccess:         2000,
-		LeakagePerMM2Cycle: 0.015,
-	}
-}
+	wirePod     = 0.1
+	wireDomain  = 0.6
+	wireCluster = 1.8
+	wireGrid    = 6.0 // per hop is folded into the average
+	// dramAccess is one main-memory access.
+	dramAccess = 2000
+	// leakagePerMM2Cycle is static leakage per mm² per cycle.
+	leakagePerMM2Cycle = 0.015
+)
 
 // Breakdown is the estimated energy by component, in picojoules.
 type Breakdown struct {
@@ -86,12 +70,12 @@ func (b Breakdown) EPI(countable uint64) float64 {
 }
 
 // sramAccess returns the access energy of a structure of kb kilobytes.
-func (m Model) sramAccess(kb float64) float64 {
-	return m.SRAMBase + m.SRAMPerKB*kb
+func sramAccess(kb float64) float64 {
+	return sramBase + sramPerKB*kb
 }
 
 // Estimate computes the energy breakdown for a run on a configuration.
-func Estimate(m Model, st *sim.Stats, arch area.Params) Breakdown {
+func Estimate(st *sim.Stats, arch area.Params) Breakdown {
 	var b Breakdown
 
 	// Execution: countable plus overhead instructions all use the ALU;
@@ -100,20 +84,20 @@ func Estimate(m Model, st *sim.Stats, arch area.Params) Breakdown {
 	// model free of per-opcode accounting; configuration comparisons are
 	// unaffected because the workload is held constant).
 	intOps := float64(st.Dynamic)
-	b.Execute = intOps*m.ALUOp + float64(st.Countable)/3*m.ALUOp*(m.FPUFactor-1)
+	b.Execute = intOps*aluOp + float64(st.Countable)/3*aluOp*(fpuFactor-1)
 
 	// Matching: each insert reads and writes one set of the table; each
 	// overflow hit adds a round trip to memory-resident state (costed as
 	// an L1-sized access); evictions write it.
 	matchKB := float64(arch.Match) * 24 / 1024 // ~3 operands + tag per entry
-	perMatch := 2 * m.sramAccess(matchKB)
+	perMatch := 2 * sramAccess(matchKB)
 	b.Matching = float64(st.Match.Inserts)*perMatch +
-		float64(st.Match.Evictions+st.Match.OverflowHits)*m.sramAccess(float64(arch.L1KB))
+		float64(st.Match.Evictions+st.Match.OverflowHits)*sramAccess(float64(arch.L1KB))
 
 	// Instruction store: one read per dispatch; misses refill a line.
 	istKB := float64(arch.Virt) * 16 / 1024
-	b.InstStore = float64(st.Dispatches)*m.sramAccess(istKB) +
-		float64(st.IStoreMisses)*8*m.sramAccess(istKB)
+	b.InstStore = float64(st.Dispatches)*sramAccess(istKB) +
+		float64(st.IStoreMisses)*8*sramAccess(istKB)
 
 	// Network: per-message wire energy by level; grid messages also pay
 	// the measured average hop count.
@@ -124,25 +108,25 @@ func Estimate(m Model, st *sim.Stats, arch area.Params) Breakdown {
 	if st.Noc.Delivered > 0 {
 		avgHops = float64(st.Noc.TotalHops)/float64(st.Noc.Delivered) + 1
 	}
-	b.Network = tr(sim.LevelSelf)*m.WirePod/2 +
-		tr(sim.LevelPod)*m.WirePod +
-		tr(sim.LevelDomain)*m.WireDomain +
-		tr(sim.LevelCluster)*m.WireCluster +
-		tr(sim.LevelGrid)*m.WireGrid*avgHops
+	b.Network = tr(sim.LevelSelf)*wirePod/2 +
+		tr(sim.LevelPod)*wirePod +
+		tr(sim.LevelDomain)*wireDomain +
+		tr(sim.LevelCluster)*wireCluster +
+		tr(sim.LevelGrid)*wireGrid*avgHops
 
 	// Store buffer: each arrival is processed by the 3-stage pipeline and
 	// touches the ordering table.
-	b.StoreBuffer = float64(st.StoreBuf.Arrivals) * 3 * m.sramAccess(2)
+	b.StoreBuffer = float64(st.StoreBuf.Arrivals) * 3 * sramAccess(2)
 
 	// Caches: L1 accesses at L1 size; L2 at a fixed large-bank cost.
-	b.Caches = float64(st.Cache.Accesses)*m.sramAccess(float64(arch.L1KB)) +
-		float64(st.Cache.L2Hits+st.Cache.L2Misses)*m.sramAccess(256)
+	b.Caches = float64(st.Cache.Accesses)*sramAccess(float64(arch.L1KB)) +
+		float64(st.Cache.L2Hits+st.Cache.L2Misses)*sramAccess(256)
 
 	// DRAM on L2 misses.
-	b.DRAM = float64(st.Cache.L2Misses) * m.DRAMAccess
+	b.DRAM = float64(st.Cache.L2Misses) * dramAccess
 
 	// Leakage over the whole die for the run's duration.
-	b.Leakage = area.Total(arch) * float64(st.Cycles) * m.LeakagePerMM2Cycle
+	b.Leakage = area.Total(arch) * float64(st.Cycles) * leakagePerMM2Cycle
 
 	return b
 }

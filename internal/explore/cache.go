@@ -151,9 +151,11 @@ func (s CacheStats) HitRatio() float64 {
 }
 
 // Cache is a concurrency-safe, content-addressed store of completed
-// simulation results, shared between overlapping sweeps so identical
-// (design, workload, scale, threads, microarch) cells are simulated at
-// most once per process — or at most once ever, with a journal behind it.
+// simulation results: once a (design, workload, scale, threads,
+// microarch) cell is in it, every later sweep, tuning or run that asks for
+// the cell gets it without simulating — in this process, or after a
+// restart with a journal behind it. A lookup reserves nothing, so callers
+// that miss the same cell at the same time each simulate it.
 //
 // By default the cache grows without bound (a full Pareto sweep is a few
 // hundred thousand cells at most, and a CLI process is short-lived). A

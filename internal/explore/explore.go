@@ -4,9 +4,13 @@
 // loops over one unit, the cell — adding what a production-scale sweep
 // needs and a one-shot goroutine fan-out lacks:
 //
-//   - a content-addressed result cache (see CellKey) so identical
-//     simulations — within a sweep, across overlapping sweeps, or across
-//     process restarts — run at most once;
+//   - a content-addressed result cache (see CellKey), so a cell already
+//     cached — by an earlier sweep, tuning or RunOne, or replayed from the
+//     journal after a restart — is answered without simulating. The cache
+//     is consulted, not reserved: two sweeps running at once on one
+//     Explorer that both miss a cell both simulate it (the daemon
+//     deduplicates concurrent identical run requests itself, before they
+//     reach RunOne);
 //   - a JSONL journal appended as each (design point, workload) cell
 //     completes, giving checkpoint/resume: a crashed or cancelled sweep
 //     restarted with the same journal replays completed cells and
@@ -30,6 +34,7 @@ import (
 	"time"
 
 	"wavescalar/internal/design"
+	"wavescalar/internal/fault"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
@@ -241,12 +246,13 @@ type SweepSpec struct {
 	// Progress overrides WithProgress when non-nil, letting concurrent
 	// sweeps report progress independently.
 	Progress func(Progress)
-	// Configure replaces the point-to-config mapping (default
-	// design.BaselineConfigure) when non-nil. Scenario sweeps use this to fold a fault script into every
-	// evaluated configuration; because the script lands in each cell's
+	// Fault, when non-empty, is folded into every point's configuration
+	// (scenario sweeps carry one). Because the script lands in each cell's
 	// Config, its digest is part of every CellKey and faulty results never
-	// collide with clean ones.
-	Configure design.ConfigureFunc
+	// collide with clean ones. It is not shape-checked here (design points
+	// differ in shape): the simulator validates it when it builds each
+	// processor, and a mismatch is that cell's error.
+	Fault *fault.Script
 }
 
 // Sweep evaluates every design point on every workload, one
@@ -274,10 +280,6 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	if spec.Progress != nil {
 		progress = spec.Progress
 	}
-	configure := spec.Configure
-	if configure == nil {
-		configure = design.BaselineConfigure
-	}
 	if err := design.ValidateRun(scale, threadCounts); err != nil {
 		return nil, err
 	}
@@ -291,7 +293,10 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	configs := make([]sim.Config, len(points))
 	keys := make([][]string, len(points))
 	for pi, pt := range points {
-		configs[pi] = configure(pt)
+		configs[pi] = sim.Baseline(pt.Arch)
+		if !spec.Fault.Empty() {
+			configs[pi].Fault = spec.Fault
+		}
 		keys[pi] = make([]string, len(apps))
 		for ai, w := range apps {
 			keys[pi][ai] = CellKey(configs[pi], w.Name, scale, threadCounts)
@@ -544,18 +549,19 @@ func (e *Explorer) RunOne(ctx context.Context, cfg sim.Config, w workload.Worklo
 // callers that report its statistics or pre-warm it.
 func (e *Explorer) Cache() *Cache { return e.cache }
 
-// Tune runs the Table 4 procedure for one workload with every measurement
-// a cell: design.Tune picks k_opt and u_opt, and each single-thread AIPC it
-// asks for is RunOne's — cached, journaled and resumable like any sweep
-// cell, and shared with every other tuning, sweep or /v1/runs request that
-// measures the same configuration. cached reports that every step was a
-// cache hit, i.e. the tuning simulated nothing. A step that fails
-// deterministically is a cached cell too, so the same error comes back from
-// the cache on the next call.
-func (e *Explorer) Tune(ctx context.Context, w workload.Workload, opt design.TuneOptions) (design.Tuning, bool, error) {
+// Tune runs the Table 4 procedure for one workload at scale sc with every
+// measurement a cell: design.Tune picks k_opt and u_opt, and each
+// single-thread AIPC it asks for is RunOne's — cached, journaled and
+// resumable like any sweep cell, and shared with every other tuning, sweep
+// or /v1/runs request that measures the same configuration. cached reports
+// that every step was a cache hit, i.e. the tuning simulated nothing. A
+// step that fails deterministically is a cached cell too, so the same
+// error comes back from the cache on the next call; a degenerate scale
+// fails the first step with an error wrapping design.ErrBadOptions.
+func (e *Explorer) Tune(ctx context.Context, w workload.Workload, sc workload.Scale) (design.Tuning, bool, error) {
 	cached := true
-	tn, err := design.Tune(w.Name, opt, func(cfg sim.Config) (float64, error) {
-		cell, hit, err := e.RunOne(ctx, cfg, w, opt.Scale, []int{1})
+	tn, err := design.Tune(w.Name, func(cfg sim.Config) (float64, error) {
+		cell, hit, err := e.RunOne(ctx, cfg, w, sc, []int{1})
 		if err != nil {
 			return 0, err
 		}

@@ -114,10 +114,9 @@ func TestSweepCacheHitDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepConfigureOverride: a per-sweep Configure (the hook scenario
-// sweeps use to fold a fault script into every design point) must change
-// every cell key — configured and baseline sweeps own disjoint slices of
-// the shared cache.
+// TestSweepConfigureOverride: a per-sweep fault script (what scenario
+// sweeps fold into every design point) must change every cell key —
+// faulty and baseline sweeps own disjoint slices of the shared cache.
 func TestSweepConfigureOverride(t *testing.T) {
 	points := testPoints(t, 2)
 	apps := testApps(t, "gzip")
@@ -139,40 +138,32 @@ func TestSweepConfigureOverride(t *testing.T) {
 	}
 
 	faulty, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{
-		Scale: workload.Tiny, ThreadCounts: []int{1},
-		Configure: func(pt design.Point) sim.Config {
-			cfg := design.BaselineConfigure(pt)
-			cfg.Fault = script
-			return cfg
-		},
+		Scale: workload.Tiny, ThreadCounts: []int{1}, Fault: script,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := exp.LastProgress()
 	if p.CacheHits != 0 || p.Simulated != len(points) {
-		t.Errorf("configured sweep hit the baseline cache: %+v", p)
+		t.Errorf("faulty sweep hit the baseline cache: %+v", p)
 	}
 	for _, r := range faulty {
 		if r.Err != nil {
-			t.Errorf("configured sweep point %s failed: %v", r.Arch, r.Err)
+			t.Errorf("faulty sweep point %s failed: %v", r.Arch, r.Err)
 		}
 	}
 
-	// Re-running the configured sweep is a pure cache hit: the override
-	// participates in cell keys deterministically.
+	// Re-running the faulty sweep with an equal script in another
+	// allocation is a pure cache hit: the script participates in cell keys
+	// by content.
+	again := *script
 	if _, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{
-		Scale: workload.Tiny, ThreadCounts: []int{1},
-		Configure: func(pt design.Point) sim.Config {
-			cfg := design.BaselineConfigure(pt)
-			cfg.Fault = script
-			return cfg
-		},
+		Scale: workload.Tiny, ThreadCounts: []int{1}, Fault: &again,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if p := exp.LastProgress(); p.Simulated != 0 {
-		t.Errorf("repeat configured sweep simulated %d cells, want 0", p.Simulated)
+		t.Errorf("repeat faulty sweep simulated %d cells, want 0", p.Simulated)
 	}
 }
 
@@ -290,23 +281,22 @@ func TestFailedCellsAreCachedDeterministically(t *testing.T) {
 	points := testPoints(t, 1)
 	apps := testApps(t, "gzip")
 	cache := NewCache()
-	// Starve the run so it deterministically exceeds MaxCycles.
-	strangle := func(p design.Point) sim.Config {
-		cfg := sim.Baseline(p.Arch)
-		cfg.MaxCycles = 100
-		return cfg
+	// Kill every PE at cycle 1, so the run deterministically stalls.
+	strangle, err := fault.KillFractionScript(sim.FaultShape(sim.Baseline(points[0].Arch)), 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	first, err := New(WithCache(cache))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := first.SweepWith(context.Background(), points, apps, SweepSpec{Configure: strangle})
+	res, err := first.SweepWith(context.Background(), points, apps, SweepSpec{Fault: strangle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "MaxCycles") {
-		t.Fatalf("expected a MaxCycles failure, got %v", res[0].Err)
+	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), sim.ErrFaultStall.Error()) {
+		t.Fatalf("expected a fault stall, got %v", res[0].Err)
 	}
 	if p := first.LastProgress(); p.Failed != 1 {
 		t.Errorf("Failed = %d, want 1", p.Failed)
@@ -316,7 +306,7 @@ func TestFailedCellsAreCachedDeterministically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := second.SweepWith(context.Background(), points, apps, SweepSpec{Configure: strangle})
+	res2, err := second.SweepWith(context.Background(), points, apps, SweepSpec{Fault: strangle})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,20 +388,18 @@ func TestNewValidatesOptions(t *testing.T) {
 // workload: cancel after the k sweep, reopen with resume, and only the u
 // sweep simulates; reopen again and nothing does.
 func TestTuneCachesThroughJournal(t *testing.T) {
+	const kSteps = 6 // the paper's k schedule: 1, 2, 3, 4, 6, 8
 	path := filepath.Join(t.TempDir(), "tune.jsonl")
 	w, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := design.DefaultTuneOptions()
-	opt.Ks = []int{1, 2}
-	opt.Us = []int{1, 4}
 
 	plain, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, hit, err := plain.Tune(context.Background(), w, opt)
+	want, hit, err := plain.Tune(context.Background(), w, workload.Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,28 +407,27 @@ func TestTuneCachesThroughJournal(t *testing.T) {
 		t.Error("first tuning reported a cache hit")
 	}
 	steps := int(plain.Cache().Stats().Misses) // every step of a cold tuning misses
-	if steps != len(opt.Ks)+len(opt.Us) {
-		t.Fatalf("uninterrupted tuning took %d cells, want %d", steps, len(opt.Ks)+len(opt.Us))
+	if steps <= kSteps {
+		t.Fatalf("uninterrupted tuning took %d cells, want the %d k steps and a u sweep", steps, kSteps)
 	}
 
-	// Interrupt: the tuning asks Configure for a machine once per step, so
-	// cancelling on the call after the last k leaves exactly the k sweep
-	// journaled.
+	// Interrupt: a cold step builds its workload once, so cancelling on the
+	// build after the last k leaves exactly the k sweep journaled.
 	first, err := New(WithJournal(path, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	calls := 0
-	interrupted := opt
-	interrupted.Configure = func(p design.Point) sim.Config {
-		if calls++; calls > len(opt.Ks) {
+	builds := 0
+	interrupted := w
+	interrupted.Build = func(sc workload.Scale) *workload.Instance {
+		if builds++; builds > kSteps {
 			cancel()
 		}
-		return design.BaselineConfigure(p)
+		return w.Build(sc)
 	}
-	if _, _, err := first.Tune(ctx, w, interrupted); !errors.Is(err, context.Canceled) {
+	if _, _, err := first.Tune(ctx, interrupted, workload.Tiny); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted tuning: error = %v, want context.Canceled", err)
 	}
 	if err := first.Close(); err != nil {
@@ -451,19 +438,19 @@ func TestTuneCachesThroughJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Resumed() != len(opt.Ks) {
-		t.Errorf("resumed %d cells, want the %d of the k sweep", second.Resumed(), len(opt.Ks))
+	if second.Resumed() != kSteps {
+		t.Errorf("resumed %d cells, want the %d of the k sweep", second.Resumed(), kSteps)
 	}
-	got, hit, err := second.Tune(context.Background(), w, opt)
+	got, hit, err := second.Tune(context.Background(), w, workload.Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Error("a tuning that still had its u sweep to run reported a full cache hit")
 	}
-	if st := second.Cache().Stats(); int(st.Hits) != len(opt.Ks) || int(st.Misses) != steps-len(opt.Ks) {
+	if st := second.Cache().Stats(); int(st.Hits) != kSteps || int(st.Misses) != steps-kSteps {
 		t.Errorf("resumed tuning: %d hits, %d simulated; want %d and %d (the u sweep only)",
-			st.Hits, st.Misses, len(opt.Ks), steps-len(opt.Ks))
+			st.Hits, st.Misses, kSteps, steps-kSteps)
 	}
 	if got != want {
 		t.Errorf("resumed tuning %+v != uninterrupted %+v", got, want)
@@ -477,7 +464,7 @@ func TestTuneCachesThroughJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer third.Close()
-	got, hit, err = third.Tune(context.Background(), w, opt)
+	got, hit, err = third.Tune(context.Background(), w, workload.Tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,17 +478,20 @@ func TestTuneCachesThroughJournal(t *testing.T) {
 	if n := len(third.Cache().Cells()); n != steps {
 		t.Errorf("a tuning's journal yields %d cells, want %d", n, steps)
 	}
+}
 
-	// A different schedule shares the cells both measure and simulates
-	// only the step it adds (u=2).
-	opt.Us = []int{1, 2}
-	if _, hit, err := third.Tune(context.Background(), w, opt); err != nil {
+// TestTuneRejectsBadScale: a degenerate scale fails with ErrBadOptions
+// before anything is simulated or cached.
+func TestTuneRejectsBadScale(t *testing.T) {
+	e, err := New()
+	if err != nil {
 		t.Fatal(err)
-	} else if hit {
-		t.Error("tuning with a new u step reported a full cache hit")
 	}
-	if misses := third.Cache().Stats().Misses; misses != 1 {
-		t.Errorf("new schedule simulated %d cells, want 1", misses)
+	if _, _, err := e.Tune(context.Background(), testApps(t, "gzip")[0], workload.Scale{}); !errors.Is(err, design.ErrBadOptions) {
+		t.Errorf("zero scale: error = %v, want ErrBadOptions", err)
+	}
+	if st := e.Cache().Stats(); st.Misses != 0 || st.Cells != 0 {
+		t.Errorf("a rejected tuning touched the cache: %+v", st)
 	}
 }
 
@@ -531,7 +521,7 @@ func TestTuneTable4Pinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, w := range apps {
-		tn, _, err := e.Tune(context.Background(), w, design.DefaultTuneOptions())
+		tn, _, err := e.Tune(context.Background(), w, workload.Tiny)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -550,22 +540,23 @@ func TestTuneStepFailureIsCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := design.DefaultTuneOptions()
-	opt.Configure = func(p design.Point) sim.Config {
-		cfg := design.BaselineConfigure(p)
-		cfg.MaxCycles = 1
-		return cfg
+	// An instance that admits no thread count fails every step.
+	build := w.Build
+	w.Build = func(sc workload.Scale) *workload.Instance {
+		inst := *build(sc)
+		inst.MaxThreads = 0
+		return &inst
 	}
 	e, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for call, wantHits := range []uint64{0, 1} {
-		_, hit, err := e.Tune(context.Background(), w, opt)
+		_, hit, err := e.Tune(context.Background(), w, workload.Tiny)
 		if err == nil || hit {
 			t.Fatalf("call %d: hit=%v error=%v, want a failure", call, hit, err)
 		}
-		for _, want := range []string{"gzip", "k=1", sim.ErrMaxCycles.Error()} {
+		for _, want := range []string{"gzip", "k=1", "limit of 0 threads"} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("call %d: error %q does not mention %q", call, err, want)
 			}

@@ -2,9 +2,11 @@ package explore
 
 import (
 	"bytes"
+	"context"
 	"log"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,6 +63,52 @@ func TestCellKeyFaultScript(t *testing.T) {
 	other.Fault = script(2)
 	if got := CellKey(other, "gzip", workload.Tiny, []int{1}); got == faulty {
 		t.Error("different fault scripts collided")
+	}
+}
+
+// TestFaultSweepCellKeysPinned: the keys a scenario sweep's cells are
+// stored under when its fault script is folded into every design point.
+// An empty script is no script: its cells keep the clean keys. The
+// literals predate SweepSpec.Fault, so journals written before it still
+// resume.
+func TestFaultSweepCellKeysPinned(t *testing.T) {
+	points := testPoints(t, 2)
+	apps := testApps(t, "gzip", "fft")
+	for name, tc := range map[string]struct {
+		script *fault.Script
+		want   map[string]string // "app arch" → key
+	}{
+		"link flips": {&fault.Script{Seed: 7, LinkFlipRate: 0.001}, map[string]string{
+			"fft C1 D4 P8 V128 M128 L1:16KB L2:0MB":  "7ffc9544dde5579217af5f9b22437d4a",
+			"fft C1 D4 P8 V128 M128 L1:8KB L2:0MB":   "7d1492b50cf5913624b0d8b9a84fe492",
+			"gzip C1 D4 P8 V128 M128 L1:16KB L2:0MB": "2ab3471d730bd02928a7bfd1e3ebeed9",
+			"gzip C1 D4 P8 V128 M128 L1:8KB L2:0MB":  "7235000f74a80d033293d332e48640f7",
+		}},
+		"empty": {&fault.Script{}, map[string]string{
+			"fft C1 D4 P8 V128 M128 L1:16KB L2:0MB":  "85a6d4bd1c429c0c4c3e7b91e3f1d5fc",
+			"fft C1 D4 P8 V128 M128 L1:8KB L2:0MB":   "40312e02fb4eff2c12b696e9fc84432a",
+			"gzip C1 D4 P8 V128 M128 L1:16KB L2:0MB": "ab977cc1e8855597029fdab01db6f0cc",
+			"gzip C1 D4 P8 V128 M128 L1:8KB L2:0MB":  "2fbe2a3b987db72c41b9336651a4cd6c",
+		}},
+	} {
+		exp, err := New(WithParallelism(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := SweepSpec{Scale: workload.Tiny, ThreadCounts: []int{1}, Fault: tc.script}
+		if _, err := exp.SweepWith(context.Background(), points, apps, spec); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, c := range exp.Cache().Cells() {
+			got[c.App+" "+c.Arch] = c.Key
+			if (c.FaultDigest != "") != !tc.script.Empty() {
+				t.Errorf("%s: cell %s carries fault digest %q", name, c.Key, c.FaultDigest)
+			}
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: cell keys\n got %#v\nwant %#v", name, got, tc.want)
+		}
 	}
 }
 

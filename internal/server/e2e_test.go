@@ -17,7 +17,7 @@ import (
 // model: eight concurrent identical POST /v1/runs must all receive
 // byte-identical stats while the simulation executes exactly once
 // (singleflight collapses in-flight duplicates, the cache absorbs
-// stragglers), and /metrics must reflect the dedup and the hit ratio.
+// stragglers), and /metrics must reflect the dedup and the cache hits.
 func TestE2EConcurrentIdenticalRuns(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "wsd.jsonl")
 	srv, err := New(WithWorkers(4), WithJournal(journal, false))
@@ -83,15 +83,15 @@ func TestE2EConcurrentIdenticalRuns(t *testing.T) {
 	if !strings.Contains(text, `wsd_sims_total{outcome="completed"} 1`) {
 		t.Errorf("simulation did not run exactly once:\n%s", grepMetric(text, "wsd_sims_total"))
 	}
-	stats := srv.cache.Stats()
+	stats := srv.exp.Cache().Stats()
 	srv.metrics.mu.Lock()
 	shared := srv.metrics.dedupShared
 	srv.metrics.mu.Unlock()
 	if shared+stats.Hits != n-1 {
 		t.Errorf("dedup %d + cache hits %d != %d", shared, stats.Hits, n-1)
 	}
-	if !strings.Contains(text, "wsd_cache_hit_ratio") {
-		t.Error("metrics missing wsd_cache_hit_ratio")
+	if !strings.Contains(text, "wsd_cache_hits_total") {
+		t.Error("metrics missing wsd_cache_hits_total")
 	}
 
 	// Graceful shutdown must not drop the completed result: the journal

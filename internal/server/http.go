@@ -6,11 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
-	"math/rand"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"time"
 
 	"wavescalar/internal/cli"
@@ -44,18 +41,8 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// retryAfterValue renders the 429 Retry-After hint: the configured base
-// jittered ±20%, so a thundering herd of synchronized clients (or a
-// fleet of coordinators retrying cells) spreads out instead of returning
-// in lockstep.
-func (s *Server) retryAfterValue() string {
-	jittered := s.retryAfter.Seconds() * (0.8 + 0.4*rand.Float64())
-	secs := int(math.Round(jittered))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the Retry-After hint, in seconds, on every 429.
+const retryAfter = "2"
 
 // writeAdmissionErr maps an admission failure (full queue, over-quota
 // tenant, shutdown) onto the API's backpressure responses. The two 429
@@ -65,10 +52,10 @@ func (s *Server) writeAdmissionErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
 		s.metrics.add(&s.metrics.rejectedFull, 1)
-		w.Header().Set("Retry-After", s.retryAfterValue())
+		w.Header().Set("Retry-After", retryAfter)
 		writeErrCode(w, http.StatusTooManyRequests, "queue_full", "admission queue full; retry")
 	case errors.Is(err, errQuotaExceeded):
-		w.Header().Set("Retry-After", s.retryAfterValue())
+		w.Header().Set("Retry-After", retryAfter)
 		writeErrCode(w, http.StatusTooManyRequests, "quota_exceeded", "tenant quota exceeded; retry")
 	default:
 		writeErr(w, http.StatusServiceUnavailable, "shutting down")

@@ -12,6 +12,7 @@ import (
 	"wavescalar/internal/cli"
 	"wavescalar/internal/design"
 	"wavescalar/internal/explore"
+	"wavescalar/internal/fault"
 	"wavescalar/internal/workload"
 )
 
@@ -33,15 +34,14 @@ const (
 	stateCancelled = "cancelled"
 )
 
-// sweepSpec is the resolved work of one POST /v1/sweeps. configure, when
-// non-nil, overrides the explorer's point→config mapping (scenario sweeps
-// use it to fold a fault script into every design point).
+// sweepSpec is the resolved work of one POST /v1/sweeps. A scenario
+// sweep's fault script is folded into every design point.
 type sweepSpec struct {
 	points       []design.Point
 	apps         []workload.Workload
 	scale        workload.Scale
 	threadCounts []int
-	configure    design.ConfigureFunc
+	fault        *fault.Script
 }
 
 // The two kinds of queued work.
@@ -199,10 +199,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var (
-		apps      []workload.Workload
-		sc        workload.Scale
-		counts    []int
-		configure design.ConfigureFunc
+		apps   []workload.Workload
+		sc     workload.Scale
+		counts []int
+		script *fault.Script
 	)
 	if len(req.Scenario) > 0 {
 		if req.Suite != "" || len(req.Apps) > 0 || req.Scale != "" || len(req.ThreadCounts) > 0 {
@@ -220,7 +220,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		apps, sc, counts, configure = plan.apps, plan.scale, plan.threads, plan.configure()
+		apps, sc, counts, script = plan.apps, plan.scale, plan.threads, plan.script
 	} else {
 		suite, suiteCounts, suiteOK := workload.SuiteByName(req.Suite)
 		switch {
@@ -280,7 +280,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	jb := &job{
 		kind:  jobSweep,
-		sweep: &sweepSpec{points: points, apps: apps, scale: sc, threadCounts: counts, configure: configure},
+		sweep: &sweepSpec{points: points, apps: apps, scale: sc, threadCounts: counts, fault: script},
 		ctx:   ctx, cancel: cancel,
 		state: stateQueued,
 	}

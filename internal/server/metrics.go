@@ -204,7 +204,7 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.cache.Stats()
+	st := s.exp.Cache().Stats()
 	body := map[string]any{
 		"status":         "ok",
 		"version":        version.Get("wsd"),
@@ -237,7 +237,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.cache.Stats()
+	st := s.exp.Cache().Stats()
 	bi := version.Get("wsd")
 	rows := []series{
 		gauge("wsd_queue_depth", "Jobs waiting in the admission queue.", float64(len(s.queue))),
@@ -249,7 +249,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("wsd_cache_hits_total", "Result-cache lookups answered without simulating.", st.Hits),
 		counter("wsd_cache_misses_total", "Result-cache lookups that required work.", st.Misses),
 		counter("wsd_cache_evictions_total", "Cells evicted by the LRU limit.", st.Evictions),
-		gauge("wsd_cache_hit_ratio", "Hits over all cache lookups.", st.HitRatio()),
 		{"wsd_build_info", "Build identity of this daemon (value is always 1).", "gauge", []sample{
 			{labels("version", bi.Version, "commit", bi.Commit, "go", bi.Go, "role", string(s.role)), 1}}},
 		counter("wsd_quota_rejected_total", "Requests rejected with 429 because the tenant was over its admission quota.", s.quotas.rejections()),

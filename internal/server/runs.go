@@ -185,7 +185,7 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec,
 	var led []ledCell
 	for i := range specs {
 		spec := &specs[i]
-		if out[i].cell, out[i].cached = s.cache.Cell(spec.key); out[i].cached {
+		if out[i].cell, out[i].cached = s.exp.Cache().Cell(spec.key); out[i].cached {
 			continue
 		}
 		if calls == nil {

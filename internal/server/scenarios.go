@@ -323,22 +323,3 @@ func scenarioSweepPlan(sc *scenario.Scenario) (scenarioSweep, error) {
 }
 
 var errScenarioSweep = errors.New("scenario sweeps need a uniform scale, threads and fault across phases (per-phase overrides describe different sweeps)")
-
-// configure returns the sweep's ConfigureFunc: nil (baseline) without a
-// fault script, otherwise a wrapper folding the script into every design
-// point's configuration. The script lands in each cell's Config, so its
-// digest is part of every CellKey — faulty sweep results never collide
-// with clean ones in the cache, the journal, or the fabric. Scripts are
-// not shape-checked here (design points differ in shape); the simulator
-// validates at processor build and surfaces a per-cell error.
-func (p scenarioSweep) configure() design.ConfigureFunc {
-	if p.script.Empty() {
-		return nil
-	}
-	script := p.script
-	return func(pt design.Point) sim.Config {
-		cfg := design.BaselineConfigure(pt)
-		cfg.Fault = script
-		return cfg
-	}
-}

@@ -36,7 +36,7 @@
 //
 // GET /metrics exposes the whole pipeline in Prometheus text format:
 // request counts and latencies, queue depth, worker utilization, cache
-// hit ratio, and simulations completed/failed/cancelled.
+// hits and misses, and simulations completed/failed/cancelled.
 package server
 
 import (
@@ -126,18 +126,6 @@ func WithRequestTimeout(d time.Duration) Option {
 	}
 }
 
-// WithCache shares a result cache with other explorers or servers
-// (default: a fresh private cache).
-func WithCache(c *explore.Cache) Option {
-	return func(s *Server) error {
-		if c == nil {
-			return fmt.Errorf("%w: nil cache", design.ErrBadOptions)
-		}
-		s.cache = c
-		return nil
-	}
-}
-
 // WithCacheLimit caps the result cache at n cells with LRU eviction —
 // the memory bound a long-running daemon wants (the CLIs default to
 // unlimited).
@@ -178,12 +166,12 @@ func WithRole(r Role) Option {
 	}
 }
 
-// WithClusterOptions tunes the coordinator's lease, retry, and dispatch
-// behavior (only meaningful with WithRole(RoleCoordinator); zero fields
-// keep the cluster package defaults).
-func WithClusterOptions(opt cluster.Options) Option {
+// WithLease sets how long a worker's registration lives without a
+// heartbeat (default, and <= 0, 15s; only meaningful with
+// WithRole(RoleCoordinator)).
+func WithLease(d time.Duration) Option {
 	return func(s *Server) error {
-		s.clusterOpt = opt
+		s.lease = d
 		return nil
 	}
 }
@@ -203,30 +191,15 @@ func WithTenantQuota(n int) Option {
 	}
 }
 
-// WithRetryAfter sets the base Retry-After hint on 429 responses
-// (default 2s). The served value is jittered ±20% so synchronized
-// clients don't retry in lockstep against the coordinator.
-func WithRetryAfter(d time.Duration) Option {
-	return func(s *Server) error {
-		if d <= 0 {
-			return fmt.Errorf("%w: retry-after %v must be positive", design.ErrBadOptions, d)
-		}
-		s.retryAfter = d
-		return nil
-	}
-}
-
 // Server is the daemon: an http.Handler plus the worker pool behind it.
 // Construct with New, serve it with net/http, then Shutdown to drain.
 type Server struct {
 	workers        int
 	queueDepth     int
 	requestTimeout time.Duration
-	retryAfter     time.Duration
-	cache          *explore.Cache
 	exploreOpts    []explore.Option
 	role           Role
-	clusterOpt     cluster.Options
+	lease          time.Duration
 	quotas         *tenantQuotas
 
 	// Scenario-store persistence (WithScenarioStore).
@@ -265,7 +238,6 @@ func New(opts ...Option) (*Server, error) {
 		workers:        runtime.GOMAXPROCS(0),
 		queueDepth:     64,
 		requestTimeout: 60 * time.Second,
-		retryAfter:     2 * time.Second,
 		role:           RoleSingle,
 		metrics:        newMetrics(),
 		flight:         newFlightGroup(),
@@ -278,21 +250,17 @@ func New(opts ...Option) (*Server, error) {
 			return nil, err
 		}
 	}
-	if s.cache == nil {
-		s.cache = explore.NewCache()
-	}
 	if s.quotas == nil {
 		s.quotas = newTenantQuotas(0)
 	}
-	exploreOpts := append([]explore.Option{explore.WithCache(s.cache)}, s.exploreOpts...)
 	if s.role == RoleCoordinator {
 		// The coordinator's exploration engine tries the fabric first on
 		// every sweep cache miss and falls back to local simulation, so
 		// an empty or degraded fabric still completes every sweep.
-		s.coord = cluster.NewCoordinator(s.clusterOpt)
-		exploreOpts = append(exploreOpts, explore.WithRunner(s.coord.RunCell))
+		s.coord = cluster.NewCoordinator(s.lease)
+		s.exploreOpts = append(s.exploreOpts, explore.WithRunner(s.coord.RunCell))
 	}
-	exp, err := explore.New(exploreOpts...)
+	exp, err := explore.New(s.exploreOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +368,7 @@ func (s *Server) execute(jb *job) {
 		results, err := s.exp.SweepWith(jb.ctx, spec.points, spec.apps, explore.SweepSpec{
 			Scale:        spec.scale,
 			ThreadCounts: spec.threadCounts,
-			Configure:    spec.configure,
+			Fault:        spec.fault,
 			Progress:     jb.setProgress,
 		})
 		cancelled := jb.ctx.Err() != nil

@@ -378,8 +378,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if apiErr.Code != "queue_full" {
 		t.Errorf("error code %q, want queue_full", apiErr.Code)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("missing Retry-After header")
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("Retry-After %q, want 2", ra)
 	}
 
 	// Sweeps hit the same admission control.
@@ -445,7 +445,7 @@ func TestMetricsExposition(t *testing.T) {
 		"wsd_queue_depth",
 		"wsd_queue_capacity",
 		"wsd_workers_busy",
-		"wsd_cache_hit_ratio",
+		"wsd_cache_hits_total",
 		"wsd_cache_entries 1",
 		"wsd_singleflight_shared_total",
 	} {
@@ -460,7 +460,6 @@ func TestOptionValidation(t *testing.T) {
 		"zero workers":    {WithWorkers(0)},
 		"zero queue":      {WithQueueDepth(0)},
 		"zero timeout":    {WithRequestTimeout(0)},
-		"nil cache":       {WithCache(nil)},
 		"zero cacheLimit": {WithCacheLimit(0)},
 		"empty journal":   {WithJournal("", false)},
 	}

@@ -109,7 +109,7 @@ func (ck *Checker) Fuzz(opt FuzzOptions) (*FuzzReport, error) {
 	}
 
 	if !opt.SkipMonotone {
-		mono, f, err := ck.CheckMonotone(MonotoneSpec{})
+		mono, f, err := ck.CheckMonotone()
 		if err != nil {
 			return nil, err
 		}

@@ -9,38 +9,16 @@ import (
 	"wavescalar/internal/sim"
 )
 
-// MonotoneSpec parameterizes the nested-kill-fraction degradation
-// invariant. The zero value selects the defaults.
-type MonotoneSpec struct {
-	// Fractions are the PE kill fractions, ascending (default
-	// {0, 0.05, 0.10, 0.25}); Seed fixes the nested kill sets and Cycle
-	// when they strike.
-	Fractions []float64
-	Seed      uint64
-	Cycle     uint64
-	// Threads and Iters size the throughput-bound probe workload.
-	Threads int
-	Iters   uint64
-}
-
-func (m MonotoneSpec) withDefaults() MonotoneSpec {
-	if len(m.Fractions) == 0 {
-		m.Fractions = []float64{0, 0.05, 0.10, 0.25}
-	}
-	if m.Seed == 0 {
-		m.Seed = 42
-	}
-	if m.Cycle == 0 {
-		m.Cycle = 200
-	}
-	if m.Threads == 0 {
-		m.Threads = 8
-	}
-	if m.Iters == 0 {
-		m.Iters = 40
-	}
-	return m
-}
+// The degradation probe: nested PE kill sets drawn from monoSeed (so the
+// 25% set contains the 10% set), striking at monoCycle, on a
+// throughput-bound loop of monoIters iterations in each of monoThreads
+// threads.
+const (
+	monoSeed    = 42
+	monoCycle   = 200
+	monoThreads = 8
+	monoIters   = 40
+)
 
 // MonotoneResult reports the degradation curve the check measured.
 type MonotoneResult struct {
@@ -58,29 +36,28 @@ type MonotoneResult struct {
 // removing resources must cost performance. (Narrow dependent chains can
 // legitimately speed up under kills — consolidation onto fewer PEs
 // improves bypass locality — which would make the invariant vacuous.)
-func (ck *Checker) CheckMonotone(spec MonotoneSpec) (*MonotoneResult, *Failure, error) {
-	spec = spec.withDefaults()
+func (ck *Checker) CheckMonotone() (*MonotoneResult, *Failure, error) {
 	const width = 48
 	prog := wideLoop(width)
-	params := make([]map[string]uint64, spec.Threads)
+	params := make([]map[string]uint64, monoThreads)
 	for i := range params {
-		params[i] = map[string]uint64{"n": spec.Iters}
+		params[i] = map[string]uint64{"n": monoIters}
 	}
 	// Per iteration i the body sums (i+j) for j in [0,width); accumulated
-	// over i in [0, Iters).
+	// over i in [0, monoIters).
 	w := uint64(width)
-	want := w*(spec.Iters-1)*spec.Iters/2 + spec.Iters*(w*(w-1)/2)
+	want := w*(monoIters-1)*monoIters/2 + monoIters*(w*(w-1)/2)
 
-	res := &MonotoneResult{Fractions: spec.Fractions}
+	res := &MonotoneResult{Fractions: []float64{0, 0.05, 0.10, 0.25}}
 	describe := func(f float64) string {
 		return fmt.Sprintf("kill fraction %.2f (seed %d, cycle %d, %d threads)",
-			f, spec.Seed, spec.Cycle, spec.Threads)
+			f, monoSeed, monoCycle, monoThreads)
 	}
-	for _, f := range spec.Fractions {
+	for _, f := range res.Fractions {
 		cfg := sim.Baseline(sim.BaselineArch())
 		cfg.MaxCycles = 5_000_000
 		cfg.StallLimit = 200_000
-		script, err := fault.KillFractionScript(sim.FaultShape(cfg), f, spec.Seed, spec.Cycle)
+		script, err := fault.KillFractionScript(sim.FaultShape(cfg), f, monoSeed, monoCycle)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -95,7 +72,7 @@ func (ck *Checker) CheckMonotone(spec MonotoneSpec) (*MonotoneResult, *Failure, 
 			return res, &Failure{Kind: KindSimError,
 				Detail: fmt.Sprintf("%s: machine stalled instead of degrading: %v", describe(f), err)}, nil
 		}
-		for t := 0; t < spec.Threads; t++ {
+		for t := 0; t < monoThreads; t++ {
 			if got := proc.HaltValue(uint32(t)); got != want {
 				return res, &Failure{Kind: KindHaltDiverged,
 					Detail: fmt.Sprintf("%s: thread %d sum %d, want %d", describe(f), t, got, want)}, nil
@@ -107,7 +84,7 @@ func (ck *Checker) CheckMonotone(spec MonotoneSpec) (*MonotoneResult, *Failure, 
 		if res.AIPC[i] > res.AIPC[i-1] {
 			return res, &Failure{Kind: "degradation-not-monotone",
 				Detail: fmt.Sprintf("AIPC %.4f at fraction %.2f exceeds %.4f at fraction %.2f",
-					res.AIPC[i], spec.Fractions[i], res.AIPC[i-1], spec.Fractions[i-1])}, nil
+					res.AIPC[i], res.Fractions[i], res.AIPC[i-1], res.Fractions[i-1])}, nil
 		}
 	}
 	return res, nil, nil

@@ -181,7 +181,7 @@ func ComputeTrends(ctx context.Context) ([]TrendValue, error) {
 			if err != nil {
 				return nil, err
 			}
-			tn, _, err := exp.Tune(ctx, w, design.DefaultTuneOptions())
+			tn, _, err := exp.Tune(ctx, w, workload.Tiny)
 			if err != nil {
 				return nil, fmt.Errorf("validate: table4 %s: %w", app, err)
 			}

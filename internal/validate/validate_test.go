@@ -51,7 +51,7 @@ func TestMonotoneDegradation(t *testing.T) {
 		t.Skip("monotone probe is slow")
 	}
 	ck := &Checker{}
-	res, f, err := ck.CheckMonotone(MonotoneSpec{})
+	res, f, err := ck.CheckMonotone()
 	if err != nil {
 		t.Fatalf("monotone: %v", err)
 	}
@@ -63,6 +63,24 @@ func TestMonotoneDegradation(t *testing.T) {
 	}
 	if res.AIPC[0] <= res.AIPC[len(res.AIPC)-1] {
 		t.Errorf("killing 25%% of PEs did not cost throughput: AIPC %v", res.AIPC)
+	}
+}
+
+// TestMonotoneCurvePinned: the degradation curve itself, exact — the four
+// AIPCs of the probe at kill fractions 0, 5, 10 and 25 %. The literals
+// predate the probe's constants, so a constant copied wrong fails here.
+func TestMonotoneCurvePinned(t *testing.T) {
+	ck := &Checker{}
+	res, f, err := ck.CheckMonotone()
+	if err != nil || f != nil {
+		t.Fatalf("monotone: failure %v, error %v", f, err)
+	}
+	want := &MonotoneResult{
+		Fractions: []float64{0, 0.05, 0.1, 0.25},
+		AIPC:      []float64{2.503192848020434, 2.503192848020434, 2.3902439024390243, 2.0935977034514988},
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("curve %+v, want %+v", res, want)
 	}
 }
 

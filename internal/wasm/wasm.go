@@ -11,7 +11,9 @@
 //
 // '->' lists ordinary destinations, '=>' the true-side destinations of a
 // steer. Memory annotations use '.' for none and '?' for wildcards, e.g.
-// <.,0,?>. Immediates are decimal or 0x-hexadecimal; ';' starts a comment.
+// <.,0,?>. Immediates are decimal or 0x-hexadecimal and only opcodes that
+// take one accept one. A label is a non-empty Go string literal, read back
+// exactly as Disassemble quotes it. ';' outside a label starts a comment.
 package wasm
 
 import (
@@ -84,11 +86,7 @@ func Assemble(src string) (*isa.Program, error) {
 
 	for lineNo, raw := range strings.Split(src, "\n") {
 		n := lineNo + 1
-		line := raw
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
+		line := strings.TrimSpace(stripComment(raw))
 		if line == "" {
 			continue
 		}
@@ -169,13 +167,20 @@ func parseInst(line string) (isa.Instruction, error) {
 		case tk == "=>":
 			mode = 2
 		case mode == 0 && strings.HasPrefix(tk, "#"):
+			if !op.HasImmediate() {
+				return in, fmt.Errorf("%s takes no immediate", op)
+			}
 			v, err := parseUint(tk[1:])
 			if err != nil {
 				return in, fmt.Errorf("bad immediate %q", tk)
 			}
 			in.Imm = v
 		case mode == 0 && strings.HasPrefix(tk, `"`):
-			in.Name = strings.Trim(tk, `"`)
+			label, err := strconv.Unquote(tk)
+			if err != nil || label == "" {
+				return in, fmt.Errorf("bad label %s", tk)
+			}
+			in.Name = label
 		case mode == 0 && strings.HasPrefix(tk, "<"):
 			m, err := parseMem(tk)
 			if err != nil {
@@ -205,18 +210,33 @@ func parseInst(line string) (isa.Instruction, error) {
 	return in, nil
 }
 
+// stripComment cuts line at its first ';' outside a quoted label.
+func stripComment(line string) string {
+	for i := 0; i < len(line); i++ {
+		switch line[i] {
+		case ';':
+			return line[:i]
+		case '"':
+			if q, err := strconv.QuotedPrefix(line[i:]); err == nil {
+				i += len(q) - 1
+			}
+		}
+	}
+	return line
+}
+
 // tokenize splits on spaces but keeps quoted labels together.
 func tokenize(s string) ([]string, error) {
 	var toks []string
 	s = strings.TrimSpace(s)
 	for s != "" {
 		if s[0] == '"' {
-			end := strings.IndexByte(s[1:], '"')
-			if end < 0 {
-				return nil, fmt.Errorf("unterminated label")
+			q, err := strconv.QuotedPrefix(s)
+			if err != nil {
+				return nil, fmt.Errorf("unterminated or malformed label")
 			}
-			toks = append(toks, s[:end+2])
-			s = strings.TrimSpace(s[end+2:])
+			toks = append(toks, q)
+			s = strings.TrimSpace(s[len(q):])
 			continue
 		}
 		var tk string

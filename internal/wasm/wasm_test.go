@@ -87,10 +87,32 @@ func TestSyntaxErrors(t *testing.T) {
 		{"no halt", ".program x\n0: const #1"},
 		{"bad port", ".program x\n0: const #1 -> 1.9\n1: halt"},
 		{"unterminated label", ".program x\n0: const \"oops -> 1.0\n1: halt"},
+		{"bad label escape", ".program x\n0: const #1 \"a\\q\" -> 1.0\n1: halt"},
+		{"empty label", ".program x\n0: const #1 \"\" -> 1.0\n1: halt"},
+		{"imm without immediate", ".program x\n0: const #1 -> 1.0\n1: halt #5"},
 	}
 	for _, c := range cases {
 		if _, err := Assemble(c.src); err == nil {
 			t.Errorf("%s: accepted invalid source", c.name)
+		}
+	}
+}
+
+// TestLabelRoundTrip: a label is read back exactly as Disassemble quotes
+// it, whatever it holds — backslashes, quotes, a comment character.
+func TestLabelRoundTrip(t *testing.T) {
+	for _, label := range []string{`a\b`, `say "hi"`, "x;y", "tab\tend", "ünï", "\xff", "c"} {
+		p := &isa.Program{Name: "labels", Halt: 0, Insts: []isa.Instruction{{ID: 0, Op: isa.OpHalt, Name: label}}}
+		text := Disassemble(p)
+		back, err := Assemble(text)
+		if err != nil {
+			t.Fatalf("label %q: reassembly failed: %v\n%s", label, err, text)
+		}
+		if got := back.Insts[0].Name; got != label {
+			t.Errorf("label %q read back as %q from\n%s", label, got, text)
+		}
+		if again := Disassemble(back); again != text {
+			t.Errorf("label %q: listing changed on a second round trip:\n%s\nvs\n%s", label, text, again)
 		}
 	}
 }
@@ -239,10 +261,8 @@ func fuzzProgram(rng *rand.Rand) *isa.Program {
 
 // FuzzAssemble: the assembler meets hand-written source (wsasm). It must
 // never panic, and a program it accepts must survive its own listing:
-// Disassemble's text reassembles to the same dataflow graph. Two things
-// the listing does not carry are left out of the comparison — an
-// immediate written on an opcode that takes none, and a label's text
-// (printed with %q, read back without unescaping).
+// Disassemble's text reassembles to the same program, labels and
+// immediates included.
 func FuzzAssemble(f *testing.F) {
 	f.Add("\n; a tiny program\n.program tiny\n.param start -> 0.0\n0: const #40 -> 1.0\n1: addi #2 -> 2.0\n2: halt\n")
 	f.Add(".program memsteer\n.param start -> 0.0 1.0 4.2\n0: const #0x100 -> 2.0\n1: const #7 -> 2.1\n" +
@@ -253,6 +273,13 @@ func FuzzAssemble(f *testing.F) {
 		".program x\n0: const #1 -> one.two\n1: halt",
 		".program x\n0: const #1 <.,0,.> -> 1.0\n1: halt",
 		".program x\n0: const \"oops -> 1.0\n1: halt",
+		// Once accepted and then lost or grown by the listing: an immediate
+		// on an opcode that takes none, and labels with escapes.
+		".program x\n0: halt #5\n",
+		".program x\n0: halt \"a\\\\b\"\n",
+		".program x\n0: halt \"a\\\"\n",
+		".program x\n0: halt \"a\\\"b\"\n",
+		".program x\n0: halt \"a\\x3bb\"\n",
 	} {
 		f.Add(bad)
 	}
@@ -272,9 +299,7 @@ func FuzzAssemble(f *testing.F) {
 			t.Fatalf("program shape differs after round trip:\n%s", text)
 		}
 		for i := range p.Insts {
-			a, z := &p.Insts[i], &back.Insts[i]
-			if a.Op != z.Op || (a.Op.HasImmediate() && a.Imm != z.Imm) || !reflect.DeepEqual(a.Mem, z.Mem) ||
-				!reflect.DeepEqual(a.Dests, z.Dests) || !reflect.DeepEqual(a.DestsT, z.DestsT) {
+			if a, z := &p.Insts[i], &back.Insts[i]; !reflect.DeepEqual(a, z) {
 				t.Fatalf("inst %d differs after round trip:\n  %+v\n  %+v\n%s", i, a, z, text)
 			}
 		}

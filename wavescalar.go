@@ -210,8 +210,6 @@ type (
 	SweepResult = design.SweepResult
 	// Tuning is a Table 4 row: k_opt, u_opt, virtualization ratio.
 	Tuning = design.Tuning
-	// TuneOptions configures Explorer.Tune.
-	TuneOptions = design.TuneOptions
 )
 
 // NewProgram returns a builder for a dataflow program.
@@ -377,9 +375,6 @@ func DesignRules() []string { return append([]string(nil), design.Rules...) }
 // SweepFrontier extracts the Pareto frontier from sweep results.
 func SweepFrontier(results []SweepResult) []Evaluated { return design.Frontier(results) }
 
-// DefaultTuneOptions mirrors the paper's tuning procedure (Explorer.Tune).
-func DefaultTuneOptions() TuneOptions { return design.DefaultTuneOptions() }
-
 // Exploration engine: resumable, cancellable sweeps with result caching
 // (internal/explore).
 
@@ -482,9 +477,6 @@ type (
 	// Role selects how a daemon participates in the fabric: RoleSingle
 	// (default), RoleCoordinator, or RoleWorker.
 	Role = server.Role
-	// ClusterOptions tunes the coordinator's lease, retry and dispatch
-	// behavior; the zero value uses production-sane defaults.
-	ClusterOptions = cluster.Options
 	// ClusterAgent keeps a worker registered with its coordinator:
 	// register, heartbeat at a third of the lease, re-register on lease
 	// loss, deregister on shutdown. Run it in a goroutine next to the
@@ -505,18 +497,14 @@ func ParseRole(s string) (Role, error) { return server.ParseRole(s) }
 // ServerRole selects the daemon's fabric role (default RoleSingle).
 func ServerRole(r Role) ServerOption { return server.WithRole(r) }
 
-// ServerCluster tunes the coordinator's dispatch behavior (only
-// meaningful with ServerRole(RoleCoordinator)).
-func ServerCluster(opt ClusterOptions) ServerOption { return server.WithClusterOptions(opt) }
+// ServerLease sets how long a worker's registration lives without a
+// heartbeat (default 15s; only meaningful with ServerRole(RoleCoordinator)).
+func ServerLease(d time.Duration) ServerOption { return server.WithLease(d) }
 
 // ServerTenantQuota caps each tenant (X-Tenant header; "default" when
 // absent) at n queued-or-running jobs; over-quota work gets 429 +
 // Retry-After. 0 (the default) disables quotas.
 func ServerTenantQuota(n int) ServerOption { return server.WithTenantQuota(n) }
-
-// ServerRetryAfter sets the base Retry-After hint on 429 responses
-// (default 2s); the served value is jittered ±20%.
-func ServerRetryAfter(d time.Duration) ServerOption { return server.WithRetryAfter(d) }
 
 // ServerScenarioStore persists the scenario store to a JSONL file:
 // created scenarios append as canonical JSON lines and reload at
@@ -526,18 +514,12 @@ func ServerScenarioStore(path string) ServerOption { return server.WithScenarioS
 // Energy model (an extension beyond the paper, which defers power to
 // future work).
 
-// EnergyModel holds per-event energy constants; EnergyBreakdown is the
-// per-component estimate.
-type (
-	EnergyModel     = energy.Model
-	EnergyBreakdown = energy.Breakdown
-)
+// EnergyBreakdown is a run's estimated energy by component.
+type EnergyBreakdown = energy.Breakdown
 
-// DefaultEnergyModel returns the 90nm reference constants.
-func DefaultEnergyModel() EnergyModel { return energy.Default90nm() }
-
-// EstimateEnergy computes a run's energy breakdown from its statistics and
-// the machine's architecture parameters.
-func EstimateEnergy(m EnergyModel, st *Stats, arch ArchParams) EnergyBreakdown {
-	return energy.Estimate(m, st, arch)
+// EstimateEnergy computes a run's energy breakdown under the 90nm
+// reference constants from its statistics and the machine's architecture
+// parameters.
+func EstimateEnergy(st *Stats, arch ArchParams) EnergyBreakdown {
+	return energy.Estimate(st, arch)
 }

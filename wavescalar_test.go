@@ -161,7 +161,7 @@ func TestEnergyAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := wavescalar.EstimateEnergy(wavescalar.DefaultEnergyModel(), st, cfg.Arch)
+	b := wavescalar.EstimateEnergy(st, cfg.Arch)
 	if b.Total() <= 0 {
 		t.Error("energy should be positive")
 	}
