@@ -27,8 +27,6 @@ type Agent struct {
 	// Busy, when non-nil, samples the worker's in-flight simulation
 	// count for heartbeats.
 	Busy func() int
-	// Logf receives membership diagnostics (default log.Printf).
-	Logf func(format string, args ...any)
 }
 
 // Run registers and heartbeats until ctx is cancelled, then deregisters
@@ -37,25 +35,22 @@ type Agent struct {
 // off a registration's answer, which the coordinator may already have
 // accepted. Registration failures are retried with backoff forever — a
 // worker that outlives a coordinator restart rejoins on its own.
+// Membership diagnostics go to the standard logger.
 func (a *Agent) Run(ctx context.Context) error {
 	if a.Coordinator == "" || a.ID == "" || a.Addr == "" {
 		return fmt.Errorf("cluster: agent needs Coordinator, ID and Addr")
 	}
-	logf := a.Logf
-	if logf == nil {
-		logf = log.Printf
-	}
 	client := &http.Client{Timeout: 10 * time.Second}
-	a.holdLease(ctx, client, logf)
-	a.deregister(client, logf)
+	a.holdLease(ctx, client)
+	a.deregister(client)
 	return nil
 }
 
 // holdLease keeps the worker's lease alive until ctx is cancelled: it
 // registers, heartbeats at a third of the granted lease, and re-registers
 // whenever the coordinator stops recognizing it.
-func (a *Agent) holdLease(ctx context.Context, client *http.Client, logf func(string, ...any)) {
-	lease, err := a.registerLoop(ctx, client, logf)
+func (a *Agent) holdLease(ctx context.Context, client *http.Client) {
+	lease, err := a.registerLoop(ctx, client)
 	if err != nil {
 		return
 	}
@@ -79,13 +74,13 @@ func (a *Agent) holdLease(ctx context.Context, client *http.Client, logf func(st
 				if ctx.Err() != nil {
 					return
 				}
-				logf("cluster: heartbeat to %s failed: %v", a.Coordinator, err)
+				log.Printf("cluster: heartbeat to %s failed: %v", a.Coordinator, err)
 				continue
 			}
 			if !ok {
 				// Coordinator forgot us (restart or expiry): rejoin.
-				logf("cluster: lease lost, re-registering %s with %s", a.ID, a.Coordinator)
-				if lease, err = a.registerLoop(ctx, client, logf); err != nil {
+				log.Printf("cluster: lease lost, re-registering %s with %s", a.ID, a.Coordinator)
+				if lease, err = a.registerLoop(ctx, client); err != nil {
 					return
 				}
 				if ni := lease / 3; ni > 0 && ni != interval {
@@ -100,18 +95,18 @@ func (a *Agent) holdLease(ctx context.Context, client *http.Client, logf func(st
 // registerLoop registers until success or ctx cancellation, returning the
 // granted lease. Failures back off 1s doubling to 30s, jittered, so a
 // fleet that lost its coordinator re-registers spread out.
-func (a *Agent) registerLoop(ctx context.Context, client *http.Client, logf func(string, ...any)) (time.Duration, error) {
+func (a *Agent) registerLoop(ctx context.Context, client *http.Client) (time.Duration, error) {
 	for failures := 1; ; failures++ {
 		lease, err := a.register(ctx, client)
 		if err == nil {
-			logf("cluster: registered %s (%s) with %s, lease %s", a.ID, a.Addr, a.Coordinator, lease)
+			log.Printf("cluster: registered %s (%s) with %s, lease %s", a.ID, a.Addr, a.Coordinator, lease)
 			return lease, nil
 		}
 		if ctx.Err() != nil {
 			return 0, ctx.Err()
 		}
 		delay := jitter(backoff(time.Second, 30*time.Second, failures))
-		logf("cluster: register with %s failed (retrying in %s): %v", a.Coordinator, delay.Round(time.Millisecond), err)
+		log.Printf("cluster: register with %s failed (retrying in %s): %v", a.Coordinator, delay.Round(time.Millisecond), err)
 		select {
 		case <-ctx.Done():
 			return 0, ctx.Err()
@@ -162,12 +157,12 @@ func (a *Agent) heartbeat(ctx context.Context, client *http.Client, busy int) (b
 
 // deregister announces a graceful drain; failures only mean the lease
 // expires on its own.
-func (a *Agent) deregister(client *http.Client, logf func(string, ...any)) {
+func (a *Agent) deregister(client *http.Client) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	if err := postJSON(ctx, client, a.Coordinator+"/v1/cluster/deregister", DeregisterRequest{ID: a.ID}, nil); err != nil {
-		logf("cluster: deregister from %s failed (lease will expire): %v", a.Coordinator, err)
+		log.Printf("cluster: deregister from %s failed (lease will expire): %v", a.Coordinator, err)
 		return
 	}
-	logf("cluster: deregistered %s from %s", a.ID, a.Coordinator)
+	log.Printf("cluster: deregistered %s from %s", a.ID, a.Coordinator)
 }

@@ -56,7 +56,7 @@ func TestAgentRejoinsAfter404(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	agent := &Agent{Coordinator: coord.URL, ID: "w", Addr: "http://w", Busy: func() int { return 2 }, Logf: discard}
+	agent := &Agent{Coordinator: coord.URL, ID: "w", Addr: "http://w", Busy: func() int { return 2 }}
 	go func() { done <- agent.Run(ctx) }()
 
 	// A lease shows Busy 2 only once a heartbeat has renewed it.
@@ -101,7 +101,7 @@ func TestAgentDeregistersWhenCancelledMidRegister(t *testing.T) {
 	defer coord.Close()
 
 	done := make(chan error, 1)
-	agent := &Agent{Coordinator: coord.URL, ID: "w", Addr: "http://w", Logf: discard}
+	agent := &Agent{Coordinator: coord.URL, ID: "w", Addr: "http://w"}
 	go func() { done <- agent.Run(ctx) }()
 	<-registered
 	cancel()

@@ -96,16 +96,15 @@ func TestWithCacheLimitOption(t *testing.T) {
 	if _, err := New(WithCacheLimit(0)); err == nil {
 		t.Error("WithCacheLimit(0) accepted, want ErrBadOptions")
 	}
-	shared := NewCache()
-	e, err := New(WithCache(shared), WithCacheLimit(2))
+	e, err := New(WithCacheLimit(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		e.Cache().PutCell(testCell(i))
 	}
-	if st := shared.Stats(); st.Cells != 2 || st.Limit != 2 {
-		t.Errorf("shared cache cells=%d limit=%d, want 2 and 2", st.Cells, st.Limit)
+	if st := e.Cache().Stats(); st.Cells != 2 || st.Limit != 2 {
+		t.Errorf("cache cells=%d limit=%d, want 2 and 2", st.Cells, st.Limit)
 	}
 }
 

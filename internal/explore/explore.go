@@ -79,18 +79,6 @@ func WithParallelism(n int) Option {
 	return func(e *Explorer) error { e.parallelism = n; return nil }
 }
 
-// WithCache shares a result cache between explorers (default: a fresh
-// private cache).
-func WithCache(c *Cache) Option {
-	return func(e *Explorer) error {
-		if c == nil {
-			return fmt.Errorf("%w: nil cache", design.ErrBadOptions)
-		}
-		e.cache = c
-		return nil
-	}
-}
-
 // WithJournal backs the cache with a JSONL journal at path. With resume
 // set, existing records are replayed into the cache before the first
 // sweep (a missing file is fine); without it, an existing file is
@@ -137,9 +125,8 @@ func WithRunner(fn CellRunner) Option {
 // WithCacheLimit caps the result cache at n cells, evicting least
 // recently used entries beyond it (see Cache.SetLimit). The default is
 // unlimited — the right choice for one-shot CLI sweeps; a long-running
-// daemon sets a limit to bound memory. The cap applies to the explorer's
-// cache whether private or shared via WithCache, and n must be positive
-// (use no option at all for unlimited).
+// daemon sets a limit to bound memory. n must be positive (use no option
+// at all for unlimited).
 func WithCacheLimit(n int) Option {
 	return func(e *Explorer) error {
 		if n <= 0 {
@@ -180,15 +167,12 @@ func New(opts ...Option) (*Explorer, error) {
 		scale:        workload.Tiny,
 		threadCounts: []int{1},
 		parallelism:  runtime.GOMAXPROCS(0),
-		cache:        nil,
+		cache:        NewCache(),
 	}
 	for _, o := range opts {
 		if err := o(e); err != nil {
 			return nil, err
 		}
-	}
-	if e.cache == nil {
-		e.cache = NewCache()
 	}
 	if e.cacheLimit > 0 {
 		e.cache.SetLimit(e.cacheLimit)
@@ -545,7 +529,7 @@ func (e *Explorer) RunOne(ctx context.Context, cfg sim.Config, w workload.Worklo
 	return cell, src == srcCache, err
 }
 
-// Cache returns the explorer's result cache (private or shared), for
+// Cache returns the explorer's result cache, for
 // callers that report its statistics or pre-warm it.
 func (e *Explorer) Cache() *Cache { return e.cache }
 

@@ -74,35 +74,30 @@ func TestCellKeyDeterminismAndSensitivity(t *testing.T) {
 }
 
 // TestSweepCacheHitDeterminism is the cache-hit determinism test: a
-// second sweep over a shared cache performs zero simulations and returns
-// byte-identical results.
+// second sweep over the explorer's cache performs zero simulations and
+// returns byte-identical results.
 func TestSweepCacheHitDeterminism(t *testing.T) {
 	points := testPoints(t, 2)
 	apps := testApps(t, "gzip", "mcf")
-	cache := NewCache()
 
-	first, err := New(WithCache(cache), WithParallelism(2))
+	exp, err := New(WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := first.Sweep(context.Background(), points, apps)
+	want, err := exp.Sweep(context.Background(), points, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := first.LastProgress()
+	p := exp.LastProgress()
 	if p.Simulated != len(points)*len(apps) || p.CacheHits != 0 {
 		t.Fatalf("first sweep: %d simulated, %d cached; want all simulated", p.Simulated, p.CacheHits)
 	}
 
-	second, err := New(WithCache(cache), WithParallelism(2))
+	got, err := exp.Sweep(context.Background(), points, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := second.Sweep(context.Background(), points, apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p = second.LastProgress()
+	p = exp.LastProgress()
 	if p.Simulated != 0 {
 		t.Errorf("second sweep simulated %d cells, want 0 (all from cache)", p.Simulated)
 	}
@@ -120,10 +115,9 @@ func TestSweepCacheHitDeterminism(t *testing.T) {
 func TestSweepConfigureOverride(t *testing.T) {
 	points := testPoints(t, 2)
 	apps := testApps(t, "gzip")
-	cache := NewCache()
 	script := &fault.Script{Seed: 11, LinkFlipRate: 0.001}
 
-	exp, err := New(WithCache(cache), WithParallelism(2))
+	exp, err := New(WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,37 +274,32 @@ func TestResumeSmoke(t *testing.T) {
 func TestFailedCellsAreCachedDeterministically(t *testing.T) {
 	points := testPoints(t, 1)
 	apps := testApps(t, "gzip")
-	cache := NewCache()
 	// Kill every PE at cycle 1, so the run deterministically stalls.
 	strangle, err := fault.KillFractionScript(sim.FaultShape(sim.Baseline(points[0].Arch)), 1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	first, err := New(WithCache(cache))
+	exp, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := first.SweepWith(context.Background(), points, apps, SweepSpec{Fault: strangle})
+	res, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{Fault: strangle})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), sim.ErrFaultStall.Error()) {
 		t.Fatalf("expected a fault stall, got %v", res[0].Err)
 	}
-	if p := first.LastProgress(); p.Failed != 1 {
+	if p := exp.LastProgress(); p.Failed != 1 {
 		t.Errorf("Failed = %d, want 1", p.Failed)
 	}
 
-	second, err := New(WithCache(cache))
+	res2, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{Fault: strangle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := second.SweepWith(context.Background(), points, apps, SweepSpec{Fault: strangle})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := second.LastProgress(); p.Simulated != 0 {
+	if p := exp.LastProgress(); p.Simulated != 0 {
 		t.Errorf("known-bad cell was re-simulated %d times", p.Simulated)
 	}
 	if res2[0].Err == nil || res2[0].Err.Error() != res[0].Err.Error() {
@@ -368,7 +357,6 @@ func TestNewValidatesOptions(t *testing.T) {
 		"zero thread count":    {WithThreadCounts(0)},
 		"empty thread counts":  {WithThreadCounts()},
 		"degenerate scale":     {WithScale(workload.Scale{})},
-		"nil cache":            {WithCache(nil)},
 		"empty journal path":   {WithJournal("", false)},
 	}
 	for name, opts := range cases {

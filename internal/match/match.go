@@ -46,9 +46,14 @@ import (
 type Config struct {
 	Entries int // total entries (the paper's M)
 	Assoc   int // set associativity (2 in the final design)
-	Banks   int // banks for concurrent arrival (4 in the final design)
+	Banks   int // banks for concurrent arrival (4 in the final design), at most MaxBanks
 	K       int // k-loop bound and hash spread parameter
 }
+
+// MaxBanks bounds Config.Banks: a table keeps one cycle stamp per bank in
+// its header, in a fixed array that fills one cache line. The design space
+// uses two and four.
+const MaxBanks = 8
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -57,6 +62,9 @@ func (c Config) Validate() error {
 	}
 	if c.Entries%c.Assoc != 0 {
 		return fmt.Errorf("match: entries (%d) must be divisible by associativity (%d)", c.Entries, c.Assoc)
+	}
+	if c.Banks > MaxBanks {
+		return fmt.Errorf("match: banks (%d) must be at most %d", c.Banks, MaxBanks)
 	}
 	return nil
 }
@@ -127,16 +135,15 @@ type Table struct {
 	numSets int
 	// entries is every set's ways back to back: set si is
 	// entries[si*Assoc : (si+1)*Assoc]. Nil until the first token.
-	entries  []Entry
-	overflow map[memKey]Entry // the in-memory table; nil until the first displacement
-	// done is the scratch slot returned by Insert's Completed path; it is
-	// valid only until the next Insert, which every caller respects (the
-	// completed instance is copied into a scheduling-queue entry at once).
-	done     Entry
-	live     int
+	entries []Entry
+	// bankUsed is the cycle stamp per bank, for arrival limiting. It sits
+	// in the header next to the fields every Insert reads first, so the
+	// bank test follows no pointer.
+	bankUsed [MaxBanks]uint64
 	idx      []instState // per local index
+	live     int
 	stats    Stats
-	bankUsed []uint64 // cycle stamp per bank, for arrival limiting
+	overflow map[memKey]Entry // the in-memory table; nil until the first displacement
 
 	// OnRelease, when set, is told the freed entry's local index whenever
 	// an entry frees. Senders holding k-rejected tokens for that
@@ -160,10 +167,10 @@ func New(cfg Config, insts int) *Table {
 }
 
 // NewSet creates one matching table per entry of insts, the i-th for a PE
-// with insts[i] instructions bound. The tables, their per-index state and
-// their bank stamps come from three allocations however many tables there
-// are; each table's share is cut to length, so per-index state that grows
-// later reallocates and never writes into a neighbour's.
+// with insts[i] instructions bound. The tables and their per-index state
+// come from two allocations however many tables there are; each table's
+// share is cut to length, so per-index state that grows later reallocates
+// and never writes into a neighbour's.
 func NewSet(cfg Config, insts []int) []Table {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -173,16 +180,10 @@ func NewSet(cfg Config, insts []int) []Table {
 		total += n
 	}
 	idx := make([]instState, total)
-	banks := make([]uint64, len(insts)*cfg.Banks)
 	tables := make([]Table, len(insts))
 	for i, n := range insts {
-		tables[i] = Table{
-			cfg:      cfg,
-			numSets:  cfg.Entries / cfg.Assoc,
-			idx:      idx[:n:n],
-			bankUsed: banks[:cfg.Banks:cfg.Banks],
-		}
-		idx, banks = idx[n:], banks[cfg.Banks:]
+		tables[i] = Table{cfg: cfg, numSets: cfg.Entries / cfg.Assoc, idx: idx[:n:n]}
+		idx = idx[n:]
 	}
 	return tables
 }
@@ -238,7 +239,8 @@ const (
 	Stored
 	// Completed means the token completed its instance: the returned Entry
 	// is ready for the scheduling queue and has been removed from the
-	// table.
+	// table. It is the freed slot itself, valid only until the next Insert
+	// or Adopt, so the caller copies what it needs at once.
 	Completed
 )
 
@@ -323,9 +325,8 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 	}
 	if slot.Complete() {
 		t.stats.Matches++
-		t.done = *slot
 		t.release(slot)
-		return Completed, &t.done
+		return Completed, slot
 	}
 	return Stored, slot
 }

@@ -88,6 +88,7 @@ func TestConfigValidate(t *testing.T) {
 		{Entries: 16, Assoc: 2, Banks: 0, K: 2},
 		{Entries: 16, Assoc: 2, Banks: 4, K: 0},
 		{Entries: 15, Assoc: 2, Banks: 4, K: 2},
+		{Entries: 16, Assoc: 2, Banks: MaxBanks + 1, K: 2}, // more banks than the header stamps
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -385,7 +386,7 @@ type tableState struct {
 	waves    []uint32
 	live     int
 	stats    Stats
-	bankUsed []uint64
+	bankUsed [MaxBanks]uint64
 }
 
 func stateOf(tb *Table) tableState {
@@ -395,7 +396,7 @@ func stateOf(tb *Table) tableState {
 		idx:      append([]instState(nil), tb.idx...),
 		live:     tb.Live(),
 		stats:    tb.Stats(),
-		bankUsed: append([]uint64(nil), tb.bankUsed...),
+		bankUsed: tb.bankUsed,
 	}
 	for i := range s.idx {
 		s.waves = append(s.waves, s.idx[i].wave)
@@ -434,7 +435,7 @@ func insertRuled(t *testing.T, tb *Table, tk isa.Token, li int, cycle uint64) (O
 			t.Fatalf("index %d wave %d: refused Insert loosened index %d's wave bound %d to %d", li, wave, i, want.waves[i], w)
 		}
 	}
-	if got.live != want.live || got.stats != want.stats || !slices.Equal(got.bankUsed, want.bankUsed) ||
+	if got.live != want.live || got.stats != want.stats || got.bankUsed != want.bankUsed ||
 		!slices.Equal(got.idx, want.idx) || !slices.Equal(got.entries, want.entries) || !maps.Equal(got.overflow, want.overflow) {
 		t.Fatalf("index %d wave %d: Insert refused (outcome %d) but changed the table:\n got %+v\nwant %+v", li, wave, out, got, want)
 	}

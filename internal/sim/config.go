@@ -10,6 +10,7 @@ import (
 
 	"wavescalar/internal/area"
 	"wavescalar/internal/fault"
+	"wavescalar/internal/match"
 	"wavescalar/internal/place"
 	"wavescalar/internal/trace"
 )
@@ -41,7 +42,7 @@ type Config struct {
 	// Matching table.
 	K          int // k-loop bound and matching hash parameter
 	MatchAssoc int // set associativity (2 in the final design)
-	MatchBanks int // banks (4)
+	MatchBanks int // banks (4; at most 8)
 	// OverflowPenalty is the matching-table miss cost: cycles to retrieve
 	// a displaced partial match from the in-memory table.
 	OverflowPenalty int
@@ -148,9 +149,9 @@ func BaselineArch() area.Params {
 	}
 }
 
-// maxMatchBanks bounds MatchBanks so that a token's arrival bank fits the
-// sixteen bits a tokNode keeps for it.
-const maxMatchBanks = 1 << 16
+// maxMatchBanks bounds MatchBanks: a matching table stamps its banks in a
+// fixed array in its header (match.MaxBanks).
+const maxMatchBanks = match.MaxBanks
 
 // Validate checks the configuration for structural sanity. The simulator
 // accepts shapes outside the area model's ranges (the Table 4 tuning

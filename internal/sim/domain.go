@@ -83,18 +83,19 @@ func (d *domainUnit) tick(c uint64) {
 		d.netOutQ.popFront()
 	}
 	// NET inbound: into the domain's PEs. After a kill, an in-flight
-	// operand's recorded destination may be stale: re-resolve it and, if
-	// the instruction now lives in another domain or cluster, forward the
-	// operand back through the outbound path instead of delivering here.
+	// operand's recorded destination may be stale: its route names the
+	// current host, and if the instruction now lives in another domain or
+	// cluster, forward the operand back through the outbound path instead
+	// of delivering here.
 	for n := 0; n < p.cfg.NetPEBW && !d.netInQ.empty(); n++ {
 		m := d.netInQ.peek(0)
 		if m.readyAt > c {
 			break
 		}
 		msg := d.netInQ.popFront()
+		rt := p.routeOf(msg.tok.Tag.Thread, msg.tok.Dest.Inst)
 		if p.anyDead {
-			dst := p.loc(msg.tok.Tag.Thread, msg.tok.Dest.Inst)
-			if dst != msg.dst {
+			if dst := p.pes[rt.pe].addr; dst != msg.dst {
 				p.inj.CountHealed()
 				msg.dst = dst
 				if dst.Cluster != d.cluster || dst.Domain != d.index {
@@ -104,7 +105,7 @@ func (d *domainUnit) tick(c uint64) {
 				}
 			}
 		}
-		p.pe(msg.dst).enqueueIn(c+2, msg.sentAt, msg.tok)
+		p.enqueueIn(rt, c+2, msg.sentAt, msg.tok)
 	}
 	// MEM: one request per cycle toward the owning store buffer.
 	if !d.memQ.empty() && d.memQ.peek(0).readyAt <= c {

@@ -45,7 +45,6 @@ var (
 // held completion (delayed response).
 type memRedo struct {
 	at uint64
-	id uint64 // original request id, for the fault decision stream
 	pm pendingMemOp
 }
 
@@ -82,11 +81,7 @@ func (p *Processor) applyFaults(c uint64) {
 		p.applyEvents(c, evs)
 	}
 	for !p.memRetryQ.empty() && p.memRetryQ.peek(0).at <= c {
-		r := p.memRetryQ.popFront()
-		id := p.reqSeq
-		p.reqSeq++
-		p.pending[id] = r.pm
-		p.cacheSys.Access(c, r.pm.cluster, id, r.pm.addr, r.pm.isStore)
+		p.issueMem(c, p.memRetryQ.popFront().pm)
 	}
 	for !p.memHoldQ.empty() && p.memHoldQ.peek(0).at <= c {
 		r := p.memHoldQ.popFront()
@@ -150,8 +145,8 @@ func (p *Processor) killPEs(c uint64, dead []place.PEAddr) {
 	readyAt := c + penalty
 
 	// Re-place bindings off the dead tiles. The moved callback binds the
-	// instruction at its new PE so local indices and residency exist
-	// before any migrated state references them.
+	// instruction at its new PE, rewriting its route, so local indices and
+	// residency exist before any migrated state references them.
 	migrated, err := p.placement.Remap(
 		func(a place.PEAddr) bool { return p.pe(a).dead },
 		func(thread uint32, inst isa.InstID, from, to place.PEAddr) {
@@ -178,15 +173,14 @@ func (p *Processor) killPEs(c uint64, dead []place.PEAddr) {
 func (p *Processor) migratePE(c, readyAt uint64, pe *peUnit) int {
 	moved := 0
 	sendTok := func(tok isa.Token) {
-		dst := p.loc(tok.Tag.Thread, tok.Dest.Inst)
-		p.pe(dst).enqueueIn(readyAt, 0, tok)
+		p.enqueueIn(p.routeOf(tok.Tag.Thread, tok.Dest.Inst), readyAt, 0, tok)
 		moved++
 	}
 	drain := func(l *tokList) {
 		for i := l.head; i != nilTok; {
 			nd := pe.toks.nodes[i]
 			pe.toks.put(i)
-			sendTok(nd.tok)
+			sendTok(nd.token())
 			i = nd.next
 		}
 		*l = tokList{}
@@ -205,8 +199,8 @@ func (p *Processor) migratePE(c, readyAt uint64, pe *peUnit) int {
 	// Partial matches (physical and overflow) adopt wholesale so
 	// accumulated operands and store-decoupling state survive.
 	for _, e := range pe.mt.DrainEntries() {
-		npe := p.pe(p.loc(e.Tag.Thread, e.Inst))
-		npe.mt.Adopt(e, p.localIndex(e.Tag.Thread, e.Inst), readyAt)
+		rt := p.routeOf(e.Tag.Thread, e.Inst)
+		p.pes[rt.pe].mt.Adopt(e, int(rt.li), readyAt)
 		moved++
 	}
 
@@ -215,7 +209,7 @@ func (p *Processor) migratePE(c, readyAt uint64, pe *peUnit) int {
 		se := pe.schedQ.popFront()
 		se.readyAt = readyAt
 		se.fast = false
-		npe := p.pe(p.loc(se.tag.Thread, se.inst))
+		npe := &p.pes[p.routeOf(se.tag.Thread, se.inst).pe]
 		npe.schedQ.push(se)
 		npe.wakeDispatch()
 		moved++
@@ -227,7 +221,7 @@ func (p *Processor) migratePE(c, readyAt uint64, pe *peUnit) int {
 	for !pe.pending.empty() {
 		r := pe.pending.popFront()
 		r.doneAt = readyAt
-		npe := p.pe(p.loc(r.tag.Thread, r.inst))
+		npe := &p.pes[p.routeOf(r.tag.Thread, r.inst).pe]
 		npe.pending.push(r)
 		npe.wakeComplete()
 		moved++
@@ -235,7 +229,10 @@ func (p *Processor) migratePE(c, readyAt uint64, pe *peUnit) int {
 	for !pe.outQ.empty() {
 		e := pe.outQ.popFront()
 		e.readyAt = readyAt
-		npe := p.pe(p.loc(e.tag.Thread, e.inst))
+		npe := &p.pes[p.routeOf(e.tag.Thread, e.inst).pe]
+		for n := e.ndests; n > 0; n-- {
+			npe.outDests.push(pe.outDests.popFront())
+		}
 		npe.outQ.push(e)
 		npe.wakeOutput()
 		moved++

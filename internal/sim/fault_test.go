@@ -211,7 +211,8 @@ func TestKillAllPEsFaultStall(t *testing.T) {
 }
 
 // An unknown memory completion latches ErrBadCompletion instead of
-// panicking.
+// panicking, and so does a second completion of a request that was in
+// flight: the first is delivered, the second is unknown.
 func TestBadCompletionLatchesError(t *testing.T) {
 	proc, err := New(smallCfg(), memLoopProg(), []map[string]uint64{{"n": 1, "base": 0x1000}}, nil)
 	if err != nil {
@@ -220,6 +221,27 @@ func TestBadCompletionLatchesError(t *testing.T) {
 	proc.cacheDone(10, 0, 12345)
 	if !errors.Is(proc.fatalErr, ErrBadCompletion) {
 		t.Fatalf("fatalErr = %v, want ErrBadCompletion", proc.fatalErr)
+	}
+
+	proc, err = New(smallCfg(), memLoopProg(), []map[string]uint64{{"n": 4, "base": 0x1000}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.inject()
+	c := uint64(0)
+	for ; proc.inflight.len() == 0; c++ {
+		if c == 10_000 {
+			t.Fatal("no memory request issued in 10000 cycles")
+		}
+		proc.tick(c)
+	}
+	proc.cacheDone(c, 0, 0) // request ids start at 0
+	if proc.fatalErr != nil {
+		t.Fatalf("completing the request in flight: %v", proc.fatalErr)
+	}
+	proc.cacheDone(c, 0, 0)
+	if !errors.Is(proc.fatalErr, ErrBadCompletion) {
+		t.Fatalf("second completion of request 0: fatalErr = %v, want ErrBadCompletion", proc.fatalErr)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -239,11 +240,8 @@ func checkTokLists(t *testing.T, step int, p *tokPool, inQ, reinject *tokList, p
 		k, prev := 0, nilTok
 		for i := l.head; i != nilTok; i = p.nodes[i].next {
 			claim(what, i)
-			if k >= len(want) || p.nodes[i].tok.Value != want[k] {
-				t.Fatalf("step %d: %s[%d] = token %d, want %v", step, what, k, p.nodes[i].tok.Value, want)
-			}
-			if p.nodes[i].prev != prev {
-				t.Fatalf("step %d: %s[%d].prev = %d, want %d", step, what, k, p.nodes[i].prev, prev)
+			if k >= len(want) || p.nodes[i].value != want[k] {
+				t.Fatalf("step %d: %s[%d] = token %d, want %v", step, what, k, p.nodes[i].value, want)
 			}
 			prev = i
 			k++
@@ -287,7 +285,7 @@ func FuzzTokListOps(f *testing.F) {
 		next := uint64(1)
 		fresh := func(li int) int32 {
 			i := p.get()
-			p.nodes[i] = tokNode{tok: isa.Token{Value: next}, li: int32(li)}
+			p.nodes[i] = tokNode{value: next, li: int32(li)}
 			next++
 			return i
 		}
@@ -299,6 +297,14 @@ func FuzzTokListOps(f *testing.F) {
 				i = p.nodes[i].next
 			}
 			return i
+		}
+		// before returns the node ahead of position k, which the cursor
+		// carries as it walks.
+		before := func(k int) int32 {
+			if k == 0 {
+				return nilTok
+			}
+			return at(k - 1)
 		}
 		for step, b := range ops {
 			arg := int(b) / 8
@@ -312,7 +318,7 @@ func FuzzTokListOps(f *testing.F) {
 				}
 				k := arg % len(m.inQ)
 				i := at(k)
-				p.unlink(&inQ, i)
+				p.unlink(&inQ, before(k), i)
 				p.put(i)
 				m.inQ = append(m.inQ[:k], m.inQ[k+1:]...)
 			case 2: // the cursor's token is k-rejected: unlink and park
@@ -322,7 +328,7 @@ func FuzzTokListOps(f *testing.F) {
 				k := arg % len(m.inQ)
 				i := at(k)
 				li := p.nodes[i].li
-				p.unlink(&inQ, i)
+				p.unlink(&inQ, before(k), i)
 				p.pushBack(&parked[li], i)
 				m.parked[li] = append(m.parked[li], m.inQ[k])
 				m.inQ = append(m.inQ[:k], m.inQ[k+1:]...)
@@ -358,11 +364,84 @@ func FuzzTokListOps(f *testing.F) {
 				k := arg % len(m.inQ)
 				n := 1 + (arg/4)%(len(m.inQ)-k)
 				li := (arg / 2) % 4
-				p.moveRun(&parked[li], &inQ, at(k), at(k+n-1), int32(n))
+				p.moveRun(&parked[li], &inQ, before(k), at(k), at(k+n-1), int32(n))
 				m.parked[li] = append(m.parked[li], m.inQ[k:k+n]...)
 				m.inQ = append(m.inQ[:k], m.inQ[k+n:]...)
 			}
 			checkTokLists(t, step, p, &inQ, &reinject, parked, &m)
+		}
+	})
+}
+
+// FuzzPendingRing drives the ring of in-flight memory operations with an
+// arbitrary stream of issues under sequential ids, completions in any
+// order, drop-and-retries (a completed operation issued again under a
+// fresh id, as the fault model's retry loop does) and completions of ids
+// the ring must not hold — ids already completed and ids never issued —
+// and checks every answer against a plain map after every step. An id the
+// ring does not hold is what cacheDone reports as ErrBadCompletion.
+func FuzzPendingRing(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 1, 3})
+	f.Add([]byte{0, 0, 0, 0, 5, 9, 2, 2, 7, 11, 15})
+	// Request 0 stays in flight while requests 1 to 16 come and go one at
+	// a time, so the ring must grow around it with two operations held.
+	f.Add(append(append([]byte{0, 0, 5}, bytes.Repeat([]byte{0, 5}, 15)...), 3, 7, 1))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var r memRing
+		held := make(map[uint64]pendingMemOp)
+		var live, done []uint64 // held ids in issue order; completed ids
+		seq := uint64(0)
+		issue := func(op pendingMemOp) {
+			r.put(seq, op)
+			held[seq] = op
+			live = append(live, seq)
+			seq++
+		}
+		for step, b := range ops {
+			arg := int(b) / 4
+			switch b % 4 {
+			case 0:
+				issue(pendingMemOp{addr: seq, value: uint64(b)})
+			case 1, 2: // complete a held id; 2 also re-issues it
+				if len(live) == 0 {
+					continue
+				}
+				k := arg % len(live)
+				id := live[k]
+				live = append(live[:k], live[k+1:]...)
+				got, ok := r.take(id)
+				if !ok || got != held[id] {
+					t.Fatalf("step %d: take(%d) = %+v, %v; want %+v", step, id, got, ok, held[id])
+				}
+				delete(held, id)
+				done = append(done, id)
+				if b%4 == 2 {
+					got.attempt++
+					issue(got)
+				}
+			case 3: // an id not held: completed already, or never issued
+				id := seq + uint64(arg/2)
+				if arg%2 == 0 && len(done) > 0 {
+					id = done[(arg/2)%len(done)]
+				}
+				if got, ok := r.take(id); ok {
+					t.Fatalf("step %d: take(%d) = %+v for an id not in flight", step, id, got)
+				}
+			}
+			if r.len() != len(held) {
+				t.Fatalf("step %d: ring holds %d operations, want %d", step, r.len(), len(held))
+			}
+			if n := len(r.slots); n&(n-1) != 0 {
+				t.Fatalf("step %d: ring has %d slots, not a power of two", step, n)
+			}
+		}
+		for _, id := range live {
+			if got, ok := r.take(id); !ok || got != held[id] {
+				t.Fatalf("drain: take(%d) = %+v, %v; want %+v", id, got, ok, held[id])
+			}
+		}
+		if r.len() != 0 {
+			t.Fatalf("drained ring still holds %d operations", r.len())
 		}
 	})
 }

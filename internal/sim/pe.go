@@ -18,45 +18,58 @@ const (
 	schedStoreAddr                  // store address half (entry stays live)
 )
 
-// schedEntry is a ready instruction instance in the scheduling queue.
+// schedEntry is a ready instruction instance in the scheduling queue. The
+// fields are ordered widest first, so the record has no padding inside.
 type schedEntry struct {
 	readyAt  uint64
-	inst     isa.InstID
-	tag      isa.Tag
 	vals     [3]uint64
+	tag      isa.Tag
+	inst     isa.InstID
 	kind     schedKind
 	fast     bool // arrived via the pod bypass (speculative fire path)
 	addrSent bool
 }
 
-// execResult is a completed execution waiting to route its result. dests
-// are pre-resolved (steer picks its side at dispatch).
+// execResult is a completed execution waiting to route its result, to the
+// instruction's destinations or, for a steer that chose its true side, to
+// its DestsT (steer picks its side at dispatch).
 type execResult struct {
 	doneAt uint64
-	inst   isa.InstID
-	tag    isa.Tag // output tag (wave already advanced for wadv)
 	value  uint64
-	dests  []isa.Target
 	memReq *storebuf.Request
+	tag    isa.Tag // output tag (wave already advanced for wadv)
+	inst   isa.InstID
+	steerT bool
 }
 
-// outEntry is a result in the PE's output queue.
+// dests returns the consumers the result goes to; in is its instruction.
+func (r *execResult) dests(in *isa.Instruction) []isa.Target {
+	if r.steerT {
+		return in.DestsT
+	}
+	return in.Dests
+}
+
+// outEntry is a result in the PE's output queue. Its remote destinations
+// are the next ndests targets of the PE's outDests ring, which is pushed
+// and popped in step with the queue.
 type outEntry struct {
 	readyAt uint64
 	sentAt  uint64
-	inst    isa.InstID
-	tag     isa.Tag
 	value   uint64
-	dests   []isa.Target
 	memReq  *storebuf.Request
+	tag     isa.Tag
+	inst    isa.InstID
+	ndests  int32
 }
 
-// phaseStats holds the counters the PE pipeline phases increment.
-type phaseStats struct {
+// peStats are the counters a PE's pipeline phases increment, kept on the
+// PE itself and summed into Stats by collect. Every execution is one
+// dispatch, so Dynamic counts both.
+type peStats struct {
 	Traffic         [numLevels][numClasses]uint64
 	OperandLatTotal uint64
 	OperandCount    uint64
-	Dispatches      uint64
 	Dynamic         uint64
 	Countable       uint64
 	SpecFires       uint64
@@ -68,14 +81,14 @@ type phaseStats struct {
 type peUnit struct {
 	p    *Processor
 	addr place.PEAddr
-	gidx int32       // index into Processor.pes, for the active-set work lists
-	st   *phaseStats // the processor's phase counters
+	gidx int32 // index into Processor.pes, for the active-set work lists
 	mt   *match.Table
 	ist  *istore.Store
 
-	schedQ  fifo[schedEntry]
-	pending fifo[execResult] // completion queue (FIFO; latencies are FIFO-ordered per PE)
-	outQ    fifo[outEntry]
+	schedQ   fifo[schedEntry]
+	pending  fifo[execResult] // completion queue (FIFO; latencies are FIFO-ordered per PE)
+	outQ     fifo[outEntry]
+	outDests fifo[isa.Target] // outQ's remote destinations, entry by entry
 
 	stallUntil uint64 // instruction-store miss fetch in progress
 	dead       bool   // killed by a fault script; state already migrated
@@ -93,6 +106,10 @@ type peUnit struct {
 	reinject    tokList
 	parked      []tokList
 	parkedCount int
+
+	// st is written by every phase but read only by collect, so it sits
+	// behind the queues and lists the phases test first.
+	st peStats
 }
 
 // Wake helpers arm the PE into a phase's work list; every push into the
@@ -103,30 +120,23 @@ func (pe *peUnit) wakeDispatch() { pe.p.actDispatch.arm(pe.gidx) }
 func (pe *peUnit) wakeComplete() { pe.p.actComplete.arm(pe.gidx) }
 func (pe *peUnit) wakeOutput()   { pe.p.actOutput.arm(pe.gidx) }
 
-// enqueueIn delivers a token to the PE's input queue. A token that was
-// in flight toward a PE killed mid-delivery heals: it re-resolves the
-// destination instruction's new host and is delivered there instead.
-func (pe *peUnit) enqueueIn(readyAt, sentAt uint64, tok isa.Token) {
-	if pe.dead {
-		host := pe.p.pe(pe.p.loc(tok.Tag.Thread, tok.Dest.Inst))
-		if host != pe {
-			pe.p.inj.CountHealed()
-			pe = host
-		}
-	}
-	li := pe.p.localIndex(tok.Tag.Thread, tok.Dest.Inst)
-	pe.toks.pushBack(&pe.inQ, pe.newTok(readyAt, sentAt, tok, li))
+// enqueueIn delivers a token to the input queue of the PE on its route.
+// The route is read when the token is handed over, so it names the
+// instruction's current host even after a fault remap.
+func (p *Processor) enqueueIn(rt route, readyAt, sentAt uint64, tok isa.Token) {
+	pe := &p.pes[rt.pe]
+	pe.toks.pushBack(&pe.inQ, pe.newTok(readyAt, sentAt, tok, rt))
 	pe.wakeInput()
 }
 
-// newTok takes a node from the pool for a token addressed to local index
-// li.
-func (pe *peUnit) newTok(readyAt, sentAt uint64, tok isa.Token, li int) int32 {
+// newTok takes a node from the pool for a token on route rt.
+func (pe *peUnit) newTok(readyAt, sentAt uint64, tok isa.Token, rt route) int32 {
 	i := pe.toks.get()
 	pe.toks.nodes[i] = tokNode{
-		tok: tok, readyAt: readyAt, sentAt: sentAt,
-		li: int32(li), req: pe.p.required[tok.Dest.Inst],
-		bank: uint16(pe.mt.Bank(li, tok.Tag.Wave)),
+		readyAt: readyAt, li: rt.li,
+		tag: tok.Tag, inst: tok.Dest.Inst, port: tok.Dest.Port,
+		req: rt.req, bank: uint8(pe.mt.Bank(int(rt.li), tok.Tag.Wave)),
+		value: tok.Value, sentAt: sentAt,
 	}
 	return i
 }
@@ -160,9 +170,9 @@ func (pe *peUnit) insert(c uint64, tok isa.Token, li int, req uint8) (match.Outc
 // reinjection path always delivered it — ready at once, and with no
 // delivery-latency sample — so a herd that is re-parked is read, never
 // written. Every token of the run is one refused input attempt, counted
-// and traced as such. It returns the node after the run and the run's
-// length.
-func (pe *peUnit) parkRun(c uint64, i int32) (int32, uint64) {
+// and traced as such. prev is the node ahead of i (nilTok at the head). It
+// returns the node after the run and the run's length.
+func (pe *peUnit) parkRun(c uint64, prev, i int32) (int32, uint64) {
 	nodes := pe.toks.nodes
 	nd := &nodes[i]
 	li, first, n := nd.li, i, int32(0)
@@ -185,13 +195,13 @@ func (pe *peUnit) parkRun(c uint64, i int32) (int32, uint64) {
 		if nd.li != li || nd.readyAt > c {
 			break
 		}
-		if out, ok := pe.mt.CertainReject(int(li), nd.tok.Tag.Wave, int(nd.bank), c); !ok || out != match.Rejected {
+		if out, ok := pe.mt.CertainReject(int(li), nd.tag.Wave, int(nd.bank), c); !ok || out != match.Rejected {
 			break
 		}
 		i = next
 	}
 	after := nodes[i].next
-	pe.toks.moveRun(&pe.parked[li], &pe.inQ, first, i, n)
+	pe.toks.moveRun(&pe.parked[li], &pe.inQ, prev, first, i, n)
 	pe.parkedCount += int(n)
 	pe.st.InputRejects += uint64(n)
 	return after, uint64(n)
@@ -211,12 +221,11 @@ func (pe *peUnit) Released(li int) {
 }
 
 // bind places one more instruction instance on a running PE (a fault
-// remap): it takes the store's next local index, which the machine's table
-// records in place of the index it had at its dead host, and gets a parked
-// list.
+// remap): it takes the store's next local index, which the instance's route
+// records in place of the host and index it had, and gets a parked list.
 func (pe *peUnit) bind(thread uint32, inst isa.InstID) {
-	li := pe.ist.Bind()
-	pe.p.localIdx[pe.p.istKey(thread, inst)] = int32(li)
+	rt := &pe.p.route[pe.p.istKey(thread, inst)]
+	rt.pe, rt.li = pe.gidx, int32(pe.ist.Bind())
 	pe.parked = append(pe.parked, tokList{})
 }
 
@@ -265,53 +274,52 @@ func (pe *peUnit) deliver(c uint64, r execResult) {
 		pe.wakeOutput()
 		return
 	}
-	remote := pe.p.getTargets(pe.addr.Cluster)
-	for _, d := range r.dests {
-		dst := pe.p.loc(r.tag.Thread, d.Inst)
-		if dst == pe.addr || (pe.p.cfg.PodSize == 2 && dst.SamePod(pe.addr)) {
+	remote := int32(0)
+	for _, d := range r.dests(pe.p.prog.Inst(r.inst)) {
+		rt := pe.p.routeOf(r.tag.Thread, d.Inst)
+		// Pods are aligned PE pairs of one domain (Config.Validate), so two
+		// PEs share one iff their indices do above the lowest bit.
+		if rt.pe == pe.gidx || (pe.p.cfg.PodSize == 2 && rt.pe>>1 == pe.gidx>>1) {
 			lvl := LevelPod
-			if dst == pe.addr {
+			if rt.pe == pe.gidx {
 				lvl = LevelSelf
 			}
 			pe.st.Traffic[lvl][ClassOperand]++
 			if pe.p.rec != nil {
 				pe.p.rec.Message(c, int(lvl), trace.ClassOperand,
-					pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, dst.Cluster)
+					pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, pe.addr.Cluster)
 			}
 			pe.st.OperandLatTotal++ // bypass delivers in one cycle
 			pe.st.OperandCount++
 			// Bypass: available for dispatch this very cycle at the
 			// destination (the speculative-fire path).
 			tok := isa.Token{Tag: r.tag, Value: r.value, Dest: d}
-			pe.p.pe(dst).acceptBypass(c, tok)
+			pe.p.pes[rt.pe].acceptBypass(c, tok, rt)
 			continue
 		}
-		remote = append(remote, d)
+		pe.outDests.push(d)
+		remote++
 	}
-	if len(remote) > 0 {
+	if remote > 0 {
 		pe.outQ.push(outEntry{
-			readyAt: c + 1, sentAt: c, inst: r.inst, tag: r.tag, value: r.value, dests: remote,
+			readyAt: c + 1, sentAt: c, inst: r.inst, tag: r.tag, value: r.value, ndests: remote,
 		})
 		pe.wakeOutput()
-	} else {
-		pe.p.putTargets(pe.addr.Cluster, remote)
 	}
 }
 
-// acceptBypass inserts a bypassed token directly into the matching table;
-// if it completes the instance, the entry is scheduled for this cycle
-// (back-to-back execution) at the front of the queue.
-func (pe *peUnit) acceptBypass(c uint64, tok isa.Token) {
-	li := pe.p.localIndex(tok.Tag.Thread, tok.Dest.Inst)
-	req := pe.p.required[tok.Dest.Inst]
-	out, e := pe.insert(c, tok, li, req)
+// acceptBypass inserts a bypassed token on route rt directly into the
+// matching table; if it completes the instance, the entry is scheduled for
+// this cycle (back-to-back execution) at the front of the queue.
+func (pe *peUnit) acceptBypass(c uint64, tok isa.Token, rt route) {
+	out, e := pe.insert(c, tok, int(rt.li), rt.req)
 	switch out {
 	case match.Rejected:
-		pe.toks.pushBack(&pe.parked[li], pe.newTok(0, 0, tok, li))
+		pe.toks.pushBack(&pe.parked[rt.li], pe.newTok(0, 0, tok, rt))
 		pe.parkedCount++
 	case match.RejectedBank:
 		// Bank pressure: fall back to the ordinary input path.
-		pe.toks.pushBack(&pe.inQ, pe.newTok(c+1, 0, tok, li))
+		pe.toks.pushBack(&pe.inQ, pe.newTok(c+1, 0, tok, rt))
 		pe.wakeInput()
 	case match.Completed:
 		ready := c
@@ -370,7 +378,7 @@ func (pe *peUnit) phaseDispatch(c uint64) {
 func (pe *peUnit) dispatch(c uint64, se schedEntry) {
 	if se.kind == schedStoreAddr {
 		// The entry may have completed (and fully dispatched) already.
-		e := pe.mt.Lookup(se.inst, pe.p.localIndex(se.tag.Thread, se.inst), se.tag)
+		e := pe.mt.Lookup(se.inst, int(pe.p.routeOf(se.tag.Thread, se.inst).li), se.tag)
 		if e == nil || e.AddrSent || e.Present != 0b001 {
 			return
 		}
@@ -379,7 +387,7 @@ func (pe *peUnit) dispatch(c uint64, se schedEntry) {
 		return
 	}
 	// Instruction store residency.
-	if !pe.ist.Access(pe.p.localIndex(se.tag.Thread, se.inst)) {
+	if !pe.ist.Access(int(pe.p.routeOf(se.tag.Thread, se.inst).li)) {
 		pe.stallUntil = c + uint64(pe.p.cfg.InstMissPenalty)
 		se.readyAt = pe.stallUntil
 		pe.schedQ.pushFront(se)
@@ -401,7 +409,6 @@ func (pe *peUnit) dispatch(c uint64, se schedEntry) {
 func (pe *peUnit) execute(c uint64, id isa.InstID, tag isa.Tag, vals [3]uint64, kind schedKind, addrSent bool) {
 	p := pe.p
 	in := p.prog.Inst(id)
-	pe.st.Dispatches++
 	pe.st.Dynamic++
 	if in.Op.Countable() && kind == schedFire {
 		pe.st.Countable++
@@ -419,17 +426,11 @@ func (pe *peUnit) execute(c uint64, id isa.InstID, tag isa.Tag, vals [3]uint64, 
 		p.threadHalted(c, tag.Thread, vals[0])
 		return
 	case isa.OpSteer:
-		dests := in.Dests
-		if vals[2] != 0 {
-			dests = in.DestsT
-		}
-		if len(dests) > 0 {
-			pe.deliverAt(done, execResult{inst: id, tag: tag, value: vals[0]}, dests)
-		}
+		pe.deliverAt(done, execResult{inst: id, tag: tag, value: vals[0], steerT: vals[2] != 0}, in)
 		return
 	case isa.OpWaveAdv:
 		out := isa.Tag{Thread: tag.Thread, Wave: tag.Wave + 1}
-		pe.deliverAt(done, execResult{inst: id, tag: out, value: vals[0]}, in.Dests)
+		pe.deliverAt(done, execResult{inst: id, tag: out, value: vals[0]}, in)
 		return
 	case isa.OpLoad:
 		req := p.newReq(pe.addr.Cluster)
@@ -456,16 +457,16 @@ func (pe *peUnit) execute(c uint64, id isa.InstID, tag isa.Tag, vals [3]uint64, 
 		return
 	}
 	v := isa.Eval(in.Op, in.Imm, vals[0], vals[1], vals[2])
-	pe.deliverAt(done, execResult{inst: id, tag: tag, value: v}, in.Dests)
+	pe.deliverAt(done, execResult{inst: id, tag: tag, value: v}, in)
 }
 
-// deliverAt queues a result for completion-time routing.
-func (pe *peUnit) deliverAt(done uint64, r execResult, dests []isa.Target) {
-	if len(dests) == 0 {
+// deliverAt queues a result of instruction in for completion-time routing,
+// unless it has no consumers.
+func (pe *peUnit) deliverAt(done uint64, r execResult, in *isa.Instruction) {
+	if len(r.dests(in)) == 0 {
 		return
 	}
 	r.doneAt = done
-	r.dests = dests
 	pe.pending.push(r)
 	pe.wakeComplete()
 }
@@ -501,8 +502,10 @@ func (pe *peUnit) phaseOutput(c uint64) {
 		pe.p.actDomain.arm(d.gidx)
 		return
 	}
-	for _, t := range e.dests {
-		dst := pe.p.loc(e.tag.Thread, t.Inst)
+	for n := e.ndests; n > 0; n-- {
+		t := pe.outDests.popFront()
+		rt := pe.p.routeOf(e.tag.Thread, t.Inst)
+		dst := pe.p.pes[rt.pe].addr
 		tok := isa.Token{Tag: e.tag, Value: e.value, Dest: t}
 		if dst.Cluster == pe.addr.Cluster && dst.Domain == pe.addr.Domain {
 			pe.st.Traffic[LevelDomain][ClassOperand]++
@@ -510,7 +513,7 @@ func (pe *peUnit) phaseOutput(c uint64) {
 				pe.p.rec.Message(c, trace.LevelDomain, trace.ClassOperand,
 					pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, dst.Cluster)
 			}
-			pe.p.pe(dst).enqueueIn(c+1, e.sentAt, tok)
+			pe.p.enqueueIn(rt, c+1, e.sentAt, tok)
 			continue
 		}
 		lvl := LevelCluster
@@ -525,7 +528,6 @@ func (pe *peUnit) phaseOutput(c uint64) {
 		d.netOutQ.push(netMsg{readyAt: c + 1, sentAt: e.sentAt, tok: tok, dst: dst})
 		pe.p.actDomain.arm(d.gidx)
 	}
-	pe.p.putTargets(pe.addr.Cluster, e.dests)
 }
 
 // phaseInput accepts up to MatchBanks tokens per cycle from the input
@@ -534,7 +536,9 @@ func (pe *peUnit) phaseOutput(c uint64) {
 // once something was accepted, but continues to the end of the queue while
 // nothing has been, so a token that would unblock a k-bounded jam is always
 // reachable. pos counts the tokens the cursor has stepped over, which is
-// the queue position the window is measured in.
+// the queue position the window is measured in, and prev the last of them
+// (the node ahead of the cursor, which the singly-linked queue needs to
+// unlink it).
 //
 // Most attempts are refused, and most refusals are certain before the table
 // is touched: the cursor asks the table's reject rule first and offers the
@@ -551,7 +555,7 @@ func (pe *peUnit) phaseInput(c uint64) {
 
 	accepted := 0
 	window := pe.p.cfg.InputWindow
-	pos := 0
+	pos, prev := 0, nilTok
 	var kCertain, bankCertain uint64 // refusals decided without Insert
 	for i := pe.inQ.head; i != nilTok && accepted < pe.p.cfg.MatchBanks; {
 		if pos >= window && accepted > 0 {
@@ -561,13 +565,13 @@ func (pe *peUnit) phaseInput(c uint64) {
 		next := nd.next
 		if nd.readyAt > c {
 			pos++
-			i = next
+			prev, i = i, next
 			continue
 		}
 		var e *match.Entry
-		out, certain := pe.mt.CertainReject(int(nd.li), nd.tok.Tag.Wave, int(nd.bank), c)
+		out, certain := pe.mt.CertainReject(int(nd.li), nd.tag.Wave, int(nd.bank), c)
 		if !certain {
-			out, e = pe.insert(c, nd.tok, int(nd.li), nd.req)
+			out, e = pe.insert(c, nd.token(), int(nd.li), nd.req)
 		}
 		switch out {
 		case match.Rejected:
@@ -575,7 +579,7 @@ func (pe *peUnit) phaseInput(c uint64) {
 			// instruction, and with the token the run of certain k-rejects
 			// behind it.
 			var n uint64
-			i, n = pe.parkRun(c, i)
+			i, n = pe.parkRun(c, prev, i)
 			if !certain {
 				n-- // Insert counted the run's head itself
 			}
@@ -589,10 +593,10 @@ func (pe *peUnit) phaseInput(c uint64) {
 			}
 			pe.st.InputRejects++
 			pos++
-			i = next
+			prev, i = i, next
 			continue
 		}
-		pe.toks.unlink(&pe.inQ, i)
+		pe.toks.unlink(&pe.inQ, prev, i)
 		accepted++
 		if nd.sentAt > 0 {
 			pe.st.OperandLatTotal += c - nd.sentAt
@@ -608,7 +612,7 @@ func (pe *peUnit) phaseInput(c uint64) {
 			})
 			pe.wakeDispatch()
 		case match.Stored:
-			pe.maybeStoreAddrHalf(c, nd.tok, e)
+			pe.maybeStoreAddrHalf(c, nd.token(), e)
 		}
 		pe.toks.put(i)
 		i = next

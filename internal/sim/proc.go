@@ -43,14 +43,24 @@ type Memory map[uint64]uint64
 // pendingMemOp tracks a load/store between store-buffer issue and cache
 // completion.
 type pendingMemOp struct {
-	inst     isa.InstID
-	tag      isa.Tag
 	value    uint64
-	cluster  int
 	issuedAt uint64
 	addr     uint64
+	tag      isa.Tag
+	inst     isa.InstID
+	cluster  int32
+	attempt  int32 // re-issues under the fault model's drop/retry loop
 	isStore  bool
-	attempt  int // re-issues under the fault model's drop/retry loop
+}
+
+// route is one instruction instance's address on the machine: the PE that
+// hosts it (its index in Processor.pes), the local index it goes by there —
+// the name the instruction has in that PE's instruction store, matching
+// table and parked lists — and the operand mask it fires on. A token's
+// destination resolves with one load of this record.
+type route struct {
+	pe, li int32
+	req    uint8
 }
 
 // Processor is a configured WaveScalar machine executing one program on
@@ -59,15 +69,13 @@ type Processor struct {
 	cfg       Config
 	prog      *isa.Program
 	placement *place.Placement
-	required  []uint8 // operand mask per instruction
-	// localIdx is the machine's one table from an instruction instance
-	// (istKey) to its local index at the PE that hosts it: the name the
-	// instruction goes by in that PE's instruction store, matching table
-	// and parked lists. It is written where instructions are bound (build,
-	// and peUnit.bind on a fault remap) and read once per arriving token.
-	localIdx []int32
-	threads  int
-	params   []map[string]uint64
+	// route is the machine's one table from an instruction instance
+	// (istKey) to where it lives; see route. It is written where
+	// instructions are bound (build, and peUnit.bind on a fault remap) and
+	// read once per token destination.
+	route   []route
+	threads int
+	params  []map[string]uint64
 
 	// The machine's components are values in per-machine slabs, visited by
 	// index; see build for what is carved up front and what waits for a
@@ -79,9 +87,9 @@ type Processor struct {
 	grid     *noc.Grid
 	mem      Memory
 
-	outbox  fifo[*noc.Message] // retry queue for grid injections
-	pending map[uint64]pendingMemOp
-	reqSeq  uint64
+	outbox   fifo[*noc.Message] // retry queue for grid injections
+	inflight memRing            // memory operations the cache has not completed
+	reqSeq   uint64             // the next memory request id
 
 	// Active-set scheduler state (Config.Sched): one work list per PE
 	// pipeline phase plus one each for the domain pseudo-PEs and the
@@ -98,13 +106,11 @@ type Processor struct {
 
 	// Free lists for the token path's transient objects. They hold
 	// steady-state allocations at ~zero: messages and payloads recycle at
-	// the NoC sink, store-buffer requests after the buffer copies them in,
-	// destination slices when the output queue drains. The request and
-	// target lists are kept per cluster.
+	// the NoC sink, store-buffer requests (kept per cluster) after the
+	// buffer copies them in.
 	msgFree []*noc.Message
 	payFree []*operandPayload
 	reqFree [][]*storebuf.Request
-	tgtFree [][][]isa.Target
 
 	// Fault machinery (all nil/empty on the faultless fast path).
 	inj       *fault.Injector
@@ -125,7 +131,6 @@ type Processor struct {
 	progress   uint64
 	cycle      uint64
 	stats      Stats
-	phStats    phaseStats // folded into stats by collect
 }
 
 // New builds a processor for prog with one parameter map per thread.
@@ -156,7 +161,6 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 		threads:    threads,
 		params:     params,
 		mem:        make(Memory, len(mem)),
-		pending:    make(map[uint64]pendingMemOp),
 		halted:     make([]bool, threads),
 		haltValues: make([]uint64, threads),
 		rec:        cfg.Trace,
@@ -164,10 +168,6 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 	p.rec.Bind(cfg.Arch.Clusters, cfg.Arch.Domains, cfg.Arch.PEs)
 	for a, v := range mem {
 		p.mem[a] = v
-	}
-	p.required = make([]uint8, len(prog.Insts))
-	for i := range prog.Insts {
-		p.required[i] = requiredMask(&prog.Insts[i])
 	}
 
 	// Build the machine.
@@ -180,7 +180,6 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 	p.inj = inj
 	p.build()
 	p.reqFree = make([][]*storebuf.Request, arch.Clusters)
-	p.tgtFree = make([][][]isa.Target, arch.Clusters)
 	p.actComplete = newActiveSet(len(p.pes))
 	p.actDispatch = newActiveSet(len(p.pes))
 	p.actOutput = newActiveSet(len(p.pes))
@@ -236,12 +235,14 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 func (p *Processor) build() {
 	arch, nInst := p.cfg.Arch, len(p.prog.Insts)
 	bound := make([]int, arch.Clusters*arch.Domains*arch.PEs)
-	p.localIdx = make([]int32, p.threads*nInst)
+	p.route = make([]route, p.threads*nInst)
 	for t := 0; t < p.threads; t++ {
 		for i := 0; i < nInst; i++ {
-			n := &bound[p.peIndex(p.placement.Loc(uint32(t), isa.InstID(i)))]
-			p.localIdx[p.istKey(uint32(t), isa.InstID(i))] = int32(*n)
-			*n++
+			gi := p.peIndex(p.placement.Loc(uint32(t), isa.InstID(i)))
+			p.route[p.istKey(uint32(t), isa.InstID(i))] = route{
+				pe: int32(gi), li: int32(bound[gi]), req: requiredMask(&p.prog.Insts[i]),
+			}
+			bound[gi]++
 		}
 	}
 	stores := istore.NewSet(arch.Virt, bound)
@@ -251,7 +252,7 @@ func (p *Processor) build() {
 		Banks:   p.cfg.MatchBanks,
 		K:       p.cfg.K,
 	}, bound)
-	lists := make([]tokList, len(p.localIdx)) // one parked list per bound instance
+	lists := make([]tokList, len(p.route)) // one parked list per bound instance
 
 	p.pes = make([]peUnit, len(bound))
 	p.domains = make([]domainUnit, arch.Clusters*arch.Domains)
@@ -265,8 +266,7 @@ func (p *Processor) build() {
 				pe := &p.pes[gi]
 				*pe = peUnit{
 					p: p, addr: place.PEAddr{Cluster: ci, Domain: di, PE: pi},
-					gidx: int32(gi), st: &p.phStats,
-					mt: &tables[gi], ist: &stores[gi],
+					gidx: int32(gi), mt: &tables[gi], ist: &stores[gi],
 					parked: lists[:n:n],
 				}
 				lists = lists[n:]
@@ -277,15 +277,14 @@ func (p *Processor) build() {
 }
 
 // istKey names a thread's instance of a static instruction: its row of
-// localIdx.
+// route.
 func (p *Processor) istKey(thread uint32, inst isa.InstID) int {
 	return int(thread)*len(p.prog.Insts) + int(inst)
 }
 
-// localIndex returns the local index (thread, inst) goes by at the PE that
-// hosts it.
-func (p *Processor) localIndex(thread uint32, inst isa.InstID) int {
-	return int(p.localIdx[p.istKey(thread, inst)])
+// routeOf returns where (thread, inst) lives.
+func (p *Processor) routeOf(thread uint32, inst isa.InstID) route {
+	return p.route[p.istKey(thread, inst)]
 }
 
 // requiredMask returns the operand-presence mask an instruction fires on.
@@ -319,7 +318,7 @@ func (p *Processor) domain(cluster, d int) *domainUnit {
 
 // loc returns the PE hosting (thread, inst).
 func (p *Processor) loc(thread uint32, inst isa.InstID) place.PEAddr {
-	return p.placement.Loc(thread, inst)
+	return p.pes[p.routeOf(thread, inst).pe].addr
 }
 
 // Mem exposes the functional memory (useful after Run for verification).
@@ -379,25 +378,6 @@ func (p *Processor) freeReq(cluster int, r *storebuf.Request) {
 	p.reqFree[cluster] = append(p.reqFree[cluster], r)
 }
 
-// getTargets returns an empty destination slice with whatever capacity a
-// previous output-queue entry in the same cluster left behind.
-func (p *Processor) getTargets(cluster int) []isa.Target {
-	fl := p.tgtFree[cluster]
-	if n := len(fl) - 1; n >= 0 {
-		s := fl[n]
-		p.tgtFree[cluster] = fl[:n]
-		return s
-	}
-	return nil
-}
-
-// putTargets recycles a drained output entry's destination slice.
-func (p *Processor) putTargets(cluster int, s []isa.Target) {
-	if cap(s) > 0 {
-		p.tgtFree[cluster] = append(p.tgtFree[cluster], s[:0])
-	}
-}
-
 // nocSink receives grid deliveries. Operand and store-buffer messages are
 // the simulator's own (built from the free lists) and are recycled here;
 // everything else is cache/coherence traffic owned by the cache system.
@@ -442,20 +422,22 @@ func (p *Processor) sbIssue(cycle uint64, cluster int, op storebuf.Issued) {
 	case storebuf.IssueNop:
 		p.respondMem(cycle, cluster, op.Inst, op.Tag, op.Addr)
 	case storebuf.IssueLoad:
-		v := p.mem[op.Addr]
-		id := p.reqSeq
-		p.reqSeq++
-		p.pending[id] = pendingMemOp{inst: op.Inst, tag: op.Tag, value: v, cluster: cluster,
-			issuedAt: cycle, addr: op.Addr}
-		p.cacheSys.Access(cycle, cluster, id, op.Addr, false)
+		p.issueMem(cycle, pendingMemOp{inst: op.Inst, tag: op.Tag, value: p.mem[op.Addr],
+			cluster: int32(cluster), issuedAt: cycle, addr: op.Addr})
 	case storebuf.IssueStore:
 		p.mem[op.Addr] = op.Data
-		id := p.reqSeq
-		p.reqSeq++
-		p.pending[id] = pendingMemOp{inst: op.Inst, tag: op.Tag, value: op.Data, cluster: cluster,
-			issuedAt: cycle, addr: op.Addr, isStore: true}
-		p.cacheSys.Access(cycle, cluster, id, op.Addr, true)
+		p.issueMem(cycle, pendingMemOp{inst: op.Inst, tag: op.Tag, value: op.Data,
+			cluster: int32(cluster), issuedAt: cycle, addr: op.Addr, isStore: true})
 	}
+}
+
+// issueMem hands a memory operation to its cluster's cache under the next
+// request id.
+func (p *Processor) issueMem(cycle uint64, pm pendingMemOp) {
+	id := p.reqSeq
+	p.reqSeq++
+	p.inflight.put(id, pm)
+	p.cacheSys.Access(cycle, int(pm.cluster), id, pm.addr, pm.isStore)
 }
 
 // cacheDone completes a memory access. Under a fault script the
@@ -463,27 +445,27 @@ func (p *Processor) sbIssue(cycle uint64, cluster int, op storebuf.Issued) {
 // (held and released later); an unknown request id is an internal
 // anomaly surfaced as ErrBadCompletion instead of the old panic.
 func (p *Processor) cacheDone(cycle uint64, cluster int, reqID uint64) {
-	pm, ok := p.pending[reqID]
+	pm, ok := p.inflight.take(reqID)
 	if !ok {
 		p.fatal(fmt.Errorf("sim: %w: request %d (cluster %d) at cycle %d",
 			ErrBadCompletion, reqID, cluster, cycle))
 		return
 	}
-	delete(p.pending, reqID)
 	if p.inj != nil {
-		if p.inj.MemDrop(reqID, pm.attempt) {
-			if pm.attempt+1 >= p.inj.MemRetryLimit() {
+		attempt := int(pm.attempt)
+		if p.inj.MemDrop(reqID, attempt) {
+			if attempt+1 >= p.inj.MemRetryLimit() {
 				p.fatal(fmt.Errorf("sim: %w: request %d (%d attempts) at cycle %d (fault report: %s)",
-					ErrMemFault, reqID, pm.attempt+1, cycle, p.inj.Report()))
+					ErrMemFault, reqID, attempt+1, cycle, p.inj.Report()))
 				return
 			}
 			pm.attempt++
 			p.inj.CountMemRetry()
-			p.memRetryQ.push(memRedo{at: cycle + (8 << pm.attempt), id: reqID, pm: pm})
+			p.memRetryQ.push(memRedo{at: cycle + (8 << pm.attempt), pm: pm})
 			return
 		}
-		if d := p.inj.MemDelay(reqID, pm.attempt); d > 0 {
-			p.memHoldQ.push(memRedo{at: cycle + d, id: reqID, pm: pm})
+		if d := p.inj.MemDelay(reqID, attempt); d > 0 {
+			p.memHoldQ.push(memRedo{at: cycle + d, pm: pm})
 			return
 		}
 	}
@@ -495,7 +477,7 @@ func (p *Processor) finishMem(cycle uint64, pm pendingMemOp) {
 	p.stats.MemAccesses++
 	p.stats.MemLatTotal += cycle - pm.issuedAt
 	p.progress = cycle
-	p.respondMem(cycle, pm.cluster, pm.inst, pm.tag, pm.value)
+	p.respondMem(cycle, int(pm.cluster), pm.inst, pm.tag, pm.value)
 }
 
 // respondMem delivers a memory operation's result tokens to its consumers
@@ -633,8 +615,7 @@ func (p *Processor) inject() {
 				v = 1
 			}
 			for _, tgt := range pr.Targets {
-				dst := p.loc(uint32(t), tgt.Inst)
-				p.pe(dst).enqueueIn(0, 0, isa.Token{
+				p.enqueueIn(p.routeOf(uint32(t), tgt.Inst), 0, 0, isa.Token{
 					Tag:   isa.Tag{Thread: uint32(t), Wave: 0},
 					Value: v,
 					Dest:  tgt,
@@ -790,7 +771,7 @@ func (p *Processor) activeTick(c uint64) {
 
 // quiesced reports whether all queues have drained.
 func (p *Processor) quiesced() bool {
-	if len(p.pending) > 0 || p.grid.Pending() > 0 || p.cacheSys.Outstanding() > 0 || !p.outbox.empty() {
+	if p.inflight.len() > 0 || p.grid.Pending() > 0 || p.cacheSys.Outstanding() > 0 || !p.outbox.empty() {
 		return false
 	}
 	if !p.memRetryQ.empty() || !p.memHoldQ.empty() {
@@ -816,22 +797,22 @@ func (p *Processor) quiesced() bool {
 
 // collect aggregates component statistics.
 func (p *Processor) collect() {
-	sh := &p.phStats
-	for lvl := range sh.Traffic {
-		for cls := range sh.Traffic[lvl] {
-			p.stats.Traffic[lvl][cls] += sh.Traffic[lvl][cls]
-		}
-	}
-	p.stats.OperandLatTotal += sh.OperandLatTotal
-	p.stats.OperandCount += sh.OperandCount
-	p.stats.Dispatches += sh.Dispatches
-	p.stats.Dynamic += sh.Dynamic
-	p.stats.Countable += sh.Countable
-	p.stats.SpecFires += sh.SpecFires
-	p.stats.OutQStalls += sh.OutQStalls
-	p.stats.InputRejects += sh.InputRejects
 	for i := range p.pes {
 		pe := &p.pes[i]
+		sh := &pe.st
+		for lvl := range sh.Traffic {
+			for cls := range sh.Traffic[lvl] {
+				p.stats.Traffic[lvl][cls] += sh.Traffic[lvl][cls]
+			}
+		}
+		p.stats.OperandLatTotal += sh.OperandLatTotal
+		p.stats.OperandCount += sh.OperandCount
+		p.stats.Dispatches += sh.Dynamic
+		p.stats.Dynamic += sh.Dynamic
+		p.stats.Countable += sh.Countable
+		p.stats.SpecFires += sh.SpecFires
+		p.stats.OutQStalls += sh.OutQStalls
+		p.stats.InputRejects += sh.InputRejects
 		ms := pe.mt.Stats()
 		p.stats.Match.Inserts += ms.Inserts
 		p.stats.Match.Matches += ms.Matches
@@ -867,7 +848,7 @@ func (p *Processor) dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  threads halted: %d/%d\n", p.haltCount, p.threads)
 	fmt.Fprintf(&b, "  pending mem ops: %d, grid: %d, cache: %d\n",
-		len(p.pending), p.grid.Pending(), p.cacheSys.Outstanding())
+		p.inflight.len(), p.grid.Pending(), p.cacheSys.Outstanding())
 	type peState struct {
 		addr                         place.PEAddr
 		in, sched, out, pend, parked int

@@ -138,33 +138,105 @@ func (q *fifo[T]) pushFront(v T) {
 	q.n++
 }
 
+// memRing holds the memory operations between issue and cache completion,
+// keyed by request id. Ids are handed out in sequence and completions come
+// back in any order, so the ring is a power-of-two array of slots addressed
+// by id & (len-1), which doubles whenever an id's slot is still taken: the
+// outstanding ids then always span fewer ids than the ring has slots. A
+// slot keeps its id, so completing an id the ring does not hold — never
+// issued, already completed, or completed and its slot reused — is told
+// apart from completing the one it does.
+type memRing struct {
+	slots []memSlot // nil, or a power-of-two number of slots
+	n     int
+}
+
+// memSlot is one ring position: key is the id plus one, 0 when empty.
+type memSlot struct {
+	op  pendingMemOp
+	key uint64
+}
+
+// memRingStart is a ring's first capacity.
+const memRingStart = 16
+
+func (r *memRing) len() int { return r.n }
+
+// put holds op under id, which no held operation has.
+func (r *memRing) put(id uint64, op pendingMemOp) {
+	for len(r.slots) == 0 || r.slots[id&uint64(len(r.slots)-1)].key != 0 {
+		r.grow()
+	}
+	r.slots[id&uint64(len(r.slots)-1)] = memSlot{op: op, key: id + 1}
+	r.n++
+}
+
+// take removes and returns the operation held under id, if there is one.
+func (r *memRing) take(id uint64) (pendingMemOp, bool) {
+	if len(r.slots) == 0 {
+		return pendingMemOp{}, false
+	}
+	s := &r.slots[id&uint64(len(r.slots)-1)]
+	if s.key != id+1 {
+		return pendingMemOp{}, false
+	}
+	op := s.op
+	*s = memSlot{}
+	r.n--
+	return op, true
+}
+
+// grow doubles the ring. Ids distinct modulo the old size stay distinct
+// modulo the new one, so every held operation finds its slot free.
+func (r *memRing) grow() {
+	slots := make([]memSlot, max(memRingStart, 2*len(r.slots)))
+	mask := uint64(len(slots) - 1)
+	for _, s := range r.slots {
+		if s.key != 0 {
+			slots[(s.key-1)&mask] = s
+		}
+	}
+	r.slots = slots
+}
+
 // tokNode is a token held at a PE's INPUT stage: queued, parked on a
 // k-reject, or released and awaiting reinjection. It sits on exactly one
 // tokList at a time and moves between them by relinking, never by copy.
+// The token is kept field by field, so the node packs into 48 bytes with
+// what the INPUT scan reads of every node it passes — readyAt, the link,
+// li, the wave and the bank — in its first 28.
 type tokNode struct {
-	tok     isa.Token
 	readyAt uint64
-	// sentAt is the producer's execution-completion cycle, so INPUT can
-	// record end-to-end operand delivery latency (Section 4.3's
-	// message-latency metric); 0 means no sample is taken.
-	sentAt     uint64
-	next, prev int32
+	next    int32
 	// li, req and bank are the destination instruction's local index and
 	// required-operand mask at this PE and the matching-table bank the
 	// token arrives at, resolved once when the token arrives however many
-	// times it is re-offered. (bank rides in what was padding: the node
-	// stays 56 bytes.)
-	li   int32
-	req  uint8
-	bank uint16
+	// times it is re-offered.
+	li    int32
+	tag   isa.Tag
+	inst  isa.InstID
+	port  isa.PortID
+	req   uint8
+	bank  uint8
+	value uint64
+	// sentAt is the producer's execution-completion cycle, so INPUT can
+	// record end-to-end operand delivery latency (Section 4.3's
+	// message-latency metric); 0 means no sample is taken.
+	sentAt uint64
+}
+
+// token returns the token the node holds.
+func (nd *tokNode) token() isa.Token {
+	return isa.Token{Tag: nd.tag, Value: nd.value, Dest: isa.Target{Inst: nd.inst, Port: nd.port}}
 }
 
 // nilTok ends a list. Node 0 of every pool is reserved for it, so the zero
 // tokList is empty and zeroed links point nowhere.
 const nilTok int32 = 0
 
-// tokList is an intrusive doubly-linked list threaded through a tokPool's
-// nodes by index.
+// tokList is an intrusive singly-linked list threaded through a tokPool's
+// nodes by index. Its one walker, the INPUT scan, knows each node's
+// predecessor, so a node needs only its forward link.
 type tokList struct {
 	head, tail int32
 	n          int32
@@ -205,8 +277,7 @@ func (p *tokPool) put(i int32) {
 }
 
 func (p *tokPool) pushBack(l *tokList, i int32) {
-	nd := &p.nodes[i]
-	nd.next, nd.prev = nilTok, l.tail
+	p.nodes[i].next = nilTok
 	if l.tail != nilTok {
 		p.nodes[l.tail].next = i
 	} else {
@@ -216,39 +287,36 @@ func (p *tokPool) pushBack(l *tokList, i int32) {
 	l.n++
 }
 
-// unlink removes node i from l, wherever it sits.
-func (p *tokPool) unlink(l *tokList, i int32) {
-	nd := &p.nodes[i]
-	if nd.prev != nilTok {
-		p.nodes[nd.prev].next = nd.next
+// unlink removes node i from l, wherever it sits; prev is the node before
+// it (nilTok if i is the head).
+func (p *tokPool) unlink(l *tokList, prev, i int32) {
+	next := p.nodes[i].next
+	if prev != nilTok {
+		p.nodes[prev].next = next
 	} else {
-		l.head = nd.next
+		l.head = next
 	}
-	if nd.next != nilTok {
-		p.nodes[nd.next].prev = nd.prev
-	} else {
-		l.tail = nd.prev
+	if next == nilTok {
+		l.tail = prev
 	}
 	l.n--
 }
 
 // moveRun moves the n-node run first..last of src to the tail of dst,
-// keeping order. Only the links at the run's two ends and its neighbours
-// are written, however long the run is.
-func (p *tokPool) moveRun(dst, src *tokList, first, last, n int32) {
-	before, after := p.nodes[first].prev, p.nodes[last].next
+// keeping order; before is the node ahead of the run (nilTok if it starts
+// src). Only the links at the run's two ends and its neighbours are
+// written, however long the run is.
+func (p *tokPool) moveRun(dst, src *tokList, before, first, last, n int32) {
+	after := p.nodes[last].next
 	if before != nilTok {
 		p.nodes[before].next = after
 	} else {
 		src.head = after
 	}
-	if after != nilTok {
-		p.nodes[after].prev = before
-	} else {
+	if after == nilTok {
 		src.tail = before
 	}
 	src.n -= n
-	p.nodes[first].prev = dst.tail
 	p.nodes[last].next = nilTok
 	if dst.tail != nilTok {
 		p.nodes[dst.tail].next = first
@@ -269,7 +337,6 @@ func (p *tokPool) concat(dst, src *tokList) {
 		*dst = *src
 	} else {
 		p.nodes[dst.tail].next = src.head
-		p.nodes[src.head].prev = dst.tail
 		dst.tail = src.tail
 		dst.n += src.n
 	}

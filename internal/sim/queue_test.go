@@ -7,12 +7,24 @@ import (
 	"unsafe"
 )
 
-// TestTokNodeSize pins the INPUT stage's node at 56 bytes: the cached
-// arrival bank rides in what was padding, and a reject-heavy run reads
-// hundreds of these nodes per PE and cycle.
+// TestTokNodeSize pins the token path's queue records at 48 bytes, four
+// to three cache lines: the INPUT stage's node keeps the token field by field
+// with the arrival bank, operand mask and port in what would be padding,
+// and the scheduling and output queues keep an instance's tag and operands
+// with no pointer or slice header besides the one memory request. A
+// reject-heavy run reads hundreds of these per PE and cycle.
 func TestTokNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(tokNode{}); got != 56 {
-		t.Errorf("tokNode is %d bytes, want 56", got)
+	for _, c := range []struct {
+		name string
+		got  uintptr
+	}{
+		{"tokNode", unsafe.Sizeof(tokNode{})},
+		{"schedEntry", unsafe.Sizeof(schedEntry{})},
+		{"outEntry", unsafe.Sizeof(outEntry{})},
+	} {
+		if c.got != 48 {
+			t.Errorf("%s is %d bytes, want 48", c.name, c.got)
+		}
 	}
 }
 

@@ -313,9 +313,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("zero threads accepted")
 	}
 	cfg = smallCfg()
-	cfg.MatchBanks = maxMatchBanks + 1 // a bank index would not fit a tokNode
+	cfg.MatchBanks = maxMatchBanks + 1 // more banks than a table header stamps
 	if _, err := New(cfg, sumLoopProg(), []map[string]uint64{{"n": 1}}, nil); err == nil {
-		t.Error("more matching-table banks than a token node can name accepted")
+		t.Error("more matching-table banks than a table header stamps accepted")
 	}
 }
 

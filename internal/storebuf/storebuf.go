@@ -131,8 +131,13 @@ type psq struct {
 
 type threadState struct {
 	nextWave uint32
-	// spill holds ops for waves that do not yet own a context.
-	spill map[uint32][]op
+	// spill holds ops for waves that do not yet own a context, on a
+	// power-of-two ring of slots addressed by wave & (len-1). Every wave it
+	// holds lies in [nextWave, nextWave+len(spill)) — no wave below
+	// nextWave spills, and nextWave moves past a wave only after a context
+	// has taken its ops — so a held slot is its wave's alone. See spilled
+	// and slotFor.
+	spill []spillSlot
 	// active marks the thread as holding an ordering context, which always
 	// serves nextWave: ripple is that wave's issue state and pending its
 	// ops not yet issued. Both live here by value, reset at each grant, so
@@ -142,6 +147,44 @@ type threadState struct {
 	pending []op
 	// waiting marks the thread as queued for a context grant.
 	waiting bool
+}
+
+// spillSlot is one position of a thread's spill ring. A held slot may have
+// no ops: a data half that merged with its address half leaves the wave's
+// slot behind, and the wave still queues for a context.
+type spillSlot struct {
+	ops  []op
+	wave uint32
+	held bool
+}
+
+// spillRingStart is a spill ring's first capacity.
+const spillRingStart = 4
+
+// spilled returns the slot holding wave w's spilled ops, or nil.
+func (ts *threadState) spilled(w uint32) *spillSlot {
+	if w < ts.nextWave || w-ts.nextWave >= uint32(len(ts.spill)) {
+		return nil
+	}
+	if s := &ts.spill[w&uint32(len(ts.spill)-1)]; s.held {
+		return s
+	}
+	return nil
+}
+
+// slotFor returns the ring position of wave w, which must not be below
+// nextWave, doubling the ring until it reaches that far.
+func (ts *threadState) slotFor(w uint32) *spillSlot {
+	for w-ts.nextWave >= uint32(len(ts.spill)) {
+		ring := make([]spillSlot, max(spillRingStart, 2*len(ts.spill)))
+		for _, s := range ts.spill {
+			if s.held {
+				ring[s.wave&uint32(len(ring)-1)] = s
+			}
+		}
+		ts.spill = ring
+	}
+	return &ts.spill[w&uint32(len(ts.spill)-1)]
 }
 
 // spillStart is the capacity a wave's op slice starts with when no
@@ -159,7 +202,7 @@ type Buffer struct {
 	grantQ    []uint32 // threads waiting for a context, FIFO
 	inUse     int
 	psqs      []psq
-	// spillLive counts ops across every thread's spill map and psqLive
+	// spillLive counts ops across every thread's spill ring and psqLive
 	// counts valid partial store queues, so Quiet — polled every cycle by
 	// the active-set scheduler — is O(1) instead of a walk over all
 	// threads and PSQs.
@@ -202,7 +245,7 @@ func (b *Buffer) Quiet() bool {
 func (b *Buffer) thread(id uint32) *threadState {
 	ts := b.threads[id]
 	if ts == nil {
-		ts = &threadState{spill: make(map[uint32][]op)}
+		ts = &threadState{}
 		b.threads[id] = ts
 		b.threadIDs = append(b.threadIDs, id)
 	}
@@ -245,16 +288,17 @@ func (b *Buffer) Enqueue(cycle uint64, r Request) {
 	if r.Tag.Wave < ts.nextWave {
 		panic(fmt.Sprintf("storebuf: op for completed wave %d (next %d)", r.Tag.Wave, ts.nextWave))
 	}
-	sp, ok := ts.spill[r.Tag.Wave]
-	if !ok {
+	sp := ts.slotFor(r.Tag.Wave)
+	if !sp.held {
+		sp.held, sp.wave = true, r.Tag.Wave
 		if n := len(b.opFree); n > 0 {
-			sp = b.opFree[n-1][:0]
+			sp.ops = b.opFree[n-1][:0]
 			b.opFree = b.opFree[:n-1]
 		} else {
-			sp = make([]op, 0, spillStart)
+			sp.ops = make([]op, 0, spillStart)
 		}
 	}
-	ts.spill[r.Tag.Wave] = append(sp, o)
+	sp.ops = append(sp.ops, o)
 	b.spillLive++
 	if r.Tag.Wave == ts.nextWave && !ts.active && !ts.waiting {
 		ts.waiting = true
@@ -290,7 +334,8 @@ func (b *Buffer) mergeStoreData(cycle uint64, ts *threadState, r Request) bool {
 	if ts.active && r.Tag.Wave == ts.nextWave && merge(ts.pending) {
 		return true
 	}
-	return merge(ts.spill[r.Tag.Wave])
+	sp := ts.spilled(r.Tag.Wave)
+	return sp != nil && merge(sp.ops)
 }
 
 // takeEarlyData removes a data-half record waiting for store (inst, tag)
@@ -311,13 +356,13 @@ func (b *Buffer) takeEarlyData(ts *threadState, r Request) (uint64, bool) {
 			return d, true
 		}
 	}
-	sp := ts.spill[r.Tag.Wave]
-	d, ok := take(&sp)
-	if ok {
-		ts.spill[r.Tag.Wave] = sp
-		b.spillLive--
+	if sp := ts.spilled(r.Tag.Wave); sp != nil {
+		if d, ok := take(&sp.ops); ok {
+			b.spillLive--
+			return d, true
+		}
 	}
-	return d, ok
+	return 0, false
 }
 
 // Tick advances the buffer one cycle: grants free contexts to waiting
@@ -332,10 +377,12 @@ func (b *Buffer) Tick(cycle uint64) {
 		if ts.active {
 			continue
 		}
-		ts.active, ts.ripple = true, waveorder.Wave{}
-		ts.pending = ts.spill[ts.nextWave]
+		ts.active, ts.ripple, ts.pending = true, waveorder.Wave{}, nil
+		if sp := ts.spilled(ts.nextWave); sp != nil {
+			ts.pending = sp.ops
+			*sp = spillSlot{}
+		}
 		b.spillLive -= len(ts.pending)
-		delete(ts.spill, ts.nextWave)
 		b.inUse++
 	}
 	b.grantQ = b.grantQ[:copy(b.grantQ, b.grantQ[granted:])]
@@ -356,7 +403,7 @@ func (b *Buffer) ripple(cycle uint64, tid uint32, ts *threadState) {
 	for {
 		progress := false
 		for i := 0; i < len(ts.pending); i++ {
-			o := ts.pending[i]
+			o := &ts.pending[i]
 			if o.readyAt > cycle || !ts.ripple.CanIssue(o.req.Mem) {
 				continue
 			}
@@ -366,7 +413,7 @@ func (b *Buffer) ripple(cycle uint64, tid uint32, ts *threadState) {
 			if o.req.Kind == ReqStoreData {
 				continue
 			}
-			if !b.issueOp(cycle, o) {
+			if !b.issueOp(cycle, *o) {
 				// No PSQ free for a dataless store: the ripple stalls.
 				b.stats.PSQStalls++
 				return
@@ -396,7 +443,7 @@ func (b *Buffer) ripple(cycle uint64, tid uint32, ts *threadState) {
 			b.cfg.Trace.SBCommit(cycle, b.cfg.Cluster, tid, ts.nextWave)
 		}
 		ts.nextWave++
-		if _, ok := ts.spill[ts.nextWave]; ok && !ts.waiting {
+		if ts.spilled(ts.nextWave) != nil && !ts.waiting {
 			ts.waiting = true
 			b.grantQ = append(b.grantQ, tid)
 		}
