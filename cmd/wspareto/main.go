@@ -118,8 +118,8 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 	}
 	if p := exp.LastProgress(); p.Total > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells (%d cached, %d simulated, %d failed) in %s\n",
-			p.Done, p.Total, p.CacheHits, p.Simulated, p.Failed, p.Elapsed.Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells (%d cached, %d simulated of which %d reused, %d failed) in %s\n",
+			p.Done, p.Total, p.CacheHits, p.Simulated, p.Reused, p.Failed, p.Elapsed.Round(time.Millisecond))
 	}
 	if sweepErr != nil {
 		if err := exp.Close(); err != nil {
@@ -195,8 +195,8 @@ func progressPrinter() func(wavescalar.ExploreProgress) {
 		if p.ETA > 0 {
 			eta = p.ETA.Round(time.Second).String()
 		}
-		fmt.Fprintf(os.Stderr, "\r%d/%d cells | %d cached | %d simulated | %.1f cells/s | ETA %-8s",
-			p.Done, p.Total, p.CacheHits, p.Simulated, p.CellsPerSec, eta)
+		fmt.Fprintf(os.Stderr, "\r%d/%d cells | %d cached | %d simulated | %d reused | %.1f cells/s | ETA %-8s",
+			p.Done, p.Total, p.CacheHits, p.Simulated, p.Reused, p.CellsPerSec, eta)
 	}
 }
 

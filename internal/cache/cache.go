@@ -219,6 +219,9 @@ type System struct {
 	seq     uint64
 	stats   Stats
 	numSets int
+	// evictions counts the fills that break the cache-twin certificate
+	// (see Evictions); it stays out of Stats so that no digest moves.
+	evictions uint64
 }
 
 // New builds the hierarchy. done receives access completions; send injects
@@ -249,6 +252,18 @@ func New(cfg Config, done DoneFunc, send SendFunc) *System {
 
 // Stats returns the hierarchy counters.
 func (s *System) Stats() Stats { return s.stats }
+
+// Evictions counts the fills so far that displaced a valid line: an L1
+// fill into a set with no invalid way, and an L2 install into a full L2.
+// These are the only points at which the L1 and L2 capacities are read
+// (the set count in lookup only partitions lines), so a run that reports
+// zero runs event for event the same on any twin whose L1 is a multiple
+// of this one's size and whose L2 is at least as large, both with an L2
+// or both without. A fill of a line this L1 already holds (a write
+// upgrade of a shared copy) counts too: it leaves two ways with one tag,
+// and which of them a lookup finds first depends on where the set's
+// invalid ways are, so it is not certified either.
+func (s *System) Evictions() uint64 { return s.evictions }
 
 // line maps an address to its line address.
 func (s *System) line(addr uint64) uint64 { return addr / uint64(s.cfg.LineBytes) }
@@ -434,6 +449,7 @@ func (s *System) handleDirReq(cycle uint64, bank int, r DirReq) {
 // (inclusive hierarchy: eviction invalidates L1 copies).
 func (s *System) installL2(cycle uint64, ln uint64, e *dirEntry) {
 	for s.l2lru.Len() >= s.l2cap {
+		s.evictions++
 		back := s.l2lru.Back()
 		victim := back.Value.(uint64)
 		ve := s.dir[victim]
@@ -497,6 +513,9 @@ func (s *System) handleDataResp(cycle uint64, cluster int, r DataResp) {
 // fill installs a line in the L1, evicting the set's LRU way.
 func (s *System) fill(cycle uint64, cluster int, ln uint64, grant state) {
 	set := s.l1s[cluster].sets[ln%uint64(s.numSets)]
+	if s.lookup(cluster, ln) != nil {
+		s.evictions++ // a second copy of the line: see Evictions
+	}
 	var victim *way
 	for i := range set {
 		w := &set[i]
@@ -507,6 +526,9 @@ func (s *System) fill(cycle uint64, cluster int, ln uint64, grant state) {
 		if victim == nil || w.touched < victim.touched {
 			victim = w
 		}
+	}
+	if victim.st != invalid {
+		s.evictions++
 	}
 	if victim.st == modified {
 		s.stats.L1Writebacks++

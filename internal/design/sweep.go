@@ -21,11 +21,19 @@ var ErrBadOptions = errors.New("design: bad options")
 // given thread count and returns the run statistics. The simulation aborts
 // within a few thousand cycles of ctx ending.
 func RunOnceContext(ctx context.Context, cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, error) {
+	st, _, err := runOnce(ctx, cfg, inst, threads)
+	return st, err
+}
+
+// runOnce is RunOnceContext that also reports the run's cache evictions
+// (sim.Processor.CacheEvictions).
+func runOnce(ctx context.Context, cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, uint64, error) {
 	proc, err := sim.New(cfg, inst.Prog, inst.Params(threads), sim.Memory(inst.Mem))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return proc.RunContext(ctx)
+	st, err := proc.RunContext(ctx)
+	return st, proc.CacheEvictions(), err
 }
 
 // BestRun is the outcome of a best-thread-count search: the winning
@@ -40,8 +48,27 @@ type BestRun struct {
 	Traffic uint64
 	// SimCycles totals simulated cycles across every thread count tried.
 	SimCycles uint64
-	// Sims counts the simulations performed.
+	// Sims counts the simulations performed (a reused run is not one).
 	Sims int
+	// Runs holds every thread count that ran to completion, in search
+	// order, simulated or reused.
+	Runs []ThreadRun
+}
+
+// ThreadRun is one thread count's completed run within a best-thread
+// search: what the search compares, and whether the run is exact on the
+// configuration's cache twins.
+type ThreadRun struct {
+	Threads int
+	AIPC    float64
+	Cycles  uint64
+	Traffic uint64
+	// Evicted reports that the run displaced or duplicated a cache line
+	// (cache.System.Evictions). A run that did not is, event for event,
+	// the run every cache twin of its configuration would make (a larger
+	// L1 and L2; see the explore package), so a sweep copies it instead
+	// of simulating the twin.
+	Evicted bool
 }
 
 // BestThreadsContext runs the instance at each thread count and returns
@@ -50,6 +77,18 @@ type BestRun struct {
 // (deadlock, cycle limit) does not abort the search; only if none is viable
 // is the error one naming the workload and joining every per-count failure.
 func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Instance, counts []int) (BestRun, error) {
+	return BestThreadsReusing(ctx, cfg, inst, counts, nil)
+}
+
+// BestThreadsReusing is BestThreadsContext with runs already known: for
+// each thread count, reuse (when non-nil) may return a run that stands in
+// for simulating that count on cfg. The caller vouches that it is exact —
+// the explore engine passes eviction-free runs of configurations cfg is a
+// cache twin of — and the search treats it exactly as a simulated run, so
+// the result is the one BestThreadsContext would return, except that Sims
+// does not count it.
+func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Instance, counts []int,
+	reuse func(threads int) (ThreadRun, bool)) (BestRun, error) {
 	var best BestRun
 	var errs []error
 	for _, n := range counts {
@@ -59,19 +98,27 @@ func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Inst
 		if err := ctx.Err(); err != nil {
 			return BestRun{}, err
 		}
-		st, err := RunOnceContext(ctx, cfg, inst, n)
-		if err != nil {
-			if ctx.Err() != nil {
-				return BestRun{}, err
-			}
-			errs = append(errs, fmt.Errorf("threads=%d: %w", n, err))
-			continue
+		run, ok := ThreadRun{}, false
+		if reuse != nil {
+			run, ok = reuse(n)
 		}
-		best.Sims++
-		best.SimCycles += st.Cycles
-		if a := st.AIPC(); a > best.AIPC {
-			best.AIPC, best.Threads, best.Cycles = a, n, st.Cycles
-			best.Traffic = st.TrafficTotal()
+		if !ok {
+			st, evictions, err := runOnce(ctx, cfg, inst, n)
+			if err != nil {
+				if ctx.Err() != nil {
+					return BestRun{}, err
+				}
+				errs = append(errs, fmt.Errorf("threads=%d: %w", n, err))
+				continue
+			}
+			best.Sims++
+			run = ThreadRun{Threads: n, AIPC: st.AIPC(), Cycles: st.Cycles, Traffic: st.TrafficTotal(), Evicted: evictions > 0}
+		}
+		best.Runs = append(best.Runs, run)
+		best.SimCycles += run.Cycles
+		if run.AIPC > best.AIPC {
+			best.AIPC, best.Threads, best.Cycles = run.AIPC, n, run.Cycles
+			best.Traffic = run.Traffic
 		}
 	}
 	if best.Threads == 0 {

@@ -19,10 +19,38 @@
 //     cycle loop, so Ctrl-C or a timeout stops within microseconds and
 //     loses at most the cells in flight;
 //   - per-sweep progress/ETA reporting (cells done, cache hits, simulated
-//     cycles per second).
+//     cycles per second);
+//   - cache-family reuse: a sweep does not simulate a run whose result it
+//     already knows exactly (below).
 //
 // Every simulation is deterministic, which is what makes the cache sound:
 // a cell's key covers everything that can influence its result.
+//
+// # Cache-family reuse
+//
+// The L1 and L2 sizes reach the simulator only as the L1 set count and the
+// L2 capacity, and the cache reads either only when a fill evicts. A sweep
+// therefore runs one job per (workload, cache family), a family being the
+// points whose configurations are equal but for Arch.L1KB and Arch.L2MB,
+// all with an L2 or all without. The job walks its family in ascending
+// (L1, L2) order. For each member and thread count it copies the run of
+// an earlier member this job simulated, provided that run evicted nothing
+// (design.ThreadRun.Evicted) and the member is that configuration's cache
+// twin (cacheTwin): an L1 a whole multiple of its size, an L2 at least as
+// large, both with an L2 or both without. Only the rest is simulated.
+//
+// The certificate is the eviction count of internal/cache, kept outside
+// its Stats so no digest moves. It counts every fill that displaced a
+// valid line, in the L1 or the L2, and every L1 fill of a line the L1
+// already held (a write upgrade of a shared copy leaves two ways with one
+// tag, and which a lookup finds first depends on the set's layout). A run
+// with none makes the identical sequence of events on every twin;
+// FuzzCacheFamily checks that in internal/cache, and
+// TestSweepReuseMatchesDirect checks reused cells against direct runs.
+// Cache hits and CellRunner cells carry no per-count runs and never serve
+// as bases. A copied cell is byte-identical to a simulated one, so keys,
+// journal records and results do not change; only Progress.Reused tells
+// them apart.
 package explore
 
 import (
@@ -30,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -46,12 +75,15 @@ type Progress struct {
 	// Done cells out of Total (a cell is one design point × workload).
 	Done, Total int
 	// CacheHits were answered from the cache/journal without simulating;
-	// Simulated ran; Failed of the simulated ended in a deterministic
-	// error (and were cached as such). Remote counts the simulated cells
-	// a CellRunner executed on another node (WithRunner). Batched is always
-	// 0; the field stays only because bench/ledger/sweepwl.go reads it.
-	CacheHits, Simulated, Failed, Remote, Batched int
-	// SimCycles totals simulated machine cycles this sweep.
+	// Simulated counts every other cell, the ones this sweep produced;
+	// Failed of those ended in a deterministic error (and were cached as
+	// such). Remote counts the produced cells a CellRunner executed on
+	// another node (WithRunner), and Reused those copied from a cache twin
+	// without a simulation (see the package doc). Batched is always 0; the
+	// field stays only because bench/ledger/sweepwl.go reads it.
+	CacheHits, Simulated, Failed, Remote, Reused, Batched int
+	// SimCycles totals the machine cycles of the cells Simulated counts (a
+	// reused cell's are its twin's).
 	SimCycles uint64
 	// Elapsed wall time, cells-per-second throughput over it, and the
 	// projected time to finish the remaining cells at that rate.
@@ -315,8 +347,11 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 			if cell.Err != "" {
 				prog.Failed++
 			}
-			if src == srcRemote {
+			switch src {
+			case srcRemote:
 				prog.Remote++
+			case srcReused:
+				prog.Reused++
 			}
 			prog.SimCycles += cell.SimCycles
 		}
@@ -338,18 +373,45 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		}
 	}
 
-	// runCell is the unit of work: one evalCell on the instance built
-	// above, the runner consulted on a miss.
-	runCell := func(pi, ai int) {
-		cell, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, e.runner)
-		if src == srcNone {
-			return // cancelled: drain the queue without simulating
+	// A job is one workload on one cache family: the points whose
+	// configurations differ only in L1 and L2 size. It walks the family in
+	// ascending (L1, L2) order, so every member comes after the members it
+	// can reuse runs from, and evaluates each member through evalCell.
+	// Members this job simulated (in full or in part) become bases for the
+	// rest; cache hits and remote cells do not, as they carry no per-count
+	// runs.
+	runFamily := func(family []int, ai int) {
+		var bases []familyBase
+		for _, pi := range family {
+			reuse := func(n int) (design.ThreadRun, bool) {
+				for _, b := range bases {
+					if !cacheTwin(b.cfg, configs[pi]) {
+						continue
+					}
+					for _, r := range b.runs {
+						if r.Threads == n && !r.Evicted {
+							return r, true
+						}
+					}
+				}
+				return design.ThreadRun{}, false
+			}
+			cell, runs, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, e.runner, reuse)
+			if src == srcNone {
+				return // cancelled: drain the queue without simulating
+			}
+			if src == srcLocal {
+				bases = append(bases, familyBase{configs[pi], runs})
+			}
+			cells[pi][ai] = cell
+			account(cell, src, jerr)
 		}
-		cells[pi][ai] = cell
-		account(cell, src, jerr)
 	}
 
-	type sweepJob struct{ pi, ai int }
+	type sweepJob struct {
+		family []int
+		ai     int
+	}
 	jobs := make(chan sweepJob)
 	var wg sync.WaitGroup
 	for w := 0; w < e.parallelism; w++ {
@@ -357,17 +419,17 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		go func() {
 			defer wg.Done()
 			for job := range jobs {
-				runCell(job.pi, job.ai)
+				runFamily(job.family, job.ai)
 			}
 		}()
 	}
 dispatch:
-	for pi := range points {
+	for _, family := range cacheFamilies(configs) {
 		for ai := range apps {
 			select {
 			case <-ctx.Done():
 				break dispatch
-			case jobs <- sweepJob{pi, ai}:
+			case jobs <- sweepJob{family, ai}:
 			}
 		}
 	}
@@ -387,50 +449,114 @@ dispatch:
 	return results, nil
 }
 
+// familyBase is a family member a sweep job simulated, with its completed
+// runs; those with Evicted false may stand in for its twins'.
+type familyBase struct {
+	cfg  sim.Config
+	runs []design.ThreadRun
+}
+
+// cacheFamilies groups point indices into cache families: configurations
+// equal in every field but Arch.L1KB and Arch.L2MB, and either all with an
+// L2 or all without. (No run is ever copied across that line, see
+// cacheTwin, so splitting there loses no reuse and gives the worker pool
+// twice the jobs.) Families come in the order of their first point,
+// members in ascending (L1, L2) order, ties in input order.
+func cacheFamilies(configs []sim.Config) [][]int {
+	index := make(map[sim.Config]int)
+	var families [][]int
+	for pi, cfg := range configs {
+		cfg.Arch.L1KB, cfg.Arch.L2MB = 0, min(cfg.Arch.L2MB, 1)
+		fi, ok := index[cfg]
+		if !ok {
+			fi = len(families)
+			index[cfg] = fi
+			families = append(families, nil)
+		}
+		families[fi] = append(families[fi], pi)
+	}
+	for _, f := range families {
+		sort.SliceStable(f, func(i, j int) bool {
+			a, b := configs[f[i]].Arch, configs[f[j]].Arch
+			if a.L1KB != b.L1KB {
+				return a.L1KB < b.L1KB
+			}
+			return a.L2MB < b.L2MB
+		})
+	}
+	return families
+}
+
+// cacheTwin reports whether every eviction-free run on base is exact on
+// twin. The two configurations must be equal in every field but the L1
+// and L2 sizes; twin's L1 must be a whole multiple of base's, its L2 at
+// least as large, and both must have an L2 or neither. The simulator
+// reads the two sizes only as the L1 set count and the L2 capacity, and
+// only when a fill evicts; an L1 with k times base's sets splits each of
+// base's sets among k of its own, so it never needs to evict either
+// (FuzzCacheFamily in internal/cache checks this).
+func cacheTwin(base, twin sim.Config) bool {
+	b, t := base.Arch, twin.Arch
+	if b.L1KB <= 0 || t.L1KB%b.L1KB != 0 || t.L2MB < b.L2MB || (b.L2MB == 0) != (t.L2MB == 0) {
+		return false
+	}
+	base.Arch.L1KB, base.Arch.L2MB = 0, 0
+	twin.Arch.L1KB, twin.Arch.L2MB = 0, 0
+	return base == twin
+}
+
 // cellSource says where evalCell's answer came from.
 type cellSource int
 
 const (
 	srcNone   cellSource = iota // cancelled: no answer, nothing cached or journaled
 	srcCache                    // already cached (or journaled and replayed)
-	srcLocal                    // simulated here
+	srcLocal                    // simulated here (some thread counts may be reused)
 	srcRemote                   // simulated by the CellRunner
+	srcReused                   // every thread count copied from a cache twin
 )
 
 // evalCell is the one way a cell is produced: cache lookup, optional remote
 // execution, the local best-thread-count search, write-through. RunOne
 // passes a nil inst so a hit never builds the workload; Sweep passes the
-// instance it built once for the whole sweep. runner is nil outside sweeps.
-// A returned error is the context's on srcNone and a failed journal
+// instance it built once for the whole sweep. runner and reuse are nil
+// outside sweeps; reuse offers runs of the cell's cache twins (see
+// design.BestThreadsReusing). A cell reuse covers at every thread count
+// the workload allows is copied without consulting the runner (srcReused);
+// otherwise the runs the local search completed are returned with the
+// cell. A returned error is the context's on srcNone and a failed journal
 // append otherwise (the cell is still valid and cached).
 func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w workload.Workload, inst *workload.Instance,
-	sc workload.Scale, threadCounts []int, runner CellRunner) (Cell, cellSource, error) {
+	sc workload.Scale, threadCounts []int, runner CellRunner, reuse func(int) (design.ThreadRun, bool)) (Cell, []design.ThreadRun, cellSource, error) {
 	if cell, ok := e.cache.Cell(key); ok {
-		return cell, srcCache, nil
+		return cell, nil, srcCache, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return Cell{}, srcNone, err
+		return Cell{}, nil, srcNone, err
 	}
-	if runner != nil {
+	src := srcLocal
+	if reuse != nil && covered(reuse, inst.MaxThreads, threadCounts) {
+		src = srcReused
+	} else if runner != nil {
 		// Remote execution first; any failure (no workers, network,
 		// retries exhausted) falls back to simulating locally, so a
 		// degraded fabric never loses cells.
 		rc, rerr := runner(ctx, key, cfg, w.Name, sc, threadCounts)
 		if rerr == nil && rc.Key == key {
-			return rc, srcRemote, e.commit(rc)
+			return rc, nil, srcRemote, e.commit(rc)
 		}
 		if err := ctx.Err(); err != nil {
-			return Cell{}, srcNone, err
+			return Cell{}, nil, srcNone, err
 		}
 	}
 	if inst == nil {
 		inst = w.Build(sc)
 	}
-	br, err := design.BestThreadsContext(ctx, cfg, inst, threadCounts)
+	br, err := design.BestThreadsReusing(ctx, cfg, inst, threadCounts, reuse)
 	if err != nil && ctx.Err() != nil {
 		// Cancelled mid-cell: do not cache or journal a non-deterministic
 		// partial outcome.
-		return Cell{}, srcNone, err
+		return Cell{}, nil, srcNone, err
 	}
 	cell := newCell(key, w.Name, cfg, sc)
 	if err != nil {
@@ -440,7 +566,23 @@ func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w w
 		cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
 		cell.Traffic = br.Traffic
 	}
-	return cell, srcLocal, e.commit(cell)
+	return cell, br.Runs, src, e.commit(cell)
+}
+
+// covered reports whether reuse has a run for every thread count up to
+// limit, and for at least one.
+func covered(reuse func(int) (design.ThreadRun, bool), limit int, threadCounts []int) bool {
+	some := false
+	for _, n := range threadCounts {
+		if n > limit {
+			continue
+		}
+		if _, ok := reuse(n); !ok {
+			return false
+		}
+		some = true
+	}
+	return some
 }
 
 // commit writes a completed cell through to the cache and, when there is
@@ -525,7 +667,7 @@ func (e *Explorer) RunOne(ctx context.Context, cfg sim.Config, w workload.Worklo
 	if err := design.ValidateRun(sc, threadCounts); err != nil {
 		return Cell{}, false, err
 	}
-	cell, src, err := e.evalCell(ctx, CellKey(cfg, w.Name, sc, threadCounts), cfg, w, nil, sc, threadCounts, nil)
+	cell, _, src, err := e.evalCell(ctx, CellKey(cfg, w.Name, sc, threadCounts), cfg, w, nil, sc, threadCounts, nil, nil)
 	return cell, src == srcCache, err
 }
 

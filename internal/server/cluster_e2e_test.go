@@ -166,6 +166,57 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
+// TestSweepSimsCountOnlyLocalCells checks wsd_sims_total on a coordinator:
+// it counts the cells this node simulated, not the ones a worker ran (the
+// worker counts those) and not the ones copied from a cache twin. The stub
+// worker refuses djpeg's 8 KB-L1 cells, so those fall back to local
+// simulation and become reuse bases, and it answers every other cell,
+// lu's as deterministic failures.
+func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
+	stubExp, err := explore.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req cluster.ExecRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || (req.App == "djpeg" && req.Config.Arch.L1KB == 8) {
+			http.Error(w, "refused", http.StatusServiceUnavailable)
+			return
+		}
+		wl, err := workload.ByName(req.App)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		cell, _, err := stubExp.RunOne(r.Context(), req.Config, wl, req.Scale, req.ThreadCounts)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if req.App == "lu" {
+			cell.AIPC, cell.Threads, cell.Err = 0, 0, "stub: deterministic failure"
+		}
+		json.NewEncoder(w).Encode(cluster.ExecResponse{Cell: cell})
+	}))
+	defer stub.Close()
+
+	coordSrv, coord := newTestServer(t, WithRole(RoleCoordinator))
+	registerWorker(t, coord.URL, "stub", stub.URL)
+	sweepResult(t, coord.URL, `{"apps":["djpeg","lu"],"scale":"tiny","max_points":8}`, nil)
+
+	p := coordSrv.exp.LastProgress()
+	local := p.Simulated - p.Remote - p.Reused
+	if p.Remote == 0 || p.Reused == 0 || local == 0 || p.Failed == 0 {
+		t.Fatalf("sweep did not mix remote, reused, local and failed cells: %+v", p)
+	}
+	if got := coordSrv.counter(&coordSrv.metrics.simsCompleted); got != uint64(local) {
+		t.Errorf("completed sims = %d, want the %d simulated on the coordinator (progress %+v)", got, local, p)
+	}
+	if got := coordSrv.counter(&coordSrv.metrics.simsFailed); got != 0 {
+		t.Errorf("failed sims = %d, want 0: every failure happened on the worker", got)
+	}
+}
+
 // TestClusterScenarioSweep shards a scenario sweep (with a fault script
 // folded into every design point) across the fabric and requires the
 // result to be byte-identical to the same sweep on a single-node daemon —
@@ -300,7 +351,7 @@ func TestTenantQuota(t *testing.T) {
 
 	fire := func(tenant string) *http.Response {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweeps",
-			strings.NewReader(`{"apps":["fft"],"scale":"tiny","max_points":2}`))
+			strings.NewReader(`{"apps":["fft"],"scale":"tiny","max_points":8}`))
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Tenant", tenant)
 		resp, err := http.DefaultClient.Do(req)

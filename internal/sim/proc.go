@@ -327,6 +327,11 @@ func (p *Processor) Mem() Memory { return p.mem }
 // Placement exposes the placement (diagnostics).
 func (p *Processor) Placement() *place.Placement { return p.placement }
 
+// CacheEvictions reports how many fills of the data-memory hierarchy have
+// displaced or duplicated a line so far (cache.System.Evictions). It is
+// kept out of Stats, so no digest depends on it.
+func (p *Processor) CacheEvictions() uint64 { return p.cacheSys.Evictions() }
+
 // threadHalted records a thread's completion.
 func (p *Processor) threadHalted(c uint64, thread uint32, value uint64) {
 	if int(thread) < len(p.halted) && !p.halted[thread] {
