@@ -29,15 +29,17 @@
 // # Cache-family reuse
 //
 // The L1 and L2 sizes reach the simulator only as the L1 set count and the
-// L2 capacity, and the cache reads either only when a fill evicts. A sweep
-// therefore runs one job per (workload, cache family), a family being the
-// points whose configurations are equal but for Arch.L1KB and Arch.L2MB,
-// all with an L2 or all without. The job walks its family in ascending
-// (L1, L2) order. For each member and thread count it copies the run of
-// an earlier member this job simulated, provided that run evicted nothing
-// (design.ThreadRun.Evicted) and the member is that configuration's cache
-// twin (cacheTwin): an L1 a whole multiple of its size, an L2 at least as
-// large, both with an L2 or both without. Only the rest is simulated.
+// L2 capacity, and the cache reads either only when a fill evicts. A cell
+// on a point P therefore waits for the cells of the same workload on every
+// point P is a cache twin of (cacheTwin): the same configuration but for
+// Arch.L1KB and Arch.L2MB, with an L1 a whole multiple of P's size, an L2
+// at least as large, both with an L2 or both without. For each thread
+// count it copies a run of one of those cells that this sweep simulated,
+// provided that run evicted nothing (design.ThreadRun.Evicted). Only the
+// rest is simulated. Cells that wait for nothing run as soon as a worker
+// is free, so a point that can copy nothing costs the sweep no
+// parallelism. A sweep with a CellRunner (WithRunner) makes no cell wait:
+// remote cells are never bases, so its cells go out one by one.
 //
 // The certificate is the eviction count of internal/cache, kept outside
 // its Stats so no digest moves. It counts every fill that displaced a
@@ -54,6 +56,7 @@
 package explore
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -373,22 +376,32 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		}
 	}
 
-	// A job is one workload on one cache family: the points whose
-	// configurations differ only in L1 and L2 size. It walks the family in
-	// ascending (L1, L2) order, so every member comes after the members it
-	// can reuse runs from, and evaluates each member through evalCell.
-	// Members this job simulated (in full or in part) become bases for the
-	// rest; cache hits and remote cells do not, as they carry no per-count
-	// runs.
-	runFamily := func(family []int, ai int) {
-		var bases []familyBase
-		for _, pi := range family {
-			reuse := func(n int) (design.ThreadRun, bool) {
-				for _, b := range bases {
-					if !cacheTwin(b.cfg, configs[pi]) {
-						continue
-					}
-					for _, r := range b.runs {
+	// Every cell is one task. A cell waits for the cells of the same
+	// workload on the points it is a cache twin of (twinGraph): those may
+	// offer it runs to copy. Ready cells go to the first free worker in
+	// point-major order (cellQueue).
+	// Cells this sweep simulated (in full or in part) become bases for
+	// their successors; cache hits and remote cells do not, as they carry
+	// no per-count runs. For that reason a sweep with a CellRunner makes
+	// no cell wait: its cells go to the fabric as they come, and one that
+	// falls back to a local simulation copies nothing.
+	var families [][]int
+	if e.runner == nil {
+		families = cacheFamilies(configs)
+	}
+	g := twinGraph(configs, families)
+	bases := make([][][]design.ThreadRun, len(points))
+	for pi := range bases {
+		if len(g.succs[pi]) > 0 {
+			bases[pi] = make([][]design.ThreadRun, len(apps))
+		}
+	}
+	runCell := func(pi, ai int) {
+		var reuse func(int) (design.ThreadRun, bool)
+		if len(g.preds[pi]) > 0 {
+			reuse = func(n int) (design.ThreadRun, bool) {
+				for _, bi := range g.preds[pi] {
+					for _, r := range bases[bi][ai] {
 						if r.Threads == n && !r.Evicted {
 							return r, true
 						}
@@ -396,44 +409,34 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 				}
 				return design.ThreadRun{}, false
 			}
-			cell, runs, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, e.runner, reuse)
-			if src == srcNone {
-				return // cancelled: drain the queue without simulating
-			}
-			if src == srcLocal {
-				bases = append(bases, familyBase{configs[pi], runs})
-			}
-			cells[pi][ai] = cell
-			account(cell, src, jerr)
 		}
+		cell, runs, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, e.runner, reuse)
+		if src == srcNone {
+			return // cancelled: nothing cached or journaled
+		}
+		if src == srcLocal && bases[pi] != nil {
+			bases[pi][ai] = runs
+		}
+		cells[pi][ai] = cell
+		account(cell, src, jerr)
 	}
 
-	type sweepJob struct {
-		family []int
-		ai     int
-	}
-	jobs := make(chan sweepJob)
+	q := newCellQueue(g, len(apps))
 	var wg sync.WaitGroup
 	for w := 0; w < e.parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for job := range jobs {
-				runFamily(job.family, job.ai)
+			for {
+				pi, ai, ok := q.next(ctx)
+				if !ok {
+					return
+				}
+				runCell(pi, ai)
+				q.done(pi, ai)
 			}
 		}()
 	}
-dispatch:
-	for _, family := range cacheFamilies(configs) {
-		for ai := range apps {
-			select {
-			case <-ctx.Done():
-				break dispatch
-			case jobs <- sweepJob{family, ai}:
-			}
-		}
-	}
-	close(jobs)
 	wg.Wait()
 
 	results := assemble(points, apps, cells, ctx.Err())
@@ -449,19 +452,110 @@ dispatch:
 	return results, nil
 }
 
-// familyBase is a family member a sweep job simulated, with its completed
-// runs; those with Evicted false may stand in for its twins'.
-type familyBase struct {
-	cfg  sim.Config
-	runs []design.ThreadRun
+// twinDAG says which cells of a sweep wait for which: preds[pi] lists the
+// points before pi in its cache family's ascending (L1, L2) order that pi
+// is a cache twin of, and succs[pi] the points that list pi.
+type twinDAG struct {
+	preds, succs [][]int
+}
+
+// twinGraph builds the twinDAG of configs over the given families (nil:
+// no cell waits for another).
+func twinGraph(configs []sim.Config, families [][]int) twinDAG {
+	g := twinDAG{preds: make([][]int, len(configs)), succs: make([][]int, len(configs))}
+	for _, family := range families {
+		for i, pi := range family {
+			for _, bi := range family[:i] {
+				if cacheTwin(configs[bi], configs[pi]) {
+					g.preds[pi] = append(g.preds[pi], bi)
+					g.succs[bi] = append(g.succs[bi], pi)
+				}
+			}
+		}
+	}
+	return g
+}
+
+// cellQueue hands a sweep's cells to its workers. A cell is ready once
+// every cell it waits for is done, and ready cells leave in point-major
+// order: where no cell waits, the order of a sweep without reuse.
+type cellQueue struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	g       twinDAG
+	apps    int
+	waiting [][]int // per point and workload: predecessors not yet done
+	ready   readyCells
+	left    int // cells not yet done
+}
+
+func newCellQueue(g twinDAG, apps int) *cellQueue {
+	q := &cellQueue{g: g, apps: apps, waiting: make([][]int, len(g.preds)), left: len(g.preds) * apps}
+	q.cond.L = &q.mu
+	for pi, preds := range g.preds {
+		if len(preds) > 0 {
+			q.waiting[pi] = make([]int, apps)
+			for ai := range q.waiting[pi] {
+				q.waiting[pi][ai] = len(preds)
+			}
+			continue
+		}
+		for ai := 0; ai < apps; ai++ {
+			q.ready = append(q.ready, pi*apps+ai)
+		}
+	}
+	heap.Init(&q.ready)
+	return q
+}
+
+// next blocks until a cell is ready and returns it; ok is false once every
+// cell is done or ctx has ended.
+func (q *cellQueue) next(ctx context.Context) (pi, ai int, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.ready) == 0 && q.left > 0 && ctx.Err() == nil {
+		q.cond.Wait()
+	}
+	if len(q.ready) == 0 || ctx.Err() != nil {
+		return 0, 0, false
+	}
+	c := heap.Pop(&q.ready).(int)
+	return c / q.apps, c % q.apps, true
+}
+
+// done marks a cell finished (or abandoned on cancellation) and releases
+// the cells that no longer wait for anything.
+func (q *cellQueue) done(pi, ai int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.left--
+	for _, si := range q.g.succs[pi] {
+		if q.waiting[si][ai]--; q.waiting[si][ai] == 0 {
+			heap.Push(&q.ready, si*q.apps+ai)
+		}
+	}
+	q.cond.Broadcast()
+}
+
+// readyCells is a min-heap of point-major cell indices.
+type readyCells []int
+
+func (h readyCells) Len() int           { return len(h) }
+func (h readyCells) Less(i, j int) bool { return h[i] < h[j] }
+func (h readyCells) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *readyCells) Push(x any)        { *h = append(*h, x.(int)) }
+func (h *readyCells) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return c
 }
 
 // cacheFamilies groups point indices into cache families: configurations
 // equal in every field but Arch.L1KB and Arch.L2MB, and either all with an
-// L2 or all without. (No run is ever copied across that line, see
-// cacheTwin, so splitting there loses no reuse and gives the worker pool
-// twice the jobs.) Families come in the order of their first point,
-// members in ascending (L1, L2) order, ties in input order.
+// L2 or all without (no run is ever copied across that line, see
+// cacheTwin). Families come in the order of their first point, members in
+// ascending (L1, L2) order, ties in input order.
 func cacheFamilies(configs []sim.Config) [][]int {
 	index := make(map[sim.Config]int)
 	var families [][]int

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -12,22 +11,6 @@ import (
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
-
-// askedRunner is a CellRunner that never succeeds and records every key it
-// was asked for. A sweep consults the runner for each cell it cannot copy
-// from a cache twin and falls back to simulating it, so the cells never
-// asked for are exactly the reused ones.
-type askedRunner struct {
-	mu    sync.Mutex
-	asked map[string]bool
-}
-
-func (r *askedRunner) run(_ context.Context, key string, _ sim.Config, _ string, _ workload.Scale, _ []int) (Cell, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.asked[key] = true
-	return Cell{}, errors.New("no workers")
-}
 
 // directCell is the cell a sweep must produce for cfg: one
 // design.BestThreadsContext on the cell's own configuration.
@@ -45,9 +28,9 @@ func directCell(cfg sim.Config, w workload.Workload, sc workload.Scale, counts [
 }
 
 // TestSweepReuseMatchesDirect sweeps every viable point at tiny scale and
-// checks each cell the sweep copied from a cache twin, field by field,
-// against a direct best-thread search on its own configuration, with and
-// without a memory drop/delay fault script.
+// checks every cell, the ones copied from a cache twin among them, field
+// by field against a direct best-thread search on its own configuration,
+// with and without a memory drop/delay fault script.
 func TestSweepReuseMatchesDirect(t *testing.T) {
 	points := design.Viable()
 	memFaults := &fault.Script{Seed: 31, MemDropRate: 0.02, MemDelayRate: 0.05}
@@ -65,8 +48,7 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			apps := testApps(t, tc.apps...)
-			runner := &askedRunner{asked: map[string]bool{}}
-			exp, err := New(WithParallelism(2), WithRunner(runner.run))
+			exp, err := New(WithParallelism(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,30 +61,21 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 			if p.Reused == 0 {
 				t.Fatalf("no cell was reused: %+v", p)
 			}
-			if p.Simulated != len(points)*len(apps) || p.Reused+len(runner.asked) != p.Simulated {
-				t.Fatalf("%d cells produced, %d reused, %d sent to the runner; want %d = reused + runner",
-					p.Simulated, p.Reused, len(runner.asked), len(points)*len(apps))
+			if p.Simulated != len(points)*len(apps) {
+				t.Fatalf("%d cells produced, want %d", p.Simulated, len(points)*len(apps))
 			}
-			var reused []Cell
-			cfgs := map[string]sim.Config{}
+			t.Logf("%d of %d cells reused", p.Reused, p.Simulated)
+			type cellCase struct {
+				cfg sim.Config
+				w   workload.Workload
+			}
+			var all []cellCase
 			for _, pt := range points {
 				cfg := sim.Baseline(pt.Arch)
 				cfg.Fault = tc.fault
 				for _, w := range apps {
-					key := CellKey(cfg, w.Name, workload.Tiny, tc.counts)
-					if runner.asked[key] {
-						continue
-					}
-					got, ok := exp.Cache().Cell(key)
-					if !ok {
-						t.Fatalf("%s on %s: no cell", w.Name, pt.Arch)
-					}
-					reused = append(reused, got)
-					cfgs[key] = cfg
+					all = append(all, cellCase{cfg, w})
 				}
-			}
-			if len(reused) != p.Reused {
-				t.Errorf("found %d reused cells, progress reports %d", len(reused), p.Reused)
 			}
 			// The direct runs, on two goroutines like the sweep.
 			var wg sync.WaitGroup
@@ -110,11 +83,14 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 				wg.Add(1)
 				go func(lane int) {
 					defer wg.Done()
-					for i := lane; i < len(reused); i += 2 {
-						got := reused[i]
-						w, _ := workload.ByName(got.App)
-						if want := directCell(cfgs[got.Key], w, workload.Tiny, tc.counts); !reflect.DeepEqual(got, want) {
-							t.Errorf("%s on %s: reused cell differs from a direct run:\ngot  %+v\nwant %+v", got.App, got.Arch, got, want)
+					for i := lane; i < len(all); i += 2 {
+						c := all[i]
+						want := directCell(c.cfg, c.w, workload.Tiny, tc.counts)
+						got, ok := exp.Cache().Cell(want.Key)
+						if !ok {
+							t.Errorf("%s on %s: no cell", c.w.Name, c.cfg.Arch)
+						} else if !reflect.DeepEqual(got, want) {
+							t.Errorf("%s on %s: swept cell differs from a direct run:\ngot  %+v\nwant %+v", c.w.Name, c.cfg.Arch, got, want)
 						}
 					}
 				}(lane)
@@ -174,8 +150,8 @@ func TestSweepResimulatesEvictingBase(t *testing.T) {
 // TestReuseNeedsALocalBase pins which cells may serve as a base: only one
 // the same sweep simulated itself. djpeg at tiny scale runs eviction-free
 // on the 8 KB member, so a fresh sweep copies the twin; but when the 8 KB
-// cell is a cache hit, or came from a CellRunner, there are no per-count
-// runs to copy and the twin is produced the ordinary way.
+// cell is a cache hit there are no per-count runs to copy and the twin is
+// simulated, and a sweep with a CellRunner sends both cells out.
 func TestReuseNeedsALocalBase(t *testing.T) {
 	pts := twinPair()
 	djpeg := testApps(t, "djpeg")
@@ -247,6 +223,67 @@ func TestCacheFamilies(t *testing.T) {
 	want := [][]int{{3, 2, 0}, {1, 4}, {5}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("cacheFamilies = %v, want %v", got, want)
+	}
+}
+
+// TestTwinGraph pins which cells wait for which: within a family, a
+// member waits for the earlier members it is a cache twin of. Without
+// families (a sweep with a CellRunner) nothing waits.
+func TestTwinGraph(t *testing.T) {
+	arch := func(l1, l2 int) sim.Config {
+		a := sim.BaselineArch()
+		a.L1KB, a.L2MB = l1, l2
+		return sim.Baseline(a)
+	}
+	configs := []sim.Config{arch(32, 1), arch(8, 1), arch(16, 2), arch(24, 1), arch(8, 0), arch(32, 0)}
+	g := twinGraph(configs, cacheFamilies(configs))
+	wantPreds := [][]int{{1}, nil, {1}, {1}, nil, {4}}
+	wantSuccs := [][]int{nil, {2, 3, 0}, nil, nil, {5}, nil}
+	if !reflect.DeepEqual(g.preds, wantPreds) || !reflect.DeepEqual(g.succs, wantSuccs) {
+		t.Errorf("twinGraph = %+v, want preds %v succs %v", g, wantPreds, wantSuccs)
+	}
+	for pi, preds := range twinGraph(configs, nil).preds {
+		if len(preds) > 0 {
+			t.Errorf("point %d waits for %v without families", pi, preds)
+		}
+	}
+}
+
+// TestCellQueueOrder pins the order cells leave the queue in: point-major
+// among the ready ones, a waiting cell once every cell it waits for is
+// done.
+func TestCellQueueOrder(t *testing.T) {
+	g := twinDAG{
+		preds: [][]int{nil, nil, {0}, nil},
+		succs: [][]int{{2}, nil, nil, nil},
+	}
+	q := newCellQueue(g, 2)
+	ctx := context.Background()
+	var got [][2]int
+	take := func() {
+		pi, ai, ok := q.next(ctx)
+		if !ok {
+			t.Fatal("queue ended early")
+		}
+		got = append(got, [2]int{pi, ai})
+	}
+	for range 5 {
+		take() // (0,0) (0,1) (1,0) (1,1) (3,0): point 2 waits for point 0
+	}
+	q.done(0, 1) // releases (2, 1) ahead of (3, 1)
+	take()
+	q.done(0, 0)
+	take()
+	take()
+	want := [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {3, 0}, {2, 1}, {2, 0}, {3, 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("order %v, want %v", got, want)
+	}
+	for _, c := range got[2:] {
+		q.done(c[0], c[1])
+	}
+	if _, _, ok := q.next(ctx); ok {
+		t.Error("queue handed out a cell after every cell was done")
 	}
 }
 

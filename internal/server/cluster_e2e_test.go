@@ -166,13 +166,15 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
-// TestSweepSimsCountOnlyLocalCells checks wsd_sims_total on a coordinator:
-// it counts the cells this node simulated, not the ones a worker ran (the
-// worker counts those) and not the ones copied from a cache twin. The stub
-// worker refuses djpeg's 8 KB-L1 cells, so those fall back to local
-// simulation and become reuse bases, and it answers every other cell,
-// lu's as deterministic failures.
+// TestSweepSimsCountOnlyLocalCells checks wsd_sims_total: it counts the
+// cells this node simulated, not the ones a worker ran (the worker counts
+// those) and not the ones copied from a cache twin. On a coordinator, the
+// stub worker refuses djpeg's 8 KB-L1 cells, so those fall back to local
+// simulation, and it answers every other cell, lu's as deterministic
+// failures; a coordinator's sweep copies nothing. A single-node daemon
+// running the same sweep copies cells, and counts only the simulated ones.
 func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
+	const body = `{"apps":["djpeg","lu"],"scale":"tiny","max_points":8}`
 	stubExp, err := explore.New()
 	if err != nil {
 		t.Fatal(err)
@@ -202,18 +204,30 @@ func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
 
 	coordSrv, coord := newTestServer(t, WithRole(RoleCoordinator))
 	registerWorker(t, coord.URL, "stub", stub.URL)
-	sweepResult(t, coord.URL, `{"apps":["djpeg","lu"],"scale":"tiny","max_points":8}`, nil)
+	sweepResult(t, coord.URL, body, nil)
 
 	p := coordSrv.exp.LastProgress()
-	local := p.Simulated - p.Remote - p.Reused
-	if p.Remote == 0 || p.Reused == 0 || local == 0 || p.Failed == 0 {
-		t.Fatalf("sweep did not mix remote, reused, local and failed cells: %+v", p)
+	local := p.Simulated - p.Remote
+	if p.Remote == 0 || local == 0 || p.Failed == 0 || p.Reused != 0 {
+		t.Fatalf("coordinator sweep: %+v, want remote, local and failed cells and none copied", p)
 	}
 	if got := coordSrv.counter(&coordSrv.metrics.simsCompleted); got != uint64(local) {
 		t.Errorf("completed sims = %d, want the %d simulated on the coordinator (progress %+v)", got, local, p)
 	}
 	if got := coordSrv.counter(&coordSrv.metrics.simsFailed); got != 0 {
 		t.Errorf("failed sims = %d, want 0: every failure happened on the worker", got)
+	}
+
+	single, ts := newTestServer(t)
+	sweepResult(t, ts.URL, body, nil)
+	p = single.exp.LastProgress()
+	if p.Reused == 0 || p.Remote != 0 {
+		t.Fatalf("single-node sweep: %+v, want copied cells", p)
+	}
+	completed, failed := single.counter(&single.metrics.simsCompleted), single.counter(&single.metrics.simsFailed)
+	if completed+failed != uint64(p.Simulated-p.Reused) || failed != uint64(p.Failed) {
+		t.Errorf("sims completed %d, failed %d; want %d simulated of which %d failed (progress %+v)",
+			completed, failed, p.Simulated-p.Reused, p.Failed, p)
 	}
 }
 
@@ -351,7 +365,7 @@ func TestTenantQuota(t *testing.T) {
 
 	fire := func(tenant string) *http.Response {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweeps",
-			strings.NewReader(`{"apps":["fft"],"scale":"tiny","max_points":8}`))
+			strings.NewReader(`{"apps":["fft"],"scale":"tiny","max_points":2}`))
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set("X-Tenant", tenant)
 		resp, err := http.DefaultClient.Do(req)
