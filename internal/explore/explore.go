@@ -32,14 +32,14 @@
 // L2 capacity, and the cache reads either only when a fill evicts. A cell
 // on a point P therefore waits for the cells of the same workload on every
 // point P is a cache twin of (cacheTwin): the same configuration but for
-// Arch.L1KB and Arch.L2MB, with an L1 a whole multiple of P's size, an L2
-// at least as large, both with an L2 or both without. For each thread
+// Arch.L1KB and Arch.L2MB, with an L1 whose size divides P's, an L2 no
+// larger than P's, and an L2 exactly when P has one. For each thread
 // count it copies a run of one of those cells that this sweep simulated,
 // provided that run evicted nothing (design.ThreadRun.Evicted). Only the
-// rest is simulated. Cells that wait for nothing run as soon as a worker
-// is free, so a point that can copy nothing costs the sweep no
-// parallelism. A sweep with a CellRunner (WithRunner) makes no cell wait:
-// remote cells are never bases, so its cells go out one by one.
+// rest is simulated. Ready cells go to the workers in point-major order,
+// so where no cell waits the schedule is that of a sweep without reuse.
+// A sweep with a CellRunner (WithRunner) makes no cell wait: remote cells
+// are never bases, so its cells go out one by one.
 //
 // The certificate is the eviction count of internal/cache, kept outside
 // its Stats so no digest moves. It counts every fill that displaced a
