@@ -139,7 +139,7 @@ func (s *Server) handleClusterExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := cellSpec{cfg: req.Config, w: wl, scale: req.Scale, threads: req.ThreadCounts, key: key}
-	got, ok := s.cells(w, r, []cellSpec{spec}, "cell", "", 0)
+	got, ok := s.cells(w, r, []cellSpec{spec}, nil, "cell", "", 0)
 	if !ok {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -196,12 +197,30 @@ func writeErrCode(w http.ResponseWriter, status int, code, msg string) {
 // maxBodyBytes bounds every JSON request body.
 const maxBodyBytes = 1 << 20
 
-// decodeBody decodes the request's JSON body, at most maxBodyBytes of it,
-// into v. On failure it has answered (413 or 400) and reports false.
-// strict rejects unknown fields.
+// readBody reads the request's whole body, at most maxBodyBytes of it. On
+// failure it has answered (413, or 400 prefixed with what) and reports
+// false. Every POST endpoint reads its body here, so the ceiling holds
+// however little of the body the endpoint goes on to parse.
+func readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeBodyErr(w, what, err)
+		return nil, false
+	}
+	return body, true
+}
+
+// decodeBody reads the request's body (readBody) and decodes its first
+// JSON value into v; bytes after that value are ignored. On failure it has
+// answered (413 or 400) and reports false. strict rejects unknown fields.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, strict bool) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	body, ok := readBody(w, r, "bad request body")
+	return ok && decodeBytes(w, body, v, strict)
+}
+
+// decodeBytes is decodeBody's second half, for a body already read.
+func decodeBytes(w http.ResponseWriter, body []byte, v any, strict bool) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	if strict {
 		dec.DisallowUnknownFields()
 	}

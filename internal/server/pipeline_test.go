@@ -280,15 +280,84 @@ func TestFollowerTakesNoSlotAndNoQuota(t *testing.T) {
 	}
 }
 
+// postEndpoints is every route that reads a request body.
+var postEndpoints = []string{
+	"/v1/runs", "/v1/sweeps", "/v1/scenarios",
+	"/v1/cluster/execute", "/v1/cluster/register", "/v1/cluster/heartbeat", "/v1/cluster/deregister",
+}
+
 // TestOversizeBodyRejected: a JSON body over the 1 MiB ceiling is refused
-// with 413 too_large, on the decoded and the raw-read path alike.
+// with 413 too_large on every POST endpoint (a coordinator serves them
+// all), including a body whose first JSON value is small and whose excess
+// comes after it.
 func TestOversizeBodyRejected(t *testing.T) {
-	_, ts := newTestServer(t)
-	big := `{"workload":"` + strings.Repeat("x", maxBodyBytes) + `"}`
-	for _, path := range []string{"/v1/runs", "/v1/scenarios"} {
-		resp := post(t, ts.URL+path, big)
-		if apiErr := errEnvelope(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge || apiErr.Code != "too_large" {
-			t.Errorf("%s: status %d, error %+v; want 413 too_large", path, resp.StatusCode, apiErr)
+	_, ts := newTestServer(t, WithRole(RoleCoordinator))
+	for name, big := range map[string]string{
+		"long value":     `{"workload":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
+		"trailing space": `{"workload":"nosuch"}` + strings.Repeat(" ", 2<<20),
+	} {
+		for _, path := range postEndpoints {
+			resp := post(t, ts.URL+path, big)
+			if apiErr := errEnvelope(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge || apiErr.Code != "too_large" {
+				t.Errorf("%s, %s: status %d, error %+v; want 413 too_large", name, path, resp.StatusCode, apiErr)
+			}
+		}
+	}
+}
+
+// TestMalformedBodyAnswersPinned: reading the whole body before decoding
+// it changes no answer to a malformed body. The answers are the daemon's
+// from when the decoder read the body itself: an empty or truncated body,
+// an unknown field, a wrong type, and bytes after the first JSON value
+// (still ignored on the decoding endpoints).
+func TestMalformedBodyAnswersPinned(t *testing.T) {
+	_, ts := newTestServer(t, WithRole(RoleCoordinator))
+	for _, tc := range []struct {
+		path, body string
+		status     int
+		want       string
+	}{
+		{"/v1/runs", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
+		{"/v1/runs", `{"workload":`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
+		{"/v1/runs", `{"workload":"lu"`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
+		{"/v1/runs", `{"workload":"lu","nosuch":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"nosuch\""}}`},
+		{"/v1/runs", `{"threads":"x"}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal string into Go struct field runRequest.threads of type int"}}`},
+		{"/v1/runs", `[1,2]`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal array into Go value of type server.runRequest"}}`},
+		{"/v1/runs", `{"workload":"nosuch"} trailing`, 404, `{"error":{"code":"not_found","message":"workload: unknown workload \"nosuch\" (valid suites: spec2000, mediabench, splash2, tiled; tiled kernels follow gemm-<os|as|bs>-TmxTnxTk or conv-<ws|os|is>-TxxTyxTc)"}}`},
+		{"/v1/runs", `{"workload":"lu","scale":"enormous"}{}`, 400, `{"error":{"code":"bad_request","message":"unknown scale \"enormous\" (tiny, small, medium)"}}`},
+		{"/v1/sweeps", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
+		{"/v1/sweeps", `{"apps":[`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
+		{"/v1/sweeps", `{"nosuch":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"nosuch\""}}`},
+		{"/v1/sweeps", `{"apps":"fft"}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal string into Go struct field sweepRequest.apps of type []string"}}`},
+		{"/v1/sweeps", `{"suite":"nosuch"}{}`, 400, `{"error":{"code":"bad_request","message":"unknown suite \"nosuch\" (spec2000, mediabench, splash2, tiled)"}}`},
+		{"/v1/cluster/execute", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
+		{"/v1/cluster/execute", `{"key":`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
+		{"/v1/cluster/execute", `{"nosuch":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"nosuch\""}}`},
+		{"/v1/cluster/execute", `{"key":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal number into Go struct field ExecRequest.key of type string"}}`},
+		{"/v1/cluster/execute", `{"key":""} x`, 400, `{"error":{"code":"bad_request","message":"key is required"}}`},
+		{"/v1/cluster/register", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
+		{"/v1/cluster/register", `{"id":`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
+		{"/v1/cluster/register", `{"nosuch":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"nosuch\""}}`},
+		{"/v1/cluster/register", `{"id":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal number into Go struct field RegisterRequest.id of type string"}}`},
+		{"/v1/cluster/register", `{"id":""} x`, 400, `{"error":{"code":"bad_request","message":"id and addr are required"}}`},
+		{"/v1/cluster/heartbeat", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
+		{"/v1/cluster/heartbeat", `{"id":`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
+		{"/v1/cluster/heartbeat", `{"id":"w9","nosuch":1}`, 404, `{"error":{"code":"not_found","message":"unknown worker \"w9\"; re-register"}}`},
+		{"/v1/cluster/heartbeat", `{"busy":"x"}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal string into Go struct field HeartbeatRequest.busy of type int"}}`},
+		{"/v1/cluster/heartbeat", `{"id":"w9"} x`, 404, `{"error":{"code":"not_found","message":"unknown worker \"w9\"; re-register"}}`},
+		{"/v1/cluster/deregister", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
+		{"/v1/cluster/deregister", `{"id":`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
+		{"/v1/cluster/deregister", `{"id":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal number into Go struct field DeregisterRequest.id of type string"}}`},
+		{"/v1/scenarios", "", 400, `{"error":{"code":"bad_request","message":"scenario: bad scenario: EOF"}}`},
+		{"/v1/scenarios", `{"scenario":`, 400, `{"error":{"code":"bad_request","message":"scenario: bad scenario: unexpected EOF"}}`},
+		{"/v1/scenarios", `{"scenario":"v1"} x`, 400, `{"error":{"code":"bad_request","message":"scenario: bad scenario: trailing data after scenario object"}}`},
+	} {
+		// Twice: a refused /v1/runs body is never memoized.
+		for i := 0; i < 2; i++ {
+			status, got := postRaw(t, ts.URL+tc.path, tc.body)
+			if status != tc.status || string(got) != tc.want+"\n" {
+				t.Errorf("%s %q: %d %s; want %d %s", tc.path, tc.body, status, got, tc.status, tc.want)
+			}
 		}
 	}
 }

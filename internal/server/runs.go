@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
+	"unsafe"
 
 	"wavescalar/internal/area"
 	"wavescalar/internal/cli"
@@ -172,20 +174,26 @@ type ledCell struct {
 
 // cells answers resolved cells, in order — the one request pipeline behind
 // /v1/runs, scenario runs and /v1/cluster/execute. Hits are answered from
-// the cache; each missing key joins the flight group; the keys this
-// request leads go to the worker pool as one job, run in order, charged
-// to tenant once ("" charges nothing); then the request waits for every
-// call under one timer (timeout 0: none, the caller bounds the wait) and
-// its own context. A request that leads nothing takes no queue slot and
-// no quota unit. On failure cells has written the response, naming what
-// was being waited for, and reports false.
-func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec, what, tenant string, timeout time.Duration) ([]answer, bool) {
+// the cache (prior holds the lookups runMemo.serve already made for the
+// first cells, which are not repeated); each missing key joins the flight
+// group; the keys this request leads go to the worker pool as one job, run
+// in order, charged to tenant once ("" charges nothing); then the request
+// waits for every call under one timer (timeout 0: none, the caller bounds
+// the wait) and its own context. A request that leads nothing takes no
+// queue slot and no quota unit. On failure cells has written the response,
+// naming what was being waited for, and reports false.
+func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec, prior []answer, what, tenant string, timeout time.Duration) ([]answer, bool) {
 	out := make([]answer, len(specs))
 	var calls map[string]*flightCall // by missing key; nil while every cell is a hit
 	var led []ledCell
 	for i := range specs {
 		spec := &specs[i]
-		if out[i].cell, out[i].cached = s.exp.Cache().Cell(spec.key); out[i].cached {
+		if i < len(prior) {
+			out[i] = prior[i]
+		} else {
+			out[i].cell, out[i].cached = s.exp.Cache().Cell(spec.key)
+		}
+		if out[i].cached {
 			continue
 		}
 		if calls == nil {
@@ -293,26 +301,144 @@ func (s *Server) runCell(lc ledCell) {
 	s.flight.complete(spec.key, lc.call, cell, nil)
 }
 
+// handleRun serves POST /v1/runs: a body answered before is served from
+// the memo, any other is decoded and resolved to one cell (a plain run) or
+// one per phase (a scenario run) and answered through Server.cells.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
-	if !decodeBody(w, r, &req, true) {
-		return
-	}
-	if len(req.Scenario) > 0 {
-		s.handleScenarioRun(w, r, &req)
-		return
-	}
-	spec, status, err := resolveRun(&req)
-	if err != nil {
-		writeErr(w, status, "%v", err)
-		return
-	}
-	got, ok := s.cells(w, r, []cellSpec{spec}, "simulation", tenantOf(r), s.waitFor(req.TimeoutS))
+	body, ok := readBody(w, r, "bad request body")
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, runResponse{
+	prior, served := s.memo.serve(w, s.exp.Cache(), body)
+	if served {
+		return
+	}
+	var req runRequest
+	if !decodeBytes(w, body, &req, true) {
+		return
+	}
+	var resp any
+	var got []answer
+	if len(req.Scenario) > 0 {
+		resp, got, ok = s.scenarioRun(w, r, &req, prior)
+	} else {
+		resp, got, ok = s.plainRun(w, r, &req, prior)
+	}
+	if !ok {
+		return
+	}
+	enc := encodeJSON(resp)
+	writeEncoded(w, enc)
+	s.memo.put(body, got, enc)
+}
+
+// plainRun answers a run request naming its workload. On failure it has
+// written the response and reports false.
+func (s *Server) plainRun(w http.ResponseWriter, r *http.Request, req *runRequest, prior []answer) (runResponse, []answer, bool) {
+	spec, status, err := resolveRun(req)
+	if err != nil {
+		writeErr(w, status, "%v", err)
+		return runResponse{}, nil, false
+	}
+	got, ok := s.cells(w, r, []cellSpec{spec}, prior, "simulation", tenantOf(r), s.waitFor(req.TimeoutS))
+	if !ok {
+		return runResponse{}, nil, false
+	}
+	return runResponse{
 		Key: spec.key, Cached: got[0].cached,
 		Result: cellResult(got[0].cell, area.Total(spec.cfg.Arch), spec.scaleName),
-	})
+	}, got, true
+}
+
+// runMemo answers POST /v1/runs bodies it has answered before without
+// decoding them. An entry maps the exact request bytes to the cells its
+// answer was rendered from and the encoded 200 body. Only answers whose
+// every cell was a cache hit are stored ("cached":true), and an entry is
+// used only while each of its cells is still cached and unchanged. That
+// makes a served entry the answer the full path would render: cells are
+// immutable per key and the scenario store is add-only, so the answer to
+// a body is a function of those bytes and those cells alone. Misses, 4xx
+// answers and "cached":false answers are never stored.
+//
+// The memo is bounded: an entry larger than memoMaxEntry is not stored,
+// and one that would take the total past memoBudget empties the memo
+// first.
+type runMemo struct {
+	mu      sync.Mutex
+	entries map[string]memoEntry // by request body
+	size    int                  // sum of entrySize over entries
+}
+
+type memoEntry struct {
+	cells []explore.Cell // one per cache lookup the full path makes, in order
+	resp  []byte
+}
+
+const (
+	memoMaxEntry = 16 << 10
+	memoBudget   = 4 << 20
+)
+
+// entrySize is what an entry for a body of n bytes holds: the key, the
+// response and the cells with their strings.
+func entrySize(n int, e memoEntry) int {
+	size := n + len(e.resp)
+	for _, c := range e.cells {
+		size += int(unsafe.Sizeof(c)) + len(c.Key) + len(c.App) + len(c.Arch) + len(c.FaultDigest) + len(c.Err)
+	}
+	return size
+}
+
+// serve writes the memoized answer to body if there is one and every cell
+// behind it is still cached and unchanged. It looks each cell up once, as
+// the full path does, so cache counters and LRU recency move as they
+// would have. It stops at the first cell that fails the check and
+// returns the lookups made so far, which the full path takes over
+// instead of repeating them.
+func (m *runMemo) serve(w http.ResponseWriter, cache *explore.Cache, body []byte) (prior []answer, served bool) {
+	m.mu.Lock()
+	e, ok := m.entries[string(body)]
+	m.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	for i, want := range e.cells {
+		if cell, hit := cache.Cell(want.Key); !hit || cell != want {
+			prior = make([]answer, i+1)
+			for j := range i {
+				prior[j] = answer{cell: e.cells[j], cached: true}
+			}
+			prior[i] = answer{cell: cell, cached: hit}
+			return prior, false
+		}
+	}
+	writeEncoded(w, e.resp)
+	return nil, true
+}
+
+// put stores resp as the answer to body if every cell of got was a cache
+// hit and the entry fits memoMaxEntry.
+func (m *runMemo) put(body []byte, got []answer, resp []byte) {
+	e := memoEntry{cells: make([]explore.Cell, len(got)), resp: resp}
+	for i, a := range got {
+		if !a.cached {
+			return
+		}
+		e.cells[i] = a.cell
+	}
+	size := entrySize(len(body), e)
+	if size > memoMaxEntry {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if old, ok := m.entries[string(body)]; ok {
+		m.size -= entrySize(len(body), old)
+	}
+	if m.entries == nil || m.size+size > memoBudget {
+		m.entries = make(map[string]memoEntry)
+		m.size = 0
+	}
+	m.entries[string(body)] = e
+	m.size += size
 }

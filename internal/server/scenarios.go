@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -132,9 +131,8 @@ type scenarioResponse struct {
 // answers created=false with the same digest — the dedup signal clients
 // and CI rely on.
 func (s *Server) handleScenarioPost(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeBodyErr(w, "reading body", err)
+	body, ok := readBody(w, r, "reading body")
+	if !ok {
 		return
 	}
 	sc, err := scenario.Parse(body)
@@ -241,37 +239,38 @@ type scenarioRunResponse struct {
 	Phases   []scenarioPhaseResult `json:"phases"`
 }
 
-// handleScenarioRun serves POST /v1/runs bodies that reference a
-// scenario. The scenario carries workload, scale, threads and fault, so
-// the plain per-run fields must be absent; only the machine config and
-// timeout still come from the request.
-func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request, req *runRequest) {
+// scenarioRun answers a POST /v1/runs body that references a scenario.
+// The scenario carries workload, scale, threads and fault, so the plain
+// per-run fields must be absent; only the machine config and timeout
+// still come from the request. On failure it has written the response
+// and reports false.
+func (s *Server) scenarioRun(w http.ResponseWriter, r *http.Request, req *runRequest, prior []answer) (scenarioRunResponse, []answer, bool) {
+	fail := func(status int, format string, args ...any) (scenarioRunResponse, []answer, bool) {
+		writeErr(w, status, format, args...)
+		return scenarioRunResponse{}, nil, false
+	}
 	if req.Workload != "" || req.Scale != "" || req.Threads != 0 || req.Fault != nil {
-		writeErr(w, http.StatusBadRequest,
+		return fail(http.StatusBadRequest,
 			"scenario is mutually exclusive with workload, scale, threads and fault (the scenario carries them)")
-		return
 	}
 	sc, status, err := s.resolveScenario(req.Scenario)
 	if err != nil {
-		writeErr(w, status, "%v", err)
-		return
+		return fail(status, "%v", err)
 	}
 	cfg, err := req.Config.resolve()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad config: %v", err)
-		return
+		return fail(http.StatusBadRequest, "bad config: %v", err)
 	}
 	specs, err := lowerScenario(sc, cfg)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return fail(http.StatusBadRequest, "%v", err)
 	}
 	// Phases go through the same pipeline as plain runs, in order: a
 	// re-run is answered entirely from the cache, and a phase someone else
 	// is already simulating is waited for, not simulated twice.
-	got, ok := s.cells(w, r, specs, "scenario", tenantOf(r), s.waitFor(req.TimeoutS))
+	got, ok := s.cells(w, r, specs, prior, "scenario", tenantOf(r), s.waitFor(req.TimeoutS))
 	if !ok {
-		return
+		return scenarioRunResponse{}, nil, false
 	}
 	areaMM2 := area.Total(cfg.Arch)
 	resp := scenarioRunResponse{Scenario: sc.Digest(), Cached: true}
@@ -284,7 +283,7 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request, req *
 			Result: cellResult(got[i].cell, areaMM2, spec.scaleName),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, got, true
 }
 
 // scenarioSweep is the sweep a scenario defines: the distinct phase

@@ -27,7 +27,12 @@
 //     sweeps through Explorer.SweepWith, under the server's base context
 //     and the sweep's own, so a client disconnect never kills a simulation
 //     other waiters share; the request's timeout bounds only its wait.
-//   - JSON bodies are bounded (1 MiB; 413 beyond it).
+//   - JSON bodies are bounded (1 MiB; 413 beyond it), read whole before
+//     any of them is parsed.
+//   - A /v1/runs body answered before from cache hits alone is answered
+//     again from a bounded memo of its encoded response, without decoding
+//     (runMemo). Its cells are still looked up, once each, and the memo
+//     is used only while every one is cached and unchanged.
 //   - Shutdown stops admissions (new work gets 503), rejects queued jobs
 //     that have not started — completing every call they led — lets
 //     in-flight simulations drain (escalating to context cancellation —
@@ -211,6 +216,7 @@ type Server struct {
 	mux     *http.ServeMux
 	metrics *metrics
 	flight  *flightGroup
+	memo    runMemo // POST /v1/runs answers by request body
 	jobs    *registry
 	queue   chan *job
 
