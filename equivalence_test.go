@@ -11,16 +11,29 @@ import (
 
 	"wavescalar"
 	"wavescalar/internal/sim"
+	"wavescalar/internal/workload"
 )
 
-// runSched runs one kernel at tiny scale under the given scheduling mode.
-func runSched(t *testing.T, name string, mode sim.SchedMode, threads int) *wavescalar.Stats {
+// runSched runs one kernel at tiny scale on cfg, under the full-scan
+// reference scheduler when fullScan is set and the active set otherwise.
+func runSched(t *testing.T, cfg sim.Config, name string, threads int, fullScan bool) *sim.Stats {
 	t.Helper()
-	cfg := wavescalar.Baseline(wavescalar.BaselineArch())
-	cfg.Sched = mode
-	st, err := runWorkload(cfg, name, wavescalar.ScaleTiny, threads)
+	w, err := workload.ByName(name)
 	if err != nil {
-		t.Fatalf("%s (sched=%d): %v", name, mode, err)
+		t.Fatal(err)
+	}
+	inst := w.Build(workload.Tiny)
+	build := sim.New
+	if fullScan {
+		build = sim.NewFullScan
+	}
+	p, err := build(cfg, inst.Prog, inst.Params(threads), sim.Memory(inst.Mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.Run()
+	if err != nil {
+		t.Fatalf("%s (full scan %v): %v", name, fullScan, err)
 	}
 	return st
 }
@@ -37,8 +50,9 @@ func TestSchedulerEquivalence(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			active := runSched(t, w.Name, sim.SchedActiveSet, 1)
-			scan := runSched(t, w.Name, sim.SchedFullScan, 1)
+			cfg := sim.Baseline(sim.BaselineArch())
+			active := runSched(t, cfg, w.Name, 1, false)
+			scan := runSched(t, cfg, w.Name, 1, true)
 			if !reflect.DeepEqual(active, scan) {
 				t.Errorf("stats diverge between schedulers\nactive-set: %+v\nfull-scan:  %+v", active, scan)
 			}
@@ -56,23 +70,15 @@ func TestSchedulerEquivalenceMultithreaded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cluster runs")
 	}
-	arch := wavescalar.BaselineArch()
+	arch := sim.BaselineArch()
 	arch.Clusters = 4
 	for _, name := range []string{"fft", "lu", "ocean"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg := wavescalar.Baseline(arch)
-			cfg.Sched = sim.SchedActiveSet
-			active, err := runWorkload(cfg, name, wavescalar.ScaleTiny, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Sched = sim.SchedFullScan
-			scan, err := runWorkload(cfg, name, wavescalar.ScaleTiny, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := sim.Baseline(arch)
+			active := runSched(t, cfg, name, 2, false)
+			scan := runSched(t, cfg, name, 2, true)
 			if !reflect.DeepEqual(active, scan) {
 				t.Errorf("stats diverge between schedulers\nactive-set: %+v\nfull-scan:  %+v", active, scan)
 			}

@@ -27,10 +27,11 @@ import (
 // existed still resume.
 //
 // The pre-image is the text fmt.Sprintf("cell|%+v|%s|%+v|%v", cfg, app, sc,
-// threadCounts) prints for the cleaned configuration, written by hand
-// because a cache hit spent a third of its time in fmt's reflection; the
-// tests in cellkey_test.go hold the two equal byte for byte, so every key
-// and journal record of any earlier revision is still a hit.
+// threadCounts) printed for the cleaned configuration when keys were
+// fixed, written by hand because a cache hit spent a third of its time in
+// fmt's reflection. The tests in cellkey_test.go hold it to that text on a
+// frozen copy of the configuration, byte for byte, so every key and
+// journal record of any earlier revision is still a hit.
 func CellKey(cfg sim.Config, app string, sc workload.Scale, threadCounts []int) string {
 	var buf [512]byte // a clean pre-image is about 400 bytes
 	sum := sha256.Sum256(appendCellPreimage(buf[:0], &cfg, app, sc, threadCounts))
@@ -39,11 +40,11 @@ func CellKey(cfg sim.Config, app string, sc workload.Scale, threadCounts []int) 
 	return string(key[:])
 }
 
-// appendCellPreimage appends what CellKey hashes. Trace and Sched never
-// change results (the active-set and full-scan schedulers produce
-// byte-identical Stats, enforced by the equivalence tests), so they are
-// written as their zero values whatever cfg holds; so is Fault, whose
-// content follows as a digest instead.
+// appendCellPreimage appends what CellKey hashes. Trace never changes
+// results, so it is written as its zero value whatever cfg holds; so is
+// Fault, whose content follows as a digest instead. "Sched:0" is the
+// scheduler choice the configuration carried when keys were fixed, kept
+// as text so those keys stay hits.
 func appendCellPreimage(b []byte, cfg *sim.Config, app string, sc workload.Scale, threadCounts []int) []byte {
 	field := func(name string, v int) {
 		b = append(b, name...)

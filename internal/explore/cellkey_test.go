@@ -13,22 +13,77 @@ import (
 	"wavescalar/internal/area"
 	"wavescalar/internal/fault"
 	"wavescalar/internal/sim"
+	"wavescalar/internal/trace"
 	"wavescalar/internal/workload"
 )
 
+// configV1 is sim.Config as it stood when CellKey's pre-image was last
+// produced by fmt, frozen here so that the reference below prints the
+// same text whatever the live struct becomes. Sched (a scheduler choice,
+// since removed) and Trace were written as their zero values whatever
+// the configuration held, so they stay as fields that are always 0 and
+// nil; Fault is always nil because its digest follows the struct.
+type configV1 struct {
+	Arch                                                        paramsV1
+	K, MatchAssoc, MatchBanks, OverflowPenalty, InstMissPenalty int
+	Placement                                                   int
+	PodSize, OutQCap                                            int
+	SpecFire                                                    bool
+	InputWindow, SBContexts, PSQs, PSQEntries, SBPipeLat        int
+	L1Lat, L1Ports, L2Lat, MemLat, NocBW, NocQCap, NetPEBW      int
+	Sched                                                       int
+	MaxCycles, StallLimit                                       uint64
+	Trace, Fault                                                *struct{}
+}
+
+// paramsV1 is area.Params with the String method it had then.
+type paramsV1 struct{ Clusters, Domains, PEs, Virt, Match, L1KB, L2MB int }
+
+func (p paramsV1) String() string {
+	return fmt.Sprintf("C%d D%d P%d V%d M%d L1:%dKB L2:%dMB",
+		p.Clusters, p.Domains, p.PEs, p.Virt, p.Match, p.L1KB, p.L2MB)
+}
+
+// scaleV1 is workload.Scale as it stood then.
+type scaleV1 struct{ Iters, Footprint int }
+
 // sprintfPreimage is CellKey's pre-image as every revision before the
-// hand-written encoder produced it. It is the reference appendCellPreimage
-// is held to, byte for byte.
-func sprintfPreimage(cfg sim.Config, app string, sc workload.Scale, threadCounts []int) string {
-	cfg.Trace = nil
-	cfg.Sched = 0
-	script := cfg.Fault
-	cfg.Fault = nil
+// hand-written encoder produced it, over the frozen copies. It is the
+// reference appendCellPreimage is held to, byte for byte.
+func sprintfPreimage(cfg configV1, app string, sc scaleV1, threadCounts []int, script *fault.Script) string {
 	s := fmt.Sprintf("cell|%+v|%s|%+v|%v", cfg, app, sc, threadCounts)
 	if !script.Empty() {
 		s += fmt.Sprintf("|fault|%s", script.Digest())
 	}
 	return s
+}
+
+// copyByName sets every field of the live struct dst from the field of
+// the same name in the frozen copy src, recursing into nested structs.
+// Pointer fields, and live fields the copy lacks, are left alone:
+// TestCellKeyFieldsGuard decides about the latter.
+func copyByName(t *testing.T, dst, src reflect.Value) {
+	t.Helper()
+	for i := 0; i < dst.NumField(); i++ {
+		f, name := dst.Field(i), dst.Type().Field(i).Name
+		from := src.FieldByName(name)
+		if f.Kind() == reflect.Pointer || !from.IsValid() {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(from.Int())
+		case reflect.Uint64:
+			f.SetUint(from.Uint())
+		case reflect.Bool:
+			f.SetBool(from.Bool())
+		case reflect.Struct:
+			copyByName(t, f, from)
+		default:
+			t.Fatalf("%s.%s is a %s: teach copyByName and appendCellPreimage (cache.go) to write it as %%+v does",
+				dst.Type(), name, f.Kind())
+		}
+	}
 }
 
 // randInt draws from the values an integer field can hold, weighted toward
@@ -50,8 +105,9 @@ func randInt(rng *rand.Rand) int64 {
 	}
 }
 
-// fillRandom sets every field of the struct v from rng. A field kind it
-// does not know is a field the encoder does not know either.
+// fillRandom sets every field of the struct v from rng, leaving pointers
+// nil. A field kind it does not know is a field the encoder does not
+// know either.
 func fillRandom(t *testing.T, rng *rand.Rand, v reflect.Value) {
 	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
@@ -70,12 +126,6 @@ func fillRandom(t *testing.T, rng *rand.Rand, v reflect.Value) {
 		case reflect.Struct:
 			fillRandom(t, rng, f)
 		case reflect.Pointer:
-			switch {
-			case name == "Fault":
-				f.Set(reflect.ValueOf(randScript(rng)))
-			case rng.Intn(2) == 0:
-				f.Set(reflect.New(f.Type().Elem())) // Trace: set or not, never in the key
-			}
 		default:
 			t.Fatalf("%s.%s is a %s: teach fillRandom and appendCellPreimage (cache.go) to write it as %%+v does",
 				v.Type(), name, f.Kind())
@@ -123,19 +173,30 @@ func randCounts(rng *rand.Rand) []int {
 	return out
 }
 
-// "Every key unchanged" as a test: over seeded random configurations,
-// names, scales and thread counts, the hand-written pre-image is the
-// Sprintf text and the key is its truncated SHA-256.
+// "Every key unchanged" as a test: over seeded random values of the
+// frozen configuration and scale, names and thread counts, the
+// hand-written pre-image of the same values in the live structs is the
+// Sprintf text of the frozen ones, and the key is its truncated SHA-256.
+// A set Trace never reaches the key.
 func TestCellKeyPreimageMatchesSprintf(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 3000; i++ {
+		var frozen configV1
+		var fsc scaleV1
+		fillRandom(t, rng, reflect.ValueOf(&frozen).Elem())
+		fillRandom(t, rng, reflect.ValueOf(&fsc).Elem())
+		frozen.Sched = 0
 		var cfg sim.Config
 		var sc workload.Scale
-		fillRandom(t, rng, reflect.ValueOf(&cfg).Elem())
-		fillRandom(t, rng, reflect.ValueOf(&sc).Elem())
+		copyByName(t, reflect.ValueOf(&cfg).Elem(), reflect.ValueOf(frozen))
+		copyByName(t, reflect.ValueOf(&sc).Elem(), reflect.ValueOf(fsc))
+		cfg.Fault = randScript(rng)
+		if rng.Intn(2) == 0 {
+			cfg.Trace = new(trace.Recorder)
+		}
 		app, counts := randApp(rng), randCounts(rng)
 
-		want := sprintfPreimage(cfg, app, sc, counts)
+		want := sprintfPreimage(frozen, app, fsc, counts, cfg.Fault)
 		if got := string(appendCellPreimage(nil, &cfg, app, sc, counts)); got != want {
 			t.Fatalf("case %d: pre-image differs from fmt's\n got %q\nwant %q", i, got, want)
 		}
@@ -152,14 +213,15 @@ var keyedFields = map[reflect.Type]string{
 	reflect.TypeOf(sim.Config{}): "Arch area.Params, K int, MatchAssoc int, MatchBanks int, OverflowPenalty int, " +
 		"InstMissPenalty int, Placement place.Policy, PodSize int, OutQCap int, SpecFire bool, InputWindow int, " +
 		"SBContexts int, PSQs int, PSQEntries int, SBPipeLat int, L1Lat int, L1Ports int, L2Lat int, MemLat int, " +
-		"NocBW int, NocQCap int, NetPEBW int, Sched sim.SchedMode, MaxCycles uint64, StallLimit uint64, " +
+		"NocBW int, NocQCap int, NetPEBW int, MaxCycles uint64, StallLimit uint64, " +
 		"Trace *trace.Recorder, Fault *fault.Script",
 	reflect.TypeOf(area.Params{}):    "Clusters int, Domains int, PEs int, Virt int, Match int, L1KB int, L2MB int",
 	reflect.TypeOf(workload.Scale{}): "Iters int, Footprint int",
 }
 
-// The differential test above already fails when one of these structs
-// changes shape; this one says why, and what to do about it.
+// The differential test above holds the encoder to the frozen copy; this
+// one fails when a live struct gains, loses or reorders a field, and says
+// what to decide.
 func TestCellKeyFieldsGuard(t *testing.T) {
 	for typ, want := range keyedFields {
 		var fields []string
@@ -168,9 +230,12 @@ func TestCellKeyFieldsGuard(t *testing.T) {
 		}
 		if got := strings.Join(fields, ", "); got != want {
 			t.Errorf("%s gained, lost or reordered a field:\n got %s\nwant %s\n"+
-				"explore.appendCellPreimage (cache.go) writes these fields by hand, in this order, as %%+v printed them. "+
-				"Update it and this list together — and any change to the pre-image of an existing configuration "+
-				"orphans every journal record and cached cell written so far.", typ, got, want)
+				"explore.appendCellPreimage (cache.go) writes these fields by hand, as %%+v of configV1 printed them. "+
+				"Decide whether the change can move a simulation's result. If it can, the key must cover it: append it "+
+				"to the pre-image only when it differs from its old value, as Fault is, and extend sprintfPreimage "+
+				"to match. If it cannot (like Trace), leave the pre-image alone. Then update this list. Never change "+
+				"the text an existing configuration is written as, and never edit configV1: that orphans every "+
+				"journal record and cached cell written so far.", typ, got, want)
 		}
 	}
 }

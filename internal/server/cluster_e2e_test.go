@@ -171,8 +171,9 @@ func TestClusterSmoke(t *testing.T) {
 // those) and not the ones copied from a cache twin. On a coordinator, the
 // stub worker refuses djpeg's 8 KB-L1 cells, so those fall back to local
 // simulation, and it answers every other cell, lu's as deterministic
-// failures; a coordinator's sweep copies nothing. A single-node daemon
-// running the same sweep copies cells, and counts only the simulated ones.
+// failures; a coordinator's sweep copies nothing, with no worker
+// registered too. A single-node daemon running the same sweep copies
+// cells, and counts only the simulated ones.
 func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
 	const body = `{"apps":["djpeg","lu"],"scale":"tiny","max_points":8}`
 	stubExp, err := explore.New()
@@ -219,7 +220,7 @@ func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
 	}
 
 	single, ts := newTestServer(t)
-	sweepResult(t, ts.URL, body, nil)
+	want := sweepResult(t, ts.URL, body, nil)
 	p = single.exp.LastProgress()
 	if p.Reused == 0 || p.Remote != 0 {
 		t.Fatalf("single-node sweep: %+v, want copied cells", p)
@@ -228,6 +229,19 @@ func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
 	if completed+failed != uint64(p.Simulated-p.Reused) || failed != uint64(p.Failed) {
 		t.Errorf("sims completed %d, failed %d; want %d simulated of which %d failed (progress %+v)",
 			completed, failed, p.Simulated-p.Reused, p.Failed, p)
+	}
+
+	bare, bareTS := newTestServer(t, WithRole(RoleCoordinator))
+	got := sweepResult(t, bareTS.URL, body, nil)
+	p = bare.exp.LastProgress()
+	if p.Reused != 0 || p.Remote != 0 {
+		t.Fatalf("coordinator sweep with no workers: %+v, want every cell simulated here", p)
+	}
+	if sims := bare.counter(&bare.metrics.simsCompleted) + bare.counter(&bare.metrics.simsFailed); sims != uint64(p.Simulated) {
+		t.Errorf("coordinator with no workers: %d sims, want %d (progress %+v)", sims, p.Simulated, p)
+	}
+	if string(got) != string(want) {
+		t.Errorf("coordinator with no workers differs from single node:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -197,6 +197,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req, true) {
 		return
 	}
+	if req.MaxPoints < 0 {
+		writeErr(w, http.StatusBadRequest, "max_points %d must not be negative (0 means every viable design)", req.MaxPoints)
+		return
+	}
 
 	var (
 		apps   []workload.Workload

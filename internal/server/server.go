@@ -71,7 +71,9 @@ const (
 	// RoleCoordinator shards sweep cells across registered workers by
 	// rendezvous hashing, streams results into its own cache/journal,
 	// and serves the /v1/cluster registration endpoints. With no workers
-	// registered it degrades to RoleSingle behavior.
+	// registered it simulates every cell itself, with RoleSingle's
+	// results; unlike RoleSingle it never copies a cache twin's run, so a
+	// sweep simulates every cell (see explore, "Cache-family reuse").
 	RoleCoordinator Role = "coordinator"
 	// RoleWorker executes cells on behalf of a coordinator via
 	// POST /v1/cluster/execute (an Agent keeps it registered; see

@@ -205,6 +205,7 @@ func TestSweepValidation(t *testing.T) {
 		{"unknown app", `{"apps":["doom"]}`, http.StatusNotFound},
 		{"bad threads", `{"suite":"mediabench","thread_counts":[0]}`, http.StatusBadRequest},
 		{"bad scale", `{"suite":"mediabench","scale":"huge"}`, http.StatusBadRequest},
+		{"negative max_points", `{"suite":"mediabench","max_points":-1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -114,9 +114,7 @@ func BenchmarkFullScanTick(b *testing.B) {
 	}
 	inst := w.Build(workload.Small)
 	build := func() (*Processor, uint64) {
-		cfg := Baseline(BaselineArch())
-		cfg.Sched = SchedFullScan
-		p, err := New(cfg, inst.Prog, inst.Params(1), Memory(inst.Mem))
+		p, err := NewFullScan(Baseline(BaselineArch()), inst.Prog, inst.Params(1), Memory(inst.Mem))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,24 +15,6 @@ import (
 	"wavescalar/internal/trace"
 )
 
-// SchedMode selects the simulator's per-cycle scheduling strategy. The
-// strategy never changes simulation results — both modes produce
-// byte-identical Stats (enforced by the root equivalence test over the
-// full workload suite) — only how much host work a simulated cycle costs.
-type SchedMode int
-
-const (
-	// SchedActiveSet (the default) ticks only components that registered
-	// into the cycle's work lists: a cycle costs O(in-flight work) instead
-	// of O(machine size), which is where sparse phases and large machines
-	// spend their time under the full scan.
-	SchedActiveSet SchedMode = iota
-	// SchedFullScan is the legacy reference scheduler: every PE, domain,
-	// and store buffer is visited every cycle. Kept as the oracle the
-	// active-set scheduler is verified against.
-	SchedFullScan
-)
-
 // Config describes one WaveScalar processor configuration plus the
 // microarchitectural knobs the paper ablates.
 type Config struct {
@@ -81,11 +63,6 @@ type Config struct {
 
 	// Pseudo-PEs.
 	NetPEBW int // operands per cycle through a NET pseudo-PE (1)
-
-	// Sched selects the per-cycle scheduling strategy (active-set by
-	// default; SchedFullScan is the verification oracle). Simulation
-	// results are identical in both modes.
-	Sched SchedMode
 
 	// Run control.
 	MaxCycles uint64 // hard stop; 0 means a large default

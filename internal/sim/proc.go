@@ -91,7 +91,7 @@ type Processor struct {
 	inflight memRing            // memory operations the cache has not completed
 	reqSeq   uint64             // the next memory request id
 
-	// Active-set scheduler state (Config.Sched): one work list per PE
+	// Active-set scheduler state (see activeTick): one work list per PE
 	// pipeline phase plus one each for the domain pseudo-PEs and the
 	// store buffers. Queue-push sites arm these unconditionally in both
 	// modes (arming is idempotent and branch-cheap); only activeTick
@@ -123,6 +123,7 @@ type Processor struct {
 	// use is behind a nil check, so the disabled path costs one branch).
 	rec *trace.Recorder
 
+	fullScan   bool // tick with scanTick, the reference scheduler (NewFullScan)
 	ran        bool // Run has been called: a Processor runs once
 	halted     []bool
 	haltValues []uint64
@@ -131,6 +132,19 @@ type Processor struct {
 	progress   uint64
 	cycle      uint64
 	stats      Stats
+}
+
+// NewFullScan is New with the reference scheduler, scanTick, which visits
+// every component every cycle. It produces byte-identical results to the
+// active set at more host cost per cycle; it exists so the equivalence
+// checks can build the oracle they compare against, and a configuration
+// has no way to ask for it.
+func NewFullScan(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) (*Processor, error) {
+	p, err := New(cfg, prog, params, mem)
+	if err == nil {
+		p.fullScan = true
+	}
+	return p, err
 }
 
 // New builds a processor for prog with one parameter map per thread.
@@ -631,10 +645,10 @@ func (p *Processor) inject() {
 	p.progress = 0
 }
 
-// tick advances the whole machine one cycle under the configured
-// scheduling strategy.
+// tick advances the whole machine one cycle under the processor's
+// scheduler.
 func (p *Processor) tick(c uint64) {
-	if p.cfg.Sched == SchedFullScan {
+	if p.fullScan {
 		p.scanTick(c)
 	} else {
 		p.activeTick(c)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"wavescalar/internal/cache"
@@ -103,14 +104,109 @@ type Stats struct {
 	Fault fault.Report
 }
 
-// Digest returns a hex SHA-256 over every field of the Stats struct (via
-// the canonical %+v rendering, which names each field). Two runs with the
-// same digest produced identical statistics; the golden-determinism CI
-// check and the scheduler-equivalence tests compare these.
+// Digest returns a hex SHA-256 over the statistics' v1 pre-image
+// (appendStatsPreimage). Two runs with the same digest produced identical
+// v1 statistics; the golden-determinism CI check and the
+// scheduler-equivalence tests compare these.
 func (s *Stats) Digest() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%+v", *s)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [1024]byte
+	sum := sha256.Sum256(appendStatsPreimage(buf[:0], s))
+	return hex.EncodeToString(sum[:])
+}
+
+// appendStatsPreimage appends the v1 pre-image: the text fmt's %+v
+// printed for Stats when the golden digests were pinned, Fault as the text
+// its String method printed then. It is written field by field, so no
+// field added to Stats or to a nested struct, and no rename or display
+// method in another package, moves a digest. A new counter stays outside
+// v1; changing what is hashed is a deliberate v2 that re-pins every
+// digest. stats_test.go holds this to fmt on a frozen copy of the struct.
+func appendStatsPreimage(b []byte, s *Stats) []byte {
+	u := func(name string, v uint64) {
+		b = append(b, name...)
+		b = strconv.AppendUint(b, v, 10)
+	}
+	i := func(name string, v int) {
+		b = append(b, name...)
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	u("{Cycles:", s.Cycles)
+	u(" Dynamic:", s.Dynamic)
+	u(" Countable:", s.Countable)
+	b = append(b, " Traffic:["...)
+	for l, row := range s.Traffic {
+		if l > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, '[')
+		for c, n := range row {
+			if c > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendUint(b, n, 10)
+		}
+		b = append(b, ']')
+	}
+	m := &s.Match
+	u("] Match:{Inserts:", m.Inserts)
+	u(" Matches:", m.Matches)
+	u(" Evictions:", m.Evictions)
+	u(" OverflowHits:", m.OverflowHits)
+	u(" KRejects:", m.KRejects)
+	u(" BankRejects:", m.BankRejects)
+	u("} IStoreHits:", s.IStoreHits)
+	u(" IStoreMisses:", s.IStoreMisses)
+	sb := &s.StoreBuf
+	u(" StoreBuf:{Arrivals:", sb.Arrivals)
+	u(" IssuedLoads:", sb.IssuedLoads)
+	u(" IssuedStores:", sb.IssuedStores)
+	u(" IssuedNops:", sb.IssuedNops)
+	u(" PSQAllocs:", sb.PSQAllocs)
+	u(" PSQQueued:", sb.PSQQueued)
+	u(" PSQStalls:", sb.PSQStalls)
+	u(" ContextStalls:", sb.ContextStalls)
+	u(" WavesDone:", sb.WavesDone)
+	c := &s.Cache
+	u("} Cache:{Accesses:", c.Accesses)
+	u(" L1Hits:", c.L1Hits)
+	u(" L1Misses:", c.L1Misses)
+	u(" L1Writebacks:", c.L1Writebacks)
+	u(" L2Hits:", c.L2Hits)
+	u(" L2Misses:", c.L2Misses)
+	u(" Invalidations:", c.Invalidations)
+	u(" Downgrades:", c.Downgrades)
+	u(" MSHRMerges:", c.MSHRMerges)
+	n := &s.Noc
+	u("} Noc:{Injected:", n.Injected)
+	u(" Delivered:", n.Delivered)
+	u(" TotalHops:", n.TotalHops)
+	u(" TotalLat:", n.TotalLat)
+	u(" InjectFull:", n.InjectFull)
+	u(" Blocked:", n.Blocked)
+	u(" Retransmits:", n.Retransmits)
+	u(" Rerouted:", n.Rerouted)
+	u(" Unroutable:", n.Unroutable)
+	i(" LinksDown:", n.LinksDown)
+	u("} MemAccesses:", s.MemAccesses)
+	u(" MemLatTotal:", s.MemLatTotal)
+	u(" OperandLatTotal:", s.OperandLatTotal)
+	u(" OperandCount:", s.OperandCount)
+	u(" Dispatches:", s.Dispatches)
+	u(" SpecFires:", s.SpecFires)
+	u(" OutQStalls:", s.OutQStalls)
+	u(" InputRejects:", s.InputRejects)
+	f := &s.Fault
+	i(" Fault:pes_killed=", f.PEsKilled)
+	i(" links_down=", f.LinksDown)
+	u(" link_flips=", f.LinkFlips)
+	u(" mem_drops=", f.MemDrops)
+	u(" mem_retries=", f.MemRetries)
+	u(" mem_delays=", f.MemDelays)
+	u(" sb_delays=", f.SBDelays)
+	i(" insts_migrated=", f.InstsMigrated)
+	i(" tokens_migrated=", f.TokensMigrated)
+	u(" healed=", f.Healed)
+	return append(b, '}')
 }
 
 // AIPC returns Alpha-equivalent instructions per cycle.

@@ -139,8 +139,8 @@ func TestSeedCorpusWitnesses(t *testing.T) {
 	// Thread 0's halt value corrupted on multi-cluster
 	// machines — the shape of a cross-cluster steering bug; caught by the
 	// sim-vs-ref differential.
-	export(func(cfg sim.Config, inst *workload.Instance, threads int) (*SimOutcome, error) {
-		out, err := RealSim(cfg, inst, threads)
+	export(func(cfg sim.Config, inst *workload.Instance, threads int, fullScan bool) (*SimOutcome, error) {
+		out, err := RealSim(cfg, inst, threads, fullScan)
 		if err == nil && out.Err == nil && cfg.Arch.Clusters >= 2 {
 			out.HaltValues[0]++
 		}

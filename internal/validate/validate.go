@@ -159,10 +159,12 @@ func (o *SimOutcome) digest() string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
-// RunSimFunc executes one simulator run for the harness. The default
-// (nil) runs the real simulator; tests inject wrappers that corrupt
-// results to prove the harness catches and shrinks real divergence.
-type RunSimFunc func(cfg sim.Config, inst *workload.Instance, threads int) (*SimOutcome, error)
+// RunSimFunc executes one simulator run for the harness; fullScan asks
+// for the reference scheduler (sim.NewFullScan), which only the
+// scheduler variant does. The default (nil) runs the real simulator;
+// tests inject wrappers that corrupt results to prove the harness
+// catches and shrinks real divergence.
+type RunSimFunc func(cfg sim.Config, inst *workload.Instance, threads int, fullScan bool) (*SimOutcome, error)
 
 // Checker runs differential and metamorphic checks on cases. The zero
 // value checks against the real simulator.
@@ -179,19 +181,23 @@ type Checker struct {
 // error means the run could not be built (bad config for this machine) —
 // an infrastructure problem, not a divergence; deterministic run
 // failures land in SimOutcome.Err.
-func (ck *Checker) runSim(cfg sim.Config, inst *workload.Instance, threads int) (*SimOutcome, error) {
+func (ck *Checker) runSim(cfg sim.Config, inst *workload.Instance, threads int, fullScan bool) (*SimOutcome, error) {
 	ck.Sims++
 	fn := ck.RunSim
 	if fn == nil {
 		fn = RealSim
 	}
-	return fn(cfg, inst, threads)
+	return fn(cfg, inst, threads, fullScan)
 }
 
 // RealSim runs the real cycle-level simulator and extracts the outcome —
 // the default RunSimFunc, exported so test wrappers can delegate to it.
-func RealSim(cfg sim.Config, inst *workload.Instance, threads int) (*SimOutcome, error) {
-	proc, err := sim.New(cfg, inst.Prog, inst.Params(threads), sim.Memory(inst.Mem))
+func RealSim(cfg sim.Config, inst *workload.Instance, threads int, fullScan bool) (*SimOutcome, error) {
+	build := sim.New
+	if fullScan {
+		build = sim.NewFullScan
+	}
+	proc, err := build(cfg, inst.Prog, inst.Params(threads), sim.Memory(inst.Mem))
 	if err != nil {
 		return nil, err
 	}
@@ -239,14 +245,14 @@ func (ck *Checker) Check(c Case) (*Failure, error) {
 		return nil, fmt.Errorf("validate: reference run: %w", err)
 	}
 
-	out, err := ck.runSim(cfg, inst, threads)
+	out, err := ck.runSim(cfg, inst, threads, false)
 	if err != nil {
 		return nil, fmt.Errorf("validate: building simulator: %w", err)
 	}
 
 	// Determinism: the same case must produce a byte-identical outcome —
 	// including identical failures.
-	again, err := ck.runSim(cfg, inst, threads)
+	again, err := ck.runSim(cfg, inst, threads, false)
 	if err != nil {
 		return nil, fmt.Errorf("validate: building simulator (rerun): %w", err)
 	}
@@ -358,7 +364,7 @@ func (ck *Checker) checkFaultIdentity(c Case, cfg sim.Config, inst *workload.Ins
 	}
 	empty := cfg
 	empty.Fault = &fault.Script{}
-	eout, err := ck.runSim(empty, inst, threads)
+	eout, err := ck.runSim(empty, inst, threads, false)
 	if err != nil {
 		return nil, fmt.Errorf("validate: building simulator (empty script): %w", err)
 	}
@@ -373,9 +379,7 @@ func (ck *Checker) checkFaultIdentity(c Case, cfg sim.Config, inst *workload.Ins
 // oracle must produce an outcome byte-identical to the active-set
 // default, including identical Stats.
 func (ck *Checker) checkSched(c Case, cfg sim.Config, inst *workload.Instance, threads int, out *SimOutcome) (*Failure, error) {
-	full := cfg
-	full.Sched = sim.SchedFullScan
-	fout, err := ck.runSim(full, inst, threads)
+	fout, err := ck.runSim(cfg, inst, threads, true)
 	if err != nil {
 		return nil, fmt.Errorf("validate: building simulator (full scan): %w", err)
 	}

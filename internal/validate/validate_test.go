@@ -141,8 +141,8 @@ func TestTokenRoundTrip(t *testing.T) {
 
 // buggySim corrupts thread 0's halt value on machines with at least two
 // clusters — a stand-in for a real cross-cluster steering bug.
-func buggySim(cfg sim.Config, inst *workload.Instance, threads int) (*SimOutcome, error) {
-	out, err := RealSim(cfg, inst, threads)
+func buggySim(cfg sim.Config, inst *workload.Instance, threads int, fullScan bool) (*SimOutcome, error) {
+	out, err := RealSim(cfg, inst, threads, fullScan)
 	if err == nil && out.Err == nil && cfg.Arch.Clusters >= 2 {
 		out.HaltValues[0]++
 	}
@@ -204,9 +204,9 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 func TestShrinkRejectsDifferentKind(t *testing.T) {
 	c := GenerateCase(CaseSeed(1, 0))
 	calls := 0
-	ck := &Checker{RunSim: func(cfg sim.Config, inst *workload.Instance, threads int) (*SimOutcome, error) {
+	ck := &Checker{RunSim: func(cfg sim.Config, inst *workload.Instance, threads int, fullScan bool) (*SimOutcome, error) {
 		calls++
-		out, err := RealSim(cfg, inst, threads)
+		out, err := RealSim(cfg, inst, threads, fullScan)
 		if err != nil || out.Err != nil {
 			return out, err
 		}
