@@ -19,6 +19,6 @@ RUN adduser -D -u 10001 wsd && mkdir /data && chown wsd /data
 USER wsd
 COPY --from=build /out/wsd /usr/local/bin/wsd
 # -addr must bind all interfaces inside a container; everything else
-# (role, coordinator URL, journal) comes from the compose file.
+# (journal, quotas) comes from the compose file.
 ENTRYPOINT ["wsd", "-addr", ":8080"]
 EXPOSE 8080

@@ -10,19 +10,6 @@
 //	wsd -journal wsd.jsonl -resume           # warm restart from journal
 //	wsd -cache-limit 10000                   # bound cache memory (LRU)
 //
-// Distributed sweep fabric (one coordinator, N workers):
-//
-//	wsd -role coordinator -addr :8080
-//	wsd -role worker -addr :8081 -coordinator http://coord:8080 \
-//	    -advertise http://worker1:8081
-//
-// The coordinator shards sweep cells across registered workers by
-// rendezvous hashing on the content-addressed cell key and falls back
-// to local simulation when the fabric degrades. Every dispatched cell
-// comes back in its execute response and lands in the coordinator's
-// cache and journal; a worker's own -journal only warm-starts that
-// worker.
-//
 // Endpoints:
 //
 //	POST /v1/runs        synchronous single simulation (cached, deduped)
@@ -31,12 +18,7 @@
 //	DELETE /v1/jobs/{id} cancel a job
 //	GET  /v1/designs     enumerate viable design points
 //	GET  /v1/workloads   enumerate bundled workloads
-//	POST /v1/cluster/execute     simulate one cell (fabric dispatch)
-//	POST /v1/cluster/register    worker registration (coordinator only)
-//	POST /v1/cluster/heartbeat   worker lease renewal (coordinator only)
-//	POST /v1/cluster/deregister  worker graceful drain (coordinator only)
-//	GET  /v1/cluster/workers     fabric membership (coordinator only)
-//	GET  /healthz        liveness + role + queue/cache stats
+//	GET  /healthz        liveness + queue/cache stats
 //	GET  /metrics        Prometheus text exposition
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: admissions stop (new
@@ -70,11 +52,6 @@ func main() {
 	cacheLimit := flag.Int("cache-limit", 0, "max cached cells, LRU-evicted (0 = unlimited)")
 	par := flag.Int("parallel", 0, "concurrent simulations per sweep job (0 = GOMAXPROCS)")
 	drain := flag.Duration("drain", 2*time.Minute, "graceful-shutdown drain deadline for in-flight simulations")
-	roleName := flag.String("role", "single", "fabric role: single, coordinator, or worker")
-	coordinator := flag.String("coordinator", "", "coordinator base URL (worker role), e.g. http://coord:8080")
-	advertise := flag.String("advertise", "", "base URL the coordinator dispatches to (worker role; default http://<listen addr>)")
-	workerID := flag.String("worker-id", "", "stable worker identity (worker role; default hostname:port)")
-	lease := flag.Duration("lease", 15*time.Second, "worker lease; a worker missing heartbeats this long is dropped (coordinator role)")
 	tenantQuota := flag.Int("tenant-quota", 0, "max queued-or-running jobs per tenant (X-Tenant header); 0 disables")
 	scenarioStore := flag.String("scenario-store", "", "persist stored scenarios to this JSONL file (default <journal>.scenarios when -journal is set)")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -87,21 +64,20 @@ func main() {
 	if *resume && *journalPath == "" {
 		fail(fmt.Errorf("-resume requires -journal"))
 	}
-	role, err := wavescalar.ParseRole(*roleName)
-	if err != nil {
-		fail(err)
-	}
-	if role == wavescalar.RoleWorker && *coordinator == "" {
-		fail(fmt.Errorf("-role worker requires -coordinator"))
+	// 0 means "the default" on these four, so only a negative value is an
+	// error.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", *workers}, {"cache-limit", *cacheLimit}, {"parallel", *par}, {"tenant-quota", *tenantQuota}} {
+		if f.v < 0 {
+			fail(fmt.Errorf("-%s %d must not be negative", f.name, f.v))
+		}
 	}
 
 	opts := []wavescalar.ServerOption{
 		wavescalar.ServerQueueDepth(*queue),
 		wavescalar.ServerRequestTimeout(*timeout),
-		wavescalar.ServerRole(role),
-	}
-	if role == wavescalar.RoleCoordinator {
-		opts = append(opts, wavescalar.ServerLease(*lease))
 	}
 	if *tenantQuota > 0 {
 		opts = append(opts, wavescalar.ServerTenantQuota(*tenantQuota))
@@ -157,43 +133,6 @@ func main() {
 	// the actual port (when -addr ends in :0) can immediately talk to
 	// the real API, not the starting stub.
 	fmt.Printf("wsd: listening on http://%s\n", ln.Addr())
-	if role != wavescalar.RoleSingle {
-		fmt.Fprintf(os.Stderr, "wsd: fabric role %s\n", role)
-	}
-
-	// Worker role: keep this daemon's lease with the coordinator alive.
-	stopAgent := func() {}
-	if role == wavescalar.RoleWorker {
-		adv := *advertise
-		if adv == "" {
-			adv = "http://" + ln.Addr().String()
-		}
-		id := *workerID
-		if id == "" {
-			host, _ := os.Hostname()
-			if host == "" {
-				host = "worker"
-			}
-			_, port, _ := net.SplitHostPort(ln.Addr().String())
-			id = host + ":" + port
-		}
-		agent := &wavescalar.ClusterAgent{
-			Coordinator: *coordinator, ID: id, Addr: adv,
-			Busy: srv.Busy,
-		}
-		agentCtx, agentCancel := context.WithCancel(context.Background())
-		agentDone := make(chan struct{})
-		go func() {
-			defer close(agentDone)
-			if err := agent.Run(agentCtx); err != nil && agentCtx.Err() == nil {
-				fmt.Fprintln(os.Stderr, "wsd: cluster agent:", err)
-			}
-		}()
-		stopAgent = func() {
-			agentCancel()
-			<-agentDone // deregistered (or lease left to expire)
-		}
-	}
 
 	shutdownDone := make(chan error, 1)
 	sigs := make(chan os.Signal, 1)
@@ -201,12 +140,8 @@ func main() {
 	go func() {
 		sig := <-sigs
 		fmt.Fprintf(os.Stderr, "wsd: %s: draining (deadline %s)\n", sig, *drain)
-		// Deregister from the coordinator first so no new cells arrive,
-		// then drain the simulation pipeline while the HTTP server still
-		// delivers results to waiting clients — every cell a coordinator
-		// dispatched here goes back in its execute response — then close
-		// the listener.
-		stopAgent()
+		// Drain the simulation pipeline while the HTTP server still
+		// delivers results to waiting clients, then close the listener.
 		drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		err := srv.Shutdown(drainCtx)

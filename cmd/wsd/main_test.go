@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -153,6 +155,28 @@ func TestVersionFlag(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(out), "wsd ") {
 		t.Errorf("version output %q", out)
+	}
+}
+
+// TestBadFlagValuesRefused: a negative -workers, -cache-limit, -parallel
+// or -tenant-quota, like a zero -queue, exits 1 with a message naming the
+// flag instead of starting a daemon. A daemon that does start is killed
+// when the context ends, which reads as exit -1.
+func TestBadFlagValuesRefused(t *testing.T) {
+	bin := buildWSD(t)
+	for _, arg := range []string{"-workers=-3", "-cache-limit=-5", "-parallel=-2", "-tenant-quota=-1", "-queue=0"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", arg).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("wsd %s: %v, want exit status 1\n%s", arg, err, out)
+			continue
+		}
+		name, _, _ := strings.Cut(strings.TrimPrefix(arg, "-"), "=")
+		if !strings.Contains(string(out), name) {
+			t.Errorf("wsd %s: message %q does not name the flag", arg, out)
+		}
 	}
 }
 

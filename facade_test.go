@@ -149,7 +149,7 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 		t.Errorf("wavescalar.go exports %d names nothing outside it calls — delete them, or import internal/* from inside the module:\n  %s",
 			len(orphans), strings.Join(orphans, "\n  "))
 	}
-	if n := len(spells); n > 97 {
-		t.Errorf("wavescalar.go exports %d identifiers, want at most 97", n)
+	if n := len(spells); n > 89 {
+		t.Errorf("wavescalar.go exports %d identifiers, want at most 89", n)
 	}
 }

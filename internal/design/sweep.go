@@ -148,7 +148,7 @@ type SweepResult struct {
 
 // ValidateRun reports whether a workload scale and a list of thread counts
 // describe runnable cells, wrapping ErrBadOptions on failure. The explore
-// engine and the daemon's fabric endpoint validate eagerly with it.
+// engine validates eagerly with it.
 func ValidateRun(sc workload.Scale, threadCounts []int) error {
 	if sc.Iters <= 0 || sc.Footprint <= 0 {
 		return fmt.Errorf("%w: scale %+v (Iters and Footprint must be positive; use workload.Tiny/Small/Medium)",

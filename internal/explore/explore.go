@@ -38,8 +38,6 @@
 // provided that run evicted nothing (design.ThreadRun.Evicted). Only the
 // rest is simulated. Ready cells go to the workers in point-major order,
 // so where no cell waits the schedule is that of a sweep without reuse.
-// A sweep with a CellRunner (WithRunner) makes no cell wait: remote cells
-// are never bases, so its cells go out one by one.
 //
 // The certificate is the eviction count of internal/cache, kept outside
 // its Stats so no digest moves. It counts every fill that displaced a
@@ -49,8 +47,7 @@
 // with none makes the identical sequence of events on every twin;
 // FuzzCacheFamily checks that in internal/cache, and
 // TestSweepReuseMatchesDirect checks reused cells against direct runs.
-// Cache hits and CellRunner cells carry no per-count runs and never serve
-// as bases. A copied cell is byte-identical to a simulated one, so keys,
+// Cache hits carry no per-count runs and never serve as bases. A copied cell is byte-identical to a simulated one, so keys,
 // journal records and results do not change; only Progress.Reused tells
 // them apart.
 package explore
@@ -80,11 +77,10 @@ type Progress struct {
 	// CacheHits were answered from the cache/journal without simulating;
 	// Simulated counts every other cell, the ones this sweep produced;
 	// Failed of those ended in a deterministic error (and were cached as
-	// such). Remote counts the produced cells a CellRunner executed on
-	// another node (WithRunner), and Reused those copied from a cache twin
+	// such). Reused counts the produced cells copied from a cache twin
 	// without a simulation (see the package doc). Batched is always 0; the
 	// field stays only because bench/ledger/sweepwl.go reads it.
-	CacheHits, Simulated, Failed, Remote, Reused, Batched int
+	CacheHits, Simulated, Failed, Reused, Batched int
 	// SimCycles totals the machine cycles of the cells Simulated counts (a
 	// reused cell's are its twin's).
 	SimCycles uint64
@@ -134,29 +130,6 @@ func WithProgress(fn func(Progress)) Option {
 	return func(e *Explorer) error { e.progress = fn; return nil }
 }
 
-// CellRunner executes one cell somewhere other than this process — the
-// hook the distributed sweep fabric plugs in so a coordinator's sweeps
-// fan out across worker daemons. The runner receives everything that
-// defines the cell (the content-addressed key plus the inputs it was
-// derived from) and returns the completed cell, whose Key must equal key.
-// Any error — no workers, network failure, retries exhausted — makes the
-// sweep fall back to simulating the cell locally, so a degraded fabric
-// only loses speed, never results.
-type CellRunner func(ctx context.Context, key string, cfg sim.Config, app string, sc workload.Scale, threadCounts []int) (Cell, error)
-
-// WithRunner installs a CellRunner consulted before local simulation on
-// every sweep cache miss (see CellRunner). RunOne and Tune never use the
-// runner: they are the local units of work a remote fabric itself calls.
-func WithRunner(fn CellRunner) Option {
-	return func(e *Explorer) error {
-		if fn == nil {
-			return fmt.Errorf("%w: nil CellRunner", design.ErrBadOptions)
-		}
-		e.runner = fn
-		return nil
-	}
-}
-
 // WithCacheLimit caps the result cache at n cells, evicting least
 // recently used entries beyond it (see Cache.SetLimit). The default is
 // unlimited — the right choice for one-shot CLI sweeps; a long-running
@@ -184,7 +157,6 @@ type Explorer struct {
 	journalPath  string
 	resume       bool
 	progress     func(Progress)
-	runner       CellRunner
 
 	journal *journal
 	// Loaded reports how many journal records a resume replayed.
@@ -350,10 +322,7 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 			if cell.Err != "" {
 				prog.Failed++
 			}
-			switch src {
-			case srcRemote:
-				prog.Remote++
-			case srcReused:
+			if src == srcReused {
 				prog.Reused++
 			}
 			prog.SimCycles += cell.SimCycles
@@ -381,15 +350,8 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	// offer it runs to copy. Ready cells go to the first free worker in
 	// point-major order (cellQueue).
 	// Cells this sweep simulated (in full or in part) become bases for
-	// their successors; cache hits and remote cells do not, as they carry
-	// no per-count runs. For that reason a sweep with a CellRunner makes
-	// no cell wait: its cells go to the fabric as they come, and one that
-	// falls back to a local simulation copies nothing.
-	var families [][]int
-	if e.runner == nil {
-		families = cacheFamilies(configs)
-	}
-	g := twinGraph(configs, families)
+	// their successors; cache hits do not, as they carry no per-count runs.
+	g := twinGraph(configs)
 	bases := make([][][]design.ThreadRun, len(points))
 	for pi := range bases {
 		if len(g.succs[pi]) > 0 {
@@ -410,7 +372,7 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 				return design.ThreadRun{}, false
 			}
 		}
-		cell, runs, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, e.runner, reuse)
+		cell, runs, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, reuse)
 		if src == srcNone {
 			return // cancelled: nothing cached or journaled
 		}
@@ -459,11 +421,10 @@ type twinDAG struct {
 	preds, succs [][]int
 }
 
-// twinGraph builds the twinDAG of configs over the given families (nil:
-// no cell waits for another).
-func twinGraph(configs []sim.Config, families [][]int) twinDAG {
+// twinGraph builds the twinDAG of configs over their cache families.
+func twinGraph(configs []sim.Config) twinDAG {
 	g := twinDAG{preds: make([][]int, len(configs)), succs: make([][]int, len(configs))}
-	for _, family := range families {
+	for _, family := range cacheFamilies(configs) {
 		for i, pi := range family {
 			for _, bi := range family[:i] {
 				if cacheTwin(configs[bi], configs[pi]) {
@@ -606,22 +567,19 @@ const (
 	srcNone   cellSource = iota // cancelled: no answer, nothing cached or journaled
 	srcCache                    // already cached (or journaled and replayed)
 	srcLocal                    // simulated here (some thread counts may be reused)
-	srcRemote                   // simulated by the CellRunner
 	srcReused                   // every thread count copied from a cache twin
 )
 
-// evalCell is the one way a cell is produced: cache lookup, optional remote
-// execution, the local best-thread-count search, write-through. RunOne
-// passes a nil inst so a hit never builds the workload; Sweep passes the
-// instance it built once for the whole sweep. runner and reuse are nil
-// outside sweeps; reuse offers runs of the cell's cache twins (see
-// design.BestThreadsReusing). A cell reuse covers at every thread count
-// the workload allows is copied without consulting the runner (srcReused);
-// otherwise the runs the local search completed are returned with the
-// cell. A returned error is the context's on srcNone and a failed journal
+// evalCell is the one way a cell is produced: cache lookup, the
+// best-thread-count search, write-through. RunOne passes a nil inst so a
+// hit never builds the workload; Sweep passes the instance it built once
+// for the whole sweep. reuse is nil outside sweeps; it offers runs of the
+// cell's cache twins (see design.BestThreadsReusing). A cell reuse covers
+// at every thread count the workload allows is copied (srcReused);
+// otherwise the runs the search completed are returned with the cell. A returned error is the context's on srcNone and a failed journal
 // append otherwise (the cell is still valid and cached).
 func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w workload.Workload, inst *workload.Instance,
-	sc workload.Scale, threadCounts []int, runner CellRunner, reuse func(int) (design.ThreadRun, bool)) (Cell, []design.ThreadRun, cellSource, error) {
+	sc workload.Scale, threadCounts []int, reuse func(int) (design.ThreadRun, bool)) (Cell, []design.ThreadRun, cellSource, error) {
 	if cell, ok := e.cache.Cell(key); ok {
 		return cell, nil, srcCache, nil
 	}
@@ -631,17 +589,6 @@ func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w w
 	src := srcLocal
 	if reuse != nil && covered(reuse, inst.MaxThreads, threadCounts) {
 		src = srcReused
-	} else if runner != nil {
-		// Remote execution first; any failure (no workers, network,
-		// retries exhausted) falls back to simulating locally, so a
-		// degraded fabric never loses cells.
-		rc, rerr := runner(ctx, key, cfg, w.Name, sc, threadCounts)
-		if rerr == nil && rc.Key == key {
-			return rc, nil, srcRemote, e.commit(rc)
-		}
-		if err := ctx.Err(); err != nil {
-			return Cell{}, nil, srcNone, err
-		}
 	}
 	if inst == nil {
 		inst = w.Build(sc)
@@ -761,7 +708,7 @@ func (e *Explorer) RunOne(ctx context.Context, cfg sim.Config, w workload.Worklo
 	if err := design.ValidateRun(sc, threadCounts); err != nil {
 		return Cell{}, false, err
 	}
-	cell, _, src, err := e.evalCell(ctx, CellKey(cfg, w.Name, sc, threadCounts), cfg, w, nil, sc, threadCounts, nil, nil)
+	cell, _, src, err := e.evalCell(ctx, CellKey(cfg, w.Name, sc, threadCounts), cfg, w, nil, sc, threadCounts, nil)
 	return cell, src == srcCache, err
 }
 

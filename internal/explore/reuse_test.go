@@ -151,7 +151,7 @@ func TestSweepResimulatesEvictingBase(t *testing.T) {
 // the same sweep simulated itself. djpeg at tiny scale runs eviction-free
 // on the 8 KB member, so a fresh sweep copies the twin; but when the 8 KB
 // cell is a cache hit there are no per-count runs to copy and the twin is
-// simulated, and a sweep with a CellRunner sends both cells out.
+// simulated.
 func TestReuseNeedsALocalBase(t *testing.T) {
 	pts := twinPair()
 	djpeg := testApps(t, "djpeg")
@@ -182,31 +182,6 @@ func TestReuseNeedsALocalBase(t *testing.T) {
 	if p := exp.LastProgress(); p.CacheHits != 1 || p.Reused != 0 || p.Simulated != 1 {
 		t.Errorf("sweep over a cached base: %+v, want the twin simulated", p)
 	}
-
-	// Nor is a remote cell.
-	remote, err := New(WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var asked []string
-	runner := func(ctx context.Context, key string, cfg sim.Config, app string, sc workload.Scale, counts []int) (Cell, error) {
-		asked = append(asked, cfg.Arch.String())
-		cell, _, err := remote.RunOne(ctx, cfg, djpeg[0], sc, counts)
-		return cell, err
-	}
-	exp, err = New(WithParallelism(1), WithRunner(runner))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exp.Sweep(ctx, pts, djpeg); err != nil {
-		t.Fatal(err)
-	}
-	if p := exp.LastProgress(); p.Remote != 2 || p.Reused != 0 {
-		t.Errorf("sweep with a runner: %+v, want both cells remote", p)
-	}
-	if len(asked) != 2 {
-		t.Errorf("runner asked for %v, want both members", asked)
-	}
 }
 
 // TestCacheFamilies pins the grouping and the walk order: families split
@@ -227,8 +202,7 @@ func TestCacheFamilies(t *testing.T) {
 }
 
 // TestTwinGraph pins which cells wait for which: within a family, a
-// member waits for the earlier members it is a cache twin of. Without
-// families (a sweep with a CellRunner) nothing waits.
+// member waits for the earlier members it is a cache twin of.
 func TestTwinGraph(t *testing.T) {
 	arch := func(l1, l2 int) sim.Config {
 		a := sim.BaselineArch()
@@ -236,16 +210,11 @@ func TestTwinGraph(t *testing.T) {
 		return sim.Baseline(a)
 	}
 	configs := []sim.Config{arch(32, 1), arch(8, 1), arch(16, 2), arch(24, 1), arch(8, 0), arch(32, 0)}
-	g := twinGraph(configs, cacheFamilies(configs))
+	g := twinGraph(configs)
 	wantPreds := [][]int{{1}, nil, {1}, {1}, nil, {4}}
 	wantSuccs := [][]int{nil, {2, 3, 0}, nil, nil, {5}, nil}
 	if !reflect.DeepEqual(g.preds, wantPreds) || !reflect.DeepEqual(g.succs, wantSuccs) {
 		t.Errorf("twinGraph = %+v, want preds %v succs %v", g, wantPreds, wantSuccs)
-	}
-	for pi, preds := range twinGraph(configs, nil).preds {
-		if len(preds) > 0 {
-			t.Errorf("point %d waits for %v without families", pi, preds)
-		}
 	}
 }
 

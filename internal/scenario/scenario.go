@@ -13,7 +13,7 @@
 // name (tile shape and dataflow order included) and the fault script
 // digest — is already folded into explore.CellKey. Running a scenario
 // therefore produces exactly the cells a direct Go invocation would, so
-// caching, journaling, and the cluster fabric work unchanged.
+// caching and journaling work unchanged.
 package scenario
 
 import (

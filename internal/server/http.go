@@ -32,13 +32,6 @@ func (s *Server) routes() *http.ServeMux {
 	handle("GET /v1/scenarios/{digest}", s.handleScenarioGet)
 	handle("GET /v1/jobs/{id}", s.handleJobGet)
 	handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	// Fabric endpoints. execute is served in every role ("any node can
-	// answer any cell"); the membership endpoints require a coordinator.
-	handle("POST /v1/cluster/execute", s.handleClusterExecute)
-	handle("POST /v1/cluster/register", s.handleClusterRegister)
-	handle("POST /v1/cluster/heartbeat", s.handleClusterHeartbeat)
-	handle("POST /v1/cluster/deregister", s.handleClusterDeregister)
-	handle("GET /v1/cluster/workers", s.handleClusterWorkers)
 	return mux
 }
 
@@ -65,17 +58,13 @@ func (s *Server) writeAdmissionErr(w http.ResponseWriter, err error) {
 
 // admit charges tenant's quota and enqueues the job, settling the quota on
 // failure. On success the job carries the tenant and the worker pool
-// releases it when the job resolves. An empty tenant is fabric traffic,
-// charged nothing: the originating sweep already paid at the coordinator.
+// releases it when the job resolves.
 func (s *Server) admit(jb *job, tenant string) error {
-	if tenant != "" {
-		if err := s.quotas.acquire(tenant); err != nil {
-			return err
-		}
+	if err := s.quotas.acquire(tenant); err != nil {
+		return err
 	}
 	jb.tenant = tenant
 	if err := s.enqueue(jb); err != nil {
-		jb.tenant = ""
 		s.quotas.release(tenant)
 		return err
 	}
@@ -168,8 +157,6 @@ func errCode(status int) string {
 		return "bad_request"
 	case http.StatusNotFound:
 		return "not_found"
-	case http.StatusConflict:
-		return "conflict"
 	case http.StatusRequestEntityTooLarge:
 		return "too_large"
 	case http.StatusTooManyRequests:
@@ -211,19 +198,17 @@ func readBody(w http.ResponseWriter, r *http.Request, what string) ([]byte, bool
 }
 
 // decodeBody reads the request's body (readBody) and decodes its first
-// JSON value into v; bytes after that value are ignored. On failure it has
-// answered (413 or 400) and reports false. strict rejects unknown fields.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any, strict bool) bool {
+// JSON value into v, rejecting unknown fields; bytes after that value are
+// ignored. On failure it has answered (413 or 400) and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, ok := readBody(w, r, "bad request body")
-	return ok && decodeBytes(w, body, v, strict)
+	return ok && decodeBytes(w, body, v)
 }
 
 // decodeBytes is decodeBody's second half, for a body already read.
-func decodeBytes(w http.ResponseWriter, body []byte, v any, strict bool) bool {
+func decodeBytes(w http.ResponseWriter, body []byte, v any) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
-	if strict {
-		dec.DisallowUnknownFields()
-	}
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeBodyErr(w, "bad request body", err)
 		return false

@@ -56,7 +56,7 @@ const (
 type job struct {
 	kind string // jobCells or jobSweep
 	// tenant is the admission-quota bucket this job occupies until it
-	// resolves ("" for fabric traffic or a job that never acquired).
+	// resolves.
 	tenant string
 
 	// Cells jobs: what to run, in request order, and whom to wake.
@@ -194,7 +194,7 @@ type sweepRequest struct {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if !decodeBody(w, r, &req, true) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.MaxPoints < 0 {
@@ -309,7 +309,7 @@ type jobProgress struct {
 	Total     int     `json:"total"`
 	CacheHits int     `json:"cache_hits"`
 	Simulated int     `json:"simulated"`
-	Remote    int     `json:"remote"`
+	Remote    int     `json:"remote"` // always 0; kept so the body stays byte-identical
 	Failed    int     `json:"failed"`
 	SimCycles uint64  `json:"sim_cycles"`
 	ElapsedS  float64 `json:"elapsed_s"`
@@ -338,7 +338,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		"state": state,
 		"progress": jobProgress{
 			Done: p.Done, Total: p.Total, CacheHits: p.CacheHits,
-			Simulated: p.Simulated, Remote: p.Remote, Failed: p.Failed,
+			Simulated: p.Simulated, Failed: p.Failed,
 			SimCycles: p.SimCycles, ElapsedS: p.Elapsed.Seconds(),
 		},
 	}

@@ -93,7 +93,7 @@ func (h *histogram) observe(v float64) {
 
 // series is one non-histogram metric family of the exposition. Every such
 // family on /metrics — the registry's counters, the live-sampled gauges,
-// build info, quota and cluster counters — is one of these rows, rendered
+// build info and the quota counter — is one of these rows, rendered
 // by appendSeries.
 type series struct {
 	name, help, typ string
@@ -208,7 +208,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":         "ok",
 		"version":        version.Get("wsd"),
-		"role":           string(s.role),
+		"role":           "single", // constant, so the body stays byte-identical
 		"workers":        s.workers,
 		"busy":           s.busy.Load(),
 		"queue_depth":    len(s.queue),
@@ -219,14 +219,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"evictions": st.Evictions, "hit_ratio": st.HitRatio(),
 		},
 		"uptime_s": time.Since(s.start).Seconds(),
-	}
-	if s.coord != nil {
-		cs := s.coord.Stats()
-		body["cluster"] = map[string]any{
-			"workers":      cs.Workers,
-			"remote_cells": cs.RemoteCells,
-			"requeues":     cs.Requeues,
-		}
 	}
 	if s.isClosing() {
 		body["status"] = "draining"
@@ -249,27 +241,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("wsd_cache_hits_total", "Result-cache lookups answered without simulating.", st.Hits),
 		counter("wsd_cache_misses_total", "Result-cache lookups that required work.", st.Misses),
 		counter("wsd_cache_evictions_total", "Cells evicted by the LRU limit.", st.Evictions),
+		// The constant role label keeps the series byte-identical.
 		{"wsd_build_info", "Build identity of this daemon (value is always 1).", "gauge", []sample{
-			{labels("version", bi.Version, "commit", bi.Commit, "go", bi.Go, "role", string(s.role)), 1}}},
+			{labels("version", bi.Version, "commit", bi.Commit, "go", bi.Go, "role", "single"), 1}}},
 		counter("wsd_quota_rejected_total", "Requests rejected with 429 because the tenant was over its admission quota.", s.quotas.rejections()),
-	}
-
-	// Fabric metrics exist only where the fabric does: on the coordinator.
-	if s.coord != nil {
-		cs := s.coord.Stats()
-		inflight := series{name: "wsd_cluster_worker_inflight", help: "Cells currently dispatched to each worker.", typ: "gauge"}
-		for _, wi := range s.coord.Registry().Snapshot() {
-			inflight.samples = append(inflight.samples, sample{labels("worker", wi.ID), wi.Inflight})
-		}
-		rows = append(rows,
-			gauge("wsd_cluster_workers", "Workers currently holding a live lease.", cs.Workers),
-			inflight,
-			counter("wsd_cluster_cells_dispatched_total", "Cell execution attempts sent to workers.", cs.Dispatched),
-			counter("wsd_cluster_remote_cells_total", "Cells completed by workers.", cs.RemoteCells),
-			counter("wsd_cluster_requeues_total", "Failed attempts retried on another worker.", cs.Requeues),
-			counter("wsd_cluster_remote_errors_total", "Cell execution attempts that failed.", cs.RemoteErrors),
-			counter("wsd_cluster_lease_expirations_total", "Workers dropped for missing heartbeats.", cs.LeaseExpirations),
-		)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

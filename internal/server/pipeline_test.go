@@ -281,17 +281,13 @@ func TestFollowerTakesNoSlotAndNoQuota(t *testing.T) {
 }
 
 // postEndpoints is every route that reads a request body.
-var postEndpoints = []string{
-	"/v1/runs", "/v1/sweeps", "/v1/scenarios",
-	"/v1/cluster/execute", "/v1/cluster/register", "/v1/cluster/heartbeat", "/v1/cluster/deregister",
-}
+var postEndpoints = []string{"/v1/runs", "/v1/sweeps", "/v1/scenarios"}
 
 // TestOversizeBodyRejected: a JSON body over the 1 MiB ceiling is refused
-// with 413 too_large on every POST endpoint (a coordinator serves them
-// all), including a body whose first JSON value is small and whose excess
-// comes after it.
+// with 413 too_large on every POST endpoint, including a body whose first
+// JSON value is small and whose excess comes after it.
 func TestOversizeBodyRejected(t *testing.T) {
-	_, ts := newTestServer(t, WithRole(RoleCoordinator))
+	_, ts := newTestServer(t)
 	for name, big := range map[string]string{
 		"long value":     `{"workload":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
 		"trailing space": `{"workload":"nosuch"}` + strings.Repeat(" ", 2<<20),
@@ -311,7 +307,7 @@ func TestOversizeBodyRejected(t *testing.T) {
 // an unknown field, a wrong type, and bytes after the first JSON value
 // (still ignored on the decoding endpoints).
 func TestMalformedBodyAnswersPinned(t *testing.T) {
-	_, ts := newTestServer(t, WithRole(RoleCoordinator))
+	_, ts := newTestServer(t)
 	for _, tc := range []struct {
 		path, body string
 		status     int
@@ -330,24 +326,6 @@ func TestMalformedBodyAnswersPinned(t *testing.T) {
 		{"/v1/sweeps", `{"nosuch":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"nosuch\""}}`},
 		{"/v1/sweeps", `{"apps":"fft"}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal string into Go struct field sweepRequest.apps of type []string"}}`},
 		{"/v1/sweeps", `{"suite":"nosuch"}{}`, 400, `{"error":{"code":"bad_request","message":"unknown suite \"nosuch\" (spec2000, mediabench, splash2, tiled)"}}`},
-		{"/v1/cluster/execute", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
-		{"/v1/cluster/execute", `{"key":`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
-		{"/v1/cluster/execute", `{"nosuch":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"nosuch\""}}`},
-		{"/v1/cluster/execute", `{"key":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal number into Go struct field ExecRequest.key of type string"}}`},
-		{"/v1/cluster/execute", `{"key":""} x`, 400, `{"error":{"code":"bad_request","message":"key is required"}}`},
-		{"/v1/cluster/register", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
-		{"/v1/cluster/register", `{"id":`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
-		{"/v1/cluster/register", `{"nosuch":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"nosuch\""}}`},
-		{"/v1/cluster/register", `{"id":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal number into Go struct field RegisterRequest.id of type string"}}`},
-		{"/v1/cluster/register", `{"id":""} x`, 400, `{"error":{"code":"bad_request","message":"id and addr are required"}}`},
-		{"/v1/cluster/heartbeat", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
-		{"/v1/cluster/heartbeat", `{"id":`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
-		{"/v1/cluster/heartbeat", `{"id":"w9","nosuch":1}`, 404, `{"error":{"code":"not_found","message":"unknown worker \"w9\"; re-register"}}`},
-		{"/v1/cluster/heartbeat", `{"busy":"x"}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal string into Go struct field HeartbeatRequest.busy of type int"}}`},
-		{"/v1/cluster/heartbeat", `{"id":"w9"} x`, 404, `{"error":{"code":"not_found","message":"unknown worker \"w9\"; re-register"}}`},
-		{"/v1/cluster/deregister", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
-		{"/v1/cluster/deregister", `{"id":`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
-		{"/v1/cluster/deregister", `{"id":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal number into Go struct field DeregisterRequest.id of type string"}}`},
 		{"/v1/scenarios", "", 400, `{"error":{"code":"bad_request","message":"scenario: bad scenario: EOF"}}`},
 		{"/v1/scenarios", `{"scenario":`, 400, `{"error":{"code":"bad_request","message":"scenario: bad scenario: unexpected EOF"}}`},
 		{"/v1/scenarios", `{"scenario":"v1"} x`, 400, `{"error":{"code":"bad_request","message":"scenario: bad scenario: trailing data after scenario object"}}`},
@@ -363,32 +341,26 @@ func TestMalformedBodyAnswersPinned(t *testing.T) {
 }
 
 // TestMetricsSkeletonGolden pins the order, names, help strings and types
-// of every series on /metrics in the single and coordinator
-// configurations (testdata/metrics_skeleton_*.golden).
+// of every series on /metrics (testdata/metrics_skeleton_single.golden).
 func TestMetricsSkeletonGolden(t *testing.T) {
-	for name, opts := range map[string][]Option{
-		"single":      nil,
-		"coordinator": {WithRole(RoleCoordinator)},
-	} {
-		t.Run(name, func(t *testing.T) {
-			_, ts := newTestServer(t, opts...)
-			resp, err := http.Get(ts.URL + "/metrics")
-			if err != nil {
-				t.Fatal(err)
+	t.Run("single", func(t *testing.T) {
+		_, ts := newTestServer(t)
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var skeleton []string
+		for _, line := range strings.Split(readAll(t, resp), "\n") {
+			if strings.HasPrefix(line, "#") {
+				skeleton = append(skeleton, line)
 			}
-			var skeleton []string
-			for _, line := range strings.Split(readAll(t, resp), "\n") {
-				if strings.HasPrefix(line, "#") {
-					skeleton = append(skeleton, line)
-				}
-			}
-			want, err := os.ReadFile(filepath.Join("testdata", "metrics_skeleton_"+name+".golden"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := strings.Join(skeleton, "\n") + "\n"; got != string(want) {
-				t.Errorf("HELP/TYPE skeleton drifted:\n%s\nwant:\n%s", got, want)
-			}
-		})
-	}
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "metrics_skeleton_single.golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(skeleton, "\n") + "\n"; got != string(want) {
+			t.Errorf("HELP/TYPE skeleton drifted:\n%s\nwant:\n%s", got, want)
+		}
+	})
 }

@@ -11,9 +11,9 @@ import (
 // backpressure by the handlers.
 var errQuotaExceeded = errors.New("server: tenant quota exceeded")
 
-// tenantQuotas caps each tenant's queued-plus-running jobs. The fabric's
-// admission story composes: the queue bound protects the process, the
-// quota protects tenants from each other. A limit of 0 disables the
+// tenantQuotas caps each tenant's queued-plus-running jobs. The admission
+// story composes: the queue bound protects the process, the quota protects
+// tenants from each other. A limit of 0 disables the
 // whole mechanism (acquire always succeeds and accounts nothing).
 type tenantQuotas struct {
 	mu       sync.Mutex
@@ -43,10 +43,9 @@ func (q *tenantQuotas) acquire(tenant string) error {
 	return nil
 }
 
-// release returns tenant's slot. Safe on jobs that never acquired
-// (tenant "" or quotas disabled).
+// release returns tenant's slot (a no-op with quotas disabled).
 func (q *tenantQuotas) release(tenant string) {
-	if q.limit <= 0 || tenant == "" {
+	if q.limit <= 0 {
 		return
 	}
 	q.mu.Lock()

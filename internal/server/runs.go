@@ -103,8 +103,7 @@ func cellResult(cell explore.Cell, areaMM2 float64, scale string) runResult {
 // cellSpec is one resolved cell: the (config, workload, scale, thread
 // counts) tuple with the content-addressed key derived from it, plus the
 // two strings its response row echoes. POST /v1/runs resolves to one, a
-// scenario to one per phase, /v1/cluster/execute receives one ready-made;
-// the worker does no parsing.
+// scenario to one per phase.
 type cellSpec struct {
 	cfg     sim.Config
 	w       workload.Workload
@@ -173,16 +172,17 @@ type ledCell struct {
 }
 
 // cells answers resolved cells, in order — the one request pipeline behind
-// /v1/runs, scenario runs and /v1/cluster/execute. Hits are answered from
-// the cache (prior holds the lookups runMemo.serve already made for the
-// first cells, which are not repeated); each missing key joins the flight
-// group; the keys this request leads go to the worker pool as one job, run
-// in order, charged to tenant once ("" charges nothing); then the request
-// waits for every call under one timer (timeout 0: none, the caller bounds
-// the wait) and its own context. A request that leads nothing takes no
-// queue slot and no quota unit. On failure cells has written the response,
-// naming what was being waited for, and reports false.
-func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec, prior []answer, what, tenant string, timeout time.Duration) ([]answer, bool) {
+// plain and scenario runs. Hits are answered from the cache (prior holds
+// the lookups runMemo.serve already made for the first cells, which are
+// not repeated); each missing key joins the flight group; the keys this
+// request leads go to the worker pool as one job, run in order, charged
+// to the request's tenant once; then the request waits for every call
+// under one timer (timeoutS seconds, or the server-wide request timeout
+// when it is not positive) and its own context. A request that leads
+// nothing takes no queue slot and no quota unit. On failure cells has
+// written the response, naming what was being waited for, and reports
+// false.
+func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec, prior []answer, what string, timeoutS float64) ([]answer, bool) {
 	out := make([]answer, len(specs))
 	var calls map[string]*flightCall // by missing key; nil while every cell is a hit
 	var led []ledCell
@@ -219,7 +219,7 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec,
 		return out, true
 	}
 	if len(led) > 0 {
-		if err := s.admit(&job{kind: jobCells, cells: led}, tenant); err != nil {
+		if err := s.admit(&job{kind: jobCells, cells: led}, tenantOf(r)); err != nil {
 			for _, lc := range led {
 				s.flight.complete(lc.spec.key, lc.call, explore.Cell{}, err)
 			}
@@ -228,12 +228,12 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec,
 		}
 	}
 
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		deadline = timer.C
+	timeout := s.requestTimeout
+	if timeoutS > 0 {
+		timeout = time.Duration(timeoutS * float64(time.Second))
 	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for i := range specs {
 		call := calls[specs[i].key]
 		if call == nil {
@@ -241,7 +241,7 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec,
 		}
 		select {
 		case <-call.done:
-		case <-deadline:
+		case <-timer.C:
 			// The simulations keep running and will be cached; a retry
 			// after they complete is a cache hit.
 			writeErr(w, http.StatusGatewayTimeout, "deadline exceeded waiting for %s; retry later for the cached result", what)
@@ -257,15 +257,6 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec,
 		out[i].cell = call.cell
 	}
 	return out, true
-}
-
-// waitFor converts a request's timeout_s into the wait bound cells takes,
-// defaulting to the server-wide request timeout.
-func (s *Server) waitFor(timeoutS float64) time.Duration {
-	if timeoutS > 0 {
-		return time.Duration(timeoutS * float64(time.Second))
-	}
-	return s.requestTimeout
 }
 
 // runCell produces one led cell on a pool worker — Explorer.RunOne: cache,
@@ -314,7 +305,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req runRequest
-	if !decodeBytes(w, body, &req, true) {
+	if !decodeBytes(w, body, &req) {
 		return
 	}
 	var resp any
@@ -340,7 +331,7 @@ func (s *Server) plainRun(w http.ResponseWriter, r *http.Request, req *runReques
 		writeErr(w, status, "%v", err)
 		return runResponse{}, nil, false
 	}
-	got, ok := s.cells(w, r, []cellSpec{spec}, prior, "simulation", tenantOf(r), s.waitFor(req.TimeoutS))
+	got, ok := s.cells(w, r, []cellSpec{spec}, prior, "simulation", req.TimeoutS)
 	if !ok {
 		return runResponse{}, nil, false
 	}

@@ -290,9 +290,9 @@ func TestScenarioSweepMatchesApps(t *testing.T) {
 	const appsBody = `{"apps":["gemm-os-4x4x4","conv-ws-4x4x2"],"scale":"tiny","max_points":4}`
 
 	_, ts := newTestServer(t)
-	want := sweepResult(t, ts.URL, appsBody, nil)
+	want := sweepResult(t, ts.URL, appsBody)
 	_, ts2 := newTestServer(t)
-	got := sweepResult(t, ts2.URL, scnBody, nil)
+	got := sweepResult(t, ts2.URL, scnBody)
 	if string(got) != string(want) {
 		t.Errorf("scenario sweep differs from apps sweep:\n%s\nvs\n%s", got, want)
 	}

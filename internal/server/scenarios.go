@@ -5,9 +5,9 @@
 // A scenario never invents a new cache-key schema. Each phase lowers to
 // an ordinary (config, workload, scale, threads) cell whose key is
 // explore.CellKey — the same key a direct Go invocation or a plain
-// /v1/runs request would compute — so the cache, journal, singleflight
-// and cluster fabric serve scenario traffic unchanged, and a scenario
-// re-run is a pure cache hit.
+// /v1/runs request would compute — so the cache, journal and singleflight
+// serve scenario traffic unchanged, and a scenario re-run is a pure cache
+// hit.
 package server
 
 import (
@@ -268,7 +268,7 @@ func (s *Server) scenarioRun(w http.ResponseWriter, r *http.Request, req *runReq
 	// Phases go through the same pipeline as plain runs, in order: a
 	// re-run is answered entirely from the cache, and a phase someone else
 	// is already simulating is waited for, not simulated twice.
-	got, ok := s.cells(w, r, specs, prior, "scenario", tenantOf(r), s.waitFor(req.TimeoutS))
+	got, ok := s.cells(w, r, specs, prior, "scenario", req.TimeoutS)
 	if !ok {
 		return scenarioRunResponse{}, nil, false
 	}

@@ -3,10 +3,8 @@
 // engine, built for many concurrent clients evaluating design points
 // against a shared, content-addressed result store.
 //
-// The serving model, in one pass through a request. Every route that
-// answers with a cell — POST /v1/runs (plain or scenario) and
-// POST /v1/cluster/execute — is resolve → Server.cells → render, so what
-// follows holds for both:
+// The serving model, in one pass through a request. POST /v1/runs, plain
+// or scenario, is resolve → Server.cells → render:
 //
 //   - The request resolves to N cells (one; one per phase for a scenario):
 //     a simulator configuration, workload, scale and thread counts, plus
@@ -54,41 +52,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wavescalar/internal/cluster"
 	"wavescalar/internal/design"
 	"wavescalar/internal/explore"
 	"wavescalar/internal/scenario"
 )
-
-// Role selects how a daemon participates in the distributed sweep
-// fabric. Every role serves the full single-node API; the roles differ
-// only in where sweep cells execute.
-type Role string
-
-const (
-	// RoleSingle (the default) simulates everything locally.
-	RoleSingle Role = "single"
-	// RoleCoordinator shards sweep cells across registered workers by
-	// rendezvous hashing, streams results into its own cache/journal,
-	// and serves the /v1/cluster registration endpoints. With no workers
-	// registered it simulates every cell itself, with RoleSingle's
-	// results; unlike RoleSingle it never copies a cache twin's run, so a
-	// sweep simulates every cell (see explore, "Cache-family reuse").
-	RoleCoordinator Role = "coordinator"
-	// RoleWorker executes cells on behalf of a coordinator via
-	// POST /v1/cluster/execute (an Agent keeps it registered; see
-	// cluster.Agent). It still serves local runs and sweeps.
-	RoleWorker Role = "worker"
-)
-
-// ParseRole maps the -role flag values to Roles.
-func ParseRole(s string) (Role, error) {
-	switch Role(s) {
-	case RoleSingle, RoleCoordinator, RoleWorker:
-		return Role(s), nil
-	}
-	return "", fmt.Errorf("%w: unknown role %q (single, coordinator, worker)", design.ErrBadOptions, s)
-}
 
 // Option configures New (functional options, mirroring explore.New).
 type Option func(*Server) error
@@ -162,32 +129,11 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithRole selects the daemon's fabric role (default RoleSingle).
-func WithRole(r Role) Option {
-	return func(s *Server) error {
-		if _, err := ParseRole(string(r)); err != nil {
-			return err
-		}
-		s.role = r
-		return nil
-	}
-}
-
-// WithLease sets how long a worker's registration lives without a
-// heartbeat (default, and <= 0, 15s; only meaningful with
-// WithRole(RoleCoordinator)).
-func WithLease(d time.Duration) Option {
-	return func(s *Server) error {
-		s.lease = d
-		return nil
-	}
-}
-
 // WithTenantQuota caps each tenant (the X-Tenant request header;
 // "default" when absent) at n queued-or-running jobs. Over-quota
 // admissions are rejected with 429 + Retry-After, the same backpressure
 // shape as a full queue — so one tenant's sweep storm cannot starve the
-// fabric for everyone else. n = 0 (the default) disables quotas.
+// daemon for everyone else. n = 0 (the default) disables quotas.
 func WithTenantQuota(n int) Option {
 	return func(s *Server) error {
 		if n < 0 {
@@ -205,8 +151,6 @@ type Server struct {
 	queueDepth     int
 	requestTimeout time.Duration
 	exploreOpts    []explore.Option
-	role           Role
-	lease          time.Duration
 	quotas         *tenantQuotas
 
 	// Scenario-store persistence (WithScenarioStore).
@@ -214,7 +158,6 @@ type Server struct {
 	scnFile *os.File
 
 	exp     *explore.Explorer
-	coord   *cluster.Coordinator // non-nil only for RoleCoordinator
 	mux     *http.ServeMux
 	metrics *metrics
 	flight  *flightGroup
@@ -246,7 +189,6 @@ func New(opts ...Option) (*Server, error) {
 		workers:        runtime.GOMAXPROCS(0),
 		queueDepth:     64,
 		requestTimeout: 60 * time.Second,
-		role:           RoleSingle,
 		metrics:        newMetrics(),
 		flight:         newFlightGroup(),
 		jobs:           newRegistry(),
@@ -260,13 +202,6 @@ func New(opts ...Option) (*Server, error) {
 	}
 	if s.quotas == nil {
 		s.quotas = newTenantQuotas(0)
-	}
-	if s.role == RoleCoordinator {
-		// The coordinator's exploration engine tries the fabric first on
-		// every sweep cache miss and falls back to local simulation, so
-		// an empty or degraded fabric still completes every sweep.
-		s.coord = cluster.NewCoordinator(s.lease)
-		s.exploreOpts = append(s.exploreOpts, explore.WithRunner(s.coord.RunCell))
 	}
 	exp, err := explore.New(s.exploreOpts...)
 	if err != nil {
@@ -289,13 +224,6 @@ func New(opts ...Option) (*Server, error) {
 
 // Resumed reports how many journal records a warm restart replayed.
 func (s *Server) Resumed() int { return s.exp.Resumed() }
-
-// Busy reports how many pool workers are executing a job right now — the
-// fabric agent samples it for heartbeats so the coordinator can see load.
-func (s *Server) Busy() int { return int(s.busy.Load()) }
-
-// Role reports the daemon's fabric role.
-func (s *Server) Role() Role { return s.role }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -398,19 +326,18 @@ func (s *Server) execute(jb *job) {
 	}
 }
 
-// localSims counts the cells of one sweep that were simulated on this node,
-// for wsd_sims_total. A sweep's Simulated also counts cells a worker ran
-// (the worker counts those itself) and cells copied from a cache twin
-// (no simulation ran), and Failed does not say which of them failed; but
-// progress arrives once per cell, serialized, so the source of each cell
-// is the counter that moved with it.
+// localSims counts the cells of one sweep that were simulated, for
+// wsd_sims_total. A sweep's Simulated also counts cells copied from a cache
+// twin (no simulation ran), and Failed does not say which of them failed;
+// but progress arrives once per cell, serialized, so the source of each
+// cell is the counter that moved with it.
 type localSims struct {
 	prev              explore.Progress
 	completed, failed uint64
 }
 
 func (l *localSims) observe(p explore.Progress) {
-	if p.Simulated > l.prev.Simulated && p.Remote == l.prev.Remote && p.Reused == l.prev.Reused {
+	if p.Simulated > l.prev.Simulated && p.Reused == l.prev.Reused {
 		if p.Failed > l.prev.Failed {
 			l.failed++
 		} else {

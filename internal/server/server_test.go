@@ -62,8 +62,8 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
 	body := decode[map[string]any](t, resp)
-	if body["status"] != "ok" {
-		t.Errorf("status = %v, want ok", body["status"])
+	if body["status"] != "ok" || body["role"] != "single" {
+		t.Errorf("status = %v, role = %v; want ok, single", body["status"], body["role"])
 	}
 	v, ok := body["version"].(map[string]any)
 	if !ok || v["tool"] != "wsd" {
@@ -239,6 +239,24 @@ func pollJob(t *testing.T, url, id string) map[string]any {
 	}
 }
 
+// sweepResult runs one sweep to completion and returns its result (designs
+// and frontier) re-encoded, so two sweeps compare as strings.
+func sweepResult(t *testing.T, url, body string) string {
+	t.Helper()
+	id := decode[struct {
+		ID string `json:"id"`
+	}](t, post(t, url+"/v1/sweeps", body)).ID
+	job := pollJob(t, url, id)
+	if job["state"] != stateDone {
+		t.Fatalf("sweep %s: state %v: %v", id, job["state"], job)
+	}
+	out, err := json.Marshal(job["result"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 func TestSweepJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t)
 	app := workload.BySuite(workload.Media)[0].Name
@@ -259,8 +277,8 @@ func TestSweepJobLifecycle(t *testing.T) {
 		t.Fatalf("job state %v: %v", body["state"], body)
 	}
 	prog := body["progress"].(map[string]any)
-	if prog["done"].(float64) != 2 || prog["total"].(float64) != 2 {
-		t.Errorf("progress %v, want 2/2", prog)
+	if prog["done"].(float64) != 2 || prog["total"].(float64) != 2 || prog["remote"] != 0.0 {
+		t.Errorf("progress %v, want 2/2 and remote 0", prog)
 	}
 	result := body["result"].(map[string]any)
 	designs := result["designs"].([]any)
@@ -269,6 +287,25 @@ func TestSweepJobLifecycle(t *testing.T) {
 	}
 	if frontier := result["frontier"].([]any); len(frontier) == 0 {
 		t.Error("empty frontier")
+	}
+}
+
+// TestSweepSimsCountOnlyLocalCells checks wsd_sims_total: it counts the
+// cells a sweep simulated, not the ones it copied from a cache twin.
+func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
+	srv, ts := newTestServer(t)
+	sweepResult(t, ts.URL, `{"apps":["djpeg","lu"],"scale":"tiny","max_points":8}`)
+	p := srv.exp.LastProgress()
+	if p.Reused == 0 {
+		t.Fatalf("sweep: %+v, want copied cells", p)
+	}
+	// The job reads done just before the pool counts its simulations, and
+	// the job itself last.
+	waitUntil(t, "the sweep counted", func() bool { return srv.counter(&srv.metrics.jobsCompleted) == 1 })
+	completed, failed := srv.counter(&srv.metrics.simsCompleted), srv.counter(&srv.metrics.simsFailed)
+	if completed+failed != uint64(p.Simulated-p.Reused) || failed != uint64(p.Failed) {
+		t.Errorf("sims completed %d, failed %d; want %d simulated of which %d failed (progress %+v)",
+			completed, failed, p.Simulated-p.Reused, p.Failed, p)
 	}
 }
 
@@ -290,6 +327,29 @@ func TestJobNotFound(t *testing.T) {
 	del.Body.Close()
 	if del.StatusCode != http.StatusNotFound {
 		t.Errorf("DELETE: status %d, want 404", del.StatusCode)
+	}
+}
+
+// TestClusterRoutesGone: the /v1/cluster/* paths of the removed
+// multi-daemon sweep protocol answer 404 to any method, like every path
+// the daemon does not serve.
+func TestClusterRoutesGone(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, ep := range []string{"execute", "register", "heartbeat", "deregister", "workers"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			req, err := http.NewRequest(method, ts.URL+"/v1/cluster/"+ep, strings.NewReader(`{"id":"w1"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s /v1/cluster/%s: status %d, want 404", method, ep, resp.StatusCode)
+			}
+		}
 	}
 }
 
@@ -449,10 +509,59 @@ func TestMetricsExposition(t *testing.T) {
 		"wsd_cache_hits_total",
 		"wsd_cache_entries 1",
 		"wsd_singleflight_shared_total",
+		`role="single"`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q; related lines:\n%s", want, grepMetric(text, strings.SplitN(want, "{", 2)[0]))
 		}
+	}
+}
+
+// TestTenantQuota: with a per-tenant cap of 1, a tenant's second
+// concurrent sweep is rejected with 429 + Retry-After while another
+// tenant still gets in.
+func TestTenantQuota(t *testing.T) {
+	srv, ts := newTestServer(t, WithWorkers(1), WithTenantQuota(1))
+	block := make(chan struct{})
+	defer close(block)
+	// Park the only pool worker so admitted jobs stay queued and the
+	// quota stays charged.
+	if err := srv.enqueue(&job{block: block}); err != nil {
+		t.Fatal(err)
+	}
+
+	fire := func(tenant string) *http.Response {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweeps",
+			strings.NewReader(`{"apps":["fft"],"scale":"tiny","max_points":2}`))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Tenant", tenant)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	first := fire("alice")
+	first.Body.Close()
+	if first.StatusCode != http.StatusAccepted {
+		t.Fatalf("first sweep: status %d", first.StatusCode)
+	}
+	second := fire("alice")
+	second.Body.Close()
+	if second.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-quota sweep: status %d, want 429", second.StatusCode)
+	}
+	if ra := second.Header.Get("Retry-After"); ra != "2" {
+		t.Errorf("Retry-After %q, want 2", ra)
+	}
+	other := fire("bob")
+	other.Body.Close()
+	if other.StatusCode != http.StatusAccepted {
+		t.Errorf("other tenant: status %d, want 202 (quota is per-tenant)", other.StatusCode)
+	}
+	if srv.quotas.rejections() != 1 {
+		t.Errorf("rejections = %d, want 1", srv.quotas.rejections())
 	}
 }
 

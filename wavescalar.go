@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"wavescalar/internal/area"
-	"wavescalar/internal/cluster"
 	"wavescalar/internal/design"
 	"wavescalar/internal/energy"
 	"wavescalar/internal/explore"
@@ -466,40 +465,6 @@ func ServerJournal(path string, resume bool) ServerOption { return server.WithJo
 // ServerParallelism sets how many simulations a sweep job runs
 // concurrently (default GOMAXPROCS).
 func ServerParallelism(n int) ServerOption { return server.WithParallelism(n) }
-
-// Distributed sweep fabric (internal/cluster): a coordinator shards sweep
-// cells across registered workers by rendezvous hashing on the
-// content-addressed cell key, retries failed cells on other workers, and
-// falls back to local simulation — so a degraded fabric loses speed,
-// never results.
-
-type (
-	// Role selects how a daemon participates in the fabric: RoleSingle
-	// (default), RoleCoordinator, or RoleWorker.
-	Role = server.Role
-	// ClusterAgent keeps a worker registered with its coordinator:
-	// register, heartbeat at a third of the lease, re-register on lease
-	// loss, deregister on shutdown. Run it in a goroutine next to the
-	// worker's HTTP server.
-	ClusterAgent = cluster.Agent
-)
-
-// Fabric roles for ServerRole.
-const (
-	RoleSingle      = server.RoleSingle
-	RoleCoordinator = server.RoleCoordinator
-	RoleWorker      = server.RoleWorker
-)
-
-// ParseRole maps a -role flag value onto a Role.
-func ParseRole(s string) (Role, error) { return server.ParseRole(s) }
-
-// ServerRole selects the daemon's fabric role (default RoleSingle).
-func ServerRole(r Role) ServerOption { return server.WithRole(r) }
-
-// ServerLease sets how long a worker's registration lives without a
-// heartbeat (default 15s; only meaningful with ServerRole(RoleCoordinator)).
-func ServerLease(d time.Duration) ServerOption { return server.WithLease(d) }
 
 // ServerTenantQuota caps each tenant (X-Tenant header; "default" when
 // absent) at n queued-or-running jobs; over-quota work gets 429 +
