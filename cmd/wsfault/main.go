@@ -61,7 +61,7 @@ type report struct {
 func main() {
 	app := flag.String("app", "fft", "workload name (see wsim -list)")
 	scale := flag.String("scale", "tiny", "workload scale: tiny, small, medium")
-	threads := flag.Int("threads", 4, "thread count (splash2 kernels only); the default keeps the baseline machine throughput-bound, so damage shows as lost IPC")
+	threads := flag.Int("threads", 0, "thread count; 0 = 4 on a kernel that takes threads (a throughput-bound baseline, so damage shows as lost IPC), 1 on one that does not")
 	c := flag.Int("c", 1, "clusters")
 	d := flag.Int("d", 4, "domains per cluster")
 	p := flag.Int("p", 8, "PEs per domain")
@@ -92,6 +92,13 @@ func main() {
 	}
 	arch := wavescalar.ArchParams{
 		Clusters: *c, Domains: *d, PEs: *p, Virt: *v, Match: *m, L1KB: *l1, L2MB: *l2,
+	}
+	if *threads == 0 {
+		w, err := wavescalar.WorkloadByName(*app)
+		if err != nil {
+			fail(err)
+		}
+		*threads = min(4, w.Build(sc).MaxThreads)
 	}
 	cfg := wavescalar.Baseline(arch)
 	cfg.K = *k

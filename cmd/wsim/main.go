@@ -1,17 +1,27 @@
 // Command wsim runs one bundled workload on one WaveScalar configuration
 // and prints its AIPC and detailed statistics.
 //
+// With -trace or -csv the run is traced at cycle level: -trace writes a
+// Chrome trace-event JSON (load it at https://ui.perfetto.dev or
+// chrome://tracing; one track per PE, NET pseudo-PE and cluster-level
+// unit), -csv a per-interval counter CSV for plotting utilization and
+// traffic over cycles, and the report ends with the hottest PEs and
+// inter-cluster links. -cap bounds the event ring (the oldest events drop
+// when it is full); -interval sets the counter bucket width.
+//
 // Usage:
 //
 //	wsim -list
 //	wsim -app fft -threads 4 -c 4 -scale small
 //	wsim -app mcf -v 64 -m 64 -l1 8 -l2 0
-//	wsim -app fft -json               # machine-readable stats to stdout
-//	wsim -app fft -trace out.json     # also write a Chrome trace
+//	wsim -app fft -json    # machine-readable stats to stdout
+//	wsim -app fft -scale tiny -c 2 -trace t.json -csv c.csv
+//	wsim -app lu -threads 4 -c 4 -csv lu.csv -interval 500
 //
-// Exit status: 0 on success, 1 on usage or run errors, 2 when the
-// simulator detects deadlock or a non-quiescent machine (no forward
-// progress, or tokens left in flight after all threads halted).
+// Exit status: 0 on success, 1 on usage or run errors (a thread count over
+// the kernel's limit among them), 2 when the simulator detects deadlock or
+// a non-quiescent machine (no forward progress, or tokens left in flight
+// after all threads halted).
 package main
 
 import (
@@ -19,7 +29,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"wavescalar"
 	"wavescalar/internal/cli"
@@ -42,6 +54,9 @@ func main() {
 	showEnergy := flag.Bool("energy", false, "print the energy-model breakdown")
 	jsonOut := flag.Bool("json", false, "print machine-readable stats JSON to stdout")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON to this path")
+	csvPath := flag.String("csv", "", "write the per-interval counter CSV to this path")
+	interval := flag.Uint64("interval", 1024, "counter bucket width in cycles (with -trace/-csv)")
+	capacity := flag.Int("cap", 1<<20, "trace event ring capacity; the oldest events drop when it is full")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -65,8 +80,8 @@ func main() {
 	cfg := wavescalar.Baseline(arch)
 	cfg.K = *k
 	var rec *wavescalar.TraceRecorder
-	if *tracePath != "" {
-		rec = wavescalar.NewTraceRecorder(wavescalar.TraceOptions{})
+	if *tracePath != "" || *csvPath != "" {
+		rec = wavescalar.NewTraceRecorder(wavescalar.TraceOptions{Capacity: *capacity, Interval: *interval})
 		cfg.Trace = rec
 	}
 
@@ -83,13 +98,19 @@ func main() {
 		}
 		fail(err)
 	}
+	var wrote []string
 	if rec != nil {
-		if err := writeTrace(*tracePath, rec); err != nil {
-			fail(err)
-		}
-		if !*jsonOut {
-			fmt.Printf("wrote Chrome trace (%d events, %d dropped) to %s\n\n",
-				rec.Len(), rec.Dropped(), *tracePath)
+		for _, sink := range []struct {
+			path  string
+			write func(io.Writer) error
+		}{{*tracePath, rec.WriteChromeTrace}, {*csvPath, rec.WriteCounterCSV}} {
+			if sink.path == "" {
+				continue
+			}
+			if err := writeFile(sink.path, sink.write); err != nil {
+				fail(err)
+			}
+			wrote = append(wrote, sink.path)
 		}
 	}
 	if *jsonOut {
@@ -103,15 +124,43 @@ func main() {
 		fmt.Println("\nenergy estimate (90nm event model; comparative, not absolute):")
 		fmt.Print(wavescalar.EstimateEnergy(st, arch).Format(st.Countable))
 	}
+	if rec != nil {
+		printTraceSummary(rec, wrote)
+	}
 }
 
-// writeTrace writes the recorder's Chrome trace to path.
-func writeTrace(path string, rec *wavescalar.TraceRecorder) error {
+// hottest is the number of entries in each hottest-PEs / hottest-links list.
+const hottest = 5
+
+// printTraceSummary ends a traced run's report: what the recorder kept,
+// where it went, and the busiest PEs and inter-cluster links.
+func printTraceSummary(rec *wavescalar.TraceRecorder, wrote []string) {
+	fmt.Printf("\nevents recorded %d (dropped %d), counter interval %d cycles\n",
+		rec.Len(), rec.Dropped(), rec.Interval())
+	fmt.Printf("wrote %s\n", strings.Join(wrote, " and "))
+	fmt.Printf("\nhottest PEs (fires / stall cycles):\n")
+	for _, t := range rec.HottestPEs(hottest) {
+		fmt.Printf("  C%d.D%d.PE%d  %8d fires  %8d stall cycles\n",
+			t.Cluster, t.Domain, t.PE, t.Fires, t.StallCycles)
+	}
+	links := rec.HottestLinks(hottest)
+	if len(links) == 0 {
+		fmt.Printf("\nno inter-cluster traffic (single cluster or fully local run)\n")
+		return
+	}
+	fmt.Printf("\nhottest inter-cluster links (delivered messages):\n")
+	for _, l := range links {
+		fmt.Printf("  C%d -> C%d  %8d msgs\n", l.Src, l.Dst, l.Msgs)
+	}
+}
+
+// writeFile writes one trace sink's output to path.
+func writeFile(path string, write func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rec.WriteChromeTrace(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

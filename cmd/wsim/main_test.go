@@ -1,0 +1,72 @@
+package main
+
+import (
+	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// buildWSim builds the binary into a temporary directory and returns its
+// path.
+func buildWSim(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds the wsim binary")
+	}
+	bin := filepath.Join(t.TempDir(), "wsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestTracedRun: -trace and -csv write both artifacts; the text report
+// ends with the hottest-PEs/links summary, and under -json stdout is
+// still exactly one JSON object.
+func TestTracedRun(t *testing.T) {
+	bin := buildWSim(t)
+	dir := t.TempDir()
+	trace, csv := filepath.Join(dir, "t.json"), filepath.Join(dir, "c.csv")
+	args := []string{"-app", "fft", "-scale", "tiny", "-c", "2", "-trace", trace, "-csv", csv}
+
+	out, err := exec.Command(bin, args...).Output()
+	if err != nil {
+		t.Fatalf("wsim %v: %v", args, err)
+	}
+	for _, want := range []string{"wrote " + trace + " and " + csv, "hottest PEs", "hottest inter-cluster links"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+	doc, err := os.ReadFile(trace)
+	if err != nil || !json.Valid(doc) {
+		t.Errorf("trace %s: %v, valid JSON %v", trace, err, json.Valid(doc))
+	}
+	if rows, err := os.ReadFile(csv); err != nil || !strings.HasPrefix(string(rows), "cycle,fires,") {
+		t.Errorf("counter CSV %s: %v, %.40q", csv, err, rows)
+	}
+
+	out, err = exec.Command(bin, append(args, "-json")...).Output()
+	if err != nil {
+		t.Fatalf("wsim -json: %v", err)
+	}
+	var rep map[string]any
+	if err := json.Unmarshal(out, &rep); err != nil {
+		t.Errorf("-json stdout is not one JSON object: %v\n%s", err, out)
+	}
+}
+
+// TestThreadsOverLimitExit1: a thread count over the kernel's limit exits
+// 1 naming the limit.
+func TestThreadsOverLimitExit1(t *testing.T) {
+	bin := buildWSim(t)
+	out, err := exec.Command(bin, "-app", "gzip", "-threads", "4", "-scale", "tiny").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), `[1, 1], the limit of "gzip"`) {
+		t.Errorf("wsim -app gzip -threads 4: %v, output %q; want exit 1 naming gzip's limit", err, out)
+	}
+}

@@ -27,7 +27,7 @@ import (
 func main() {
 	app := flag.String("app", "", "one workload (default: whole suites)")
 	clusters := flag.String("clusters", "1", "comma-separated cluster counts")
-	threads := flag.Int("threads", 0, "threads (0 = clusters for splash2, 1 otherwise)")
+	threads := flag.Int("threads", 0, "threads (0 = clusters for splash2, 1 otherwise); over a kernel's limit is an error")
 	scale := flag.String("scale", "tiny", "workload scale: tiny, small, medium")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON object per row")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -81,10 +81,6 @@ func main() {
 				if w.Suite == wavescalar.SuiteSplash {
 					th = c
 				}
-			}
-			inst := w.Build(sc)
-			if th > inst.MaxThreads {
-				th = inst.MaxThreads
 			}
 			st, err := wavescalar.RunWorkloadContext(context.Background(), w.Name,
 				wavescalar.WithConfig(cfg), wavescalar.AtScale(sc), wavescalar.WithThreads(th))

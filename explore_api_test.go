@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wavescalar"
@@ -36,6 +37,12 @@ func TestRunWorkloadContextValidation(t *testing.T) {
 	_, err := wavescalar.RunWorkloadContext(context.Background(), "gzip", wavescalar.WithThreads(0))
 	if !errors.Is(err, wavescalar.ErrBadOptions) {
 		t.Errorf("zero threads: error = %v, want ErrBadOptions", err)
+	}
+	// A count over the kernel's limit is refused naming the limit, not
+	// panicked on when the instance binds its threads.
+	_, err = wavescalar.RunWorkloadContext(context.Background(), "gzip", wavescalar.WithThreads(4))
+	if !errors.Is(err, wavescalar.ErrBadOptions) || !strings.Contains(err.Error(), `[1, 1], the limit of "gzip"`) {
+		t.Errorf("4 threads on gzip: error = %v, want ErrBadOptions naming gzip's limit of 1", err)
 	}
 	_, err = wavescalar.RunWorkloadContext(context.Background(), "gzip", wavescalar.AtScale(wavescalar.Scale{}))
 	if !errors.Is(err, wavescalar.ErrBadOptions) {

@@ -13,14 +13,21 @@ import (
 )
 
 // ErrBadOptions is the sentinel wrapped by the validating entry points
-// (ValidateRun and the explore engine) when their options are malformed.
+// (RunOnceContext, ValidateRun and the explore engine) when their options
+// are malformed.
 // Match it with errors.Is.
 var ErrBadOptions = errors.New("design: bad options")
 
 // RunOnceContext executes a workload instance on a configuration with the
 // given thread count and returns the run statistics. The simulation aborts
-// within a few thousand cycles of ctx ending.
+// within a few thousand cycles of ctx ending. A thread count outside
+// [1, inst.MaxThreads] is an error wrapping ErrBadOptions, as the
+// best-thread search skips such a count.
 func RunOnceContext(ctx context.Context, cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, error) {
+	if threads < 1 || threads > inst.MaxThreads {
+		return nil, fmt.Errorf("%w: thread count %d outside [1, %d], the limit of %q",
+			ErrBadOptions, threads, inst.MaxThreads, inst.Prog.Name)
+	}
 	st, _, err := runOnce(ctx, cfg, inst, threads)
 	return st, err
 }

@@ -301,20 +301,24 @@ func (s *Server) execute(jb *job) {
 	case jobSweep:
 		jb.setState(stateRunning)
 		spec := jb.sweep
-		var local localSims
 		results, err := s.exp.SweepWith(jb.ctx, spec.points, spec.apps, explore.SweepSpec{
 			Scale:        spec.scale,
 			ThreadCounts: spec.threadCounts,
 			Fault:        spec.fault,
-			Progress: func(p explore.Progress) {
-				local.observe(p)
-				jb.setProgress(p)
-			},
+			Progress:     jb.setProgress,
 		})
 		cancelled := jb.ctx.Err() != nil
 		jb.finish(results, err, cancelled)
-		s.metrics.add(&s.metrics.simsCompleted, local.completed)
-		s.metrics.add(&s.metrics.simsFailed, local.failed)
+		// Simulated also counts the cells copied from a cache twin, which
+		// ran no simulation; a copied cell never fails (it covers every
+		// thread count with a completed run), so every Failed cell ran.
+		_, p, _, _ := jb.snapshot()
+		local := uint64(p.Simulated - p.Reused)
+		s.metrics.add(&s.metrics.simsCompleted, local-uint64(p.Failed))
+		s.metrics.add(&s.metrics.simsFailed, uint64(p.Failed))
+		if !spec.fault.Empty() {
+			s.metrics.add(&s.metrics.faultSims, local)
+		}
 		switch {
 		case cancelled:
 			s.metrics.add(&s.metrics.jobsCancelled, 1)
@@ -324,27 +328,6 @@ func (s *Server) execute(jb *job) {
 			s.metrics.add(&s.metrics.jobsCompleted, 1)
 		}
 	}
-}
-
-// localSims counts the cells of one sweep that were simulated, for
-// wsd_sims_total. A sweep's Simulated also counts cells copied from a cache
-// twin (no simulation ran), and Failed does not say which of them failed;
-// but progress arrives once per cell, serialized, so the source of each
-// cell is the counter that moved with it.
-type localSims struct {
-	prev              explore.Progress
-	completed, failed uint64
-}
-
-func (l *localSims) observe(p explore.Progress) {
-	if p.Simulated > l.prev.Simulated && p.Reused == l.prev.Reused {
-		if p.Failed > l.prev.Failed {
-			l.failed++
-		} else {
-			l.completed++
-		}
-	}
-	l.prev = p
 }
 
 // Shutdown drains the server gracefully: admissions stop immediately (new

@@ -291,21 +291,42 @@ func TestSweepJobLifecycle(t *testing.T) {
 }
 
 // TestSweepSimsCountOnlyLocalCells checks wsd_sims_total: it counts the
-// cells a sweep simulated, not the ones it copied from a cache twin.
+// cells a sweep simulated, not the ones it copied from a cache twin. A
+// sweep under a fault script also counts them in wsd_fault_sims_total.
 func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
-	srv, ts := newTestServer(t)
-	sweepResult(t, ts.URL, `{"apps":["djpeg","lu"],"scale":"tiny","max_points":8}`)
-	p := srv.exp.LastProgress()
-	if p.Reused == 0 {
-		t.Fatalf("sweep: %+v, want copied cells", p)
+	cases := []struct {
+		name, body string
+		faulty     bool
+	}{
+		{"apps", `{"apps":["djpeg","lu"],"scale":"tiny","max_points":8}`, false},
+		{"fault-scripted scenario", `{"max_points":8,"scenario":{"scenario":"v1","scale":"tiny",
+			"workload":{"name":"djpeg"},"fault":{"seed":7,"link_flip_rate":0.001}}}`, true},
 	}
-	// The job reads done just before the pool counts its simulations, and
-	// the job itself last.
-	waitUntil(t, "the sweep counted", func() bool { return srv.counter(&srv.metrics.jobsCompleted) == 1 })
-	completed, failed := srv.counter(&srv.metrics.simsCompleted), srv.counter(&srv.metrics.simsFailed)
-	if completed+failed != uint64(p.Simulated-p.Reused) || failed != uint64(p.Failed) {
-		t.Errorf("sims completed %d, failed %d; want %d simulated of which %d failed (progress %+v)",
-			completed, failed, p.Simulated-p.Reused, p.Failed, p)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, ts := newTestServer(t)
+			sweepResult(t, ts.URL, tc.body)
+			p := srv.exp.LastProgress()
+			if !tc.faulty && p.Reused == 0 {
+				t.Fatalf("sweep: %+v, want copied cells", p)
+			}
+			// The job reads done just before the pool counts its
+			// simulations, and the job itself last.
+			waitUntil(t, "the sweep counted", func() bool { return srv.counter(&srv.metrics.jobsCompleted) == 1 })
+			completed, failed := srv.counter(&srv.metrics.simsCompleted), srv.counter(&srv.metrics.simsFailed)
+			local := uint64(p.Simulated - p.Reused)
+			if completed+failed != local || failed != uint64(p.Failed) {
+				t.Errorf("sims completed %d, failed %d; want %d simulated of which %d failed (progress %+v)",
+					completed, failed, local, p.Failed, p)
+			}
+			want := uint64(0)
+			if tc.faulty {
+				want = local
+			}
+			if got := srv.counter(&srv.metrics.faultSims); got != want || (tc.faulty && got == 0) {
+				t.Errorf("fault sims %d, want %d (progress %+v)", got, want, p)
+			}
+		})
 	}
 }
 

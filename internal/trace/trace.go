@@ -572,15 +572,17 @@ type LinkCount struct {
 	Msgs     uint64
 }
 
-// HottestLinks returns the n busiest src->dst cluster links by delivered
-// grid messages (deterministic ordering).
+// HottestLinks returns the n busiest src->dst inter-cluster links by
+// delivered grid messages (deterministic ordering). A cluster's grid
+// traffic to itself (0-hop memory messages) crosses no link and is not
+// listed.
 func (r *Recorder) HottestLinks(n int) []LinkCount {
 	if r == nil || len(r.links) == 0 {
 		return nil
 	}
 	var all []LinkCount
 	for i, m := range r.links {
-		if m == 0 {
+		if m == 0 || i/r.clusters == i%r.clusters {
 			continue
 		}
 		all = append(all, LinkCount{Src: i / r.clusters, Dst: i % r.clusters, Msgs: m})

@@ -16,8 +16,8 @@ type FuzzOptions struct {
 	// ShrinkBudget bounds the Check invocations spent minimizing each
 	// failure (default 150).
 	ShrinkBudget int
-	// Monotone disables the nested-kill-fraction degradation check when
-	// false... inverted: it is on by default; set SkipMonotone.
+	// SkipMonotone turns off the nested-kill-fraction degradation check,
+	// which runs by default.
 	SkipMonotone bool
 	// CorpusDir, when set, exports every shrunk failure as a corpus
 	// witness (see corpus.go) so a red run automatically grows the

@@ -120,6 +120,35 @@ func TestCounterCSVRows(t *testing.T) {
 	}
 }
 
+// TestHottestLinksSkipSelfTraffic: a one-cluster run's grid deliveries
+// all stay in cluster 0 (0-hop memory traffic), which crosses no
+// inter-cluster link, so the hottest-links summary is empty; on two
+// clusters it lists only links between distinct clusters.
+func TestHottestLinksSkipSelfTraffic(t *testing.T) {
+	for _, clusters := range []int{1, 2} {
+		arch := wavescalar.BaselineArch()
+		arch.Clusters = clusters
+		cfg := wavescalar.Baseline(arch)
+		rec := wavescalar.NewTraceRecorder(wavescalar.TraceOptions{})
+		cfg.Trace = rec
+		if _, err := runWorkload(cfg, "fft", wavescalar.ScaleTiny, 1); err != nil {
+			t.Fatalf("C%d: traced fft run failed: %v", clusters, err)
+		}
+		links := rec.HottestLinks(5)
+		for _, l := range links {
+			if l.Src == l.Dst {
+				t.Errorf("C%d: self link C%d -> C%d (%d msgs) listed as inter-cluster", clusters, l.Src, l.Dst, l.Msgs)
+			}
+		}
+		if clusters == 1 && len(links) != 0 {
+			t.Errorf("one-cluster run lists inter-cluster links: %+v", links)
+		}
+		if clusters == 2 && len(links) == 0 {
+			t.Error("two-cluster run lists no inter-cluster links")
+		}
+	}
+}
+
 // TestTraceDeterminism asserts two identical traced runs produce
 // byte-identical Chrome JSON and counter CSV.
 func TestTraceDeterminism(t *testing.T) {

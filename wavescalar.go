@@ -303,8 +303,9 @@ func WithThreads(n int) RunOption {
 // RunWorkloadContext builds the named workload and runs it, honouring ctx:
 // the simulation aborts within a few thousand cycles of cancellation.
 // With no options it runs one thread at ScaleTiny on the paper's Table 1
-// baseline. Malformed options (a non-positive thread count, a degenerate
-// scale) fail eagerly with an error wrapping ErrBadOptions.
+// baseline. Malformed options (a degenerate scale, a thread count outside
+// 1 to the kernel's limit) fail before any simulation with an error
+// wrapping ErrBadOptions.
 func RunWorkloadContext(ctx context.Context, name string, opts ...RunOption) (*Stats, error) {
 	o := runOptions{
 		cfg:     Baseline(BaselineArch()),
@@ -313,9 +314,6 @@ func RunWorkloadContext(ctx context.Context, name string, opts ...RunOption) (*S
 	}
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.threads < 1 {
-		return nil, fmt.Errorf("%w: thread count %d must be positive", ErrBadOptions, o.threads)
 	}
 	if o.scale.Iters <= 0 || o.scale.Footprint <= 0 {
 		return nil, fmt.Errorf("%w: scale %+v (use ScaleTiny/ScaleSmall)", ErrBadOptions, o.scale)
