@@ -118,8 +118,12 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 	}
 	if p := exp.LastProgress(); p.Total > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells (%d cached, %d simulated of which %d reused, %d failed) in %s\n",
-			p.Done, p.Total, p.CacheHits, p.Simulated, p.Reused, p.Failed, p.Elapsed.Round(time.Millisecond))
+		dropped := fmt.Sprintf("%d thread counts dropped", p.Dropped.Total())
+		if p.Dropped.Total() > 0 {
+			dropped += " (" + p.Dropped.String() + ")"
+		}
+		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells (%d cached, %d simulated of which %d reused, %d failed) in %s, %s\n",
+			p.Done, p.Total, p.CacheHits, p.Simulated, p.Reused, p.Failed, p.Elapsed.Round(time.Millisecond), dropped)
 	}
 	if sweepErr != nil {
 		if err := exp.Close(); err != nil {

@@ -95,3 +95,36 @@ func TestBestThreadsContextCancelled(t *testing.T) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
 }
+
+// TestBestThreadsCountsDrops: a thread count whose run fails is dropped
+// from the search, and BestRun.Dropped counts it by its error. Each fft
+// thread runs the whole kernel, so on the baseline machine fft/tiny takes
+// longer at four threads than at one; a cycle cap between the two run
+// lengths drops the four-thread run with ErrMaxCycles, and the search
+// reports one thread.
+func TestBestThreadsCountsDrops(t *testing.T) {
+	inst := mustWorkload(t, "fft").Build(workload.Tiny)
+	cfg := sim.Baseline(sim.BaselineArch())
+	cycles := map[int]uint64{}
+	for _, n := range []int{1, 4} {
+		st, err := RunOnceContext(context.Background(), cfg, inst, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles[n] = st.Cycles
+	}
+	if cycles[1] >= cycles[4] {
+		t.Fatalf("fixture: t1 runs %d cycles, t4 %d; t1 must be shorter", cycles[1], cycles[4])
+	}
+	cfg.MaxCycles = (cycles[1] + cycles[4]) / 2
+	br, err := BestThreadsContext(context.Background(), cfg, inst, []int{1, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Threads != 1 || br.Dropped != (Drops{MaxCycles: 1}) {
+		t.Errorf("best %d threads, dropped %+v; want 1 thread and one ErrMaxCycles drop", br.Threads, br.Dropped)
+	}
+	if got := br.Dropped.String(); got != "1 ErrMaxCycles" {
+		t.Errorf("Dropped.String() = %q", got)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
@@ -60,6 +61,51 @@ type BestRun struct {
 	// Runs holds every thread count that ran to completion, in search
 	// order, simulated or reused.
 	Runs []ThreadRun
+	// Dropped counts the thread counts whose run failed, which the search
+	// skipped in favour of the counts that completed.
+	Dropped Drops
+}
+
+// Drops counts the thread counts a best-thread search dropped, by the error
+// that ended their run.
+type Drops struct {
+	NotQuiesced, MaxCycles, Deadlock, Other int
+}
+
+// add counts one dropped run.
+func (d *Drops) add(err error) {
+	switch {
+	case errors.Is(err, sim.ErrNotQuiesced):
+		d.NotQuiesced++
+	case errors.Is(err, sim.ErrMaxCycles):
+		d.MaxCycles++
+	case errors.Is(err, sim.ErrDeadlock):
+		d.Deadlock++
+	default:
+		d.Other++
+	}
+}
+
+// Total returns how many counts were dropped.
+func (d Drops) Total() int { return d.NotQuiesced + d.MaxCycles + d.Deadlock + d.Other }
+
+// Add returns the two tallies summed.
+func (d Drops) Add(o Drops) Drops {
+	return Drops{d.NotQuiesced + o.NotQuiesced, d.MaxCycles + o.MaxCycles, d.Deadlock + o.Deadlock, d.Other + o.Other}
+}
+
+// String lists the kinds that occurred, as "1 ErrNotQuiesced, 2 other".
+func (d Drops) String() string {
+	var parts []string
+	for _, k := range []struct {
+		n    int
+		name string
+	}{{d.NotQuiesced, "ErrNotQuiesced"}, {d.MaxCycles, "ErrMaxCycles"}, {d.Deadlock, "ErrDeadlock"}, {d.Other, "other"}} {
+		if k.n > 0 {
+			parts = append(parts, fmt.Sprintf("%d %s", k.n, k.name))
+		}
+	}
+	return strings.Join(parts, ", ")
 }
 
 // ThreadRun is one thread count's completed run within a best-thread
@@ -81,8 +127,9 @@ type ThreadRun struct {
 // BestThreadsContext runs the instance at each thread count and returns
 // the best AIPC and the count achieving it, as the paper reports each
 // application at its best-performing thread count. A count that fails
-// (deadlock, cycle limit) does not abort the search; only if none is viable
-// is the error one naming the workload and joining every per-count failure.
+// (deadlock, cycle limit) does not abort the search, and BestRun.Dropped
+// counts it; only if none is viable is the error one naming the workload
+// and joining every per-count failure.
 func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Instance, counts []int) (BestRun, error) {
 	return BestThreadsReusing(ctx, cfg, inst, counts, nil)
 }
@@ -116,6 +163,7 @@ func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Inst
 					return BestRun{}, err
 				}
 				errs = append(errs, fmt.Errorf("threads=%d: %w", n, err))
+				best.Dropped.add(err)
 				continue
 			}
 			best.Sims++

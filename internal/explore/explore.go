@@ -84,6 +84,11 @@ type Progress struct {
 	// SimCycles totals the machine cycles of the cells Simulated counts (a
 	// reused cell's are its twin's).
 	SimCycles uint64
+	// Dropped totals the thread counts the cells Simulated counts dropped
+	// from their best-thread search because the run failed
+	// (design.BestRun.Dropped). It is not part of a cell, so a cached
+	// cell's are not known.
+	Dropped design.Drops
 	// Elapsed wall time, cells-per-second throughput over it, and the
 	// projected time to finish the remaining cells at that rate.
 	Elapsed     time.Duration
@@ -308,7 +313,7 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	)
 	// account folds one answered cell into the sweep's progress and
 	// publishes the snapshot.
-	account := func(cell Cell, src cellSource, jerr error) {
+	account := func(cell Cell, dropped design.Drops, src cellSource, jerr error) {
 		progMu.Lock()
 		defer progMu.Unlock()
 		if jerr != nil && firstJErr == nil {
@@ -326,6 +331,7 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 				prog.Reused++
 			}
 			prog.SimCycles += cell.SimCycles
+			prog.Dropped = prog.Dropped.Add(dropped)
 		}
 		prog.Elapsed = time.Since(start)
 		if secs := prog.Elapsed.Seconds(); secs > 0 {
@@ -372,15 +378,15 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 				return design.ThreadRun{}, false
 			}
 		}
-		cell, runs, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, reuse)
+		cell, br, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, reuse)
 		if src == srcNone {
 			return // cancelled: nothing cached or journaled
 		}
 		if src == srcLocal && bases[pi] != nil {
-			bases[pi][ai] = runs
+			bases[pi][ai] = br.Runs
 		}
 		cells[pi][ai] = cell
-		account(cell, src, jerr)
+		account(cell, br.Dropped, src, jerr)
 	}
 
 	q := newCellQueue(g, len(apps))
@@ -571,7 +577,9 @@ const (
 )
 
 // evalCell is the one way a cell is produced: cache lookup, the
-// best-thread-count search, write-through. RunOne passes a nil inst so a
+// best-thread-count search, write-through. With the cell it returns the
+// search's outcome (empty on a hit), whose runs and drops are not part of
+// the cell. RunOne passes a nil inst so a
 // hit never builds the workload; Sweep passes the instance it built once
 // for the whole sweep. reuse is nil outside sweeps; it offers runs of the
 // cell's cache twins (see design.BestThreadsReusing). A cell reuse covers
@@ -579,12 +587,12 @@ const (
 // otherwise the runs the search completed are returned with the cell. A returned error is the context's on srcNone and a failed journal
 // append otherwise (the cell is still valid and cached).
 func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w workload.Workload, inst *workload.Instance,
-	sc workload.Scale, threadCounts []int, reuse func(int) (design.ThreadRun, bool)) (Cell, []design.ThreadRun, cellSource, error) {
+	sc workload.Scale, threadCounts []int, reuse func(int) (design.ThreadRun, bool)) (Cell, design.BestRun, cellSource, error) {
 	if cell, ok := e.cache.Cell(key); ok {
-		return cell, nil, srcCache, nil
+		return cell, design.BestRun{}, srcCache, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return Cell{}, nil, srcNone, err
+		return Cell{}, design.BestRun{}, srcNone, err
 	}
 	src := srcLocal
 	if reuse != nil && covered(reuse, inst.MaxThreads, threadCounts) {
@@ -597,7 +605,7 @@ func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w w
 	if err != nil && ctx.Err() != nil {
 		// Cancelled mid-cell: do not cache or journal a non-deterministic
 		// partial outcome.
-		return Cell{}, nil, srcNone, err
+		return Cell{}, design.BestRun{}, srcNone, err
 	}
 	cell := newCell(key, w.Name, cfg, sc)
 	if err != nil {
@@ -607,7 +615,7 @@ func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w w
 		cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
 		cell.Traffic = br.Traffic
 	}
-	return cell, br.Runs, src, e.commit(cell)
+	return cell, br, src, e.commit(cell)
 }
 
 // covered reports whether reuse has a run for every thread count up to

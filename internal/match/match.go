@@ -154,6 +154,14 @@ type Table struct {
 // Releaser is what a table's owner implements to hear of freed entries. It
 // is an interface and not a func so that the owner's pointer is the whole
 // value: a machine of hundreds of tables allocates no closure per table.
+//
+// Released is called once per freed entry, after the table's state for it
+// is final. When the entry was displaced to the in-memory table, the
+// eviction is already counted in Stats.Evictions and the instance already
+// lies in KBound's displaced range, and no other eviction is counted
+// between the two: an owner can tell a displaced instance's release from a
+// dispatched one's by the count having moved since the previous call. The
+// simulator's parked-token checks rely on this order (see displace).
 type Releaser interface {
 	Released(localIdx int)
 }
@@ -364,6 +372,24 @@ func (t *Table) CertainReject(localIdx int, wave uint32, bank int, cycle uint64)
 	return Rejected, true
 }
 
+// KBound returns the per-index state CertainReject's k-rule reads for
+// localIdx: whether the index has K live instances, the bound on their
+// waves, and a range that holds every displaced instance's wave (empty,
+// lo above hi, when none is displaced). A token for the index arriving at
+// a free bank is a certain k-reject iff the index is full, its wave is
+// above the bound, and its instance is not displaced — which a wave
+// outside the range settles without the in-memory table.
+func (t *Table) KBound(localIdx int) (full bool, bound, ovLo, ovHi uint32) {
+	if localIdx >= len(t.idx) {
+		return false, 0, 1, 0
+	}
+	st := &t.idx[localIdx]
+	if st.ov == 0 {
+		return int(st.live) >= t.cfg.K, st.wave, 1, 0
+	}
+	return int(st.live) >= t.cfg.K, st.wave, st.ovLo, st.ovHi
+}
+
 // displaced returns the in-memory table's entry for the instance
 // (localIdx, wave), if it holds one. The map is consulted only when the
 // index has something displaced and wave lies inside the displaced range.
@@ -476,6 +502,12 @@ func (t *Table) release(e *Entry) {
 }
 
 // displace moves a live entry to the in-memory table and frees its slot.
+// It records the instance in the index's displaced range and counts the
+// eviction before it releases the slot, and releases it at once, so the
+// Released call for a displaced index always follows its own count
+// (Releaser). Keep that order: an owner that caches per-index checks
+// against the in-memory table drops them on exactly that call, and a
+// reordering would leave them stale without any error.
 func (t *Table) displace(e *Entry) {
 	if t.overflow == nil {
 		t.overflow = make(map[memKey]Entry)

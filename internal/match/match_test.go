@@ -452,7 +452,9 @@ func (f releaseFunc) Released(localIdx int) { f(localIdx) }
 // displacement of the youngest and overflow hits are all common) and checks
 // after every step that the per-index counters, the youngest cache and the
 // overflow counts say exactly what a scan of the sets and the map would.
-// The release callback's index is checked against the freed entry's.
+// The release callback's index is checked against the freed entry's, and
+// the order Releaser promises: a displacement is counted, and its instance
+// is in KBound's displaced range, by the release that frees its slot.
 //
 // Every Insert goes through insertRuled, which holds the reject rule to
 // what Insert then does; the rule must decide at least half of the walk's
@@ -475,10 +477,21 @@ func TestIndexStateMatchesScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(si) + 1))
 		newTable := func(sized int) *Table {
 			tb := New(c, sized)
+			seen := uint64(0) // evictions counted at the previous release
 			tb.OnRelease = releaseFunc(func(li int) {
 				if li < 0 || li >= len(tb.idx) {
 					t.Fatalf("shape %d: release callback for index %d of %d", si, li, len(tb.idx))
 				}
+				ev := tb.Stats().Evictions
+				switch d := ev - seen; {
+				case d > 1:
+					t.Fatalf("shape %d: %d evictions counted since the previous release", si, d)
+				case d == 1:
+					if _, _, lo, hi := tb.KBound(li); lo > hi {
+						t.Fatalf("shape %d: index %d released after an eviction, but nothing of it is displaced", si, li)
+					}
+				}
+				seen = ev
 			})
 			return tb
 		}

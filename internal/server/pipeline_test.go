@@ -321,6 +321,7 @@ func TestMalformedBodyAnswersPinned(t *testing.T) {
 		{"/v1/runs", `[1,2]`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal array into Go value of type server.runRequest"}}`},
 		{"/v1/runs", `{"workload":"nosuch"} trailing`, 404, `{"error":{"code":"not_found","message":"workload: unknown workload \"nosuch\" (valid suites: spec2000, mediabench, splash2, tiled; tiled kernels follow gemm-<os|as|bs>-TmxTnxTk or conv-<ws|os|is>-TxxTyxTc)"}}`},
 		{"/v1/runs", `{"workload":"lu","scale":"enormous"}{}`, 400, `{"error":{"code":"bad_request","message":"unknown scale \"enormous\" (tiny, small, medium)"}}`},
+		{"/v1/runs", `{"workload":"gzip","threads":4}`, 400, `{"error":{"code":"bad_request","message":"threads 4 over the limit of 1 for \"gzip\""}}`},
 		{"/v1/sweeps", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
 		{"/v1/sweeps", `{"apps":[`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
 		{"/v1/sweeps", `{"nosuch":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"nosuch\""}}`},
@@ -337,6 +338,29 @@ func TestMalformedBodyAnswersPinned(t *testing.T) {
 				t.Errorf("%s %q: %d %s; want %d %s", tc.path, tc.body, status, got, tc.status, tc.want)
 			}
 		}
+	}
+}
+
+// TestRunOverThreadLimitRefused: a /v1/runs thread count above the
+// kernel's limit is refused with 400 before it becomes a cell, so nothing
+// is simulated, cached or journaled for it — it was once answered 200 with
+// a cached, journaled failed cell. A count at the limit still runs.
+func TestRunOverThreadLimitRefused(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "wsd.jsonl")
+	srv, ts := newTestServer(t, WithJournal(journal, false))
+	for _, body := range []string{`{"workload":"gzip","threads":4}`, `{"workload":"lu","threads":65}`} {
+		if status, got := postRaw(t, ts.URL+"/v1/runs", body); status != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", body, status, got)
+		}
+	}
+	if st := srv.exp.Cache().Stats(); st.Cells != 0 {
+		t.Errorf("refused runs left %d cells in the cache", st.Cells)
+	}
+	if data, err := os.ReadFile(journal); err == nil && len(data) > 0 {
+		t.Errorf("refused runs were journaled:\n%s", data)
+	}
+	if status, got := postRaw(t, ts.URL+"/v1/runs", `{"workload":"gzip","threads":1}`); status != http.StatusOK {
+		t.Errorf("gzip at its limit: %d %s, want 200", status, got)
 	}
 }
 

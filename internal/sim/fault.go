@@ -185,14 +185,32 @@ func (p *Processor) migratePE(c, readyAt uint64, pe *peUnit) int {
 		}
 		*l = tokList{}
 	}
+	hp := &p.herds
+	drainHerds := func(l *herdList) {
+		for h := l.head; h != nilHerd; {
+			hp.forEach(&pe.toks, h, func(i int32) { sendTok(pe.toks.nodes[i].token()) })
+			for b := range hp.h[h].lanes {
+				for i := hp.h[h].lanes[b].head; i != nilTok; {
+					next := pe.toks.nodes[i].next
+					pe.toks.put(i)
+					i = next
+				}
+			}
+			next := hp.h[h].next
+			hp.put(h)
+			h = next
+		}
+		*l = herdList{}
+	}
 
-	// Input queue, reinjection list, and parked (k-rejected) tokens, the
-	// last in ascending local-index order so the new hosts see one
-	// arrival order on every run.
+	// Input queue (its released herds first), reinjection list, and parked
+	// (k-rejected) tokens, the last in ascending local-index order so the
+	// new hosts see one arrival order on every run.
+	drainHerds(&pe.hq)
 	drain(&pe.inQ)
-	drain(&pe.reinject)
+	drainHerds(&pe.reinject)
 	for li := range pe.parked {
-		drain(&pe.parked[li])
+		drainHerds(&pe.parked[li])
 	}
 	pe.parkedCount = 0
 

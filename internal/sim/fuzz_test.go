@@ -3,10 +3,12 @@ package sim
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wavescalar/internal/graph"
 	"wavescalar/internal/isa"
+	"wavescalar/internal/match"
 	"wavescalar/internal/ref"
 )
 
@@ -210,19 +212,21 @@ func FuzzFifoOps(f *testing.F) {
 	})
 }
 
-// tokListModel is the plain-slice reference FuzzTokListOps holds a
-// tokPool and its lists against: the same three kinds of list a PE keeps,
-// as slices of token ids.
+// tokListModel is the plain-slice reference FuzzTokListOps holds a PE's
+// token lists against: the input queue (its released herds, then inQ), the
+// reinject list and four parked lists, as slices of token ids in order.
 type tokListModel struct {
-	inQ, reinject []uint64
-	parked        [4][]uint64
+	hq, inQ, reinject []uint64
+	parked            [4][]uint64
 }
 
-// checkTokLists walks every list forwards and backwards against the model
-// and then accounts for the whole pool: each node is on exactly one list
-// or on the free list, so nothing leaked and nothing was freed twice.
-func checkTokLists(t *testing.T, step int, p *tokPool, inQ, reinject *tokList, parked []tokList, m *tokListModel) {
+// checkTokLists walks every list against the model — the herd lists
+// through herdValues, which also checks each herd's lanes, records and
+// counts — and then accounts for both pools: each node is on exactly one
+// list or on the free list, and so is each herd.
+func checkTokLists(t *testing.T, step int, pe *peUnit, m *tokListModel) {
 	t.Helper()
+	p := &pe.toks
 	seen := make([]bool, len(p.nodes))
 	claim := func(what string, i int32) {
 		if i <= nilTok || int(i) >= len(p.nodes) {
@@ -233,27 +237,52 @@ func checkTokLists(t *testing.T, step int, p *tokPool, inQ, reinject *tokList, p
 		}
 		seen[i] = true
 	}
-	walk := func(what string, l *tokList, want []uint64) {
-		if int(l.n) != len(want) || l.empty() != (len(want) == 0) {
-			t.Fatalf("step %d: %s: n = %d, empty = %v, want %d tokens", step, what, l.n, l.empty(), len(want))
+	if int(pe.inQ.n) != len(m.inQ) {
+		t.Fatalf("step %d: inQ: n = %d, want %d tokens", step, pe.inQ.n, len(m.inQ))
+	}
+	k, prev := 0, nilTok
+	for i := pe.inQ.head; i != nilTok; i = p.nodes[i].next {
+		claim("inQ", i)
+		if k >= len(m.inQ) || p.nodes[i].value != m.inQ[k] {
+			t.Fatalf("step %d: inQ[%d] = token %d, want %v", step, k, p.nodes[i].value, m.inQ)
 		}
-		k, prev := 0, nilTok
-		for i := l.head; i != nilTok; i = p.nodes[i].next {
-			claim(what, i)
-			if k >= len(want) || p.nodes[i].value != want[k] {
-				t.Fatalf("step %d: %s[%d] = token %d, want %v", step, what, k, p.nodes[i].value, want)
+		prev = i
+		k++
+	}
+	if k != len(m.inQ) || pe.inQ.tail != prev {
+		t.Fatalf("step %d: inQ walked %d of %d tokens, tail = %d, last = %d", step, k, len(m.inQ), pe.inQ.tail, prev)
+	}
+	hp := &pe.p.herds
+	herdSeen := make([]bool, len(hp.h))
+	herds := func(what string, l *herdList, want []uint64) {
+		got, err := herdValues(pe, l)
+		if err != nil {
+			t.Fatalf("step %d: %s: %v", step, what, err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: %s = %v, want %v", step, what, got, want)
+		}
+		for h := l.head; h != nilHerd; h = hp.h[h].next {
+			if herdSeen[h] {
+				t.Fatalf("step %d: %s reaches herd %d a second time", step, what, h)
 			}
-			prev = i
-			k++
-		}
-		if k != len(want) || l.tail != prev {
-			t.Fatalf("step %d: %s walked %d of %d tokens, tail = %d, last = %d", step, what, k, len(want), l.tail, prev)
+			herdSeen[h] = true
+			for b := range hp.h[h].lanes {
+				for i := hp.h[h].lanes[b].head; i != nilTok; i = p.nodes[i].next {
+					claim(what, i)
+				}
+			}
 		}
 	}
-	walk("inQ", inQ, m.inQ)
-	walk("reinject", reinject, m.reinject)
-	for li := range parked {
-		walk("parked", &parked[li], m.parked[li])
+	herds("hq", &pe.hq, m.hq)
+	herds("reinject", &pe.reinject, m.reinject)
+	parked := 0
+	for li := range pe.parked {
+		herds("parked", &pe.parked[li], m.parked[li])
+		parked += len(m.parked[li])
+	}
+	if pe.parkedCount != parked {
+		t.Fatalf("step %d: parkedCount = %d, want %d", step, pe.parkedCount, parked)
 	}
 	for i := p.free; i != nilTok; i = p.nodes[i].next {
 		claim("free list", i)
@@ -263,114 +292,233 @@ func checkTokLists(t *testing.T, step int, p *tokPool, inQ, reinject *tokList, p
 			t.Fatalf("step %d: node %d is on no list and not free", step, i)
 		}
 	}
+	for h := hp.free; h != nilHerd; h = hp.h[h].next {
+		if herdSeen[h] {
+			t.Fatalf("step %d: herd %d is free and on a list", step, h)
+		}
+		herdSeen[h] = true
+	}
+	for h := 1; h < len(herdSeen); h++ {
+		if !herdSeen[h] {
+			t.Fatalf("step %d: herd %d is on no list and not free", step, h)
+		}
+	}
 }
 
-// FuzzTokListOps drives one PE's worth of intrusive token lists — the
-// input queue, the per-index parked lists and the reinject list, all
-// threaded through one pool — with an arbitrary stream of the INPUT
-// stage's operations, and cross-checks order, links, counts and pool
-// accounting against plain slices after every step. The pool starts on a
-// three-node slab so both the carved capacity and growth past it run.
+// FuzzTokListOps drives one PE's token lists — the input queue with the
+// released herds ahead of it, the reinject list and four parked lists,
+// whose herds split their tokens into bank lanes — with an arbitrary
+// stream of the INPUT stage's operations, through the stage's own methods,
+// and cross-checks order, links, lanes, records, counts and the accounting
+// of both pools against plain slices after every step. The token pool
+// starts on a three-node slab so both the carved capacity and growth past
+// it run.
 func FuzzTokListOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 10, 3, 4, 1})
 	f.Add([]byte{0, 0, 6, 14, 3, 11, 4, 0, 5, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 2, 2, 10, 10, 3, 11, 4, 9, 17, 5})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 103, 0, 0, 0, 71, 255, 19, 4, 39, 5})
+	f.Add([]byte{6, 22, 38, 54, 70, 86, 3, 4, 9, 25, 10, 6, 22, 3, 4, 11, 12, 28, 13, 3, 4, 14})
 	f.Fuzz(func(t *testing.T, ops []byte) {
+		const banks = 4
+		p := &Processor{cfg: Config{MatchBanks: banks}, actInput: newActiveSet(1)}
+		p.pes = []peUnit{{p: p, parked: make([]herdList, 4),
+			mt: match.New(match.Config{Entries: 16, Assoc: 1, Banks: banks, K: 4}, 4)}}
+		pe := &p.pes[0]
 		slab := make([]tokNode, 4)
-		p := &tokPool{nodes: slab[:1:4]}
-		var inQ, reinject tokList
-		parked := make([]tokList, 4)
+		pe.toks.nodes = slab[:1:4]
 		var m tokListModel
 		next := uint64(1)
-		fresh := func(li int) int32 {
-			i := p.get()
-			p.nodes[i] = tokNode{value: next, li: int32(li)}
+		fresh := func(li int, wave uint32) int32 {
+			i := pe.toks.get()
+			pe.toks.nodes[i] = tokNode{value: next, li: int32(li), tag: isa.Tag{Wave: wave}, bank: uint8(wave % banks)}
 			next++
 			return i
 		}
-		// at returns the inQ node at position k, as phaseInput's cursor
-		// would reach it.
 		at := func(k int) int32 {
-			i := inQ.head
+			i := pe.inQ.head
 			for ; k > 0; k-- {
-				i = p.nodes[i].next
+				i = pe.toks.nodes[i].next
 			}
 			return i
 		}
-		// before returns the node ahead of position k, which the cursor
-		// carries as it walks.
 		before := func(k int) int32 {
 			if k == 0 {
 				return nilTok
 			}
 			return at(k - 1)
 		}
+		// head lists the first released herd's tokens in park order.
+		head := func() []lanedTok {
+			var out []lanedTok
+			h := pe.hq.head
+			p.herds.forEach(&pe.toks, h, func(i int32) {
+				nd := &pe.toks.nodes[i]
+				out = append(out, lanedTok{nd.value, int(nd.bank), nd.seq()})
+			})
+			return out
+		}
 		for step, b := range ops {
-			arg := int(b) / 8
-			switch b % 8 {
+			arg := int(b) / 16
+			switch b % 16 {
 			case 0: // a token arrives
 				m.inQ = append(m.inQ, next)
-				p.pushBack(&inQ, fresh(arg%4))
+				pe.toks.pushBack(&pe.inQ, fresh(arg%4, uint32(arg)))
 			case 1: // the cursor's token is accepted: unlink and recycle
 				if len(m.inQ) == 0 {
 					continue
 				}
 				k := arg % len(m.inQ)
 				i := at(k)
-				p.unlink(&inQ, before(k), i)
-				p.put(i)
-				m.inQ = append(m.inQ[:k], m.inQ[k+1:]...)
-			case 2: // the cursor's token is k-rejected: unlink and park
+				pe.toks.unlink(&pe.inQ, before(k), i)
+				pe.toks.put(i)
+				m.inQ = slices.Delete(m.inQ, k, k+1)
+			case 2, 7: // the cursor's token, or a run from it, is k-rejected and parks
 				if len(m.inQ) == 0 {
 					continue
 				}
-				k := arg % len(m.inQ)
-				i := at(k)
-				li := p.nodes[i].li
-				p.unlink(&inQ, before(k), i)
-				p.pushBack(&parked[li], i)
-				m.parked[li] = append(m.parked[li], m.inQ[k])
-				m.inQ = append(m.inQ[:k], m.inQ[k+1:]...)
-			case 3: // the table releases an entry: the herd queues to reinject
+				k, n := arg%len(m.inQ), 1
+				if b%16 == 7 {
+					n += (arg / 4) % (len(m.inQ) - k)
+				}
+				for ; n > 0; n-- {
+					i := at(k)
+					li := pe.toks.nodes[i].li
+					pe.toks.unlink(&pe.inQ, before(k), i)
+					pe.park(i)
+					m.parked[li] = append(m.parked[li], m.inQ[k])
+					m.inQ = slices.Delete(m.inQ, k, k+1)
+				}
+			case 3: // the table releases an entry: the parked list queues to reinject
 				li := arg % 4
-				p.concat(&reinject, &parked[li])
+				pe.Released(li)
 				m.reinject = append(m.reinject, m.parked[li]...)
 				m.parked[li] = nil
 			case 4: // phaseInput's splice: reinject goes ahead of the queue
-				p.concat(&reinject, &inQ)
-				inQ, reinject = reinject, tokList{}
-				m.inQ = append(m.reinject, m.inQ...)
+				p.herds.concat(&pe.reinject, &pe.hq)
+				pe.hq, pe.reinject = pe.reinject, herdList{}
+				m.hq = append(m.reinject, m.hq...)
 				m.reinject = nil
 			case 5: // the PE is mapped out: every list drains
-				lists := append([]*tokList{&inQ, &reinject}, &parked[0], &parked[1], &parked[2], &parked[3])
-				for _, l := range lists {
-					for i := l.head; i != nilTok; {
-						nx := p.nodes[i].next
-						p.put(i)
-						i = nx
-					}
-					*l = tokList{}
+				for i := pe.inQ.head; i != nilTok; {
+					nx := pe.toks.nodes[i].next
+					pe.toks.put(i)
+					i = nx
 				}
+				pe.inQ = tokList{}
+				for _, l := range []*herdList{&pe.hq, &pe.reinject, &pe.parked[0], &pe.parked[1], &pe.parked[2], &pe.parked[3]} {
+					for h := l.head; h != nilHerd; {
+						for b := range p.herds.h[h].lanes {
+							for i := p.herds.h[h].lanes[b].head; i != nilTok; {
+								nx := pe.toks.nodes[i].next
+								pe.toks.put(i)
+								i = nx
+							}
+						}
+						nx := p.herds.h[h].next
+						p.herds.put(h)
+						h = nx
+					}
+					*l = herdList{}
+				}
+				pe.parkedCount = 0
 				m = tokListModel{}
 			case 6: // a bypassed token is k-rejected: parked without queueing
 				li := arg % 4
 				m.parked[li] = append(m.parked[li], next)
-				p.pushBack(&parked[li], fresh(li))
-			case 7: // a run of k-rejects at the cursor parks as one block
-				if len(m.inQ) == 0 {
+				pe.park(fresh(li, uint32(arg)))
+			case 8, 9: // the first released herd's lanes in mask re-park below a number
+				h := pe.hq.head
+				if h == nilHerd {
 					continue
 				}
-				k := arg % len(m.inQ)
-				n := 1 + (arg/4)%(len(m.inQ)-k)
-				li := (arg / 2) % 4
-				p.moveRun(&parked[li], &inQ, before(k), at(k), at(k+n-1), int32(n))
-				m.parked[li] = append(m.parked[li], m.inQ[k:k+n]...)
-				m.inQ = append(m.inQ[:k], m.inQ[k+n:]...)
+				toks := head()
+				end := uint64(noSeq)
+				if b%16 == 9 {
+					end = toks[arg%len(toks)].seq
+				}
+				mask := uint8(1+arg) & (1<<banks - 1)
+				li := p.herds.h[h].li
+				var keep []lanedTok
+				for _, x := range toks {
+					if mask&(1<<x.b) != 0 && x.seq < end {
+						m.parked[li] = append(m.parked[li], x.id)
+					} else {
+						keep = append(keep, x)
+					}
+				}
+				pe.repark(0, h, mask, end)
+				m.hq = append(ids(keep), m.hq[len(toks):]...)
+				if p.herds.h[h].n == 0 {
+					pe.hq.head = p.herds.h[h].next
+					if pe.hq.head == nilHerd {
+						pe.hq.tail = nilHerd
+					}
+					p.herds.put(h)
+				}
+			case 10: // the head of a lane of the first released herd is accepted
+				h := pe.hq.head
+				if h == nilHerd {
+					continue
+				}
+				toks := head()
+				x := toks[arg%len(toks)]
+				ln := &p.herds.h[h].lanes[x.b]
+				u := ln.head
+				id := pe.toks.nodes[u].value
+				pe.toks.unlink(&ln.tokList, nilTok, u)
+				ln.trim(pe.toks.nodes)
+				p.herds.h[h].n--
+				pe.hq.n--
+				pe.toks.put(u)
+				k := slices.Index(m.hq, id)
+				m.hq = slices.Delete(m.hq, k, k+1)
+				if p.herds.h[h].n == 0 {
+					pe.hq.head = p.herds.h[h].next
+					if pe.hq.head == nilHerd {
+						pe.hq.tail = nilHerd
+					}
+					p.herds.put(h)
+				}
+			case 12: // the first released herd parks whole
+				h := pe.hq.head
+				if h == nilHerd {
+					continue
+				}
+				n := int(p.herds.h[h].n)
+				li := p.herds.h[h].li
+				pe.hq.head = p.herds.h[h].next
+				if pe.hq.head == nilHerd {
+					pe.hq.tail = nilHerd
+				}
+				pe.hq.n -= int32(n)
+				pe.parkedCount += n
+				pe.parkHerd(h)
+				m.parked[li] = append(m.parked[li], m.hq[:n]...)
+				m.hq = m.hq[n:]
+			default:
+				continue
 			}
-			checkTokLists(t, step, p, &inQ, &reinject, parked, &m)
+			checkTokLists(t, step, pe, &m)
 		}
 	})
+}
+
+// lanedTok is a released token as FuzzTokListOps's model reads it: its
+// id, its lane and its sequence number.
+type lanedTok struct {
+	id  uint64
+	b   int
+	seq uint64
+}
+
+// ids lists the tokens' ids.
+func ids(ts []lanedTok) []uint64 {
+	out := make([]uint64, len(ts))
+	for i, x := range ts {
+		out[i] = x.id
+	}
+	return out
 }
 
 // FuzzPendingRing drives the ring of in-flight memory operations with an

@@ -335,3 +335,33 @@ func BenchmarkFlowCell(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(dynamic), "ns/inst")
 }
+
+// BenchmarkRetryCell is a sim_retry cell in go test -bench: radix/small on
+// the baseline machine, from sim.New to quiescence. Its matching tables
+// refuse over thirty input attempts per instruction, most of them tokens of
+// released herds that park again, so host time here is the INPUT stage's
+// herd settling. It reports host time per simulated instruction and, with
+// ReportAllocs, the mallocs of one whole cell.
+func BenchmarkRetryCell(b *testing.B) {
+	w, err := workload.ByName("radix")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst := w.Build(workload.Small)
+	cfg, params, mem := Baseline(BaselineArch()), inst.Params(1), Memory(inst.Mem)
+	var dynamic uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := New(cfg, inst.Prog, params, mem)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st, err := p.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		dynamic += st.Dynamic
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(dynamic), "ns/inst")
+}

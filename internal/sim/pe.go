@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"wavescalar/internal/isa"
 	"wavescalar/internal/istore"
 	"wavescalar/internal/match"
@@ -94,18 +96,25 @@ type peUnit struct {
 	dead       bool   // killed by a fault script; state already migrated
 
 	// The INPUT stage: every token the PE holds is a node of toks on one
-	// of three kinds of list. inQ is the input queue. parked[li] holds the
-	// tokens k-rejected for local index li, in park order: in hardware the
-	// senders keep retrying, but nothing can change until the matching
-	// table releases an entry of the same instruction, so the model parks
-	// them. The table's release callback moves the whole herd to
-	// reinject, and the next phaseInput splices reinject onto the front of
-	// inQ. parked is sized by the instruction store's bound count.
+	// list. inQ is the input queue. parked[li] holds the tokens k-rejected
+	// for local index li, in park order: in hardware the senders keep
+	// retrying, but nothing can change until the matching table releases
+	// an entry of the same instruction, so the model parks them. A parked
+	// list is a list of herds (see herd), which split its tokens by bank.
+	// The table's release callback moves the whole list to reinject, and
+	// the next phaseInput moves reinject to the front of hq: the released
+	// herds still queued ahead of inQ. parked is sized by the instruction
+	// store's bound count; seq numbers parked tokens.
 	toks        tokPool
 	inQ         tokList
-	reinject    tokList
-	parked      []tokList
+	hq          herdList
+	reinject    herdList
+	parked      []herdList
 	parkedCount int
+	seq         uint64
+	// evSeen is the matching table's eviction count at the last release;
+	// see Released.
+	evSeen uint64
 
 	// st is written by every phase but read only by collect, so it sits
 	// behind the queues and lists the phases test first.
@@ -165,33 +174,19 @@ func (pe *peUnit) insert(c uint64, tok isa.Token, li int, req uint8) (match.Outc
 // that follow for the same local index, are ready, find their bank free
 // and are certainly k-rejected too (match.Table.CertainReject; nothing in
 // the table changes inside a run, so each is judged as it would have been
-// at the cursor). The run moves to the tail of the index's parked list in
-// one block. Whatever it was before, a parked token comes back as the
-// reinjection path always delivered it — ready at once, and with no
-// delivery-latency sample — so a herd that is re-parked is read, never
-// written. Every token of the run is one refused input attempt, counted
-// and traced as such. prev is the node ahead of i (nilTok at the head). It
+// at the cursor). The run leaves inQ in one block and parks token by
+// token. Every token of the run is one refused input attempt, counted and
+// traced as such. prev is the node ahead of i (nilTok at the head). It
 // returns the node after the run and the run's length.
 func (pe *peUnit) parkRun(c uint64, prev, i int32) (int32, uint64) {
 	nodes := pe.toks.nodes
-	nd := &nodes[i]
-	li, first, n := nd.li, i, int32(0)
+	li, first, n := nodes[i].li, i, int32(1)
 	for {
-		if rec := pe.p.rec; rec != nil {
-			rec.PEStall(c, pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, trace.StallReject, 1)
-		}
-		if nd.readyAt != 0 {
-			nd.readyAt = 0
-		}
-		if nd.sentAt != 0 {
-			nd.sentAt = 0
-		}
-		n++
-		next := nd.next
+		next := nodes[i].next
 		if next == nilTok {
 			break
 		}
-		nd = &nodes[next]
+		nd := &nodes[next]
 		if nd.li != li || nd.readyAt > c {
 			break
 		}
@@ -199,24 +194,78 @@ func (pe *peUnit) parkRun(c uint64, prev, i int32) (int32, uint64) {
 			break
 		}
 		i = next
+		n++
 	}
 	after := nodes[i].next
-	pe.toks.moveRun(&pe.parked[li], &pe.inQ, prev, first, i, n)
-	pe.parkedCount += int(n)
-	pe.st.InputRejects += uint64(n)
+	if prev != nilTok {
+		nodes[prev].next = after
+	} else {
+		pe.inQ.head = after
+	}
+	if after == nilTok {
+		pe.inQ.tail = prev
+	}
+	pe.inQ.n -= n
+	for k := int32(0); k < n; k++ {
+		next := nodes[first].next
+		pe.park(first)
+		first = next
+	}
+	pe.rejected(c, int(n))
 	return after, uint64(n)
+}
+
+// park appends the unlinked node i to its index's parked list. A parked
+// token comes back as the reinjection path always delivered it — ready at
+// once, and with no delivery-latency sample — so the node's readyAt takes
+// its sequence number (and its sentAt the lane's bookkeeping). The number
+// is the PE's newest, above any a herd holds, so the token joins the
+// list's last herd.
+func (pe *peUnit) park(i int32) {
+	hp := &pe.p.herds
+	nd := &pe.toks.nodes[i]
+	l := &pe.parked[nd.li]
+	h := l.tail
+	if h == nilHerd {
+		h = hp.get(nd.li)
+		hp.pushBack(l, h)
+	}
+	pe.seq++
+	nd.readyAt = pe.seq
+	pe.checkEpoch(h)
+	hp.push(&pe.toks, h, i)
+	l.n++
+	pe.parkedCount++
+}
+
+// rejected counts n refused input attempts, each a k-reject stall event
+// when tracing.
+func (pe *peUnit) rejected(c uint64, n int) {
+	pe.st.InputRejects += uint64(n)
+	if rec := pe.p.rec; rec != nil {
+		for ; n > 0; n-- {
+			rec.PEStall(c, pe.addr.Cluster, pe.addr.Domain, pe.addr.PE, trace.StallReject, 1)
+		}
+	}
 }
 
 // Released is the matching table's release callback (match.Releaser): any
 // tokens parked on the freed instruction queue up for reinjection, behind
-// herds released earlier this cycle.
+// herds released earlier this cycle. A table displaces an instance by
+// counting an eviction and at once releasing it, so the release that finds
+// the count moved since the last one is the displaced instance's, and it
+// moves that index's displacement epoch on.
 func (pe *peUnit) Released(li int) {
-	herd := &pe.parked[li]
-	if herd.empty() {
+	l := &pe.parked[li]
+	if ev := pe.mt.Stats().Evictions; ev != pe.evSeen {
+		pe.evSeen = ev
+		l.ep++
+	}
+	if l.empty() {
 		return
 	}
-	pe.parkedCount -= int(herd.n)
-	pe.toks.concat(&pe.reinject, herd)
+	pe.parkedCount -= int(l.n)
+	pe.p.herds.concat(&pe.reinject, l)
 	pe.wakeInput()
 }
 
@@ -226,11 +275,13 @@ func (pe *peUnit) Released(li int) {
 func (pe *peUnit) bind(thread uint32, inst isa.InstID) {
 	rt := &pe.p.route[pe.p.istKey(thread, inst)]
 	rt.pe, rt.li = pe.gidx, int32(pe.ist.Bind())
-	pe.parked = append(pe.parked, tokList{})
+	pe.parked = append(pe.parked, herdList{})
 }
 
 // inputPending reports whether phaseInput has anything to look at.
-func (pe *peUnit) inputPending() bool { return !pe.inQ.empty() || !pe.reinject.empty() }
+func (pe *peUnit) inputPending() bool {
+	return !pe.inQ.empty() || !pe.hq.empty() || !pe.reinject.empty()
+}
 
 // busy reports whether the PE has any work in flight (idle PEs are skipped).
 // Parked tokens do not make a PE busy on their own: they only move when the
@@ -315,8 +366,7 @@ func (pe *peUnit) acceptBypass(c uint64, tok isa.Token, rt route) {
 	out, e := pe.insert(c, tok, int(rt.li), rt.req)
 	switch out {
 	case match.Rejected:
-		pe.toks.pushBack(&pe.parked[rt.li], pe.newTok(0, 0, tok, rt))
-		pe.parkedCount++
+		pe.park(pe.newTok(0, 0, tok, rt))
 	case match.RejectedBank:
 		// Bank pressure: fall back to the ordinary input path.
 		pe.toks.pushBack(&pe.inQ, pe.newTok(c+1, 0, tok, rt))
@@ -531,40 +581,83 @@ func (pe *peUnit) phaseOutput(c uint64) {
 }
 
 // phaseInput accepts up to MatchBanks tokens per cycle from the input
-// queue. It scans past blocked tokens (in hardware, rejected senders retry
-// independently, which reorders arrivals): the scan stops at the window
-// once something was accepted, but continues to the end of the queue while
-// nothing has been, so a token that would unblock a k-bounded jam is always
-// reachable. pos counts the tokens the cursor has stepped over, which is
-// the queue position the window is measured in, and prev the last of them
-// (the node ahead of the cursor, which the singly-linked queue needs to
-// unlink it).
+// queue: first the released herds (hq), then inQ. It scans past blocked
+// tokens (in hardware, rejected senders retry independently, which
+// reorders arrivals): the scan stops at the window once something was
+// accepted, but continues to the end of the queue while nothing has been,
+// so a token that would unblock a k-bounded jam is always reachable. pos
+// counts the tokens the cursor has stepped over, which is the queue
+// position the window is measured in.
 //
 // Most attempts are refused, and most refusals are certain before the table
 // is touched: the cursor asks the table's reject rule first and offers the
 // token to Insert only when the rule cannot tell. Neither kind of refusal
 // changes accepted and only a bank reject advances pos, so the two stop
-// tests above cannot fire inside a run of k-rejects.
+// tests above cannot fire inside a run of k-rejects. A herd is settled a
+// block of lanes at a time (settle) to the same outcome, token for token.
 func (pe *peUnit) phaseInput(c uint64) {
 	// Tokens released from parking re-enter at the front: they are the
 	// oldest work and the quota just opened for them.
+	hp := &pe.p.herds
 	if !pe.reinject.empty() {
-		pe.toks.concat(&pe.reinject, &pe.inQ)
-		pe.inQ, pe.reinject = pe.reinject, tokList{}
+		hp.concat(&pe.reinject, &pe.hq)
+		pe.hq, pe.reinject = pe.reinject, herdList{}
 	}
 
-	accepted := 0
-	window := pe.p.cfg.InputWindow
-	pos, prev := 0, nilTok
-	var kCertain, bankCertain uint64 // refusals decided without Insert
-	for i := pe.inQ.head; i != nilTok && accepted < pe.p.cfg.MatchBanks; {
-		if pos >= window && accepted > 0 {
-			break
+	s := inputScan{window: pe.p.cfg.InputWindow, banks: pe.p.cfg.MatchBanks}
+	var out settled
+	for h, prevH := pe.hq.head, nilHerd; h != nilHerd && out != settleStop; {
+		out = pe.settle(c, h, &s)
+		next := hp.h[h].next
+		if out != settleParked && hp.h[h].n > 0 {
+			prevH, h = h, next
+			continue
 		}
+		// Gone from the queue: unlink, and park whole or recycle.
+		if prevH != nilHerd {
+			hp.h[prevH].next = next
+		} else {
+			pe.hq.head = next
+		}
+		if next == nilHerd {
+			pe.hq.tail = prevH
+		}
+		if n := hp.h[h].n; n > 0 {
+			pe.hq.n -= n
+			pe.parkedCount += int(n)
+			pe.parkHerd(h)
+		} else {
+			hp.put(h)
+		}
+		h = next
+	}
+	if out != settleStop {
+		pe.scanQueue(c, &s)
+	}
+	pe.mt.CountRejects(s.kCertain, s.bankCertain)
+}
+
+// inputScan is one phaseInput's cursor state.
+type inputScan struct {
+	accepted, pos         int
+	window, banks         int
+	kCertain, bankCertain uint64 // refusals decided without Insert
+}
+
+// done reports whether the scan stops before its next token.
+func (s *inputScan) done() bool {
+	return s.accepted >= s.banks || (s.pos >= s.window && s.accepted > 0)
+}
+
+// scanQueue walks inQ token by token; prev is the node ahead of the
+// cursor, which the singly-linked queue needs to unlink it.
+func (pe *peUnit) scanQueue(c uint64, s *inputScan) {
+	prev := nilTok
+	for i := pe.inQ.head; i != nilTok && !s.done(); {
 		nd := &pe.toks.nodes[i]
 		next := nd.next
 		if nd.readyAt > c {
-			pos++
+			s.pos++
 			prev, i = i, next
 			continue
 		}
@@ -583,39 +676,286 @@ func (pe *peUnit) phaseInput(c uint64) {
 			if !certain {
 				n-- // Insert counted the run's head itself
 			}
-			kCertain += n
+			s.kCertain += n
 			continue
 		case match.RejectedBank:
 			// Lost the bank this cycle: the token stays queued, where a
 			// retry next cycle can succeed.
 			if certain {
-				bankCertain++
+				s.bankCertain++
 			}
 			pe.st.InputRejects++
-			pos++
+			s.pos++
 			prev, i = i, next
 			continue
 		}
 		pe.toks.unlink(&pe.inQ, prev, i)
-		accepted++
 		if nd.sentAt > 0 {
 			pe.st.OperandLatTotal += c - nd.sentAt
 			pe.st.OperandCount++
 		}
-		switch out {
-		case match.Completed:
-			// Normal MATCH path: ready after the MATCH stage.
-			ready := e.ReadyAt + 1
-			pe.schedQ.push(schedEntry{
-				readyAt: ready, inst: e.Inst, tag: e.Tag, vals: e.Vals,
-				addrSent: e.AddrSent,
-			})
-			pe.wakeDispatch()
-		case match.Stored:
-			pe.maybeStoreAddrHalf(c, nd.token(), e)
-		}
+		pe.accept(c, out, nd.token(), e, s)
 		pe.toks.put(i)
 		i = next
 	}
-	pe.mt.CountRejects(kCertain, bankCertain)
+}
+
+// accept schedules what an accepted token made ready.
+func (pe *peUnit) accept(c uint64, out match.Outcome, tok isa.Token, e *match.Entry, s *inputScan) {
+	s.accepted++
+	switch out {
+	case match.Completed:
+		// Normal MATCH path: ready after the MATCH stage.
+		pe.schedQ.push(schedEntry{
+			readyAt: e.ReadyAt + 1, inst: e.Inst, tag: e.Tag, vals: e.Vals,
+			addrSent: e.AddrSent,
+		})
+		pe.wakeDispatch()
+	case match.Stored:
+		pe.maybeStoreAddrHalf(c, tok, e)
+	}
+}
+
+// settled is what became of a released herd the scan reached.
+type settled uint8
+
+const (
+	settleQueued settled = iota // what is left of it stays queued
+	settleStop                  // the scan stopped inside it
+	settleParked                // every token parked: the herd parks whole
+)
+
+// settle runs the scan over released herd h and says where it left the
+// herd. It reaches the outcome the token-by-token scan reaches, but a
+// block at a time. Every token of a herd is ready and is for the herd's
+// index, so between two calls to Insert — while neither the table nor its
+// bank stamps change — a token's fate depends only on its lane: on a lane
+// whose bank is taken this cycle it is a certain bank refusal and stays
+// queued, advancing pos; on a free lane it is a certain k-refusal and
+// parks, unless the reject rule cannot tell, and then it goes to Insert as
+// the scan would offer it. So each block ends at the first of
+//   - the window's cut, once something is accepted: the m-th token of the
+//     taken lanes past the cursor, in park order, m being what the window
+//     has left;
+//   - the first token of a free lane that the rule cannot decide, which
+//     is offered to Insert after the block; a lane the rule refuses whole
+//     (lane.certain) holds none, and only the others are walked for it;
+//
+// and in the block the taken lanes' tokens stay and the free lanes' tokens
+// park, each lane's share one run. A bank stays taken for the rest of the
+// cycle, so the tokens the cursor has passed are all on taken lanes; at[b]
+// is lane b's first token not passed, and past[b] how many were. A herd
+// with no taken lane that the rule refuses whole parks as it is.
+func (pe *peUnit) settle(c uint64, h int32, s *inputScan) settled {
+	hp := &pe.p.herds
+	nodes := pe.toks.nodes
+	li := int(hp.h[h].li)
+	var at, past [match.MaxBanks]int32
+	var taken uint8
+	for hp.h[h].n > 0 {
+		if s.done() {
+			return settleStop
+		}
+		hd := &hp.h[h]
+		var free uint8
+		held := int32(0) // tokens on the taken lanes past the cursor
+		for b := 0; b < s.banks; b++ {
+			ln := &hd.lanes[b]
+			if taken&(1<<b) == 0 {
+				if ln.n == 0 {
+					continue
+				}
+				at[b] = ln.head
+				if !pe.bankTaken(c, li, b, ln) {
+					free |= 1 << b
+					continue
+				}
+				taken |= 1 << b
+			}
+			held += ln.n - past[b]
+		}
+		end, cut := uint64(noSeq), false // the block is the tokens below end
+		if m := int32(s.window - s.pos); s.accepted > 0 && held >= m {
+			end, cut = hp.nthSeq(&pe.toks, &at, taken, m)+1, true
+		}
+		u, ub := nilTok, 0 // the undecided token that ends the block, and its lane
+		if free != 0 {
+			pe.checkEpoch(h)
+			full, bound, ovLo, ovHi := pe.mt.KBound(li)
+			var sure uint8 // the free lanes the rule refuses whole
+			for f := free; full && f != 0; f &= f - 1 {
+				if b := bits.TrailingZeros8(f); hd.lanes[b].certain(nodes, bound, ovLo, ovHi) {
+					sure |= 1 << b
+				}
+			}
+			if taken == 0 && sure == free {
+				// Every token is a certain k-reject: the herd parks as it is.
+				s.kCertain += uint64(hd.n)
+				pe.rejected(c, int(hd.n))
+				return settleParked
+			}
+			for f := free &^ sure; f != 0; f &= f - 1 {
+				b := bits.TrailingZeros8(f)
+				ln := &hd.lanes[b]
+				for i := ln.head; i != nilTok && nodes[i].seq() < end; i = nodes[i].next {
+					w, sq := nodes[i].tag.Wave, nodes[i].seq()
+					if !full || w > bound && (w < ovLo || w > ovHi || sq <= ln.okSeq) {
+						if full {
+							ln.okSeq = max(ln.okSeq, sq)
+							continue
+						}
+					} else if out, ok := pe.mt.CertainReject(li, w, b, c); ok && out == match.Rejected {
+						ln.okSeq = max(ln.okSeq, sq)
+						continue
+					}
+					u, ub, end, cut = i, b, sq, false
+					break
+				}
+			}
+		}
+		stay := hp.pass(&pe.toks, h, &at, &past, taken, end)
+		s.pos += int(stay)
+		s.bankCertain += uint64(stay)
+		pe.st.InputRejects += uint64(stay)
+		s.kCertain += uint64(pe.repark(c, h, free, end))
+		if cut {
+			return settleStop
+		}
+		if u == nilTok {
+			return settleQueued // every token left is on a taken lane
+		}
+		// Offer the undecided token, now its lane's head, to the table. Its
+		// bank is free, so the table cannot refuse it for the bank.
+		tok := nodes[u].token()
+		out, e := pe.insert(c, tok, li, nodes[u].req)
+		switch out {
+		case match.Rejected:
+			pe.repark(c, h, 1<<ub, nodes[u].seq()+1)
+		default:
+			hd := &hp.h[h]
+			ln := &hd.lanes[ub]
+			pe.toks.unlink(&ln.tokList, nilTok, u)
+			ln.trim(nodes)
+			hd.n--
+			pe.hq.n--
+			pe.accept(c, out, tok, e, s)
+			pe.toks.put(u)
+		}
+	}
+	return settleQueued
+}
+
+// checkEpoch forgets herd h's checks against the in-memory table if its
+// index may have had an instance displaced since they were made, so that
+// they hold in the index's current displacement epoch.
+func (pe *peUnit) checkEpoch(h int32) {
+	hd := &pe.p.herds.h[h]
+	if ep := pe.parked[hd.li].ep; hd.okEp != ep {
+		for b := range hd.lanes {
+			hd.lanes[b].okSeq = 0
+		}
+		hd.okEp = ep
+	}
+}
+
+// bankTaken reports whether bank b, the bank of the non-empty lane ln of a
+// herd for index li, has taken a token in cycle c.
+func (pe *peUnit) bankTaken(c uint64, li, b int, ln *lane) bool {
+	out, _ := pe.mt.CertainReject(li, ln.lo, b, c)
+	return out == match.RejectedBank
+}
+
+// parkHerd appends released herd h, unlinked, to its index's parked list:
+// into the list's last herd when every number of h follows that herd's,
+// and as a herd of its own otherwise.
+func (pe *peUnit) parkHerd(h int32) {
+	hp := &pe.p.herds
+	src := &hp.h[h]
+	l := &pe.parked[src.li]
+	t := l.tail
+	lo := uint64(noSeq)
+	for b := range src.lanes[:pe.p.cfg.MatchBanks] {
+		if ln := &src.lanes[b]; ln.n > 0 {
+			lo = min(lo, pe.toks.nodes[ln.head].seq())
+		}
+	}
+	if t == nilHerd || hp.h[t].top > lo {
+		hp.pushBack(l, h)
+		return
+	}
+	pe.checkEpoch(h)
+	pe.checkEpoch(t)
+	dst := &hp.h[t]
+	for b := range src.lanes[:pe.p.cfg.MatchBanks] {
+		if ln := &src.lanes[b]; ln.n > 0 {
+			hp.moveLane(&pe.toks, &dst.lanes[b], ln, ln.tail, ln.n)
+		}
+	}
+	dst.top = max(dst.top, src.top)
+	dst.n += src.n
+	l.n += src.n
+	src.n = 0
+	hp.put(h)
+}
+
+// repark moves the tokens of released herd h's lanes in mask whose sequence numbers
+// are below end to the tail of the herd's parked list, each lane's share
+// as one run, and counts and traces them as refused attempts. They join
+// the list's last herd when they all follow it in park order, and form a
+// new herd behind it otherwise. It returns how many moved.
+func (pe *peUnit) repark(c uint64, h int32, mask uint8, end uint64) int32 {
+	hp := &pe.p.herds
+	nodes := pe.toks.nodes
+	var last, cnt [match.MaxBanks]int32
+	total, lo, hi := int32(0), uint64(noSeq), uint64(0)
+	for f := mask; f != 0; f &= f - 1 {
+		b := bits.TrailingZeros8(f)
+		ln := &hp.h[h].lanes[b]
+		if ln.n == 0 || nodes[ln.head].seq() >= end {
+			continue
+		}
+		if nodes[ln.tail].seq() < end {
+			last[b], cnt[b] = ln.tail, ln.n
+		} else {
+			i, n := ln.head, int32(1)
+			for nodes[nodes[i].next].seq() < end {
+				i = nodes[i].next
+				n++
+			}
+			last[b], cnt[b] = i, n
+		}
+		total += cnt[b]
+		lo = min(lo, nodes[ln.head].seq())
+		hi = max(hi, nodes[last[b]].seq())
+	}
+	if total == 0 {
+		return 0
+	}
+	li := hp.h[h].li
+	l := &pe.parked[li]
+	t := l.tail
+	if t == nilHerd || hp.h[t].top > lo {
+		t = hp.get(li)
+		hp.pushBack(l, t)
+	}
+	pe.checkEpoch(h)
+	pe.checkEpoch(t)
+	src, dst := &hp.h[h], &hp.h[t]
+	for f := mask; f != 0; f &= f - 1 {
+		if b := bits.TrailingZeros8(f); cnt[b] > 0 {
+			// Refused as certain k-rejects, the run's tokens are not
+			// displaced.
+			ln := &src.lanes[b]
+			ln.okSeq = max(ln.okSeq, nodes[last[b]].seq())
+			hp.moveLane(&pe.toks, &dst.lanes[b], ln, last[b], cnt[b])
+		}
+	}
+	dst.top = max(dst.top, hi)
+	src.n -= total
+	pe.hq.n -= total
+	dst.n += total
+	l.n += total
+	pe.parkedCount += int(total)
+	pe.rejected(c, int(total))
+	return total
 }

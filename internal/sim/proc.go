@@ -88,6 +88,7 @@ type Processor struct {
 	mem      Memory
 
 	outbox   fifo[*noc.Message] // retry queue for grid injections
+	herds    herdPool           // every PE's parked and released herds
 	inflight memRing            // memory operations the cache has not completed
 	reqSeq   uint64             // the next memory request id
 
@@ -266,7 +267,7 @@ func (p *Processor) build() {
 		Banks:   p.cfg.MatchBanks,
 		K:       p.cfg.K,
 	}, bound)
-	lists := make([]tokList, len(p.route)) // one parked list per bound instance
+	lists := make([]herdList, len(p.route)) // one parked list per bound instance
 
 	p.pes = make([]peUnit, len(bound))
 	p.domains = make([]domainUnit, arch.Clusters*arch.Domains)
@@ -875,7 +876,7 @@ func (p *Processor) dump() string {
 	var states []peState
 	for i := range p.pes {
 		if pe := &p.pes[i]; pe.busy() || pe.parkedCount > 0 {
-			states = append(states, peState{pe.addr, int(pe.inQ.n), pe.schedQ.len(), pe.outQ.len(), pe.pending.len(), pe.parkedCount})
+			states = append(states, peState{pe.addr, int(pe.inQ.n + pe.hq.n), pe.schedQ.len(), pe.outQ.len(), pe.pending.len(), pe.parkedCount})
 		}
 	}
 	sort.Slice(states, func(i, j int) bool { return states[i].in+states[i].sched > states[j].in+states[j].sched })

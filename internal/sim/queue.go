@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
 
 	"wavescalar/internal/isa"
+	"wavescalar/internal/match"
 )
 
 // activeSet is one scheduling phase's work list: the set of component
@@ -206,6 +208,10 @@ func (r *memRing) grow() {
 // what the INPUT scan reads of every node it passes — readyAt, the link,
 // li, the wave and the bank — in its first 28.
 type tokNode struct {
+	// readyAt is the first cycle the token may be offered. A token on a
+	// herd's lane is ready by definition (parking makes it so) and takes no
+	// latency sample, so there readyAt holds its park sequence number and
+	// sentAt its record links instead; see herd and lane.
 	readyAt uint64
 	next    int32
 	// li, req and bank are the destination instruction's local index and
@@ -327,18 +333,310 @@ func (p *tokPool) moveRun(dst, src *tokList, before, first, last, n int32) {
 	dst.n += n
 }
 
-// concat moves every node of src to the tail of dst, keeping order, and
-// leaves src empty.
-func (p *tokPool) concat(dst, src *tokList) {
-	if src.head == nilTok {
+// seq returns the park sequence number of a token on a herd's lane.
+func (nd *tokNode) seq() uint64 { return nd.readyAt }
+
+// recs returns a lane record's links to the records before and after it.
+func (nd *tokNode) recs() (prev, next int32) {
+	return int32(uint32(nd.sentAt)), int32(uint32(nd.sentAt >> 32))
+}
+
+func (nd *tokNode) setRecs(prev, next int32) {
+	nd.sentAt = uint64(uint32(prev)) | uint64(uint32(next))<<32
+}
+
+// noSeq is above every park sequence number.
+const noSeq = math.MaxUint64
+
+// herd is a block of tokens parked on one local index, in park order,
+// split into one lane per matching-table bank: lane b holds the block's
+// tokens that arrive at bank b, in park order, and the tokens' sequence
+// numbers (increasing in park order within the herd) merge the lanes back
+// into the one order. A parked list is a list of herds, and so is the run
+// of released tokens at the front of a PE's input queue: the table's
+// release callback moves a parked list's herds there whole, and the INPUT
+// stage settles a herd a lane at a time (peUnit.settle). Sequence numbers
+// are compared only within one herd.
+type herd struct {
+	li   int32  // the local index every token of the herd is for
+	next int32  // the next herd on its herdList
+	n    int32  // tokens on all lanes
+	top  uint64 // the highest sequence number the herd has held
+	// okEp is the index's displacement epoch (herdList.ep) when the
+	// lanes' okSeq were checked; see lane.
+	okEp  uint32
+	lanes [match.MaxBanks]lane
+}
+
+// lane is one bank's tokens of a herd. Its records are the tokens whose
+// wave is below the wave of every token behind them, so the first record
+// holds the lane's lowest wave and the tail is always the last record:
+// they form a queue with waves rising, doubly linked through the tokens,
+// that a token joining at the tail pops from the back and tokens leaving
+// at the front pop from the front. hi bounds the lane's waves from above;
+// it only loosens as tokens leave. Every token with a sequence number up
+// to okSeq was found not displaced to the in-memory table in the herd's
+// okEp: an instance of the index is displaced only with a new epoch, so
+// that holds until the next one.
+type lane struct {
+	tokList
+	first  int32  // the first record
+	lo, hi uint32 // the first record's wave, the lane's lowest; a bound from above
+	okSeq  uint64
+}
+
+// setFirst makes r the first record.
+func (ln *lane) setFirst(nodes []tokNode, r int32) {
+	ln.first, ln.lo = r, nodes[r].tag.Wave
+}
+
+// certain reports whether every token of the non-empty lane is a certain
+// k-reject at a free bank, given a full index's bound and displaced range
+// (match.Table.KBound): its lowest wave is above the bound, and each token
+// is outside the range or was checked against the in-memory table.
+func (ln *lane) certain(nodes []tokNode, bound, ovLo, ovHi uint32) bool {
+	return ln.lo > bound && (ln.hi < ovLo || ln.lo > ovHi || ln.okSeq >= nodes[ln.tail].seq())
+}
+
+// link makes x, already appended behind last (the lane's tail before it,
+// nilTok if the lane was empty), the lane's last record, dropping the
+// records its wave outranks.
+func (ln *lane) link(nodes []tokNode, last, x int32) {
+	w := nodes[x].tag.Wave
+	r := last
+	for r != nilTok && nodes[r].tag.Wave >= w {
+		r, _ = nodes[r].recs()
+	}
+	if r == nilTok {
+		ln.setFirst(nodes, x)
+	} else {
+		prev, _ := nodes[r].recs()
+		nodes[r].setRecs(prev, x)
+	}
+	nodes[x].setRecs(r, nilTok)
+}
+
+// trim drops the records that left the front of the lane with its head.
+func (ln *lane) trim(nodes []tokNode) {
+	if ln.n == 0 {
+		ln.first = nilTok
 		return
 	}
-	if dst.tail == nilTok {
-		*dst = *src
-	} else {
-		p.nodes[dst.tail].next = src.head
-		dst.tail = src.tail
-		dst.n += src.n
+	hs, f := nodes[ln.head].seq(), ln.first
+	if nodes[f].seq() >= hs {
+		return
 	}
-	*src = tokList{}
+	for nodes[f].seq() < hs {
+		_, f = nodes[f].recs()
+	}
+	_, next := nodes[f].recs()
+	nodes[f].setRecs(nilTok, next)
+	ln.setFirst(nodes, f)
+}
+
+// nilHerd ends a herd list; herd 0 of every pool is reserved for it.
+const nilHerd int32 = 0
+
+// herdList is a singly-linked list of herds threaded through a herdPool,
+// and n the tokens they hold. On a PE's parked list for an index, ep is
+// the index's displacement epoch, which moves on whenever one of the
+// index's instances may have been displaced to the in-memory table.
+type herdList struct {
+	head, tail int32
+	n          int32
+	ep         uint32
+}
+
+func (l *herdList) empty() bool { return l.head == nilHerd }
+
+// herdPool owns a machine's herds, recycled through a free list linked by
+// next. One pool serves every PE, so a PE's first herd allocates nothing.
+type herdPool struct {
+	h    []herd // h[0] is nilHerd's slot
+	free int32
+}
+
+// get returns an empty herd for local index li.
+func (p *herdPool) get(li int32) int32 {
+	i := p.free
+	if i != nilHerd {
+		p.free = p.h[i].next
+	} else {
+		if p.h == nil {
+			p.h = make([]herd, 1, 16)
+		}
+		p.h = append(p.h, herd{})
+		i = int32(len(p.h) - 1)
+	}
+	p.h[i] = herd{li: li}
+	return i
+}
+
+// put recycles an empty, unlinked herd.
+func (p *herdPool) put(i int32) {
+	p.h[i].next = p.free
+	p.free = i
+}
+
+func (p *herdPool) pushBack(l *herdList, i int32) {
+	p.h[i].next = nilHerd
+	if l.tail != nilHerd {
+		p.h[l.tail].next = i
+	} else {
+		l.head = i
+	}
+	l.tail = i
+	l.n += p.h[i].n
+}
+
+// concat moves every herd of src to the tail of dst and leaves src empty.
+func (p *herdPool) concat(dst, src *herdList) {
+	if src.head == nilHerd {
+		return
+	}
+	if dst.tail == nilHerd {
+		dst.head = src.head
+	} else {
+		p.h[dst.tail].next = src.head
+	}
+	dst.tail = src.tail
+	dst.n += src.n
+	src.head, src.tail, src.n = nilHerd, nilHerd, 0
+}
+
+// push appends token i, which is not displaced to the in-memory table,
+// to its lane of herd h; the token's sequence number must be above every
+// one the herd holds.
+func (p *herdPool) push(toks *tokPool, h, i int32) {
+	nd := &toks.nodes[i]
+	hd := &p.h[h]
+	ln := &hd.lanes[nd.bank]
+	if ln.n == 0 || nd.tag.Wave > ln.hi {
+		ln.hi = nd.tag.Wave
+	}
+	if ln.n == 0 || ln.okSeq >= toks.nodes[ln.tail].seq() {
+		ln.okSeq = nd.seq()
+	}
+	last := ln.tail
+	toks.pushBack(&ln.tokList, i)
+	ln.link(toks.nodes, last, i)
+	hd.top = nd.seq()
+	hd.n++
+}
+
+// moveLane moves the n-token run at the head of src, ending at node last,
+// to the tail of dst. A whole lane brings its records along; a shorter
+// run's are found again as it joins dst, token by token. The run's checks
+// against the in-memory table, made in the epoch dst's were, carry over
+// when dst's cover all it holds.
+func (p *herdPool) moveLane(toks *tokPool, dst, src *lane, last, n int32) {
+	nodes := toks.nodes
+	first, tail, whole := src.head, dst.tail, last == src.tail
+	if dst.n == 0 || dst.okSeq >= nodes[tail].seq() {
+		dst.okSeq = min(src.okSeq, nodes[last].seq())
+	}
+	if dst.n == 0 || src.hi > dst.hi {
+		dst.hi = src.hi
+	}
+	toks.moveRun(&dst.tokList, &src.tokList, nilTok, first, last, n)
+	if whole {
+		r := src.first
+		src.first = nilTok
+		w := nodes[r].tag.Wave
+		for tail != nilTok && nodes[tail].tag.Wave >= w {
+			tail, _ = nodes[tail].recs()
+		}
+		if tail == nilTok {
+			dst.setFirst(nodes, r)
+		} else {
+			prev, _ := nodes[tail].recs()
+			nodes[tail].setRecs(prev, r)
+		}
+		_, next := nodes[r].recs()
+		nodes[r].setRecs(tail, next)
+		return
+	}
+	src.trim(nodes)
+	for i := first; ; i = nodes[i].next {
+		dst.link(nodes, tail, i)
+		if i == last {
+			return
+		}
+		tail = i
+	}
+}
+
+// forEach calls fn on every token of herd h in park order, merging the
+// lanes by sequence number. fn must not change the herd.
+func (p *herdPool) forEach(toks *tokPool, h int32, fn func(i int32)) {
+	var at [match.MaxBanks]int32
+	for b := range at {
+		at[b] = p.h[h].lanes[b].head
+	}
+	for {
+		best, bs := -1, uint64(noSeq)
+		for b, i := range at {
+			if i != nilTok && toks.nodes[i].seq() < bs {
+				best, bs = b, toks.nodes[i].seq()
+			}
+		}
+		if best < 0 {
+			return
+		}
+		i := at[best]
+		at[best] = toks.nodes[i].next
+		fn(i)
+	}
+}
+
+// nthSeq returns the sequence number of the m-th token, m from 1, of herd
+// h's lanes in mask in park order, counting on each lane b from node at[b];
+// those lanes must hold at least m from there.
+func (p *herdPool) nthSeq(toks *tokPool, at *[match.MaxBanks]int32, mask uint8, m int32) uint64 {
+	if mask&(mask-1) == 0 { // one lane: its m-th token
+		i := at[bits.TrailingZeros8(mask)]
+		for ; m > 1; m-- {
+			i = toks.nodes[i].next
+		}
+		return toks.nodes[i].seq()
+	}
+	cur := *at
+	for {
+		best, bs := 0, uint64(noSeq)
+		for f := mask; f != 0; f &= f - 1 {
+			b := bits.TrailingZeros8(f)
+			if i := cur[b]; i != nilTok && toks.nodes[i].seq() < bs {
+				best, bs = b, toks.nodes[i].seq()
+			}
+		}
+		if m--; m == 0 {
+			return bs
+		}
+		cur[best] = toks.nodes[cur[best]].next
+	}
+}
+
+// pass moves the cursor of each of herd h's lanes in mask past its tokens
+// with sequence numbers below end — at[b] to the first token not passed,
+// past[b] counting the passed — and returns how many it passed.
+func (p *herdPool) pass(toks *tokPool, h int32, at, past *[match.MaxBanks]int32, mask uint8, end uint64) int32 {
+	n := int32(0)
+	for f := mask; f != 0; f &= f - 1 {
+		b := bits.TrailingZeros8(f)
+		ln := &p.h[h].lanes[b]
+		if at[b] == nilTok {
+			continue
+		}
+		if toks.nodes[ln.tail].seq() < end {
+			n += ln.n - past[b]
+			at[b], past[b] = nilTok, ln.n
+			continue
+		}
+		for i := at[b]; toks.nodes[i].seq() < end; i = toks.nodes[i].next {
+			n++
+			past[b]++
+			at[b] = toks.nodes[i].next
+		}
+	}
+	return n
 }

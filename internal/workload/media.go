@@ -11,9 +11,9 @@ import (
 //	rawdaudio   — ADPCM decode: a tight serial predictor recurrence
 
 func init() {
-	register(Workload{Name: "djpeg", Suite: Media, Build: buildDjpeg})
-	register(Workload{Name: "mpeg2encode", Suite: Media, Build: buildMpeg2})
-	register(Workload{Name: "rawdaudio", Suite: Media, Build: buildRawdaudio})
+	register(newWorkload("djpeg", Media, buildDjpeg))
+	register(newWorkload("mpeg2encode", Media, buildMpeg2))
+	register(newWorkload("rawdaudio", Media, buildRawdaudio))
 }
 
 func buildDjpeg(sc Scale) *Instance {
@@ -51,7 +51,7 @@ func buildDjpeg(sc Scale) *Instance {
 	mem := map[uint64]uint64{}
 	fill(mem, dataBase, words, func(i int) uint64 { return uint64((i*31)%256) + 1 })
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: 1,
+		Prog: b.MustFinish(), Mem: mem,
 		params: singleThread(map[string]uint64{"n": iters(n)}),
 	}
 }
@@ -91,7 +91,7 @@ func buildMpeg2(sc Scale) *Instance {
 	fill(mem, dataBase, words, func(i int) uint64 { return uint64((i * 7) % 255) })
 	fill(mem, tableBase, words, func(i int) uint64 { return uint64((i*7 + 3) % 255) })
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: 1,
+		Prog: b.MustFinish(), Mem: mem,
 		params: singleThread(map[string]uint64{"n": uint64(n)}),
 	}
 }
@@ -140,7 +140,7 @@ func buildRawdaudio(sc Scale) *Instance {
 	steps := []uint64{57, 57, 60, 64, 70, 78, 88, 100}
 	fill(mem, tableBase, 8, func(i int) uint64 { return steps[i] })
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: 1,
+		Prog: b.MustFinish(), Mem: mem,
 		params: singleThread(map[string]uint64{"n": uint64(n)}),
 	}
 }

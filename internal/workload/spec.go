@@ -18,12 +18,12 @@ import (
 // matter; mcf and rawdaudio stay serial — that is their character.
 
 func init() {
-	register(Workload{Name: "gzip", Suite: Spec, Build: buildGzip})
-	register(Workload{Name: "mcf", Suite: Spec, Build: buildMcf})
-	register(Workload{Name: "twolf", Suite: Spec, Build: buildTwolf})
-	register(Workload{Name: "ammp", Suite: Spec, Build: buildAmmp})
-	register(Workload{Name: "art", Suite: Spec, Build: buildArt})
-	register(Workload{Name: "equake", Suite: Spec, Build: buildEquake})
+	register(newWorkload("gzip", Spec, buildGzip))
+	register(newWorkload("mcf", Spec, buildMcf))
+	register(newWorkload("twolf", Spec, buildTwolf))
+	register(newWorkload("ammp", Spec, buildAmmp))
+	register(newWorkload("art", Spec, buildArt))
+	register(newWorkload("equake", Spec, buildEquake))
 }
 
 const (
@@ -71,7 +71,7 @@ func buildGzip(sc Scale) *Instance {
 	})
 	fill(mem, tableBase, 256, func(i int) uint64 { return 0 })
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: 1,
+		Prog: b.MustFinish(), Mem: mem,
 		params: singleThread(map[string]uint64{"n": iters(n)}),
 	}
 }
@@ -127,7 +127,7 @@ func buildMcf(sc Scale) *Instance {
 	})
 	fill(mem, tableBase, nodes, func(i int) uint64 { return uint64(i % 97) })
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: 1,
+		Prog: b.MustFinish(), Mem: mem,
 		params: singleThread(map[string]uint64{"n": uint64(n)}),
 	}
 }
@@ -178,7 +178,7 @@ func buildTwolf(sc Scale) *Instance {
 		return rr % 1000
 	})
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: 1,
+		Prog: b.MustFinish(), Mem: mem,
 		params: singleThread(map[string]uint64{"n": uint64(n / 2)}),
 	}
 }
@@ -226,7 +226,7 @@ func buildAmmp(sc Scale) *Instance {
 		})
 	}
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: 1,
+		Prog: b.MustFinish(), Mem: mem,
 		params: singleThread(map[string]uint64{"n": iters(n)}),
 	}
 }
@@ -261,7 +261,7 @@ func buildArt(sc Scale) *Instance {
 	fill(mem, dataBase, w, func(i int) uint64 { return f(float64(i%17) / 16) })
 	fill(mem, tableBase, w, func(i int) uint64 { return f(float64(i%13) / 12) })
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: 1,
+		Prog: b.MustFinish(), Mem: mem,
 		params: singleThread(map[string]uint64{"n": iters(n)}),
 	}
 }
@@ -305,7 +305,7 @@ func buildEquake(sc Scale) *Instance {
 	fill(mem, dataBase, rows, func(i int) uint64 { return f(float64(i%23) / 22) })
 	fill(mem, uint64(dataBase+1<<16), rows, func(i int) uint64 { return f(float64(i%7) / 6) })
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: 1,
+		Prog: b.MustFinish(), Mem: mem,
 		params: singleThread(map[string]uint64{"n": iters(n)}),
 	}
 }

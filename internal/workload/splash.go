@@ -19,12 +19,12 @@ import (
 //	water    — pairwise force accumulation with read-modify-write updates
 
 func init() {
-	register(Workload{Name: "fft", Suite: Splash, Build: buildFFT})
-	register(Workload{Name: "lu", Suite: Splash, Build: buildLU})
-	register(Workload{Name: "ocean", Suite: Splash, Build: buildOcean})
-	register(Workload{Name: "radix", Suite: Splash, Build: buildRadix})
-	register(Workload{Name: "raytrace", Suite: Splash, Build: buildRaytrace})
-	register(Workload{Name: "water", Suite: Splash, Build: buildWater})
+	register(newWorkload("fft", Splash, buildFFT))
+	register(newWorkload("lu", Splash, buildLU))
+	register(newWorkload("ocean", Splash, buildOcean))
+	register(newWorkload("radix", Splash, buildRadix))
+	register(newWorkload("raytrace", Splash, buildRaytrace))
+	register(newWorkload("water", Splash, buildWater))
 }
 
 // MaxSplashThreads is the largest thread count the Splash kernels support
@@ -125,7 +125,7 @@ func buildFFT(sc Scale) *Instance {
 		fill(mem, threadRegion(t)+uint64(m*8), m, func(i int) uint64 { return f(0) })
 	}
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: MaxSplashThreads,
+		Prog: b.MustFinish(), Mem: mem,
 		params: threadParams(map[string]uint64{"n": iters(n)}),
 	}
 }
@@ -180,7 +180,7 @@ func buildLU(sc Scale) *Instance {
 		})
 	}
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: MaxSplashThreads,
+		Prog: b.MustFinish(), Mem: mem,
 		params: threadParams(map[string]uint64{"n": uint64(n)}),
 	}
 }
@@ -235,7 +235,7 @@ func buildOcean(sc Scale) *Instance {
 		})
 	}
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: MaxSplashThreads,
+		Prog: b.MustFinish(), Mem: mem,
 		params: threadParams(map[string]uint64{"n": iters(n)}),
 	}
 }
@@ -297,7 +297,7 @@ func buildRadix(sc Scale) *Instance {
 		})
 	}
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: MaxSplashThreads,
+		Prog: b.MustFinish(), Mem: mem,
 		params: threadParams(map[string]uint64{"n": iters(n)}),
 	}
 }
@@ -350,7 +350,7 @@ func buildRaytrace(sc Scale) *Instance {
 		mem[o+24] = f(0.5 + float64(s)*0.2)
 	}
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: MaxSplashThreads,
+		Prog: b.MustFinish(), Mem: mem,
 		params: threadParams(map[string]uint64{"n": iters(pixels)}),
 	}
 }
@@ -403,7 +403,7 @@ func buildWater(sc Scale) *Instance {
 		})
 	}
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: MaxSplashThreads,
+		Prog: b.MustFinish(), Mem: mem,
 		params: threadParams(map[string]uint64{"n": iters(n)}),
 	}
 }

@@ -92,9 +92,9 @@ func (p GEMMParams) Workload() (Workload, error) {
 	if err := p.Validate(); err != nil {
 		return Workload{}, err
 	}
-	return Workload{Name: p.Name(), Suite: Tiled, Build: func(sc Scale) *Instance {
+	return newWorkload(p.Name(), Tiled, func(sc Scale) *Instance {
 		return buildGEMM(p, sc)
-	}}, nil
+	}), nil
 }
 
 // ConvParams parameterizes one 2D-convolution kernel: the output tile
@@ -131,9 +131,9 @@ func (p ConvParams) Workload() (Workload, error) {
 	if err := p.Validate(); err != nil {
 		return Workload{}, err
 	}
-	return Workload{Name: p.Name(), Suite: Tiled, Build: func(sc Scale) *Instance {
+	return newWorkload(p.Name(), Tiled, func(sc Scale) *Instance {
 		return buildConv(p, sc)
-	}}, nil
+	}), nil
 }
 
 func validOrder(o string, valid []string) bool {
@@ -305,7 +305,7 @@ func buildGEMM(p GEMMParams, sc Scale) *Instance {
 	fill(mem, dataBase, d*d, func(i int) uint64 { return f(float64((i*31)%97) / 53) })
 	fill(mem, tableBase, d*d, func(i int) uint64 { return f(float64((i*17)%89) / 47) })
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: MaxSplashThreads,
+		Prog: b.MustFinish(), Mem: mem,
 		params: threadParams(map[string]uint64{"n": iters(n)}),
 	}
 }
@@ -421,7 +421,7 @@ func buildConv(p ConvParams, sc Scale) *Instance {
 		return f(float64((i*7)%19)/9 - 1)
 	})
 	return &Instance{
-		Prog: b.MustFinish(), Mem: mem, MaxThreads: MaxSplashThreads,
+		Prog: b.MustFinish(), Mem: mem,
 		params: threadParams(map[string]uint64{"n": iters(n)}),
 	}
 }

@@ -89,8 +89,8 @@ type Instance struct {
 	Mem  map[uint64]uint64
 	// params returns the bindings for one thread of totalThreads.
 	params func(thread, totalThreads int) map[string]uint64
-	// MaxThreads caps the usable thread count (1 for the single-threaded
-	// suites).
+	// MaxThreads caps the usable thread count: the workload's
+	// Workload.MaxThreads, which newWorkload sets.
 	MaxThreads int
 }
 
@@ -112,6 +112,29 @@ type Workload struct {
 	Suite Suite
 	// Build constructs an instance at the given scale.
 	Build func(sc Scale) *Instance
+}
+
+// MaxThreads returns the largest thread count the workload runs at, which
+// its suite decides, without building it: MaxSplashThreads for the Splash2
+// and tiled kernels, 1 for the single-threaded suites.
+func (w Workload) MaxThreads() int {
+	if w.Suite == Splash || w.Suite == Tiled {
+		return MaxSplashThreads
+	}
+	return 1
+}
+
+// newWorkload names a kernel builder. Its instances carry the workload's
+// thread limit, so a builder does not state it.
+func newWorkload(name string, suite Suite, build func(Scale) *Instance) Workload {
+	w := Workload{Name: name, Suite: suite}
+	limit := w.MaxThreads()
+	w.Build = func(sc Scale) *Instance {
+		in := build(sc)
+		in.MaxThreads = limit
+		return in
+	}
+	return w
 }
 
 var registry = map[string]Workload{}
