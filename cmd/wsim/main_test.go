@@ -26,7 +26,7 @@ func buildWSim(t *testing.T) string {
 
 // TestTracedRun: -trace and -csv write both artifacts; the text report
 // ends with the hottest-PEs/links summary, and under -json stdout is
-// still exactly one JSON object.
+// still exactly one JSON object, whose stats carry the halt counters.
 func TestTracedRun(t *testing.T) {
 	bin := buildWSim(t)
 	dir := t.TempDir()
@@ -54,9 +54,20 @@ func TestTracedRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wsim -json: %v", err)
 	}
-	var rep map[string]any
+	var rep struct {
+		Stats map[string]any `json:"stats"`
+	}
 	if err := json.Unmarshal(out, &rep); err != nil {
 		t.Errorf("-json stdout is not one JSON object: %v\n%s", err, out)
+	}
+	// The halt counters ride in the stats object; fft keeps firing after
+	// its threads halt, so both are below the totals.
+	for _, k := range [][2]string{{"CountableAtHalt", "Countable"}, {"DynamicAtHalt", "Dynamic"}} {
+		atHalt, ok := rep.Stats[k[0]].(float64)
+		total, _ := rep.Stats[k[1]].(float64)
+		if !ok || atHalt <= 0 || atHalt >= total {
+			t.Errorf("-json stats: %s = %v, %s = %v; want 0 < %[1]s < %[3]s", k[0], rep.Stats[k[0]], k[1], rep.Stats[k[1]])
+		}
 	}
 }
 

@@ -256,14 +256,21 @@ func (s *System) Stats() Stats { return s.stats }
 // Evictions counts the fills so far that displaced a valid line: an L1
 // fill into a set with no invalid way, and an L2 install into a full L2.
 // These are the only points at which the L1 and L2 capacities are read
-// (the set count in lookup only partitions lines), so a run that reports
-// zero runs event for event the same on any twin whose L1 is a multiple
-// of this one's size and whose L2 is at least as large, both with an L2
-// or both without. A fill of a line this L1 already holds (a write
-// upgrade of a shared copy) counts too: it leaves two ways with one tag,
-// and which of them a lookup finds first depends on where the set's
-// invalid ways are, so it is not certified either.
+// (the set count in lookup only partitions lines, and the L2-presence test
+// only asks whether there is one), and a line leaves the L2 only through
+// an eviction. So a run that reports zero runs event for event the same on
+// any twin whose L1 is a multiple of this one's size and whose L2 holds at
+// least L2Lines lines, both with an L2 or both without. A fill of a line
+// this L1 already holds (a write upgrade of a shared copy) counts too: it
+// leaves two ways with one tag, and which of them a lookup finds first
+// depends on where the set's invalid ways are, so it is not certified
+// either.
 func (s *System) Evictions() uint64 { return s.evictions }
+
+// L2Lines reports how many lines the L2 holds (0 without an L2). Without
+// an eviction no line has left it, so this is the most it ever held: the
+// smallest L2 that Evictions certifies a twin with.
+func (s *System) L2Lines() int { return s.l2lru.Len() }
 
 // line maps an address to its line address.
 func (s *System) line(addr uint64) uint64 { return addr / uint64(s.cfg.LineBytes) }

@@ -33,15 +33,16 @@ func RunOnceContext(ctx context.Context, cfg sim.Config, inst *workload.Instance
 	return st, err
 }
 
-// runOnce is RunOnceContext that also reports the run's cache evictions
-// (sim.Processor.CacheEvictions).
-func runOnce(ctx context.Context, cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, uint64, error) {
+// runOnce is RunOnceContext that also returns the processor, whose cache
+// eviction count and L2 footprint (sim.Processor.CacheEvictions,
+// CacheL2Lines) say which cache twins the run is exact on.
+func runOnce(ctx context.Context, cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, *sim.Processor, error) {
 	proc, err := sim.New(cfg, inst.Prog, inst.Params(threads), sim.Memory(inst.Mem))
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	st, err := proc.RunContext(ctx)
-	return st, proc.CacheEvictions(), err
+	return st, proc, err
 }
 
 // BestRun is the outcome of a best-thread-count search: the winning
@@ -118,10 +119,14 @@ type ThreadRun struct {
 	Traffic uint64
 	// Evicted reports that the run displaced or duplicated a cache line
 	// (cache.System.Evictions). A run that did not is, event for event,
-	// the run every cache twin of its configuration would make (a larger
-	// L1 and L2; see the explore package), so a sweep copies it instead
+	// the run every cache twin of its configuration would make whose L2
+	// holds L2Lines lines (an L1 a multiple of this one's, an L2 that may
+	// be smaller; see the explore package), so a sweep copies it instead
 	// of simulating the twin.
 	Evicted bool
+	// L2Lines is how many lines the run's L2 held at the end
+	// (cache.System.L2Lines); without an eviction, its largest footprint.
+	L2Lines int
 }
 
 // BestThreadsContext runs the instance at each thread count and returns
@@ -138,9 +143,9 @@ func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Inst
 // each thread count, reuse (when non-nil) may return a run that stands in
 // for simulating that count on cfg. The caller vouches that it is exact —
 // the explore engine passes eviction-free runs of configurations cfg is a
-// cache twin of — and the search treats it exactly as a simulated run, so
-// the result is the one BestThreadsContext would return, except that Sims
-// does not count it.
+// cache twin of, whose L2 footprint cfg's L2 holds — and the search treats
+// it exactly as a simulated run, so the result is the one
+// BestThreadsContext would return, except that Sims does not count it.
 func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Instance, counts []int,
 	reuse func(threads int) (ThreadRun, bool)) (BestRun, error) {
 	var best BestRun
@@ -157,7 +162,7 @@ func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Inst
 			run, ok = reuse(n)
 		}
 		if !ok {
-			st, evictions, err := runOnce(ctx, cfg, inst, n)
+			st, proc, err := runOnce(ctx, cfg, inst, n)
 			if err != nil {
 				if ctx.Err() != nil {
 					return BestRun{}, err
@@ -167,7 +172,8 @@ func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Inst
 				continue
 			}
 			best.Sims++
-			run = ThreadRun{Threads: n, AIPC: st.AIPC(), Cycles: st.Cycles, Traffic: st.TrafficTotal(), Evicted: evictions > 0}
+			run = ThreadRun{Threads: n, AIPC: st.AIPC(), Cycles: st.Cycles, Traffic: st.TrafficTotal(),
+				Evicted: proc.CacheEvictions() > 0, L2Lines: proc.CacheL2Lines()}
 		}
 		best.Runs = append(best.Runs, run)
 		best.SimCycles += run.Cycles

@@ -1,7 +1,9 @@
 package explore
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -30,7 +32,8 @@ func directCell(cfg sim.Config, w workload.Workload, sc workload.Scale, counts [
 // TestSweepReuseMatchesDirect sweeps every viable point at tiny scale and
 // checks every cell, the ones copied from a cache twin among them, field
 // by field against a direct best-thread search on its own configuration,
-// with and without a memory drop/delay fault script.
+// with and without a memory drop/delay fault script; and a thinned sweep
+// cell by cell against RunOne (subsampleReuseMatchesRunOne).
 func TestSweepReuseMatchesDirect(t *testing.T) {
 	points := design.Viable()
 	memFaults := &fault.Script{Seed: 31, MemDropRate: 0.02, MemDelayRate: 0.05}
@@ -97,6 +100,56 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 			}
 			wg.Wait()
 		})
+	}
+	t.Run("spec2000/subsample-16", subsampleReuseMatchesRunOne)
+}
+
+// subsampleReuseMatchesRunOne sweeps a thinned sample, the points
+// design.Subsample keeps of sixteen, with spec2000 at tiny scale: there the
+// smallest L2 of a cache family is often missing, so much of the reuse
+// copies a run to a twin with a smaller L2 than its base's. Every cell,
+// the reused ones among them, must encode to the same journal record as
+// RunOne's on a fresh explorer. The earlier rule, which copied only to an
+// L2 at least as large, reused 23 of these 96 cells.
+func subsampleReuseMatchesRunOne(t *testing.T) {
+	points := design.Subsample(design.Viable(), 16)
+	apps := workload.BySuite(workload.Spec)
+	counts := []int{1}
+	ctx := context.Background()
+	exp, err := New(WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exp.SweepWith(ctx, points, apps, SweepSpec{Scale: workload.Tiny, ThreadCounts: counts}); err != nil {
+		t.Fatal(err)
+	}
+	p := exp.LastProgress()
+	if p.Simulated != len(points)*len(apps) || p.Reused <= 23 {
+		t.Fatalf("%d cells produced of which %d reused; want %d, more than 23 reused", p.Simulated, p.Reused, len(points)*len(apps))
+	}
+	t.Logf("%d of %d cells reused", p.Reused, p.Simulated)
+	direct, err := New(WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range points {
+		cfg := sim.Baseline(pt.Arch)
+		for _, w := range apps {
+			want, _, err := direct.RunOne(ctx, cfg, w, workload.Tiny, counts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok := exp.Cache().Cell(want.Key)
+			if !ok {
+				t.Errorf("%s on %s: no cell", w.Name, pt.Arch)
+				continue
+			}
+			g, _ := json.Marshal(cellRecord(got))
+			d, _ := json.Marshal(cellRecord(want))
+			if !bytes.Equal(g, d) {
+				t.Errorf("%s on %s: swept cell differs from RunOne's:\ngot  %s\nwant %s", w.Name, pt.Arch, g, d)
+			}
+		}
 	}
 }
 
@@ -202,7 +255,8 @@ func TestCacheFamilies(t *testing.T) {
 }
 
 // TestTwinGraph pins which cells wait for which: within a family, a
-// member waits for the earlier members it is a cache twin of.
+// member waits for every earlier member whose L1 divides its own, whatever
+// their L2 sizes (16KB/2MB → 32KB/1MB is a link).
 func TestTwinGraph(t *testing.T) {
 	arch := func(l1, l2 int) sim.Config {
 		a := sim.BaselineArch()
@@ -211,8 +265,8 @@ func TestTwinGraph(t *testing.T) {
 	}
 	configs := []sim.Config{arch(32, 1), arch(8, 1), arch(16, 2), arch(24, 1), arch(8, 0), arch(32, 0)}
 	g := twinGraph(configs)
-	wantPreds := [][]int{{1}, nil, {1}, {1}, nil, {4}}
-	wantSuccs := [][]int{nil, {2, 3, 0}, nil, nil, {5}, nil}
+	wantPreds := [][]int{{1, 2}, nil, {1}, {1}, nil, {4}}
+	wantSuccs := [][]int{nil, {2, 3, 0}, {0}, nil, {5}, nil}
 	if !reflect.DeepEqual(g.preds, wantPreds) || !reflect.DeepEqual(g.succs, wantSuccs) {
 		t.Errorf("twinGraph = %+v, want preds %v succs %v", g, wantPreds, wantSuccs)
 	}
@@ -256,9 +310,40 @@ func TestCellQueueOrder(t *testing.T) {
 	}
 }
 
+// TestExactOn pins the per-run half of the reuse rule at its edge, on a
+// twin with a 1 MB L2: a run that fills it exactly is copied, one line
+// more is not, and neither is a run that evicted. No sweep test reaches
+// the bound: the smallest L2 holds 8192 lines, far more than a tiny
+// workload touches.
+func TestExactOn(t *testing.T) {
+	a := sim.BaselineArch()
+	a.L2MB = 1
+	capacity := sim.Baseline(a).L2Lines()
+	if capacity != 8192 {
+		t.Fatalf("a 1 MB L2 holds %d lines, want 8192", capacity)
+	}
+	for _, tc := range []struct {
+		run  design.ThreadRun
+		want bool
+	}{
+		{design.ThreadRun{L2Lines: 5}, true},
+		{design.ThreadRun{L2Lines: capacity}, true},
+		{design.ThreadRun{L2Lines: capacity + 1}, false},
+		{design.ThreadRun{L2Lines: 5, Evicted: true}, false},
+	} {
+		if got := exactOn(tc.run, capacity); got != tc.want {
+			t.Errorf("exactOn(%+v, %d) = %v, want %v", tc.run, capacity, got, tc.want)
+		}
+	}
+	if !exactOn(design.ThreadRun{}, 0) {
+		t.Error("an eviction-free run without an L2 is not exact on a twin without one")
+	}
+}
+
 // TestCacheTwin pins the twin rule: same configuration but for the
-// cache sizes, the L1 a whole multiple, the L2 no smaller, and L2
-// presence the same.
+// cache sizes, the L1 a whole multiple, and L2 presence the same. The L2
+// may be smaller: whether a run fits it is the sweep's per-run check on
+// design.ThreadRun.L2Lines.
 func TestCacheTwin(t *testing.T) {
 	cfg := func(l1, l2 int) sim.Config {
 		a := sim.BaselineArch()
@@ -276,7 +361,8 @@ func TestCacheTwin(t *testing.T) {
 		{cfg(8, 0), cfg(16, 0), true},
 		{cfg(16, 1), cfg(8, 1), false},  // smaller L1
 		{cfg(16, 1), cfg(24, 1), false}, // not a multiple
-		{cfg(8, 2), cfg(16, 1), false},  // smaller L2
+		{cfg(8, 2), cfg(16, 1), true},   // smaller L2
+		{cfg(8, 4), cfg(8, 1), true},    // smaller L2, same L1
 		{cfg(8, 0), cfg(8, 1), false},   // L2 presence differs
 		{cfg(8, 1), otherK, false},      // another field differs
 	}
@@ -285,4 +371,28 @@ func TestCacheTwin(t *testing.T) {
 			t.Errorf("cacheTwin(%s, %s K=%d) = %v, want %v", tc.base.Arch, tc.twin.Arch, tc.twin.K, got, tc.want)
 		}
 	}
+}
+
+// BenchmarkSweepSubsample is a cold thinned sweep, spec2000 at tiny scale
+// on the points design.Subsample keeps of sixteen, two workers: the shape
+// of wspareto -max and /v1/sweeps max_points, where cache-family reuse
+// decides how much is simulated. sims/op counts the cells simulated rather
+// than copied from a cache twin.
+func BenchmarkSweepSubsample(b *testing.B) {
+	points := design.Subsample(design.Viable(), 16)
+	apps := workload.BySuite(workload.Spec)
+	b.ReportAllocs()
+	sims := 0
+	for i := 0; i < b.N; i++ {
+		exp, err := New(WithParallelism(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := exp.Sweep(context.Background(), points, apps); err != nil {
+			b.Fatal(err)
+		}
+		p := exp.LastProgress()
+		sims += p.Simulated - p.Reused
+	}
+	b.ReportMetric(float64(sims)/float64(b.N), "sims/op")
 }

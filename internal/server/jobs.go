@@ -313,6 +313,19 @@ type jobProgress struct {
 	Failed    int     `json:"failed"`
 	SimCycles uint64  `json:"sim_cycles"`
 	ElapsedS  float64 `json:"elapsed_s"`
+	// Dropped is left out when no thread count was dropped, so such a
+	// body is what it was before the field existed.
+	Dropped *jobDrops `json:"dropped,omitempty"`
+}
+
+// jobDrops is the wire form of explore.Progress.Dropped: the thread counts
+// the sweep's cells dropped from their best-thread search, by the error
+// that ended the run; kinds that did not occur are left out.
+type jobDrops struct {
+	NotQuiesced int `json:"not_quiesced,omitempty"`
+	MaxCycles   int `json:"max_cycles,omitempty"`
+	Deadlock    int `json:"deadlock,omitempty"`
+	Other       int `json:"other,omitempty"`
 }
 
 // sweepRow is one design's outcome in a finished sweep job.
@@ -333,14 +346,18 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	state, p, results, jerr := jb.snapshot()
+	prog := jobProgress{
+		Done: p.Done, Total: p.Total, CacheHits: p.CacheHits,
+		Simulated: p.Simulated, Failed: p.Failed,
+		SimCycles: p.SimCycles, ElapsedS: p.Elapsed.Seconds(),
+	}
+	if d := p.Dropped; d.Total() > 0 {
+		prog.Dropped = &jobDrops{NotQuiesced: d.NotQuiesced, MaxCycles: d.MaxCycles, Deadlock: d.Deadlock, Other: d.Other}
+	}
 	resp := map[string]any{
-		"id":    id,
-		"state": state,
-		"progress": jobProgress{
-			Done: p.Done, Total: p.Total, CacheHits: p.CacheHits,
-			Simulated: p.Simulated, Failed: p.Failed,
-			SimCycles: p.SimCycles, ElapsedS: p.Elapsed.Seconds(),
-		},
+		"id":       id,
+		"state":    state,
+		"progress": prog,
 	}
 	if jerr != nil {
 		resp["error"] = jerr.Error()

@@ -126,6 +126,12 @@ func BaselineArch() area.Params {
 	}
 }
 
+// lineBytes is the data-cache line size, the paper's 128 bytes.
+const lineBytes = 128
+
+// L2Lines is the L2's capacity in cache lines (0 without an L2).
+func (c Config) L2Lines() int { return c.Arch.L2MB << 20 / lineBytes }
+
 // maxMatchBanks bounds MatchBanks: a matching table stamps its banks in a
 // fixed array in its header (match.MaxBanks).
 const maxMatchBanks = match.MaxBanks

@@ -224,7 +224,7 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 		p.grid.SetFaults(inj.LinkFlip, inj.LinkRetryCycles())
 	}
 	p.cacheSys = cache.New(cache.Config{
-		Clusters: arch.Clusters, L1KB: arch.L1KB, LineBytes: 128, L1Assoc: 4,
+		Clusters: arch.Clusters, L1KB: arch.L1KB, LineBytes: lineBytes, L1Assoc: 4,
 		L1Lat: cfg.L1Lat, L1Ports: cfg.L1Ports, L2MB: arch.L2MB,
 		L2Lat: cfg.L2Lat, MemLat: cfg.MemLat, Trace: cfg.Trace,
 	}, p.cacheDone, p.cacheSend)
@@ -346,6 +346,11 @@ func (p *Processor) Placement() *place.Placement { return p.placement }
 // displaced or duplicated a line so far (cache.System.Evictions). It is
 // kept out of Stats, so no digest depends on it.
 func (p *Processor) CacheEvictions() uint64 { return p.cacheSys.Evictions() }
+
+// CacheL2Lines reports how many lines the L2 holds (cache.System.L2Lines):
+// after a run without cache evictions, the L2 footprint a cache twin must
+// hold. Like CacheEvictions it is kept out of Stats.
+func (p *Processor) CacheL2Lines() int { return p.cacheSys.L2Lines() }
 
 // threadHalted records a thread's completion.
 func (p *Processor) threadHalted(c uint64, thread uint32, value uint64) {
@@ -592,6 +597,7 @@ func (p *Processor) RunContext(ctx context.Context) (st *Stats, err error) {
 		}
 	}
 	p.stats.Cycles = p.lastHalt + 1
+	p.countAtHalt()
 	for drained := uint64(0); !p.quiesced(); drained, c = drained+1, c+1 {
 		if drained >= drainBudget {
 			if p.faultsManifested() {
@@ -813,6 +819,16 @@ func (p *Processor) quiesced() bool {
 		}
 	}
 	return true
+}
+
+// countAtHalt sets Stats.CountableAtHalt and DynamicAtHalt from the
+// per-PE counters as they stand at the end of the cycle the last thread
+// halted in, before the post-halt drain.
+func (p *Processor) countAtHalt() {
+	for i := range p.pes {
+		p.stats.CountableAtHalt += p.pes[i].st.Countable
+		p.stats.DynamicAtHalt += p.pes[i].st.Dynamic
+	}
 }
 
 // collect aggregates component statistics.

@@ -69,6 +69,11 @@ type Stats struct {
 	Cycles    uint64
 	Dynamic   uint64 // dynamic instructions executed (all opcodes)
 	Countable uint64 // Alpha-equivalent instructions (AIPC numerator)
+	// CountableAtHalt and DynamicAtHalt are Countable and Dynamic at the
+	// end of the cycle the last thread halted in, the last of the Cycles
+	// AIPC divides by; the rest ran in the post-halt drain. Outside the v1
+	// digest.
+	CountableAtHalt, DynamicAtHalt uint64
 
 	// Traffic[level][class] counts messages.
 	Traffic [numLevels][numClasses]uint64

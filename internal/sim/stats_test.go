@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"wavescalar/internal/workload"
 )
 
 // statsV1 is Stats as it stood when the golden digests were pinned,
@@ -70,7 +72,7 @@ func (r reportV1) String() string {
 
 // statsOutsideV1 lists the fields of Stats, by path as statsShape names
 // them, that the v1 digest leaves out. A counter added to Stats goes here.
-var statsOutsideV1 []string
+var statsOutsideV1 = []string{"CountableAtHalt uint64", "DynamicAtHalt uint64"}
 
 // fillValues sets every integer in v, in field order, from next.
 func fillValues(v reflect.Value, next func() uint64) {
@@ -264,6 +266,40 @@ func TestStatsFieldsGuard(t *testing.T) {
 	for _, f := range statsOutsideV1 {
 		if !slices.Contains(live, f) {
 			t.Errorf("statsOutsideV1 names %q, which sim.Stats does not have", f)
+		}
+	}
+}
+
+// TestCountsAtHalt checks the halt counters on five kernels at tiny scale,
+// one thread, on the Table 1 machine: gzip and twolf execute nothing after
+// their last thread halts, so the counters equal Countable and Dynamic;
+// fft and radix keep firing in the post-halt drain (ROADMAP item 3), a
+// quarter and a half of their countable work, and mcf fires one countable
+// and five dynamic instructions there, so all three are strictly less.
+func TestCountsAtHalt(t *testing.T) {
+	for _, tc := range []struct {
+		app      string
+		postHalt bool
+	}{{"gzip", false}, {"twolf", false}, {"mcf", true}, {"fft", true}, {"radix", true}} {
+		w, err := workload.ByName(tc.app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := w.Build(workload.Tiny)
+		p, err := New(Baseline(BaselineArch()), inst.Prog, inst.Params(1), Memory(inst.Mem))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := p.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.app, err)
+		}
+		equal := st.CountableAtHalt == st.Countable && st.DynamicAtHalt == st.Dynamic
+		less := st.CountableAtHalt < st.Countable && st.DynamicAtHalt < st.Dynamic
+		if (!tc.postHalt && !equal) || (tc.postHalt && !less) || st.CountableAtHalt == 0 {
+			t.Errorf("%s: countable %d at halt of %d, dynamic %d at halt of %d; want them %s",
+				tc.app, st.CountableAtHalt, st.Countable, st.DynamicAtHalt, st.Dynamic,
+				map[bool]string{false: "equal", true: "strictly less"}[tc.postHalt])
 		}
 	}
 }
