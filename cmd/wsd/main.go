@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"wavescalar"
+	"wavescalar/internal/cli"
 	"wavescalar/internal/version"
 )
 
@@ -64,15 +65,8 @@ func main() {
 	if *resume && *journalPath == "" {
 		fail(fmt.Errorf("-resume requires -journal"))
 	}
-	// 0 means "the default" on these four, so only a negative value is an
-	// error.
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"workers", *workers}, {"cache-limit", *cacheLimit}, {"parallel", *par}, {"tenant-quota", *tenantQuota}} {
-		if f.v < 0 {
-			fail(fmt.Errorf("-%s %d must not be negative", f.name, f.v))
-		}
+	if err := cli.NonNegative(flag.CommandLine, "workers", "cache-limit", "parallel", "tenant-quota"); err != nil {
+		fail(err)
 	}
 
 	opts := []wavescalar.ServerOption{

@@ -79,6 +79,9 @@ func main() {
 	}
 	cfg := wavescalar.Baseline(arch)
 	cfg.K = *k
+	if err := cfg.Validate(); err != nil {
+		fail(err)
+	}
 	var rec *wavescalar.TraceRecorder
 	if *tracePath != "" || *csvPath != "" {
 		rec = wavescalar.NewTraceRecorder(wavescalar.TraceOptions{Capacity: *capacity, Interval: *interval})

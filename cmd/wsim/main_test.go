@@ -81,3 +81,18 @@ func TestThreadsOverLimitExit1(t *testing.T) {
 		t.Errorf("wsim -app gzip -threads 4: %v, output %q; want exit 1 naming gzip's limit", err, out)
 	}
 }
+
+// TestBadMachineRefusedBeforeOutput: a machine that fails validation
+// (here zero clusters) exits 1 with nothing on stdout, not after the
+// "running ..." line.
+func TestBadMachineRefusedBeforeOutput(t *testing.T) {
+	bin := buildWSim(t)
+	var stdout, stderr strings.Builder
+	cmd := exec.Command(bin, "-app", "fft", "-scale", "tiny", "-c", "0")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "C0") {
+		t.Errorf("wsim -c 0: %v, stdout %q, stderr %q; want exit 1, empty stdout, the machine named", err, stdout.String(), stderr.String())
+	}
+}

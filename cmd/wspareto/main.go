@@ -61,6 +61,9 @@ func main() {
 	if *resume && *journalPath == "" {
 		fail(errors.New("-resume requires -journal"))
 	}
+	if err := cli.NonNegative(flag.CommandLine, "max", "maxapps", "parallel", "timeout"); err != nil {
+		fail(err)
+	}
 
 	sc, err := cli.ParseScale(*scale)
 	if err != nil {

@@ -42,13 +42,19 @@ func main() {
 		fail(err)
 	}
 
-	var sizes []int
+	var cfgs []wavescalar.Config // one machine per cluster count
 	for _, s := range strings.Split(*clusters, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
 			fail(err)
 		}
-		sizes = append(sizes, n)
+		arch := wavescalar.BaselineArch()
+		arch.Clusters, arch.L2MB = n, max(1, n/2) // 1 MB of L2 per two clusters, at least 1
+		cfg := wavescalar.Baseline(arch)
+		if err := cfg.Validate(); err != nil {
+			fail(err)
+		}
+		cfgs = append(cfgs, cfg)
 	}
 
 	var apps []wavescalar.Workload
@@ -68,13 +74,8 @@ func main() {
 			"PE", "pod", "domain", "cluster", "grid", "operand", "msg-lat")
 	}
 	for _, w := range apps {
-		for _, c := range sizes {
-			arch := wavescalar.BaselineArch()
-			arch.Clusters = c
-			if c > 1 {
-				arch.L2MB = c / 2
-			}
-			cfg := wavescalar.Baseline(arch)
+		for _, cfg := range cfgs {
+			c := cfg.Arch.Clusters
 			th := *threads
 			if th == 0 {
 				th = 1

@@ -1,10 +1,12 @@
 // Golden-stats determinism check: every bundled kernel's tiny-scale Stats
-// digest is pinned in testdata/golden_stats.json. Any change to simulated
-// behavior — intended or not — shows up here before it reaches the
-// benchmark baselines, the explore cache or the paper's tables.
+// digest is pinned in testdata/golden_stats.json, and its countable and
+// dynamic counts at the last halt, which the digest leaves out, in
+// testdata/halt_counts.json. Any change to simulated behavior — intended
+// or not — shows up here before it reaches the benchmark baselines, the
+// explore cache or the paper's tables.
 //
 // If your change legitimately alters simulation results, regenerate the
-// file with
+// files with
 //
 //	go test -run TestGoldenStats -update .
 //
@@ -22,9 +24,19 @@ import (
 	"wavescalar"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_stats.json from this build")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_stats.json and testdata/halt_counts.json from this build")
 
-const goldenPath = "testdata/golden_stats.json"
+const (
+	goldenPath = "testdata/golden_stats.json"
+	haltPath   = "testdata/halt_counts.json"
+)
+
+// haltCounts pins a run's Countable and Dynamic at the end of the cycle
+// its last thread halted in, which sit outside the digest.
+type haltCounts struct {
+	Countable uint64 `json:"countable_at_halt"`
+	Dynamic   uint64 `json:"dynamic_at_halt"`
+}
 
 // goldenCase names one pinned run. Splash2 kernels are additionally pinned
 // at 4 threads: the multithreaded path (wave ordering across store-buffer
@@ -61,6 +73,7 @@ func (c goldenCase) key() string {
 
 func TestGoldenStats(t *testing.T) {
 	got := make(map[string]string)
+	halts := make(map[string]haltCounts)
 	for _, c := range goldenCases(t) {
 		st, err := runWorkload(wavescalar.Baseline(wavescalar.BaselineArch()),
 			c.name, wavescalar.ScaleTiny, c.threads)
@@ -68,8 +81,22 @@ func TestGoldenStats(t *testing.T) {
 			t.Fatalf("%s (%d threads): %v", c.name, c.threads, err)
 		}
 		got[c.key()] = st.Digest()
+		halts[c.key()] = haltCounts{st.CountableAtHalt, st.DynamicAtHalt}
 	}
+	drift := checkPins(t, goldenPath, got, "stats digest")
+	if checkPins(t, haltPath, halts, "halt counts") {
+		drift = true
+	}
+	if drift {
+		t.Log("If this change is intentional, regenerate with " +
+			"`go test -run TestGoldenStats -update .` and put `golden:` in the commit message.")
+	}
+}
 
+// checkPins compares got with the pins in path key by key, or under
+// -update rewrites path from got. It reports whether anything drifted.
+func checkPins[V comparable](t *testing.T, path string, got map[string]V, what string) bool {
+	t.Helper()
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -78,42 +105,40 @@ func TestGoldenStats(t *testing.T) {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d golden digests to %s", len(got), goldenPath)
-		return
+		t.Logf("wrote %d pins to %s", len(got), path)
+		return false
 	}
 
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing golden file (run `go test -run TestGoldenStats -update .`): %v", err)
+		t.Fatalf("missing pin file (run `go test -run TestGoldenStats -update .`): %v", err)
 	}
-	want := make(map[string]string)
+	want := make(map[string]V)
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
+		t.Fatalf("%s: %v", path, err)
 	}
 
 	drift := false
-	for key, d := range got {
+	for key, g := range got {
 		w, ok := want[key]
 		switch {
 		case !ok:
-			t.Errorf("%s: no golden digest recorded", key)
-			drift = true
-		case w != d:
-			t.Errorf("%s: stats digest drifted\n  golden: %s\n  got:    %s", key, w, d)
-			drift = true
+			t.Errorf("%s: no %s recorded in %s", key, what, path)
+		case w != g:
+			t.Errorf("%s: %s drifted\n  golden: %+v\n  got:    %+v", key, what, w, g)
+		default:
+			continue
 		}
+		drift = true
 	}
 	for key := range want {
 		if _, ok := got[key]; !ok {
-			t.Errorf("%s: golden digest has no matching workload (removed kernel?)", key)
+			t.Errorf("%s: %s pinned in %s has no matching workload (removed kernel?)", key, what, path)
 			drift = true
 		}
 	}
-	if drift {
-		t.Log("If this change is intentional, regenerate with " +
-			"`go test -run TestGoldenStats -update .` and put `golden:` in the commit message.")
-	}
+	return drift
 }

@@ -8,8 +8,10 @@ package cli
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
+	"strings"
 
 	"wavescalar/internal/area"
 	"wavescalar/internal/sim"
@@ -37,6 +39,18 @@ func ParseScale(name string) (workload.Scale, error) {
 		return workload.Medium, nil
 	}
 	return workload.Scale{}, fmt.Errorf("unknown scale %q (tiny, small, medium)", name)
+}
+
+// NonNegative refuses a negative value on any of the named numeric flags
+// of fs, naming the first it finds. On such flags 0 means "all", "none"
+// or "the default", so only a negative value is an error.
+func NonNegative(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("-%s %s must not be negative", name, v)
+		}
+	}
+	return nil
 }
 
 // RunReport is the machine-readable result of one simulation run — the

@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"strings"
 	"testing"
 
@@ -20,6 +21,41 @@ func TestParseScaleRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseScale("huge"); err == nil {
 		t.Error("ParseScale accepted an unknown scale")
+	}
+}
+
+// TestNonNegative: zero and positive int and duration flags pass, and a
+// negative one is refused with a message naming it, whichever of the
+// named flags it is. Flags not named are not looked at.
+func TestNonNegative(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // the refused flag, "" if none
+	}{
+		{nil, ""},
+		{[]string{"-max", "0", "-timeout", "0s"}, ""},
+		{[]string{"-max", "20", "-parallel", "4", "-timeout", "1m"}, ""},
+		{[]string{"-other", "-1"}, ""},
+		{[]string{"-max", "-1"}, "-max -1"},
+		{[]string{"-parallel", "-2"}, "-parallel -2"},
+		{[]string{"-timeout", "-3s"}, "-timeout -3s"},
+		{[]string{"-max", "5", "-timeout", "-1m"}, "-timeout -1m0s"},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.Int("max", 0, "")
+		fs.Int("parallel", 0, "")
+		fs.Int("other", 0, "")
+		fs.Duration("timeout", 0, "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := NonNegative(fs, "max", "parallel", "timeout")
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%v: refused: %v", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want+" ")):
+			t.Errorf("%v: got %v, want an error naming %q", tc.args, err, tc.want)
+		}
 	}
 }
 

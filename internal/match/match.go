@@ -124,6 +124,7 @@ type instState struct {
 	// ovLo..ovHi covers the displaced instances' waves (it only widens
 	// while ov > 0), so a token outside it needs no in-memory lookup.
 	ovLo, ovHi uint32
+	moved      uint32 // instances displaced so far (KBound)
 }
 
 // Table is one PE's matching table plus its in-memory overflow area. The
@@ -156,12 +157,7 @@ type Table struct {
 // value: a machine of hundreds of tables allocates no closure per table.
 //
 // Released is called once per freed entry, after the table's state for it
-// is final. When the entry was displaced to the in-memory table, the
-// eviction is already counted in Stats.Evictions and the instance already
-// lies in KBound's displaced range, and no other eviction is counted
-// between the two: an owner can tell a displaced instance's release from a
-// dispatched one's by the count having moved since the previous call. The
-// simulator's parked-token checks rely on this order (see displace).
+// is final.
 type Releaser interface {
 	Released(localIdx int)
 }
@@ -378,16 +374,18 @@ func (t *Table) CertainReject(localIdx int, wave uint32, bank int, cycle uint64)
 // lo above hi, when none is displaced). A token for the index arriving at
 // a free bank is a certain k-reject iff the index is full, its wave is
 // above the bound, and its instance is not displaced — which a wave
-// outside the range settles without the in-memory table.
-func (t *Table) KBound(localIdx int) (full bool, bound, ovLo, ovHi uint32) {
+// outside the range settles without the in-memory table. moved counts the
+// index's displacements since the table was built or drained (mod 2^32):
+// a check made against the in-memory table holds while moved stands still.
+func (t *Table) KBound(localIdx int) (full bool, bound, ovLo, ovHi, moved uint32) {
 	if localIdx >= len(t.idx) {
-		return false, 0, 1, 0
+		return false, 0, 1, 0, 0
 	}
 	st := &t.idx[localIdx]
 	if st.ov == 0 {
-		return int(st.live) >= t.cfg.K, st.wave, 1, 0
+		return int(st.live) >= t.cfg.K, st.wave, 1, 0, st.moved
 	}
-	return int(st.live) >= t.cfg.K, st.wave, st.ovLo, st.ovHi
+	return int(st.live) >= t.cfg.K, st.wave, st.ovLo, st.ovHi, st.moved
 }
 
 // displaced returns the in-memory table's entry for the instance
@@ -501,13 +499,8 @@ func (t *Table) release(e *Entry) {
 	}
 }
 
-// displace moves a live entry to the in-memory table and frees its slot.
-// It records the instance in the index's displaced range and counts the
-// eviction before it releases the slot, and releases it at once, so the
-// Released call for a displaced index always follows its own count
-// (Releaser). Keep that order: an owner that caches per-index checks
-// against the in-memory table drops them on exactly that call, and a
-// reordering would leave them stale without any error.
+// displace moves a live entry to the in-memory table, records the instance
+// in the index's displaced range and count, and frees its slot.
 func (t *Table) displace(e *Entry) {
 	if t.overflow == nil {
 		t.overflow = make(map[memKey]Entry)
@@ -520,6 +513,7 @@ func (t *Table) displace(e *Entry) {
 		st.ovLo, st.ovHi = min(st.ovLo, w), max(st.ovHi, w)
 	}
 	st.ov++
+	st.moved++
 	t.stats.Evictions++
 	t.release(e)
 }

@@ -375,6 +375,36 @@ func checkIndexState(t *testing.T, step int, tb *Table, instOf func(li int) (isa
 	}
 }
 
+// checkDisplacements holds tb's per-index displacement counts to a step
+// that began with per-index state idx and fetched an instance of index hit
+// back from the in-memory table (-1 if none): each index's count moved by
+// the number of its instances the step put in the in-memory table (what
+// the index holds there now, less what it held, plus the one fetched
+// back), and the counts sum to the evictions counted since evBase, the
+// table's count when it last drained.
+func checkDisplacements(t *testing.T, step int, tb *Table, idx []instState, hit int, evBase uint64) {
+	t.Helper()
+	sum := uint64(0)
+	for li := range tb.idx {
+		_, _, _, _, n := tb.KBound(li)
+		was, added := uint32(0), tb.idx[li].ov
+		if li < len(idx) {
+			was, added = idx[li].moved, added-idx[li].ov
+		}
+		if li == hit {
+			added++
+		}
+		if int32(n-was) != added {
+			t.Fatalf("step %d: index %d: displacement count moved %d -> %d, %d of its instances newly displaced",
+				step, li, was, n, added)
+		}
+		sum += uint64(n)
+	}
+	if ev := tb.Stats().Evictions - evBase; sum != ev {
+		t.Fatalf("step %d: displacement counts sum to %d, %d evictions since the last drain", step, sum, ev)
+	}
+}
+
 // tableState is everything a refused Insert must leave alone, copied out
 // of a table: the sets, the in-memory table, the counters, the bank stamps
 // and the per-index state less the youngest cache (young and wave, which a
@@ -452,9 +482,10 @@ func (f releaseFunc) Released(localIdx int) { f(localIdx) }
 // displacement of the youngest and overflow hits are all common) and checks
 // after every step that the per-index counters, the youngest cache and the
 // overflow counts say exactly what a scan of the sets and the map would.
-// The release callback's index is checked against the freed entry's, and
-// the order Releaser promises: a displacement is counted, and its instance
-// is in KBound's displaced range, by the release that frees its slot.
+// The release callback's index must be a bound one, and each index's
+// displacement count must move by one for each of its instances newly in
+// the in-memory table and sum, over the table, to the evictions counted
+// since it last drained (checkDisplacements).
 //
 // Every Insert goes through insertRuled, which holds the reject rule to
 // what Insert then does; the rule must decide at least half of the walk's
@@ -477,33 +508,25 @@ func TestIndexStateMatchesScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(si) + 1))
 		newTable := func(sized int) *Table {
 			tb := New(c, sized)
-			seen := uint64(0) // evictions counted at the previous release
 			tb.OnRelease = releaseFunc(func(li int) {
 				if li < 0 || li >= len(tb.idx) {
 					t.Fatalf("shape %d: release callback for index %d of %d", si, li, len(tb.idx))
 				}
-				ev := tb.Stats().Evictions
-				switch d := ev - seen; {
-				case d > 1:
-					t.Fatalf("shape %d: %d evictions counted since the previous release", si, d)
-				case d == 1:
-					if _, _, lo, hi := tb.KBound(li); lo > hi {
-						t.Fatalf("shape %d: index %d released after an eviction, but nothing of it is displaced", si, li)
-					}
-				}
-				seen = ev
 			})
 			return tb
 		}
 		tb, spare := newTable(nIdx), newTable(0)
+		evBase := map[*Table]uint64{} // each table's evictions at its last drain
 		cycle := uint64(0)
 		base := uint32(0) // waves wander upward so old and young tokens mix
 		var kRejects, kCertain, bankCertain int
 		for step := 0; step < 6000; step++ {
+			idx, hits, hitIdx := slices.Clone(tb.idx), tb.Stats().OverflowHits, -1
 			switch op := rng.Intn(20); {
 			case op < 15:
 				li := rng.Intn(nIdx)
 				inst, thread := instOf(li)
+				hitIdx = li
 				wave := base + uint32(rng.Intn(6))
 				if rng.Intn(3) > 0 {
 					cycle++ // otherwise same cycle: bank conflicts
@@ -528,6 +551,7 @@ func TestIndexStateMatchesScan(t *testing.T) {
 				base++
 			default:
 				// Map the PE out: everything it holds moves to the spare.
+				spareIdx := slices.Clone(spare.idx)
 				for _, e := range tb.DrainEntries() {
 					li := int(e.Tag.Thread)*perThr + int(e.Inst)
 					spare.Adopt(e, li, cycle+20)
@@ -536,9 +560,16 @@ func TestIndexStateMatchesScan(t *testing.T) {
 				if tb.Live() != 0 || tb.OverflowSize() != 0 {
 					t.Fatalf("shape %d step %d: drained table holds %d+%d", si, step, tb.Live(), tb.OverflowSize())
 				}
+				evBase[tb] = tb.Stats().Evictions
+				checkDisplacements(t, step, tb, nil, -1, evBase[tb])
 				tb, spare = spare, tb
+				idx = spareIdx
 			}
 			checkIndexState(t, step, tb, instOf)
+			if tb.Stats().OverflowHits == hits {
+				hitIdx = -1
+			}
+			checkDisplacements(t, step, tb, idx, hitIdx, evBase[tb])
 		}
 		if s := tb.Stats(); s.KRejects == 0 && c.K < 4 {
 			t.Errorf("shape %d: sequence never hit the k-bound (%+v)", si, s)

@@ -112,9 +112,6 @@ type peUnit struct {
 	parked      []herdList
 	parkedCount int
 	seq         uint64
-	// evSeen is the matching table's eviction count at the last release;
-	// see Released.
-	evSeen uint64
 
 	// st is written by every phase but read only by collect, so it sits
 	// behind the queues and lists the phases test first.
@@ -251,16 +248,9 @@ func (pe *peUnit) rejected(c uint64, n int) {
 
 // Released is the matching table's release callback (match.Releaser): any
 // tokens parked on the freed instruction queue up for reinjection, behind
-// herds released earlier this cycle. A table displaces an instance by
-// counting an eviction and at once releasing it, so the release that finds
-// the count moved since the last one is the displaced instance's, and it
-// moves that index's displacement epoch on.
+// herds released earlier this cycle.
 func (pe *peUnit) Released(li int) {
 	l := &pe.parked[li]
-	if ev := pe.mt.Stats().Evictions; ev != pe.evSeen {
-		pe.evSeen = ev
-		l.ep++
-	}
 	if l.empty() {
 		return
 	}
@@ -781,7 +771,7 @@ func (pe *peUnit) settle(c uint64, h int32, s *inputScan) settled {
 		u, ub := nilTok, 0 // the undecided token that ends the block, and its lane
 		if free != 0 {
 			pe.checkEpoch(h)
-			full, bound, ovLo, ovHi := pe.mt.KBound(li)
+			full, bound, ovLo, ovHi, _ := pe.mt.KBound(li)
 			var sure uint8 // the free lanes the rule refuses whole
 			for f := free; full && f != 0; f &= f - 1 {
 				if b := bits.TrailingZeros8(f); hd.lanes[b].certain(nodes, bound, ovLo, ovHi) {
@@ -846,15 +836,15 @@ func (pe *peUnit) settle(c uint64, h int32, s *inputScan) settled {
 }
 
 // checkEpoch forgets herd h's checks against the in-memory table if its
-// index may have had an instance displaced since they were made, so that
-// they hold in the index's current displacement epoch.
+// index has had an instance displaced since they were made, so that they
+// hold at the index's current displacement count.
 func (pe *peUnit) checkEpoch(h int32) {
 	hd := &pe.p.herds.h[h]
-	if ep := pe.parked[hd.li].ep; hd.okEp != ep {
+	if _, _, _, _, moved := pe.mt.KBound(int(hd.li)); hd.okEp != moved {
 		for b := range hd.lanes {
 			hd.lanes[b].okSeq = 0
 		}
-		hd.okEp = ep
+		hd.okEp = moved
 	}
 }
 

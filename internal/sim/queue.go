@@ -362,8 +362,8 @@ type herd struct {
 	next int32  // the next herd on its herdList
 	n    int32  // tokens on all lanes
 	top  uint64 // the highest sequence number the herd has held
-	// okEp is the index's displacement epoch (herdList.ep) when the
-	// lanes' okSeq were checked; see lane.
+	// okEp is the index's displacement count (match.Table.KBound's moved)
+	// when the lanes' okSeq were checked; see lane.
 	okEp  uint32
 	lanes [match.MaxBanks]lane
 }
@@ -376,8 +376,8 @@ type herd struct {
 // at the front pop from the front. hi bounds the lane's waves from above;
 // it only loosens as tokens leave. Every token with a sequence number up
 // to okSeq was found not displaced to the in-memory table in the herd's
-// okEp: an instance of the index is displaced only with a new epoch, so
-// that holds until the next one.
+// okEp: an instance of the index is displaced only with a new count, so
+// that holds until the count moves.
 type lane struct {
 	tokList
 	first  int32  // the first record
@@ -438,13 +438,10 @@ func (ln *lane) trim(nodes []tokNode) {
 const nilHerd int32 = 0
 
 // herdList is a singly-linked list of herds threaded through a herdPool,
-// and n the tokens they hold. On a PE's parked list for an index, ep is
-// the index's displacement epoch, which moves on whenever one of the
-// index's instances may have been displaced to the in-memory table.
+// and n the tokens they hold.
 type herdList struct {
 	head, tail int32
 	n          int32
-	ep         uint32
 }
 
 func (l *herdList) empty() bool { return l.head == nilHerd }
@@ -527,8 +524,8 @@ func (p *herdPool) push(toks *tokPool, h, i int32) {
 // moveLane moves the n-token run at the head of src, ending at node last,
 // to the tail of dst. A whole lane brings its records along; a shorter
 // run's are found again as it joins dst, token by token. The run's checks
-// against the in-memory table, made in the epoch dst's were, carry over
-// when dst's cover all it holds.
+// against the in-memory table, made at dst's displacement count, carry
+// over when dst's cover all it holds.
 func (p *herdPool) moveLane(toks *tokPool, dst, src *lane, last, n int32) {
 	nodes := toks.nodes
 	first, tail, whole := src.head, dst.tail, last == src.tail
