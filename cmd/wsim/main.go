@@ -82,6 +82,13 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fail(err)
 	}
+	w, err := wavescalar.WorkloadByName(*app)
+	if err != nil {
+		fail(err)
+	}
+	if err := cli.Threads(w, *threads); err != nil {
+		fail(err)
+	}
 	var rec *wavescalar.TraceRecorder
 	if *tracePath != "" || *csvPath != "" {
 		rec = wavescalar.NewTraceRecorder(wavescalar.TraceOptions{Capacity: *capacity, Interval: *interval})

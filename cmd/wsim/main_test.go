@@ -96,3 +96,18 @@ func TestBadMachineRefusedBeforeOutput(t *testing.T) {
 		t.Errorf("wsim -c 0: %v, stdout %q, stderr %q; want exit 1, empty stdout, the machine named", err, stdout.String(), stderr.String())
 	}
 }
+
+// TestBadThreadsRefusedBeforeOutput: a thread count outside the kernel's
+// range (here 0) exits 1 with nothing on stdout, not after the
+// "running ..." line.
+func TestBadThreadsRefusedBeforeOutput(t *testing.T) {
+	bin := buildWSim(t)
+	var stdout, stderr strings.Builder
+	cmd := exec.Command(bin, "-app", "fft", "-scale", "tiny", "-threads", "0")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), `[1, 64], the limit of "fft"`) {
+		t.Errorf("wsim -threads 0: %v, stdout %q, stderr %q; want exit 1, empty stdout, fft's limit named", err, stdout.String(), stderr.String())
+	}
+}

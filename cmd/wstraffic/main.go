@@ -68,6 +68,23 @@ func main() {
 		apps = wavescalar.Workloads()
 	}
 
+	threadsFor := func(w wavescalar.Workload, clusters int) int {
+		switch {
+		case *threads != 0:
+			return *threads
+		case w.Suite == wavescalar.SuiteSplash:
+			return clusters
+		}
+		return 1
+	}
+	for _, w := range apps {
+		for _, cfg := range cfgs {
+			if err := cli.Threads(w, threadsFor(w, cfg.Arch.Clusters)); err != nil {
+				fail(fmt.Errorf("%s C=%d: %w", w.Name, cfg.Arch.Clusters, err))
+			}
+		}
+	}
+
 	if !*jsonOut {
 		fmt.Printf("%-12s %4s %3s %9s | %7s %7s %7s %7s %7s | %7s %7s\n",
 			"app", "C", "thr", "messages",
@@ -76,13 +93,7 @@ func main() {
 	for _, w := range apps {
 		for _, cfg := range cfgs {
 			c := cfg.Arch.Clusters
-			th := *threads
-			if th == 0 {
-				th = 1
-				if w.Suite == wavescalar.SuiteSplash {
-					th = c
-				}
-			}
+			th := threadsFor(w, c)
 			st, err := wavescalar.RunWorkloadContext(context.Background(), w.Name,
 				wavescalar.WithConfig(cfg), wavescalar.AtScale(sc), wavescalar.WithThreads(th))
 			if err != nil {

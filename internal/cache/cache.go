@@ -260,17 +260,33 @@ func (s *System) Stats() Stats { return s.stats }
 // only asks whether there is one), and a line leaves the L2 only through
 // an eviction. So a run that reports zero runs event for event the same on
 // any twin whose L1 is a multiple of this one's size and whose L2 holds at
-// least L2Lines lines, both with an L2 or both without. A fill of a line
-// this L1 already holds (a write upgrade of a shared copy) counts too: it
-// leaves two ways with one tag, and which of them a lookup finds first
-// depends on where the set's invalid ways are, so it is not certified
-// either.
+// least L2Lines lines, both with an L2 or both without; and, if Refetches
+// reports zero too, on such a twin with an L2 when this run had none, or
+// without one when it had one. A fill of a line this L1 already holds (a
+// write upgrade of a shared copy) counts too: it leaves two ways with one
+// tag, and which of them a lookup finds first depends on where the set's
+// invalid ways are, so it is not certified either.
 func (s *System) Evictions() uint64 { return s.evictions }
 
-// L2Lines reports how many lines the L2 holds (0 without an L2). Without
-// an eviction no line has left it, so this is the most it ever held: the
-// smallest L2 that Evictions certifies a twin with.
-func (s *System) L2Lines() int { return s.l2lru.Len() }
+// Refetches counts, in a run without evictions, the requests so far for a
+// line the directory had served before, with no remote owner. Such a
+// request is an L2 hit with an L2 and a second memory fetch without one;
+// a first fetch costs L2Lat+MemLat either way, and a request with a
+// remote owner is served cache to cache either way. So it is the one
+// request whose timing depends on whether there is an L2. Each of the
+// lines the directory tracks came in with one first fetch, an L2 miss
+// either way, so the refetches are the L2 hits and misses less those
+// lines. (With evictions, a line can leave the directory and come back,
+// and this counts its second first fetch too.)
+func (s *System) Refetches() uint64 {
+	return s.stats.L2Hits + s.stats.L2Misses - uint64(len(s.dir))
+}
+
+// L2Lines reports how many lines the directory tracks. Without an
+// eviction no line has left it, so this is every line the run fetched:
+// the lines its L2 holds when it has one, and the smallest L2 that
+// Evictions certifies a twin with.
+func (s *System) L2Lines() int { return len(s.dir) }
 
 // line maps an address to its line address.
 func (s *System) line(addr uint64) uint64 { return addr / uint64(s.cfg.LineBytes) }

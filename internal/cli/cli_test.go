@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -95,6 +96,37 @@ func TestTrafficRowShares(t *testing.T) {
 	for _, field := range []string{`"app"`, `"share_pct"`, `"operand_share"`, `"messages"`} {
 		if !strings.Contains(string(b), field) {
 			t.Errorf("encoded row missing %s: %s", field, b)
+		}
+	}
+}
+
+// TestThreads: a count in [1, limit] passes; 0, a negative count and one
+// over the limit are refused naming the workload and its limit.
+func TestThreads(t *testing.T) {
+	fft, err := workload.ByName("fft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gzip, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		w    workload.Workload
+		n    int
+		want string // "" if accepted
+	}{
+		{fft, 1, ""},
+		{fft, 64, ""},
+		{gzip, 1, ""},
+		{fft, 0, `thread count 0 outside [1, 64], the limit of "fft"`},
+		{fft, -2, `thread count -2 outside [1, 64], the limit of "fft"`},
+		{fft, 65, `thread count 65 outside [1, 64], the limit of "fft"`},
+		{gzip, 4, `thread count 4 outside [1, 1], the limit of "gzip"`},
+	} {
+		err := Threads(tc.w, tc.n)
+		if got := fmt.Sprint(err); tc.want == "" && err != nil || tc.want != "" && got != tc.want {
+			t.Errorf("Threads(%s, %d) = %v, want %q", tc.w.Name, tc.n, err, tc.want)
 		}
 	}
 }

@@ -34,8 +34,8 @@ func RunOnceContext(ctx context.Context, cfg sim.Config, inst *workload.Instance
 }
 
 // runOnce is RunOnceContext that also returns the processor, whose cache
-// eviction count and L2 footprint (sim.Processor.CacheEvictions,
-// CacheL2Lines) say which cache twins the run is exact on.
+// evictions, refetches and line footprint (sim.Processor.CacheEvictions,
+// CacheRefetches, CacheL2Lines) say which cache twins the run is exact on.
 func runOnce(ctx context.Context, cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, *sim.Processor, error) {
 	proc, err := sim.New(cfg, inst.Prog, inst.Params(threads), sim.Memory(inst.Mem))
 	if err != nil {
@@ -122,10 +122,12 @@ type ThreadRun struct {
 	// the run every cache twin of its configuration would make whose L2
 	// holds L2Lines lines (an L1 a multiple of this one's, an L2 that may
 	// be smaller; see the explore package), so a sweep copies it instead
-	// of simulating the twin.
-	Evicted bool
-	// L2Lines is how many lines the run's L2 held at the end
-	// (cache.System.L2Lines); without an eviction, its largest footprint.
+	// of simulating the twin. That holds across the L2 line, from a
+	// configuration with an L2 to one without or back, only if the run did
+	// not refetch a line either (Refetched; cache.System.Refetches).
+	Evicted, Refetched bool
+	// L2Lines is how many lines the run's directory tracked at the end
+	// (cache.System.L2Lines); without an eviction, every line it fetched.
 	L2Lines int
 }
 
@@ -143,8 +145,9 @@ func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Inst
 // each thread count, reuse (when non-nil) may return a run that stands in
 // for simulating that count on cfg. The caller vouches that it is exact —
 // the explore engine passes eviction-free runs of configurations cfg is a
-// cache twin of, whose L2 footprint cfg's L2 holds — and the search treats
-// it exactly as a simulated run, so the result is the one
+// cache twin of, whose line footprint cfg's L2 holds if cfg has one, and
+// which refetched nothing if only one of the two has an L2 — and the
+// search treats it exactly as a simulated run, so the result is the one
 // BestThreadsContext would return, except that Sims does not count it.
 func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Instance, counts []int,
 	reuse func(threads int) (ThreadRun, bool)) (BestRun, error) {
@@ -173,7 +176,7 @@ func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Inst
 			}
 			best.Sims++
 			run = ThreadRun{Threads: n, AIPC: st.AIPC(), Cycles: st.Cycles, Traffic: st.TrafficTotal(),
-				Evicted: proc.CacheEvictions() > 0, L2Lines: proc.CacheL2Lines()}
+				Evicted: proc.CacheEvictions() > 0, Refetched: proc.CacheRefetches() > 0, L2Lines: proc.CacheL2Lines()}
 		}
 		best.Runs = append(best.Runs, run)
 		best.SimCycles += run.Cycles

@@ -30,27 +30,26 @@
 //
 // The L1 and L2 sizes reach the simulator only as the L1 set count and the
 // L2 capacity, and the cache reads either only when a fill evicts; a line
-// leaves the L2 only by such an eviction. A cell on a point P therefore
-// waits for the cells of the same workload on every point before P, in
-// its cache family's ascending (L1, L2) order, that P is a cache twin of
+// leaves the L2 only by such an eviction, and a first fetch costs the
+// same with an L2 or without. A cell on a point P therefore waits for the
+// cells of the same workload on every point before P, in its cache
+// family's ascending (L1, L2) order, that P is a cache twin of
 // (cacheTwin): the same configuration but for Arch.L1KB and Arch.L2MB,
-// with an L1 whose size divides P's and an L2 exactly when P has one. That
-// L2 may be larger or smaller than P's. For each thread count the cell
-// copies a run of one of those cells that this sweep simulated, provided
-// that run evicted nothing (design.ThreadRun.Evicted) and ended holding no
-// more lines in its L2 than P's L2 holds (design.ThreadRun.L2Lines,
-// exactOn). Only the rest is simulated. Ready cells go to the workers in
-// point-major order, so where no cell waits the schedule is that of a
-// sweep without reuse.
+// with an L1 whose size divides P's and any L2 or none. For each thread
+// count the cell copies a run of one of those cells that this sweep
+// simulated, if the run is exact on P (exactOn). Only the rest is
+// simulated. Ready cells go to the workers in point-major order, so where
+// no cell waits the schedule is that of a sweep without reuse.
 //
-// The certificate is the eviction count of internal/cache, kept outside
-// its Stats so no digest moves. It counts every fill that displaced a
-// valid line, in the L1 or the L2, and every L1 fill of a line the L1
-// already held (a write upgrade of a shared copy leaves two ways with one
-// tag, and which a lookup finds first depends on the set's layout). A run
-// with none, whose L2 ended holding N lines, makes the identical sequence
-// of events on every twin whose L2 holds at least N lines, which it never
-// fills either. FuzzCacheFamily checks that in internal/cache, and
+// The certificate comes from internal/cache: Evictions, a count kept
+// outside its Stats so no digest moves, of fills that displaced or
+// duplicated a line; and Refetches, read off the L2 counters, of requests
+// for a line the directory had served before with no remote owner, which
+// hit in an L2 and go to memory again without one. A run with no eviction, whose
+// directory ended tracking N lines, makes the identical sequence of events
+// on every twin on its side of the L2 line whose L2, if any, holds N
+// lines; with no refetch either, on such a twin across the line too.
+// FuzzCacheFamily checks that in internal/cache, and
 // TestSweepReuseMatchesDirect checks reused cells against direct runs.
 // Cache hits carry no per-count runs and never serve as bases. A copied
 // cell is byte-identical to a simulated one, so keys, journal records and
@@ -372,11 +371,10 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	runCell := func(pi, ai int) {
 		var reuse func(int) (design.ThreadRun, bool)
 		if len(g.preds[pi]) > 0 {
-			l2Lines := configs[pi].L2Lines()
 			reuse = func(n int) (design.ThreadRun, bool) {
 				for _, bi := range g.preds[pi] {
 					for _, r := range bases[bi][ai] {
-						if r.Threads == n && exactOn(r, l2Lines) {
+						if r.Threads == n && exactOn(r, configs[bi], configs[pi]) {
 							return r, true
 						}
 					}
@@ -525,15 +523,14 @@ func (h *readyCells) Pop() any {
 }
 
 // cacheFamilies groups point indices into cache families: configurations
-// equal in every field but Arch.L1KB and Arch.L2MB, and either all with an
-// L2 or all without (no run is ever copied across that line, see
-// cacheTwin). Families come in the order of their first point, members in
-// ascending (L1, L2) order, ties in input order.
+// equal in every field but Arch.L1KB and Arch.L2MB, with an L2 or without.
+// Families come in the order of their first point, members in ascending
+// (L1, L2) order, ties in input order.
 func cacheFamilies(configs []sim.Config) [][]int {
 	index := make(map[sim.Config]int)
 	var families [][]int
 	for pi, cfg := range configs {
-		cfg.Arch.L1KB, cfg.Arch.L2MB = 0, min(cfg.Arch.L2MB, 1)
+		cfg.Arch.L1KB, cfg.Arch.L2MB = 0, 0
 		fi, ok := index[cfg]
 		if !ok {
 			fi = len(families)
@@ -554,32 +551,30 @@ func cacheFamilies(configs []sim.Config) [][]int {
 	return families
 }
 
-// cacheTwin reports whether an eviction-free run on base is exact on
-// twin, provided twin's L2 holds the lines the run left in base's
-// (design.ThreadRun.L2Lines; the sweep checks that per run). The two
-// configurations must be equal in every field but the L1 and L2 sizes;
-// twin's L1 must be a whole multiple of base's, and both must have an L2
-// or neither. The simulator reads the two sizes only as the L1 set count
-// and the L2 capacity, and only when a fill evicts; an L1 with k times
+// cacheTwin reports whether an eviction-free run on base is exact on twin
+// whenever exactOn passes it. The configurations must be equal in every
+// field but the L1 and L2 sizes, and twin's L1 must be a whole multiple
+// of base's. The simulator reads the two sizes only as the L1 set count
+// and the L2 capacity, and only when a fill evicts: an L1 with k times
 // base's sets splits each of base's sets among k of its own, so it never
 // needs to evict either, and an L2 that holds the run's footprint is never
 // full when a line is installed (FuzzCacheFamily in internal/cache checks
 // this).
 func cacheTwin(base, twin sim.Config) bool {
-	b, t := base.Arch, twin.Arch
-	if b.L1KB <= 0 || t.L1KB%b.L1KB != 0 || (b.L2MB == 0) != (t.L2MB == 0) {
-		return false
-	}
+	l1, twinL1 := base.Arch.L1KB, twin.Arch.L1KB
 	base.Arch.L1KB, base.Arch.L2MB = 0, 0
 	twin.Arch.L1KB, twin.Arch.L2MB = 0, 0
-	return base == twin
+	return l1 > 0 && twinL1%l1 == 0 && base == twin
 }
 
-// exactOn reports whether a run on a cache twin's base is exact on a twin
-// whose L2 holds l2Lines lines: the run evicted nothing, and its L2 ended
-// holding no more lines than that.
-func exactOn(r design.ThreadRun, l2Lines int) bool {
-	return !r.Evicted && r.L2Lines <= l2Lines
+// exactOn reports whether a run on base is exact on twin, a cache twin of
+// base: it evicted nothing, refetched nothing if only one of the two has
+// an L2, and fetched no more lines than twin's L2 holds, if twin has one.
+func exactOn(r design.ThreadRun, base, twin sim.Config) bool {
+	if r.Evicted || r.Refetched && (base.Arch.L2MB == 0) != (twin.Arch.L2MB == 0) {
+		return false
+	}
+	return twin.Arch.L2MB == 0 || r.L2Lines <= twin.L2Lines()
 }
 
 // cellSource says where evalCell's answer came from.

@@ -101,18 +101,22 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 			wg.Wait()
 		})
 	}
-	t.Run("spec2000/subsample-16", subsampleReuseMatchesRunOne)
+	t.Run("spec2000/subsample-16", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 16, 38) })
+	t.Run("spec2000/subsample-20", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 20, 49) })
 }
 
 // subsampleReuseMatchesRunOne sweeps a thinned sample, the points
-// design.Subsample keeps of sixteen, with spec2000 at tiny scale: there the
+// design.Subsample keeps of maxPoints, with spec2000 at tiny scale: there the
 // smallest L2 of a cache family is often missing, so much of the reuse
-// copies a run to a twin with a smaller L2 than its base's. Every cell,
-// the reused ones among them, must encode to the same journal record as
-// RunOne's on a fresh explorer. The earlier rule, which copied only to an
-// L2 at least as large, reused 23 of these 96 cells.
-func subsampleReuseMatchesRunOne(t *testing.T) {
-	points := design.Subsample(design.Viable(), 16)
+// copies a run to a twin with a smaller L2 than its base's, and the
+// sample mixes L2:0MB points with their twins that have an L2, so some of
+// it copies a run across that line. Every cell, the reused ones among
+// them, must encode to the same journal record as RunOne's on a fresh
+// explorer, and more cells must be reused than sameSide, the count when
+// no run was copied across the L2 line (38 of 96 cells at 16 points, 49
+// of 120 at 20).
+func subsampleReuseMatchesRunOne(t *testing.T, maxPoints, sameSide int) {
+	points := design.Subsample(design.Viable(), maxPoints)
 	apps := workload.BySuite(workload.Spec)
 	counts := []int{1}
 	ctx := context.Background()
@@ -124,8 +128,9 @@ func subsampleReuseMatchesRunOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := exp.LastProgress()
-	if p.Simulated != len(points)*len(apps) || p.Reused <= 23 {
-		t.Fatalf("%d cells produced of which %d reused; want %d, more than 23 reused", p.Simulated, p.Reused, len(points)*len(apps))
+	if p.Simulated != len(points)*len(apps) || p.Reused <= sameSide {
+		t.Fatalf("%d cells produced of which %d reused; want %d, more than %d reused",
+			p.Simulated, p.Reused, len(points)*len(apps), sameSide)
 	}
 	t.Logf("%d of %d cells reused", p.Reused, p.Simulated)
 	direct, err := New(WithParallelism(1))
@@ -238,17 +243,17 @@ func TestReuseNeedsALocalBase(t *testing.T) {
 }
 
 // TestCacheFamilies pins the grouping and the walk order: families split
-// by everything but the cache sizes and by L2 presence, in the order of
-// their first point, members by ascending (L1, L2).
+// by everything but the cache sizes, with an L2 or without, in the order
+// of their first point, members by ascending (L1, L2), no L2 first.
 func TestCacheFamilies(t *testing.T) {
 	arch := func(clusters, l1, l2 int) sim.Config {
 		a := sim.BaselineArch()
 		a.Clusters, a.L1KB, a.L2MB = clusters, l1, l2
 		return sim.Baseline(a)
 	}
-	configs := []sim.Config{arch(1, 32, 1), arch(4, 8, 0), arch(1, 8, 4), arch(1, 8, 1), arch(4, 16, 0), arch(1, 16, 0)}
+	configs := []sim.Config{arch(1, 32, 1), arch(4, 8, 0), arch(1, 8, 4), arch(1, 8, 1), arch(4, 16, 0), arch(1, 16, 0), arch(1, 8, 0)}
 	got := cacheFamilies(configs)
-	want := [][]int{{3, 2, 0}, {1, 4}, {5}}
+	want := [][]int{{6, 3, 2, 5, 0}, {1, 4}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("cacheFamilies = %v, want %v", got, want)
 	}
@@ -256,7 +261,8 @@ func TestCacheFamilies(t *testing.T) {
 
 // TestTwinGraph pins which cells wait for which: within a family, a
 // member waits for every earlier member whose L1 divides its own, whatever
-// their L2 sizes (16KB/2MB → 32KB/1MB is a link).
+// their L2 sizes (16KB/2MB → 32KB/1MB is a link), and with an L2 or
+// without (8KB/0MB → 8KB/1MB and 16KB/2MB → 32KB/0MB are links).
 func TestTwinGraph(t *testing.T) {
 	arch := func(l1, l2 int) sim.Config {
 		a := sim.BaselineArch()
@@ -265,8 +271,8 @@ func TestTwinGraph(t *testing.T) {
 	}
 	configs := []sim.Config{arch(32, 1), arch(8, 1), arch(16, 2), arch(24, 1), arch(8, 0), arch(32, 0)}
 	g := twinGraph(configs)
-	wantPreds := [][]int{{1, 2}, nil, {1}, {1}, nil, {4}}
-	wantSuccs := [][]int{nil, {2, 3, 0}, {0}, nil, {5}, nil}
+	wantPreds := [][]int{{4, 1, 2, 5}, {4}, {4, 1}, {4, 1}, nil, {4, 1, 2}}
+	wantSuccs := [][]int{nil, {2, 3, 5, 0}, {5, 0}, nil, {1, 2, 3, 5, 0}, {0}}
 	if !reflect.DeepEqual(g.preds, wantPreds) || !reflect.DeepEqual(g.succs, wantSuccs) {
 		t.Errorf("twinGraph = %+v, want preds %v succs %v", g, wantPreds, wantSuccs)
 	}
@@ -310,40 +316,53 @@ func TestCellQueueOrder(t *testing.T) {
 	}
 }
 
-// TestExactOn pins the per-run half of the reuse rule at its edge, on a
-// twin with a 1 MB L2: a run that fills it exactly is copied, one line
-// more is not, and neither is a run that evicted. No sweep test reaches
-// the bound: the smallest L2 holds 8192 lines, far more than a tiny
+// TestExactOn pins the per-run half of the reuse rule at its edges, on
+// the baseline machine with a 1 MB L2 and without one. Toward a twin with
+// an L2, a run whose footprint fills it exactly is copied, one line more
+// is not; toward a twin without one there is no bound. A refetch is an L2
+// hit on both sides or a second memory fetch on both, but not across the
+// L2 line. An eviction is never copied. No sweep test reaches the
+// footprint bound: the smallest L2 holds 8192 lines, far more than a tiny
 // workload touches.
 func TestExactOn(t *testing.T) {
-	a := sim.BaselineArch()
-	a.L2MB = 1
-	capacity := sim.Baseline(a).L2Lines()
+	cfg := func(l2 int) sim.Config {
+		a := sim.BaselineArch()
+		a.L2MB = l2
+		return sim.Baseline(a)
+	}
+	withL2, without := cfg(1), cfg(0)
+	capacity := withL2.L2Lines()
 	if capacity != 8192 {
 		t.Fatalf("a 1 MB L2 holds %d lines, want 8192", capacity)
 	}
 	for _, tc := range []struct {
-		run  design.ThreadRun
-		want bool
+		base, twin sim.Config
+		run        design.ThreadRun
+		want       bool
 	}{
-		{design.ThreadRun{L2Lines: 5}, true},
-		{design.ThreadRun{L2Lines: capacity}, true},
-		{design.ThreadRun{L2Lines: capacity + 1}, false},
-		{design.ThreadRun{L2Lines: 5, Evicted: true}, false},
+		{withL2, withL2, design.ThreadRun{L2Lines: 5}, true},
+		{withL2, withL2, design.ThreadRun{L2Lines: capacity}, true},
+		{withL2, withL2, design.ThreadRun{L2Lines: capacity + 1}, false},
+		{withL2, withL2, design.ThreadRun{L2Lines: 5, Evicted: true}, false},
+		{withL2, withL2, design.ThreadRun{L2Lines: 5, Refetched: true}, true},
+		{without, without, design.ThreadRun{L2Lines: capacity + 1, Refetched: true}, true},
+		{without, without, design.ThreadRun{L2Lines: 5, Evicted: true}, false},
+		{without, withL2, design.ThreadRun{L2Lines: capacity}, true},
+		{without, withL2, design.ThreadRun{L2Lines: capacity + 1}, false},
+		{without, withL2, design.ThreadRun{L2Lines: 5, Refetched: true}, false},
+		{withL2, without, design.ThreadRun{L2Lines: capacity + 1}, true},
+		{withL2, without, design.ThreadRun{L2Lines: 5, Refetched: true}, false},
 	} {
-		if got := exactOn(tc.run, capacity); got != tc.want {
-			t.Errorf("exactOn(%+v, %d) = %v, want %v", tc.run, capacity, got, tc.want)
+		if got := exactOn(tc.run, tc.base, tc.twin); got != tc.want {
+			t.Errorf("exactOn(%+v, %s, %s) = %v, want %v", tc.run, tc.base.Arch, tc.twin.Arch, got, tc.want)
 		}
-	}
-	if !exactOn(design.ThreadRun{}, 0) {
-		t.Error("an eviction-free run without an L2 is not exact on a twin without one")
 	}
 }
 
 // TestCacheTwin pins the twin rule: same configuration but for the
-// cache sizes, the L1 a whole multiple, and L2 presence the same. The L2
-// may be smaller: whether a run fits it is the sweep's per-run check on
-// design.ThreadRun.L2Lines.
+// cache sizes, and the L1 a whole multiple. The L2 may be smaller or
+// missing on either side: whether a run fits it, and whether it refetched
+// across the L2 line, is the sweep's per-run check (exactOn).
 func TestCacheTwin(t *testing.T) {
 	cfg := func(l1, l2 int) sim.Config {
 		a := sim.BaselineArch()
@@ -363,7 +382,9 @@ func TestCacheTwin(t *testing.T) {
 		{cfg(16, 1), cfg(24, 1), false}, // not a multiple
 		{cfg(8, 2), cfg(16, 1), true},   // smaller L2
 		{cfg(8, 4), cfg(8, 1), true},    // smaller L2, same L1
-		{cfg(8, 0), cfg(8, 1), false},   // L2 presence differs
+		{cfg(8, 0), cfg(8, 1), true},    // an L2 on the twin only
+		{cfg(8, 1), cfg(16, 0), true},   // an L2 on the base only
+		{cfg(16, 0), cfg(8, 1), false},  // smaller L1, across the L2 line
 		{cfg(8, 1), otherK, false},      // another field differs
 	}
 	for _, tc := range cases {

@@ -343,13 +343,18 @@ func (p *Processor) Mem() Memory { return p.mem }
 func (p *Processor) Placement() *place.Placement { return p.placement }
 
 // CacheEvictions reports how many fills of the data-memory hierarchy have
-// displaced or duplicated a line so far (cache.System.Evictions). It is
-// kept out of Stats, so no digest depends on it.
+// displaced or duplicated a line so far (cache.System.Evictions); it is
+// kept out of Stats, so no digest depends on it. CacheRefetches reports,
+// for a run without evictions, how many requests asked the directory for
+// a line it had served before, with no remote owner
+// (cache.System.Refetches).
 func (p *Processor) CacheEvictions() uint64 { return p.cacheSys.Evictions() }
+func (p *Processor) CacheRefetches() uint64 { return p.cacheSys.Refetches() }
 
-// CacheL2Lines reports how many lines the L2 holds (cache.System.L2Lines):
-// after a run without cache evictions, the L2 footprint a cache twin must
-// hold. Like CacheEvictions it is kept out of Stats.
+// CacheL2Lines reports how many lines the directory tracks
+// (cache.System.L2Lines): after a run without cache evictions, the
+// footprint a cache twin's L2 must hold. Like CacheEvictions it is kept
+// out of Stats.
 func (p *Processor) CacheL2Lines() int { return p.cacheSys.L2Lines() }
 
 // threadHalted records a thread's completion.
