@@ -98,7 +98,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		*threads = min(4, w.Build(sc).MaxThreads)
+		*threads = min(4, w.MaxThreads())
 	}
 	cfg := wavescalar.Baseline(arch)
 	cfg.K = *k

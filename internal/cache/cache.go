@@ -219,8 +219,8 @@ type System struct {
 	seq     uint64
 	stats   Stats
 	numSets int
-	// evictions counts the fills that break the cache-twin certificate
-	// (see Evictions); it stays out of Stats so that no digest moves.
+	// evictions is Footprint's count of fills that displaced or
+	// duplicated a line.
 	evictions uint64
 }
 
@@ -234,7 +234,7 @@ func New(cfg Config, done DoneFunc, send SendFunc) *System {
 		cfg:   cfg,
 		dir:   make(map[uint64]*dirEntry),
 		l2lru: list.New(),
-		l2cap: cfg.L2MB * (1 << 20) / cfg.LineBytes,
+		l2cap: cfg.l2Lines(),
 		done:  done,
 		send:  send,
 	}
@@ -253,40 +253,70 @@ func New(cfg Config, done DoneFunc, send SendFunc) *System {
 // Stats returns the hierarchy counters.
 func (s *System) Stats() Stats { return s.stats }
 
-// Evictions counts the fills so far that displaced a valid line: an L1
-// fill into a set with no invalid way, and an L2 install into a full L2.
-// These are the only points at which the L1 and L2 capacities are read
-// (the set count in lookup only partitions lines, and the L2-presence test
-// only asks whether there is one), and a line leaves the L2 only through
-// an eviction. So a run that reports zero runs event for event the same on
-// any twin whose L1 is a multiple of this one's size and whose L2 holds at
-// least L2Lines lines, both with an L2 or both without; and, if Refetches
-// reports zero too, on such a twin with an L2 when this run had none, or
-// without one when it had one. A fill of a line this L1 already holds (a
-// write upgrade of a shared copy) counts too: it leaves two ways with one
-// tag, and which of them a lookup finds first depends on where the set's
-// invalid ways are, so it is not certified either.
-func (s *System) Evictions() uint64 { return s.evictions }
-
-// Refetches counts, in a run without evictions, the requests so far for a
-// line the directory had served before, with no remote owner. Such a
-// request is an L2 hit with an L2 and a second memory fetch without one;
-// a first fetch costs L2Lat+MemLat either way, and a request with a
-// remote owner is served cache to cache either way. So it is the one
-// request whose timing depends on whether there is an L2. Each of the
-// lines the directory tracks came in with one first fetch, an L2 miss
-// either way, so the refetches are the L2 hits and misses less those
-// lines. (With evictions, a line can leave the directory and come back,
-// and this counts its second first fetch too.)
-func (s *System) Refetches() uint64 {
-	return s.stats.L2Hits + s.stats.L2Misses - uint64(len(s.dir))
+// Footprint is what a run left in the hierarchy that says which cache
+// twins it is exact on (ExactOn). It is kept outside Stats, so no digest
+// depends on it.
+type Footprint struct {
+	// Evictions counts the fills that displaced a valid line: an L1 fill
+	// into a set with no invalid way, and an L2 install into a full L2. A
+	// fill of a line the L1 already holds (a write upgrade of a shared
+	// copy) counts too: it leaves two ways with one tag, and which of them
+	// a lookup finds first depends on where the set's invalid ways are,
+	// which the set count changes.
+	Evictions uint64
+	// Refetches counts, in a run without evictions, the requests for a
+	// line the directory had served before, with no remote owner: an L2
+	// hit with an L2, a second memory fetch without one. (With evictions,
+	// a line can leave the directory and come back, and its second first
+	// fetch counts too.)
+	Refetches uint64
+	// Lines is how many lines the directory tracks. Without an eviction
+	// no line has left it, so this is every line the run fetched.
+	Lines int
 }
 
-// L2Lines reports how many lines the directory tracks. Without an
-// eviction no line has left it, so this is every line the run fetched:
-// the lines its L2 holds when it has one, and the smallest L2 that
-// Evictions certifies a twin with.
-func (s *System) L2Lines() int { return len(s.dir) }
+// Footprint reports the run's footprint so far. Each line the directory
+// tracks came in with one first fetch, an L2 miss with an L2 or without,
+// so the refetches are the L2 hits and misses less those lines.
+func (s *System) Footprint() Footprint {
+	return Footprint{
+		Evictions: s.evictions,
+		Refetches: s.stats.L2Hits + s.stats.L2Misses - uint64(len(s.dir)),
+		Lines:     len(s.dir),
+	}
+}
+
+// ExactOn reports whether a run on base that left f makes, event for
+// event, the run twin would make, so its result stands for twin's. This is
+// the whole cache-twin rule:
+//
+//   - base and twin agree in every field but L1KB and L2MB;
+//   - twin's L1 is a whole multiple of base's;
+//   - the run had no eviction;
+//   - if twin has an L2, it holds the run's Lines;
+//   - if only one of base and twin has an L2, the run had no refetch.
+//
+// Why it holds: the hierarchy reads the L1 and L2 sizes only as the L1
+// set count and the L2 capacity, and only when a fill evicts. An L1 with
+// k times base's sets splits each of base's sets among k of its own, so
+// it never needs to evict either; a line leaves the L2 only by an
+// eviction, so an L2 that holds the run's lines is never full when one
+// is installed. A first fetch costs L2Lat+MemLat with an L2 or without,
+// and a request with a remote owner is served cache to cache either way,
+// so a refetch is the one request whose timing depends on whether there
+// is an L2. FuzzCacheFamily checks the rule, by this method, on random
+// traces; the explore package builds its cache-family reuse on it.
+func (f Footprint) ExactOn(base, twin Config) bool {
+	l1, twinL1 := base.L1KB, twin.L1KB
+	baseL2, twinL2 := base.l2Lines(), twin.l2Lines()
+	base.L1KB, base.L2MB, twin.L1KB, twin.L2MB = 0, 0, 0, 0
+	return base == twin && l1 > 0 && twinL1%l1 == 0 && f.Evictions == 0 &&
+		(f.Refetches == 0 || (baseL2 == 0) == (twinL2 == 0)) &&
+		(twinL2 == 0 || f.Lines <= twinL2)
+}
+
+// l2Lines is the L2's capacity in lines (0 without an L2).
+func (c Config) l2Lines() int { return c.L2MB * (1 << 20) / c.LineBytes }
 
 // line maps an address to its line address.
 func (s *System) line(addr uint64) uint64 { return addr / uint64(s.cfg.LineBytes) }
@@ -537,7 +567,7 @@ func (s *System) handleDataResp(cycle uint64, cluster int, r DataResp) {
 func (s *System) fill(cycle uint64, cluster int, ln uint64, grant state) {
 	set := s.l1s[cluster].sets[ln%uint64(s.numSets)]
 	if s.lookup(cluster, ln) != nil {
-		s.evictions++ // a second copy of the line: see Evictions
+		s.evictions++ // a second copy of the line: see Footprint
 	}
 	var victim *way
 	for i := range set {

@@ -30,21 +30,26 @@ type familyOp struct {
 }
 
 // familyResult is what a familyRun saw: every callback in order, the
-// final Stats, and the certificate (Evictions, Refetches, L2Lines).
+// final Stats, and the run's Footprint.
 type familyResult struct {
-	events               []familyEvent
-	stats                Stats
-	evictions, refetches uint64
-	lines                int
+	events    []familyEvent
+	stats     Stats
+	footprint Footprint
 }
 
-// familyRun plays ops on a hierarchy with l1KB of L1 per cluster and an
-// L2 of l2Lines lines (0: no L2) over an instant one-hop network. The L2
-// is sized in lines rather than megabytes so that a short trace can fill
-// it; the capacity is read in one place (installL2) either way.
-func familyRun(clusters, l1KB, l2Lines int, ops []familyOp) familyResult {
-	cfg := Config{Clusters: clusters, L1KB: l1KB, LineBytes: 128, L1Assoc: 4,
-		L1Lat: 3, L1Ports: 2, L2MB: 0, L2Lat: 20, MemLat: 200}
+// familyConfig is a hierarchy with l1KB of L1 per cluster, counted at
+// 128-byte lines, and an L2 of l2Lines lines (0: no L2). Its lines are
+// 1 MB, so that L2MB counts lines and a short trace can fill the L2; the
+// hierarchy reads a line only as its address, so the L1 holds the 8*l1KB
+// lines it holds at 128 bytes.
+func familyConfig(clusters, l1KB, l2Lines int) Config {
+	return Config{Clusters: clusters, L1KB: l1KB << 13, LineBytes: 1 << 20, L1Assoc: 4,
+		L1Lat: 3, L1Ports: 2, L2MB: l2Lines, L2Lat: 20, MemLat: 200}
+}
+
+// familyRun plays ops on the hierarchy cfg over an instant one-hop
+// network.
+func familyRun(cfg Config, ops []familyOp) familyResult {
 	var events []familyEvent
 	var inbox []*noc.Message
 	sys := New(cfg,
@@ -56,7 +61,6 @@ func familyRun(clusters, l1KB, l2Lines int, ops []familyOp) familyResult {
 			inbox = append(inbox, m)
 			return true
 		})
-	sys.l2cap = l2Lines
 
 	next := uint64(0)
 	i := 0
@@ -69,14 +73,14 @@ func familyRun(clusters, l1KB, l2Lines int, ops []familyOp) familyResult {
 		for ; i < len(ops) && next+ops[i].gap <= c; i++ {
 			next += ops[i].gap
 			op := ops[i]
-			sys.Access(c, op.cluster, uint64(i), op.line*128+op.line%128, op.write)
+			sys.Access(c, op.cluster, uint64(i), op.line*uint64(cfg.LineBytes)+op.line%128, op.write)
 		}
 		sys.Tick(c)
 		if i == len(ops) && len(inbox) == 0 && sys.Outstanding() == 0 {
 			break
 		}
 	}
-	return familyResult{events, sys.Stats(), sys.Evictions(), sys.Refetches(), sys.L2Lines()}
+	return familyResult{events, sys.Stats(), sys.Footprint()}
 }
 
 // decodeFamily turns fuzz bytes into a machine family and a trace: the
@@ -146,57 +150,63 @@ func familySeeds() [][]byte {
 	return seeds
 }
 
-// FuzzCacheFamily is the certificate behind the explorer's cache-family
-// reuse. Whenever a run reports zero evictions and its directory ends
-// tracking N lines, the same trace on a twin with an L1 that is a
-// multiple of its size and, on the same side of the L2 line, no L2 or one
-// of at least N lines (the twin's may be smaller than the base's) makes
-// the identical sequence of done and send callbacks and ends with
-// identical Stats; and so does a twin across the line, from an L2 to none
-// or from none to one of at least N lines, if the run reports zero
-// refetches too. Both rules are tight: a twin whose L2 holds fewer than N
-// lines must evict, and a twin across the line from a run that refetched
-// ends with other Stats.
+// FuzzCacheFamily checks Footprint.ExactOn, the rule behind the
+// explorer's cache-family reuse, on a drawn trace, base and twin. Where
+// ExactOn passes the base's footprint to the twin, the twin makes the
+// identical sequence of done and send callbacks and ends with identical
+// Stats, without an eviction. Where it does not and the base did not
+// evict, the twin's L1 being a multiple of the base's, the reason is
+// shown to matter: a twin whose L2 holds fewer lines than the base's
+// directory ended tracking evicts, and a twin across the L2 line from a
+// base that refetched ends with other Stats.
 func FuzzCacheFamily(f *testing.F) {
 	for _, b := range familySeeds() {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		clusters, l1, twinL1, l2, twinL2, ops := decodeFamily(data)
-		base := familyRun(clusters, l1, l2, ops)
-		if base.evictions != 0 {
-			return
-		}
-		twin := familyRun(clusters, twinL1, twinL2, ops)
-		if twinL2 > 0 && base.lines > twinL2 {
-			if twin.evictions == 0 {
-				t.Errorf("twin (L1 %d KB, L2 %d lines) did not evict, yet its base's directory ended tracking %d lines",
-					twinL1, twinL2, base.lines)
+		baseCfg, twinCfg := familyConfig(clusters, l1, l2), familyConfig(clusters, twinL1, twinL2)
+		base := familyRun(baseCfg, ops)
+		fp := base.footprint
+		exact := fp.ExactOn(baseCfg, twinCfg)
+		if fp.Evictions != 0 {
+			if exact {
+				t.Fatalf("ExactOn passed a run that evicted %d times: %+v", fp.Evictions, fp)
 			}
 			return
 		}
-		if twin.evictions != 0 {
-			t.Errorf("twin (L1 %d KB, L2 %d lines) evicted %d times; its base (L1 %d KB, L2 %d lines) none",
-				twinL1, twinL2, twin.evictions, l1, l2)
-		}
-		if (l2 == 0) != (twinL2 == 0) && base.refetches != 0 {
+		twin := familyRun(twinCfg, ops)
+		switch {
+		case exact:
+			if twin.footprint.Evictions != 0 {
+				t.Errorf("twin (L1 %d KB, L2 %d lines) evicted %d times; its base (L1 %d KB, L2 %d lines) none",
+					twinL1, twinL2, twin.footprint.Evictions, l1, l2)
+			}
+			if base.stats != twin.stats {
+				t.Fatalf("stats differ: base (L1 %d KB, L2 %d lines) %+v, twin (L1 %d KB, L2 %d lines) %+v",
+					l1, l2, base.stats, twinL1, twinL2, twin.stats)
+			}
+			if len(base.events) != len(twin.events) {
+				t.Fatalf("base made %d callbacks, twin %d", len(base.events), len(twin.events))
+			}
+			for i := range base.events {
+				if !reflect.DeepEqual(base.events[i], twin.events[i]) {
+					t.Fatalf("callback %d: base %+v, twin %+v", i, base.events[i], twin.events[i])
+				}
+			}
+		case twinL2 > 0 && fp.Lines > twinL2:
+			if twin.footprint.Evictions == 0 {
+				t.Errorf("twin (L1 %d KB, L2 %d lines) did not evict, yet its base's directory ended tracking %d lines",
+					twinL1, twinL2, fp.Lines)
+			}
+		case (l2 == 0) != (twinL2 == 0) && fp.Refetches != 0:
 			if twin.stats == base.stats {
 				t.Errorf("base (L1 %d KB, L2 %d lines) refetched %d times, yet its twin across the L2 line (L1 %d KB, L2 %d lines) ended with its Stats, %+v",
-					l1, l2, base.refetches, twinL1, twinL2, base.stats)
+					l1, l2, fp.Refetches, twinL1, twinL2, base.stats)
 			}
-			return
-		}
-		if base.stats != twin.stats {
-			t.Fatalf("stats differ: base (L1 %d KB, L2 %d lines) %+v, twin (L1 %d KB, L2 %d lines) %+v",
-				l1, l2, base.stats, twinL1, twinL2, twin.stats)
-		}
-		if len(base.events) != len(twin.events) {
-			t.Fatalf("base made %d callbacks, twin %d", len(base.events), len(twin.events))
-		}
-		for i := range base.events {
-			if !reflect.DeepEqual(base.events[i], twin.events[i]) {
-				t.Fatalf("callback %d: base %+v, twin %+v", i, base.events[i], twin.events[i])
-			}
+		default:
+			t.Errorf("ExactOn refused an eviction-free run (%+v) on base (L1 %d KB, L2 %d lines) to twin (L1 %d KB, L2 %d lines) for no reason",
+				fp, l1, l2, twinL1, twinL2)
 		}
 	})
 }
@@ -204,29 +214,32 @@ func FuzzCacheFamily(f *testing.F) {
 // TestCacheFamilySeedsCertify keeps the fuzz target's seeds from going
 // vacuous: a good share of them must run eviction-free on multi-cluster
 // machines with an L2, where coherence traffic is exercised, and without
-// one; a good share must certify a twin whose L2 is smaller than the
-// base's, and leave another whose L2 is smaller than the footprint, where
-// the twin must evict; and a good share must certify a twin across the
-// L2 line each way, an L2 base's twin without one and a base's without
-// one whose twin's L2 holds the footprint, and leave others across the
-// line whose base refetched.
+// one; a good share must be passed by ExactOn to a twin whose L2 is
+// smaller than the base's, and refused to another whose L2 is smaller
+// than the footprint; and a good share must be passed to a twin across
+// the L2 line each way, an L2 base's twin without one and a base's
+// without one whose twin's L2 holds the footprint, and refused to others
+// across the line because the base refetched.
 func TestCacheFamilySeedsCertify(t *testing.T) {
 	certified := map[bool]int{}
 	smaller, short, down, up, refetched := 0, 0, 0, 0, 0
 	for _, b := range familySeeds() {
-		clusters, l1, _, l2, twinL2, ops := decodeFamily(b)
-		base := familyRun(clusters, l1, l2, ops)
-		if base.evictions != 0 {
+		clusters, l1, twinL1, l2, twinL2, ops := decodeFamily(b)
+		baseCfg := familyConfig(clusters, l1, l2)
+		fp := familyRun(baseCfg, ops).footprint
+		if fp.Evictions != 0 {
 			continue
 		}
 		if clusters > 1 {
 			certified[l2 > 0]++
 		}
+		exact := fp.ExactOn(baseCfg, familyConfig(clusters, twinL1, twinL2))
 		switch {
-		case twinL2 > 0 && base.lines > twinL2:
+		case !exact && twinL2 > 0 && fp.Lines > twinL2:
 			short++
-		case (l2 == 0) != (twinL2 == 0) && base.refetches != 0:
+		case !exact && (l2 == 0) != (twinL2 == 0) && fp.Refetches != 0:
 			refetched++
+		case !exact:
 		case l2 > 0 && twinL2 == 0:
 			down++
 		case l2 == 0 && twinL2 > 0:
@@ -240,22 +253,22 @@ func TestCacheFamilySeedsCertify(t *testing.T) {
 			certified[true], certified[false])
 	}
 	if smaller < 10 || short < 5 {
-		t.Errorf("eviction-free seeds with a smaller twin L2: %d hold the footprint, %d do not; want >= 10 and >= 5",
+		t.Errorf("eviction-free seeds with a smaller twin L2: %d passed, %d refused for its size; want >= 10 and >= 5",
 			smaller, short)
 	}
 	if down < 10 || up < 10 || refetched < 10 {
-		t.Errorf("eviction-free seeds with a twin across the L2 line: %d certified from an L2 to none, %d from none to one, %d refetched; want >= 10 each",
+		t.Errorf("eviction-free seeds with a twin across the L2 line: %d passed from an L2 to none, %d from none to one, %d refused for a refetch; want >= 10 each",
 			down, up, refetched)
 	}
 }
 
-// TestCacheFamilyL2BoundIsTight pins the L2 half of the certificate at its
-// edge. Two clusters read six lines between them, then one writes a line
-// the other holds; the run neither evicts nor refetches and its directory
-// ends tracking six lines, whether the base has a 24-line L2 or none. A
-// twin whose L2 holds exactly six lines runs identically; one whose L2
-// holds five evicts on the sixth install, invalidates an L1 copy, and
-// ends with other Stats.
+// TestCacheFamilyL2BoundIsTight pins the L2 half of the rule at its edge.
+// Two clusters read six lines between them, then one writes a line the
+// other holds; the run neither evicts nor refetches and its directory
+// ends tracking six lines, whether the base has a 24-line L2 or none.
+// ExactOn passes it to a twin whose L2 holds exactly six lines, which runs
+// identically, and refuses it to one whose L2 holds five, which evicts on
+// the sixth install, invalidates an L1 copy, and ends with other Stats.
 func TestCacheFamilyL2BoundIsTight(t *testing.T) {
 	var ops []familyOp
 	for ln := uint64(0); ln < 6; ln++ {
@@ -264,23 +277,28 @@ func TestCacheFamilyL2BoundIsTight(t *testing.T) {
 	ops = append(ops, familyOp{gap: 1, cluster: 1, line: 0, write: true})
 	const clusters, l1 = 2, 2
 	for _, l2 := range []int{24, 0} {
-		base := familyRun(clusters, l1, l2, ops)
-		if base.evictions != 0 || base.refetches != 0 || base.lines != 6 {
-			t.Fatalf("base with a %d-line L2: %d evictions, %d refetches, %d lines; want 0, 0 and 6",
-				l2, base.evictions, base.refetches, base.lines)
+		baseCfg := familyConfig(clusters, l1, l2)
+		base := familyRun(baseCfg, ops)
+		if want := (Footprint{Lines: 6}); base.footprint != want {
+			t.Fatalf("base with a %d-line L2: footprint %+v, want %+v", l2, base.footprint, want)
 		}
-		twin := familyRun(clusters, l1, base.lines, ops)
+		fitCfg, shortCfg := familyConfig(clusters, l1, 6), familyConfig(clusters, l1, 5)
+		if !base.footprint.ExactOn(baseCfg, fitCfg) || base.footprint.ExactOn(baseCfg, shortCfg) {
+			t.Fatalf("base with a %d-line L2: ExactOn a 6-line twin %v, a 5-line one %v; want true and false",
+				l2, base.footprint.ExactOn(baseCfg, fitCfg), base.footprint.ExactOn(baseCfg, shortCfg))
+		}
+		twin := familyRun(fitCfg, ops)
 		if !reflect.DeepEqual(twin, base) {
-			t.Errorf("base with a %d-line L2, twin with a %d-line L2: %d evictions, stats %+v; want the base's run, %+v",
-				l2, base.lines, twin.evictions, twin.stats, base.stats)
+			t.Errorf("base with a %d-line L2, twin with a 6-line L2: footprint %+v, stats %+v; want the base's run, %+v",
+				l2, twin.footprint, twin.stats, base.stats)
 		}
-		short := familyRun(clusters, l1, base.lines-1, ops)
-		if short.evictions == 0 {
-			t.Errorf("base with a %d-line L2: twin with a %d-line L2 did not evict", l2, base.lines-1)
+		short := familyRun(shortCfg, ops)
+		if short.footprint.Evictions == 0 {
+			t.Errorf("base with a %d-line L2: twin with a 5-line L2 did not evict", l2)
 		}
 		if short.stats == base.stats {
-			t.Errorf("base with a %d-line L2: twin with a %d-line L2 ran like the base (%+v); the bound is not shown tight",
-				l2, base.lines-1, base.stats)
+			t.Errorf("base with a %d-line L2: twin with a 5-line L2 ran like the base (%+v); the bound is not shown tight",
+				l2, base.stats)
 		}
 	}
 }
@@ -291,9 +309,10 @@ func TestCacheFamilyL2BoundIsTight(t *testing.T) {
 // before, with no remote owner. With an L2 that is an L2 hit; without one,
 // a second memory fetch, and the write completes 200 cycles later. When
 // the writer is one of the two sharers, its upgrade also fills a second
-// copy of the line, which Evictions counts; when a third cluster writes,
-// the refetch is all there is to count, and a twin on the same side of
-// the line (a larger L1, a smaller L2) still runs identically.
+// copy of the line, which Footprint counts as an eviction; when a third
+// cluster writes, the refetch is all there is to count, ExactOn refuses
+// only the twin across the line, and a twin on the same side of the line
+// (a larger L1, a smaller L2) still runs identically.
 func TestCacheFamilyRefetchIsNotCertified(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -307,12 +326,18 @@ func TestCacheFamilyRefetchIsNotCertified(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ops := []familyOp{{gap: 1, cluster: 0}, {gap: 5, cluster: 1}, {gap: 5, cluster: tc.writer, write: true}}
 			for _, l2 := range []int{4, 0} {
-				base := familyRun(tc.clusters, 1, l2, ops)
-				if base.evictions != tc.evictions || base.refetches != 1 {
+				baseCfg := familyConfig(tc.clusters, 1, l2)
+				base := familyRun(baseCfg, ops)
+				fp := base.footprint
+				if fp.Evictions != tc.evictions || fp.Refetches != 1 {
 					t.Errorf("base with a %d-line L2: %d evictions, %d refetches; want %d and 1",
-						l2, base.evictions, base.refetches, tc.evictions)
+						l2, fp.Evictions, fp.Refetches, tc.evictions)
 				}
-				across := familyRun(tc.clusters, 1, 4-l2, ops)
+				acrossCfg, sameCfg := familyConfig(tc.clusters, 1, 4-l2), familyConfig(tc.clusters, 2, min(l2, 1))
+				if fp.ExactOn(baseCfg, acrossCfg) {
+					t.Errorf("base with a %d-line L2: ExactOn passed the run to a twin across the L2 line", l2)
+				}
+				across := familyRun(acrossCfg, ops)
 				if reflect.DeepEqual(base.events, across.events) || base.stats == across.stats {
 					t.Errorf("base with a %d-line L2 and its twin with %d lines ran alike (%+v); the refetch rule may be obsolete",
 						l2, 4-l2, base.stats)
@@ -320,7 +345,11 @@ func TestCacheFamilyRefetchIsNotCertified(t *testing.T) {
 				if tc.evictions != 0 {
 					continue
 				}
-				same := familyRun(tc.clusters, 2, min(l2, 1), ops)
+				if !fp.ExactOn(baseCfg, sameCfg) {
+					t.Errorf("base with a %d-line L2: ExactOn refused the run to a twin on the same side (2 KB L1, %d-line L2)",
+						l2, min(l2, 1))
+				}
+				same := familyRun(sameCfg, ops)
 				if same.stats != base.stats || !reflect.DeepEqual(same.events, base.events) {
 					t.Errorf("base with a %d-line L2 and its twin on the same side (2 KB L1, %d-line L2) ran differently: %+v vs %+v",
 						l2, min(l2, 1), base.stats, same.stats)
@@ -337,20 +366,99 @@ func TestCacheFamilyRefetchIsNotCertified(t *testing.T) {
 // write invalidated it, ahead of the stale shared copy; a 2 KB L1 maps
 // line 2 to another set, so the copy lands behind it. The next write hits
 // on one machine and misses on the other, although neither displaced a
-// valid line. (This is the counterexample the fuzz target found first
-// when only displacements were counted; its fourth byte now reads R, not
-// z, which decodes to the same trace with a twin still without an L2.)
+// valid line, so ExactOn must refuse the copy. (This is the counterexample
+// the fuzz target found first when only displacements were counted; its
+// fourth byte now reads R, not z, which decodes to the same trace with a
+// twin still without an L2.)
 func TestCacheFamilyUpgradeCopyIsNotCertified(t *testing.T) {
 	clusters, l1, twinL1, l2, twinL2, ops := decodeFamily([]byte("120R121000$27070"))
 	if clusters != 2 || l1 != 1 || twinL1 != 2 || l2 != 0 || twinL2 != 0 {
 		t.Fatalf("decoded family changed: %d clusters, L1 %d/%d KB, L2 %d/%d lines", clusters, l1, twinL1, l2, twinL2)
 	}
-	base := familyRun(clusters, l1, l2, ops)
-	twin := familyRun(clusters, twinL1, twinL2, ops)
+	baseCfg, twinCfg := familyConfig(clusters, l1, l2), familyConfig(clusters, twinL1, twinL2)
+	base := familyRun(baseCfg, ops)
+	twin := familyRun(twinCfg, ops)
 	if base.stats == twin.stats {
 		t.Fatalf("the upgrade trace no longer diverges (%+v); the duplicate-fill rule may be obsolete", base.stats)
 	}
-	if base.evictions == 0 {
-		t.Errorf("base reports no evictions, yet its twin runs differently: %+v vs %+v", base.stats, twin.stats)
+	if base.footprint.ExactOn(baseCfg, twinCfg) {
+		t.Errorf("ExactOn passed the base's run (%+v), yet its twin runs differently: %+v vs %+v",
+			base.footprint, base.stats, twin.stats)
+	}
+}
+
+// baselineCache is the hierarchy of the paper's baseline machine (Table
+// 1) with the given L1 and L2 sizes.
+func baselineCache(l1KB, l2MB int) Config {
+	return Config{Clusters: 1, L1KB: l1KB, LineBytes: 128, L1Assoc: 4, L1Lat: 3, L1Ports: 4,
+		L2MB: l2MB, L2Lat: 20, MemLat: 200}
+}
+
+// TestExactOn pins the footprint half of the rule at its edges, on the
+// baseline machine with a 1 MB L2 and without one. Toward a twin with an
+// L2, a run whose lines fill it exactly is copied, one line more is not;
+// toward a twin without one there is no bound. A refetch is an L2 hit on
+// both sides or a second memory fetch on both, but not across the L2
+// line. An eviction is never copied. No sweep reaches the line bound: the
+// smallest L2 holds 8192 lines, far more than a tiny workload touches.
+func TestExactOn(t *testing.T) {
+	withL2, without := baselineCache(32, 1), baselineCache(32, 0)
+	capacity := withL2.l2Lines()
+	if capacity != 8192 {
+		t.Fatalf("a 1 MB L2 holds %d lines, want 8192", capacity)
+	}
+	for _, tc := range []struct {
+		base, twin Config
+		fp         Footprint
+		want       bool
+	}{
+		{withL2, withL2, Footprint{Lines: 5}, true},
+		{withL2, withL2, Footprint{Lines: capacity}, true},
+		{withL2, withL2, Footprint{Lines: capacity + 1}, false},
+		{withL2, withL2, Footprint{Lines: 5, Evictions: 1}, false},
+		{withL2, withL2, Footprint{Lines: 5, Refetches: 1}, true},
+		{without, without, Footprint{Lines: capacity + 1, Refetches: 1}, true},
+		{without, without, Footprint{Lines: 5, Evictions: 1}, false},
+		{without, withL2, Footprint{Lines: capacity}, true},
+		{without, withL2, Footprint{Lines: capacity + 1}, false},
+		{without, withL2, Footprint{Lines: 5, Refetches: 1}, false},
+		{withL2, without, Footprint{Lines: capacity + 1}, true},
+		{withL2, without, Footprint{Lines: 5, Refetches: 1}, false},
+	} {
+		if got := tc.fp.ExactOn(tc.base, tc.twin); got != tc.want {
+			t.Errorf("%+v.ExactOn(L2 %d MB, L2 %d MB) = %v, want %v", tc.fp, tc.base.L2MB, tc.twin.L2MB, got, tc.want)
+		}
+	}
+}
+
+// TestCacheTwin pins the configuration half of the rule, for a run that
+// evicted, refetched and fetched nothing: the same hierarchy but for the
+// cache sizes, and the L1 a whole multiple. The L2 may be smaller or
+// missing on either side.
+func TestCacheTwin(t *testing.T) {
+	otherAssoc := baselineCache(16, 1)
+	otherAssoc.L1Assoc = 8
+	otherClusters := baselineCache(16, 1)
+	otherClusters.Clusters = 4
+	for _, tc := range []struct {
+		base, twin Config
+		want       bool
+	}{
+		{baselineCache(8, 1), baselineCache(8, 1), true},
+		{baselineCache(8, 1), baselineCache(32, 4), true},
+		{baselineCache(8, 0), baselineCache(16, 0), true},
+		{baselineCache(16, 1), baselineCache(8, 1), false},  // smaller L1
+		{baselineCache(16, 1), baselineCache(24, 1), false}, // not a multiple
+		{baselineCache(8, 2), baselineCache(16, 1), true},   // smaller L2
+		{baselineCache(8, 4), baselineCache(8, 1), true},    // smaller L2, same L1
+		{baselineCache(8, 0), baselineCache(8, 1), true},    // an L2 on the twin only
+		{baselineCache(8, 1), baselineCache(16, 0), true},   // an L2 on the base only
+		{baselineCache(16, 0), baselineCache(8, 1), false},  // smaller L1, across the L2 line
+		{baselineCache(8, 1), otherAssoc, false},            // another field differs
+		{baselineCache(8, 1), otherClusters, false},         // another field differs
+	} {
+		if got := (Footprint{}).ExactOn(tc.base, tc.twin); got != tc.want {
+			t.Errorf("ExactOn(%+v, %+v) = %v, want %v", tc.base, tc.twin, got, tc.want)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"wavescalar/internal/cache"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
@@ -34,8 +35,8 @@ func RunOnceContext(ctx context.Context, cfg sim.Config, inst *workload.Instance
 }
 
 // runOnce is RunOnceContext that also returns the processor, whose cache
-// evictions, refetches and line footprint (sim.Processor.CacheEvictions,
-// CacheRefetches, CacheL2Lines) say which cache twins the run is exact on.
+// footprint (sim.Processor.CacheFootprint) says which cache twins the run
+// is exact on.
 func runOnce(ctx context.Context, cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, *sim.Processor, error) {
 	proc, err := sim.New(cfg, inst.Prog, inst.Params(threads), sim.Memory(inst.Mem))
 	if err != nil {
@@ -117,18 +118,10 @@ type ThreadRun struct {
 	AIPC    float64
 	Cycles  uint64
 	Traffic uint64
-	// Evicted reports that the run displaced or duplicated a cache line
-	// (cache.System.Evictions). A run that did not is, event for event,
-	// the run every cache twin of its configuration would make whose L2
-	// holds L2Lines lines (an L1 a multiple of this one's, an L2 that may
-	// be smaller; see the explore package), so a sweep copies it instead
-	// of simulating the twin. That holds across the L2 line, from a
-	// configuration with an L2 to one without or back, only if the run did
-	// not refetch a line either (Refetched; cache.System.Refetches).
-	Evicted, Refetched bool
-	// L2Lines is how many lines the run's directory tracked at the end
-	// (cache.System.L2Lines); without an eviction, every line it fetched.
-	L2Lines int
+	// Cache is the run's data-memory footprint: a sweep copies the run to
+	// every cache twin it is exact on (cache.Footprint.ExactOn) instead of
+	// simulating the twin.
+	Cache cache.Footprint
 }
 
 // BestThreadsContext runs the instance at each thread count and returns
@@ -144,11 +137,10 @@ func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Inst
 // BestThreadsReusing is BestThreadsContext with runs already known: for
 // each thread count, reuse (when non-nil) may return a run that stands in
 // for simulating that count on cfg. The caller vouches that it is exact —
-// the explore engine passes eviction-free runs of configurations cfg is a
-// cache twin of, whose line footprint cfg's L2 holds if cfg has one, and
-// which refetched nothing if only one of the two has an L2 — and the
-// search treats it exactly as a simulated run, so the result is the one
-// BestThreadsContext would return, except that Sims does not count it.
+// the explore engine passes runs whose footprint is exact on cfg
+// (cache.Footprint.ExactOn) — and the search treats it exactly as a
+// simulated run, so the result is the one BestThreadsContext would
+// return, except that Sims does not count it.
 func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Instance, counts []int,
 	reuse func(threads int) (ThreadRun, bool)) (BestRun, error) {
 	var best BestRun
@@ -176,7 +168,7 @@ func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Inst
 			}
 			best.Sims++
 			run = ThreadRun{Threads: n, AIPC: st.AIPC(), Cycles: st.Cycles, Traffic: st.TrafficTotal(),
-				Evicted: proc.CacheEvictions() > 0, Refetched: proc.CacheRefetches() > 0, L2Lines: proc.CacheL2Lines()}
+				Cache: proc.CacheFootprint()}
 		}
 		best.Runs = append(best.Runs, run)
 		best.SimCycles += run.Cycles

@@ -28,32 +28,24 @@
 //
 // # Cache-family reuse
 //
-// The L1 and L2 sizes reach the simulator only as the L1 set count and the
-// L2 capacity, and the cache reads either only when a fill evicts; a line
-// leaves the L2 only by such an eviction, and a first fetch costs the
-// same with an L2 or without. A cell on a point P therefore waits for the
-// cells of the same workload on every point before P, in its cache
-// family's ascending (L1, L2) order, that P is a cache twin of
-// (cacheTwin): the same configuration but for Arch.L1KB and Arch.L2MB,
-// with an L1 whose size divides P's and any L2 or none. For each thread
-// count the cell copies a run of one of those cells that this sweep
-// simulated, if the run is exact on P (exactOn). Only the rest is
-// simulated. Ready cells go to the workers in point-major order, so where
-// no cell waits the schedule is that of a sweep without reuse.
+// A cache family is the points of a sweep equal in every field but
+// Arch.L1KB and Arch.L2MB (cacheFamilies), in ascending (L1, L2) order,
+// and a sweep runs each family as a chain: a cell on a point waits for
+// the cell of the same workload on its family's previous point, and so
+// for every earlier member. For each thread count the cell copies a run
+// this sweep simulated on an earlier member, scanned in family order, if
+// the run's cache footprint is exact on the cell's configuration
+// (cache.Footprint.ExactOn, which states the rule and why it holds). Only
+// the rest is simulated. Ready cells go to the workers in point-major
+// order, so where no cell waits the schedule is that of a sweep without
+// reuse. Every Viable L1 is 8, 16 or 32 KB, so each member's L1 is a
+// multiple of every earlier member's, and the chain waits for no cell a
+// copy could not come from; with other L1 sizes it may wait for more.
 //
-// The certificate comes from internal/cache: Evictions, a count kept
-// outside its Stats so no digest moves, of fills that displaced or
-// duplicated a line; and Refetches, read off the L2 counters, of requests
-// for a line the directory had served before with no remote owner, which
-// hit in an L2 and go to memory again without one. A run with no eviction, whose
-// directory ended tracking N lines, makes the identical sequence of events
-// on every twin on its side of the L2 line whose L2, if any, holds N
-// lines; with no refetch either, on such a twin across the line too.
-// FuzzCacheFamily checks that in internal/cache, and
-// TestSweepReuseMatchesDirect checks reused cells against direct runs.
 // Cache hits carry no per-count runs and never serve as bases. A copied
 // cell is byte-identical to a simulated one, so keys, journal records and
 // results do not change; only Progress.Reused tells them apart.
+// TestSweepReuseMatchesDirect checks reused cells against direct runs.
 package explore
 
 import (
@@ -355,26 +347,37 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		}
 	}
 
-	// Every cell is one task. A cell waits for the cells of the same
-	// workload on the points it is a cache twin of (twinGraph): those may
-	// offer it runs to copy. Ready cells go to the first free worker in
-	// point-major order (cellQueue).
-	// Cells this sweep simulated (in full or in part) become bases for
-	// their successors; cache hits do not, as they carry no per-count runs.
-	g := twinGraph(configs)
+	// Every cell is one task. A cell waits for the cell of the same
+	// workload on its cache family's previous point; the earlier members'
+	// runs may be copied (see the package doc). Ready cells go to the
+	// first free worker in point-major order (cellQueue). Cells this
+	// sweep simulated (in full or in part) become bases for the later
+	// members; cache hits do not, as they carry no per-count runs.
+	earlier := make([][]int, len(points))
+	succ := make([]int, len(points))
+	for _, family := range cacheFamilies(configs) {
+		for i, pi := range family {
+			earlier[pi], succ[pi] = family[:i], -1
+			if i+1 < len(family) {
+				succ[pi] = family[i+1]
+			}
+		}
+	}
 	bases := make([][][]design.ThreadRun, len(points))
 	for pi := range bases {
-		if len(g.succs[pi]) > 0 {
+		if succ[pi] >= 0 {
 			bases[pi] = make([][]design.ThreadRun, len(apps))
 		}
 	}
 	runCell := func(pi, ai int) {
 		var reuse func(int) (design.ThreadRun, bool)
-		if len(g.preds[pi]) > 0 {
+		if len(earlier[pi]) > 0 {
+			twin := configs[pi].CacheConfig()
 			reuse = func(n int) (design.ThreadRun, bool) {
-				for _, bi := range g.preds[pi] {
+				for _, bi := range earlier[pi] {
+					base := configs[bi].CacheConfig()
 					for _, r := range bases[bi][ai] {
-						if r.Threads == n && exactOn(r, configs[bi], configs[pi]) {
+						if r.Threads == n && r.Cache.ExactOn(base, twin) {
 							return r, true
 						}
 					}
@@ -393,7 +396,7 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		account(cell, br.Dropped, src, jerr)
 	}
 
-	q := newCellQueue(g, len(apps))
+	q := newCellQueue(succ, len(apps))
 	var wg sync.WaitGroup
 	for w := 0; w < e.parallelism; w++ {
 		wg.Add(1)
@@ -424,54 +427,30 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	return results, nil
 }
 
-// twinDAG says which cells of a sweep wait for which: preds[pi] lists the
-// points before pi in its cache family's ascending (L1, L2) order that pi
-// is a cache twin of, and succs[pi] the points that list pi.
-type twinDAG struct {
-	preds, succs [][]int
+// cellQueue hands a sweep's cells to its workers. Each cell waits for at
+// most one other, the same workload's on the point before it in its
+// cache family's chain; ready cells leave in point-major order: where no
+// cell waits, the order of a sweep without reuse.
+type cellQueue struct {
+	mu    sync.Mutex
+	cond  sync.Cond
+	succ  []int // per point: the point whose cells wait for its cells, or -1
+	apps  int
+	ready readyCells
+	left  int // cells not yet done
 }
 
-// twinGraph builds the twinDAG of configs over their cache families.
-func twinGraph(configs []sim.Config) twinDAG {
-	g := twinDAG{preds: make([][]int, len(configs)), succs: make([][]int, len(configs))}
-	for _, family := range cacheFamilies(configs) {
-		for i, pi := range family {
-			for _, bi := range family[:i] {
-				if cacheTwin(configs[bi], configs[pi]) {
-					g.preds[pi] = append(g.preds[pi], bi)
-					g.succs[bi] = append(g.succs[bi], pi)
-				}
-			}
+func newCellQueue(succ []int, apps int) *cellQueue {
+	q := &cellQueue{succ: succ, apps: apps, left: len(succ) * apps}
+	q.cond.L = &q.mu
+	waits := make([]bool, len(succ))
+	for _, si := range succ {
+		if si >= 0 {
+			waits[si] = true
 		}
 	}
-	return g
-}
-
-// cellQueue hands a sweep's cells to its workers. A cell is ready once
-// every cell it waits for is done, and ready cells leave in point-major
-// order: where no cell waits, the order of a sweep without reuse.
-type cellQueue struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	g       twinDAG
-	apps    int
-	waiting [][]int // per point and workload: predecessors not yet done
-	ready   readyCells
-	left    int // cells not yet done
-}
-
-func newCellQueue(g twinDAG, apps int) *cellQueue {
-	q := &cellQueue{g: g, apps: apps, waiting: make([][]int, len(g.preds)), left: len(g.preds) * apps}
-	q.cond.L = &q.mu
-	for pi, preds := range g.preds {
-		if len(preds) > 0 {
-			q.waiting[pi] = make([]int, apps)
-			for ai := range q.waiting[pi] {
-				q.waiting[pi][ai] = len(preds)
-			}
-			continue
-		}
-		for ai := 0; ai < apps; ai++ {
+	for pi := range succ {
+		for ai := 0; !waits[pi] && ai < apps; ai++ {
 			q.ready = append(q.ready, pi*apps+ai)
 		}
 	}
@@ -495,15 +474,13 @@ func (q *cellQueue) next(ctx context.Context) (pi, ai int, ok bool) {
 }
 
 // done marks a cell finished (or abandoned on cancellation) and releases
-// the cells that no longer wait for anything.
+// the cell that waits for it.
 func (q *cellQueue) done(pi, ai int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.left--
-	for _, si := range q.g.succs[pi] {
-		if q.waiting[si][ai]--; q.waiting[si][ai] == 0 {
-			heap.Push(&q.ready, si*q.apps+ai)
-		}
+	if si := q.succ[pi]; si >= 0 {
+		heap.Push(&q.ready, si*q.apps+ai)
 	}
 	q.cond.Broadcast()
 }
@@ -549,32 +526,6 @@ func cacheFamilies(configs []sim.Config) [][]int {
 		})
 	}
 	return families
-}
-
-// cacheTwin reports whether an eviction-free run on base is exact on twin
-// whenever exactOn passes it. The configurations must be equal in every
-// field but the L1 and L2 sizes, and twin's L1 must be a whole multiple
-// of base's. The simulator reads the two sizes only as the L1 set count
-// and the L2 capacity, and only when a fill evicts: an L1 with k times
-// base's sets splits each of base's sets among k of its own, so it never
-// needs to evict either, and an L2 that holds the run's footprint is never
-// full when a line is installed (FuzzCacheFamily in internal/cache checks
-// this).
-func cacheTwin(base, twin sim.Config) bool {
-	l1, twinL1 := base.Arch.L1KB, twin.Arch.L1KB
-	base.Arch.L1KB, base.Arch.L2MB = 0, 0
-	twin.Arch.L1KB, twin.Arch.L2MB = 0, 0
-	return l1 > 0 && twinL1%l1 == 0 && base == twin
-}
-
-// exactOn reports whether a run on base is exact on twin, a cache twin of
-// base: it evicted nothing, refetched nothing if only one of the two has
-// an L2, and fetched no more lines than twin's L2 holds, if twin has one.
-func exactOn(r design.ThreadRun, base, twin sim.Config) bool {
-	if r.Evicted || r.Refetched && (base.Arch.L2MB == 0) != (twin.Arch.L2MB == 0) {
-		return false
-	}
-	return twin.Arch.L2MB == 0 || r.L2Lines <= twin.L2Lines()
 }
 
 // cellSource says where evalCell's answer came from.

@@ -33,7 +33,9 @@ func directCell(cfg sim.Config, w workload.Workload, sc workload.Scale, counts [
 // checks every cell, the ones copied from a cache twin among them, field
 // by field against a direct best-thread search on its own configuration,
 // with and without a memory drop/delay fault script; and a thinned sweep
-// cell by cell against RunOne (subsampleReuseMatchesRunOne).
+// cell by cell against RunOne (subsampleReuseMatchesRunOne). Each sweep's
+// reuse count is pinned exactly: a cell must copy every thread count that
+// some earlier member of its cache family has an exact run for.
 func TestSweepReuseMatchesDirect(t *testing.T) {
 	points := design.Viable()
 	memFaults := &fault.Script{Seed: 31, MemDropRate: 0.02, MemDelayRate: 0.05}
@@ -42,11 +44,12 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 		apps   []string
 		counts []int
 		fault  *fault.Script
+		reused int
 	}{
-		{"mcf+djpeg", []string{"mcf", "djpeg"}, []int{1}, nil},
-		{"fft", []string{"fft"}, []int{1, 4}, nil},
-		{"mcf+djpeg/mem-faults", []string{"mcf", "djpeg"}, []int{1}, memFaults},
-		{"fft/mem-faults", []string{"fft"}, []int{1, 4}, memFaults},
+		{"mcf+djpeg", []string{"mcf", "djpeg"}, []int{1}, nil, 114},
+		{"fft", []string{"fft"}, []int{1, 4}, nil, 58},
+		{"mcf+djpeg/mem-faults", []string{"mcf", "djpeg"}, []int{1}, memFaults, 114},
+		{"fft/mem-faults", []string{"fft"}, []int{1, 4}, memFaults, 58},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,13 +64,9 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := exp.LastProgress()
-			if p.Reused == 0 {
-				t.Fatalf("no cell was reused: %+v", p)
+			if p.Simulated != len(points)*len(apps) || p.Reused != tc.reused {
+				t.Fatalf("%d cells produced of which %d reused; want %d of %d", p.Simulated, p.Reused, tc.reused, len(points)*len(apps))
 			}
-			if p.Simulated != len(points)*len(apps) {
-				t.Fatalf("%d cells produced, want %d", p.Simulated, len(points)*len(apps))
-			}
-			t.Logf("%d of %d cells reused", p.Reused, p.Simulated)
 			type cellCase struct {
 				cfg sim.Config
 				w   workload.Workload
@@ -101,8 +100,8 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 			wg.Wait()
 		})
 	}
-	t.Run("spec2000/subsample-16", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 16, 38) })
-	t.Run("spec2000/subsample-20", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 20, 49) })
+	t.Run("spec2000/subsample-16", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 16, 49) })
+	t.Run("spec2000/subsample-20", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 20, 71) })
 }
 
 // subsampleReuseMatchesRunOne sweeps a thinned sample, the points
@@ -112,10 +111,9 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 // sample mixes L2:0MB points with their twins that have an L2, so some of
 // it copies a run across that line. Every cell, the reused ones among
 // them, must encode to the same journal record as RunOne's on a fresh
-// explorer, and more cells must be reused than sameSide, the count when
-// no run was copied across the L2 line (38 of 96 cells at 16 points, 49
-// of 120 at 20).
-func subsampleReuseMatchesRunOne(t *testing.T, maxPoints, sameSide int) {
+// explorer, and exactly `reused` cells must be copied, no more and no
+// fewer (49 of 96 cells at 16 points, 71 of 120 at 20).
+func subsampleReuseMatchesRunOne(t *testing.T, maxPoints, reused int) {
 	points := design.Subsample(design.Viable(), maxPoints)
 	apps := workload.BySuite(workload.Spec)
 	counts := []int{1}
@@ -128,11 +126,10 @@ func subsampleReuseMatchesRunOne(t *testing.T, maxPoints, sameSide int) {
 		t.Fatal(err)
 	}
 	p := exp.LastProgress()
-	if p.Simulated != len(points)*len(apps) || p.Reused <= sameSide {
-		t.Fatalf("%d cells produced of which %d reused; want %d, more than %d reused",
-			p.Simulated, p.Reused, len(points)*len(apps), sameSide)
+	if p.Simulated != len(points)*len(apps) || p.Reused != reused {
+		t.Fatalf("%d cells produced of which %d reused; want %d of %d",
+			p.Simulated, p.Reused, reused, len(points)*len(apps))
 	}
-	t.Logf("%d of %d cells reused", p.Reused, p.Simulated)
 	direct, err := New(WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +178,7 @@ func TestSweepResimulatesEvictingBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !br.Runs[0].Evicted {
+	if br.Runs[0].Cache.Evictions == 0 {
 		t.Fatal("mcf at small scale no longer evicts on an 8 KB L1; pick another negative case")
 	}
 	exp, err := New(WithParallelism(2), WithScale(workload.Small))
@@ -242,51 +239,61 @@ func TestReuseNeedsALocalBase(t *testing.T) {
 	}
 }
 
-// TestCacheFamilies pins the grouping and the walk order: families split
+// TestCacheFamilies pins the grouping and the chain order: families split
 // by everything but the cache sizes, with an L2 or without, in the order
-// of their first point, members by ascending (L1, L2), no L2 first.
+// of their first point, members by ascending (L1, L2), no L2 first. A
+// point that differs in a field outside the cache (K here, or the cluster
+// count) is in another family, so no run is copied to it.
 func TestCacheFamilies(t *testing.T) {
 	arch := func(clusters, l1, l2 int) sim.Config {
 		a := sim.BaselineArch()
 		a.Clusters, a.L1KB, a.L2MB = clusters, l1, l2
 		return sim.Baseline(a)
 	}
-	configs := []sim.Config{arch(1, 32, 1), arch(4, 8, 0), arch(1, 8, 4), arch(1, 8, 1), arch(4, 16, 0), arch(1, 16, 0), arch(1, 8, 0)}
+	otherK := arch(1, 16, 1)
+	otherK.K = 8
+	configs := []sim.Config{arch(1, 32, 1), arch(4, 8, 0), arch(1, 8, 4), arch(1, 8, 1), arch(4, 16, 0), arch(1, 16, 0), arch(1, 8, 0), otherK}
 	got := cacheFamilies(configs)
-	want := [][]int{{6, 3, 2, 5, 0}, {1, 4}}
+	want := [][]int{{6, 3, 2, 5, 0}, {1, 4}, {7}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("cacheFamilies = %v, want %v", got, want)
 	}
 }
 
-// TestTwinGraph pins which cells wait for which: within a family, a
-// member waits for every earlier member whose L1 divides its own, whatever
-// their L2 sizes (16KB/2MB → 32KB/1MB is a link), and with an L2 or
-// without (8KB/0MB → 8KB/1MB and 16KB/2MB → 32KB/0MB are links).
-func TestTwinGraph(t *testing.T) {
-	arch := func(l1, l2 int) sim.Config {
-		a := sim.BaselineArch()
-		a.L1KB, a.L2MB = l1, l2
-		return sim.Baseline(a)
+// TestViableFamiliesAreChains pins the premise of the sweep's schedule:
+// in every cache family of the viable points, each member's L1 is a
+// multiple of every earlier member's (all are 8, 16 or 32 KB). So a cell
+// that waits for its family predecessor, and through it for every earlier
+// member, waits only for cells whose runs it could copy, and becomes
+// ready when the last of them is done.
+func TestViableFamiliesAreChains(t *testing.T) {
+	var configs []sim.Config
+	for _, pt := range design.Viable() {
+		configs = append(configs, sim.Baseline(pt.Arch))
 	}
-	configs := []sim.Config{arch(32, 1), arch(8, 1), arch(16, 2), arch(24, 1), arch(8, 0), arch(32, 0)}
-	g := twinGraph(configs)
-	wantPreds := [][]int{{4, 1, 2, 5}, {4}, {4, 1}, {4, 1}, nil, {4, 1, 2}}
-	wantSuccs := [][]int{nil, {2, 3, 5, 0}, {5, 0}, nil, {1, 2, 3, 5, 0}, {0}}
-	if !reflect.DeepEqual(g.preds, wantPreds) || !reflect.DeepEqual(g.succs, wantSuccs) {
-		t.Errorf("twinGraph = %+v, want preds %v succs %v", g, wantPreds, wantSuccs)
+	families := cacheFamilies(configs)
+	long := 0
+	for _, family := range families {
+		for i, pi := range family {
+			for _, bi := range family[:i] {
+				if l1, twinL1 := configs[bi].Arch.L1KB, configs[pi].Arch.L1KB; twinL1%l1 != 0 {
+					t.Errorf("%s follows %s in its family, but its L1 is not a multiple", configs[pi].Arch, configs[bi].Arch)
+				}
+			}
+		}
+		if len(family) > 1 {
+			long++
+		}
+	}
+	if long == 0 {
+		t.Fatalf("no viable cache family has two members (%d families of %d points)", len(families), len(configs))
 	}
 }
 
 // TestCellQueueOrder pins the order cells leave the queue in: point-major
-// among the ready ones, a waiting cell once every cell it waits for is
-// done.
+// among the ready ones, a waiting cell once the cell it waits for is done.
 func TestCellQueueOrder(t *testing.T) {
-	g := twinDAG{
-		preds: [][]int{nil, nil, {0}, nil},
-		succs: [][]int{{2}, nil, nil, nil},
-	}
-	q := newCellQueue(g, 2)
+	q := newCellQueue([]int{2, -1, -1, -1}, 2)
 	ctx := context.Background()
 	var got [][2]int
 	take := func() {
@@ -313,84 +320,6 @@ func TestCellQueueOrder(t *testing.T) {
 	}
 	if _, _, ok := q.next(ctx); ok {
 		t.Error("queue handed out a cell after every cell was done")
-	}
-}
-
-// TestExactOn pins the per-run half of the reuse rule at its edges, on
-// the baseline machine with a 1 MB L2 and without one. Toward a twin with
-// an L2, a run whose footprint fills it exactly is copied, one line more
-// is not; toward a twin without one there is no bound. A refetch is an L2
-// hit on both sides or a second memory fetch on both, but not across the
-// L2 line. An eviction is never copied. No sweep test reaches the
-// footprint bound: the smallest L2 holds 8192 lines, far more than a tiny
-// workload touches.
-func TestExactOn(t *testing.T) {
-	cfg := func(l2 int) sim.Config {
-		a := sim.BaselineArch()
-		a.L2MB = l2
-		return sim.Baseline(a)
-	}
-	withL2, without := cfg(1), cfg(0)
-	capacity := withL2.L2Lines()
-	if capacity != 8192 {
-		t.Fatalf("a 1 MB L2 holds %d lines, want 8192", capacity)
-	}
-	for _, tc := range []struct {
-		base, twin sim.Config
-		run        design.ThreadRun
-		want       bool
-	}{
-		{withL2, withL2, design.ThreadRun{L2Lines: 5}, true},
-		{withL2, withL2, design.ThreadRun{L2Lines: capacity}, true},
-		{withL2, withL2, design.ThreadRun{L2Lines: capacity + 1}, false},
-		{withL2, withL2, design.ThreadRun{L2Lines: 5, Evicted: true}, false},
-		{withL2, withL2, design.ThreadRun{L2Lines: 5, Refetched: true}, true},
-		{without, without, design.ThreadRun{L2Lines: capacity + 1, Refetched: true}, true},
-		{without, without, design.ThreadRun{L2Lines: 5, Evicted: true}, false},
-		{without, withL2, design.ThreadRun{L2Lines: capacity}, true},
-		{without, withL2, design.ThreadRun{L2Lines: capacity + 1}, false},
-		{without, withL2, design.ThreadRun{L2Lines: 5, Refetched: true}, false},
-		{withL2, without, design.ThreadRun{L2Lines: capacity + 1}, true},
-		{withL2, without, design.ThreadRun{L2Lines: 5, Refetched: true}, false},
-	} {
-		if got := exactOn(tc.run, tc.base, tc.twin); got != tc.want {
-			t.Errorf("exactOn(%+v, %s, %s) = %v, want %v", tc.run, tc.base.Arch, tc.twin.Arch, got, tc.want)
-		}
-	}
-}
-
-// TestCacheTwin pins the twin rule: same configuration but for the
-// cache sizes, and the L1 a whole multiple. The L2 may be smaller or
-// missing on either side: whether a run fits it, and whether it refetched
-// across the L2 line, is the sweep's per-run check (exactOn).
-func TestCacheTwin(t *testing.T) {
-	cfg := func(l1, l2 int) sim.Config {
-		a := sim.BaselineArch()
-		a.L1KB, a.L2MB = l1, l2
-		return sim.Baseline(a)
-	}
-	otherK := cfg(16, 1)
-	otherK.K = 8
-	cases := []struct {
-		base, twin sim.Config
-		want       bool
-	}{
-		{cfg(8, 1), cfg(8, 1), true},
-		{cfg(8, 1), cfg(32, 4), true},
-		{cfg(8, 0), cfg(16, 0), true},
-		{cfg(16, 1), cfg(8, 1), false},  // smaller L1
-		{cfg(16, 1), cfg(24, 1), false}, // not a multiple
-		{cfg(8, 2), cfg(16, 1), true},   // smaller L2
-		{cfg(8, 4), cfg(8, 1), true},    // smaller L2, same L1
-		{cfg(8, 0), cfg(8, 1), true},    // an L2 on the twin only
-		{cfg(8, 1), cfg(16, 0), true},   // an L2 on the base only
-		{cfg(16, 0), cfg(8, 1), false},  // smaller L1, across the L2 line
-		{cfg(8, 1), otherK, false},      // another field differs
-	}
-	for _, tc := range cases {
-		if got := cacheTwin(tc.base, tc.twin); got != tc.want {
-			t.Errorf("cacheTwin(%s, %s K=%d) = %v, want %v", tc.base.Arch, tc.twin.Arch, tc.twin.K, got, tc.want)
-		}
 	}
 }
 

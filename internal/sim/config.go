@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"wavescalar/internal/area"
+	"wavescalar/internal/cache"
 	"wavescalar/internal/fault"
 	"wavescalar/internal/match"
 	"wavescalar/internal/place"
@@ -129,8 +130,15 @@ func BaselineArch() area.Params {
 // lineBytes is the data-cache line size, the paper's 128 bytes.
 const lineBytes = 128
 
-// L2Lines is the L2's capacity in cache lines (0 without an L2).
-func (c Config) L2Lines() int { return c.Arch.L2MB << 20 / lineBytes }
+// CacheConfig is the data-memory hierarchy the processor builds for c:
+// 128-byte lines and a 4-way L1.
+func (c Config) CacheConfig() cache.Config {
+	return cache.Config{
+		Clusters: c.Arch.Clusters, L1KB: c.Arch.L1KB, LineBytes: lineBytes, L1Assoc: 4,
+		L1Lat: c.L1Lat, L1Ports: c.L1Ports, L2MB: c.Arch.L2MB,
+		L2Lat: c.L2Lat, MemLat: c.MemLat, Trace: c.Trace,
+	}
+}
 
 // maxMatchBanks bounds MatchBanks: a matching table stamps its banks in a
 // fixed array in its header (match.MaxBanks).

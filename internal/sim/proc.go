@@ -223,11 +223,7 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 	if inj != nil {
 		p.grid.SetFaults(inj.LinkFlip, inj.LinkRetryCycles())
 	}
-	p.cacheSys = cache.New(cache.Config{
-		Clusters: arch.Clusters, L1KB: arch.L1KB, LineBytes: lineBytes, L1Assoc: 4,
-		L1Lat: cfg.L1Lat, L1Ports: cfg.L1Ports, L2MB: arch.L2MB,
-		L2Lat: cfg.L2Lat, MemLat: cfg.MemLat, Trace: cfg.Trace,
-	}, p.cacheDone, p.cacheSend)
+	p.cacheSys = cache.New(cfg.CacheConfig(), p.cacheDone, p.cacheSend)
 
 	return p, nil
 }
@@ -342,20 +338,10 @@ func (p *Processor) Mem() Memory { return p.mem }
 // Placement exposes the placement (diagnostics).
 func (p *Processor) Placement() *place.Placement { return p.placement }
 
-// CacheEvictions reports how many fills of the data-memory hierarchy have
-// displaced or duplicated a line so far (cache.System.Evictions); it is
-// kept out of Stats, so no digest depends on it. CacheRefetches reports,
-// for a run without evictions, how many requests asked the directory for
-// a line it had served before, with no remote owner
-// (cache.System.Refetches).
-func (p *Processor) CacheEvictions() uint64 { return p.cacheSys.Evictions() }
-func (p *Processor) CacheRefetches() uint64 { return p.cacheSys.Refetches() }
-
-// CacheL2Lines reports how many lines the directory tracks
-// (cache.System.L2Lines): after a run without cache evictions, the
-// footprint a cache twin's L2 must hold. Like CacheEvictions it is kept
-// out of Stats.
-func (p *Processor) CacheL2Lines() int { return p.cacheSys.L2Lines() }
+// CacheFootprint reports the data-memory hierarchy's footprint so far
+// (cache.System.Footprint): which cache twins of the configuration the
+// run is exact on. It is kept out of Stats, so no digest depends on it.
+func (p *Processor) CacheFootprint() cache.Footprint { return p.cacheSys.Footprint() }
 
 // threadHalted records a thread's completion.
 func (p *Processor) threadHalted(c uint64, thread uint32, value uint64) {
