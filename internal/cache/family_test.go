@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -84,18 +85,25 @@ func familyRun(cfg Config, ops []familyOp) familyResult {
 }
 
 // decodeFamily turns fuzz bytes into a machine family and a trace: the
-// base hierarchy (clusters, L1 size, L2 lines) and its twin (the L1 k
-// times larger). By k = data[3]/40, a base with an L2 draws a twin whose
-// L2 is at least as large (k < 2), at most as large down to one line
-// (k < 5) or missing; a base without one draws a twin without one
-// (k < 3) or with one of 1 to 40 lines.
-func decodeFamily(data []byte) (clusters, l1, twinL1, l2, twinL2 int, ops []familyOp) {
+// base hierarchy (clusters, L1 size, L2 lines) and its twin. The twin's L1
+// is 1, 2 or 4 times the base's, but for data[1] >= 128 on a 2 KB base it
+// is 1, 3 or 5 KB, not a multiple. By k = data[3]/40, a base with an L2
+// draws a twin whose L2 is at least as large (k < 2), at most as large
+// down to one line (k < 5) or missing; a base without one draws a twin
+// without one (k < 3) or with one of 1 to 40 lines. For data[0] >= 216 the
+// twin differs in one field outside the cache sizes too: the L1's
+// associativity, latency or ports, the L2 latency or the memory latency.
+func decodeFamily(data []byte) (base, twin Config, ops []familyOp) {
 	for len(data) < 4 {
 		data = append(data, 0)
 	}
-	clusters = []int{1, 2, 4}[int(data[0])%3]
-	l1 = 1 + int(data[1])%2
-	twinL1 = l1 << (int(data[1]>>1) % 3)
+	clusters := []int{1, 2, 4}[int(data[0])%3]
+	l1 := 1 + int(data[1])%2
+	twinL1 := l1 << (int(data[1]>>1) % 3)
+	if data[1] >= 128 && l1 == 2 {
+		twinL1 = 1 + 2*(int(data[1]>>1)%3)
+	}
+	var l2, twinL2 int
 	if data[2]%4 != 0 {
 		l2 = 4 + int(data[2])%29
 	}
@@ -109,6 +117,21 @@ func decodeFamily(data []byte) (clusters, l1, twinL1, l2, twinL2 int, ops []fami
 	case k < 5:
 		twinL2 = 1 + (int(data[2]>>5)*5+k)%l2
 	}
+	base, twin = familyConfig(clusters, l1, l2), familyConfig(clusters, twinL1, twinL2)
+	if data[0] >= 216 {
+		switch data[0] % 5 {
+		case 0:
+			twin.L1Assoc = 2
+		case 1:
+			twin.L1Lat++
+		case 2:
+			twin.L1Ports = 1
+		case 3:
+			twin.L2Lat += 5
+		case 4:
+			twin.MemLat -= 50
+		}
+	}
 	lines := 1 + int(data[3])%40
 	for b := data[4:]; len(b) >= 2; b = b[2:] {
 		ops = append(ops, familyOp{
@@ -119,6 +142,19 @@ func decodeFamily(data []byte) (clusters, l1, twinL1, l2, twinL2 int, ops []fami
 		})
 	}
 	return
+}
+
+// describe names a familyConfig hierarchy by its cache sizes.
+func describe(c Config) string {
+	return fmt.Sprintf("L1 %d KB, L2 %d lines", c.L1KB>>13, c.L2MB)
+}
+
+// otherFields reports whether base and twin differ outside the cache
+// sizes, and whether in a latency, which every access's timing shows.
+func otherFields(base, twin Config) (differ, latency bool) {
+	latency = base.L1Lat != twin.L1Lat || base.L2Lat != twin.L2Lat || base.MemLat != twin.MemLat
+	base.L1KB, base.L2MB, twin.L1KB, twin.L2MB = 0, 0, 0, 0
+	return base != twin, latency
 }
 
 // familySeeds draws the fuzz target's seed corpus: random traces over
@@ -151,21 +187,23 @@ func familySeeds() [][]byte {
 }
 
 // FuzzCacheFamily checks Footprint.ExactOn, the rule behind the
-// explorer's cache-family reuse, on a drawn trace, base and twin. Where
+// explorer's cache-twin reuse, on a drawn trace, base and twin. Where
 // ExactOn passes the base's footprint to the twin, the twin makes the
 // identical sequence of done and send callbacks and ends with identical
 // Stats, without an eviction. Where it does not and the base did not
-// evict, the twin's L1 being a multiple of the base's, the reason is
-// shown to matter: a twin whose L2 holds fewer lines than the base's
-// directory ended tracking evicts, and a twin across the L2 line from a
-// base that refetched ends with other Stats.
+// evict, the reason is shown to matter where one run can show it: a twin
+// with another latency makes other callbacks, a twin whose L2 holds fewer
+// lines than the base's directory ended tracking evicts, and a twin
+// across the L2 line from a base that refetched ends with other Stats. A
+// twin that differs in another field or whose L1 is not a multiple of the
+// base's may run alike on one trace; TestCacheFamilySeedsCertify counts
+// the seeds where such a twin runs differently.
 func FuzzCacheFamily(f *testing.F) {
 	for _, b := range familySeeds() {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		clusters, l1, twinL1, l2, twinL2, ops := decodeFamily(data)
-		baseCfg, twinCfg := familyConfig(clusters, l1, l2), familyConfig(clusters, twinL1, twinL2)
+		baseCfg, twinCfg, ops := decodeFamily(data)
 		base := familyRun(baseCfg, ops)
 		fp := base.footprint
 		exact := fp.ExactOn(baseCfg, twinCfg)
@@ -176,15 +214,17 @@ func FuzzCacheFamily(f *testing.F) {
 			return
 		}
 		twin := familyRun(twinCfg, ops)
+		differ, latency := otherFields(baseCfg, twinCfg)
+		l2, twinL2 := baseCfg.L2MB, twinCfg.L2MB
 		switch {
 		case exact:
 			if twin.footprint.Evictions != 0 {
-				t.Errorf("twin (L1 %d KB, L2 %d lines) evicted %d times; its base (L1 %d KB, L2 %d lines) none",
-					twinL1, twinL2, twin.footprint.Evictions, l1, l2)
+				t.Errorf("twin (%s) evicted %d times; its base (%s) none",
+					describe(twinCfg), twin.footprint.Evictions, describe(baseCfg))
 			}
 			if base.stats != twin.stats {
-				t.Fatalf("stats differ: base (L1 %d KB, L2 %d lines) %+v, twin (L1 %d KB, L2 %d lines) %+v",
-					l1, l2, base.stats, twinL1, twinL2, twin.stats)
+				t.Fatalf("stats differ: base (%s) %+v, twin (%s) %+v",
+					describe(baseCfg), base.stats, describe(twinCfg), twin.stats)
 			}
 			if len(base.events) != len(twin.events) {
 				t.Fatalf("base made %d callbacks, twin %d", len(base.events), len(twin.events))
@@ -194,19 +234,24 @@ func FuzzCacheFamily(f *testing.F) {
 					t.Fatalf("callback %d: base %+v, twin %+v", i, base.events[i], twin.events[i])
 				}
 			}
+		case differ:
+			if latency && len(ops) > 0 && reflect.DeepEqual(base.events, twin.events) {
+				t.Errorf("twin with another latency (%+v) made its base's callbacks (%+v)", twinCfg, baseCfg)
+			}
+		case twinCfg.L1KB%baseCfg.L1KB != 0:
 		case twinL2 > 0 && fp.Lines > twinL2:
 			if twin.footprint.Evictions == 0 {
-				t.Errorf("twin (L1 %d KB, L2 %d lines) did not evict, yet its base's directory ended tracking %d lines",
-					twinL1, twinL2, fp.Lines)
+				t.Errorf("twin (%s) did not evict, yet its base's directory ended tracking %d lines",
+					describe(twinCfg), fp.Lines)
 			}
 		case (l2 == 0) != (twinL2 == 0) && fp.Refetches != 0:
 			if twin.stats == base.stats {
-				t.Errorf("base (L1 %d KB, L2 %d lines) refetched %d times, yet its twin across the L2 line (L1 %d KB, L2 %d lines) ended with its Stats, %+v",
-					l1, l2, fp.Refetches, twinL1, twinL2, base.stats)
+				t.Errorf("base (%s) refetched %d times, yet its twin across the L2 line (%s) ended with its Stats, %+v",
+					describe(baseCfg), fp.Refetches, describe(twinCfg), base.stats)
 			}
 		default:
-			t.Errorf("ExactOn refused an eviction-free run (%+v) on base (L1 %d KB, L2 %d lines) to twin (L1 %d KB, L2 %d lines) for no reason",
-				fp, l1, l2, twinL1, twinL2)
+			t.Errorf("ExactOn refused an eviction-free run (%+v) on base (%s) to twin (%s) for no reason",
+				fp, describe(baseCfg), describe(twinCfg))
 		}
 	})
 }
@@ -216,25 +261,40 @@ func FuzzCacheFamily(f *testing.F) {
 // machines with an L2, where coherence traffic is exercised, and without
 // one; a good share must be passed by ExactOn to a twin whose L2 is
 // smaller than the base's, and refused to another whose L2 is smaller
-// than the footprint; and a good share must be passed to a twin across
-// the L2 line each way, an L2 base's twin without one and a base's
-// without one whose twin's L2 holds the footprint, and refused to others
-// across the line because the base refetched.
+// than the footprint; a good share must be passed to a twin across the L2
+// line each way, an L2 base's twin without one and a base's without one
+// whose twin's L2 holds the footprint, and refused to others across the
+// line because the base refetched; and a good share must be refused to a
+// twin that differs in another field, or whose L1 is not a multiple of the
+// base's, and that runs differently, so that a rule without either clause
+// fails the fuzz target on its seeds.
 func TestCacheFamilySeedsCertify(t *testing.T) {
 	certified := map[bool]int{}
-	smaller, short, down, up, refetched := 0, 0, 0, 0, 0
+	smaller, short, down, up, refetched, fields, multiple := 0, 0, 0, 0, 0, 0, 0
 	for _, b := range familySeeds() {
-		clusters, l1, twinL1, l2, twinL2, ops := decodeFamily(b)
-		baseCfg := familyConfig(clusters, l1, l2)
-		fp := familyRun(baseCfg, ops).footprint
+		baseCfg, twinCfg, ops := decodeFamily(b)
+		base := familyRun(baseCfg, ops)
+		fp := base.footprint
 		if fp.Evictions != 0 {
 			continue
 		}
-		if clusters > 1 {
+		l2, twinL2 := baseCfg.L2MB, twinCfg.L2MB
+		if baseCfg.Clusters > 1 {
 			certified[l2 > 0]++
 		}
-		exact := fp.ExactOn(baseCfg, familyConfig(clusters, twinL1, twinL2))
+		exact := fp.ExactOn(baseCfg, twinCfg)
+		differ, _ := otherFields(baseCfg, twinCfg)
 		switch {
+		case !exact && (differ || twinCfg.L1KB%baseCfg.L1KB != 0):
+			twin := familyRun(twinCfg, ops)
+			if twin.footprint.Evictions == 0 && reflect.DeepEqual(base, twin) {
+				continue
+			}
+			if differ {
+				fields++
+			} else {
+				multiple++
+			}
 		case !exact && twinL2 > 0 && fp.Lines > twinL2:
 			short++
 		case !exact && (l2 == 0) != (twinL2 == 0) && fp.Refetches != 0:
@@ -259,6 +319,10 @@ func TestCacheFamilySeedsCertify(t *testing.T) {
 	if down < 10 || up < 10 || refetched < 10 {
 		t.Errorf("eviction-free seeds with a twin across the L2 line: %d passed from an L2 to none, %d from none to one, %d refused for a refetch; want >= 10 each",
 			down, up, refetched)
+	}
+	if fields < 10 || multiple < 5 {
+		t.Errorf("eviction-free seeds refused to a twin that runs differently: %d for another field, %d for an L1 not a multiple; want >= 10 and >= 5",
+			fields, multiple)
 	}
 }
 
@@ -371,11 +435,10 @@ func TestCacheFamilyRefetchIsNotCertified(t *testing.T) {
 // fourth byte now reads R, not z, which decodes to the same trace with a
 // twin still without an L2.)
 func TestCacheFamilyUpgradeCopyIsNotCertified(t *testing.T) {
-	clusters, l1, twinL1, l2, twinL2, ops := decodeFamily([]byte("120R121000$27070"))
-	if clusters != 2 || l1 != 1 || twinL1 != 2 || l2 != 0 || twinL2 != 0 {
-		t.Fatalf("decoded family changed: %d clusters, L1 %d/%d KB, L2 %d/%d lines", clusters, l1, twinL1, l2, twinL2)
+	baseCfg, twinCfg, ops := decodeFamily([]byte("120R121000$27070"))
+	if baseCfg != familyConfig(2, 1, 0) || twinCfg != familyConfig(2, 2, 0) {
+		t.Fatalf("decoded family changed: base %+v, twin %+v", baseCfg, twinCfg)
 	}
-	baseCfg, twinCfg := familyConfig(clusters, l1, l2), familyConfig(clusters, twinL1, twinL2)
 	base := familyRun(baseCfg, ops)
 	twin := familyRun(twinCfg, ops)
 	if base.stats == twin.stats {

@@ -53,14 +53,11 @@ func NonNegative(fs *flag.FlagSet, names ...string) error {
 	return nil
 }
 
-// Threads refuses a thread count outside [1, w.MaxThreads()] in the words
-// the simulator's own refusal uses, without building the workload, so a
-// tool can check it before its first line of output.
+// Threads refuses a thread count outside [1, w.MaxThreads()]
+// (workload.CheckThreads) without building the workload, so a tool can
+// check it before its first line of output.
 func Threads(w workload.Workload, n int) error {
-	if limit := w.MaxThreads(); n < 1 || n > limit {
-		return fmt.Errorf("thread count %d outside [1, %d], the limit of %q", n, limit, w.Name)
-	}
-	return nil
+	return workload.CheckThreads(w.Name, n, w.MaxThreads())
 }
 
 // RunReport is the machine-readable result of one simulation run — the

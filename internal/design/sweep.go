@@ -26,9 +26,8 @@ var ErrBadOptions = errors.New("design: bad options")
 // [1, inst.MaxThreads] is an error wrapping ErrBadOptions, as the
 // best-thread search skips such a count.
 func RunOnceContext(ctx context.Context, cfg sim.Config, inst *workload.Instance, threads int) (*sim.Stats, error) {
-	if threads < 1 || threads > inst.MaxThreads {
-		return nil, fmt.Errorf("%w: thread count %d outside [1, %d], the limit of %q",
-			ErrBadOptions, threads, inst.MaxThreads, inst.Prog.Name)
+	if err := workload.CheckThreads(inst.Prog.Name, threads, inst.MaxThreads); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadOptions, err)
 	}
 	st, _, err := runOnce(ctx, cfg, inst, threads)
 	return st, err
@@ -137,8 +136,8 @@ func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Inst
 // BestThreadsReusing is BestThreadsContext with runs already known: for
 // each thread count, reuse (when non-nil) may return a run that stands in
 // for simulating that count on cfg. The caller vouches that it is exact —
-// the explore engine passes runs whose footprint is exact on cfg
-// (cache.Footprint.ExactOn) — and the search treats it exactly as a
+// the explore engine passes runs that sim.Binding.ExactOn and
+// cache.Footprint.ExactOn both pass to cfg — and the search treats it exactly as a
 // simulated run, so the result is the one BestThreadsContext would
 // return, except that Sims does not count it.
 func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Instance, counts []int,

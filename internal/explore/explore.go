@@ -20,23 +20,30 @@
 //     loses at most the cells in flight;
 //   - per-sweep progress/ETA reporting (cells done, cache hits, simulated
 //     cycles per second);
-//   - cache-family reuse: a sweep does not simulate a run whose result it
-//     already knows exactly (below).
+//   - twin reuse: a sweep does not simulate a run whose result it already
+//     knows exactly (below).
 //
 // Every simulation is deterministic, which is what makes the cache sound:
 // a cell's key covers everything that can influence its result.
 //
-// # Cache-family reuse
+// # Twin reuse
 //
-// A cache family is the points of a sweep equal in every field but
-// Arch.L1KB and Arch.L2MB (cacheFamilies), in ascending (L1, L2) order,
-// and a sweep runs each family as a chain: a cell on a point waits for
-// the cell of the same workload on its family's previous point, and so
-// for every earlier member. For each thread count the cell copies a run
-// this sweep simulated on an earlier member, scanned in family order, if
-// the run's cache footprint is exact on the cell's configuration
-// (cache.Footprint.ExactOn, which states the rule and why it holds). Only
-// the rest is simulated. Ready cells go to the workers in point-major
+// A twin chain is the cells of one workload whose configurations are equal
+// in every field but Arch.L1KB and Arch.L2MB, and but Arch.Virt and
+// Arch.Match too for the cells where V and M decide nothing: where the
+// workload's placement at every thread count the cell runs is
+// sim.Binding.Inert on the cell's configuration (twinChains). A cell whose
+// V and M do decide something stays in a chain of its own V and M, so no
+// cell waits for a sibling it could not copy from. Members come in
+// ascending (L1, L2) order, and a sweep runs each chain in that order: a
+// cell waits for its chain's previous cell, and so for every earlier
+// member. For each thread count the cell copies a run this sweep
+// simulated on an earlier member, scanned in chain order, if the run is
+// exact on the cell's configuration by both rules: V and M
+// (sim.Binding.ExactOn, decided from the placement before any cycle runs)
+// and the cache (cache.Footprint.ExactOn, decided from the run's cache
+// footprint). Each method's doc comment states its rule and why it holds.
+// Only the rest is simulated. Ready cells go to the workers in point-major
 // order, so where no cell waits the schedule is that of a sweep without
 // reuse. Every Viable L1 is 8, 16 or 32 KB, so each member's L1 is a
 // multiple of every earlier member's, and the chain waits for no cell a
@@ -60,6 +67,7 @@ import (
 
 	"wavescalar/internal/design"
 	"wavescalar/internal/fault"
+	"wavescalar/internal/place"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
@@ -73,13 +81,16 @@ type Progress struct {
 	// CacheHits were answered from the cache/journal without simulating;
 	// Simulated counts every other cell, the ones this sweep produced;
 	// Failed of those ended in a deterministic error (and were cached as
-	// such). Reused counts the produced cells copied from a cache twin
+	// such). Reused counts the produced cells copied from their twins
 	// without a simulation (see the package doc). Batched is always 0; the
 	// field stays only because bench/ledger/sweepwl.go reads it.
 	CacheHits, Simulated, Failed, Reused, Batched int
 	// SimCycles totals the machine cycles of the cells Simulated counts (a
 	// reused cell's are its twin's).
 	SimCycles uint64
+	// Sims counts the simulations the cells Simulated counts ran
+	// (design.BestRun.Sims): a thread count copied from a twin is not one.
+	Sims int
 	// Dropped totals the thread counts the cells Simulated counts dropped
 	// from their best-thread search because the run failed
 	// (design.BestRun.Dropped). It is not part of a cell, so a cached
@@ -309,7 +320,7 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	)
 	// account folds one answered cell into the sweep's progress and
 	// publishes the snapshot.
-	account := func(cell Cell, dropped design.Drops, src cellSource, jerr error) {
+	account := func(cell Cell, br design.BestRun, src cellSource, jerr error) {
 		progMu.Lock()
 		defer progMu.Unlock()
 		if jerr != nil && firstJErr == nil {
@@ -327,7 +338,8 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 				prog.Reused++
 			}
 			prog.SimCycles += cell.SimCycles
-			prog.Dropped = prog.Dropped.Add(dropped)
+			prog.Sims += br.Sims
+			prog.Dropped = prog.Dropped.Add(br.Dropped)
 		}
 		prog.Elapsed = time.Since(start)
 		if secs := prog.Elapsed.Seconds(); secs > 0 {
@@ -347,37 +359,41 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		}
 	}
 
-	// Every cell is one task. A cell waits for the cell of the same
-	// workload on its cache family's previous point; the earlier members'
-	// runs may be copied (see the package doc). Ready cells go to the
-	// first free worker in point-major order (cellQueue). Cells this
-	// sweep simulated (in full or in part) become bases for the later
-	// members; cache hits do not, as they carry no per-count runs.
-	earlier := make([][]int, len(points))
-	succ := make([]int, len(points))
-	for _, family := range cacheFamilies(configs) {
-		for i, pi := range family {
-			earlier[pi], succ[pi] = family[:i], -1
-			if i+1 < len(family) {
-				succ[pi] = family[i+1]
+	// Every cell is one task. A cell waits for its twin chain's previous
+	// cell, of the same workload; the earlier members' runs may be copied
+	// (see the package doc). Ready cells go to the first free worker in
+	// point-major order (cellQueue). Cells this sweep simulated (in full or
+	// in part) become bases for the later members; cache hits do not, as
+	// they carry no per-count runs.
+	binds := newBindings(instances, threadCounts)
+	chains := twinChains(configs, len(apps), func(pi, ai int) bool { return binds.inert(configs[pi], ai) })
+	earlier := make([][]int, total)
+	succ := make([]int, total)
+	for _, chain := range chains {
+		for i, c := range chain {
+			earlier[c], succ[c] = chain[:i], -1
+			if i+1 < len(chain) {
+				succ[c] = chain[i+1]
 			}
 		}
 	}
-	bases := make([][][]design.ThreadRun, len(points))
-	for pi := range bases {
-		if succ[pi] >= 0 {
-			bases[pi] = make([][]design.ThreadRun, len(apps))
-		}
-	}
-	runCell := func(pi, ai int) {
+	bases := make([][]design.ThreadRun, total)
+	runCell := func(c int) {
+		pi, ai := c/len(apps), c%len(apps)
 		var reuse func(int) (design.ThreadRun, bool)
-		if len(earlier[pi]) > 0 {
-			twin := configs[pi].CacheConfig()
+		if len(earlier[c]) > 0 {
+			twin := configs[pi]
+			twinCache := twin.CacheConfig()
 			reuse = func(n int) (design.ThreadRun, bool) {
-				for _, bi := range earlier[pi] {
-					base := configs[bi].CacheConfig()
-					for _, r := range bases[bi][ai] {
-						if r.Threads == n && r.Cache.ExactOn(base, twin) {
+				bind := binds.of(twin, ai, n)
+				for _, bc := range earlier[c] {
+					base := configs[bc/len(apps)]
+					if !bind.ExactOn(base, twin) {
+						continue
+					}
+					baseCache := base.CacheConfig()
+					for _, r := range bases[bc] {
+						if r.Threads == n && r.Cache.ExactOn(baseCache, twinCache) {
 							return r, true
 						}
 					}
@@ -389,26 +405,26 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		if src == srcNone {
 			return // cancelled: nothing cached or journaled
 		}
-		if src == srcLocal && bases[pi] != nil {
-			bases[pi][ai] = br.Runs
+		if src == srcLocal && succ[c] >= 0 {
+			bases[c] = br.Runs
 		}
 		cells[pi][ai] = cell
-		account(cell, br.Dropped, src, jerr)
+		account(cell, br, src, jerr)
 	}
 
-	q := newCellQueue(succ, len(apps))
+	q := newCellQueue(succ)
 	var wg sync.WaitGroup
 	for w := 0; w < e.parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				pi, ai, ok := q.next(ctx)
+				c, ok := q.next(ctx)
 				if !ok {
 					return
 				}
-				runCell(pi, ai)
-				q.done(pi, ai)
+				runCell(c)
+				q.done(c)
 			}
 		}()
 	}
@@ -428,30 +444,29 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 }
 
 // cellQueue hands a sweep's cells to its workers. Each cell waits for at
-// most one other, the same workload's on the point before it in its
-// cache family's chain; ready cells leave in point-major order: where no
-// cell waits, the order of a sweep without reuse.
+// most one other, the one before it in its twin chain; ready cells leave
+// in point-major order: where no cell waits, the order of a sweep without
+// reuse.
 type cellQueue struct {
 	mu    sync.Mutex
 	cond  sync.Cond
-	succ  []int // per point: the point whose cells wait for its cells, or -1
-	apps  int
+	succ  []int // per cell: the cell that waits for it, or -1
 	ready readyCells
 	left  int // cells not yet done
 }
 
-func newCellQueue(succ []int, apps int) *cellQueue {
-	q := &cellQueue{succ: succ, apps: apps, left: len(succ) * apps}
+func newCellQueue(succ []int) *cellQueue {
+	q := &cellQueue{succ: succ, left: len(succ)}
 	q.cond.L = &q.mu
 	waits := make([]bool, len(succ))
-	for _, si := range succ {
-		if si >= 0 {
-			waits[si] = true
+	for _, s := range succ {
+		if s >= 0 {
+			waits[s] = true
 		}
 	}
-	for pi := range succ {
-		for ai := 0; !waits[pi] && ai < apps; ai++ {
-			q.ready = append(q.ready, pi*apps+ai)
+	for c := range succ {
+		if !waits[c] {
+			q.ready = append(q.ready, c)
 		}
 	}
 	heap.Init(&q.ready)
@@ -460,27 +475,26 @@ func newCellQueue(succ []int, apps int) *cellQueue {
 
 // next blocks until a cell is ready and returns it; ok is false once every
 // cell is done or ctx has ended.
-func (q *cellQueue) next(ctx context.Context) (pi, ai int, ok bool) {
+func (q *cellQueue) next(ctx context.Context) (c int, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.ready) == 0 && q.left > 0 && ctx.Err() == nil {
 		q.cond.Wait()
 	}
 	if len(q.ready) == 0 || ctx.Err() != nil {
-		return 0, 0, false
+		return 0, false
 	}
-	c := heap.Pop(&q.ready).(int)
-	return c / q.apps, c % q.apps, true
+	return heap.Pop(&q.ready).(int), true
 }
 
 // done marks a cell finished (or abandoned on cancellation) and releases
 // the cell that waits for it.
-func (q *cellQueue) done(pi, ai int) {
+func (q *cellQueue) done(c int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.left--
-	if si := q.succ[pi]; si >= 0 {
-		heap.Push(&q.ready, si*q.apps+ai)
+	if s := q.succ[c]; s >= 0 {
+		heap.Push(&q.ready, s)
 	}
 	q.cond.Broadcast()
 }
@@ -499,33 +513,99 @@ func (h *readyCells) Pop() any {
 	return c
 }
 
-// cacheFamilies groups point indices into cache families: configurations
-// equal in every field but Arch.L1KB and Arch.L2MB, with an L2 or without.
-// Families come in the order of their first point, members in ascending
-// (L1, L2) order, ties in input order.
-func cacheFamilies(configs []sim.Config) [][]int {
-	index := make(map[sim.Config]int)
-	var families [][]int
+// twinChains groups a sweep's cells, numbered point-major (pi·apps + ai),
+// into twin chains: the cells of one workload whose configurations are
+// equal in every field but Arch.L1KB and Arch.L2MB, and but Arch.Virt and
+// Arch.Match too where inert(pi, ai) says V and M decide nothing for the
+// cell. Chains come in the order of their first cell, members in
+// ascending (L1, L2) order, ties in point order.
+func twinChains(configs []sim.Config, apps int, inert func(pi, ai int) bool) [][]int {
+	type chainKey struct {
+		cfg sim.Config
+		app int
+	}
+	index := make(map[chainKey]int)
+	var chains [][]int
 	for pi, cfg := range configs {
 		cfg.Arch.L1KB, cfg.Arch.L2MB = 0, 0
-		fi, ok := index[cfg]
-		if !ok {
-			fi = len(families)
-			index[cfg] = fi
-			families = append(families, nil)
+		for ai := 0; ai < apps; ai++ {
+			k := chainKey{cfg, ai}
+			if inert(pi, ai) {
+				k.cfg.Arch.Virt, k.cfg.Arch.Match = 0, 0
+			}
+			ci, ok := index[k]
+			if !ok {
+				ci = len(chains)
+				index[k] = ci
+				chains = append(chains, nil)
+			}
+			chains[ci] = append(chains[ci], pi*apps+ai)
 		}
-		families[fi] = append(families[fi], pi)
 	}
-	for _, f := range families {
-		sort.SliceStable(f, func(i, j int) bool {
-			a, b := configs[f[i]].Arch, configs[f[j]].Arch
+	for _, chain := range chains {
+		sort.SliceStable(chain, func(i, j int) bool {
+			a, b := configs[chain[i]/apps].Arch, configs[chain[j]/apps].Arch
 			if a.L1KB != b.L1KB {
 				return a.L1KB < b.L1KB
 			}
 			return a.L2MB < b.L2MB
 		})
 	}
-	return families
+	return chains
+}
+
+// bindings places a sweep's workloads for the V/M rule (sim.Binding), once
+// per workload, machine shape and thread count. Sweep fills it before its
+// workers start; they only read it.
+type bindings struct {
+	insts  []*workload.Instance
+	counts []int
+	m      map[bindKey]sim.Binding
+}
+
+// bindKey is what sim.Bind reads: the workload, the thread count, and the
+// configuration's clusters, domains, PEs and placement policy.
+type bindKey struct {
+	app, threads           int
+	clusters, domains, pes int
+	policy                 place.Policy
+}
+
+func newBindings(insts []*workload.Instance, counts []int) *bindings {
+	return &bindings{insts: insts, counts: counts, m: make(map[bindKey]sim.Binding)}
+}
+
+func bindKeyOf(cfg sim.Config, app, threads int) bindKey {
+	return bindKey{app, threads, cfg.Arch.Clusters, cfg.Arch.Domains, cfg.Arch.PEs, cfg.Placement}
+}
+
+// of returns the binding inert placed for app's threads on cfg's shape, or
+// the zero Binding, which certifies nothing.
+func (b *bindings) of(cfg sim.Config, app, threads int) sim.Binding {
+	return b.m[bindKeyOf(cfg, app, threads)]
+}
+
+// inert reports whether V and M decide nothing for the cell of app on cfg:
+// whether the run is sim.Binding.Inert at every thread count the cell
+// runs, and it runs at least one.
+func (b *bindings) inert(cfg sim.Config, app int) bool {
+	some := false
+	for _, n := range b.counts {
+		if n > b.insts[app].MaxThreads {
+			continue
+		}
+		k := bindKeyOf(cfg, app, n)
+		bind, ok := b.m[k]
+		if !ok {
+			bind, _ = sim.Bind(cfg, b.insts[app].Prog, n) // a failed placement certifies nothing
+			b.m[k] = bind
+		}
+		if !bind.Inert(cfg) {
+			return false
+		}
+		some = true
+	}
+	return some
 }
 
 // cellSource says where evalCell's answer came from.
@@ -535,7 +615,7 @@ const (
 	srcNone   cellSource = iota // cancelled: no answer, nothing cached or journaled
 	srcCache                    // already cached (or journaled and replayed)
 	srcLocal                    // simulated here (some thread counts may be reused)
-	srcReused                   // every thread count copied from a cache twin
+	srcReused                   // every thread count copied from a twin
 )
 
 // evalCell is the one way a cell is produced: cache lookup, the
@@ -544,7 +624,7 @@ const (
 // the cell. RunOne passes a nil inst so a
 // hit never builds the workload; Sweep passes the instance it built once
 // for the whole sweep. reuse is nil outside sweeps; it offers runs of the
-// cell's cache twins (see design.BestThreadsReusing). A cell reuse covers
+// cell's twins (see design.BestThreadsReusing). A cell reuse covers
 // at every thread count the workload allows is copied (srcReused);
 // otherwise the runs the search completed are returned with the cell. A returned error is the context's on srcNone and a failed journal
 // append otherwise (the cell is still valid and cached).

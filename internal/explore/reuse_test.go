@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"wavescalar/internal/cache"
 	"wavescalar/internal/design"
 	"wavescalar/internal/fault"
 	"wavescalar/internal/sim"
@@ -30,12 +31,14 @@ func directCell(cfg sim.Config, w workload.Workload, sc workload.Scale, counts [
 }
 
 // TestSweepReuseMatchesDirect sweeps every viable point at tiny scale and
-// checks every cell, the ones copied from a cache twin among them, field
-// by field against a direct best-thread search on its own configuration,
-// with and without a memory drop/delay fault script; and a thinned sweep
-// cell by cell against RunOne (subsampleReuseMatchesRunOne). Each sweep's
-// reuse count is pinned exactly: a cell must copy every thread count that
-// some earlier member of its cache family has an exact run for.
+// checks every cell, the ones copied from a twin among them, field by
+// field against a direct best-thread search on its own configuration, with
+// and without a memory drop/delay fault script; and a thinned sweep cell
+// by cell against RunOne (subsampleReuseMatchesRunOne). Each sweep's reuse
+// count is pinned exactly: a cell must copy every thread count that some
+// earlier member of its twin chain has an exact run for. A fault script
+// keeps V and M deciding (sim.Binding.Inert), so the faulty sweeps copy
+// only across cache sizes and reuse fewer cells than the clean ones.
 func TestSweepReuseMatchesDirect(t *testing.T) {
 	points := design.Viable()
 	memFaults := &fault.Script{Seed: 31, MemDropRate: 0.02, MemDelayRate: 0.05}
@@ -46,8 +49,8 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 		fault  *fault.Script
 		reused int
 	}{
-		{"mcf+djpeg", []string{"mcf", "djpeg"}, []int{1}, nil, 114},
-		{"fft", []string{"fft"}, []int{1, 4}, nil, 58},
+		{"mcf+djpeg", []string{"mcf", "djpeg"}, []int{1}, nil, 120},
+		{"fft", []string{"fft"}, []int{1, 4}, nil, 60},
 		{"mcf+djpeg/mem-faults", []string{"mcf", "djpeg"}, []int{1}, memFaults, 114},
 		{"fft/mem-faults", []string{"fft"}, []int{1, 4}, memFaults, 58},
 	}
@@ -100,8 +103,8 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 			wg.Wait()
 		})
 	}
-	t.Run("spec2000/subsample-16", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 16, 49) })
-	t.Run("spec2000/subsample-20", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 20, 71) })
+	t.Run("spec2000/subsample-16", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 16, 61) })
+	t.Run("spec2000/subsample-20", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 20, 84) })
 }
 
 // subsampleReuseMatchesRunOne sweeps a thinned sample, the points
@@ -112,7 +115,7 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 // it copies a run across that line. Every cell, the reused ones among
 // them, must encode to the same journal record as RunOne's on a fresh
 // explorer, and exactly `reused` cells must be copied, no more and no
-// fewer (49 of 96 cells at 16 points, 71 of 120 at 20).
+// fewer (61 of 96 cells at 16 points, 84 of 120 at 20).
 func subsampleReuseMatchesRunOne(t *testing.T, maxPoints, reused int) {
 	points := design.Subsample(design.Viable(), maxPoints)
 	apps := workload.BySuite(workload.Spec)
@@ -239,86 +242,162 @@ func TestReuseNeedsALocalBase(t *testing.T) {
 	}
 }
 
-// TestCacheFamilies pins the grouping and the chain order: families split
-// by everything but the cache sizes, with an L2 or without, in the order
-// of their first point, members by ascending (L1, L2), no L2 first. A
-// point that differs in a field outside the cache (K here, or the cluster
-// count) is in another family, so no run is copied to it.
+// TestCacheFamilies pins the grouping into twin chains and their order:
+// chains split by workload and by everything but the cache sizes, with an
+// L2 or without, in the order of their first cell, members by ascending
+// (L1, L2), no L2 first, ties in point order. V and M split chains too,
+// except between cells where inert says V and M decide nothing: here app
+// 0 is inert from V 128 up and app 1 only at V 256, so app 0's cells at
+// V 128 and V 256 share a chain and app 1's do not, and neither app's
+// cell at V 64 joins one. A point that differs in a field outside the
+// caches, V and M (K here, or the cluster count) is in another chain, so
+// no run is copied to it.
 func TestCacheFamilies(t *testing.T) {
-	arch := func(clusters, l1, l2 int) sim.Config {
+	arch := func(clusters, l1, l2, vm int) sim.Config {
 		a := sim.BaselineArch()
-		a.Clusters, a.L1KB, a.L2MB = clusters, l1, l2
+		a.Clusters, a.L1KB, a.L2MB, a.Virt, a.Match = clusters, l1, l2, vm, vm
 		return sim.Baseline(a)
 	}
-	otherK := arch(1, 16, 1)
+	otherK := arch(1, 16, 1, 128)
 	otherK.K = 8
-	configs := []sim.Config{arch(1, 32, 1), arch(4, 8, 0), arch(1, 8, 4), arch(1, 8, 1), arch(4, 16, 0), arch(1, 16, 0), arch(1, 8, 0), otherK}
-	got := cacheFamilies(configs)
-	want := [][]int{{6, 3, 2, 5, 0}, {1, 4}, {7}}
+	configs := []sim.Config{arch(1, 32, 1, 128), arch(4, 8, 0, 128), arch(1, 8, 1, 256), arch(1, 8, 1, 128),
+		arch(4, 16, 0, 128), arch(1, 16, 0, 64), arch(1, 8, 0, 128), otherK}
+	got := twinChains(configs, 2, func(pi, ai int) bool { return configs[pi].Arch.Virt >= 128<<ai })
+	// Cell pi·2 + ai is app ai on point pi.
+	want := [][]int{{12, 4, 6, 0}, {13, 7, 1}, {2, 8}, {3, 9}, {5}, {10}, {11}, {14}, {15}}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("cacheFamilies = %v, want %v", got, want)
+		t.Errorf("twinChains = %v, want %v", got, want)
 	}
 }
 
-// TestViableFamiliesAreChains pins the premise of the sweep's schedule:
-// in every cache family of the viable points, each member's L1 is a
-// multiple of every earlier member's (all are 8, 16 or 32 KB). So a cell
-// that waits for its family predecessor, and through it for every earlier
-// member, waits only for cells whose runs it could copy, and becomes
-// ready when the last of them is done.
+// TestViableFamiliesAreChains pins the premise of the sweep's schedule on
+// every viable point, for each suite at tiny scale with the thread counts
+// its sweeps use: a cell waits only for cells whose runs it could copy.
+// For each cell and every earlier member of its chain, at every thread
+// count the workload runs, both rules pass the earlier member's run to the
+// cell unless the run itself says otherwise: sim.Binding.ExactOn, and
+// cache.Footprint.ExactOn for a run that fetched, evicted and refetched
+// nothing. The test also checks that the V/M rule is what keeps chains
+// apart: some chain holds V/M siblings, and some V/M siblings (equal but
+// for the cache sizes, V and M) are in different chains, where merging
+// them would make a cell wait for a cell it could not copy from.
 func TestViableFamiliesAreChains(t *testing.T) {
 	var configs []sim.Config
 	for _, pt := range design.Viable() {
 		configs = append(configs, sim.Baseline(pt.Arch))
 	}
-	families := cacheFamilies(configs)
-	long := 0
-	for _, family := range families {
-		for i, pi := range family {
-			for _, bi := range family[:i] {
-				if l1, twinL1 := configs[bi].Arch.L1KB, configs[pi].Arch.L1KB; twinL1%l1 != 0 {
-					t.Errorf("%s follows %s in its family, but its L1 is not a multiple", configs[pi].Arch, configs[bi].Arch)
+	for _, tc := range []struct {
+		suite  workload.Suite
+		counts []int
+	}{{workload.Spec, []int{1}}, {workload.Media, []int{1}}, {workload.Splash, []int{1, 4}}} {
+		apps := workload.BySuite(tc.suite)
+		insts := make([]*workload.Instance, len(apps))
+		for ai, w := range apps {
+			insts[ai] = w.Build(workload.Tiny)
+		}
+		binds := newBindings(insts, tc.counts)
+		chains := twinChains(configs, len(apps), func(pi, ai int) bool { return binds.inert(configs[pi], ai) })
+		merged := 0
+		chainOf := map[int]int{}
+		for ci, chain := range chains {
+			for i, c := range chain {
+				chainOf[c] = ci
+				twin := configs[c/len(apps)]
+				for _, bc := range chain[:i] {
+					base := configs[bc/len(apps)]
+					if base.Arch.Virt != twin.Arch.Virt || base.Arch.Match != twin.Arch.Match {
+						merged++
+					}
+					for _, n := range tc.counts {
+						if n > insts[c%len(apps)].MaxThreads {
+							continue
+						}
+						if !binds.of(twin, c%len(apps), n).ExactOn(base, twin) || !(cache.Footprint{}).ExactOn(base.CacheConfig(), twin.CacheConfig()) {
+							t.Errorf("%s: %s on %s waits for %s, whose %d-thread run it could never copy",
+								tc.suite, apps[c%len(apps)].Name, twin.Arch, base.Arch, n)
+						}
+					}
 				}
 			}
 		}
-		if len(family) > 1 {
-			long++
+		apart := 0
+		for pi, a := range configs {
+			for qi := pi + 1; qi < len(configs); qi++ {
+				b := configs[qi]
+				if a.Arch.Virt == b.Arch.Virt || a.Arch.Clusters != b.Arch.Clusters || a.Arch.Domains != b.Arch.Domains || a.Arch.PEs != b.Arch.PEs {
+					continue
+				}
+				for ai := range apps {
+					if chainOf[pi*len(apps)+ai] != chainOf[qi*len(apps)+ai] {
+						apart++
+					}
+				}
+			}
+		}
+		if merged == 0 || apart == 0 {
+			t.Errorf("%s: %d cell pairs of other V and M share a chain, %d are kept apart; want both > 0", tc.suite, merged, apart)
 		}
 	}
-	if long == 0 {
-		t.Fatalf("no viable cache family has two members (%d families of %d points)", len(families), len(configs))
+}
+
+// TestViableSimulationCounts pins how many simulations a sweep of every
+// viable point at tiny scale runs: those of spec2000 and mediabench with
+// one thread, and of splash2 with one and four (474, 237 and 948 runs
+// without reuse; 72, 21 and 118 with cache twins alone).
+func TestViableSimulationCounts(t *testing.T) {
+	points := design.Viable()
+	for _, tc := range []struct {
+		suite  workload.Suite
+		counts []int
+		sims   int
+	}{{workload.Spec, []int{1}, 58}, {workload.Media, []int{1}, 10}, {workload.Splash, []int{1, 4}, 96}} {
+		exp, err := New(WithParallelism(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exp.SweepWith(context.Background(), points, workload.BySuite(tc.suite), SweepSpec{
+			Scale: workload.Tiny, ThreadCounts: tc.counts,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if p := exp.LastProgress(); p.Sims != tc.sims {
+			t.Errorf("%s %v: %d simulations (%d cells, %d copied whole); want %d", tc.suite, tc.counts, p.Sims, p.Simulated, p.Reused, tc.sims)
+		}
 	}
 }
 
 // TestCellQueueOrder pins the order cells leave the queue in: point-major
 // among the ready ones, a waiting cell once the cell it waits for is done.
+// Cells wait per cell, not per point: here app 1 on point 2 waits for app
+// 0 on point 0, and app 0 on point 2 for app 1 on point 0.
 func TestCellQueueOrder(t *testing.T) {
-	q := newCellQueue([]int{2, -1, -1, -1}, 2)
+	succ := []int{5, 4, -1, -1, -1, -1, -1, -1} // cell pi·2 + ai
+	q := newCellQueue(succ)
 	ctx := context.Background()
-	var got [][2]int
+	var got []int
 	take := func() {
-		pi, ai, ok := q.next(ctx)
+		c, ok := q.next(ctx)
 		if !ok {
 			t.Fatal("queue ended early")
 		}
-		got = append(got, [2]int{pi, ai})
+		got = append(got, c)
 	}
 	for range 5 {
-		take() // (0,0) (0,1) (1,0) (1,1) (3,0): point 2 waits for point 0
+		take() // 0 1 2 3 6: cells 4 and 5 wait
 	}
-	q.done(0, 1) // releases (2, 1) ahead of (3, 1)
+	q.done(0) // releases 5 ahead of 7
 	take()
-	q.done(0, 0)
+	q.done(1) // releases 4
 	take()
 	take()
-	want := [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {3, 0}, {2, 1}, {2, 0}, {3, 1}}
+	want := []int{0, 1, 2, 3, 6, 5, 4, 7}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("order %v, want %v", got, want)
 	}
 	for _, c := range got[2:] {
-		q.done(c[0], c[1])
+		q.done(c)
 	}
-	if _, _, ok := q.next(ctx); ok {
+	if _, ok := q.next(ctx); ok {
 		t.Error("queue handed out a cell after every cell was done")
 	}
 }
@@ -326,8 +405,8 @@ func TestCellQueueOrder(t *testing.T) {
 // BenchmarkSweepSubsample is a cold thinned sweep, spec2000 at tiny scale
 // on the points design.Subsample keeps of sixteen, two workers: the shape
 // of wspareto -max and /v1/sweeps max_points, where cache-family reuse
-// decides how much is simulated. sims/op counts the cells simulated rather
-// than copied from a cache twin.
+// decides how much is simulated. sims/op counts the simulations the sweep
+// ran (Progress.Sims), 35 since V/M twins are copied.
 func BenchmarkSweepSubsample(b *testing.B) {
 	points := design.Subsample(design.Viable(), 16)
 	apps := workload.BySuite(workload.Spec)
@@ -342,7 +421,7 @@ func BenchmarkSweepSubsample(b *testing.B) {
 			b.Fatal(err)
 		}
 		p := exp.LastProgress()
-		sims += p.Simulated - p.Reused
+		sims += p.Sims
 	}
 	b.ReportMetric(float64(sims)/float64(b.N), "sims/op")
 }

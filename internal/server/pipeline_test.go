@@ -321,7 +321,7 @@ func TestMalformedBodyAnswersPinned(t *testing.T) {
 		{"/v1/runs", `[1,2]`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: cannot unmarshal array into Go value of type server.runRequest"}}`},
 		{"/v1/runs", `{"workload":"nosuch"} trailing`, 404, `{"error":{"code":"not_found","message":"workload: unknown workload \"nosuch\" (valid suites: spec2000, mediabench, splash2, tiled; tiled kernels follow gemm-<os|as|bs>-TmxTnxTk or conv-<ws|os|is>-TxxTyxTc)"}}`},
 		{"/v1/runs", `{"workload":"lu","scale":"enormous"}{}`, 400, `{"error":{"code":"bad_request","message":"unknown scale \"enormous\" (tiny, small, medium)"}}`},
-		{"/v1/runs", `{"workload":"gzip","threads":4}`, 400, `{"error":{"code":"bad_request","message":"threads 4 over the limit of 1 for \"gzip\""}}`},
+		{"/v1/runs", `{"workload":"gzip","threads":4}`, 400, `{"error":{"code":"bad_request","message":"thread count 4 outside [1, 1], the limit of \"gzip\""}}`},
 		{"/v1/sweeps", "", 400, `{"error":{"code":"bad_request","message":"bad request body: EOF"}}`},
 		{"/v1/sweeps", `{"apps":[`, 400, `{"error":{"code":"bad_request","message":"bad request body: unexpected EOF"}}`},
 		{"/v1/sweeps", `{"nosuch":1}`, 400, `{"error":{"code":"bad_request","message":"bad request body: json: unknown field \"nosuch\""}}`},

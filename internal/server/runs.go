@@ -136,11 +136,8 @@ func resolveRun(req *runRequest) (cellSpec, int, error) {
 	if req.Threads == 0 {
 		req.Threads = 1
 	}
-	if req.Threads < 0 {
-		return cellSpec{}, http.StatusBadRequest, fmt.Errorf("threads %d must be positive", req.Threads)
-	}
-	if limit := wl.MaxThreads(); req.Threads > limit {
-		return cellSpec{}, http.StatusBadRequest, fmt.Errorf("threads %d over the limit of %d for %q", req.Threads, limit, wl.Name)
+	if err := cli.Threads(wl, req.Threads); err != nil {
+		return cellSpec{}, http.StatusBadRequest, err
 	}
 	cfg, err := req.Config.resolve()
 	if err != nil {

@@ -1,0 +1,79 @@
+package sim
+
+import (
+	"math"
+
+	"wavescalar/internal/isa"
+	"wavescalar/internal/place"
+)
+
+// Binding is what placing a program says, before any cycle runs, about the
+// instruction stores and matching tables its run will use: which
+// configurations differing only in V (Arch.Virt) and M (Arch.Match) run
+// alike (Inert, ExactOn). The zero Binding certifies nothing.
+type Binding struct {
+	// MaxBound is the largest per-PE bound count
+	// (place.Placement.MaxBound) of the run's threads placed on the
+	// machine's clusters, domains and PEs with its placement policy and an
+	// unbounded V.
+	MaxBound int
+}
+
+// Bind places threads copies of prog on cfg's clusters, domains and PEs
+// with cfg's placement policy and an unbounded V, and returns the binding.
+// Only those four fields of cfg are read.
+func Bind(cfg Config, prog *isa.Program, threads int) (Binding, error) {
+	pl, err := place.Place(prog, threads, place.Config{
+		Clusters: cfg.Arch.Clusters, Domains: cfg.Arch.Domains,
+		PEs: cfg.Arch.PEs, Virt: math.MaxInt, Policy: cfg.Placement,
+	})
+	if err != nil {
+		return Binding{}, err
+	}
+	return Binding{MaxBound: pl.MaxBound()}, nil
+}
+
+// Inert reports whether V and M decide nothing for the run on cfg: it
+// makes, event for event, the run with an unbounded instruction store and
+// matching table. This is the whole V/M rule, with b the MaxBound:
+//
+//   - cfg has no fault script. A fault remaps instructions mid-run and
+//     binds more to the surviving PEs than the placement did, so b no
+//     longer bounds them.
+//   - b ≤ V. Placement reads V only to cap a thread's chunk at V on a
+//     machine of several clusters, and a chunk is at most b (the first PE
+//     of a thread's ring gets a whole one), so the placement is the
+//     unbounded one. Every PE's store then starts with all its bound
+//     instructions resident (istore.NewSet), so istore.Access never misses
+//     and never evicts, and the store's LRU order decides nothing.
+//   - M ≥ MatchAssoc·K·b (and M is a whole number of sets, as Validate
+//     asks). A token for local index li < b of wave w goes to set
+//     (li·K + w mod K) mod (M/MatchAssoc), and li·K + w mod K < K·b ≤
+//     M/MatchAssoc, so the modulo is the identity: every set holds the
+//     entries it holds at any larger M, its LRU victims are the same, and
+//     so is the bank (set mod MatchBanks) and the K sets a k-bound scan
+//     reads. The table reads M nowhere else but to size its entry array.
+//
+// Nothing else in the simulator reads V or M (Validate aside). FuzzBinding
+// checks the rule by digest on random workloads, shapes and V/M pairs.
+func (b Binding) Inert(cfg Config) bool {
+	v, m := cfg.Arch.Virt, cfg.Arch.Match
+	return b.MaxBound > 0 && cfg.Fault.Empty() && b.MaxBound <= v &&
+		m%cfg.MatchAssoc == 0 && m >= cfg.MatchAssoc*cfg.K*b.MaxBound
+}
+
+// ExactOn reports whether, as far as V and M go, the run of the bound
+// program on base makes, event for event, the run on twin: base and twin
+// agree in every field but Arch.Virt, Arch.Match and the cache sizes, and
+// either their V and M agree too or the run is Inert on both. The cache
+// sizes are cache.Footprint.ExactOn's to decide: the hierarchy never reads
+// V or M, and the instruction stores and matching tables never read a
+// cache size, so a run that passes both rules stands for twin's.
+func (b Binding) ExactOn(base, twin Config) bool {
+	bv, bm, tv, tm := base.Arch.Virt, base.Arch.Match, twin.Arch.Virt, twin.Arch.Match
+	same := func(c Config) Config {
+		c.Arch.Virt, c.Arch.Match, c.Arch.L1KB, c.Arch.L2MB = 0, 0, 0, 0
+		return c
+	}
+	return same(base) == same(twin) && ((bv == tv && bm == tm) || (b.Inert(base) && b.Inert(twin)))
+}

@@ -124,6 +124,17 @@ func (w Workload) MaxThreads() int {
 	return 1
 }
 
+// CheckThreads refuses a thread count outside [1, limit] for the workload
+// named name. Its words are the one refusal every route that checks a
+// thread count gives: the tools (cli.Threads), the simulation entry point
+// (design.RunOnceContext) and the daemon's POST /v1/runs.
+func CheckThreads(name string, n, limit int) error {
+	if n < 1 || n > limit {
+		return fmt.Errorf("thread count %d outside [1, %d], the limit of %q", n, limit, name)
+	}
+	return nil
+}
+
 // newWorkload names a kernel builder. Its instances carry the workload's
 // thread limit, so a builder does not state it.
 func newWorkload(name string, suite Suite, build func(Scale) *Instance) Workload {
