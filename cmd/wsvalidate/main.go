@@ -79,7 +79,6 @@ func runFuzz(args []string) int {
 	seeds := fs.Int("seeds", 200, "number of cases to generate and check")
 	budget := fs.Int("budget", 0, "stop drawing new cases after this many simulator runs (0 = unlimited)")
 	shrinkBudget := fs.Int("shrink-budget", 150, "max checks spent minimizing each failure")
-	skipMono := fs.Bool("skip-monotone", false, "skip the nested-kill-fraction degradation check")
 	corpus := fs.String("corpus", "", "export every shrunk failure as a witness into this directory")
 	out := fs.String("o", "", "write the JSON report here instead of stdout")
 	quiet := fs.Bool("quiet", false, "no per-case progress on stderr")
@@ -90,8 +89,7 @@ func runFuzz(args []string) int {
 	ck := &validate.Checker{}
 	opt := validate.FuzzOptions{
 		Seed: *seed, Seeds: *seeds, Budget: *budget,
-		ShrinkBudget: *shrinkBudget, SkipMonotone: *skipMono,
-		CorpusDir: *corpus,
+		ShrinkBudget: *shrinkBudget, CorpusDir: *corpus,
 	}
 	if !*quiet {
 		opt.Progress = func(i int, c validate.Case, failed bool) {
@@ -99,9 +97,9 @@ func runFuzz(args []string) int {
 			if failed {
 				status = "FAIL"
 			}
-			fmt.Fprintf(os.Stderr, "case %3d/%d %-4s %-22s C%dD%dP%d threads=%d fault=%v\n",
+			fmt.Fprintf(os.Stderr, "case %3d/%d %-4s %-22s C%dD%dP%d threads=%d\n",
 				i+1, *seeds, status, c.Workload,
-				c.Arch.Clusters, c.Arch.Domains, c.Arch.PEs, c.Threads, !c.Fault.Empty())
+				c.Arch.Clusters, c.Arch.Domains, c.Arch.PEs, c.Threads)
 		}
 	}
 	rep, err := ck.Fuzz(opt)
@@ -121,8 +119,8 @@ func runFuzz(args []string) int {
 		return 1
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "ok: %d cases (%d faulted), %d simulator runs, no divergence\n",
-			rep.Checked, rep.Faulted, rep.Sims)
+		fmt.Fprintf(os.Stderr, "ok: %d cases, %d simulator runs, no divergence\n",
+			rep.Checked, rep.Sims)
 	}
 	return 0
 }

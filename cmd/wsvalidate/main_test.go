@@ -15,7 +15,7 @@ func TestFuzzSmoke(t *testing.T) {
 		t.Skip("fuzzing is slow")
 	}
 	out := filepath.Join(t.TempDir(), "fuzz.json")
-	code := run([]string{"fuzz", "-seeds", "5", "-skip-monotone", "-quiet", "-o", out})
+	code := run([]string{"fuzz", "-seeds", "5", "-quiet", "-o", out})
 	if code != 0 {
 		t.Fatalf("fuzz exit code %d, want 0", code)
 	}

@@ -17,12 +17,10 @@ import (
 // sentinels a surviving facade function can return, each with that
 // function. A caller matches them with errors.Is, so they stay spellable.
 var facadeSentinels = map[string]string{
-	"ErrBadOptions":     "RunWorkloadContext, NewExplorer, NewServer",
-	"ErrMaxCycles":      "Processor.Run (BuildProcessor), RunWorkloadContext",
-	"ErrFaultStall":     "Processor.Run under a Config.Fault script",
-	"ErrBadCompletion":  "Processor.Run",
-	"ErrBadFaultScript": "ParseFaultScript, KillFractionScript",
-	"ErrBadScenario":    "ParseScenario",
+	"ErrBadOptions":    "RunWorkloadContext, NewExplorer, NewServer",
+	"ErrMaxCycles":     "Processor.Run (BuildProcessor), RunWorkloadContext",
+	"ErrBadCompletion": "Processor.Run",
+	"ErrBadScenario":   "ParseScenario",
 }
 
 // TestFacadeNamesHaveCallers keeps wavescalar.go from regrowing re-exports
@@ -149,7 +147,7 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 		t.Errorf("wavescalar.go exports %d names nothing outside it calls — delete them, or import internal/* from inside the module:\n  %s",
 			len(orphans), strings.Join(orphans, "\n  "))
 	}
-	if n := len(spells); n > 89 {
-		t.Errorf("wavescalar.go exports %d identifiers, want at most 89", n)
+	if n := len(spells); n > 81 {
+		t.Errorf("wavescalar.go exports %d identifiers, want at most 81", n)
 	}
 }

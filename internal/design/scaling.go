@@ -19,7 +19,8 @@ type ScaledPoint struct {
 // ScalingPlan reproduces Figure 7's experiment: from the measured
 // one-cluster designs it identifies
 //
-//	a — the highest-performance one-cluster Pareto design,
+//	a — the largest one-cluster design within 1 % of the one-cluster
+//	    AIPC peak (it need not be Pareto-optimal),
 //	c — the one-cluster design with the best performance per area,
 //	b — design a naively replicated to four clusters,
 //	d — design c replicated to four clusters,

@@ -136,9 +136,10 @@ func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Inst
 // BestThreadsReusing is BestThreadsContext with runs already known: for
 // each thread count, reuse (when non-nil) may return a run that stands in
 // for simulating that count on cfg. The caller vouches that it is exact —
-// the explore engine passes runs that sim.Binding.ExactOn and
-// cache.Footprint.ExactOn both pass to cfg — and the search treats it exactly as a
-// simulated run, so the result is the one BestThreadsContext would
+// the explore engine passes runs of its twin chain's earlier members, whose
+// V and M the chain settles (sim.Binding.Inert) and whose caches
+// cache.Footprint.ExactOn passes to cfg — and the search treats it exactly
+// as a simulated run, so the result is the one BestThreadsContext would
 // return, except that Sims does not count it.
 func BestThreadsReusing(ctx context.Context, cfg sim.Config, inst *workload.Instance, counts []int,
 	reuse func(threads int) (ThreadRun, bool)) (BestRun, error) {

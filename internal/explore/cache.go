@@ -21,10 +21,6 @@ import (
 // The daemon uses the same key for request deduplication, so a cell
 // simulated by a CLI sweep and journaled is a cache hit for an identical
 // HTTP request after a warm restart.
-// A fault script contributes its canonical digest, not its pointer (which
-// would change every process) — and only when non-empty, so keys for
-// clean runs are unchanged and journals from before fault injection
-// existed still resume.
 //
 // The pre-image is the text fmt.Sprintf("cell|%+v|%s|%+v|%v", cfg, app, sc,
 // threadCounts) printed for the cleaned configuration when keys were
@@ -41,10 +37,10 @@ func CellKey(cfg sim.Config, app string, sc workload.Scale, threadCounts []int) 
 }
 
 // appendCellPreimage appends what CellKey hashes. Trace never changes
-// results, so it is written as its zero value whatever cfg holds; so is
-// Fault, whose content follows as a digest instead. "Sched:0" is the
-// scheduler choice the configuration carried when keys were fixed, kept
-// as text so those keys stay hits.
+// results, so it is written as its zero value whatever cfg holds.
+// "Sched:0" and "Fault:<nil>" are the scheduler choice and the absent
+// fault script the configuration carried when keys were fixed, kept as
+// text so those keys stay hits.
 func appendCellPreimage(b []byte, cfg *sim.Config, app string, sc workload.Scale, threadCounts []int) []byte {
 	field := func(name string, v int) {
 		b = append(b, name...)
@@ -95,12 +91,7 @@ func appendCellPreimage(b []byte, cfg *sim.Config, app string, sc workload.Scale
 		}
 		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	b = append(b, ']')
-	if !cfg.Fault.Empty() {
-		b = append(b, "|fault|"...)
-		b = append(b, cfg.Fault.Digest()...)
-	}
-	return b
+	return append(b, ']')
 }
 
 // Cell is one completed (design point, workload) measurement — the unit
@@ -119,16 +110,15 @@ type Cell struct {
 	Cycles    uint64
 	SimCycles uint64
 	Traffic   uint64
-	// Provenance: the cell's scale, the k-loop bound of its configuration,
-	// and the fault-script digest if one was injected, so a journal line
-	// describes itself to a reader (jq, a plotting script) that cannot
-	// invert the Key. Zero values on records journaled before these
-	// fields existed. None of these participate in the content-addressed
-	// Key (the key already covers the full config/scale/fault identity).
+	// Provenance: the cell's scale and the k-loop bound of its
+	// configuration, so a journal line describes itself to a reader (jq,
+	// a plotting script) that cannot invert the Key. Zero values on
+	// records journaled before these fields existed. None of these
+	// participate in the content-addressed Key (the key already covers
+	// the full config and scale).
 	ScaleIters     int
 	ScaleFootprint int
 	K              int
-	FaultDigest    string
 	Err            string // non-empty for a deterministic failure
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"wavescalar/internal/area"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/trace"
 	"wavescalar/internal/workload"
@@ -22,7 +21,8 @@ import (
 // same text whatever the live struct becomes. Sched (a scheduler choice,
 // since removed) and Trace were written as their zero values whatever
 // the configuration held, so they stay as fields that are always 0 and
-// nil; Fault is always nil because its digest follows the struct.
+// nil; so does Fault, a fault script since removed, whose digest followed
+// the struct when one was set.
 type configV1 struct {
 	Arch                                                        paramsV1
 	K, MatchAssoc, MatchBanks, OverflowPenalty, InstMissPenalty int
@@ -50,12 +50,8 @@ type scaleV1 struct{ Iters, Footprint int }
 // sprintfPreimage is CellKey's pre-image as every revision before the
 // hand-written encoder produced it, over the frozen copies. It is the
 // reference appendCellPreimage is held to, byte for byte.
-func sprintfPreimage(cfg configV1, app string, sc scaleV1, threadCounts []int, script *fault.Script) string {
-	s := fmt.Sprintf("cell|%+v|%s|%+v|%v", cfg, app, sc, threadCounts)
-	if !script.Empty() {
-		s += fmt.Sprintf("|fault|%s", script.Digest())
-	}
-	return s
+func sprintfPreimage(cfg configV1, app string, sc scaleV1, threadCounts []int) string {
+	return fmt.Sprintf("cell|%+v|%s|%+v|%v", cfg, app, sc, threadCounts)
 }
 
 // copyByName sets every field of the live struct dst from the field of
@@ -133,22 +129,6 @@ func fillRandom(t *testing.T, rng *rand.Rand, v reflect.Value) {
 	}
 }
 
-func randScript(rng *rand.Rand) *fault.Script {
-	switch rng.Intn(4) {
-	case 0:
-		return nil
-	case 1:
-		return &fault.Script{}
-	case 2:
-		return &fault.Script{Seed: rng.Uint64(), MemDropRate: 0.1}
-	default:
-		return &fault.Script{
-			Seed:   rng.Uint64(),
-			Events: []fault.Event{{Cycle: uint64(rng.Intn(1000)), Kind: fault.KindKillPE, PE: rng.Intn(8)}},
-		}
-	}
-}
-
 func randApp(rng *rand.Rand) string {
 	const alphabet = "abcxyz019-_|%{}[]: é\n"
 	runes := []rune(alphabet)
@@ -190,13 +170,12 @@ func TestCellKeyPreimageMatchesSprintf(t *testing.T) {
 		var sc workload.Scale
 		copyByName(t, reflect.ValueOf(&cfg).Elem(), reflect.ValueOf(frozen))
 		copyByName(t, reflect.ValueOf(&sc).Elem(), reflect.ValueOf(fsc))
-		cfg.Fault = randScript(rng)
 		if rng.Intn(2) == 0 {
 			cfg.Trace = new(trace.Recorder)
 		}
 		app, counts := randApp(rng), randCounts(rng)
 
-		want := sprintfPreimage(frozen, app, fsc, counts, cfg.Fault)
+		want := sprintfPreimage(frozen, app, fsc, counts)
 		if got := string(appendCellPreimage(nil, &cfg, app, sc, counts)); got != want {
 			t.Fatalf("case %d: pre-image differs from fmt's\n got %q\nwant %q", i, got, want)
 		}
@@ -214,7 +193,7 @@ var keyedFields = map[reflect.Type]string{
 		"InstMissPenalty int, Placement place.Policy, PodSize int, OutQCap int, SpecFire bool, InputWindow int, " +
 		"SBContexts int, PSQs int, PSQEntries int, SBPipeLat int, L1Lat int, L1Ports int, L2Lat int, MemLat int, " +
 		"NocBW int, NocQCap int, NetPEBW int, MaxCycles uint64, StallLimit uint64, " +
-		"Trace *trace.Recorder, Fault *fault.Script",
+		"Trace *trace.Recorder",
 	reflect.TypeOf(area.Params{}):    "Clusters int, Domains int, PEs int, Virt int, Match int, L1KB int, L2MB int",
 	reflect.TypeOf(workload.Scale{}): "Iters int, Footprint int",
 }
@@ -232,7 +211,7 @@ func TestCellKeyFieldsGuard(t *testing.T) {
 			t.Errorf("%s gained, lost or reordered a field:\n got %s\nwant %s\n"+
 				"explore.appendCellPreimage (cache.go) writes these fields by hand, as %%+v of configV1 printed them. "+
 				"Decide whether the change can move a simulation's result. If it can, the key must cover it: append it "+
-				"to the pre-image only when it differs from its old value, as Fault is, and extend sprintfPreimage "+
+				"to the pre-image only when it differs from its old value, and extend sprintfPreimage "+
 				"to match. If it cannot (like Trace), leave the pre-image alone. Then update this list. Never change "+
 				"the text an existing configuration is written as, and never edit configV1: that orphans every "+
 				"journal record and cached cell written so far.", typ, got, want)

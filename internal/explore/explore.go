@@ -37,13 +37,14 @@
 // cell waits for a sibling it could not copy from. Members come in
 // ascending (L1, L2) order, and a sweep runs each chain in that order: a
 // cell waits for its chain's previous cell, and so for every earlier
-// member. For each thread count the cell copies a run this sweep
-// simulated on an earlier member, scanned in chain order, if the run is
-// exact on the cell's configuration by both rules: V and M
-// (sim.Binding.ExactOn, decided from the placement before any cycle runs)
-// and the cache (cache.Footprint.ExactOn, decided from the run's cache
-// footprint). Each method's doc comment states its rule and why it holds.
-// Only the rest is simulated. Ready cells go to the workers in point-major
+// member. The chain itself settles V and M: its members share them, or
+// sim.Binding.Inert (decided from the placement before any cycle runs)
+// holds for every one at every thread count it runs. For each thread
+// count the cell copies a run this sweep simulated on an earlier member,
+// scanned in chain order, if the run is exact on the cell's caches
+// (cache.Footprint.ExactOn, decided from the run's cache footprint). Each
+// method's doc comment states its rule and why it holds. Only the rest is
+// simulated. Ready cells go to the workers in point-major
 // order, so where no cell waits the schedule is that of a sweep without
 // reuse. Every Viable L1 is 8, 16 or 32 KB, so each member's L1 is a
 // multiple of every earlier member's, and the chain waits for no cell a
@@ -66,7 +67,6 @@ import (
 	"time"
 
 	"wavescalar/internal/design"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/place"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
@@ -249,13 +249,6 @@ type SweepSpec struct {
 	// Progress overrides WithProgress when non-nil, letting concurrent
 	// sweeps report progress independently.
 	Progress func(Progress)
-	// Fault, when non-empty, is folded into every point's configuration
-	// (scenario sweeps carry one). Because the script lands in each cell's
-	// Config, its digest is part of every CellKey and faulty results never
-	// collide with clean ones. It is not shape-checked here (design points
-	// differ in shape): the simulator validates it when it builds each
-	// processor, and a mismatch is that cell's error.
-	Fault *fault.Script
 }
 
 // Sweep evaluates every design point on every workload, one
@@ -297,9 +290,6 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	keys := make([][]string, len(points))
 	for pi, pt := range points {
 		configs[pi] = sim.Baseline(pt.Arch)
-		if !spec.Fault.Empty() {
-			configs[pi].Fault = spec.Fault
-		}
 		keys[pi] = make([]string, len(apps))
 		for ai, w := range apps {
 			keys[pi][ai] = CellKey(configs[pi], w.Name, scale, threadCounts)
@@ -382,16 +372,10 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		pi, ai := c/len(apps), c%len(apps)
 		var reuse func(int) (design.ThreadRun, bool)
 		if len(earlier[c]) > 0 {
-			twin := configs[pi]
-			twinCache := twin.CacheConfig()
+			twinCache := configs[pi].CacheConfig()
 			reuse = func(n int) (design.ThreadRun, bool) {
-				bind := binds.of(twin, ai, n)
 				for _, bc := range earlier[c] {
-					base := configs[bc/len(apps)]
-					if !bind.ExactOn(base, twin) {
-						continue
-					}
-					baseCache := base.CacheConfig()
+					baseCache := configs[bc/len(apps)].CacheConfig()
 					for _, r := range bases[bc] {
 						if r.Threads == n && r.Cache.ExactOn(baseCache, twinCache) {
 							return r, true
@@ -579,12 +563,6 @@ func bindKeyOf(cfg sim.Config, app, threads int) bindKey {
 	return bindKey{app, threads, cfg.Arch.Clusters, cfg.Arch.Domains, cfg.Arch.PEs, cfg.Placement}
 }
 
-// of returns the binding inert placed for app's threads on cfg's shape, or
-// the zero Binding, which certifies nothing.
-func (b *bindings) of(cfg sim.Config, app, threads int) sim.Binding {
-	return b.m[bindKeyOf(cfg, app, threads)]
-}
-
 // inert reports whether V and M decide nothing for the cell of app on cfg:
 // whether the run is sim.Binding.Inert at every thread count the cell
 // runs, and it runs at least one.
@@ -621,13 +599,15 @@ const (
 // evalCell is the one way a cell is produced: cache lookup, the
 // best-thread-count search, write-through. With the cell it returns the
 // search's outcome (empty on a hit), whose runs and drops are not part of
-// the cell. RunOne passes a nil inst so a
-// hit never builds the workload; Sweep passes the instance it built once
-// for the whole sweep. reuse is nil outside sweeps; it offers runs of the
-// cell's twins (see design.BestThreadsReusing). A cell reuse covers
-// at every thread count the workload allows is copied (srcReused);
-// otherwise the runs the search completed are returned with the cell. A returned error is the context's on srcNone and a failed journal
-// append otherwise (the cell is still valid and cached).
+// the cell. RunOne passes a nil inst so a hit never builds the workload;
+// Sweep passes the instance it built once for the whole sweep. reuse is
+// nil outside sweeps; it offers runs of the cell's twins (see
+// design.BestThreadsReusing). A cell that reuse covers at every thread
+// count the workload allows is copied (srcReused); otherwise the search
+// simulates what reuse does not cover, and its completed runs are
+// returned with the cell. A returned error is the context's on srcNone
+// and a failed journal append otherwise (the cell is still valid and
+// cached).
 func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w workload.Workload, inst *workload.Instance,
 	sc workload.Scale, threadCounts []int, reuse func(int) (design.ThreadRun, bool)) (Cell, design.BestRun, cellSource, error) {
 	if cell, ok := e.cache.Cell(key); ok {
@@ -689,14 +669,10 @@ func (e *Explorer) commit(cell Cell) error {
 // newCell stamps a fresh cell with its identity and provenance: the
 // fields every outcome (success or deterministic failure) carries.
 func newCell(key, app string, cfg sim.Config, sc workload.Scale) Cell {
-	cell := Cell{
+	return Cell{
 		Key: key, App: app, Arch: cfg.Arch.String(),
 		ScaleIters: sc.Iters, ScaleFootprint: sc.Footprint, K: cfg.K,
 	}
-	if !cfg.Fault.Empty() {
-		cell.FaultDigest = cfg.Fault.Digest()
-	}
-	return cell
 }
 
 // errIncomplete marks a cell the sweep never reached (cancellation).

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"wavescalar/internal/design"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
@@ -109,13 +108,12 @@ func TestSweepCacheHitDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepConfigureOverride: a per-sweep fault script (what scenario
-// sweeps fold into every design point) must change every cell key —
-// faulty and baseline sweeps own disjoint slices of the shared cache.
+// TestSweepConfigureOverride: a per-sweep thread-count override must
+// change every cell key — the two sweeps own disjoint slices of the shared
+// cache — and an equal override in another allocation is a pure cache hit.
 func TestSweepConfigureOverride(t *testing.T) {
 	points := testPoints(t, 2)
 	apps := testApps(t, "gzip")
-	script := &fault.Script{Seed: 11, LinkFlipRate: 0.001}
 
 	exp, err := New(WithParallelism(2))
 	if err != nil {
@@ -131,33 +129,29 @@ func TestSweepConfigureOverride(t *testing.T) {
 		t.Fatalf("baseline sweep simulated %d, want %d", base.Simulated, len(points))
 	}
 
-	faulty, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{
-		Scale: workload.Tiny, ThreadCounts: []int{1}, Fault: script,
+	wide, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{
+		Scale: workload.Tiny, ThreadCounts: []int{1, 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := exp.LastProgress()
 	if p.CacheHits != 0 || p.Simulated != len(points) {
-		t.Errorf("faulty sweep hit the baseline cache: %+v", p)
+		t.Errorf("overridden sweep hit the baseline cache: %+v", p)
 	}
-	for _, r := range faulty {
+	for _, r := range wide {
 		if r.Err != nil {
-			t.Errorf("faulty sweep point %s failed: %v", r.Arch, r.Err)
+			t.Errorf("overridden sweep point %s failed: %v", r.Arch, r.Err)
 		}
 	}
 
-	// Re-running the faulty sweep with an equal script in another
-	// allocation is a pure cache hit: the script participates in cell keys
-	// by content.
-	again := *script
 	if _, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{
-		Scale: workload.Tiny, ThreadCounts: []int{1}, Fault: &again,
+		Scale: workload.Tiny, ThreadCounts: []int{1, 2},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if p := exp.LastProgress(); p.Simulated != 0 {
-		t.Errorf("repeat faulty sweep simulated %d cells, want 0", p.Simulated)
+		t.Errorf("repeat overridden sweep simulated %d cells, want 0", p.Simulated)
 	}
 }
 
@@ -272,30 +266,27 @@ func TestResumeSmoke(t *testing.T) {
 }
 
 func TestFailedCellsAreCachedDeterministically(t *testing.T) {
-	points := testPoints(t, 1)
+	// An M that is not a whole number of sets: every run is refused.
+	points := []design.Point{testPoints(t, 1)[0]}
+	points[0].Arch.Match++
 	apps := testApps(t, "gzip")
-	// Kill every PE at cycle 1, so the run deterministically stalls.
-	strangle, err := fault.KillFractionScript(sim.FaultShape(sim.Baseline(points[0].Arch)), 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	exp, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{Fault: strangle})
+	res, err := exp.Sweep(context.Background(), points, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), sim.ErrFaultStall.Error()) {
-		t.Fatalf("expected a fault stall, got %v", res[0].Err)
+	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "not divisible by associativity") {
+		t.Fatalf("expected a refused configuration, got %v", res[0].Err)
 	}
 	if p := exp.LastProgress(); p.Failed != 1 {
 		t.Errorf("Failed = %d, want 1", p.Failed)
 	}
 
-	res2, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{Fault: strangle})
+	res2, err := exp.Sweep(context.Background(), points, apps)
 	if err != nil {
 		t.Fatal(err)
 	}

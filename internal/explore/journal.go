@@ -16,7 +16,10 @@ import (
 // run replays the journal into the cache and simulates only missing
 // cells; because records are content-addressed, a journal can safely be
 // shared by overlapping sweeps and by sweeps with different options —
-// mismatched cells simply never get looked up.
+// mismatched cells simply never get looked up. So do the lines of older
+// revisions for cells run under a fault script: their keys carry the
+// script's digest, which no request can produce any more, and their
+// "fault" field is ignored.
 type record struct {
 	Kind    string  `json:"kind"` // always "cell"; see walkJournal for "tuning"
 	Key     string  `json:"key"`
@@ -32,7 +35,6 @@ type record struct {
 	ScaleIters     int    `json:"scale_iters,omitempty"`
 	ScaleFootprint int    `json:"scale_fp,omitempty"`
 	K              int    `json:"k,omitempty"`
-	Fault          string `json:"fault,omitempty"`
 	Err            string `json:"err,omitempty"`
 }
 
@@ -167,7 +169,7 @@ func (rec record) cell() Cell {
 		AIPC: rec.AIPC, Threads: rec.Threads,
 		Cycles: rec.Cycles, SimCycles: rec.Sim, Traffic: rec.Traffic,
 		ScaleIters: rec.ScaleIters, ScaleFootprint: rec.ScaleFootprint,
-		K: rec.K, FaultDigest: rec.Fault, Err: rec.Err,
+		K: rec.K, Err: rec.Err,
 	}
 }
 
@@ -177,6 +179,6 @@ func cellRecord(c Cell) record {
 		AIPC: c.AIPC, Threads: c.Threads, Cycles: c.Cycles,
 		Sim: c.SimCycles, Traffic: c.Traffic,
 		ScaleIters: c.ScaleIters, ScaleFootprint: c.ScaleFootprint,
-		K: c.K, Fault: c.FaultDigest, Err: c.Err,
+		K: c.K, Err: c.Err,
 	}
 }

@@ -2,11 +2,13 @@ package explore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -30,23 +32,27 @@ func writeJournalLines(t *testing.T, path string, lines ...string) {
 	}
 }
 
+// faultedLine is a journal line as revisions with fault injection wrote it
+// for a daemon's fault-injected run: its key carries the script's digest,
+// and a "fault" field names it.
+const faultedLine = `{"kind":"cell","key":"e52aefdc691e688905a0f1566fa43e34","app":"fft","arch":"C1 D4 P8 V128 M128 L1:32KB L2:1MB","aipc":4.165951359084406,"threads":1,"cycles":4194,"sim_cycles":4194,"traffic":37070,"scale_iters":24,"scale_fp":1024,"k":4,"fault":"bb534d91fb9800b4179dd1fb34d6dab4f466f5e9ba5caa962244315d09d25ebc"}`
+
 // TestJournalRecordBytesPinned pins the journal's record format by its
-// bytes: two lines as a wspareto sweep and a daemon's fault-injected run
-// wrote them (every provenance field set), replayed into cells and
-// appended back out. A renamed, reordered, dropped or added field fails
-// here before it strands an existing journal.
+// bytes: a line as a wspareto sweep wrote it (every provenance field set)
+// and faultedLine, replayed into cells and appended back out. A renamed,
+// reordered, dropped or added field fails here before it strands an
+// existing journal; the faulted line replays and is written back without
+// its "fault" field.
 func TestJournalRecordBytesPinned(t *testing.T) {
-	const lines = `{"kind":"cell","key":"11a97cf7a3cddd724489c70f8404d7a1","app":"conv-os-4x4x2","arch":"C1 D4 P8 V128 M128 L1:8KB L2:0MB","aipc":5.6380952380952385,"threads":1,"cycles":3780,"sim_cycles":3780,"traffic":33203,"scale_iters":24,"scale_fp":1024,"k":4}
-{"kind":"cell","key":"e52aefdc691e688905a0f1566fa43e34","app":"fft","arch":"C1 D4 P8 V128 M128 L1:32KB L2:1MB","aipc":4.165951359084406,"threads":1,"cycles":4194,"sim_cycles":4194,"traffic":37070,"scale_iters":24,"scale_fp":1024,"k":4,"fault":"bb534d91fb9800b4179dd1fb34d6dab4f466f5e9ba5caa962244315d09d25ebc"}
-`
+	const clean = `{"kind":"cell","key":"11a97cf7a3cddd724489c70f8404d7a1","app":"conv-os-4x4x2","arch":"C1 D4 P8 V128 M128 L1:8KB L2:0MB","aipc":5.6380952380952385,"threads":1,"cycles":3780,"sim_cycles":3780,"traffic":33203,"scale_iters":24,"scale_fp":1024,"k":4}` + "\n"
+	lines := clean + faultedLine + "\n"
 	want := []Cell{
 		{Key: "11a97cf7a3cddd724489c70f8404d7a1", App: "conv-os-4x4x2", Arch: "C1 D4 P8 V128 M128 L1:8KB L2:0MB",
 			AIPC: 5.6380952380952385, Threads: 1, Cycles: 3780, SimCycles: 3780, Traffic: 33203,
 			ScaleIters: 24, ScaleFootprint: 1024, K: 4},
 		{Key: "e52aefdc691e688905a0f1566fa43e34", App: "fft", Arch: "C1 D4 P8 V128 M128 L1:32KB L2:1MB",
 			AIPC: 4.165951359084406, Threads: 1, Cycles: 4194, SimCycles: 4194, Traffic: 37070,
-			ScaleIters: 24, ScaleFootprint: 1024, K: 4,
-			FaultDigest: "bb534d91fb9800b4179dd1fb34d6dab4f466f5e9ba5caa962244315d09d25ebc"},
+			ScaleIters: 24, ScaleFootprint: 1024, K: 4},
 	}
 
 	var got []Cell
@@ -76,8 +82,57 @@ func TestJournalRecordBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(written) != lines {
-		t.Errorf("journal bytes drifted:\n%s\nwant:\n%s", written, lines)
+	wantBytes := clean + strings.Replace(faultedLine, `,"fault":"bb534d91fb9800b4179dd1fb34d6dab4f466f5e9ba5caa962244315d09d25ebc"`, "", 1) + "\n"
+	if string(written) != wantBytes {
+		t.Errorf("journal bytes drifted:\n%s\nwant:\n%s", written, wantBytes)
+	}
+}
+
+// TestJournalReplaysFaultedLines: a journal holding faultedLine resumes
+// without error. The line loads under its own key, which no request can
+// produce, and the faultless cells journaled beside it are still hits.
+func TestJournalReplaysFaultedLines(t *testing.T) {
+	points, apps := testPoints(t, 1), testApps(t, "gzip")
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	first, err := New(WithJournal(path, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := first.Sweep(context.Background(), points, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(faultedLine + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := New(WithJournal(path, true))
+	if err != nil {
+		t.Fatalf("resume from a journal with a faulted line: %v", err)
+	}
+	defer resumed.Close()
+	if n := resumed.Cache().Stats().Cells; n != 2 {
+		t.Errorf("resumed cache holds %d cells, want 2", n)
+	}
+	got, err := resumed.Sweep(context.Background(), points, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := resumed.LastProgress(); p.Simulated != 0 || p.CacheHits != 1 {
+		t.Errorf("resumed sweep simulated %d, hit %d; want 0 and 1", p.Simulated, p.CacheHits)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed results differ:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -252,5 +307,32 @@ func TestJournalConcurrentAppend(t *testing.T) {
 		if got, ok := cache.Cell(want.Key); !ok || got != want {
 			t.Errorf("cell %d: got %+v ok=%v, want %+v", i, got, ok, want)
 		}
+	}
+}
+
+// A torn trailing record must be skipped with a logged warning, not
+// silently: operators should know a cell will re-simulate.
+func TestJournalTornTailLogsWarning(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.jsonl")
+	content := `{"kind":"cell","key":"aa01","app":"gzip","aipc":1.5,"threads":1}` + "\n" +
+		`{"kind":"cell","key":"bb02","app":` // truncated mid-record
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&buf)
+	defer log.SetOutput(prev)
+
+	cache := NewCache()
+	n, err := ReplayJournal(path, cache)
+	if err != nil {
+		t.Fatalf("torn tail should be tolerated: %v", err)
+	}
+	if n != 1 {
+		t.Errorf("loaded %d records, want 1", n)
+	}
+	if !strings.Contains(buf.String(), "torn trailing journal record") {
+		t.Errorf("no warning logged for torn tail; log output: %q", buf.String())
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"wavescalar/internal/cache"
 	"wavescalar/internal/design"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
@@ -32,27 +31,21 @@ func directCell(cfg sim.Config, w workload.Workload, sc workload.Scale, counts [
 
 // TestSweepReuseMatchesDirect sweeps every viable point at tiny scale and
 // checks every cell, the ones copied from a twin among them, field by
-// field against a direct best-thread search on its own configuration, with
-// and without a memory drop/delay fault script; and a thinned sweep cell
+// field against a direct best-thread search on its own configuration; and
+// a thinned sweep cell
 // by cell against RunOne (subsampleReuseMatchesRunOne). Each sweep's reuse
 // count is pinned exactly: a cell must copy every thread count that some
-// earlier member of its twin chain has an exact run for. A fault script
-// keeps V and M deciding (sim.Binding.Inert), so the faulty sweeps copy
-// only across cache sizes and reuse fewer cells than the clean ones.
+// earlier member of its twin chain has an exact run for.
 func TestSweepReuseMatchesDirect(t *testing.T) {
 	points := design.Viable()
-	memFaults := &fault.Script{Seed: 31, MemDropRate: 0.02, MemDelayRate: 0.05}
 	cases := []struct {
 		name   string
 		apps   []string
 		counts []int
-		fault  *fault.Script
 		reused int
 	}{
-		{"mcf+djpeg", []string{"mcf", "djpeg"}, []int{1}, nil, 120},
-		{"fft", []string{"fft"}, []int{1, 4}, nil, 60},
-		{"mcf+djpeg/mem-faults", []string{"mcf", "djpeg"}, []int{1}, memFaults, 114},
-		{"fft/mem-faults", []string{"fft"}, []int{1, 4}, memFaults, 58},
+		{"mcf+djpeg", []string{"mcf", "djpeg"}, []int{1}, 120},
+		{"fft", []string{"fft"}, []int{1, 4}, 60},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -62,7 +55,7 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{
-				Scale: workload.Tiny, ThreadCounts: tc.counts, Fault: tc.fault,
+				Scale: workload.Tiny, ThreadCounts: tc.counts,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +70,6 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 			var all []cellCase
 			for _, pt := range points {
 				cfg := sim.Baseline(pt.Arch)
-				cfg.Fault = tc.fault
 				for _, w := range apps {
 					all = append(all, cellCase{cfg, w})
 				}
@@ -274,10 +266,11 @@ func TestCacheFamilies(t *testing.T) {
 // every viable point, for each suite at tiny scale with the thread counts
 // its sweeps use: a cell waits only for cells whose runs it could copy.
 // For each cell and every earlier member of its chain, at every thread
-// count the workload runs, both rules pass the earlier member's run to the
-// cell unless the run itself says otherwise: sim.Binding.ExactOn, and
-// cache.Footprint.ExactOn for a run that fetched, evicted and refetched
-// nothing. The test also checks that the V/M rule is what keeps chains
+// count the workload runs, the two share V and M or the workload's
+// placement is sim.Binding.Inert on both, and cache.Footprint.ExactOn
+// passes the earlier member's run to the cell unless the run itself says
+// otherwise (it does for a run that fetched, evicted and refetched
+// nothing). The test also checks that the V/M rule is what keeps chains
 // apart: some chain holds V/M siblings, and some V/M siblings (equal but
 // for the cache sizes, V and M) are in different chains, where merging
 // them would make a cell wait for a cell it could not copy from.
@@ -302,17 +295,21 @@ func TestViableFamiliesAreChains(t *testing.T) {
 		for ci, chain := range chains {
 			for i, c := range chain {
 				chainOf[c] = ci
-				twin := configs[c/len(apps)]
+				twin, ai := configs[c/len(apps)], c%len(apps)
+				bound := map[int]sim.Binding{} // by thread count the cell runs
+				for _, n := range tc.counts {
+					if n <= insts[ai].MaxThreads {
+						bound[n], _ = sim.Bind(twin, insts[ai].Prog, n)
+					}
+				}
 				for _, bc := range chain[:i] {
 					base := configs[bc/len(apps)]
-					if base.Arch.Virt != twin.Arch.Virt || base.Arch.Match != twin.Arch.Match {
+					sameVM := base.Arch.Virt == twin.Arch.Virt && base.Arch.Match == twin.Arch.Match
+					if !sameVM {
 						merged++
 					}
-					for _, n := range tc.counts {
-						if n > insts[c%len(apps)].MaxThreads {
-							continue
-						}
-						if !binds.of(twin, c%len(apps), n).ExactOn(base, twin) || !(cache.Footprint{}).ExactOn(base.CacheConfig(), twin.CacheConfig()) {
+					for n, b := range bound {
+						if !(sameVM || b.Inert(base) && b.Inert(twin)) || !(cache.Footprint{}).ExactOn(base.CacheConfig(), twin.CacheConfig()) {
 							t.Errorf("%s: %s on %s waits for %s, whose %d-thread run it could never copy",
 								tc.suite, apps[c%len(apps)].Name, twin.Arch, base.Arch, n)
 						}

@@ -148,7 +148,7 @@ func (s *refStore) access(id int) bool {
 // and the same counters at the end. The capacities cover a one-entry
 // store, the smallest real LRU and one larger than most of the walk's
 // working sets; every walk ends oversubscribed, and binds keep arriving
-// after accesses have begun, as a fault remap produces them. Half the
+// after accesses have begun. Half the
 // stores start from NewSet with instructions already bound, sharing a slab
 // with a neighbour whose state must not move.
 func TestMatchesMapAndListStore(t *testing.T) {

@@ -37,7 +37,6 @@ package match
 
 import (
 	"fmt"
-	"sort"
 
 	"wavescalar/internal/isa"
 )
@@ -163,9 +162,7 @@ type Releaser interface {
 }
 
 // New creates a matching table for a PE with insts instructions bound
-// (local indexes 0..insts-1). A larger index arriving later — a fault
-// remap binds more instructions to a survivor — grows the table's
-// per-index state on first use.
+// (local indexes 0..insts-1).
 func New(cfg Config, insts int) *Table {
 	return &NewSet(cfg, []int{insts})[0]
 }
@@ -173,8 +170,7 @@ func New(cfg Config, insts int) *Table {
 // NewSet creates one matching table per entry of insts, the i-th for a PE
 // with insts[i] instructions bound. The tables and their per-index state
 // come from two allocations however many tables there are; each table's
-// share is cut to length, so per-index state that grows later reallocates
-// and never writes into a neighbour's.
+// share is cut to length.
 func NewSet(cfg Config, insts []int) []Table {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -243,8 +239,8 @@ const (
 	Stored
 	// Completed means the token completed its instance: the returned Entry
 	// is ready for the scheduling queue and has been removed from the
-	// table. It is the freed slot itself, valid only until the next Insert
-	// or Adopt, so the caller copies what it needs at once.
+	// table. It is the freed slot itself, valid only until the next Insert,
+	// so the caller copies what it needs at once.
 	Completed
 )
 
@@ -278,7 +274,7 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 			break
 		}
 	}
-	st := t.inst(localIdx)
+	st := &t.idx[localIdx]
 	readyAt := cycle + 1
 	if slot == nil {
 		// Check the in-memory overflow table: a hit there is a
@@ -404,16 +400,6 @@ func (t *Table) displaced(st *instState, localIdx int, wave uint32) (Entry, bool
 func (t *Table) CountRejects(k, bank uint64) {
 	t.stats.KRejects += k
 	t.stats.BankRejects += bank
-}
-
-// inst returns the bookkeeping for a local index, growing it for an index
-// bound after construction. The pointer is valid until the next call
-// (nothing else grows the per-index state).
-func (t *Table) inst(localIdx int) *instState {
-	if localIdx >= len(t.idx) {
-		t.idx = append(t.idx, make([]instState, localIdx+1-len(t.idx))...)
-	}
-	return &t.idx[localIdx]
 }
 
 // admit marks a filled slot live and counts it against its local index.
@@ -545,60 +531,3 @@ func (t *Table) OverflowSize() int { return len(t.overflow) }
 // Allocated reports whether the table holds its physical entries yet: it
 // allocates them when its first token arrives (diagnostic).
 func (t *Table) Allocated() bool { return t.entries != nil }
-
-// DrainEntries removes and returns every partial match the table holds —
-// physical entries in set order, then in-memory overflow entries in
-// deterministic (instruction, tag) order. Used when a PE is mapped out:
-// the survivors adopt its partial matches. The release callback is not
-// invoked (the table's owner is being dismantled, not making progress).
-func (t *Table) DrainEntries() []Entry {
-	var out []Entry
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.valid {
-			ec := *e
-			ec.valid = false
-			out = append(out, ec)
-			e.valid = false
-			t.live--
-		}
-	}
-	if len(t.overflow) > 0 {
-		first := len(out)
-		for _, oe := range t.overflow {
-			out = append(out, oe)
-		}
-		clear(t.overflow)
-		mem := out[first:]
-		sort.Slice(mem, func(i, j int) bool {
-			a, b := &mem[i], &mem[j]
-			if a.Inst != b.Inst {
-				return a.Inst < b.Inst
-			}
-			if a.Tag.Thread != b.Tag.Thread {
-				return a.Tag.Thread < b.Tag.Thread
-			}
-			return a.Tag.Wave < b.Tag.Wave
-		})
-	}
-	clear(t.idx)
-	return out
-}
-
-// Adopt installs a partial match drained from another PE's table,
-// preserving its accumulated operands and store-decoupling state
-// (AddrSent survives the migration, so a decoupled store does not
-// re-send its address half). localIdx is the instruction's index in the
-// adopting PE's store; readyAt defers schedulability by the migration
-// penalty. Adoption bypasses bank limits — it models a repair action,
-// not an arrival.
-func (t *Table) Adopt(e Entry, localIdx int, readyAt uint64) {
-	st := t.inst(localIdx)
-	slot := t.allocate(t.set(localIdx, e.Tag))
-	*slot = e
-	slot.LocalIdx = int32(localIdx)
-	if slot.ReadyAt < readyAt {
-		slot.ReadyAt = readyAt
-	}
-	t.admit(st, slot)
-}

@@ -37,8 +37,7 @@ func TestEntrySize(t *testing.T) {
 // TestUntouchedTableHoldsNoEntries checks that the physical entries and the
 // in-memory table wait for a token: every read-only call works on a table
 // that has none, a refused token allocates nothing either, and the first
-// token written brings the whole flat array. Tables of one NewSet keep to
-// their own share of the per-index state when one of them grows.
+// token written brings the whole flat array, and only its own table's.
 func TestUntouchedTableHoldsNoEntries(t *testing.T) {
 	set := NewSet(cfg(), []int{2, 3})
 	tb, neighbour := &set[0], &set[1]
@@ -49,8 +48,8 @@ func TestUntouchedTableHoldsNoEntries(t *testing.T) {
 	if out, certain := tb.CertainReject(1, 1, tb.Bank(1, 1), 0); certain {
 		t.Errorf("CertainReject on an untouched table is certain of outcome %d", out)
 	}
-	if got := tb.DrainEntries(); len(got) != 0 || tb.Live() != 0 || tb.OverflowSize() != 0 {
-		t.Errorf("untouched table drained %d entries (live %d, overflow %d)", len(got), tb.Live(), tb.OverflowSize())
+	if tb.Live() != 0 || tb.OverflowSize() != 0 {
+		t.Errorf("untouched table holds live %d, overflow %d", tb.Live(), tb.OverflowSize())
 	}
 	if tb.entries != nil || tb.overflow != nil {
 		t.Fatalf("reads allocated: %d entries, overflow map %v", len(tb.entries), tb.overflow != nil)
@@ -59,9 +58,7 @@ func TestUntouchedTableHoldsNoEntries(t *testing.T) {
 		t.Errorf("NumSets = %d before any token, want 8", tb.NumSets())
 	}
 
-	// An index bound after construction grows this table's per-index state
-	// out of the shared slab; the neighbour's is left alone.
-	if out, _ := tb.Insert(tok(9, 0, 1, 0, 7), 2, 0b011, 0, 10); out != Stored {
+	if out, _ := tb.Insert(tok(9, 0, 1, 0, 7), 1, 0b011, 0, 10); out != Stored {
 		t.Fatalf("first insert = %v, want Stored", out)
 	}
 	if len(tb.entries) != cfg().Entries || tb.overflow != nil {
@@ -72,7 +69,7 @@ func TestUntouchedTableHoldsNoEntries(t *testing.T) {
 	}
 	for li, st := range neighbour.idx {
 		if st != (instState{}) {
-			t.Errorf("growing one table's index state wrote the neighbour's index %d: %+v", li, st)
+			t.Errorf("a token for one table wrote the neighbour's index %d: %+v", li, st)
 		}
 	}
 }
@@ -206,7 +203,7 @@ func TestKLoopBounding(t *testing.T) {
 // token older than the youngest resident instance gets in by displacing it
 // to the in-memory table, and the displaced instance is found there later.
 func TestKBoundAdmitsOlderWave(t *testing.T) {
-	tb := New(cfg(), 0) // sized for nothing: per-index state grows on use
+	tb := New(cfg(), insts)
 	for _, w := range []uint32{1, 2} {
 		if out, _ := tb.Insert(tok(3, 0, w, 0, uint64(w)), 3, 0b011, uint64(w), 10); out != Stored {
 			t.Fatalf("wave %d: %v", w, out)
@@ -380,17 +377,13 @@ func checkIndexState(t *testing.T, step int, tb *Table, instOf func(li int) (isa
 // back from the in-memory table (-1 if none): each index's count moved by
 // the number of its instances the step put in the in-memory table (what
 // the index holds there now, less what it held, plus the one fetched
-// back), and the counts sum to the evictions counted since evBase, the
-// table's count when it last drained.
-func checkDisplacements(t *testing.T, step int, tb *Table, idx []instState, hit int, evBase uint64) {
+// back), and the counts sum to the evictions counted.
+func checkDisplacements(t *testing.T, step int, tb *Table, idx []instState, hit int) {
 	t.Helper()
 	sum := uint64(0)
 	for li := range tb.idx {
 		_, _, _, _, n := tb.KBound(li)
-		was, added := uint32(0), tb.idx[li].ov
-		if li < len(idx) {
-			was, added = idx[li].moved, added-idx[li].ov
-		}
+		was, added := idx[li].moved, tb.idx[li].ov-idx[li].ov
 		if li == hit {
 			added++
 		}
@@ -400,8 +393,8 @@ func checkDisplacements(t *testing.T, step int, tb *Table, idx []instState, hit 
 		}
 		sum += uint64(n)
 	}
-	if ev := tb.Stats().Evictions - evBase; sum != ev {
-		t.Fatalf("step %d: displacement counts sum to %d, %d evictions since the last drain", step, sum, ev)
+	if ev := tb.Stats().Evictions; sum != ev {
+		t.Fatalf("step %d: displacement counts sum to %d, %d evictions", step, sum, ev)
 	}
 }
 
@@ -477,15 +470,15 @@ type releaseFunc func(localIdx int)
 
 func (f releaseFunc) Released(localIdx int) { f(localIdx) }
 
-// TestIndexStateMatchesScan drives random Insert / Release / DrainEntries →
-// Adopt sequences through small tables (so set eviction, k-rejects,
+// TestIndexStateMatchesScan drives random Insert / Release sequences
+// through small tables (so set eviction, k-rejects,
 // displacement of the youngest and overflow hits are all common) and checks
 // after every step that the per-index counters, the youngest cache and the
 // overflow counts say exactly what a scan of the sets and the map would.
 // The release callback's index must be a bound one, and each index's
 // displacement count must move by one for each of its instances newly in
 // the in-memory table and sum, over the table, to the evictions counted
-// since it last drained (checkDisplacements).
+// (checkDisplacements).
 //
 // Every Insert goes through insertRuled, which holds the reject rule to
 // what Insert then does; the rule must decide at least half of the walk's
@@ -506,23 +499,18 @@ func TestIndexStateMatchesScan(t *testing.T) {
 	}
 	for si, c := range shapes {
 		rng := rand.New(rand.NewSource(int64(si) + 1))
-		newTable := func(sized int) *Table {
-			tb := New(c, sized)
-			tb.OnRelease = releaseFunc(func(li int) {
-				if li < 0 || li >= len(tb.idx) {
-					t.Fatalf("shape %d: release callback for index %d of %d", si, li, len(tb.idx))
-				}
-			})
-			return tb
-		}
-		tb, spare := newTable(nIdx), newTable(0)
-		evBase := map[*Table]uint64{} // each table's evictions at its last drain
+		tb := New(c, nIdx)
+		tb.OnRelease = releaseFunc(func(li int) {
+			if li < 0 || li >= len(tb.idx) {
+				t.Fatalf("shape %d: release callback for index %d of %d", si, li, len(tb.idx))
+			}
+		})
 		cycle := uint64(0)
 		base := uint32(0) // waves wander upward so old and young tokens mix
 		var kRejects, kCertain, bankCertain int
 		for step := 0; step < 6000; step++ {
 			idx, hits, hitIdx := slices.Clone(tb.idx), tb.Stats().OverflowHits, -1
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(19); {
 			case op < 15:
 				li := rng.Intn(nIdx)
 				inst, thread := instOf(li)
@@ -547,29 +535,14 @@ func TestIndexStateMatchesScan(t *testing.T) {
 				if e := tb.Lookup(inst, li, isa.Tag{Thread: thread, Wave: base + uint32(rng.Intn(6))}); e != nil {
 					tb.Release(e)
 				}
-			case op < 19:
-				base++
 			default:
-				// Map the PE out: everything it holds moves to the spare.
-				spareIdx := slices.Clone(spare.idx)
-				for _, e := range tb.DrainEntries() {
-					li := int(e.Tag.Thread)*perThr + int(e.Inst)
-					spare.Adopt(e, li, cycle+20)
-				}
-				checkIndexState(t, step, tb, instOf)
-				if tb.Live() != 0 || tb.OverflowSize() != 0 {
-					t.Fatalf("shape %d step %d: drained table holds %d+%d", si, step, tb.Live(), tb.OverflowSize())
-				}
-				evBase[tb] = tb.Stats().Evictions
-				checkDisplacements(t, step, tb, nil, -1, evBase[tb])
-				tb, spare = spare, tb
-				idx = spareIdx
+				base++
 			}
 			checkIndexState(t, step, tb, instOf)
 			if tb.Stats().OverflowHits == hits {
 				hitIdx = -1
 			}
-			checkDisplacements(t, step, tb, idx, hitIdx, evBase[tb])
+			checkDisplacements(t, step, tb, idx, hitIdx)
 		}
 		if s := tb.Stats(); s.KRejects == 0 && c.K < 4 {
 			t.Errorf("shape %d: sequence never hit the k-bound (%+v)", si, s)

@@ -30,8 +30,6 @@ var (
 	// ErrOffGrid marks a routing step that left the grid — an internal
 	// invariant violation, latched instead of panicking.
 	ErrOffGrid = errors.New("noc: route off grid")
-	// ErrBadLink marks a LinkDown call naming non-adjacent switches.
-	ErrBadLink = errors.New("noc: bad link")
 )
 
 // VC identifiers: operands ride VC 0, memory and coherence traffic VC 1.
@@ -67,14 +65,7 @@ type Message struct {
 	Payload  any
 	Injected uint64
 	Hops     int
-	// RetryAt holds the message at its current switch until the given
-	// cycle after a transient link fault (retransmit penalty).
-	RetryAt uint64
 }
-
-// FlipFunc decides whether the link leaving switch sw through port
-// suffers a transient fault this cycle (fault injection hook).
-type FlipFunc func(cycle uint64, sw, port int) bool
 
 // Sink receives delivered messages.
 type Sink func(cycle uint64, port OutPort, m *Message)
@@ -101,11 +92,6 @@ type Stats struct {
 	TotalLat   uint64 // sum of delivery latencies in cycles
 	InjectFull uint64 // failed injection attempts (source queue full)
 	Blocked    uint64 // hop attempts blocked by a full downstream queue
-	// Fault-path counters; zero on a healthy fabric.
-	Retransmits uint64 // transient link faults (message held, re-sent)
-	Rerouted    uint64 // messages moved off a failed link's queue
-	Unroutable  uint64 // send attempts with no path to the destination
-	LinksDown   int    // permanently failed links
 }
 
 // queue is one output port's per-VC buffer: a head-indexed slice with
@@ -138,25 +124,12 @@ func (q *queue) popFront() *Message {
 	return m
 }
 
-// take empties the queue and returns its contents (fault reroute path).
-func (q *queue) take() []*Message {
-	out := q.msgs[q.head:]
-	q.msgs = nil
-	q.head = 0
-	return out
-}
-
-// portNone marks "no route" in the reroute tables.
-const portNone OutPort = -1
-
 type sw struct {
 	x, y int
 	out  [numPorts][numVCs]queue
 	// queued counts buffered messages across all ports/VCs; a switch with
 	// none is skipped by Tick entirely.
 	queued int
-	// dead[p] marks the outgoing link through cardinal port p failed.
-	dead [4]bool
 }
 
 // Grid is the whole inter-cluster network.
@@ -184,19 +157,6 @@ type Grid struct {
 	// err latches the first internal anomaly (bad message, off-grid
 	// route); the owner polls Err() and aborts the run.
 	err error
-	// routeTab[si][dst] is the next-hop port from switch si toward
-	// destination switch dst, BFS-computed around dead links. nil while
-	// the fabric is healthy so the fault-free path stays pure
-	// dimension-order routing, bit-identical to the pre-fault code.
-	routeTab [][]OutPort
-	// flip, when non-nil, injects transient link faults; retryCycles is
-	// the retransmit penalty applied to a flipped message.
-	flip        FlipFunc
-	retryCycles uint64
-	// parked holds messages whose destination became unreachable after
-	// link failures; they stay pending so tokens are never silently
-	// lost (the watchdog turns the stall into a structured error).
-	parked []*Message
 }
 
 type arrival struct {
@@ -233,9 +193,6 @@ func (g *Grid) arm(si int) {
 	}
 }
 
-// Dims returns the grid dimensions.
-func (g *Grid) Dims() (w, h int) { return g.w, g.h }
-
 // DimsFor returns the most-square power-of-two grid for n clusters:
 // 1x1, 2x1, 2x2, 4x2, 4x4, 8x4, 8x8 for n = 1, 2, 4, 8, 16, 32, 64.
 func DimsFor(n int) (w, h int) {
@@ -267,27 +224,19 @@ func abs(v int) int {
 	return v
 }
 
-// route picks the output port at switch s for a message to dst:
-// dimension-order on a healthy fabric, table lookup once any link has
-// failed. Returns portNone when the destination is unreachable.
+// route picks the output port at switch s for a message to dst by
+// dimension-order routing.
 func (g *Grid) route(s *sw, m *Message) OutPort {
-	if g.routeTab != nil {
-		si := s.y*g.w + s.x
-		if si != m.Dst {
-			return g.routeTab[si][m.Dst]
-		}
-	} else {
-		dx, dy := g.Coord(m.Dst)
-		switch {
-		case dx > s.x:
-			return PortE
-		case dx < s.x:
-			return PortW
-		case dy > s.y:
-			return PortS
-		case dy < s.y:
-			return PortN
-		}
+	dx, dy := g.Coord(m.Dst)
+	switch {
+	case dx > s.x:
+		return PortE
+	case dx < s.x:
+		return PortW
+	case dy > s.y:
+		return PortS
+	case dy < s.y:
+		return PortN
 	}
 	if m.ToMem {
 		return PortMem
@@ -309,9 +258,7 @@ func (g *Grid) Err() error { return g.err }
 
 // Send injects a message at its source cluster's switch. It returns false
 // if the first-hop queue is full; the caller retries later. A malformed
-// message (bad VC or endpoint) is refused and latches ErrBadMessage; an
-// unreachable destination (fabric partitioned by link failures) is
-// refused and counted in Stats.Unroutable.
+// message (bad VC or endpoint) is refused and latches ErrBadMessage.
 func (g *Grid) Send(cycle uint64, m *Message) bool {
 	if m.VC < 0 || m.VC >= numVCs {
 		g.fail(fmt.Errorf("%w: VC %d for %d->%d", ErrBadMessage, m.VC, m.Src, m.Dst))
@@ -322,12 +269,7 @@ func (g *Grid) Send(cycle uint64, m *Message) bool {
 		return false
 	}
 	s := g.sws[m.Src]
-	port := g.route(s, m)
-	if port == portNone {
-		g.stats.Unroutable++
-		return false
-	}
-	q := &s.out[port][m.VC]
+	q := &s.out[g.route(s, m)][m.VC]
 	if q.len() >= g.cfg.QueueCap {
 		g.stats.InjectFull++
 		return false
@@ -338,121 +280,6 @@ func (g *Grid) Send(cycle uint64, m *Message) bool {
 	g.arm(m.Src)
 	g.stats.Injected++
 	return true
-}
-
-// SetFaults installs the transient-fault hook: flip decides whether a
-// hop suffers a transient fault, retryCycles is the retransmit penalty.
-func (g *Grid) SetFaults(flip FlipFunc, retryCycles uint64) {
-	g.flip = flip
-	g.retryCycles = retryCycles
-}
-
-// LinkDown permanently fails the link between adjacent switches a and b
-// (both directions, modeling a physical link failure) and recomputes
-// the routing tables around it. Messages queued on the dead link are
-// re-staged onto their new route and counted in Stats.Rerouted.
-func (g *Grid) LinkDown(a, b int) error {
-	if a < 0 || a >= len(g.sws) || b < 0 || b >= len(g.sws) {
-		return fmt.Errorf("%w: %d-%d outside %dx%d grid", ErrBadLink, a, b, g.w, g.h)
-	}
-	pab, ok := portToward(g.sws[a], g.sws[b])
-	if !ok {
-		return fmt.Errorf("%w: switches %d and %d are not neighbours", ErrBadLink, a, b)
-	}
-	pba, _ := portToward(g.sws[b], g.sws[a])
-	if g.sws[a].dead[pab] {
-		return nil // already down
-	}
-	g.sws[a].dead[pab] = true
-	g.sws[b].dead[pba] = true
-	g.stats.LinksDown++
-	g.recomputeRoutes()
-	g.restage(a, pab)
-	g.restage(b, pba)
-	return nil
-}
-
-// portToward returns the cardinal port from s to its neighbour n.
-func portToward(s, n *sw) (OutPort, bool) {
-	switch {
-	case n.x == s.x && n.y == s.y-1:
-		return PortN, true
-	case n.x == s.x+1 && n.y == s.y:
-		return PortE, true
-	case n.x == s.x && n.y == s.y+1:
-		return PortS, true
-	case n.x == s.x-1 && n.y == s.y:
-		return PortW, true
-	}
-	return portNone, false
-}
-
-// recomputeRoutes rebuilds the next-hop table with one BFS per
-// destination over the surviving links. Neighbour order is fixed
-// (N, E, S, W) so the tables — and therefore every subsequent routing
-// decision — are deterministic.
-func (g *Grid) recomputeRoutes() {
-	n := len(g.sws)
-	g.routeTab = make([][]OutPort, n)
-	for si := range g.routeTab {
-		g.routeTab[si] = make([]OutPort, n)
-		for d := range g.routeTab[si] {
-			g.routeTab[si][d] = portNone
-		}
-	}
-	queue := make([]int, 0, n)
-	for dst := 0; dst < n; dst++ {
-		// BFS outward from dst; when we reach switch v through v's port
-		// p (v -> prev hop toward dst), record p as v's next hop.
-		visited := make([]bool, n)
-		visited[dst] = true
-		queue = append(queue[:0], dst)
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for p := PortN; p <= PortW; p++ {
-				v, ok := g.step(cur, p)
-				if !ok || visited[v] {
-					continue
-				}
-				back, _ := portToward(g.sws[v], g.sws[cur])
-				if g.sws[v].dead[back] {
-					continue
-				}
-				visited[v] = true
-				g.routeTab[v][dst] = back
-				queue = append(queue, v)
-			}
-		}
-	}
-}
-
-// restage moves every message queued on a now-dead port back through
-// routing, preserving queue order. Re-staged messages may transiently
-// overflow their new queue's cap; the overflow drains normally.
-func (g *Grid) restage(si int, deadPort OutPort) {
-	s := g.sws[si]
-	for vc := 0; vc < numVCs; vc++ {
-		msgs := s.out[deadPort][vc].take()
-		for _, m := range msgs {
-			port := g.route(s, m)
-			if port == portNone {
-				// Destination unreachable (fabric partitioned): park
-				// the message. Parked messages count as pending so the
-				// machine never quiesces with lost tokens — the
-				// simulator's watchdog reports a fault stall instead.
-				g.parked = append(g.parked, m)
-				s.queued--
-				g.stats.Unroutable++
-				continue
-			}
-			s.out[port][vc].push(m)
-			g.stats.Rerouted++
-		}
-	}
-	if s.queued > 0 {
-		g.arm(si)
-	}
 }
 
 // Tick advances the network one cycle: each output port forwards up to
@@ -491,9 +318,6 @@ func (g *Grid) Tick(cycle uint64) {
 				q := &s.out[port][vc]
 				for budget > 0 && q.len() > 0 {
 					m := q.front()
-					if m.RetryAt > cycle {
-						break // retransmit hold after a transient fault
-					}
 					if port == PortPE || port == PortMem {
 						// Arrived: deliver to the cluster.
 						g.deliver(cycle, port, m)
@@ -501,13 +325,6 @@ func (g *Grid) Tick(cycle uint64) {
 						s.queued--
 						budget--
 						continue
-					}
-					if g.flip != nil && g.flip(cycle, si, int(port)) {
-						// Transient link fault: the message is corrupted
-						// in flight and re-sent after the penalty.
-						m.RetryAt = cycle + g.retryCycles
-						g.stats.Retransmits++
-						break
 					}
 					// Forward one hop.
 					ni, ok := g.step(si, port)
@@ -519,15 +336,6 @@ func (g *Grid) Tick(cycle uint64) {
 					}
 					ns := g.sws[ni]
 					nport := g.route(ns, m)
-					if nport == portNone {
-						// A link died after this message passed routing:
-						// park it rather than lose it.
-						g.parked = append(g.parked, m)
-						g.stats.Unroutable++
-						q.popFront()
-						s.queued--
-						continue
-					}
 					ref := (ni*int(numPorts)+int(nport))*numVCs + vc
 					if ns.out[nport][vc].len()+int(g.staged[ref]) >= g.cfg.QueueCap {
 						g.stats.Blocked++
@@ -593,10 +401,9 @@ func (g *Grid) step(si int, port OutPort) (int, bool) {
 }
 
 // Pending returns the number of messages currently buffered in the network
-// (diagnostic; nonzero means traffic is still in flight). Messages parked
-// by fabric partition count: they are in flight and will never arrive.
+// (diagnostic; nonzero means traffic is still in flight).
 func (g *Grid) Pending() int {
-	n := len(g.parked)
+	n := 0
 	for _, s := range g.sws {
 		n += s.queued
 	}

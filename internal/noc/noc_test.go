@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -258,5 +259,24 @@ func TestRandomRoutingProperty(t *testing.T) {
 				t.Fatalf("trial %d msg %d: wrong destination", trial, k)
 			}
 		}
+	}
+}
+
+// TestBadMessageLatchesError checks the old panic paths now latch
+// structured errors and refuse the message.
+func TestBadMessageLatchesError(t *testing.T) {
+	g, _ := grid(2, 2)
+	if g.Send(0, &Message{Src: 0, Dst: 1, VC: 7}) {
+		t.Fatal("bad-VC send must be refused")
+	}
+	if err := g.Err(); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("want ErrBadMessage, got %v", err)
+	}
+	g2, _ := grid(2, 2)
+	if g2.Send(0, &Message{Src: 0, Dst: 9, VC: VCOperand}) {
+		t.Fatal("off-grid destination must be refused")
+	}
+	if err := g2.Err(); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("want ErrBadMessage, got %v", err)
 	}
 }

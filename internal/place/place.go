@@ -147,50 +147,6 @@ func (p *Placement) MaxBound() int {
 	return m
 }
 
-// Remap rebinds every (thread, instruction) currently hosted on a PE for
-// which dead reports true onto the surviving PEs — WaveScalar's
-// graceful-degradation mechanism: a defective tile is mapped out and its
-// instructions migrate to live neighbours. Displaced instructions go to
-// the least-loaded surviving PE (ties broken in ring order), balancing
-// the extra instruction-store pressure the dead tiles cause. The moved
-// callback (optional) observes every rebinding, in deterministic
-// (thread, instruction) order. Remap returns how many bindings moved,
-// and an error if no PE survives.
-func (p *Placement) Remap(dead func(PEAddr) bool, moved func(thread uint32, inst isa.InstID, from, to PEAddr)) (int, error) {
-	var alive []PEAddr
-	for _, a := range clusterRing(p.cfg, 0) {
-		if !dead(a) {
-			alive = append(alive, a)
-		}
-	}
-	if len(alive) == 0 {
-		return 0, fmt.Errorf("place: no surviving PE to remap onto")
-	}
-	migrated := 0
-	for t := range p.loc {
-		for i := range p.loc[t] {
-			from := p.loc[t][i]
-			if !dead(from) {
-				continue
-			}
-			best := alive[0]
-			for _, a := range alive[1:] {
-				if *p.bound(a) < *p.bound(best) {
-					best = a
-				}
-			}
-			*p.bound(from)--
-			*p.bound(best)++
-			p.loc[t][i] = best
-			migrated++
-			if moved != nil {
-				moved(uint32(t), isa.InstID(i), from, best)
-			}
-		}
-	}
-	return migrated, nil
-}
-
 // clusterRing lists every PE in the machine starting at the home cluster,
 // snaking through pods and domains, then continuing cluster by cluster.
 func clusterRing(cfg Config, home int) []PEAddr {

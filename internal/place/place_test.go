@@ -196,58 +196,25 @@ func recount(pl *Placement, prog *isa.Program, threads int) map[PEAddr]int {
 }
 
 // TestBoundCountersTrackLoc: Bound and MaxBound agree with a recount from
-// Loc on every PE of the machine, before and after a Remap, and Remap
-// rebinds in (thread, instruction) order onto the least-loaded survivor,
-// the first in ring order among equals.
+// Loc on every PE of the machine.
 func TestBoundCountersTrackLoc(t *testing.T) {
 	prog, c, threads := chainProg(300), cfg(), 3
 	pl, err := Place(prog, threads, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(when string) {
-		t.Helper()
-		want, max := recount(pl, prog, threads), 0
-		for _, a := range clusterRing(c, 0) {
-			if pl.Bound(a) != want[a] {
-				t.Fatalf("%s: Bound(%+v) = %d, recount %d", when, a, pl.Bound(a), want[a])
-			}
-			if want[a] > max {
-				max = want[a]
-			}
+	want, max := recount(pl, prog, threads), 0
+	for _, a := range clusterRing(c, 0) {
+		if pl.Bound(a) != want[a] {
+			t.Fatalf("Bound(%+v) = %d, recount %d", a, pl.Bound(a), want[a])
 		}
-		if pl.MaxBound() != max {
-			t.Fatalf("%s: MaxBound = %d, recount %d", when, pl.MaxBound(), max)
+		if want[a] > max {
+			max = want[a]
 		}
 	}
-	check("placed")
-
-	dead := func(a PEAddr) bool { return a.Cluster == 1 || (a.Cluster == 0 && a.Domain == 2) }
-	load := recount(pl, prog, threads)
-	lastT, lastI, moves := uint32(0), isa.InstID(-1), 0
-	migrated, err := pl.Remap(dead, func(th uint32, inst isa.InstID, from, to PEAddr) {
-		if th < lastT || (th == lastT && inst <= lastI) {
-			t.Fatalf("move (%d,%d) after (%d,%d): not in (thread, instruction) order", th, inst, lastT, lastI)
-		}
-		lastT, lastI = th, inst
-		var best *PEAddr
-		for _, a := range clusterRing(c, 0) {
-			a := a
-			if !dead(a) && (best == nil || load[a] < load[*best]) {
-				best = &a
-			}
-		}
-		if !dead(from) || to != *best {
-			t.Fatalf("move (%d,%d) %+v -> %+v, want a dead source and target %+v", th, inst, from, to, *best)
-		}
-		load[from]--
-		load[to]++
-		moves++
-	})
-	if err != nil || migrated != moves || moves == 0 {
-		t.Fatalf("Remap = (%d, %v) with %d callbacks", migrated, err, moves)
+	if pl.MaxBound() != max {
+		t.Fatalf("MaxBound = %d, recount %d", pl.MaxBound(), max)
 	}
-	check("remapped")
 }
 
 // TestPlaceAllocsIndependentOfShape: the binding counters are one slice,

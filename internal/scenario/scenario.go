@@ -1,17 +1,17 @@
 // Package scenario implements the versioned JSON scenario DSL: a pure
 // parser/validator for documents that compose a workload (named, or a
-// tiled kernel described by its parameters) with a scale, thread counts,
-// an optional fault script, and an optional sequence of phases — so users
-// can describe complete experiments without writing Go.
+// tiled kernel described by its parameters) with a scale, thread counts
+// and an optional sequence of phases — so users can describe complete
+// experiments without writing Go.
 //
 // A scenario is declarative and content-addressed: Digest is a stable
 // hash of the parsed document, which is how the daemon stores scenarios
 // (POST /v1/scenarios) and how clients reference them from runs and
 // sweeps. Crucially, a scenario introduces no new cache-key schema:
-// Resolve lowers it to ordinary (workload, scale, threads, fault) phases,
-// and everything a scenario contributes to a simulation — the workload
-// name (tile shape and dataflow order included) and the fault script
-// digest — is already folded into explore.CellKey. Running a scenario
+// Resolve lowers it to ordinary (workload, scale, threads) phases, and
+// everything a scenario contributes to a simulation — the workload name
+// (tile shape and dataflow order included) — is already folded into
+// explore.CellKey. Running a scenario
 // therefore produces exactly the cells a direct Go invocation would, so
 // caching and journaling work unchanged.
 package scenario
@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"wavescalar/internal/cli"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/workload"
 )
 
@@ -95,13 +94,12 @@ func (ws *WorkloadSpec) Resolve() (workload.Workload, error) {
 }
 
 // Phase is one step of a scenario. Unset fields inherit the scenario's
-// top-level workload, scale, threads, and fault script.
+// top-level workload, scale and threads.
 type Phase struct {
 	Name     string        `json:"name,omitempty"`
 	Workload *WorkloadSpec `json:"workload,omitempty"`
 	Scale    string        `json:"scale,omitempty"`
 	Threads  []int         `json:"threads,omitempty"`
-	Fault    *fault.Script `json:"fault,omitempty"`
 }
 
 // Scenario is one parsed DSL document.
@@ -113,8 +111,7 @@ type Scenario struct {
 	Workload *WorkloadSpec `json:"workload,omitempty"`
 	Scale    string        `json:"scale,omitempty"`   // tiny (default), small, medium
 	Threads  []int         `json:"threads,omitempty"` // thread counts searched per phase; default {1}
-	Fault    *fault.Script `json:"fault,omitempty"`
-	Phases   []Phase       `json:"phases,omitempty"` // default: the scenario itself is one phase
+	Phases   []Phase       `json:"phases,omitempty"`  // default: the scenario itself is one phase
 }
 
 // Parse decodes and validates one scenario document. Unknown fields,
@@ -139,8 +136,7 @@ func Parse(data []byte) (*Scenario, error) {
 
 // Validate checks the scenario structurally: version, workload
 // resolvability (per phase, after inheritance), scales, and thread
-// counts. Fault scripts are validated against the machine shape at run
-// time — the scenario itself is machine-independent.
+// counts. The scenario itself is machine-independent.
 func (s *Scenario) Validate() error {
 	if s.Version != Version {
 		return fmt.Errorf("%w: scenario version %q (this build speaks %q)", ErrBadScenario, s.Version, Version)
@@ -158,7 +154,6 @@ type ResolvedPhase struct {
 	Scale     workload.Scale
 	ScaleName string
 	Threads   []int
-	Fault     *fault.Script
 }
 
 // ResolvePhases lowers the scenario to its phase sequence, applying
@@ -207,13 +202,9 @@ func (s *Scenario) ResolvePhases() ([]ResolvedPhase, error) {
 				return nil, fmt.Errorf("%w: phase %q: thread count %d must be positive", ErrBadScenario, name, n)
 			}
 		}
-		script := ph.Fault
-		if script == nil {
-			script = s.Fault
-		}
 		out[i] = ResolvedPhase{
 			Name: name, Workload: w, Scale: sc, ScaleName: scaleName,
-			Threads: append([]int(nil), threads...), Fault: script,
+			Threads: append([]int(nil), threads...),
 		}
 	}
 	return out, nil

@@ -17,8 +17,7 @@ const sample = `{
 	"threads": [1, 2],
 	"phases": [
 		{"name": "warm"},
-		{"name": "faulty", "workload": {"name": "conv-ws-4x4x2"},
-		 "fault": {"seed": 7, "link_flip_rate": 0.001}}
+		{"name": "conv", "workload": {"name": "conv-ws-4x4x2"}, "threads": [1]}
 	]
 }`
 
@@ -44,15 +43,12 @@ func TestParseRoundTrip(t *testing.T) {
 	if len(phases[0].Threads) != 2 || phases[0].Threads[1] != 2 {
 		t.Errorf("phase 1 threads %v", phases[0].Threads)
 	}
-	if phases[0].Fault != nil {
-		t.Error("phase 1 should have no fault script")
-	}
-	// Phase 2 overrides the workload and carries its own fault script.
+	// Phase 2 overrides the workload and the threads.
 	if phases[1].Workload.Name != "conv-ws-4x4x2" {
 		t.Errorf("phase 2 workload %q", phases[1].Workload.Name)
 	}
-	if phases[1].Fault == nil || phases[1].Fault.Seed != 7 {
-		t.Errorf("phase 2 fault %+v", phases[1].Fault)
+	if len(phases[1].Threads) != 1 || phases[1].Threads[0] != 1 {
+		t.Errorf("phase 2 threads %v", phases[1].Threads)
 	}
 }
 
@@ -126,7 +122,8 @@ func TestParseRejects(t *testing.T) {
 		"zero threads":       `{"scenario": "v1", "workload": {"name": "fft"}, "threads": [0]}`,
 		"bad phase workload": `{"scenario": "v1", "phases": [{"workload": {"name": "nope"}}]}`,
 		"phase w/o workload": `{"scenario": "v1", "phases": [{"scale": "tiny"}]}`,
-		"bad fault field":    `{"scenario": "v1", "workload": {"name": "fft"}, "fault": {"frobnicate": 1}}`,
+		"fault script":       `{"scenario": "v1", "workload": {"name": "fft"}, "fault": {"seed": 7}}`,
+		"phase fault script": `{"scenario": "v1", "phases": [{"workload": {"name": "fft"}, "fault": {"seed": 7}}]}`,
 		"not an object":      `["scenario", "v1"]`,
 	}
 	for what, doc := range bad {

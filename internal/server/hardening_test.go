@@ -6,6 +6,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -71,69 +73,45 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestRunFaultValidation: a fault block, well-formed or not, on a run, in
+// a scenario document or in one of its phases answers 400 — the strict
+// decoders refuse the unknown field — and nothing is simulated, cached or
+// journaled for it.
 func TestRunFaultValidation(t *testing.T) {
-	_, ts := newTestServer(t)
+	journal := filepath.Join(t.TempDir(), "wsd.jsonl")
+	srv, ts := newTestServer(t, WithJournal(journal, false))
 	cases := []struct {
-		name, body string
+		name, path, body string
 	}{
-		{"rate out of range", `{"workload":"fft","fault":{"mem_drop_rate":1.5}}`},
-		{"target outside machine", `{"workload":"fft","fault":{"events":[{"cycle":1,"kind":"kill_pe","pe":99}]}}`},
-		{"unknown event kind", `{"workload":"fft","fault":{"events":[{"cycle":1,"kind":"explode"}]}}`},
-		{"unknown fault field", `{"workload":"fft","fault":{"typo_rate":0.5}}`},
+		{"rate out of range", "/v1/runs", `{"workload":"fft","fault":{"mem_drop_rate":1.5}}`},
+		{"target outside machine", "/v1/runs", `{"workload":"fft","fault":{"events":[{"cycle":1,"kind":"kill_pe","pe":99}]}}`},
+		{"unknown event kind", "/v1/runs", `{"workload":"fft","fault":{"events":[{"cycle":1,"kind":"explode"}]}}`},
+		{"unknown fault field", "/v1/runs", `{"workload":"fft","fault":{"typo_rate":0.5}}`},
+		{"kill a PE", "/v1/runs", `{"workload":"fft","fault":{"events":[{"cycle":100,"kind":"kill_pe","cluster":0,"domain":1,"pe":3}]}}`},
+		{"inline scenario", "/v1/runs", `{"scenario":{"scenario":"v1","workload":{"name":"fft"},"fault":{"seed":7}}}`},
+		{"stored scenario", "/v1/scenarios", `{"scenario":"v1","workload":{"name":"fft"},"fault":{"seed":7,"link_flip_rate":0.001}}`},
+		{"scenario phase", "/v1/scenarios", `{"scenario":"v1","phases":[{"workload":{"name":"fft"},"fault":{"seed":7}}]}`},
+		{"scenario sweep", "/v1/sweeps", `{"max_points":2,"scenario":{"scenario":"v1","workload":{"name":"fft"},"fault":{"seed":7}}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp := post(t, ts.URL+"/v1/runs", tc.body)
+			resp := post(t, ts.URL+tc.path, tc.body)
 			apiErr := errEnvelope(t, resp)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("status %d, want 400 (%+v)", resp.StatusCode, apiErr)
 			}
-			if apiErr.Code != "bad_request" || apiErr.Message == "" {
-				t.Errorf("error envelope incomplete: %+v", apiErr)
+			if apiErr.Code != "bad_request" || !strings.Contains(apiErr.Message, `unknown field "fault"`) {
+				t.Errorf("error envelope does not name the field: %+v", apiErr)
 			}
 		})
 	}
-}
-
-// TestRunWithFaultScript drives a fault-injected run end to end: the
-// script changes the cell key (so faulty results never collide with
-// clean ones), the simulation degrades gracefully instead of failing,
-// repeats are cache hits, and the work is counted in
-// wsd_fault_sims_total.
-func TestRunWithFaultScript(t *testing.T) {
-	_, ts := newTestServer(t)
-	clean := decode[runResponse](t, post(t, ts.URL+"/v1/runs", `{"workload":"fft"}`))
-
-	faultBody := `{"workload":"fft","fault":{"events":[{"cycle":100,"kind":"kill_pe","cluster":0,"domain":1,"pe":3}]}}`
-	resp := post(t, ts.URL+"/v1/runs", faultBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fault run: status %d", resp.StatusCode)
+	if st := srv.exp.Cache().Stats(); st.Cells != 0 {
+		t.Errorf("refused requests left %d cells in the cache", st.Cells)
 	}
-	faulty := decode[runResponse](t, resp)
-	if faulty.Cached {
-		t.Error("first fault run reported cached")
+	if data, err := os.ReadFile(journal); err == nil && len(data) > 0 {
+		t.Errorf("refused requests were journaled:\n%s", data)
 	}
-	if faulty.Key == clean.Key {
-		t.Error("fault script did not change the cell key")
-	}
-	if faulty.Result.Err != "" || faulty.Result.AIPC <= 0 {
-		t.Errorf("fault run did not complete gracefully: %+v", faulty.Result)
-	}
-
-	again := decode[runResponse](t, post(t, ts.URL+"/v1/runs", faultBody))
-	if !again.Cached {
-		t.Error("repeated fault run not served from cache")
-	}
-	if again.Result != faulty.Result {
-		t.Errorf("cached fault result differs:\nfirst  %+v\nsecond %+v", faulty.Result, again.Result)
-	}
-
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := readAll(t, mresp)
-	if !strings.Contains(text, "wsd_fault_sims_total 1") {
-		t.Errorf("metrics missing fault sim count:\n%s", grepMetric(text, "wsd_fault_sims_total"))
+	if got := srv.counter(&srv.metrics.simsCompleted) + srv.counter(&srv.metrics.simsFailed); got != 0 {
+		t.Errorf("refused requests ran %d simulations", got)
 	}
 }

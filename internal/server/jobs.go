@@ -12,7 +12,6 @@ import (
 	"wavescalar/internal/cli"
 	"wavescalar/internal/design"
 	"wavescalar/internal/explore"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/workload"
 )
 
@@ -34,14 +33,12 @@ const (
 	stateCancelled = "cancelled"
 )
 
-// sweepSpec is the resolved work of one POST /v1/sweeps. A scenario
-// sweep's fault script is folded into every design point.
+// sweepSpec is the resolved work of one POST /v1/sweeps.
 type sweepSpec struct {
 	points       []design.Point
 	apps         []workload.Workload
 	scale        workload.Scale
 	threadCounts []int
-	fault        *fault.Script
 }
 
 // The two kinds of queued work.
@@ -181,8 +178,8 @@ func jobID(n int) string { return fmt.Sprintf("job-%06d", n) }
 
 // sweepRequest is the body of POST /v1/sweeps: a suite, explicit app
 // list, or scenario evaluated over the viable design space, optionally
-// subsampled. A scenario supplies apps, scale, thread counts and fault
-// script itself (and must be uniform across its phases).
+// subsampled. A scenario supplies apps, scale and thread counts itself
+// (and must be uniform across its phases).
 type sweepRequest struct {
 	Suite        string          `json:"suite,omitempty"`
 	Apps         []string        `json:"apps,omitempty"`
@@ -206,7 +203,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		apps   []workload.Workload
 		sc     workload.Scale
 		counts []int
-		script *fault.Script
 	)
 	if len(req.Scenario) > 0 {
 		if req.Suite != "" || len(req.Apps) > 0 || req.Scale != "" || len(req.ThreadCounts) > 0 {
@@ -224,7 +220,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		apps, sc, counts, script = plan.apps, plan.scale, plan.threads, plan.script
+		apps, sc, counts = plan.apps, plan.scale, plan.threads
 	} else {
 		suite, suiteCounts, suiteOK := workload.SuiteByName(req.Suite)
 		switch {
@@ -284,7 +280,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	jb := &job{
 		kind:  jobSweep,
-		sweep: &sweepSpec{points: points, apps: apps, scale: sc, threadCounts: counts, fault: script},
+		sweep: &sweepSpec{points: points, apps: apps, scale: sc, threadCounts: counts},
 		ctx:   ctx, cancel: cancel,
 		state: stateQueued,
 	}

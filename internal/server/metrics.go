@@ -31,7 +31,6 @@ type metrics struct {
 	dedupShared, rejectedFull                uint64
 	journalErrors                            uint64
 	panics                                   uint64
-	faultSims                                uint64
 }
 
 func newMetrics() *metrics {
@@ -187,7 +186,6 @@ func (m *metrics) write(w io.Writer, rest []series) {
 		counter("wsd_admission_rejected_total", "Requests rejected with 429 because the queue was full.", m.rejectedFull),
 		counter("wsd_journal_errors_total", "Journal appends that failed (results still served from memory).", m.journalErrors),
 		counter("wsd_panics_total", "Handler panics recovered by the middleware (each served a 500).", m.panics),
-		counter("wsd_fault_sims_total", "Simulations executed with a fault-injection script attached.", m.faultSims),
 	)
 	m.mu.Unlock()
 	w.Write(appendSeries(b, rest...)) // an error here is the scraper hanging up

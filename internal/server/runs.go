@@ -12,7 +12,6 @@ import (
 	"wavescalar/internal/area"
 	"wavescalar/internal/cli"
 	"wavescalar/internal/explore"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
@@ -59,14 +58,13 @@ func (a *archSpec) resolve() (sim.Config, error) {
 }
 
 // runRequest is the body of POST /v1/runs. Either workload (+ scale,
-// threads, fault) or scenario is set: scenario is a stored digest string
+// threads) or scenario is set: scenario is a stored digest string
 // or an inline scenario document and carries those axes itself.
 type runRequest struct {
 	Workload string          `json:"workload,omitempty"`
 	Scale    string          `json:"scale,omitempty"`     // default "tiny"
 	Threads  int             `json:"threads,omitempty"`   // default 1
 	Config   *archSpec       `json:"config,omitempty"`    // default Table 1 baseline
-	Fault    *fault.Script   `json:"fault,omitempty"`     // optional fault-injection script
 	Scenario json.RawMessage `json:"scenario,omitempty"`  // digest string or inline document
 	TimeoutS float64         `json:"timeout_s,omitempty"` // wait bound; default server-wide
 }
@@ -142,12 +140,6 @@ func resolveRun(req *runRequest) (cellSpec, int, error) {
 	cfg, err := req.Config.resolve()
 	if err != nil {
 		return cellSpec{}, http.StatusBadRequest, fmt.Errorf("bad config: %w", err)
-	}
-	if !req.Fault.Empty() {
-		if err := req.Fault.Validate(sim.FaultShape(cfg)); err != nil {
-			return cellSpec{}, http.StatusBadRequest, fmt.Errorf("bad fault script: %w", err)
-		}
-		cfg.Fault = req.Fault
 	}
 	threads := []int{req.Threads}
 	return cellSpec{
@@ -280,9 +272,6 @@ func (s *Server) runCell(lc ledCell) {
 		s.metrics.add(&s.metrics.journalErrors, 1)
 	}
 	if !cached {
-		if !spec.cfg.Fault.Empty() {
-			s.metrics.add(&s.metrics.faultSims, 1)
-		}
 		if cell.Err != "" {
 			s.metrics.add(&s.metrics.simsFailed, 1)
 		} else {
@@ -375,7 +364,7 @@ const (
 func entrySize(n int, e memoEntry) int {
 	size := n + len(e.resp)
 	for _, c := range e.cells {
-		size += int(unsafe.Sizeof(c)) + len(c.Key) + len(c.App) + len(c.Arch) + len(c.FaultDigest) + len(c.Err)
+		size += int(unsafe.Sizeof(c)) + len(c.Key) + len(c.App) + len(c.Arch) + len(c.Err)
 	}
 	return size
 }

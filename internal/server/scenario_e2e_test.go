@@ -14,18 +14,17 @@ import (
 )
 
 // scenarioDoc is a two-phase scenario exercising inheritance (warm
-// inherits the top-level workload) and a per-phase override with a fault
-// script — the shape the DSL exists for.
+// inherits the top-level workload) and a per-phase workload override —
+// the shape the DSL exists for.
 const scenarioDoc = `{
   "scenario": "v1",
-  "name": "tiled-degradation",
+  "name": "tiled-study",
   "workload": {"gemm": {"order": "os", "tm": 4, "tn": 4, "tk": 4}},
   "scale": "tiny",
   "threads": [1],
   "phases": [
     {"name": "warm"},
-    {"name": "faulty", "workload": {"name": "conv-ws-4x4x2"},
-     "fault": {"seed": 7, "link_flip_rate": 0.001}}
+    {"name": "conv", "workload": {"name": "conv-ws-4x4x2"}}
   ]
 }`
 
@@ -45,7 +44,7 @@ func TestScenarioStore(t *testing.T) {
 	_, ts := newTestServer(t)
 
 	first := postScenario(t, ts.URL, scenarioDoc)
-	if !first.Created || len(first.Digest) != 64 || first.Phases != 2 || first.Name != "tiled-degradation" {
+	if !first.Created || len(first.Digest) != 64 || first.Phases != 2 || first.Name != "tiled-study" {
 		t.Fatalf("first post: %+v", first)
 	}
 
@@ -73,7 +72,7 @@ func TestScenarioStore(t *testing.T) {
 		Digest   string            `json:"digest"`
 		Scenario scenario.Scenario `json:"scenario"`
 	}](t, resp)
-	if fetched.Digest != first.Digest || fetched.Scenario.Name != "tiled-degradation" {
+	if fetched.Digest != first.Digest || fetched.Scenario.Name != "tiled-study" {
 		t.Errorf("fetched %+v", fetched)
 	}
 	if fetched.Scenario.Digest() != first.Digest {
@@ -178,9 +177,6 @@ func TestScenarioRunMatchesDirect(t *testing.T) {
 	defer exp.Close()
 	for i, ph := range phases {
 		cfg := sim.Baseline(sim.BaselineArch())
-		if !ph.Fault.Empty() {
-			cfg.Fault = ph.Fault
-		}
 		cell, cached, err := exp.RunOne(context.Background(), cfg, ph.Workload, ph.Scale, ph.Threads)
 		if err != nil || cached {
 			t.Fatalf("direct phase %s: cached=%v err=%v", ph.Name, cached, err)
@@ -195,11 +191,10 @@ func TestScenarioRunMatchesDirect(t *testing.T) {
 		}
 	}
 
-	// The fault phase must not share a key with a clean run of the same
-	// workload — the script's digest is part of the cell key.
-	cleanKey := explore.CellKey(sim.Baseline(sim.BaselineArch()), "conv-ws-4x4x2", phases[1].Scale, phases[1].Threads)
-	if got.Phases[1].Key == cleanKey {
-		t.Error("faulty phase key collides with clean key")
+	// The override phase has the key of a plain run of its workload.
+	plainKey := explore.CellKey(sim.Baseline(sim.BaselineArch()), "conv-ws-4x4x2", phases[1].Scale, phases[1].Threads)
+	if got.Phases[1].Key != plainKey {
+		t.Errorf("override phase key %s, want the plain run's %s", got.Phases[1].Key, plainKey)
 	}
 
 	// Re-running the scenario is a pure cache hit, phase by phase.

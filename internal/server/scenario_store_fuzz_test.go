@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -99,6 +100,34 @@ func TestScenarioStoreReloadSkipsCorruptLines(t *testing.T) {
 	}
 	if code := getStatus(t, ts.URL+"/v1/scenarios/"+digC); code != http.StatusNotFound {
 		t.Errorf("truncated record %s: status %d, want 404", digC[:8], code)
+	}
+}
+
+// TestScenarioStoreReloadSkipsFaultedScenario: a store written by a
+// revision that took fault scripts may hold a scenario with one. Reload
+// skips that line with a logged warning naming the field, keeps the rest,
+// and the daemon starts.
+func TestScenarioStoreReloadSkipsFaultedScenario(t *testing.T) {
+	lineA, digA := storeDoc(t, "alpha")
+	faulted := `{"scenario":"v1","name":"faulty","workload":{"name":"fft"},"scale":"tiny","threads":[1],"fault":{"seed":7,"link_flip_rate":0.001}}`
+	path := filepath.Join(t.TempDir(), "wsd.scenarios")
+	if err := os.WriteFile(path, []byte(faulted+"\n"+string(lineA)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logBuf bytes.Buffer
+	prev := log.Writer()
+	log.SetOutput(&logBuf)
+	defer log.SetOutput(prev)
+
+	srv, ts := reloadStore(t, path)
+	if n := len(srv.scenarios); n != 1 {
+		t.Errorf("loaded %d scenarios, want 1", n)
+	}
+	if code := getStatus(t, ts.URL+"/v1/scenarios/"+digA); code != http.StatusOK {
+		t.Errorf("intact record: status %d after reload, want 200", code)
+	}
+	if got := logBuf.String(); !strings.Contains(got, "line 1: skipping unreadable record") || !strings.Contains(got, `unknown field "fault"`) {
+		t.Errorf("reload log does not name the skipped line and field:\n%s", got)
 	}
 }
 

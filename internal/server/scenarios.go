@@ -23,7 +23,6 @@ import (
 	"wavescalar/internal/area"
 	"wavescalar/internal/design"
 	"wavescalar/internal/explore"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/scenario"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
@@ -197,11 +196,9 @@ func (s *Server) resolveScenario(raw json.RawMessage) (*scenario.Scenario, int, 
 }
 
 // lowerScenario resolves the scenario's phases against a base
-// configuration: phase fault scripts are validated against the machine
-// shape and folded into per-phase configs, and every phase gets its cell
-// key — the fault digest inside the config keeps faulty phases from
-// colliding with clean ones. Each phase is the same cellSpec a plain run
-// resolves to, so key computation and execution are shared verbatim.
+// configuration, and every phase gets its cell key. Each phase is the
+// same cellSpec a plain run resolves to, so key computation and execution
+// are shared verbatim.
 func lowerScenario(sc *scenario.Scenario, base sim.Config) ([]cellSpec, error) {
 	phases, err := sc.ResolvePhases()
 	if err != nil {
@@ -209,16 +206,9 @@ func lowerScenario(sc *scenario.Scenario, base sim.Config) ([]cellSpec, error) {
 	}
 	specs := make([]cellSpec, len(phases))
 	for i, ph := range phases {
-		cfg := base
-		if !ph.Fault.Empty() {
-			if err := ph.Fault.Validate(sim.FaultShape(cfg)); err != nil {
-				return nil, err
-			}
-			cfg.Fault = ph.Fault
-		}
 		specs[i] = cellSpec{
-			cfg: cfg, w: ph.Workload, scale: ph.Scale, threads: ph.Threads,
-			key:       explore.CellKey(cfg, ph.Workload.Name, ph.Scale, ph.Threads),
+			cfg: base, w: ph.Workload, scale: ph.Scale, threads: ph.Threads,
+			key:       explore.CellKey(base, ph.Workload.Name, ph.Scale, ph.Threads),
 			scaleName: ph.ScaleName, phase: ph.Name,
 		}
 	}
@@ -240,7 +230,7 @@ type scenarioRunResponse struct {
 }
 
 // scenarioRun answers a POST /v1/runs body that references a scenario.
-// The scenario carries workload, scale, threads and fault, so the plain
+// The scenario carries workload, scale and threads, so the plain
 // per-run fields must be absent; only the machine config and timeout
 // still come from the request. On failure it has written the response
 // and reports false.
@@ -249,9 +239,9 @@ func (s *Server) scenarioRun(w http.ResponseWriter, r *http.Request, req *runReq
 		writeErr(w, status, format, args...)
 		return scenarioRunResponse{}, nil, false
 	}
-	if req.Workload != "" || req.Scale != "" || req.Threads != 0 || req.Fault != nil {
+	if req.Workload != "" || req.Scale != "" || req.Threads != 0 {
 		return fail(http.StatusBadRequest,
-			"scenario is mutually exclusive with workload, scale, threads and fault (the scenario carries them)")
+			"scenario is mutually exclusive with workload, scale and threads (the scenario carries them)")
 	}
 	sc, status, err := s.resolveScenario(req.Scenario)
 	if err != nil {
@@ -287,17 +277,16 @@ func (s *Server) scenarioRun(w http.ResponseWriter, r *http.Request, req *runReq
 }
 
 // scenarioSweep is the sweep a scenario defines: the distinct phase
-// workloads as the app list, plus the (required uniform) scale, thread
-// counts and fault script.
+// workloads as the app list, plus the (required uniform) scale and thread
+// counts.
 type scenarioSweep struct {
 	apps    []workload.Workload
 	scale   workload.Scale
 	threads []int
-	script  *fault.Script
 }
 
 // scenarioSweepPlan extracts the sweep axes from a scenario. Per-phase
-// scale/thread/fault overrides would make each phase a different sweep —
+// scale/thread overrides would make each phase a different sweep —
 // reject them here rather than silently evaluating only one.
 func scenarioSweepPlan(sc *scenario.Scenario) (scenarioSweep, error) {
 	phases, err := sc.ResolvePhases()
@@ -306,11 +295,11 @@ func scenarioSweepPlan(sc *scenario.Scenario) (scenarioSweep, error) {
 	}
 	first := phases[0]
 	for _, ph := range phases[1:] {
-		if ph.Scale != first.Scale || !slices.Equal(ph.Threads, first.Threads) || ph.Fault.Digest() != first.Fault.Digest() {
+		if ph.Scale != first.Scale || !slices.Equal(ph.Threads, first.Threads) {
 			return scenarioSweep{}, errScenarioSweep
 		}
 	}
-	plan := scenarioSweep{scale: first.Scale, threads: first.Threads, script: first.Fault}
+	plan := scenarioSweep{scale: first.Scale, threads: first.Threads}
 	seen := map[string]bool{}
 	for _, ph := range phases {
 		if !seen[ph.Workload.Name] {
@@ -321,4 +310,4 @@ func scenarioSweepPlan(sc *scenario.Scenario) (scenarioSweep, error) {
 	return plan, nil
 }
 
-var errScenarioSweep = errors.New("scenario sweeps need a uniform scale, threads and fault across phases (per-phase overrides describe different sweeps)")
+var errScenarioSweep = errors.New("scenario sweeps need a uniform scale and threads across phases (per-phase overrides describe different sweeps)")

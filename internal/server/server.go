@@ -304,7 +304,6 @@ func (s *Server) execute(jb *job) {
 		results, err := s.exp.SweepWith(jb.ctx, spec.points, spec.apps, explore.SweepSpec{
 			Scale:        spec.scale,
 			ThreadCounts: spec.threadCounts,
-			Fault:        spec.fault,
 			Progress:     jb.setProgress,
 		})
 		cancelled := jb.ctx.Err() != nil
@@ -316,9 +315,6 @@ func (s *Server) execute(jb *job) {
 		local := uint64(p.Simulated - p.Reused)
 		s.metrics.add(&s.metrics.simsCompleted, local-uint64(p.Failed))
 		s.metrics.add(&s.metrics.simsFailed, uint64(p.Failed))
-		if !spec.fault.Empty() {
-			s.metrics.add(&s.metrics.faultSims, local)
-		}
 		switch {
 		case cancelled:
 			s.metrics.add(&s.metrics.jobsCancelled, 1)

@@ -291,23 +291,21 @@ func TestSweepJobLifecycle(t *testing.T) {
 }
 
 // TestSweepSimsCountOnlyLocalCells checks wsd_sims_total: it counts the
-// cells a sweep simulated, not the ones it copied from a cache twin. A
-// sweep under a fault script also counts them in wsd_fault_sims_total.
+// cells a sweep simulated, not the ones it copied from a cache twin, for
+// an apps sweep and a scenario sweep alike.
 func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
 	cases := []struct {
 		name, body string
-		faulty     bool
 	}{
-		{"apps", `{"apps":["djpeg","lu"],"scale":"tiny","max_points":8}`, false},
-		{"fault-scripted scenario", `{"max_points":8,"scenario":{"scenario":"v1","scale":"tiny",
-			"workload":{"name":"djpeg"},"fault":{"seed":7,"link_flip_rate":0.001}}}`, true},
+		{"apps", `{"apps":["djpeg","lu"],"scale":"tiny","max_points":8}`},
+		{"scenario", `{"max_points":8,"scenario":{"scenario":"v1","scale":"tiny","workload":{"name":"djpeg"}}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, ts := newTestServer(t)
 			sweepResult(t, ts.URL, tc.body)
 			p := srv.exp.LastProgress()
-			if !tc.faulty && p.Reused == 0 {
+			if p.Reused == 0 {
 				t.Fatalf("sweep: %+v, want copied cells", p)
 			}
 			// The job reads done just before the pool counts its
@@ -318,13 +316,6 @@ func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
 			if completed+failed != local || failed != uint64(p.Failed) {
 				t.Errorf("sims completed %d, failed %d; want %d simulated of which %d failed (progress %+v)",
 					completed, failed, local, p.Failed, p)
-			}
-			want := uint64(0)
-			if tc.faulty {
-				want = local
-			}
-			if got := srv.counter(&srv.metrics.faultSims); got != want || (tc.faulty && got == 0) {
-				t.Errorf("fault sims %d, want %d (progress %+v)", got, want, p)
 			}
 		})
 	}

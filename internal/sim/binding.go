@@ -10,7 +10,7 @@ import (
 // Binding is what placing a program says, before any cycle runs, about the
 // instruction stores and matching tables its run will use: which
 // configurations differing only in V (Arch.Virt) and M (Arch.Match) run
-// alike (Inert, ExactOn). The zero Binding certifies nothing.
+// alike (Inert). The zero Binding certifies nothing.
 type Binding struct {
 	// MaxBound is the largest per-PE bound count
 	// (place.Placement.MaxBound) of the run's threads placed on the
@@ -37,9 +37,6 @@ func Bind(cfg Config, prog *isa.Program, threads int) (Binding, error) {
 // makes, event for event, the run with an unbounded instruction store and
 // matching table. This is the whole V/M rule, with b the MaxBound:
 //
-//   - cfg has no fault script. A fault remaps instructions mid-run and
-//     binds more to the surviving PEs than the placement did, so b no
-//     longer bounds them.
 //   - b ≤ V. Placement reads V only to cap a thread's chunk at V on a
 //     machine of several clusters, and a chunk is at most b (the first PE
 //     of a thread's ring gets a whole one), so the placement is the
@@ -58,22 +55,6 @@ func Bind(cfg Config, prog *isa.Program, threads int) (Binding, error) {
 // checks the rule by digest on random workloads, shapes and V/M pairs.
 func (b Binding) Inert(cfg Config) bool {
 	v, m := cfg.Arch.Virt, cfg.Arch.Match
-	return b.MaxBound > 0 && cfg.Fault.Empty() && b.MaxBound <= v &&
+	return b.MaxBound > 0 && b.MaxBound <= v &&
 		m%cfg.MatchAssoc == 0 && m >= cfg.MatchAssoc*cfg.K*b.MaxBound
-}
-
-// ExactOn reports whether, as far as V and M go, the run of the bound
-// program on base makes, event for event, the run on twin: base and twin
-// agree in every field but Arch.Virt, Arch.Match and the cache sizes, and
-// either their V and M agree too or the run is Inert on both. The cache
-// sizes are cache.Footprint.ExactOn's to decide: the hierarchy never reads
-// V or M, and the instruction stores and matching tables never read a
-// cache size, so a run that passes both rules stands for twin's.
-func (b Binding) ExactOn(base, twin Config) bool {
-	bv, bm, tv, tm := base.Arch.Virt, base.Arch.Match, twin.Arch.Virt, twin.Arch.Match
-	same := func(c Config) Config {
-		c.Arch.Virt, c.Arch.Match, c.Arch.L1KB, c.Arch.L2MB = 0, 0, 0, 0
-		return c
-	}
-	return same(base) == same(twin) && ((bv == tv && bm == tm) || (b.Inert(base) && b.Inert(twin)))
 }

@@ -10,7 +10,6 @@ import (
 
 	"wavescalar/internal/area"
 	"wavescalar/internal/cache"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/match"
 	"wavescalar/internal/place"
 	"wavescalar/internal/trace"
@@ -76,14 +75,6 @@ type Config struct {
 	// cache misses/fills, store-buffer issue/commit) for the trace sinks.
 	// Nil disables tracing at zero cost on the hot path.
 	Trace *trace.Recorder
-
-	// Fault, when non-nil and non-empty, injects the scripted faults:
-	// scheduled PE/domain/cluster kills and link failures plus seeded
-	// transient link, memory, and store-buffer faults. The machine
-	// degrades (instructions re-place onto survivors, traffic reroutes)
-	// rather than failing; a nil or empty script leaves the run
-	// bit-identical to a faultless one. See internal/fault.
-	Fault *fault.Script
 }
 
 // Baseline returns the paper's Table 1 configuration for the given

@@ -82,30 +82,14 @@ func (d *domainUnit) tick(c uint64) {
 		}
 		d.netOutQ.popFront()
 	}
-	// NET inbound: into the domain's PEs. After a kill, an in-flight
-	// operand's recorded destination may be stale: its route names the
-	// current host, and if the instruction now lives in another domain or
-	// cluster, forward the operand back through the outbound path instead
-	// of delivering here.
+	// NET inbound: into the domain's PEs.
 	for n := 0; n < p.cfg.NetPEBW && !d.netInQ.empty(); n++ {
 		m := d.netInQ.peek(0)
 		if m.readyAt > c {
 			break
 		}
 		msg := d.netInQ.popFront()
-		rt := p.routeOf(msg.tok.Tag.Thread, msg.tok.Dest.Inst)
-		if p.anyDead {
-			if dst := p.pes[rt.pe].addr; dst != msg.dst {
-				p.inj.CountHealed()
-				msg.dst = dst
-				if dst.Cluster != d.cluster || dst.Domain != d.index {
-					msg.readyAt = c + 1
-					d.netOutQ.push(msg)
-					continue
-				}
-			}
-		}
-		p.enqueueIn(rt, c+2, msg.sentAt, msg.tok)
+		p.enqueueIn(p.routeOf(msg.tok.Tag.Thread, msg.tok.Dest.Inst), c+2, msg.sentAt, msg.tok)
 	}
 	// MEM: one request per cycle toward the owning store buffer.
 	if !d.memQ.empty() && d.memQ.peek(0).readyAt <= c {

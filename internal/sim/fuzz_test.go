@@ -523,8 +523,8 @@ func ids(ts []lanedTok) []uint64 {
 
 // FuzzPendingRing drives the ring of in-flight memory operations with an
 // arbitrary stream of issues under sequential ids, completions in any
-// order, drop-and-retries (a completed operation issued again under a
-// fresh id, as the fault model's retry loop does) and completions of ids
+// order, re-issues (a completed operation issued again under a fresh id)
+// and completions of ids
 // the ring must not hold — ids already completed and ids never issued —
 // and checks every answer against a plain map after every step. An id the
 // ring does not hold is what cacheDone reports as ErrBadCompletion.
@@ -564,7 +564,7 @@ func FuzzPendingRing(f *testing.F) {
 				delete(held, id)
 				done = append(done, id)
 				if b%4 == 2 {
-					got.attempt++
+					got.issuedAt++
 					issue(got)
 				}
 			case 3: // an id not held: completed already, or never issued

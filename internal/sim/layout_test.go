@@ -2,12 +2,9 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"maps"
-	"slices"
 	"testing"
 
-	"wavescalar/internal/fault"
 	"wavescalar/internal/isa"
 	"wavescalar/internal/workload"
 )
@@ -115,161 +112,26 @@ func TestUntouchedPEsAllocateNothing(t *testing.T) {
 	}
 }
 
-// remapDigest is Stats.Digest() of TestRemapBindsPastSlabCarve's run at the
-// commit before the machine was built from slabs, when every PE owned
-// separately allocated state and could not alias a neighbour's.
-const remapDigest = "194eb7c3db84aecce20fa98c54c859753ab1df862885547507581076d71f3fb1"
-
-// TestRemapBindsPastSlabCarve kills a domain of a two-cluster machine
-// mid-run, so the survivors of both clusters bind instructions they were
-// not sized for. Every PE's share of the slabs is cut to length, so those
-// binds must reallocate the survivor's own arrays: each PE's parked lists
-// still match its store, the machine's route table still names every
-// instance of a PE exactly once, and the run's statistics are the ones the
-// separately allocated machine produced for the same script.
-func TestRemapBindsPastSlabCarve(t *testing.T) {
-	script := &fault.Script{
-		Seed:   5,
-		Events: []fault.Event{{Cycle: 400, Kind: fault.KindKillDomain, Cluster: 0, Domain: 1}},
-	}
-	p := buildOn(t, "fft", workload.Tiny, 2, 2, func(cfg *Config) { cfg.Fault = script })
-	before := make([]int, len(p.pes))
-	for i := range p.pes {
-		pe := &p.pes[i]
-		before[i] = pe.ist.Bound()
-		if len(pe.parked) != before[i] || cap(pe.parked) != before[i] {
-			t.Fatalf("PE %+v: %d bound, parked lists len %d cap %d: the carve is not cut to length",
-				pe.addr, before[i], len(pe.parked), cap(pe.parked))
-		}
-	}
-	st, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Fault.InstsMigrated == 0 {
-		t.Fatal("the kill migrated no instructions")
-	}
-	grown := 0
-	for i := range p.pes {
-		pe := &p.pes[i]
-		if len(pe.parked) != pe.ist.Bound() {
-			t.Errorf("PE %+v: %d bound but %d parked lists", pe.addr, pe.ist.Bound(), len(pe.parked))
-		}
-		if pe.ist.Bound() > before[i] {
-			grown++
-		}
-	}
-	if grown == 0 {
-		t.Error("no survivor bound past its carve")
-	}
-	seen := make([]map[int32]bool, len(p.pes))
-	for th := 0; th < p.threads; th++ {
-		for i := range p.prog.Insts {
-			host := p.peIndex(p.placement.Loc(uint32(th), isa.InstID(i)))
-			li := p.routeOf(uint32(th), isa.InstID(i)).li
-			if seen[host] == nil {
-				seen[host] = make(map[int32]bool)
-			}
-			if int(li) >= p.pes[host].ist.Bound() || seen[host][li] {
-				t.Fatalf("thread %d inst %d: local index %d at PE %+v is out of range or taken", th, i, li, p.pes[host].addr)
-			}
-			seen[host][li] = true
-		}
-	}
-	if got := st.Digest(); got != remapDigest {
-		t.Errorf("digest %s, want %s (the same script before the slabs)", got, remapDigest)
-	}
-}
-
 // TestRouteMatchesPlacement checks the route table against the placement
-// it stands in for on the token path. Right after build, every instance's
-// route names the PE the placement puts it on, the operand mask of its
-// instruction and its rank among the instances bound there. Three PEs
-// that host instances are then killed in turn by a seeded script.
-// After every cycle, a remap must have moved each affected instance's
-// route to the new host the placement names, with local indices that are
-// exactly the ones the host bound for them. Those indices continue the
-// host's count, one per moved instance. An instance that stayed keeps its
-// route.
+// it stands in for on the token path: every instance's route names the PE
+// the placement puts it on, the operand mask of its instruction and its
+// rank among the instances bound there.
 func TestRouteMatchesPlacement(t *testing.T) {
-	script := &fault.Script{Seed: 9}
 	p := buildOn(t, "fft", workload.Tiny, 1, 2, nil)
 	nInst := len(p.prog.Insts)
-	hostOf := func(k int) int32 {
-		return int32(p.peIndex(p.placement.Loc(uint32(k/nInst), isa.InstID(k%nInst))))
-	}
-	want := make([]route, p.threads*nInst)
 	bound := make([]int32, len(p.pes))
-	for k := range want {
-		gi := hostOf(k)
-		want[k] = route{pe: gi, li: bound[gi], req: requiredMask(&p.prog.Insts[k%nInst])}
+	for k := range p.route {
+		gi := int32(p.peIndex(p.placement.Loc(uint32(k/nInst), isa.InstID(k%nInst))))
+		want := route{pe: gi, li: bound[gi], req: requiredMask(&p.prog.Insts[k%nInst])}
 		bound[gi]++
-	}
-	// The victims: the first three distinct hosts in instance order.
-	for k, victims := 0, map[int32]bool{}; len(victims) < 3; k++ {
-		if gi := hostOf(k); !victims[gi] {
-			victims[gi] = true
-			a := p.pes[gi].addr
-			script.Events = append(script.Events, fault.Event{
-				Cycle: uint64(100 * len(victims)), Kind: fault.KindKillPE,
-				Cluster: a.Cluster, Domain: a.Domain, PE: a.PE,
-			})
+		if p.route[k] != want {
+			t.Fatalf("thread %d inst %d: route %+v, want %+v", k/nInst, k%nInst, p.route[k], want)
 		}
 	}
-	p = buildOn(t, "fft", workload.Tiny, 1, 2, func(cfg *Config) { cfg.Fault = script })
-	check := func(when string) {
-		t.Helper()
-		for k := range want {
-			if p.route[k] != want[k] {
-				t.Fatalf("%s: thread %d inst %d: route %+v, want %+v", when, k/nInst, k%nInst, p.route[k], want[k])
-			}
+	for i := range p.pes {
+		if int(bound[i]) != p.pes[i].ist.Bound() {
+			t.Errorf("PE %+v has %d bound, the routes name %d", p.pes[i].addr, p.pes[i].ist.Bound(), bound[i])
 		}
-	}
-	check("after build")
-
-	p.inject()
-	remaps := 0
-	for c := uint64(0); p.haltCount < p.threads; c++ {
-		if c == 1_000_000 {
-			t.Fatal("no halt in a million cycles")
-		}
-		p.tick(c)
-		if err := p.runErr(c); err != nil {
-			t.Fatal(err)
-		}
-		// Instances the placement moved this cycle, by new host.
-		moved := map[int32][]int{}
-		for k := range want {
-			if gi := hostOf(k); gi != want[k].pe {
-				moved[gi] = append(moved[gi], k)
-			}
-		}
-		if len(moved) == 0 {
-			check(fmt.Sprintf("cycle %d", c))
-			continue
-		}
-		remaps++
-		for gi, ks := range moved {
-			got := make([]int32, 0, len(ks))
-			for _, k := range ks {
-				got = append(got, p.route[k].li)
-				want[k].pe, want[k].li = gi, p.route[k].li
-			}
-			slices.Sort(got)
-			for n, li := range got {
-				if li != bound[gi]+int32(n) {
-					t.Fatalf("cycle %d: PE %+v bound local indices %v for %d moved instances, want %d on",
-						c, p.pes[gi].addr, got, len(ks), bound[gi])
-				}
-			}
-			if bound[gi] += int32(len(ks)); int(bound[gi]) != p.pes[gi].ist.Bound() {
-				t.Fatalf("cycle %d: PE %+v has %d bound, want %d", c, p.pes[gi].addr, p.pes[gi].ist.Bound(), bound[gi])
-			}
-		}
-		check(fmt.Sprintf("remap at cycle %d", c))
-	}
-	if remaps != len(script.Events) {
-		t.Errorf("%d cycles remapped instances, want one per kill (%d)", remaps, len(script.Events))
 	}
 }
 

@@ -93,7 +93,6 @@ type peUnit struct {
 	outDests fifo[isa.Target] // outQ's remote destinations, entry by entry
 
 	stallUntil uint64 // instruction-store miss fetch in progress
-	dead       bool   // killed by a fault script; state already migrated
 
 	// The INPUT stage: every token the PE holds is a node of toks on one
 	// list. inQ is the input queue. parked[li] holds the tokens k-rejected
@@ -127,8 +126,6 @@ func (pe *peUnit) wakeComplete() { pe.p.actComplete.arm(pe.gidx) }
 func (pe *peUnit) wakeOutput()   { pe.p.actOutput.arm(pe.gidx) }
 
 // enqueueIn delivers a token to the input queue of the PE on its route.
-// The route is read when the token is handed over, so it names the
-// instruction's current host even after a fault remap.
 func (p *Processor) enqueueIn(rt route, readyAt, sentAt uint64, tok isa.Token) {
 	pe := &p.pes[rt.pe]
 	pe.toks.pushBack(&pe.inQ, pe.newTok(readyAt, sentAt, tok, rt))
@@ -257,15 +254,6 @@ func (pe *peUnit) Released(li int) {
 	pe.parkedCount -= int(l.n)
 	pe.p.herds.concat(&pe.reinject, l)
 	pe.wakeInput()
-}
-
-// bind places one more instruction instance on a running PE (a fault
-// remap): it takes the store's next local index, which the instance's route
-// records in place of the host and index it had, and gets a parked list.
-func (pe *peUnit) bind(thread uint32, inst isa.InstID) {
-	rt := &pe.p.route[pe.p.istKey(thread, inst)]
-	rt.pe, rt.li = pe.gidx, int32(pe.ist.Bind())
-	pe.parked = append(pe.parked, herdList{})
 }
 
 // inputPending reports whether phaseInput has anything to look at.

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"wavescalar/internal/cache"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/isa"
 	"wavescalar/internal/istore"
 	"wavescalar/internal/match"
@@ -34,6 +33,13 @@ var (
 	// Processor runs one program once; the first run's Stats, memory and
 	// halt values are left as they were.
 	ErrAlreadyRun = errors.New("processor has already run")
+	// ErrBadCompletion means the cache completed a memory request the
+	// simulator was not tracking — an internal anomaly, surfaced as an
+	// error instead of the old panic.
+	ErrBadCompletion = errors.New("unknown memory completion")
+	// ErrInternal wraps a recovered panic from the simulator core: the
+	// run is lost but the process survives, with a cycle-stamped dump.
+	ErrInternal = errors.New("internal simulator error")
 )
 
 // Memory is the simulator's flat functional memory (64-bit words keyed by
@@ -49,7 +55,6 @@ type pendingMemOp struct {
 	tag      isa.Tag
 	inst     isa.InstID
 	cluster  int32
-	attempt  int32 // re-issues under the fault model's drop/retry loop
 	isStore  bool
 }
 
@@ -71,8 +76,7 @@ type Processor struct {
 	placement *place.Placement
 	// route is the machine's one table from an instruction instance
 	// (istKey) to where it lives; see route. It is written where
-	// instructions are bound (build, and peUnit.bind on a fault remap) and
-	// read once per token destination.
+	// instructions are bound (build) and read once per token destination.
 	route   []route
 	threads int
 	params  []map[string]uint64
@@ -113,12 +117,7 @@ type Processor struct {
 	payFree []*operandPayload
 	reqFree [][]*storebuf.Request
 
-	// Fault machinery (all nil/empty on the faultless fast path).
-	inj       *fault.Injector
-	anyDead   bool          // at least one PE has been killed
-	fatalErr  error         // first fatal error latched by a callback
-	memRetryQ fifo[memRedo] // dropped memory responses awaiting re-issue
-	memHoldQ  fifo[memRedo] // delayed memory responses awaiting release
+	fatalErr error // first fatal error latched by a callback
 
 	// rec is the optional event recorder (nil when tracing is off; every
 	// use is behind a nil check, so the disabled path costs one branch).
@@ -188,11 +187,6 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 	// Build the machine.
 	arch := cfg.Arch
 	gw, gh := noc.DimsFor(arch.Clusters)
-	inj, err := fault.NewInjector(cfg.Fault, FaultShape(cfg))
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	p.inj = inj
 	p.build()
 	p.reqFree = make([][]*storebuf.Request, arch.Clusters)
 	p.actComplete = newActiveSet(len(p.pes))
@@ -203,10 +197,6 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 	p.actSB = newActiveSet(arch.Clusters)
 	for ci := 0; ci < arch.Clusters; ci++ {
 		ci := ci
-		var extraDelay func(seq uint64) uint64
-		if inj != nil {
-			extraDelay = func(seq uint64) uint64 { return inj.SBDelay(ci, seq) }
-		}
 		p.sbs = append(p.sbs, storebuf.New(storebuf.Config{
 			Contexts:    cfg.SBContexts,
 			PSQs:        cfg.PSQs,
@@ -214,15 +204,11 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 			PipelineLat: cfg.SBPipeLat,
 			Cluster:     ci,
 			Trace:       cfg.Trace,
-			ExtraDelay:  extraDelay,
 		}, func(cycle uint64, op storebuf.Issued) {
 			p.sbIssue(cycle, ci, op)
 		}))
 	}
 	p.grid = noc.New(gw, gh, noc.Config{PortBW: cfg.NocBW, QueueCap: cfg.NocQCap, Trace: cfg.Trace}, p.nocSink)
-	if inj != nil {
-		p.grid.SetFaults(inj.LinkFlip, inj.LinkRetryCycles())
-	}
 	p.cacheSys = cache.New(cfg.CacheConfig(), p.cacheDone, p.cacheSend)
 
 	return p, nil
@@ -233,9 +219,7 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 // the PEs and domain units themselves, and — sized by how many instructions
 // the placement binds to each PE — the instruction stores, the matching
 // tables' headers and per-index state, and the parked lists. Every PE's
-// share is cut to length (s[:n:n]), so a fault remap that binds one more
-// instruction reallocates that PE's share instead of writing into its
-// neighbour's. What depends on the run waits for it: a PE's queues, its
+// share is cut to length (s[:n:n]). What depends on the run waits for it: a PE's queues, its
 // token pool and its matching table's entries are allocated when its first
 // token arrives, so a PE that never receives one costs its headers.
 //
@@ -318,9 +302,6 @@ func (p *Processor) peIndex(a place.PEAddr) int {
 	arch := &p.cfg.Arch
 	return (a.Cluster*arch.Domains+a.Domain)*arch.PEs + a.PE
 }
-
-// pe returns the PE at an address.
-func (p *Processor) pe(a place.PEAddr) *peUnit { return &p.pes[p.peIndex(a)] }
 
 // domain returns a cluster's domain unit.
 func (p *Processor) domain(cluster, d int) *domainUnit {
@@ -456,34 +437,14 @@ func (p *Processor) issueMem(cycle uint64, pm pendingMemOp) {
 	p.cacheSys.Access(cycle, int(pm.cluster), id, pm.addr, pm.isStore)
 }
 
-// cacheDone completes a memory access. Under a fault script the
-// completion may be dropped (bounded retry with backoff) or delayed
-// (held and released later); an unknown request id is an internal
-// anomaly surfaced as ErrBadCompletion instead of the old panic.
+// cacheDone completes a memory access; an unknown request id is an
+// internal anomaly surfaced as ErrBadCompletion instead of the old panic.
 func (p *Processor) cacheDone(cycle uint64, cluster int, reqID uint64) {
 	pm, ok := p.inflight.take(reqID)
 	if !ok {
 		p.fatal(fmt.Errorf("sim: %w: request %d (cluster %d) at cycle %d",
 			ErrBadCompletion, reqID, cluster, cycle))
 		return
-	}
-	if p.inj != nil {
-		attempt := int(pm.attempt)
-		if p.inj.MemDrop(reqID, attempt) {
-			if attempt+1 >= p.inj.MemRetryLimit() {
-				p.fatal(fmt.Errorf("sim: %w: request %d (%d attempts) at cycle %d (fault report: %s)",
-					ErrMemFault, reqID, attempt+1, cycle, p.inj.Report()))
-				return
-			}
-			pm.attempt++
-			p.inj.CountMemRetry()
-			p.memRetryQ.push(memRedo{at: cycle + (8 << pm.attempt), pm: pm})
-			return
-		}
-		if d := p.inj.MemDelay(reqID, attempt); d > 0 {
-			p.memHoldQ.push(memRedo{at: cycle + d, pm: pm})
-			return
-		}
 	}
 	p.finishMem(cycle, pm)
 }
@@ -575,10 +536,6 @@ func (p *Processor) RunContext(ctx context.Context) (st *Stats, err error) {
 				ErrMaxCycles, p.cfg.MaxCycles, p.haltCount, p.threads)
 		}
 		if c > p.progress && c-p.progress > p.cfg.StallLimit {
-			if p.faultsManifested() {
-				return nil, fmt.Errorf("sim: %w for %d cycles at cycle %d (fault report: %s):\n%s",
-					ErrFaultStall, p.cfg.StallLimit, c, p.inj.Report(), p.dump())
-			}
 			return nil, fmt.Errorf("sim: %w for %d cycles at cycle %d:\n%s",
 				ErrDeadlock, p.cfg.StallLimit, c, p.dump())
 		}
@@ -591,10 +548,6 @@ func (p *Processor) RunContext(ctx context.Context) (st *Stats, err error) {
 	p.countAtHalt()
 	for drained := uint64(0); !p.quiesced(); drained, c = drained+1, c+1 {
 		if drained >= drainBudget {
-			if p.faultsManifested() {
-				return nil, fmt.Errorf("sim: %w: post-halt drain stuck (fault report: %s):\n%s",
-					ErrFaultStall, p.inj.Report(), p.dump())
-			}
 			return nil, fmt.Errorf("sim: %w:\n%s", ErrNotQuiesced, p.dump())
 		}
 		if drained&cancelCheckMask == 0 {
@@ -609,6 +562,15 @@ func (p *Processor) RunContext(ctx context.Context) (st *Stats, err error) {
 	}
 	p.collect()
 	return &p.stats, nil
+}
+
+// fatal latches the first fatal error; RunContext checks it every cycle.
+// It exists because component callbacks (cache completion, grid sink)
+// cannot return errors through their signatures.
+func (p *Processor) fatal(err error) {
+	if p.fatalErr == nil {
+		p.fatalErr = err
+	}
 }
 
 // runErr surfaces fatal conditions latched by component callbacks during
@@ -658,9 +620,6 @@ func (p *Processor) tick(c uint64) {
 // (byte-identical Stats on the full workload suite).
 func (p *Processor) scanTick(c uint64) {
 	p.cycle = c
-	if p.inj != nil {
-		p.applyFaults(c)
-	}
 	p.grid.Tick(c)
 	p.cacheSys.Tick(c)
 	for _, sb := range p.sbs {
@@ -712,9 +671,6 @@ func (p *Processor) scanTick(c uint64) {
 // re-arms itself so it is never forgotten.
 func (p *Processor) activeTick(c uint64) {
 	p.cycle = c
-	if p.inj != nil {
-		p.applyFaults(c)
-	}
 	if p.rec != nil {
 		// Work-list occupancy before the drains mutate it: PE visits sum
 		// the four phase sets (one PE can appear in several).
@@ -791,9 +747,6 @@ func (p *Processor) quiesced() bool {
 	if p.inflight.len() > 0 || p.grid.Pending() > 0 || p.cacheSys.Outstanding() > 0 || !p.outbox.empty() {
 		return false
 	}
-	if !p.memRetryQ.empty() || !p.memHoldQ.empty() {
-		return false
-	}
 	for _, sb := range p.sbs {
 		if !sb.Quiet() {
 			return false
@@ -865,9 +818,6 @@ func (p *Processor) collect() {
 	}
 	p.stats.Cache = p.cacheSys.Stats()
 	p.stats.Noc = p.grid.Stats()
-	if p.inj != nil {
-		p.stats.Fault = p.inj.Report()
-	}
 }
 
 // dump renders diagnostic state for the deadlock report.

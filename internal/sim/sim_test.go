@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"wavescalar/internal/graph"
@@ -389,5 +390,54 @@ func TestVirtualizationThrashing(t *testing.T) {
 	if small.Cycles <= big.Cycles {
 		t.Errorf("thrashing config (%d cycles) should be slower than large (%d)",
 			small.Cycles, big.Cycles)
+	}
+}
+
+// An unknown memory completion latches ErrBadCompletion instead of
+// panicking, and so does a second completion of a request that was in
+// flight: the first is delivered, the second is unknown.
+func TestBadCompletionLatchesError(t *testing.T) {
+	proc, err := New(smallCfg(), memLoopProg(), []map[string]uint64{{"n": 1, "base": 0x1000}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.cacheDone(10, 0, 12345)
+	if !errors.Is(proc.fatalErr, ErrBadCompletion) {
+		t.Fatalf("fatalErr = %v, want ErrBadCompletion", proc.fatalErr)
+	}
+
+	proc, err = New(smallCfg(), memLoopProg(), []map[string]uint64{{"n": 4, "base": 0x1000}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.inject()
+	c := uint64(0)
+	for ; proc.inflight.len() == 0; c++ {
+		if c == 10_000 {
+			t.Fatal("no memory request issued in 10000 cycles")
+		}
+		proc.tick(c)
+	}
+	proc.cacheDone(c, 0, 0) // request ids start at 0
+	if proc.fatalErr != nil {
+		t.Fatalf("completing the request in flight: %v", proc.fatalErr)
+	}
+	proc.cacheDone(c, 0, 0)
+	if !errors.Is(proc.fatalErr, ErrBadCompletion) {
+		t.Fatalf("second completion of request 0: fatalErr = %v, want ErrBadCompletion", proc.fatalErr)
+	}
+}
+
+// A residual panic inside the core is recovered and surfaced as
+// ErrInternal with a cycle-stamped dump, not a process crash.
+func TestRunRecoversPanic(t *testing.T) {
+	proc, err := New(smallCfg(), memLoopProg(), []map[string]uint64{{"n": 4, "base": 0x1000}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.pes[0].ist = nil // sabotage: the PE's first dispatch nil-derefs
+	_, err = proc.Run()
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("err = %v, want ErrInternal", err)
 	}
 }

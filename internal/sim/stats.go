@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"wavescalar/internal/cache"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/match"
 	"wavescalar/internal/noc"
 	"wavescalar/internal/storebuf"
@@ -102,11 +101,6 @@ type Stats struct {
 	SpecFires    uint64 // back-to-back bypass executions
 	OutQStalls   uint64 // cycles EXECUTE blocked on a full output queue
 	InputRejects uint64 // tokens that failed INPUT acceptance this run
-
-	// Fault is the injected-fault report; all-zero (and omitted from
-	// Format) for faultless runs, keeping their stats byte-identical to
-	// builds without a fault script.
-	Fault fault.Report
 }
 
 // Digest returns a hex SHA-256 over the statistics' v1 pre-image
@@ -120,8 +114,11 @@ func (s *Stats) Digest() string {
 }
 
 // appendStatsPreimage appends the v1 pre-image: the text fmt's %+v
-// printed for Stats when the golden digests were pinned, Fault as the text
-// its String method printed then. It is written field by field, so no
+// printed for Stats when the golden digests were pinned. The fault-path
+// counters it held then (four in Noc, and the fault report) were zero on
+// every run that could be made without a fault script, and the simulator
+// has none since, so they are written as the constant zero text they
+// printed. It is written field by field, so no
 // field added to Stats or to a nested struct, and no rename or display
 // method in another package, moves a digest. A new counter stays outside
 // v1; changing what is hashed is a deliberate v2 that re-pins every
@@ -130,10 +127,6 @@ func appendStatsPreimage(b []byte, s *Stats) []byte {
 	u := func(name string, v uint64) {
 		b = append(b, name...)
 		b = strconv.AppendUint(b, v, 10)
-	}
-	i := func(name string, v int) {
-		b = append(b, name...)
-		b = strconv.AppendInt(b, int64(v), 10)
 	}
 	u("{Cycles:", s.Cycles)
 	u(" Dynamic:", s.Dynamic)
@@ -188,10 +181,7 @@ func appendStatsPreimage(b []byte, s *Stats) []byte {
 	u(" TotalLat:", n.TotalLat)
 	u(" InjectFull:", n.InjectFull)
 	u(" Blocked:", n.Blocked)
-	u(" Retransmits:", n.Retransmits)
-	u(" Rerouted:", n.Rerouted)
-	u(" Unroutable:", n.Unroutable)
-	i(" LinksDown:", n.LinksDown)
+	b = append(b, " Retransmits:0 Rerouted:0 Unroutable:0 LinksDown:0"...)
 	u("} MemAccesses:", s.MemAccesses)
 	u(" MemLatTotal:", s.MemLatTotal)
 	u(" OperandLatTotal:", s.OperandLatTotal)
@@ -200,18 +190,9 @@ func appendStatsPreimage(b []byte, s *Stats) []byte {
 	u(" SpecFires:", s.SpecFires)
 	u(" OutQStalls:", s.OutQStalls)
 	u(" InputRejects:", s.InputRejects)
-	f := &s.Fault
-	i(" Fault:pes_killed=", f.PEsKilled)
-	i(" links_down=", f.LinksDown)
-	u(" link_flips=", f.LinkFlips)
-	u(" mem_drops=", f.MemDrops)
-	u(" mem_retries=", f.MemRetries)
-	u(" mem_delays=", f.MemDelays)
-	u(" sb_delays=", f.SBDelays)
-	i(" insts_migrated=", f.InstsMigrated)
-	i(" tokens_migrated=", f.TokensMigrated)
-	u(" healed=", f.Healed)
-	return append(b, '}')
+	b = append(b, " Fault:pes_killed=0 links_down=0 link_flips=0 mem_drops=0 mem_retries=0"...)
+	b = append(b, " mem_delays=0 sb_delays=0 insts_migrated=0 tokens_migrated=0 healed=0}"...)
+	return b
 }
 
 // AIPC returns Alpha-equivalent instructions per cycle.
@@ -303,8 +284,5 @@ func (s *Stats) Format() string {
 	fmt.Fprintf(&b, "avg mem latency   %.1f cycles over %d accesses\n", s.AvgMemLatency(), s.MemAccesses)
 	fmt.Fprintf(&b, "avg operand lat   %.2f cycles over %d deliveries\n", s.AvgOperandLatency(), s.OperandCount)
 	fmt.Fprintf(&b, "spec fires        %d of %d dispatches\n", s.SpecFires, s.Dispatches)
-	if s.Fault != (fault.Report{}) {
-		fmt.Fprintf(&b, "faults            %s\n", s.Fault)
-	}
 	return b.String()
 }

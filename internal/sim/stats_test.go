@@ -74,6 +74,18 @@ func (r reportV1) String() string {
 // them, that the v1 digest leaves out. A counter added to Stats goes here.
 var statsOutsideV1 = []string{"CountableAtHalt uint64", "DynamicAtHalt uint64"}
 
+// statsGoneFromV1 lists, by path prefix, the v1 fields the live Stats no
+// longer has: the fault-path counters, which were zero on every run made
+// without a fault script and which the pre-image writes as that zero
+// text (clearGone).
+var statsGoneFromV1 = []string{"Noc.Retransmits ", "Noc.Rerouted ", "Noc.Unroutable ", "Noc.LinksDown ", "Fault."}
+
+// clearGone zeroes the fields statsGoneFromV1 names in a frozen copy.
+func clearGone(s *statsV1) {
+	s.Noc.Retransmits, s.Noc.Rerouted, s.Noc.Unroutable, s.Noc.LinksDown = 0, 0, 0, 0
+	s.Fault = reportV1{}
+}
+
 // fillValues sets every integer in v, in field order, from next.
 func fillValues(v reflect.Value, next func() uint64) {
 	switch v.Kind() {
@@ -143,8 +155,10 @@ func copyFields(dst, src reflect.Value) {
 	}
 }
 
-// checkPreimage holds the encoder to fmt on one value of the frozen copy.
+// checkPreimage holds the encoder to fmt on one value of the frozen copy,
+// its gone fields zero.
 func checkPreimage(t testing.TB, frozen *statsV1) {
+	clearGone(frozen)
 	s := liveStats(reflect.ValueOf(*frozen))
 	want := fmt.Sprintf("%+v", *frozen)
 	if got := string(appendStatsPreimage(nil, &s)); got != want {
@@ -253,7 +267,12 @@ func TestStatsFieldsGuard(t *testing.T) {
 			inV1 = append(inV1, f)
 		}
 	}
-	want := statsShape(reflect.TypeOf(statsV1{}), "")
+	var want []string
+	for _, f := range statsShape(reflect.TypeOf(statsV1{}), "") {
+		if !slices.ContainsFunc(statsGoneFromV1, func(p string) bool { return strings.HasPrefix(f, p) }) {
+			want = append(want, f)
+		}
+	}
 	if got := strings.Join(inV1, ", "); got != strings.Join(want, ", ") {
 		t.Errorf("sim.Stats, or a struct nested in it, gained, lost or reordered a field:\n got %s\nwant %s\n"+
 			"appendStatsPreimage (stats.go) writes statsV1's fields by hand, as %%+v printed them when the golden "+

@@ -34,10 +34,6 @@ type Config struct {
 	Cluster int
 	// Trace, when non-nil, records issue and wave-commit events.
 	Trace *trace.Recorder
-	// ExtraDelay, when non-nil, returns extra processing-pipeline cycles
-	// for the seq-th arriving request — the fault-injection hook that
-	// models a degraded store buffer. Nil costs nothing.
-	ExtraDelay func(seq uint64) uint64
 }
 
 // Validate checks the configuration. PSQs == 0 disables store decoupling
@@ -257,11 +253,7 @@ func (b *Buffer) thread(id uint32) *threadState {
 func (b *Buffer) Enqueue(cycle uint64, r Request) {
 	b.stats.Arrivals++
 	ts := b.thread(r.Tag.Thread)
-	lat := uint64(b.cfg.PipelineLat)
-	if b.cfg.ExtraDelay != nil {
-		lat += b.cfg.ExtraDelay(b.stats.Arrivals - 1)
-	}
-	o := op{req: r, hasData: r.Kind == ReqStoreFull, readyAt: cycle + lat}
+	o := op{req: r, hasData: r.Kind == ReqStoreFull, readyAt: cycle + uint64(b.cfg.PipelineLat)}
 
 	// A decoupled data half merges with its store's address half wherever
 	// that is (spilled, active, or already in a PSQ).

@@ -41,14 +41,7 @@ const (
 	KindSBCommit                // a wave completed in the store buffer
 	KindNetHop                  // a NET pseudo-PE forwarded an operand
 	KindGridMsg                 // the inter-cluster grid delivered a message (Arg = hops, Arg2 = latency)
-	KindFault                   // a fault manifested (Arg = FaultPEKill/FaultLinkDown, Arg2 = migrated count)
 	numKinds
-)
-
-// Fault codes carried in a KindFault event's Arg.
-const (
-	FaultPEKill   = 0 // the tile at (Cluster, Domain, PE) was killed
-	FaultLinkDown = 1 // the grid link from Cluster to cluster Arg2 failed
 )
 
 // String names the kind.
@@ -76,8 +69,6 @@ func (k Kind) String() string {
 		return "net-hop"
 	case KindGridMsg:
 		return "grid-msg"
-	case KindFault:
-		return "fault"
 	}
 	return "event"
 }
@@ -505,23 +496,6 @@ func (r *Recorder) GridDeliver(cycle uint64, src, dst, vc, hops int, lat uint64)
 	if r.links != nil && src < r.clusters && dst < r.clusters {
 		r.links[src*r.clusters+dst]++
 	}
-}
-
-// Fault records a hard fault manifesting: a PE kill (code FaultPEKill,
-// arg2 = bindings migrated off the tile) or a permanent link failure
-// (code FaultLinkDown, arg2 = the link's far-end cluster).
-func (r *Recorder) Fault(cycle uint64, code int, cluster, domain, pe int, arg2 uint32) {
-	if r == nil {
-		return
-	}
-	d, p := uint8(domain), uint8(pe)
-	if domain < 0 {
-		d, p = NoDomain, 0
-	}
-	r.record(Event{
-		Cycle: cycle, Kind: KindFault, Arg: uint64(code), Arg2: arg2,
-		Cluster: uint16(cluster), Domain: d, PE: p,
-	})
 }
 
 // --- summaries -----------------------------------------------------------

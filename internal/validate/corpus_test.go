@@ -120,7 +120,7 @@ func TestSeedCorpusWitnesses(t *testing.T) {
 	export := func(hook RunSimFunc, wantKind string) {
 		t.Helper()
 		ck := &Checker{RunSim: hook}
-		rep, err := ck.Fuzz(FuzzOptions{Seed: 1, Seeds: 40, SkipMonotone: true})
+		rep, err := ck.Fuzz(FuzzOptions{Seed: 1, Seeds: 40})
 		if err != nil {
 			t.Fatalf("fuzz: %v", err)
 		}

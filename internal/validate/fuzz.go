@@ -16,9 +16,6 @@ type FuzzOptions struct {
 	// ShrinkBudget bounds the Check invocations spent minimizing each
 	// failure (default 150).
 	ShrinkBudget int
-	// SkipMonotone turns off the nested-kill-fraction degradation check,
-	// which runs by default.
-	SkipMonotone bool
 	// CorpusDir, when set, exports every shrunk failure as a corpus
 	// witness (see corpus.go) so a red run automatically grows the
 	// checked-in regression corpus.
@@ -39,20 +36,15 @@ type FuzzReport struct {
 	// Sims the simulator runs spent, including shrinking.
 	Checked int `json:"checked"`
 	Sims    int `json:"sims"`
-	// Faulted counts cases that carried a fault script; Degraded the
-	// fault cases that deterministically stalled (accepted, not failures).
-	Faulted int `json:"faulted"`
-	// Monotone is the measured degradation curve (absent with
-	// SkipMonotone).
-	Monotone *MonotoneResult `json:"monotone,omitempty"`
 	// Failures are the shrunk, tokenized divergences. Pass is their
 	// absence.
 	Failures []Failure `json:"failures"`
 	Pass     bool      `json:"pass"`
 }
 
-// FuzzSchema versions the report format.
-const FuzzSchema = "wavescalar-validate-fuzz/v1"
+// FuzzSchema versions the report format; v2 dropped v1's fault-case count
+// and degradation curve.
+const FuzzSchema = "wavescalar-validate-fuzz/v2"
 
 // Fuzz draws Seeds cases from the seed tree, checks each differentially
 // and metamorphically, shrinks every failure to a minimal case, and
@@ -74,9 +66,6 @@ func (ck *Checker) Fuzz(opt FuzzOptions) (*FuzzReport, error) {
 			break
 		}
 		c := GenerateCase(CaseSeed(opt.Seed, i))
-		if !c.Fault.Empty() {
-			rep.Faulted++
-		}
 		f, err := ck.Check(c)
 		if err != nil {
 			return nil, fmt.Errorf("validate: seed %d case %d (%s): %w", opt.Seed, i, SeedToken(c.Seed), err)
@@ -108,17 +97,6 @@ func (ck *Checker) Fuzz(opt FuzzOptions) (*FuzzReport, error) {
 		}
 	}
 
-	if !opt.SkipMonotone {
-		mono, f, err := ck.CheckMonotone()
-		if err != nil {
-			return nil, err
-		}
-		rep.Monotone = mono
-		if f != nil {
-			f.Repro = "monotone"
-			rep.Failures = append(rep.Failures, *f)
-		}
-	}
 	rep.Sims = ck.Sims
 	rep.Pass = len(rep.Failures) == 0
 	return rep, nil

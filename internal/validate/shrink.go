@@ -1,9 +1,7 @@
 package validate
 
-import "wavescalar/internal/fault"
-
 // Shrink greedily minimizes a failing case: it tries simpler candidates
-// (fewer threads, smaller scale, smaller machine, shorter fault script)
+// (fewer threads, smaller scale, smaller machine)
 // and keeps any candidate that still fails with the same kind, repeating
 // until a full pass accepts nothing or the budget of Check invocations
 // runs out. The result is the smallest case this harness knows how to
@@ -11,8 +9,7 @@ import "wavescalar/internal/fault"
 // simulates in milliseconds.
 //
 // Candidates that fail differently (another kind, or an infrastructure
-// error such as a kill event now targeting a PE the smaller machine does
-// not have) are rejected: shrinking narrows one bug, it never wanders to
+// error) are rejected: shrinking narrows one bug, it never wanders to
 // a different one.
 func (ck *Checker) Shrink(c Case, kind string, budget int) Case {
 	if budget <= 0 {
@@ -42,43 +39,16 @@ func (ck *Checker) Shrink(c Case, kind string, budget int) Case {
 }
 
 // shrinkCandidates proposes strictly simpler variants of c, cheapest
-// wins first: dropping the fault script and threads prunes the most
-// simulation time, machine shrinking comes last.
+// wins first: dropping threads prunes the most simulation time, machine
+// shrinking comes last.
 func shrinkCandidates(c Case) []Case {
 	var out []Case
 	add := func(mut func(*Case)) {
 		cand := c
-		if cand.Fault != nil {
-			s := *cand.Fault
-			cand.Fault = &s
-		}
 		mut(&cand)
 		out = append(out, cand)
 	}
 
-	if !c.Fault.Empty() {
-		add(func(n *Case) { n.Fault = nil })
-		if len(c.Fault.Events) > 1 {
-			add(func(n *Case) { n.Fault.Events = append([]fault.Event(nil), c.Fault.Events[:len(c.Fault.Events)/2]...) })
-			add(func(n *Case) { n.Fault.Events = append([]fault.Event(nil), c.Fault.Events[len(c.Fault.Events)/2:]...) })
-		} else if len(c.Fault.Events) == 1 {
-			add(func(n *Case) { n.Fault.Events = nil })
-		}
-		for _, zero := range []func(*Case){
-			func(n *Case) { n.Fault.LinkFlipRate = 0 },
-			func(n *Case) { n.Fault.MemDropRate = 0 },
-			func(n *Case) { n.Fault.MemDelayRate = 0 },
-			func(n *Case) { n.Fault.SBDelayRate = 0 },
-		} {
-			cand := c
-			s := *c.Fault
-			cand.Fault = &s
-			zero(&cand)
-			if cand.Fault.Digest() != c.Fault.Digest() {
-				out = append(out, cand)
-			}
-		}
-	}
 	if c.Threads > 1 {
 		add(func(n *Case) { n.Threads = 1 })
 		if c.Threads > 2 {

@@ -63,8 +63,13 @@ func ParseToken(token string) (Case, error) {
 		if err != nil {
 			return Case{}, fmt.Errorf("validate: case token: %v", err)
 		}
+		// Strict, so a token naming a field this build lacks (the fault
+		// script older revisions drew) is refused, not replayed as another
+		// case.
 		var c Case
-		if err := json.Unmarshal(doc, &c); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(doc))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&c); err != nil {
 			return Case{}, fmt.Errorf("validate: case token: %v", err)
 		}
 		return c, nil

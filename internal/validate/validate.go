@@ -10,49 +10,45 @@
 //     per-figure tolerances (see trends.go).
 //
 // On top of the differential check the harness enforces the metamorphic
-// invariants the simulator promises: run-to-run determinism, empty-fault-
-// script ≡ faultless byte-identity, scheduler-strategy equivalence, and
-// cache-hit ≡ recompute. Every case is generated from a seed (gen.go),
-// every failure shrinks to a minimal reproduction (shrink.go), and every
-// reproduction round-trips through a one-line token (token.go) — so a
-// red nightly run is one `wsvalidate -repro <token>` away from a
-// debugger.
+// invariants the simulator promises: run-to-run determinism,
+// scheduler-strategy equivalence, and cache-hit ≡ recompute. Every case
+// is generated from a seed (gen.go), every failure shrinks to a minimal
+// reproduction (shrink.go), and every reproduction round-trips through a
+// one-line token (token.go) — so a red nightly run is one
+// `wsvalidate -repro <token>` away from a debugger.
 //
 // The harness exists so aggressive hot-path work can proceed behind a
-// safety net that checks far more of the configuration × workload × fault
-// space than the unit tests reach.
+// safety net that checks far more of the configuration × workload space
+// than the unit tests reach.
 package validate
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"sort"
 
 	"wavescalar/internal/area"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/ref"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
 
 // Case is one differential-validation input: a machine, a workload at a
-// scale, a thread count, and an optional fault script. It is the unit of
+// scale and a thread count. It is the unit of
 // generation, checking, shrinking, and token round-tripping, so every
 // field must be plain serializable data.
 type Case struct {
 	// Seed is the generator seed this case was drawn from (0 for
 	// hand-built cases). Shrinking preserves it so a shrunk case keeps
 	// selecting the same invariant variants as the original.
-	Seed      uint64        `json:"seed,omitempty"`
-	Arch      area.Params   `json:"arch"`
-	K         int           `json:"k,omitempty"`
-	Workload  string        `json:"workload"`
-	Iters     int           `json:"iters"`
-	Footprint int           `json:"footprint"`
-	Threads   int           `json:"threads"`
-	Fault     *fault.Script `json:"fault,omitempty"`
+	Seed      uint64      `json:"seed,omitempty"`
+	Arch      area.Params `json:"arch"`
+	K         int         `json:"k,omitempty"`
+	Workload  string      `json:"workload"`
+	Iters     int         `json:"iters"`
+	Footprint int         `json:"footprint"`
+	Threads   int         `json:"threads"`
 }
 
 // Scale returns the case's workload scale.
@@ -72,11 +68,6 @@ func (c Case) Describe() string {
 	}
 	s += fmt.Sprintf("workload: %s (iters=%d footprint=%d) threads=%d\n",
 		c.Workload, c.Iters, c.Footprint, c.Threads)
-	if !c.Fault.Empty() {
-		s += fmt.Sprintf("fault:    %d events, rates link=%g mem=%g/%g sb=%g (seed %d)\n",
-			len(c.Fault.Events), c.Fault.LinkFlipRate, c.Fault.MemDelayRate,
-			c.Fault.MemDropRate, c.Fault.SBDelayRate, c.Fault.Seed)
-	}
 	return s
 }
 
@@ -91,7 +82,6 @@ func (c Case) Config() sim.Config {
 	}
 	cfg.MaxCycles = 5_000_000
 	cfg.StallLimit = 200_000
-	cfg.Fault = c.Fault
 	return cfg
 }
 
@@ -114,7 +104,6 @@ const (
 	KindMemDiverged    = "memory-divergence"
 	KindCountDiverged  = "count-divergence" // dynamic/countable instruction totals differ
 	KindNondeterminism = "nondeterminism"   // identical runs, different outcomes
-	KindFaultIdentity  = "fault-identity"   // empty fault script ≠ faultless run
 	KindSchedDiverged  = "sched-divergence" // full-scan ≠ active-set scheduler
 	KindCacheDiverged  = "cache-divergence" // cache hit ≠ recompute
 )
@@ -171,7 +160,7 @@ type RunSimFunc func(cfg sim.Config, inst *workload.Instance, threads int, fullS
 type Checker struct {
 	// RunSim overrides how simulator runs execute (nil = real simulator).
 	// Every sim-side run — the differential run, the determinism rerun,
-	// and the fault-identity and scheduler variants — goes through it.
+	// and the scheduler variant — goes through it.
 	RunSim RunSimFunc
 	// Sims counts simulator runs performed, for budget accounting.
 	Sims int
@@ -215,8 +204,8 @@ func RealSim(cfg sim.Config, inst *workload.Instance, threads int, fullScan bool
 
 // Check runs the full per-case validation: the sim-vs-ref differential
 // comparison, the determinism rerun, and — selected deterministically by
-// the case seed — one of the metamorphic variants (fault identity,
-// scheduler equivalence, cache-hit ≡ recompute). It returns a non-nil
+// the case seed — one of the metamorphic variants (scheduler
+// equivalence, cache-hit ≡ recompute). It returns a non-nil
 // Failure on divergence, or an error for infrastructure problems
 // (unknown workload, unbuildable config) that are neither pass nor fail.
 func (ck *Checker) Check(c Case) (*Failure, error) {
@@ -262,13 +251,8 @@ func (ck *Checker) Check(c Case) (*Failure, error) {
 	}
 
 	if out.Err != nil {
-		// Under injected faults the machine may deterministically stall
-		// (partitioned fabric, exhausted retries) — degraded, not wrong.
-		// Anything else, or any failure on a clean run, is a divergence:
-		// the reference completed this exact program.
-		if !c.Fault.Empty() && (errors.Is(out.Err, sim.ErrFaultStall) || errors.Is(out.Err, sim.ErrMemFault)) {
-			return nil, nil
-		}
+		// Any failure is a divergence: the reference completed this exact
+		// program.
 		return &Failure{Case: c, Kind: KindSimError,
 			Detail: fmt.Sprintf("simulator failed where the reference succeeded: %v", out.Err)}, nil
 	}
@@ -280,8 +264,8 @@ func (ck *Checker) Check(c Case) (*Failure, error) {
 }
 
 // diffOutcome compares a completed simulator outcome against the
-// reference: per-thread halt values, the final memory image, and — on
-// clean runs — the aggregate dynamic/countable instruction counts.
+// reference: per-thread halt values, the final memory image, and the
+// aggregate dynamic/countable instruction counts.
 func diffOutcome(c Case, out *SimOutcome, refRes *ref.ThreadsResult, threads int) *Failure {
 	for t := 0; t < threads; t++ {
 		if out.HaltValues[t] != refRes.HaltValues[t] {
@@ -292,17 +276,14 @@ func diffOutcome(c Case, out *SimOutcome, refRes *ref.ThreadsResult, threads int
 	if f := diffMemory(c, out.Mem, refRes.Mem); f != nil {
 		return f
 	}
-	if c.Fault.Empty() {
-		// Fault-degraded runs may legitimately re-execute work. On clean
-		// runs the countable (architectural) total must match the
-		// reference exactly; the dynamic total may exceed it — speculative
-		// fires replay instructions — but can never fall below it, since
-		// the simulator cannot skip work the reference performed.
-		if out.Stats.Countable != refRes.Countable || out.Stats.Dynamic < refRes.Dynamic {
-			return &Failure{Case: c, Kind: KindCountDiverged,
-				Detail: fmt.Sprintf("instruction counts: sim dynamic=%d countable=%d, ref dynamic=%d countable=%d (countable must match, dynamic must not undercount)",
-					out.Stats.Dynamic, out.Stats.Countable, refRes.Dynamic, refRes.Countable)}
-		}
+	// The countable (architectural) total must match the reference
+	// exactly; the dynamic total may exceed it — speculative fires replay
+	// instructions — but can never fall below it, since the simulator
+	// cannot skip work the reference performed.
+	if out.Stats.Countable != refRes.Countable || out.Stats.Dynamic < refRes.Dynamic {
+		return &Failure{Case: c, Kind: KindCountDiverged,
+			Detail: fmt.Sprintf("instruction counts: sim dynamic=%d countable=%d, ref dynamic=%d countable=%d (countable must match, dynamic must not undercount)",
+				out.Stats.Dynamic, out.Stats.Countable, refRes.Dynamic, refRes.Countable)}
 	}
 	return nil
 }
@@ -343,36 +324,10 @@ func diffMemory(c Case, simMem map[uint64]uint64, refMem ref.Memory) *Failure {
 // by the case seed so a shrunk case (which keeps its seed) re-runs the
 // same variant and the repro token replays the same work.
 func (ck *Checker) checkVariant(c Case, cfg sim.Config, inst *workload.Instance, threads int, out *SimOutcome) (*Failure, error) {
-	switch fault.Mix(c.Seed, 0x1A11) % 3 {
-	case 0:
-		return ck.checkFaultIdentity(c, cfg, inst, threads, out)
-	case 1:
+	if mix(c.Seed, 0x1A11)%2 == 0 {
 		return ck.checkSched(c, cfg, inst, threads, out)
-	default:
-		return ck.checkCache(c, cfg, threads)
 	}
-}
-
-// checkFaultIdentity verifies the empty-script identity: attaching an
-// explicitly empty fault script must leave the run byte-identical to a
-// faultless one. Cases that carry a real script skip it (their script is
-// not empty); the generator leaves most cases clean, so the identity is
-// exercised at every seed count.
-func (ck *Checker) checkFaultIdentity(c Case, cfg sim.Config, inst *workload.Instance, threads int, out *SimOutcome) (*Failure, error) {
-	if !c.Fault.Empty() {
-		return nil, nil
-	}
-	empty := cfg
-	empty.Fault = &fault.Script{}
-	eout, err := ck.runSim(empty, inst, threads, false)
-	if err != nil {
-		return nil, fmt.Errorf("validate: building simulator (empty script): %w", err)
-	}
-	if d1, d2 := out.digest(), eout.digest(); d1 != d2 {
-		return &Failure{Case: c, Kind: KindFaultIdentity,
-			Detail: fmt.Sprintf("empty fault script changed the outcome: %s vs %s", d1, d2)}, nil
-	}
-	return nil, nil
+	return ck.checkCache(c, cfg, threads)
 }
 
 // checkSched verifies scheduler-strategy equivalence: the full-scan

@@ -1,6 +1,9 @@
 package validate
 
 import (
+	"bytes"
+	"compress/flate"
+	"encoding/base64"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -19,7 +22,7 @@ func TestFuzzCleanDeterministic(t *testing.T) {
 	}
 	run := func() []byte {
 		ck := &Checker{}
-		rep, err := ck.Fuzz(FuzzOptions{Seed: 7, Seeds: 12, SkipMonotone: true})
+		rep, err := ck.Fuzz(FuzzOptions{Seed: 7, Seeds: 12})
 		if err != nil {
 			t.Fatalf("fuzz: %v", err)
 		}
@@ -41,46 +44,6 @@ func TestFuzzCleanDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if string(a) != string(b) {
 		t.Fatalf("two identical fuzz runs produced different reports:\n%s\n--- vs ---\n%s", a, b)
-	}
-}
-
-// TestMonotoneDegradation checks the nested-kill-fraction invariant end
-// to end against the real simulator.
-func TestMonotoneDegradation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("monotone probe is slow")
-	}
-	ck := &Checker{}
-	res, f, err := ck.CheckMonotone()
-	if err != nil {
-		t.Fatalf("monotone: %v", err)
-	}
-	if f != nil {
-		t.Fatalf("monotone invariant failed: %s: %s", f.Kind, f.Detail)
-	}
-	if len(res.AIPC) != 4 {
-		t.Fatalf("got %d AIPC points, want 4", len(res.AIPC))
-	}
-	if res.AIPC[0] <= res.AIPC[len(res.AIPC)-1] {
-		t.Errorf("killing 25%% of PEs did not cost throughput: AIPC %v", res.AIPC)
-	}
-}
-
-// TestMonotoneCurvePinned: the degradation curve itself, exact — the four
-// AIPCs of the probe at kill fractions 0, 5, 10 and 25 %. The literals
-// predate the probe's constants, so a constant copied wrong fails here.
-func TestMonotoneCurvePinned(t *testing.T) {
-	ck := &Checker{}
-	res, f, err := ck.CheckMonotone()
-	if err != nil || f != nil {
-		t.Fatalf("monotone: failure %v, error %v", f, err)
-	}
-	want := &MonotoneResult{
-		Fractions: []float64{0, 0.05, 0.1, 0.25},
-		AIPC:      []float64{2.503192848020434, 2.503192848020434, 2.3902439024390243, 2.0935977034514988},
-	}
-	if !reflect.DeepEqual(res, want) {
-		t.Errorf("curve %+v, want %+v", res, want)
 	}
 }
 
@@ -137,6 +100,17 @@ func TestTokenRoundTrip(t *testing.T) {
 			t.Errorf("ParseToken(%q) accepted garbage", bad)
 		}
 	}
+
+	// A case token from a revision that drew fault scripts is refused,
+	// not replayed without its script.
+	var buf bytes.Buffer
+	zw, _ := flate.NewWriter(&buf, flate.BestCompression)
+	zw.Write([]byte(`{"workload":"fft","iters":2,"footprint":512,"threads":1,"fault":{"seed":3}}`))
+	zw.Close()
+	faulted := "c:" + base64.RawURLEncoding.EncodeToString(buf.Bytes())
+	if _, err := ParseToken(faulted); err == nil || !strings.Contains(err.Error(), `unknown field "fault"`) {
+		t.Errorf("ParseToken of a faulted case token: %v, want the unknown field named", err)
+	}
 }
 
 // buggySim corrupts thread 0's halt value on machines with at least two
@@ -157,7 +131,7 @@ func TestInjectedBugCaughtAndShrunk(t *testing.T) {
 		t.Skip("shrinking is slow")
 	}
 	ck := &Checker{RunSim: buggySim}
-	rep, err := ck.Fuzz(FuzzOptions{Seed: 1, Seeds: 20, SkipMonotone: true})
+	rep, err := ck.Fuzz(FuzzOptions{Seed: 1, Seeds: 20})
 	if err != nil {
 		t.Fatalf("fuzz: %v", err)
 	}

@@ -45,7 +45,6 @@ import (
 	"wavescalar/internal/design"
 	"wavescalar/internal/energy"
 	"wavescalar/internal/explore"
-	"wavescalar/internal/fault"
 	"wavescalar/internal/graph"
 	"wavescalar/internal/isa"
 	"wavescalar/internal/ref"
@@ -92,56 +91,17 @@ var (
 	// points (RunWorkloadContext, NewExplorer, design sweeps/tunes) when
 	// their options are malformed; match with errors.Is.
 	ErrBadOptions = design.ErrBadOptions
-	// ErrFaultStall means injected faults (not a program bug) stopped the
-	// machine: dead tiles, a partitioned fabric, or exhausted retries.
-	ErrFaultStall = sim.ErrFaultStall
 	// ErrBadCompletion means the memory system completed a request the
 	// simulator was not tracking — an internal anomaly, reported instead
 	// of panicking.
 	ErrBadCompletion = sim.ErrBadCompletion
-	// ErrBadFaultScript wraps every fault-script validation failure.
-	ErrBadFaultScript = fault.ErrBadScript
 )
-
-// Fault injection & graceful degradation (internal/fault): deterministic,
-// scripted damage — dead PEs/domains/clusters, failed or flaky NoC links,
-// lost or delayed memory responses — threaded through the simulator so a
-// run on a wounded machine completes (degraded) instead of crashing.
-type (
-	// FaultScript is a reproducible degradation scenario: scheduled hard
-	// faults plus seeded rates for stochastic transients. Attach one via
-	// Config.Fault; a nil or empty script leaves the simulation
-	// bit-for-bit identical to a faultless run.
-	FaultScript = fault.Script
-	// FaultShape describes a machine to fault-script validation; derive
-	// one from a configuration with MachineShape.
-	FaultShape = fault.Shape
-	// FaultReport counts the faults a run actually injected and the
-	// state migrated to survive them; see Stats.Fault.
-	FaultReport = fault.Report
-)
-
-// ParseFaultScript decodes a JSON fault script, rejecting unknown fields.
-// Validate the result against MachineShape(cfg) before running.
-func ParseFaultScript(data []byte) (*FaultScript, error) { return fault.ParseScript(data) }
-
-// MachineShape describes the machine cfg builds, for fault-script
-// validation and KillFractionScript.
-func MachineShape(cfg Config) FaultShape { return sim.FaultShape(cfg) }
-
-// KillFractionScript builds a script that kills the given fraction of a
-// machine's PEs at the given cycle. Kill sets for increasing fractions
-// under one seed are nested, so a degradation curve measures strictly
-// growing damage.
-func KillFractionScript(shape FaultShape, fraction float64, seed, cycle uint64) (*FaultScript, error) {
-	return fault.KillFractionScript(shape, fraction, seed, cycle)
-}
 
 // Scenario DSL: declarative experiment descriptions (internal/scenario).
 
 // Scenario is a parsed "scenario v1" document: a workload (named or
-// tiled-kernel parameters) composed with a scale, thread counts, an
-// optional fault script, and an optional phase sequence. Digest gives
+// tiled-kernel parameters) composed with a scale, thread counts and an
+// optional phase sequence. Digest gives
 // its content address; ResolvePhases lowers it to runnable phases.
 type Scenario = scenario.Scenario
 
