@@ -10,8 +10,7 @@
 //
 //	go test -run TestGoldenStats -update .
 //
-// and include the marker "golden:" in your commit message so CI accepts
-// the drift (see .github/workflows/ci.yml).
+// and commit the new pins with the change.
 package wavescalar_test
 
 import (
@@ -89,7 +88,7 @@ func TestGoldenStats(t *testing.T) {
 	}
 	if drift {
 		t.Log("If this change is intentional, regenerate with " +
-			"`go test -run TestGoldenStats -update .` and put `golden:` in the commit message.")
+			"`go test -run TestGoldenStats -update .` and commit the pins.")
 	}
 }
 

@@ -95,7 +95,7 @@ func ScalingPlan(results []SweepResult) ([]ScaledPoint, error) {
 	e4Arch := replicate(e.Arch, 4)
 
 	return []ScaledPoint{
-		{Label: "a", Desc: "best-performing 1-cluster Pareto design", Arch: a.Arch, Area: a.Area, AIPC: a.AIPC},
+		{Label: "a", Desc: "largest 1-cluster design within 1% of peak", Arch: a.Arch, Area: a.Area, AIPC: a.AIPC},
 		{Label: "b", Desc: "design a replicated to 4 clusters", Arch: bArch, Area: area.Total(bArch)},
 		{Label: "c", Desc: "most area-efficient 1-cluster design", Arch: c.Arch, Area: c.Area, AIPC: c.Mean},
 		{Label: "d", Desc: "design c replicated to 4 clusters", Arch: dArch, Area: area.Total(dArch)},

@@ -16,10 +16,7 @@ import (
 // run replays the journal into the cache and simulates only missing
 // cells; because records are content-addressed, a journal can safely be
 // shared by overlapping sweeps and by sweeps with different options —
-// mismatched cells simply never get looked up. So do the lines of older
-// revisions for cells run under a fault script: their keys carry the
-// script's digest, which no request can produce any more, and their
-// "fault" field is ignored.
+// mismatched cells simply never get looked up.
 type record struct {
 	Kind    string  `json:"kind"` // always "cell"; see walkJournal for "tuning"
 	Key     string  `json:"key"`
@@ -36,6 +33,10 @@ type record struct {
 	ScaleFootprint int    `json:"scale_fp,omitempty"`
 	K              int    `json:"k,omitempty"`
 	Err            string `json:"err,omitempty"`
+	// Fault is only ever read: older revisions wrote it on cells run under
+	// a fault script, whose keys carry the script's digest and so can never
+	// be looked up. walkJournal skips such a line.
+	Fault json.RawMessage `json:"fault,omitempty"`
 }
 
 // journal appends completed records to a JSONL file.
@@ -71,9 +72,11 @@ func openJournal(path string, resume bool, cache *Cache) (*journal, int, error) 
 // walkJournal streams a journal's cells from r through fn, returning how
 // many were delivered. A "tuning" line — journals written before tunings
 // ran as cells hold them — is skipped silently: its result is recomputed
-// from cells. A torn final line — the signature of a crash mid-append — is
-// skipped with a logged warning; a corrupt line, an unknown kind or a cell
-// without a key (the cache's "no cell") anywhere else is an error.
+// from cells. So is a cell carrying a "fault" field, which no request can
+// look up, so it would only hold cache room. A torn final line — the
+// signature of a crash mid-append — is skipped with a logged warning; a
+// corrupt line, an unknown kind or a cell without a key (the cache's "no
+// cell") anywhere else is an error.
 func walkJournal(r io.Reader, fn func(Cell)) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -91,6 +94,7 @@ func walkJournal(r io.Reader, fn func(Cell)) (int, error) {
 			continue
 		}
 		switch {
+		case rec.Kind == "cell" && rec.Fault != nil: // a fault-injected run: skipped, not counted
 		case rec.Kind == "cell" && rec.Key != "":
 			fn(rec.cell())
 			n++

@@ -7,8 +7,9 @@
 // instruction stalls while it is fetched from memory, which the paper
 // measures as roughly three times the cost of a matching-table miss.
 //
-// An instruction is named by its local index: Bind hands out 0, 1, 2, ...
-// in binding order, and the store is one array over those indexes, holding
+// An instruction is named by its local index: the placement binds a PE's
+// instructions once, when the store is made, numbering them 0, 1, 2, ... in
+// binding order, and the store is one array over those indexes, holding
 // each instruction's residency and its links on an intrusive LRU list.
 // Which instruction a local index stands for is the caller's business (the
 // simulator keeps one machine-wide table from instruction instance to
@@ -42,17 +43,12 @@ type Store struct {
 	stats    Stats
 }
 
-// New creates a store with the given capacity (the V parameter).
-func New(capacity int) *Store {
-	return &NewSet(capacity, []int{0})[0]
-}
-
-// NewSet creates one store of the given capacity per entry of bound, the
-// i-th with bound[i] instructions already bound (local indexes
-// 0..bound[i]-1, in that order). The stores and their per-index state come
-// from two allocations however many stores there are; each store's share
-// is cut to length, so a later Bind reallocates that store's array and
-// never writes into its neighbour's.
+// NewSet creates one store of the given capacity (the V parameter) per
+// entry of bound, the i-th with bound[i] instructions bound to it (local
+// indexes 0..bound[i]-1, the matching-table hash input). The first
+// capacity of them start out resident, the last of those most recently
+// used. The stores and their per-index state come from two allocations
+// however many stores there are.
 func NewSet(capacity int, bound []int) []Store {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("istore: capacity must be positive, got %d", capacity))
@@ -65,26 +61,13 @@ func NewSet(capacity int, bound []int) []Store {
 	stores := make([]Store, len(bound))
 	for i, n := range bound {
 		s := &stores[i]
-		*s = Store{capacity: capacity, slots: slab[:0:n], mru: none, lru: none}
+		*s = Store{capacity: capacity, slots: slab[:n:n], mru: none, lru: none}
 		slab = slab[n:]
-		for k := 0; k < n; k++ {
-			s.Bind()
+		for k := 0; k < min(n, capacity); k++ {
+			s.touch(int32(k))
 		}
 	}
 	return stores
-}
-
-// Bind registers one more static instruction as placed on this PE and
-// returns its local index (the matching-table hash input): 0 for the first
-// instruction bound, 1 for the next, and so on. The first `capacity`
-// instructions bound start out resident.
-func (s *Store) Bind() int {
-	idx := len(s.slots)
-	s.slots = append(s.slots, slot{})
-	if s.resident < s.capacity {
-		s.touch(int32(idx))
-	}
-	return idx
 }
 
 // Bound returns how many instructions are bound to the PE.

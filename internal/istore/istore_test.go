@@ -6,28 +6,28 @@ import (
 	"testing"
 )
 
-// bindN binds n instructions and returns the store.
-func bindN(s *Store, n int) *Store {
-	for i := 0; i < n; i++ {
-		s.Bind()
-	}
-	return s
+// bindN returns a store of the given capacity with n instructions bound.
+func bindN(capacity, n int) *Store {
+	return &NewSet(capacity, []int{n})[0]
 }
 
+// TestBindAssignsLocalIndexes checks that the bound instructions are local
+// indexes 0..n-1 and that the first capacity of them, in binding order,
+// start out resident.
 func TestBindAssignsLocalIndexes(t *testing.T) {
-	s := New(4)
-	for want := 0; want < 3; want++ {
-		if got := s.Bind(); got != want {
-			t.Errorf("bind %d returned index %d", want, got)
-		}
-	}
+	s := bindN(2, 3)
 	if s.Bound() != 3 {
 		t.Errorf("bound = %d, want 3", s.Bound())
+	}
+	for i, want := range []bool{true, true, false} {
+		if got := s.Access(i); got != want {
+			t.Errorf("first access to %d hit = %v, want %v", i, got, want)
+		}
 	}
 }
 
 func TestUnderCapacityAlwaysHits(t *testing.T) {
-	s := bindN(New(4), 4)
+	s := bindN(4, 4)
 	if s.Oversubscribed() {
 		t.Fatal("4 of 4 should not be oversubscribed")
 	}
@@ -45,7 +45,7 @@ func TestUnderCapacityAlwaysHits(t *testing.T) {
 }
 
 func TestOversubscriptionThrashes(t *testing.T) {
-	s := bindN(New(2), 4)
+	s := bindN(2, 4)
 	if !s.Oversubscribed() {
 		t.Fatal("4 of 2 should be oversubscribed")
 	}
@@ -67,7 +67,7 @@ func TestOversubscriptionThrashes(t *testing.T) {
 }
 
 func TestLRUKeepsHotInstructions(t *testing.T) {
-	s := bindN(New(2), 3)
+	s := bindN(2, 3)
 	s.Access(0)
 	s.Access(1)
 	s.Access(0) // 0 is now MRU
@@ -90,8 +90,8 @@ func TestPanics(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanics("zero capacity", func() { New(0) })
-	s := bindN(New(2), 2)
+	assertPanics("zero capacity", func() { bindN(0, 1) })
+	s := bindN(2, 2)
 	assertPanics("unbound access", func() { s.Access(2) })
 	assertPanics("negative access", func() { s.Access(-1) })
 }
@@ -143,55 +143,46 @@ func (s *refStore) access(id int) bool {
 }
 
 // TestMatchesMapAndListStore walks the array store and the reference
-// through one seeded random sequence of binds and accesses and requires
-// the same index from every bind, the same hit or miss from every access
-// and the same counters at the end. The capacities cover a one-entry
-// store, the smallest real LRU and one larger than most of the walk's
-// working sets; every walk ends oversubscribed, and binds keep arriving
-// after accesses have begun. Half the
-// stores start from NewSet with instructions already bound, sharing a slab
+// through one seeded random sequence of accesses and requires the same hit
+// or miss from every access and the same counters at the end. The
+// capacities cover a one-entry store, the smallest real LRU and a larger
+// one; each is walked bound below capacity (where there is room), at it,
+// and above it, where the store must miss. Each store shares NewSet's slab
 // with a neighbour whose state must not move.
 func TestMatchesMapAndListStore(t *testing.T) {
 	for _, capacity := range []int{1, 2, 8} {
-		for seed := int64(0); seed < 4; seed++ {
-			rng := rand.New(rand.NewSource(seed*16 + int64(capacity)))
-			pre := 0
-			if seed%2 == 1 {
-				pre = 1 + rng.Intn(2*capacity)
+		for _, bound := range []int{capacity - 1, capacity, capacity + 1, 4 * capacity} {
+			if bound == 0 {
+				continue
 			}
-			set := NewSet(capacity, []int{pre, 3})
+			rng := rand.New(rand.NewSource(int64(bound*16 + capacity)))
+			set := NewSet(capacity, []int{bound, 3})
 			s := &set[0]
 			neighbourSlots := append([]slot(nil), set[1].slots...)
 			ref := newRefStore(capacity)
-			for i := 0; i < pre; i++ {
+			for i := 0; i < bound; i++ {
 				ref.bind()
 			}
 			for step := 0; step < 4000; step++ {
-				if s.Bound() == 0 || (s.Bound() < 4*capacity && rng.Intn(50) == 0) {
-					if got, want := s.Bind(), ref.bind(); got != want {
-						t.Fatalf("capacity %d seed %d step %d: Bind = %d, reference %d", capacity, seed, step, got, want)
-					}
-					continue
-				}
 				// A skewed pick, so some instructions stay hot while the
 				// rest churn.
-				id := rng.Intn(s.Bound())
+				id := rng.Intn(bound)
 				if rng.Intn(2) == 0 {
 					id = rng.Intn(1 + id/2)
 				}
 				if got, want := s.Access(id), ref.access(id); got != want {
-					t.Fatalf("capacity %d seed %d step %d: Access(%d) = %v, reference %v", capacity, seed, step, id, got, want)
+					t.Fatalf("capacity %d bound %d step %d: Access(%d) = %v, reference %v", capacity, bound, step, id, got, want)
 				}
 			}
 			if s.Stats() != ref.stats {
-				t.Errorf("capacity %d seed %d: stats %+v, reference %+v", capacity, seed, s.Stats(), ref.stats)
+				t.Errorf("capacity %d bound %d: stats %+v, reference %+v", capacity, bound, s.Stats(), ref.stats)
 			}
-			if !s.Oversubscribed() || s.Stats().Misses == 0 {
-				t.Errorf("capacity %d seed %d: walk never oversubscribed the store (%d bound, %+v)", capacity, seed, s.Bound(), s.Stats())
+			if over := bound > capacity; s.Oversubscribed() != over || (s.Stats().Misses > 0) != over {
+				t.Errorf("capacity %d bound %d: oversubscribed %v with %+v", capacity, bound, s.Oversubscribed(), s.Stats())
 			}
 			for i, sl := range set[1].slots {
 				if sl != neighbourSlots[i] {
-					t.Fatalf("capacity %d seed %d: binding past the carve moved the neighbour's slot %d: %+v, was %+v", capacity, seed, i, sl, neighbourSlots[i])
+					t.Fatalf("capacity %d bound %d: the walk moved the neighbour's slot %d: %+v, was %+v", capacity, bound, i, sl, neighbourSlots[i])
 				}
 			}
 		}

@@ -5,8 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
+	"wavescalar/internal/area"
 	"wavescalar/internal/workload"
 )
 
@@ -15,13 +17,15 @@ var updatePins = flag.Bool("update-pins", false, "rewrite testdata/sim_pins.json
 const pinsPath = "testdata/sim_pins.json"
 
 // pinnedSim is one simulation whose whole Stats digest is pinned: a kernel
-// at a scale on the Table 1 machine replicated to some clusters, with a
-// thread count and, for the geometry matrix, a matching-table shape.
+// at a scale on the Table 1 machine replicated to some clusters, or on a
+// machine of its own, with a thread count and, for the geometry matrix, a
+// matching-table shape.
 type pinnedSim struct {
 	app                  string
 	scale                workload.Scale
 	clusters, threads    int
-	k, banks, assoc, win int // zero: the baseline's
+	arch                 *area.Params // nil: the Table 1 machine with clusters
+	k, banks, assoc, win int          // zero: the baseline's
 }
 
 func (s pinnedSim) key() string {
@@ -30,18 +34,32 @@ func (s pinnedSim) key() string {
 		sc = "tiny"
 	}
 	key := fmt.Sprintf("%s/%s/c%d/t%d", s.app, sc, s.clusters, s.threads)
+	if s.arch != nil {
+		key += "/" + strings.ReplaceAll(s.arch.String(), " ", "-")
+	}
 	if s.k > 0 {
 		key += fmt.Sprintf("/K%d-B%d-A%d-W%d", s.k, s.banks, s.assoc, s.win)
 	}
 	return key
 }
 
+// The machines of the paper-trend rows: a modest one-cluster design (the
+// small end of Figure 6), and one and four clusters without an L2 (the
+// two ends of Figure 7's fft scaling).
+var (
+	trendArchSmall = area.Params{Clusters: 1, Domains: 2, PEs: 4, Virt: 32, Match: 32, L1KB: 8, L2MB: 0}
+	trendArchC1    = area.Params{Clusters: 1, Domains: 4, PEs: 8, Virt: 128, Match: 128, L1KB: 8, L2MB: 0}
+	trendArchC4    = area.Params{Clusters: 4, Domains: 4, PEs: 8, Virt: 32, Match: 32, L1KB: 8, L2MB: 0}
+)
+
 // pinnedSims lists the benchmark's 28 simulations (bench/ledger's sim_flow
 // and sim_retry cells), then three reject-heavy kernels over a matrix of
 // matching-table shapes: K and the bank count each 1, 2 and 8 (so a
 // token's bank is no longer its wave modulo K, as it is on the baseline's
 // K = 4 and four banks), associativity 1 and 4, and a four-token input
-// window.
+// window. Last come the paper-trend rows at tiny: two kernels per suite
+// on Figure 6's small machine (their Table 1 runs are golden pins), and
+// fft at 1, 4 and 16 threads on Figure 7's one- and four-cluster machines.
 func pinnedSims() []pinnedSim {
 	tiny, small := workload.Tiny, workload.Small
 	sims := []pinnedSim{
@@ -85,6 +103,14 @@ func pinnedSims() []pinnedSim {
 			}
 		}
 	}
+	for _, app := range []string{"gzip", "equake", "djpeg", "rawdaudio", "fft", "lu"} {
+		sims = append(sims, pinnedSim{app: app, scale: tiny, clusters: 1, threads: 1, arch: &trendArchSmall})
+	}
+	for _, arch := range []*area.Params{&trendArchC1, &trendArchC4} {
+		for _, threads := range []int{1, 4, 16} {
+			sims = append(sims, pinnedSim{app: "fft", scale: tiny, clusters: arch.Clusters, threads: threads, arch: arch})
+		}
+	}
 	return sims
 }
 
@@ -99,6 +125,9 @@ func TestSimDigestsPinned(t *testing.T) {
 	got := map[string]string{}
 	for _, s := range pinnedSims() {
 		p := buildOn(t, s.app, s.scale, s.clusters, s.threads, func(cfg *Config) {
+			if s.arch != nil {
+				*cfg = Baseline(*s.arch)
+			}
 			if s.k > 0 {
 				cfg.K, cfg.MatchBanks, cfg.MatchAssoc, cfg.InputWindow = s.k, s.banks, s.assoc, s.win
 			}

@@ -1,13 +1,11 @@
 // Package validate is the continuous differential-validation harness
-// keeping the timed simulator honest against its two sources of ground
-// truth:
-//
-//   - the untimed reference interpreter (internal/ref) for *results* —
-//     every generated case runs on both engines and any divergence in
-//     halt values, final memory, or instruction counts is a failure;
-//   - the paper's published fig6/fig7/table4 *trends* — recomputed from
-//     fresh sweeps and compared against checked-in expectations with
-//     per-figure tolerances (see trends.go).
+// keeping the timed simulator's *results* honest against the untimed
+// reference interpreter (internal/ref): every generated case runs on both
+// engines and any divergence in halt values, final memory, or
+// instruction counts is a failure. (The simulator's *performance* is held
+// by exact pins instead: whole-Stats digests in testdata/golden_stats.json
+// and internal/sim/testdata/sim_pins.json, and the results/ files
+// compared byte for byte.)
 //
 // On top of the differential check the harness enforces the metamorphic
 // invariants the simulator promises: run-to-run determinism,
