@@ -220,8 +220,9 @@ type System struct {
 	stats   Stats
 	numSets int
 	// evictions is Footprint's count of fills that displaced or
-	// duplicated a line.
-	evictions uint64
+	// duplicated a line, l2Evictions its count of L2 installs that
+	// displaced one.
+	evictions, l2Evictions uint64
 }
 
 // New builds the hierarchy. done receives access completions; send injects
@@ -264,6 +265,9 @@ type Footprint struct {
 	// a lookup finds first depends on where the set's invalid ways are,
 	// which the set count changes.
 	Evictions uint64
+	// L2Evictions counts the L2 installs into a full L2, which Evictions
+	// counts too.
+	L2Evictions uint64
 	// Refetches counts, in a run without evictions, the requests for a
 	// line the directory had served before, with no remote owner: an L2
 	// hit with an L2, a second memory fetch without one. (With evictions,
@@ -280,39 +284,55 @@ type Footprint struct {
 // so the refetches are the L2 hits and misses less those lines.
 func (s *System) Footprint() Footprint {
 	return Footprint{
-		Evictions: s.evictions,
-		Refetches: s.stats.L2Hits + s.stats.L2Misses - uint64(len(s.dir)),
-		Lines:     len(s.dir),
+		Evictions:   s.evictions,
+		L2Evictions: s.l2Evictions,
+		Refetches:   s.stats.L2Hits + s.stats.L2Misses - uint64(len(s.dir)),
+		Lines:       len(s.dir),
 	}
 }
 
 // ExactOn reports whether a run on base that left f makes, event for
 // event, the run twin would make, so its result stands for twin's. This is
-// the whole cache-twin rule:
+// the whole cache-twin rule: base and twin are equal, or
 //
 //   - base and twin agree in every field but L1KB and L2MB;
-//   - twin's L1 is a whole multiple of base's;
-//   - the run had no eviction;
 //   - if twin has an L2, it holds the run's Lines;
-//   - if only one of base and twin has an L2, the run had no refetch.
+//   - and either the run had no eviction, twin's L1 is a whole multiple of
+//     base's, and if only one of base and twin has an L2 the run had no
+//     refetch;
+//   - or only the L1 evicted: the L1s are the same size, both base and
+//     twin have an L2, and the L2 never evicted.
 //
-// Why it holds: the hierarchy reads the L1 and L2 sizes only as the L1
-// set count and the L2 capacity, and only when a fill evicts. An L1 with
-// k times base's sets splits each of base's sets among k of its own, so
-// it never needs to evict either; a line leaves the L2 only by an
-// eviction, so an L2 that holds the run's lines is never full when one
-// is installed. A first fetch costs L2Lat+MemLat with an L2 or without,
-// and a request with a remote owner is served cache to cache either way,
-// so a refetch is the one request whose timing depends on whether there
-// is an L2. FuzzCacheFamily checks the rule, by this method, on random
-// traces; the explore package builds its cache-family reuse on it.
+// Why it holds: a run is deterministic, so equal hierarchies run alike.
+// Otherwise the hierarchy reads the L1 and L2 sizes only as the L1 set
+// count and the L2 capacity, and only when a fill evicts. An L1 with k
+// times base's sets splits each of base's sets among k of its own, so it
+// never needs to evict either; a line leaves the L2 only by an eviction,
+// so an L2 that holds the run's lines is never full when one is
+// installed. A first fetch costs L2Lat+MemLat with an L2 or without, and
+// a request with a remote owner is served cache to cache either way, so a
+// refetch is the one request whose timing depends on whether there is an
+// L2. When the L1 evicts, equal L1s evict alike; with an L2 and no L2
+// eviction no line leaves the directory (every line is installed in the
+// L2 at its first fetch, and only an L2 eviction drops it), so Lines
+// counts every install, and installL2 reads the capacity only when the L2
+// is full, which an L2 that holds Lines never is. FuzzCacheFamily checks
+// the rule, by this method, on random traces; the explore package builds
+// its twin reuse on it.
 func (f Footprint) ExactOn(base, twin Config) bool {
+	if base == twin {
+		return true
+	}
 	l1, twinL1 := base.L1KB, twin.L1KB
 	baseL2, twinL2 := base.l2Lines(), twin.l2Lines()
 	base.L1KB, base.L2MB, twin.L1KB, twin.L2MB = 0, 0, 0, 0
-	return base == twin && l1 > 0 && twinL1%l1 == 0 && f.Evictions == 0 &&
-		(f.Refetches == 0 || (baseL2 == 0) == (twinL2 == 0)) &&
-		(twinL2 == 0 || f.Lines <= twinL2)
+	if base != twin || l1 <= 0 || (twinL2 > 0 && f.Lines > twinL2) {
+		return false
+	}
+	if f.Evictions == 0 {
+		return twinL1%l1 == 0 && (f.Refetches == 0 || (baseL2 == 0) == (twinL2 == 0))
+	}
+	return twinL1 == l1 && baseL2 > 0 && twinL2 > 0 && f.L2Evictions == 0
 }
 
 // l2Lines is the L2's capacity in lines (0 without an L2).
@@ -503,6 +523,7 @@ func (s *System) handleDirReq(cycle uint64, bank int, r DirReq) {
 func (s *System) installL2(cycle uint64, ln uint64, e *dirEntry) {
 	for s.l2lru.Len() >= s.l2cap {
 		s.evictions++
+		s.l2Evictions++
 		back := s.l2lru.Back()
 		victim := back.Value.(uint64)
 		ve := s.dir[victim]

@@ -188,16 +188,17 @@ func familySeeds() [][]byte {
 
 // FuzzCacheFamily checks Footprint.ExactOn, the rule behind the
 // explorer's cache-twin reuse, on a drawn trace, base and twin. Where
-// ExactOn passes the base's footprint to the twin, the twin makes the
-// identical sequence of done and send callbacks and ends with identical
-// Stats, without an eviction. Where it does not and the base did not
-// evict, the reason is shown to matter where one run can show it: a twin
-// with another latency makes other callbacks, a twin whose L2 holds fewer
-// lines than the base's directory ended tracking evicts, and a twin
-// across the L2 line from a base that refetched ends with other Stats. A
-// twin that differs in another field or whose L1 is not a multiple of the
-// base's may run alike on one trace; TestCacheFamilySeedsCertify counts
-// the seeds where such a twin runs differently.
+// ExactOn passes the base's footprint to the twin, whatever the footprint,
+// the twin makes the identical sequence of done and send callbacks and
+// ends with identical Stats and the base's footprint. Where it does not
+// and the base did not evict, the reason is shown to matter where one run
+// can show it: a twin with another latency makes other callbacks, a twin
+// whose L2 holds fewer lines than the base's directory ended tracking
+// evicts, and a twin across the L2 line from a base that refetched ends
+// with other Stats. A twin that differs in another field or whose L1 is
+// not a multiple of the base's may run alike on one trace, and so may a
+// twin refused an evicting run; TestCacheFamilySeedsCertify counts the
+// seeds where such a twin runs differently.
 func FuzzCacheFamily(f *testing.F) {
 	for _, b := range familySeeds() {
 		f.Add(b)
@@ -207,10 +208,7 @@ func FuzzCacheFamily(f *testing.F) {
 		base := familyRun(baseCfg, ops)
 		fp := base.footprint
 		exact := fp.ExactOn(baseCfg, twinCfg)
-		if fp.Evictions != 0 {
-			if exact {
-				t.Fatalf("ExactOn passed a run that evicted %d times: %+v", fp.Evictions, fp)
-			}
+		if !exact && fp.Evictions != 0 {
 			return
 		}
 		twin := familyRun(twinCfg, ops)
@@ -218,9 +216,9 @@ func FuzzCacheFamily(f *testing.F) {
 		l2, twinL2 := baseCfg.L2MB, twinCfg.L2MB
 		switch {
 		case exact:
-			if twin.footprint.Evictions != 0 {
-				t.Errorf("twin (%s) evicted %d times; its base (%s) none",
-					describe(twinCfg), twin.footprint.Evictions, describe(baseCfg))
+			if twin.footprint != fp {
+				t.Errorf("twin (%s) left footprint %+v; its base (%s) %+v",
+					describe(twinCfg), twin.footprint, describe(baseCfg), fp)
 			}
 			if base.stats != twin.stats {
 				t.Fatalf("stats differ: base (%s) %+v, twin (%s) %+v",
@@ -267,15 +265,37 @@ func FuzzCacheFamily(f *testing.F) {
 // line because the base refetched; and a good share must be refused to a
 // twin that differs in another field, or whose L1 is not a multiple of the
 // base's, and that runs differently, so that a rule without either clause
-// fails the fuzz target on its seeds.
+// fails the fuzz target on its seeds. Of the seeds whose base evicted, a
+// good share must be passed to an identical twin and to one that differs
+// only in its L2, and a good share refused, and then run differently, for
+// each clause of the evicting-run rule: an L1 of another size, a missing
+// L2 on either side, an L2 that evicted.
 func TestCacheFamilySeedsCertify(t *testing.T) {
 	certified := map[bool]int{}
 	smaller, short, down, up, refetched, fields, multiple := 0, 0, 0, 0, 0, 0, 0
+	identical, l2Only, otherL1, noL2, l2Evicted := 0, 0, 0, 0, 0
 	for _, b := range familySeeds() {
 		baseCfg, twinCfg, ops := decodeFamily(b)
 		base := familyRun(baseCfg, ops)
 		fp := base.footprint
 		if fp.Evictions != 0 {
+			exact := fp.ExactOn(baseCfg, twinCfg)
+			if differ, _ := otherFields(baseCfg, twinCfg); differ {
+				continue
+			}
+			switch {
+			case exact && baseCfg == twinCfg:
+				identical++
+			case exact:
+				l2Only++
+			case reflect.DeepEqual(base, familyRun(twinCfg, ops)):
+			case baseCfg.L2MB == 0 || twinCfg.L2MB == 0:
+				noL2++
+			case twinCfg.L1KB != baseCfg.L1KB:
+				otherL1++
+			case fp.L2Evictions != 0:
+				l2Evicted++
+			}
 			continue
 		}
 		l2, twinL2 := baseCfg.L2MB, twinCfg.L2MB
@@ -323,6 +343,14 @@ func TestCacheFamilySeedsCertify(t *testing.T) {
 	if fields < 10 || multiple < 5 {
 		t.Errorf("eviction-free seeds refused to a twin that runs differently: %d for another field, %d for an L1 not a multiple; want >= 10 and >= 5",
 			fields, multiple)
+	}
+	if identical < 5 || l2Only < 10 {
+		t.Errorf("evicting seeds passed: %d to an identical twin, %d to one with another L2; want >= 5 and >= 10",
+			identical, l2Only)
+	}
+	if otherL1 < 10 || noL2 < 10 || l2Evicted < 10 {
+		t.Errorf("evicting seeds refused to a twin that runs differently: %d for another L1, %d for a missing L2, %d for an L2 eviction; want >= 10 each",
+			otherL1, noL2, l2Evicted)
 	}
 }
 
@@ -458,14 +486,17 @@ func baselineCache(l1KB, l2MB int) Config {
 }
 
 // TestExactOn pins the footprint half of the rule at its edges, on the
-// baseline machine with a 1 MB L2 and without one. Toward a twin with an
-// L2, a run whose lines fill it exactly is copied, one line more is not;
-// toward a twin without one there is no bound. A refetch is an L2 hit on
-// both sides or a second memory fetch on both, but not across the L2
-// line. An eviction is never copied. No sweep reaches the line bound: the
-// smallest L2 holds 8192 lines, far more than a tiny workload touches.
+// baseline machine with a 1 MB L2, a 2 MB one and none. An identical
+// hierarchy takes any run. Toward a twin with an L2, a run whose lines
+// fill it exactly is copied, one line more is not; toward a twin without
+// one there is no bound. A refetch is an L2 hit on both sides or a second
+// memory fetch on both, but not across the L2 line. A run whose L1
+// evicted is copied only to a twin with the same L1 when both have an L2,
+// the L2 never evicted and the twin's holds the run's lines. No sweep
+// reaches the line bound: the smallest L2 holds 8192 lines, far more than
+// a tiny workload touches.
 func TestExactOn(t *testing.T) {
-	withL2, without := baselineCache(32, 1), baselineCache(32, 0)
+	withL2, bigL2, without := baselineCache(32, 1), baselineCache(32, 2), baselineCache(32, 0)
 	capacity := withL2.l2Lines()
 	if capacity != 8192 {
 		t.Fatalf("a 1 MB L2 holds %d lines, want 8192", capacity)
@@ -475,21 +506,30 @@ func TestExactOn(t *testing.T) {
 		fp         Footprint
 		want       bool
 	}{
-		{withL2, withL2, Footprint{Lines: 5}, true},
-		{withL2, withL2, Footprint{Lines: capacity}, true},
-		{withL2, withL2, Footprint{Lines: capacity + 1}, false},
-		{withL2, withL2, Footprint{Lines: 5, Evictions: 1}, false},
-		{withL2, withL2, Footprint{Lines: 5, Refetches: 1}, true},
-		{without, without, Footprint{Lines: capacity + 1, Refetches: 1}, true},
-		{without, without, Footprint{Lines: 5, Evictions: 1}, false},
+		{withL2, withL2, Footprint{Lines: capacity + 1, Evictions: 3, L2Evictions: 1, Refetches: 1}, true},
+		{without, without, Footprint{Lines: 5, Evictions: 1}, true},
+		{bigL2, withL2, Footprint{Lines: 5}, true},
+		{bigL2, withL2, Footprint{Lines: capacity}, true},
+		{bigL2, withL2, Footprint{Lines: capacity + 1}, false},
+		{bigL2, withL2, Footprint{Lines: 5, Refetches: 1}, true},
 		{without, withL2, Footprint{Lines: capacity}, true},
 		{without, withL2, Footprint{Lines: capacity + 1}, false},
 		{without, withL2, Footprint{Lines: 5, Refetches: 1}, false},
 		{withL2, without, Footprint{Lines: capacity + 1}, true},
 		{withL2, without, Footprint{Lines: 5, Refetches: 1}, false},
+		// The L1 evicted.
+		{withL2, bigL2, Footprint{Lines: 5, Evictions: 4, Refetches: 2}, true},
+		{bigL2, withL2, Footprint{Lines: capacity, Evictions: 4}, true},
+		{bigL2, withL2, Footprint{Lines: capacity + 1, Evictions: 4}, false},
+		{withL2, bigL2, Footprint{Lines: 5, Evictions: 4, L2Evictions: 1}, false},
+		{withL2, baselineCache(64, 2), Footprint{Lines: 5, Evictions: 4}, false},
+		{without, withL2, Footprint{Lines: 5, Evictions: 4}, false},
+		{withL2, without, Footprint{Lines: 5, Evictions: 4}, false},
+		{without, baselineCache(64, 0), Footprint{Lines: 5, Evictions: 4}, false},
 	} {
 		if got := tc.fp.ExactOn(tc.base, tc.twin); got != tc.want {
-			t.Errorf("%+v.ExactOn(L2 %d MB, L2 %d MB) = %v, want %v", tc.fp, tc.base.L2MB, tc.twin.L2MB, got, tc.want)
+			t.Errorf("%+v.ExactOn(L1 %d KB L2 %d MB, L1 %d KB L2 %d MB) = %v, want %v",
+				tc.fp, tc.base.L1KB, tc.base.L2MB, tc.twin.L1KB, tc.twin.L2MB, got, tc.want)
 		}
 	}
 }

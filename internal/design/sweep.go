@@ -117,9 +117,9 @@ type ThreadRun struct {
 	AIPC    float64
 	Cycles  uint64
 	Traffic uint64
-	// Cache is the run's data-memory footprint: a sweep copies the run to
-	// every cache twin it is exact on (cache.Footprint.ExactOn) instead of
-	// simulating the twin.
+	// Cache is the run's data-memory footprint: the explore engine copies
+	// the run to every cache twin it is exact on (cache.Footprint.ExactOn)
+	// instead of simulating the twin.
 	Cache cache.Footprint
 }
 
@@ -136,8 +136,8 @@ func BestThreadsContext(ctx context.Context, cfg sim.Config, inst *workload.Inst
 // BestThreadsReusing is BestThreadsContext with runs already known: for
 // each thread count, reuse (when non-nil) may return a run that stands in
 // for simulating that count on cfg. The caller vouches that it is exact —
-// the explore engine passes runs of its twin chain's earlier members, whose
-// V and M the chain settles (sim.Binding.Inert) and whose caches
+// the explore engine passes runs it simulated on twins of cfg whose V and
+// M agree with cfg's or are sim.Binding.Inert on both, and whose caches
 // cache.Footprint.ExactOn passes to cfg — and the search treats it exactly
 // as a simulated run, so the result is the one BestThreadsContext would
 // return, except that Sims does not count it.

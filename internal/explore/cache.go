@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"wavescalar/internal/design"
 	"wavescalar/internal/sim"
 	"wavescalar/internal/workload"
 )
@@ -148,6 +149,11 @@ func (s CacheStats) HitRatio() float64 {
 // restart with a journal behind it. A lookup reserves nothing, so callers
 // that miss the same cell at the same time each simulate it.
 //
+// Beside a cell the explorer simulated, the cache keeps the cell's
+// per-thread-count runs as a base its twins may copy from (see the package
+// doc). Bases live in memory only: they are never journaled, Cells and
+// Stats do not show them, and one goes when its cell is evicted.
+//
 // By default the cache grows without bound (a full Pareto sweep is a few
 // hundred thousand cells at most, and a CLI process is short-lived). A
 // long-running daemon can cap it with SetLimit, which turns the store
@@ -159,12 +165,61 @@ type Cache struct {
 	cells map[string]*list.Element // elements hold Cell values
 	order *list.List               // front = most recently used
 
+	// bases holds the bases by cell key, twins the same bases by twin
+	// key, oldest first; seq numbers them in the order they were stored.
+	bases map[string]*base
+	twins map[twinKey][]*base
+	seq   uint64
+
 	hits, misses, evictions uint64
+}
+
+// base is what a cell the explorer simulated leaves for its twins: the
+// cell's configuration and its completed per-thread-count runs, stored
+// seq-th.
+type base struct {
+	key  string
+	twin twinKey
+	cfg  sim.Config
+	runs []design.ThreadRun
+	seq  uint64
+}
+
+// twinKey groups the cells whose runs may be copied between them: the
+// workload, the scale, and the configuration with V, M, L1 and L2
+// cleared. twinKeyOf's cfg carries no trace recorder (evalCell clears it;
+// a trace never changes results).
+type twinKey struct {
+	app string
+	sc  workload.Scale
+	cfg sim.Config
+}
+
+func twinKeyOf(cfg sim.Config, app string, sc workload.Scale) twinKey {
+	cfg.Arch.Virt, cfg.Arch.Match, cfg.Arch.L1KB, cfg.Arch.L2MB = 0, 0, 0, 0
+	return twinKey{app, sc, cfg}
+}
+
+// runOn returns the base's run at n threads if it is exact on cfg, a
+// configuration of the base's twin key without a trace recorder:
+// cache.Footprint.ExactOn passes the run from the base's caches to cfg's,
+// and V and M agree or the placement's binding at n (bind) is
+// sim.Binding.Inert on both configurations.
+func (b *base) runOn(cfg sim.Config, n int, bind func(n int) sim.Binding) (design.ThreadRun, bool) {
+	sameVM := b.cfg.Arch.Virt == cfg.Arch.Virt && b.cfg.Arch.Match == cfg.Arch.Match
+	for _, r := range b.runs {
+		if r.Threads == n && r.Cache.ExactOn(b.cfg.CacheConfig(), cfg.CacheConfig()) &&
+			(sameVM || bind(n).Inert(b.cfg) && bind(n).Inert(cfg)) {
+			return r, true
+		}
+	}
+	return design.ThreadRun{}, false
 }
 
 // NewCache returns an empty, unbounded in-memory cache.
 func NewCache() *Cache {
-	return &Cache{cells: make(map[string]*list.Element), order: list.New()}
+	return &Cache{cells: make(map[string]*list.Element), order: list.New(),
+		bases: make(map[string]*base), twins: make(map[twinKey][]*base)}
 }
 
 // SetLimit caps the cell store at n entries, evicting least-recently-used
@@ -176,8 +231,8 @@ func (c *Cache) SetLimit(n int) {
 	c.evictOver()
 }
 
-// evictOver drops LRU cells until the store is within the limit.
-// Callers hold c.mu.
+// evictOver drops LRU cells, and their bases, until the store is within
+// the limit. Callers hold c.mu.
 func (c *Cache) evictOver() {
 	if c.limit <= 0 {
 		return
@@ -188,9 +243,34 @@ func (c *Cache) evictOver() {
 			return
 		}
 		c.order.Remove(oldest)
-		delete(c.cells, oldest.Value.(Cell).Key)
+		key := oldest.Value.(Cell).Key
+		delete(c.cells, key)
+		c.dropBase(key)
 		c.evictions++
 	}
+}
+
+// dropBase forgets the base stored beside a cell, if any. A twin list is
+// never written below the length it had when twinBases returned it, so
+// the list without the base is a new one. Callers hold c.mu.
+func (c *Cache) dropBase(key string) {
+	b, ok := c.bases[key]
+	if !ok {
+		return
+	}
+	delete(c.bases, key)
+	old := c.twins[b.twin]
+	if len(old) == 1 {
+		delete(c.twins, b.twin)
+		return
+	}
+	kept := make([]*base, 0, len(old)-1)
+	for _, o := range old {
+		if o != b {
+			kept = append(kept, o)
+		}
+	}
+	c.twins[b.twin] = kept
 }
 
 // Cell looks up a completed cell by key, refreshing its LRU recency.
@@ -209,9 +289,20 @@ func (c *Cache) Cell(key string) (Cell, bool) {
 
 // PutCell stores a completed cell, evicting the least recently used cell
 // if a limit is set and exceeded.
-func (c *Cache) PutCell(cell Cell) {
+func (c *Cache) PutCell(cell Cell) { c.put(cell, nil) }
+
+// put is PutCell that also stores b, when not nil, as the cell's base (in
+// place of an earlier one).
+func (c *Cache) put(cell Cell, b *base) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if b != nil {
+		c.dropBase(cell.Key)
+		b.seq = c.seq
+		c.seq++
+		c.bases[cell.Key] = b
+		c.twins[b.twin] = append(c.twins[b.twin], b)
+	}
 	if el, ok := c.cells[cell.Key]; ok {
 		el.Value = cell
 		c.order.MoveToFront(el)
@@ -219,6 +310,22 @@ func (c *Cache) PutCell(cell Cell) {
 	}
 	c.cells[cell.Key] = c.order.PushFront(cell)
 	c.evictOver()
+}
+
+// twinBases returns the bases stored under twin key k, oldest first. The
+// caller must not change the slice; the cache never writes it below its
+// length again.
+func (c *Cache) twinBases(k twinKey) []*base {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.twins[k]
+}
+
+// stored reports the number of bases stored so far.
+func (c *Cache) stored() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.seq
 }
 
 // Cells returns a snapshot of every cached cell, sorted by key, so the

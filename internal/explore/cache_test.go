@@ -108,6 +108,77 @@ func TestWithCacheLimitOption(t *testing.T) {
 	}
 }
 
+// checkBases checks that the cache keeps a base only beside a cached cell
+// and indexes each one once under its twin key, and returns how many it
+// keeps.
+func checkBases(t *testing.T, c *Cache) int {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	indexed := 0
+	for k, list := range c.twins {
+		for _, b := range list {
+			if b.twin != k || c.bases[b.key] != b {
+				t.Errorf("base of %s indexed under another twin key or not by its cell", b.key)
+			}
+		}
+		indexed += len(list)
+	}
+	for key := range c.bases {
+		if _, ok := c.cells[key]; !ok {
+			t.Errorf("base of %s outlived its cell", key)
+		}
+	}
+	if indexed != len(c.bases) {
+		t.Errorf("%d bases indexed, %d stored", indexed, len(c.bases))
+	}
+	return len(c.bases)
+}
+
+// TestCacheLimitEvictsBases: under WithCacheLimit the runs kept as bases
+// go with their cells, so the limit bounds them too, and a twin whose base
+// went is simulated. djpeg at tiny scale runs eviction-free on an 8 KB
+// L1, so its 16 and 32 KB twins would otherwise be copied.
+func TestCacheLimitEvictsBases(t *testing.T) {
+	e, err := New(WithCacheLimit(2), WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	apps := testApps(t, "djpeg", "gzip")
+	djpeg := func(l1 int) (Progress, int) {
+		t.Helper()
+		a := sim.BaselineArch()
+		a.L1KB = l1
+		_, p, err := e.RunOne(ctx, sim.Baseline(a), apps[0], workload.Tiny, []int{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, checkBases(t, e.Cache())
+	}
+	if p, n := djpeg(8); p.Sims != 1 || n != 1 {
+		t.Fatalf("8 KB L1: %+v, %d bases; want one simulation kept as a base", p, n)
+	}
+	if p, n := djpeg(32); p.Reused != 1 || n != 1 {
+		t.Fatalf("32 KB L1: %+v, %d bases; want the cell copied and no base added", p, n)
+	}
+	// A third cell evicts the least recently used, the 8 KB one, and its
+	// base with it.
+	if _, _, err := e.RunOne(ctx, sim.Baseline(sim.BaselineArch()), apps[1], workload.Tiny, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := checkBases(t, e.Cache()); n != 1 {
+		t.Fatalf("after an eviction: %d bases, want the gzip cell's alone", n)
+	}
+	if p, n := djpeg(16); p.Reused != 0 || p.Sims != 1 || n != 2 {
+		t.Errorf("16 KB L1 after its base went: %+v, %d bases; want it simulated and kept", p, n)
+	}
+	e.Cache().SetLimit(1)
+	if n := checkBases(t, e.Cache()); n != 1 {
+		t.Errorf("after SetLimit(1): %d bases, want 1", n)
+	}
+}
+
 // TestRunOneCachesAndJournals proves the daemon's unit of work: the first
 // RunOne simulates, a second identical call is a pure cache hit with an
 // identical cell, and the journal replays it into a fresh cache.
@@ -119,22 +190,22 @@ func TestRunOneCachesAndJournals(t *testing.T) {
 	}
 	cfg := sim.Baseline(sim.BaselineArch())
 	apps := testApps(t, "fft")
-	first, cached, err := e.RunOne(context.Background(), cfg, apps[0], workload.Tiny, []int{1})
+	first, p, err := e.RunOne(context.Background(), cfg, apps[0], workload.Tiny, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached {
-		t.Error("first RunOne reported cached")
+	if p.CacheHits != 0 || p.Simulated != 1 || p.Sims != 1 {
+		t.Errorf("first RunOne: %+v, want one cell simulated", p)
 	}
 	if first.AIPC <= 0 || first.Err != "" {
 		t.Fatalf("first run cell: %+v", first)
 	}
-	second, cached, err := e.RunOne(context.Background(), cfg, apps[0], workload.Tiny, []int{1})
+	second, p, err := e.RunOne(context.Background(), cfg, apps[0], workload.Tiny, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cached || second != first {
-		t.Errorf("second RunOne cached=%v cell=%+v, want cache hit identical to %+v", cached, second, first)
+	if p.CacheHits != 1 || second != first {
+		t.Errorf("second RunOne %+v cell=%+v, want cache hit identical to %+v", p, second, first)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -148,12 +219,12 @@ func TestRunOneCachesAndJournals(t *testing.T) {
 	if resumed.Resumed() != 1 {
 		t.Fatalf("resumed %d records, want 1", resumed.Resumed())
 	}
-	warm, cached, err := resumed.RunOne(context.Background(), cfg, apps[0], workload.Tiny, []int{1})
+	warm, p, err := resumed.RunOne(context.Background(), cfg, apps[0], workload.Tiny, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cached || warm != first {
-		t.Errorf("warm-restart RunOne cached=%v cell=%+v, want journal hit identical to %+v", cached, warm, first)
+	if p.CacheHits != 1 || warm != first {
+		t.Errorf("warm-restart RunOne %+v cell=%+v, want journal hit identical to %+v", p, warm, first)
 	}
 }
 

@@ -20,40 +20,58 @@
 //     loses at most the cells in flight;
 //   - per-sweep progress/ETA reporting (cells done, cache hits, simulated
 //     cycles per second);
-//   - twin reuse: a sweep does not simulate a run whose result it already
-//     knows exactly (below).
+//   - twin reuse: an explorer does not simulate a run whose result it
+//     already knows exactly (below).
 //
 // Every simulation is deterministic, which is what makes the cache sound:
 // a cell's key covers everything that can influence its result.
 //
 // # Twin reuse
 //
-// A twin chain is the cells of one workload whose configurations are equal
-// in every field but Arch.L1KB and Arch.L2MB, and but Arch.Virt and
+// Twins are cells of one workload and scale whose configurations are
+// equal in every field but Arch.Virt, Arch.Match, Arch.L1KB and
+// Arch.L2MB. A run an Explorer simulated lasts as long as its cell: it is
+// kept in the Cache beside the cell as a base (in memory only, never
+// journaled, not in Cells, evicted with the cell), indexed by the twin
+// key, and Sweep, RunOne and so Tune all look twins up there. For each
+// thread count n, a cell copies a base's run at n instead of simulating
+// when V and M agree or the workload's placement at n is
+// sim.Binding.Inert on both configurations (decided before any cycle
+// runs), and cache.Footprint.ExactOn passes the run from the base's
+// caches to the cell's (decided from the run's cache footprint). Each
+// method's doc comment states its rule and why it holds. Only the rest is
+// simulated. A cell some of whose counts were simulated becomes a base; a
+// cell copied whole, or replayed from the journal, carries no runs of its
+// own and is not one.
+//
+// Inside a sweep, a cell copies only from bases stored before the sweep
+// started and from its twin chain's earlier members, so with an unbounded
+// cache (the default) what it copies, and Progress.Sims, depend only on
+// the sequence of calls, never on the parallelism. Under WithCacheLimit a
+// base goes with its evicted cell, and which cells a sweep evicts depends
+// on when its workers commit, so a base may or may not still be there
+// when a later cell looks: results stay exact, but Progress.Sims and
+// Progress.Reused may then vary with the parallelism.
+//
+// A twin chain is the cells of one workload whose configurations are
+// equal in every field but Arch.L1KB and Arch.L2MB, and but Arch.Virt and
 // Arch.Match too for the cells where V and M decide nothing: where the
 // workload's placement at every thread count the cell runs is
-// sim.Binding.Inert on the cell's configuration (twinChains). A cell whose
-// V and M do decide something stays in a chain of its own V and M, so no
-// cell waits for a sibling it could not copy from. Members come in
-// ascending (L1, L2) order, and a sweep runs each chain in that order: a
-// cell waits for its chain's previous cell, and so for every earlier
-// member. The chain itself settles V and M: its members share them, or
-// sim.Binding.Inert (decided from the placement before any cycle runs)
-// holds for every one at every thread count it runs. For each thread
-// count the cell copies a run this sweep simulated on an earlier member,
-// scanned in chain order, if the run is exact on the cell's caches
-// (cache.Footprint.ExactOn, decided from the run's cache footprint). Each
-// method's doc comment states its rule and why it holds. Only the rest is
-// simulated. Ready cells go to the workers in point-major
-// order, so where no cell waits the schedule is that of a sweep without
-// reuse. Every Viable L1 is 8, 16 or 32 KB, so each member's L1 is a
-// multiple of every earlier member's, and the chain waits for no cell a
-// copy could not come from; with other L1 sizes it may wait for more.
+// sim.Binding.Inert on the cell's configuration (twinChains). A
+// cell whose V and M do decide something stays in a chain of its own V
+// and M, so no cell waits for a sibling it could not copy from. Members
+// come in ascending (L1, L2) order, and a sweep runs each chain in that
+// order: a cell waits for its chain's previous cell, and so for every
+// earlier member. Ready cells go to the workers in point-major order, so
+// where no cell waits the schedule is that of a sweep without reuse.
+// Every Viable L1 is 8, 16 or 32 KB, so each member's L1 is a multiple of
+// every earlier member's, and the chain waits for no cell a copy could
+// not come from; with other L1 sizes it may wait for more.
 //
-// Cache hits carry no per-count runs and never serve as bases. A copied
-// cell is byte-identical to a simulated one, so keys, journal records and
-// results do not change; only Progress.Reused tells them apart.
-// TestSweepReuseMatchesDirect checks reused cells against direct runs.
+// A copied cell is byte-identical to a simulated one, so keys, journal
+// records and results do not change; only Progress.Reused and
+// Progress.Sims tell them apart. TestSweepReuseMatchesDirect and
+// TestReuseAcrossCallsIsExact check copied cells against direct runs.
 package explore
 
 import (
@@ -74,7 +92,8 @@ import (
 
 // Progress is a snapshot of a running sweep, delivered to the WithProgress
 // callback after every completed cell and retrievable afterwards with
-// LastProgress.
+// LastProgress. RunOne reports its one cell the same way, without the
+// timing fields.
 type Progress struct {
 	// Done cells out of Total (a cell is one design point × workload).
 	Done, Total int
@@ -101,6 +120,26 @@ type Progress struct {
 	Elapsed     time.Duration
 	CellsPerSec float64
 	ETA         time.Duration
+}
+
+// add counts one answered cell: br is its search's outcome and src where
+// the answer came from.
+func (p *Progress) add(cell Cell, br design.BestRun, src cellSource) {
+	p.Done++
+	if src == srcCache {
+		p.CacheHits++
+		return
+	}
+	p.Simulated++
+	if cell.Err != "" {
+		p.Failed++
+	}
+	if src == srcReused {
+		p.Reused++
+	}
+	p.SimCycles += cell.SimCycles
+	p.Sims += br.Sims
+	p.Dropped = p.Dropped.Add(br.Dropped)
 }
 
 // Option configures an Explorer (functional options).
@@ -316,21 +355,7 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 		if jerr != nil && firstJErr == nil {
 			firstJErr = jerr
 		}
-		prog.Done++
-		if src == srcCache {
-			prog.CacheHits++
-		} else {
-			prog.Simulated++
-			if cell.Err != "" {
-				prog.Failed++
-			}
-			if src == srcReused {
-				prog.Reused++
-			}
-			prog.SimCycles += cell.SimCycles
-			prog.Sims += br.Sims
-			prog.Dropped = prog.Dropped.Add(br.Dropped)
-		}
+		prog.add(cell, br, src)
 		prog.Elapsed = time.Since(start)
 		if secs := prog.Elapsed.Seconds(); secs > 0 {
 			prog.CellsPerSec = float64(prog.Done) / secs
@@ -350,11 +375,12 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 	}
 
 	// Every cell is one task. A cell waits for its twin chain's previous
-	// cell, of the same workload; the earlier members' runs may be copied
-	// (see the package doc). Ready cells go to the first free worker in
-	// point-major order (cellQueue). Cells this sweep simulated (in full or
-	// in part) become bases for the later members; cache hits do not, as
-	// they carry no per-count runs.
+	// cell, of the same workload. Ready cells go to the first free worker
+	// in point-major order (cellQueue). A cell may copy the runs of bases
+	// stored before the sweep started and of its chain's earlier members
+	// (see the package doc), all stored before it starts whatever the
+	// schedule, so with an unbounded cache what it copies does not depend
+	// on the parallelism (under a cache limit an eviction may drop one).
 	binds := newBindings(instances, threadCounts)
 	chains := twinChains(configs, len(apps), func(pi, ai int) bool { return binds.inert(configs[pi], ai) })
 	earlier := make([][]int, total)
@@ -367,30 +393,26 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 			}
 		}
 	}
-	bases := make([][]design.ThreadRun, total)
+	before := e.cache.stored()
 	runCell := func(c int) {
 		pi, ai := c/len(apps), c%len(apps)
-		var reuse func(int) (design.ThreadRun, bool)
-		if len(earlier[c]) > 0 {
-			twinCache := configs[pi].CacheConfig()
-			reuse = func(n int) (design.ThreadRun, bool) {
+		scope := twinScope{
+			keep: func(b *base) bool {
+				if b.seq < before {
+					return true
+				}
 				for _, bc := range earlier[c] {
-					baseCache := configs[bc/len(apps)].CacheConfig()
-					for _, r := range bases[bc] {
-						if r.Threads == n && r.Cache.ExactOn(baseCache, twinCache) {
-							return r, true
-						}
+					if b.key == keys[bc/len(apps)][bc%len(apps)] {
+						return true
 					}
 				}
-				return design.ThreadRun{}, false
-			}
+				return false
+			},
+			bind: func(n int) sim.Binding { return binds.at(configs[pi], ai, n) },
 		}
-		cell, br, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, reuse)
+		cell, br, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, scope)
 		if src == srcNone {
 			return // cancelled: nothing cached or journaled
-		}
-		if src == srcLocal && succ[c] >= 0 {
-			bases[c] = br.Runs
 		}
 		cells[pi][ai] = cell
 		account(cell, br, src, jerr)
@@ -539,11 +561,12 @@ func twinChains(configs []sim.Config, apps int, inert func(pi, ai int) bool) [][
 }
 
 // bindings places a sweep's workloads for the V/M rule (sim.Binding), once
-// per workload, machine shape and thread count. Sweep fills it before its
-// workers start; they only read it.
+// per workload, machine shape and thread count, for the sweep's workers
+// to share.
 type bindings struct {
 	insts  []*workload.Instance
 	counts []int
+	mu     sync.Mutex
 	m      map[bindKey]sim.Binding
 }
 
@@ -559,8 +582,17 @@ func newBindings(insts []*workload.Instance, counts []int) *bindings {
 	return &bindings{insts: insts, counts: counts, m: make(map[bindKey]sim.Binding)}
 }
 
-func bindKeyOf(cfg sim.Config, app, threads int) bindKey {
-	return bindKey{app, threads, cfg.Arch.Clusters, cfg.Arch.Domains, cfg.Arch.PEs, cfg.Placement}
+// at returns app's binding at n threads on cfg's machine.
+func (b *bindings) at(cfg sim.Config, app, n int) sim.Binding {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	k := bindKey{app, n, cfg.Arch.Clusters, cfg.Arch.Domains, cfg.Arch.PEs, cfg.Placement}
+	bind, ok := b.m[k]
+	if !ok {
+		bind, _ = sim.Bind(cfg, b.insts[app].Prog, n) // a failed placement certifies nothing
+		b.m[k] = bind
+	}
+	return bind
 }
 
 // inert reports whether V and M decide nothing for the cell of app on cfg:
@@ -572,13 +604,7 @@ func (b *bindings) inert(cfg sim.Config, app int) bool {
 		if n > b.insts[app].MaxThreads {
 			continue
 		}
-		k := bindKeyOf(cfg, app, n)
-		bind, ok := b.m[k]
-		if !ok {
-			bind, _ = sim.Bind(cfg, b.insts[app].Prog, n) // a failed placement certifies nothing
-			b.m[k] = bind
-		}
-		if !bind.Inert(cfg) {
+		if !b.at(cfg, app, n).Inert(cfg) {
 			return false
 		}
 		some = true
@@ -596,32 +622,49 @@ const (
 	srcReused                   // every thread count copied from a twin
 )
 
+// twinScope says which stored bases a cell may copy runs from: those
+// keep admits (nil admits every one), with bind(n) the workload's binding
+// at n threads on the cell's machine. RunOne passes neither, and evalCell
+// places the cell's own workload.
+type twinScope struct {
+	keep func(*base) bool
+	bind func(n int) sim.Binding
+}
+
 // evalCell is the one way a cell is produced: cache lookup, the
 // best-thread-count search, write-through. With the cell it returns the
 // search's outcome (empty on a hit), whose runs and drops are not part of
 // the cell. RunOne passes a nil inst so a hit never builds the workload;
-// Sweep passes the instance it built once for the whole sweep. reuse is
-// nil outside sweeps; it offers runs of the cell's twins (see
-// design.BestThreadsReusing). A cell that reuse covers at every thread
-// count the workload allows is copied (srcReused); otherwise the search
-// simulates what reuse does not cover, and its completed runs are
-// returned with the cell. A returned error is the context's on srcNone
-// and a failed journal append otherwise (the cell is still valid and
-// cached).
+// Sweep passes the instance it built once for the whole sweep. For each
+// thread count the search copies a run of a base in scope that is exact on
+// cfg (twinReuse). A cell copied at every thread count the workload allows
+// is srcReused; otherwise the search simulates the rest, and its completed
+// runs are stored beside the cell as its base. A returned
+// error is the context's on srcNone and a failed journal append otherwise
+// (the cell is still valid and cached).
 func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w workload.Workload, inst *workload.Instance,
-	sc workload.Scale, threadCounts []int, reuse func(int) (design.ThreadRun, bool)) (Cell, design.BestRun, cellSource, error) {
+	sc workload.Scale, threadCounts []int, scope twinScope) (Cell, design.BestRun, cellSource, error) {
 	if cell, ok := e.cache.Cell(key); ok {
 		return cell, design.BestRun{}, srcCache, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return Cell{}, design.BestRun{}, srcNone, err
 	}
+	if inst == nil {
+		inst = w.Build(sc)
+	}
+	// The twin rules compare configurations; a trace never changes results.
+	twin := cfg
+	twin.Trace = nil
+	if scope.bind == nil {
+		binds := newBindings([]*workload.Instance{inst}, threadCounts)
+		scope.bind = func(n int) sim.Binding { return binds.at(twin, 0, n) }
+	}
+	tk := twinKeyOf(twin, w.Name, sc)
+	reuse := e.twinReuse(twin, tk, scope)
 	src := srcLocal
 	if reuse != nil && covered(reuse, inst.MaxThreads, threadCounts) {
 		src = srcReused
-	}
-	if inst == nil {
-		inst = w.Build(sc)
 	}
 	br, err := design.BestThreadsReusing(ctx, cfg, inst, threadCounts, reuse)
 	if err != nil && ctx.Err() != nil {
@@ -637,7 +680,33 @@ func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w w
 		cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
 		cell.Traffic = br.Traffic
 	}
-	return cell, br, src, e.commit(cell)
+	var b *base
+	if src == srcLocal && len(br.Runs) > 0 {
+		b = &base{key: key, twin: tk, cfg: twin, runs: br.Runs}
+	}
+	return cell, br, src, e.commit(cell, b)
+}
+
+// twinReuse returns what design.BestThreadsReusing asks for a cell on cfg
+// of twin key tk: for each thread count, the run of the first base stored
+// under tk that scope admits and that is exact on cfg (base.runOn). It is
+// nil when no base is stored under tk.
+func (e *Explorer) twinReuse(cfg sim.Config, tk twinKey, scope twinScope) func(int) (design.ThreadRun, bool) {
+	bases := e.cache.twinBases(tk)
+	if len(bases) == 0 {
+		return nil
+	}
+	return func(n int) (design.ThreadRun, bool) {
+		for _, b := range bases {
+			if scope.keep != nil && !scope.keep(b) {
+				continue
+			}
+			if r, ok := b.runOn(cfg, n, scope.bind); ok {
+				return r, true
+			}
+		}
+		return design.ThreadRun{}, false
+	}
 }
 
 // covered reports whether reuse has a run for every thread count up to
@@ -656,10 +725,10 @@ func covered(reuse func(int) (design.ThreadRun, bool), limit int, threadCounts [
 	return some
 }
 
-// commit writes a completed cell through to the cache and, when there is
-// one, the journal.
-func (e *Explorer) commit(cell Cell) error {
-	e.cache.PutCell(cell)
+// commit writes a completed cell, with its base if it has one, through to
+// the cache and, when there is one, the cell to the journal.
+func (e *Explorer) commit(cell Cell, b *base) error {
+	e.cache.put(cell, b)
 	if e.journal != nil {
 		return e.journal.append(cellRecord(cell))
 	}
@@ -721,21 +790,28 @@ func assemble(points []design.Point, apps []workload.Workload, cells [][]Cell, c
 
 // RunOne evaluates a single (configuration, workload, scale, thread
 // counts) cell through the cache and journal: a previously cached or
-// journaled cell is returned without simulating (cached true), otherwise
-// the best-thread-count search runs under ctx and the outcome — including
-// a deterministic failure, recorded in Cell.Err — is cached and journaled
-// exactly as Sweep would. It is the daemon's unit of work for POST
-// /v1/runs: because the key is content-addressed, concurrent or repeated
-// identical requests cost at most one simulation.
+// journaled cell is returned without simulating, otherwise the
+// best-thread-count search runs under ctx, copying what runs it can from
+// the bases stored beside earlier cells (see the package doc), and the
+// outcome — including a deterministic failure, recorded in Cell.Err — is
+// cached and journaled exactly as Sweep would. The Progress counts the one
+// cell as Sweep's would (CacheHits, Simulated, Reused, Sims, ...), without
+// the timing fields. It is the daemon's unit of work for POST /v1/runs:
+// because the key is content-addressed, concurrent or repeated identical
+// requests cost at most one simulation.
 //
 // The error return is reserved for non-deterministic outcomes that must
 // not be cached: cancellation and malformed arguments.
-func (e *Explorer) RunOne(ctx context.Context, cfg sim.Config, w workload.Workload, sc workload.Scale, threadCounts []int) (Cell, bool, error) {
+func (e *Explorer) RunOne(ctx context.Context, cfg sim.Config, w workload.Workload, sc workload.Scale, threadCounts []int) (Cell, Progress, error) {
+	p := Progress{Total: 1}
 	if err := design.ValidateRun(sc, threadCounts); err != nil {
-		return Cell{}, false, err
+		return Cell{}, p, err
 	}
-	cell, _, src, err := e.evalCell(ctx, CellKey(cfg, w.Name, sc, threadCounts), cfg, w, nil, sc, threadCounts, nil)
-	return cell, src == srcCache, err
+	cell, br, src, err := e.evalCell(ctx, CellKey(cfg, w.Name, sc, threadCounts), cfg, w, nil, sc, threadCounts, twinScope{})
+	if src != srcNone {
+		p.add(cell, br, src)
+	}
+	return cell, p, err
 }
 
 // Cache returns the explorer's result cache, for
@@ -754,11 +830,11 @@ func (e *Explorer) Cache() *Cache { return e.cache }
 func (e *Explorer) Tune(ctx context.Context, w workload.Workload, sc workload.Scale) (design.Tuning, bool, error) {
 	cached := true
 	tn, err := design.Tune(w.Name, func(cfg sim.Config) (float64, error) {
-		cell, hit, err := e.RunOne(ctx, cfg, w, sc, []int{1})
+		cell, p, err := e.RunOne(ctx, cfg, w, sc, []int{1})
 		if err != nil {
 			return 0, err
 		}
-		cached = cached && hit
+		cached = cached && p.CacheHits == 1
 		if cell.Err != "" {
 			return 0, errors.New(cell.Err)
 		}

@@ -281,7 +281,7 @@ func TestJournalConcurrentAppend(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := exp.commit(fakeCell(i)); err != nil {
+			if err := exp.commit(fakeCell(i), nil); err != nil {
 				t.Error(err)
 			}
 		}(i)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -31,10 +32,9 @@ func directCell(cfg sim.Config, w workload.Workload, sc workload.Scale, counts [
 
 // TestSweepReuseMatchesDirect sweeps every viable point at tiny scale and
 // checks every cell, the ones copied from a twin among them, field by
-// field against a direct best-thread search on its own configuration; and
-// a thinned sweep cell
-// by cell against RunOne (subsampleReuseMatchesRunOne). Each sweep's reuse
-// count is pinned exactly: a cell must copy every thread count that some
+// field against a direct best-thread search on its own configuration, and
+// a thinned sweep's by journal record (subsampleReuseMatchesDirect). Each
+// sweep's reuse count is pinned exactly: a cell must copy every thread count that some
 // earlier member of its twin chain has an exact run for.
 func TestSweepReuseMatchesDirect(t *testing.T) {
 	points := design.Viable()
@@ -44,8 +44,8 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 		counts []int
 		reused int
 	}{
-		{"mcf+djpeg", []string{"mcf", "djpeg"}, []int{1}, 120},
-		{"fft", []string{"fft"}, []int{1, 4}, 60},
+		{"mcf+djpeg", []string{"mcf", "djpeg"}, []int{1}, 142},
+		{"fft", []string{"fft"}, []int{1, 4}, 63},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,29 +95,29 @@ func TestSweepReuseMatchesDirect(t *testing.T) {
 			wg.Wait()
 		})
 	}
-	t.Run("spec2000/subsample-16", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 16, 61) })
-	t.Run("spec2000/subsample-20", func(t *testing.T) { subsampleReuseMatchesRunOne(t, 20, 84) })
+	t.Run("spec2000/subsample-16", func(t *testing.T) { subsampleReuseMatchesDirect(t, 16, 63) })
+	t.Run("spec2000/subsample-20", func(t *testing.T) { subsampleReuseMatchesDirect(t, 20, 87) })
 }
 
-// subsampleReuseMatchesRunOne sweeps a thinned sample, the points
+// subsampleReuseMatchesDirect sweeps a thinned sample, the points
 // design.Subsample keeps of maxPoints, with spec2000 at tiny scale: there the
 // smallest L2 of a cache family is often missing, so much of the reuse
 // copies a run to a twin with a smaller L2 than its base's, and the
 // sample mixes L2:0MB points with their twins that have an L2, so some of
 // it copies a run across that line. Every cell, the reused ones among
-// them, must encode to the same journal record as RunOne's on a fresh
-// explorer, and exactly `reused` cells must be copied, no more and no
-// fewer (61 of 96 cells at 16 points, 84 of 120 at 20).
-func subsampleReuseMatchesRunOne(t *testing.T, maxPoints, reused int) {
+// them, must encode to the same journal record as a direct best-thread
+// search on its own configuration (directCell, which copies nothing), and
+// exactly `reused` cells must be copied, no more and no fewer (63 of 96
+// cells at 16 points, 87 of 120 at 20).
+func subsampleReuseMatchesDirect(t *testing.T, maxPoints, reused int) {
 	points := design.Subsample(design.Viable(), maxPoints)
 	apps := workload.BySuite(workload.Spec)
 	counts := []int{1}
-	ctx := context.Background()
 	exp, err := New(WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.SweepWith(ctx, points, apps, SweepSpec{Scale: workload.Tiny, ThreadCounts: counts}); err != nil {
+	if _, err := exp.SweepWith(context.Background(), points, apps, SweepSpec{Scale: workload.Tiny, ThreadCounts: counts}); err != nil {
 		t.Fatal(err)
 	}
 	p := exp.LastProgress()
@@ -125,29 +125,29 @@ func subsampleReuseMatchesRunOne(t *testing.T, maxPoints, reused int) {
 		t.Fatalf("%d cells produced of which %d reused; want %d of %d",
 			p.Simulated, p.Reused, reused, len(points)*len(apps))
 	}
-	direct, err := New(WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
+	// The direct runs, on two goroutines like the sweep.
+	var wg sync.WaitGroup
+	for lane := 0; lane < 2; lane++ {
+		wg.Add(1)
+		go func(lane int) {
+			defer wg.Done()
+			for i := lane; i < len(points)*len(apps); i += 2 {
+				pt, w := points[i/len(apps)], apps[i%len(apps)]
+				want := directCell(sim.Baseline(pt.Arch), w, workload.Tiny, counts)
+				got, ok := exp.Cache().Cell(want.Key)
+				if !ok {
+					t.Errorf("%s on %s: no cell", w.Name, pt.Arch)
+					continue
+				}
+				g, _ := json.Marshal(cellRecord(got))
+				d, _ := json.Marshal(cellRecord(want))
+				if !bytes.Equal(g, d) {
+					t.Errorf("%s on %s: swept cell differs from a direct run:\ngot  %s\nwant %s", w.Name, pt.Arch, g, d)
+				}
+			}
+		}(lane)
 	}
-	for _, pt := range points {
-		cfg := sim.Baseline(pt.Arch)
-		for _, w := range apps {
-			want, _, err := direct.RunOne(ctx, cfg, w, workload.Tiny, counts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ok := exp.Cache().Cell(want.Key)
-			if !ok {
-				t.Errorf("%s on %s: no cell", w.Name, pt.Arch)
-				continue
-			}
-			g, _ := json.Marshal(cellRecord(got))
-			d, _ := json.Marshal(cellRecord(want))
-			if !bytes.Equal(g, d) {
-				t.Errorf("%s on %s: swept cell differs from RunOne's:\ngot  %s\nwant %s", w.Name, pt.Arch, g, d)
-			}
-		}
-	}
+	wg.Wait()
 }
 
 // twinPair is a cache family of two: the baseline machine with an 8 KB L1
@@ -197,16 +197,26 @@ func TestSweepResimulatesEvictingBase(t *testing.T) {
 	}
 }
 
-// TestReuseNeedsALocalBase pins which cells may serve as a base: only one
-// the same sweep simulated itself. djpeg at tiny scale runs eviction-free
-// on the 8 KB member, so a fresh sweep copies the twin; but when the 8 KB
-// cell is a cache hit there are no per-count runs to copy and the twin is
-// simulated.
+// TestReuseNeedsALocalBase pins which cells may serve as a base: one the
+// same Explorer produced, in this call or an earlier Sweep or RunOne, but
+// never one replayed from the journal, which carries no per-count runs.
+// djpeg at tiny scale runs eviction-free on the 8 KB member, so its 32 KB
+// twin is copied from any 8 KB cell the explorer simulated itself.
 func TestReuseNeedsALocalBase(t *testing.T) {
 	pts := twinPair()
 	djpeg := testApps(t, "djpeg")
+	counts := []int{1}
 	ctx := context.Background()
+	journal := t.TempDir() + "/base.jsonl"
+	twin := directCell(sim.Baseline(pts[0].Arch), djpeg[0], workload.Tiny, counts)
+	checkTwin := func(name string, exp *Explorer) {
+		t.Helper()
+		if got, ok := exp.Cache().Cell(twin.Key); !ok || !reflect.DeepEqual(got, twin) {
+			t.Errorf("%s: twin cell %+v differs from a direct run %+v", name, got, twin)
+		}
+	}
 
+	// In one sweep.
 	exp, err := New(WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
@@ -214,12 +224,13 @@ func TestReuseNeedsALocalBase(t *testing.T) {
 	if _, err := exp.Sweep(ctx, pts, djpeg); err != nil {
 		t.Fatal(err)
 	}
-	if p := exp.LastProgress(); p.Reused != 1 || p.Simulated != 2 {
+	if p := exp.LastProgress(); p.Reused != 1 || p.Simulated != 2 || p.Sims != 1 {
 		t.Fatalf("fresh sweep: %+v, want the twin reused", p)
 	}
+	checkTwin("fresh sweep", exp)
 
-	// A cache hit is not a base.
-	exp, err = New(WithParallelism(1))
+	// Across sweeps: the base is a cache hit of the second.
+	exp, err = New(WithParallelism(1), WithJournal(journal, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +240,140 @@ func TestReuseNeedsALocalBase(t *testing.T) {
 	if _, err := exp.Sweep(ctx, pts, djpeg); err != nil {
 		t.Fatal(err)
 	}
-	if p := exp.LastProgress(); p.CacheHits != 1 || p.Reused != 0 || p.Simulated != 1 {
-		t.Errorf("sweep over a cached base: %+v, want the twin simulated", p)
+	if p := exp.LastProgress(); p.CacheHits != 1 || p.Reused != 1 || p.Simulated != 1 || p.Sims != 0 {
+		t.Errorf("sweep over a base an earlier sweep simulated: %+v, want the twin reused", p)
+	}
+	checkTwin("across sweeps", exp)
+	if err := exp.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Across RunOne calls, and from RunOne to a sweep.
+	mid := pts[1].Arch
+	mid.L1KB = 16
+	exp, err = New(WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, p, err := exp.RunOne(ctx, sim.Baseline(pts[1].Arch), djpeg[0], workload.Tiny, counts); err != nil || p.Sims != 1 {
+		t.Fatalf("base RunOne: %+v, %v; want one simulation", p, err)
+	}
+	if _, p, err := exp.RunOne(ctx, sim.Baseline(pts[0].Arch), djpeg[0], workload.Tiny, counts); err != nil || p.Reused != 1 || p.Sims != 0 {
+		t.Errorf("twin RunOne: %+v, %v; want the twin reused", p, err)
+	}
+	checkTwin("across RunOne", exp)
+	if _, err := exp.Sweep(ctx, []design.Point{{Arch: mid}}, djpeg); err != nil {
+		t.Fatal(err)
+	}
+	if p := exp.LastProgress(); p.Reused != 1 || p.Sims != 0 {
+		t.Errorf("sweep over a base RunOne simulated: %+v, want the twin reused", p)
+	}
+
+	// A journal-replayed cell is not a base.
+	exp, err = New(WithParallelism(1), WithJournal(journal, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	if exp.Resumed() != 2 {
+		t.Fatalf("replayed %d cells, want 2", exp.Resumed())
+	}
+	if _, p, err := exp.RunOne(ctx, sim.Baseline(mid), djpeg[0], workload.Tiny, counts); err != nil || p.Reused != 0 || p.Sims != 1 {
+		t.Errorf("twin RunOne over a replayed base: %+v, %v; want the twin simulated", p, err)
+	}
+}
+
+// TestReuseAcrossCallsIsExact draws seeded sequences of Sweep and RunOne
+// calls over random subsets of the viable points and plays each on an
+// explorer of parallelism 1 and one of 4. Every call must run as many
+// simulations on both, and every cell must encode to the same journal
+// record as a best-thread search without reuse on its own configuration.
+// Some RunOne calls must copy their cell, which only a base from an
+// earlier call can give.
+func TestReuseAcrossCallsIsExact(t *testing.T) {
+	viable := design.Viable()
+	apps := testApps(t, "mcf", "djpeg", "fft")
+	ctx := context.Background()
+	type cellCase struct {
+		cfg    sim.Config
+		w      workload.Workload
+		counts []int
+	}
+	cases := map[string]cellCase{}
+	copiedRuns := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		type call struct {
+			points []design.Point
+			apps   []workload.Workload
+			counts []int
+		}
+		calls := make([]call, 8)
+		for i := range calls {
+			c := &calls[i]
+			c.counts = [][]int{{1}, {1, 4}}[rng.Intn(2)]
+			n := 1 // a RunOne
+			if rng.Intn(3) != 0 {
+				n = 2 + rng.Intn(7)
+			}
+			for _, pi := range rng.Perm(len(viable))[:n] {
+				c.points = append(c.points, viable[pi])
+			}
+			for _, ai := range rng.Perm(len(apps))[:1+rng.Intn(len(apps))] {
+				c.apps = append(c.apps, apps[ai])
+			}
+			if n == 1 {
+				c.apps = c.apps[:1]
+			}
+			for _, pt := range c.points {
+				cfg := sim.Baseline(pt.Arch)
+				for _, w := range c.apps {
+					cases[CellKey(cfg, w.Name, workload.Tiny, c.counts)] = cellCase{cfg, w, c.counts}
+				}
+			}
+		}
+		var sims [2][]int
+		var cells [2][]Cell
+		for i, par := range []int{1, 4} {
+			exp, err := New(WithParallelism(par))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range calls {
+				if len(c.points) == 1 {
+					_, p, err := exp.RunOne(ctx, sim.Baseline(c.points[0].Arch), c.apps[0], workload.Tiny, c.counts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sims[i] = append(sims[i], p.Sims)
+					copiedRuns += p.Reused
+					continue
+				}
+				if _, err := exp.SweepWith(ctx, c.points, c.apps, SweepSpec{ThreadCounts: c.counts}); err != nil {
+					t.Fatal(err)
+				}
+				sims[i] = append(sims[i], exp.LastProgress().Sims)
+			}
+			cells[i] = exp.Cache().Cells()
+		}
+		if !reflect.DeepEqual(sims[0], sims[1]) {
+			t.Errorf("seed %d: simulations per call %v at parallelism 1, %v at 4", seed, sims[0], sims[1])
+		}
+		if !reflect.DeepEqual(cells[0], cells[1]) {
+			t.Errorf("seed %d: the cells differ between parallelism 1 and 4", seed)
+		}
+		for _, got := range cells[0] {
+			c := cases[got.Key]
+			want := directCell(c.cfg, c.w, workload.Tiny, c.counts)
+			g, _ := json.Marshal(cellRecord(got))
+			d, _ := json.Marshal(cellRecord(want))
+			if !bytes.Equal(g, d) {
+				t.Errorf("seed %d: %s on %s: cell differs from a direct run:\ngot  %s\nwant %s", seed, c.w.Name, c.cfg.Arch, g, d)
+			}
+		}
+	}
+	if copiedRuns == 0 {
+		t.Error("no RunOne copied its cell from an earlier call's base")
 	}
 }
 
@@ -340,14 +483,15 @@ func TestViableFamiliesAreChains(t *testing.T) {
 // TestViableSimulationCounts pins how many simulations a sweep of every
 // viable point at tiny scale runs: those of spec2000 and mediabench with
 // one thread, and of splash2 with one and four (474, 237 and 948 runs
-// without reuse; 72, 21 and 118 with cache twins alone).
+// without reuse; 72, 21 and 118 with cache twins alone; 58, 10 and 96
+// while a run whose cache evicted was never copied).
 func TestViableSimulationCounts(t *testing.T) {
 	points := design.Viable()
 	for _, tc := range []struct {
 		suite  workload.Suite
 		counts []int
 		sims   int
-	}{{workload.Spec, []int{1}, 58}, {workload.Media, []int{1}, 10}, {workload.Splash, []int{1, 4}, 96}} {
+	}{{workload.Spec, []int{1}, 36}, {workload.Media, []int{1}, 10}, {workload.Splash, []int{1, 4}, 88}} {
 		exp, err := New(WithParallelism(2))
 		if err != nil {
 			t.Fatal(err)
@@ -403,7 +547,8 @@ func TestCellQueueOrder(t *testing.T) {
 // on the points design.Subsample keeps of sixteen, two workers: the shape
 // of wspareto -max and /v1/sweeps max_points, where cache-family reuse
 // decides how much is simulated. sims/op counts the simulations the sweep
-// ran (Progress.Sims), 35 since V/M twins are copied.
+// ran (Progress.Sims), 33 since evicting runs are copied between equal L1s
+// (35 before).
 func BenchmarkSweepSubsample(b *testing.B) {
 	points := design.Subsample(design.Viable(), 16)
 	apps := workload.BySuite(workload.Spec)

@@ -210,6 +210,34 @@ func TestScenarioRepeatedKeyCached(t *testing.T) {
 	}
 }
 
+// TestCopiedRunIsNotASimulation: two runs of djpeg whose configurations
+// differ only in the L2 size are twins, so the second copies the first's
+// run instead of simulating. wsd_sims_total counts one completed
+// simulation, and the copied answer is byte-identical to the one a fresh
+// daemon simulates for it.
+func TestCopiedRunIsNotASimulation(t *testing.T) {
+	const first = `{"workload":"djpeg","scale":"tiny","config":{"l2_mb":1}}`
+	const twin = `{"workload":"djpeg","scale":"tiny","config":{"l2_mb":4}}`
+	srv, ts := newTestServer(t)
+	if status, body := postRaw(t, ts.URL+"/v1/runs", first); status != http.StatusOK {
+		t.Fatalf("first run: status %d: %s", status, body)
+	}
+	status, copied := postRaw(t, ts.URL+"/v1/runs", twin)
+	if status != http.StatusOK {
+		t.Fatalf("twin run: status %d: %s", status, copied)
+	}
+	if got := srv.counter(&srv.metrics.simsCompleted); got != 1 {
+		t.Errorf("%d simulations completed, want 1: the twin's run is a copy", got)
+	}
+	fresh, freshTS := newTestServer(t)
+	if _, direct := postRaw(t, freshTS.URL+"/v1/runs", twin); !bytes.Equal(copied, direct) {
+		t.Errorf("copied answer differs from a simulated one:\ncopied    %s\nsimulated %s", copied, direct)
+	}
+	if got := fresh.counter(&fresh.metrics.simsCompleted); got != 1 {
+		t.Errorf("fresh daemon: %d simulations completed, want 1", got)
+	}
+}
+
 // TestShutdownCompletesEveryLedCall: a queued job that Shutdown overtakes
 // resolves every call it led — the request that led them and the
 // followers waiting on its second and third cells all get 503, none hangs.

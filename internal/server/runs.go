@@ -259,7 +259,7 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec,
 // cache) will use.
 func (s *Server) runCell(lc ledCell) {
 	spec := lc.spec
-	cell, cached, err := s.exp.RunOne(s.baseCtx, spec.cfg, spec.w, spec.scale, spec.threads)
+	cell, p, err := s.exp.RunOne(s.baseCtx, spec.cfg, spec.w, spec.scale, spec.threads)
 	if cell.Key == "" {
 		// Cancelled mid-simulation (shutdown drain deadline).
 		s.metrics.add(&s.metrics.simsCancelled, 1)
@@ -271,14 +271,17 @@ func (s *Server) runCell(lc ledCell) {
 		// result and surface the durability problem as a metric.
 		s.metrics.add(&s.metrics.journalErrors, 1)
 	}
-	if !cached {
-		if cell.Err != "" {
-			s.metrics.add(&s.metrics.simsFailed, 1)
-		} else {
-			s.metrics.add(&s.metrics.simsCompleted, 1)
-		}
-	}
+	s.countSims(p)
 	s.flight.complete(spec.key, lc.call, cell, nil)
+}
+
+// countSims adds the cells a run or sweep produced to wsd_sims_total.
+// Simulated also counts the cells copied from a twin, which ran no
+// simulation; a copied cell never fails (it covers every thread count
+// with a completed run), so every Failed cell ran.
+func (s *Server) countSims(p explore.Progress) {
+	s.metrics.add(&s.metrics.simsCompleted, uint64(p.Simulated-p.Reused-p.Failed))
+	s.metrics.add(&s.metrics.simsFailed, uint64(p.Failed))
 }
 
 // handleRun serves POST /v1/runs: a body answered before is served from

@@ -177,9 +177,9 @@ func TestScenarioRunMatchesDirect(t *testing.T) {
 	defer exp.Close()
 	for i, ph := range phases {
 		cfg := sim.Baseline(sim.BaselineArch())
-		cell, cached, err := exp.RunOne(context.Background(), cfg, ph.Workload, ph.Scale, ph.Threads)
-		if err != nil || cached {
-			t.Fatalf("direct phase %s: cached=%v err=%v", ph.Name, cached, err)
+		cell, p, err := exp.RunOne(context.Background(), cfg, ph.Workload, ph.Scale, ph.Threads)
+		if err != nil || p.CacheHits != 0 {
+			t.Fatalf("direct phase %s: %+v err=%v", ph.Name, p, err)
 		}
 		api := got.Phases[i]
 		if api.Phase != ph.Name || api.Key != cell.Key {

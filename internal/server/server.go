@@ -308,13 +308,8 @@ func (s *Server) execute(jb *job) {
 		})
 		cancelled := jb.ctx.Err() != nil
 		jb.finish(results, err, cancelled)
-		// Simulated also counts the cells copied from a cache twin, which
-		// ran no simulation; a copied cell never fails (it covers every
-		// thread count with a completed run), so every Failed cell ran.
 		_, p, _, _ := jb.snapshot()
-		local := uint64(p.Simulated - p.Reused)
-		s.metrics.add(&s.metrics.simsCompleted, local-uint64(p.Failed))
-		s.metrics.add(&s.metrics.simsFailed, uint64(p.Failed))
+		s.countSims(p)
 		switch {
 		case cancelled:
 			s.metrics.add(&s.metrics.jobsCancelled, 1)

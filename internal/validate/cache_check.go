@@ -32,19 +32,19 @@ func (ck *Checker) checkCache(c Case, cfg sim.Config, threads int) (*Failure, er
 	if err != nil {
 		return nil, err
 	}
-	cell1, cached1, err := first.RunOne(ctx, cfg, w, c.Scale(), counts)
+	cell1, p1, err := first.RunOne(ctx, cfg, w, c.Scale(), counts)
 	ck.Sims++
 	if err != nil {
 		return nil, fmt.Errorf("validate: cache check first run: %w", err)
 	}
-	if cached1 {
+	if p1.CacheHits != 0 {
 		return nil, fmt.Errorf("validate: cache check: first run unexpectedly cached")
 	}
-	cell2, cached2, err := first.RunOne(ctx, cfg, w, c.Scale(), counts)
+	cell2, p2, err := first.RunOne(ctx, cfg, w, c.Scale(), counts)
 	if err != nil {
 		return nil, fmt.Errorf("validate: cache check hit: %w", err)
 	}
-	if !cached2 {
+	if p2.CacheHits != 1 {
 		return &Failure{Case: c, Kind: KindCacheDiverged,
 			Detail: "second identical run missed the cache"}, nil
 	}
