@@ -125,8 +125,8 @@ func main() {
 		if p.Dropped.Total() > 0 {
 			dropped += " (" + p.Dropped.String() + ")"
 		}
-		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells (%d cached, %d simulated of which %d reused, %d failed) in %s, %s\n",
-			p.Done, p.Total, p.CacheHits, p.Simulated, p.Reused, p.Failed, p.Elapsed.Round(time.Millisecond), dropped)
+		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells (%d cached, %d simulated of which %d reused, %d failed; %d simulations) in %s, %s\n",
+			p.Done, p.Total, p.CacheHits, p.Simulated, p.Reused, p.Failed, p.Sims, p.Elapsed.Round(time.Millisecond), dropped)
 	}
 	if sweepErr != nil {
 		if err := exp.Close(); err != nil {

@@ -100,27 +100,27 @@ func appendCellPreimage(b []byte, cfg *sim.Config, app string, sc workload.Scale
 // cycle-limit aborts) are cells too: they are cached by their error text
 // so a resumed sweep does not re-simulate a known-bad point.
 type Cell struct {
-	Key     string
-	App     string
-	Arch    string // human-readable design point, for journal readers
-	AIPC    float64
-	Threads int
+	Key     string  `json:"key"`
+	App     string  `json:"app"`
+	Arch    string  `json:"arch,omitempty"` // human-readable design point, for journal readers
+	AIPC    float64 `json:"aipc,omitempty"`
+	Threads int     `json:"threads,omitempty"`
 	// Cycles is the winning run's length; SimCycles totals every thread
 	// count tried (progress accounting). Traffic is the winning run's
 	// total NoC message count.
-	Cycles    uint64
-	SimCycles uint64
-	Traffic   uint64
+	Cycles    uint64 `json:"cycles,omitempty"`
+	SimCycles uint64 `json:"sim_cycles,omitempty"`
+	Traffic   uint64 `json:"traffic,omitempty"`
 	// Provenance: the cell's scale and the k-loop bound of its
 	// configuration, so a journal line describes itself to a reader (jq,
 	// a plotting script) that cannot invert the Key. Zero values on
 	// records journaled before these fields existed. None of these
 	// participate in the content-addressed Key (the key already covers
 	// the full config and scale).
-	ScaleIters     int
-	ScaleFootprint int
-	K              int
-	Err            string // non-empty for a deterministic failure
+	ScaleIters     int    `json:"scale_iters,omitempty"`
+	ScaleFootprint int    `json:"scale_fp,omitempty"`
+	K              int    `json:"k,omitempty"`
+	Err            string `json:"err,omitempty"` // non-empty for a deterministic failure
 }
 
 // CacheStats is a snapshot of a cache's contents and lookup history,
@@ -152,7 +152,8 @@ func (s CacheStats) HitRatio() float64 {
 // Beside a cell the explorer simulated, the cache keeps the cell's
 // per-thread-count runs as a base its twins may copy from (see the package
 // doc). Bases live in memory only: they are never journaled, Cells and
-// Stats do not show them, and one goes when its cell is evicted.
+// Stats do not show them, and one goes when its cell is evicted (a sweep
+// that holds it keeps it to the sweep's end).
 //
 // By default the cache grows without bound (a full Pareto sweep is a few
 // hundred thousand cells at most, and a CLI process is short-lived). A
@@ -166,29 +167,24 @@ type Cache struct {
 	order *list.List               // front = most recently used
 
 	// bases holds the bases by cell key, twins the same bases by twin
-	// key, oldest first; seq numbers them in the order they were stored.
+	// key, oldest first.
 	bases map[string]*base
 	twins map[twinKey][]*base
-	seq   uint64
 
 	hits, misses, evictions uint64
 }
 
 // base is what a cell the explorer simulated leaves for its twins: the
-// cell's configuration and its completed per-thread-count runs, stored
-// seq-th.
+// cell's configuration and its completed per-thread-count runs.
 type base struct {
-	key  string
 	twin twinKey
 	cfg  sim.Config
 	runs []design.ThreadRun
-	seq  uint64
 }
 
 // twinKey groups the cells whose runs may be copied between them: the
-// workload, the scale, and the configuration with V, M, L1 and L2
-// cleared. twinKeyOf's cfg carries no trace recorder (evalCell clears it;
-// a trace never changes results).
+// workload, the scale, and the configuration with V, M, L1, L2 and the
+// trace recorder cleared (a trace never changes results).
 type twinKey struct {
 	app string
 	sc  workload.Scale
@@ -197,6 +193,7 @@ type twinKey struct {
 
 func twinKeyOf(cfg sim.Config, app string, sc workload.Scale) twinKey {
 	cfg.Arch.Virt, cfg.Arch.Match, cfg.Arch.L1KB, cfg.Arch.L2MB = 0, 0, 0, 0
+	cfg.Trace = nil
 	return twinKey{app, sc, cfg}
 }
 
@@ -298,8 +295,6 @@ func (c *Cache) put(cell Cell, b *base) {
 	defer c.mu.Unlock()
 	if b != nil {
 		c.dropBase(cell.Key)
-		b.seq = c.seq
-		c.seq++
 		c.bases[cell.Key] = b
 		c.twins[b.twin] = append(c.twins[b.twin], b)
 	}
@@ -313,19 +308,13 @@ func (c *Cache) put(cell Cell, b *base) {
 }
 
 // twinBases returns the bases stored under twin key k, oldest first. The
-// caller must not change the slice; the cache never writes it below its
-// length again.
+// caller must not write the slice, nor append to it without first cutting
+// its capacity to its length; the cache never writes it below its length
+// again.
 func (c *Cache) twinBases(k twinKey) []*base {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.twins[k]
-}
-
-// stored reports the number of bases stored so far.
-func (c *Cache) stored() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.seq
 }
 
 // Cells returns a snapshot of every cached cell, sorted by key, so the

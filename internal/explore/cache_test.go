@@ -115,19 +115,21 @@ func checkBases(t *testing.T, c *Cache) int {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	indexed := 0
-	for k, list := range c.twins {
-		for _, b := range list {
-			if b.twin != k || c.bases[b.key] != b {
-				t.Errorf("base of %s indexed under another twin key or not by its cell", b.key)
-			}
-		}
-		indexed += len(list)
-	}
-	for key := range c.bases {
+	cellOf := make(map[*base]string, len(c.bases))
+	for key, b := range c.bases {
 		if _, ok := c.cells[key]; !ok {
 			t.Errorf("base of %s outlived its cell", key)
 		}
+		cellOf[b] = key
+	}
+	indexed := 0
+	for k, list := range c.twins {
+		for _, b := range list {
+			if key, ok := cellOf[b]; !ok || b.twin != k {
+				t.Errorf("base of %q indexed under another twin key or not by its cell", key)
+			}
+		}
+		indexed += len(list)
 	}
 	if indexed != len(c.bases) {
 		t.Errorf("%d bases indexed, %d stored", indexed, len(c.bases))

@@ -30,28 +30,27 @@
 //
 // Twins are cells of one workload and scale whose configurations are
 // equal in every field but Arch.Virt, Arch.Match, Arch.L1KB and
-// Arch.L2MB. A run an Explorer simulated lasts as long as its cell: it is
-// kept in the Cache beside the cell as a base (in memory only, never
-// journaled, not in Cells, evicted with the cell), indexed by the twin
-// key, and Sweep, RunOne and so Tune all look twins up there. For each
-// thread count n, a cell copies a base's run at n instead of simulating
-// when V and M agree or the workload's placement at n is
-// sim.Binding.Inert on both configurations (decided before any cycle
-// runs), and cache.Footprint.ExactOn passes the run from the base's
+// Arch.L2MB. A run an Explorer simulated lasts as long as its cell, or a
+// sweep that holds it (below): it is kept in the Cache beside the cell as
+// a base (in memory only, never journaled, not in Cells, evicted with the
+// cell), indexed by the twin key, and Sweep, RunOne and so Tune all look
+// twins up there. For each thread count n, a cell copies a base's run at
+// n instead of simulating when V and M agree or the workload's placement
+// at n is sim.Binding.Inert on both configurations (decided before any
+// cycle runs), and cache.Footprint.ExactOn passes the run from the base's
 // caches to the cell's (decided from the run's cache footprint). Each
 // method's doc comment states its rule and why it holds. Only the rest is
 // simulated. A cell some of whose counts were simulated becomes a base; a
 // cell copied whole, or replayed from the journal, carries no runs of its
 // own and is not one.
 //
-// Inside a sweep, a cell copies only from bases stored before the sweep
-// started and from its twin chain's earlier members, so with an unbounded
-// cache (the default) what it copies, and Progress.Sims, depend only on
-// the sequence of calls, never on the parallelism. Under WithCacheLimit a
-// base goes with its evicted cell, and which cells a sweep evicts depends
-// on when its workers commit, so a base may or may not still be there
-// when a later cell looks: results stay exact, but Progress.Sims and
-// Progress.Reused may then vary with the parallelism.
+// A sweep gives each twin chain (below) its own list of bases: those
+// stored under the chain's twin key when the sweep started, then the base
+// each member leaves, in chain order. A cell copies only from its chain's
+// list, so what a sweep copies, and Progress.Sims, depend neither on the
+// parallelism nor on what WithCacheLimit evicts meanwhile. One dependence
+// remains under a limit: a cell cached when the sweep started may be
+// evicted before its turn and then be simulated.
 //
 // A twin chain is the cells of one workload whose configurations are
 // equal in every field but Arch.L1KB and Arch.L2MB, and but Arch.Virt and
@@ -376,43 +375,38 @@ func (e *Explorer) SweepWith(ctx context.Context, points []design.Point, apps []
 
 	// Every cell is one task. A cell waits for its twin chain's previous
 	// cell, of the same workload. Ready cells go to the first free worker
-	// in point-major order (cellQueue). A cell may copy the runs of bases
-	// stored before the sweep started and of its chain's earlier members
-	// (see the package doc), all stored before it starts whatever the
-	// schedule, so with an unbounded cache what it copies does not depend
-	// on the parallelism (under a cache limit an eviction may drop one).
+	// in point-major order (cellQueue). A chain owns its list of bases for
+	// the sweep: those the cache held under its twin key when the sweep
+	// started, cut to their length so an append copies them, then the base
+	// each member leaves. A member reads the list after cellQueue hands it
+	// on, so it sees every earlier member's base, and what it copies
+	// depends neither on the parallelism nor on what the cache evicts
+	// meanwhile (see the package doc).
 	binds := newBindings(instances, threadCounts)
 	chains := twinChains(configs, len(apps), func(pi, ai int) bool { return binds.inert(configs[pi], ai) })
-	earlier := make([][]int, total)
+	chainOf := make([]int, total)
 	succ := make([]int, total)
-	for _, chain := range chains {
+	bases := make([][]*base, len(chains))
+	for ch, chain := range chains {
+		pi, ai := chain[0]/len(apps), chain[0]%len(apps)
+		pre := e.cache.twinBases(twinKeyOf(configs[pi], apps[ai].Name, scale))
+		bases[ch] = pre[:len(pre):len(pre)]
 		for i, c := range chain {
-			earlier[c], succ[c] = chain[:i], -1
+			chainOf[c], succ[c] = ch, -1
 			if i+1 < len(chain) {
 				succ[c] = chain[i+1]
 			}
 		}
 	}
-	before := e.cache.stored()
 	runCell := func(c int) {
-		pi, ai := c/len(apps), c%len(apps)
-		scope := twinScope{
-			keep: func(b *base) bool {
-				if b.seq < before {
-					return true
-				}
-				for _, bc := range earlier[c] {
-					if b.key == keys[bc/len(apps)][bc%len(apps)] {
-						return true
-					}
-				}
-				return false
-			},
-			bind: func(n int) sim.Binding { return binds.at(configs[pi], ai, n) },
-		}
-		cell, br, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, scope)
+		pi, ai, ch := c/len(apps), c%len(apps), chainOf[c]
+		bind := func(n int) sim.Binding { return binds.at(configs[pi], ai, n) }
+		cell, br, b, src, jerr := e.evalCell(ctx, keys[pi][ai], configs[pi], apps[ai], instances[ai], scale, threadCounts, bases[ch], bind)
 		if src == srcNone {
 			return // cancelled: nothing cached or journaled
+		}
+		if b != nil {
+			bases[ch] = append(bases[ch], b)
 		}
 		cells[pi][ai] = cell
 		account(cell, br, src, jerr)
@@ -622,33 +616,26 @@ const (
 	srcReused                   // every thread count copied from a twin
 )
 
-// twinScope says which stored bases a cell may copy runs from: those
-// keep admits (nil admits every one), with bind(n) the workload's binding
-// at n threads on the cell's machine. RunOne passes neither, and evalCell
-// places the cell's own workload.
-type twinScope struct {
-	keep func(*base) bool
-	bind func(n int) sim.Binding
-}
-
 // evalCell is the one way a cell is produced: cache lookup, the
 // best-thread-count search, write-through. With the cell it returns the
 // search's outcome (empty on a hit), whose runs and drops are not part of
 // the cell. RunOne passes a nil inst so a hit never builds the workload;
 // Sweep passes the instance it built once for the whole sweep. For each
-// thread count the search copies a run of a base in scope that is exact on
-// cfg (twinReuse). A cell copied at every thread count the workload allows
+// thread count the search copies a run of one of bases that is exact on
+// cfg (twinReuse), with bind(n) the workload's binding at n threads on
+// cfg's machine; RunOne passes a nil bind, and evalCell places the cell's
+// own workload. A cell copied at every thread count the workload allows
 // is srcReused; otherwise the search simulates the rest, and its completed
-// runs are stored beside the cell as its base. A returned
-// error is the context's on srcNone and a failed journal append otherwise
-// (the cell is still valid and cached).
+// runs are stored beside the cell as its base, which evalCell returns. A
+// returned error is the context's on srcNone and a failed journal append
+// otherwise (the cell is still valid and cached).
 func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w workload.Workload, inst *workload.Instance,
-	sc workload.Scale, threadCounts []int, scope twinScope) (Cell, design.BestRun, cellSource, error) {
+	sc workload.Scale, threadCounts []int, bases []*base, bind func(n int) sim.Binding) (Cell, design.BestRun, *base, cellSource, error) {
 	if cell, ok := e.cache.Cell(key); ok {
-		return cell, design.BestRun{}, srcCache, nil
+		return cell, design.BestRun{}, nil, srcCache, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return Cell{}, design.BestRun{}, srcNone, err
+		return Cell{}, design.BestRun{}, nil, srcNone, err
 	}
 	if inst == nil {
 		inst = w.Build(sc)
@@ -656,21 +643,15 @@ func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w w
 	// The twin rules compare configurations; a trace never changes results.
 	twin := cfg
 	twin.Trace = nil
-	if scope.bind == nil {
+	if bind == nil {
 		binds := newBindings([]*workload.Instance{inst}, threadCounts)
-		scope.bind = func(n int) sim.Binding { return binds.at(twin, 0, n) }
+		bind = func(n int) sim.Binding { return binds.at(twin, 0, n) }
 	}
-	tk := twinKeyOf(twin, w.Name, sc)
-	reuse := e.twinReuse(twin, tk, scope)
-	src := srcLocal
-	if reuse != nil && covered(reuse, inst.MaxThreads, threadCounts) {
-		src = srcReused
-	}
-	br, err := design.BestThreadsReusing(ctx, cfg, inst, threadCounts, reuse)
+	br, err := design.BestThreadsReusing(ctx, cfg, inst, threadCounts, twinReuse(twin, bases, bind))
 	if err != nil && ctx.Err() != nil {
 		// Cancelled mid-cell: do not cache or journal a non-deterministic
 		// partial outcome.
-		return Cell{}, design.BestRun{}, srcNone, err
+		return Cell{}, design.BestRun{}, nil, srcNone, err
 	}
 	cell := newCell(key, w.Name, cfg, sc)
 	if err != nil {
@@ -680,49 +661,32 @@ func (e *Explorer) evalCell(ctx context.Context, key string, cfg sim.Config, w w
 		cell.Cycles, cell.SimCycles = br.Cycles, br.SimCycles
 		cell.Traffic = br.Traffic
 	}
+	src := srcLocal
 	var b *base
-	if src == srcLocal && len(br.Runs) > 0 {
-		b = &base{key: key, twin: tk, cfg: twin, runs: br.Runs}
+	switch {
+	case br.Sims == 0 && br.Dropped.Total() == 0 && len(br.Runs) > 0:
+		src = srcReused // nothing simulated or dropped: every count was copied
+	case len(br.Runs) > 0:
+		b = &base{twin: twinKeyOf(twin, w.Name, sc), cfg: twin, runs: br.Runs}
 	}
-	return cell, br, src, e.commit(cell, b)
+	return cell, br, b, src, e.commit(cell, b)
 }
 
-// twinReuse returns what design.BestThreadsReusing asks for a cell on cfg
-// of twin key tk: for each thread count, the run of the first base stored
-// under tk that scope admits and that is exact on cfg (base.runOn). It is
-// nil when no base is stored under tk.
-func (e *Explorer) twinReuse(cfg sim.Config, tk twinKey, scope twinScope) func(int) (design.ThreadRun, bool) {
-	bases := e.cache.twinBases(tk)
+// twinReuse returns what design.BestThreadsReusing asks for a cell on cfg:
+// for each thread count, the run of the first of bases that is exact on
+// cfg (base.runOn). It is nil when there are no bases.
+func twinReuse(cfg sim.Config, bases []*base, bind func(n int) sim.Binding) func(int) (design.ThreadRun, bool) {
 	if len(bases) == 0 {
 		return nil
 	}
 	return func(n int) (design.ThreadRun, bool) {
 		for _, b := range bases {
-			if scope.keep != nil && !scope.keep(b) {
-				continue
-			}
-			if r, ok := b.runOn(cfg, n, scope.bind); ok {
+			if r, ok := b.runOn(cfg, n, bind); ok {
 				return r, true
 			}
 		}
 		return design.ThreadRun{}, false
 	}
-}
-
-// covered reports whether reuse has a run for every thread count up to
-// limit, and for at least one.
-func covered(reuse func(int) (design.ThreadRun, bool), limit int, threadCounts []int) bool {
-	some := false
-	for _, n := range threadCounts {
-		if n > limit {
-			continue
-		}
-		if _, ok := reuse(n); !ok {
-			return false
-		}
-		some = true
-	}
-	return some
 }
 
 // commit writes a completed cell, with its base if it has one, through to
@@ -807,7 +771,8 @@ func (e *Explorer) RunOne(ctx context.Context, cfg sim.Config, w workload.Worklo
 	if err := design.ValidateRun(sc, threadCounts); err != nil {
 		return Cell{}, p, err
 	}
-	cell, br, src, err := e.evalCell(ctx, CellKey(cfg, w.Name, sc, threadCounts), cfg, w, nil, sc, threadCounts, twinScope{})
+	bases := e.cache.twinBases(twinKeyOf(cfg, w.Name, sc))
+	cell, br, _, src, err := e.evalCell(ctx, CellKey(cfg, w.Name, sc, threadCounts), cfg, w, nil, sc, threadCounts, bases, nil)
 	if src != srcNone {
 		p.add(cell, br, src)
 	}

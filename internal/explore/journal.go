@@ -18,21 +18,11 @@ import (
 // shared by overlapping sweeps and by sweeps with different options —
 // mismatched cells simply never get looked up.
 type record struct {
-	Kind    string  `json:"kind"` // always "cell"; see walkJournal for "tuning"
-	Key     string  `json:"key"`
-	App     string  `json:"app"`
-	Arch    string  `json:"arch,omitempty"`
-	AIPC    float64 `json:"aipc,omitempty"`
-	Threads int     `json:"threads,omitempty"`
-	Cycles  uint64  `json:"cycles,omitempty"`
-	Sim     uint64  `json:"sim_cycles,omitempty"`
-	Traffic uint64  `json:"traffic,omitempty"`
-	// Provenance (see Cell); absent on journals written before these
-	// fields existed, which still replay.
-	ScaleIters     int    `json:"scale_iters,omitempty"`
-	ScaleFootprint int    `json:"scale_fp,omitempty"`
-	K              int    `json:"k,omitempty"`
-	Err            string `json:"err,omitempty"`
+	Kind string `json:"kind"` // always "cell"; see walkJournal for "tuning"
+	// Cell's fields, flattened into the line under Cell's JSON names;
+	// provenance is absent on journals written before it existed, which
+	// still replay.
+	Cell
 	// Fault is only ever read: older revisions wrote it on cells run under
 	// a fault script, whose keys carry the script's digest and so can never
 	// be looked up. walkJournal skips such a line.
@@ -96,7 +86,7 @@ func walkJournal(r io.Reader, fn func(Cell)) (int, error) {
 		switch {
 		case rec.Kind == "cell" && rec.Fault != nil: // a fault-injected run: skipped, not counted
 		case rec.Kind == "cell" && rec.Key != "":
-			fn(rec.cell())
+			fn(rec.Cell)
 			n++
 		case rec.Kind == "cell":
 			pendingErr = fmt.Errorf("explore: journal line %d: cell without a key", line)
@@ -166,23 +156,4 @@ func (j *journal) close() error {
 	return j.f.Close()
 }
 
-// cell is cellRecord's inverse.
-func (rec record) cell() Cell {
-	return Cell{
-		Key: rec.Key, App: rec.App, Arch: rec.Arch,
-		AIPC: rec.AIPC, Threads: rec.Threads,
-		Cycles: rec.Cycles, SimCycles: rec.Sim, Traffic: rec.Traffic,
-		ScaleIters: rec.ScaleIters, ScaleFootprint: rec.ScaleFootprint,
-		K: rec.K, Err: rec.Err,
-	}
-}
-
-func cellRecord(c Cell) record {
-	return record{
-		Kind: "cell", Key: c.Key, App: c.App, Arch: c.Arch,
-		AIPC: c.AIPC, Threads: c.Threads, Cycles: c.Cycles,
-		Sim: c.SimCycles, Traffic: c.Traffic,
-		ScaleIters: c.ScaleIters, ScaleFootprint: c.ScaleFootprint,
-		K: c.K, Err: c.Err,
-	}
-}
+func cellRecord(c Cell) record { return record{Kind: "cell", Cell: c} }

@@ -567,3 +567,40 @@ func BenchmarkSweepSubsample(b *testing.B) {
 	}
 	b.ReportMetric(float64(sims)/float64(b.N), "sims/op")
 }
+
+// TestCacheLimitKeepsSweepReuse: a sweep copies from its chains' own
+// lists of bases, so a cache limit that evicts cells, and their bases,
+// while the sweep runs changes neither what it copies nor how many
+// simulations it runs, at any parallelism. The cold thinned spec2000
+// sweep of BenchmarkSweepSubsample runs 33 simulations and copies 63
+// cells whole under no limit and under limits of 1 and 8 cells, at
+// parallelism 1, 2 and 4, and every row equals the unbounded sweep's.
+func TestCacheLimitKeepsSweepReuse(t *testing.T) {
+	points := design.Subsample(design.Viable(), 16)
+	apps := workload.BySuite(workload.Spec)
+	var want []design.SweepResult
+	for _, limit := range []int{0, 1, 8} {
+		for _, par := range []int{1, 2, 4} {
+			opts := []Option{WithParallelism(par)}
+			if limit > 0 {
+				opts = append(opts, WithCacheLimit(limit))
+			}
+			exp, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := exp.Sweep(context.Background(), points, apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := exp.LastProgress(); p.Sims != 33 || p.Reused != 63 {
+				t.Errorf("limit %d, parallelism %d: %d simulations, %d cells copied whole; want 33 and 63", limit, par, p.Sims, p.Reused)
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("limit %d, parallelism %d: results differ from the unbounded sweep's", limit, par)
+			}
+		}
+	}
+}

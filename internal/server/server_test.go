@@ -321,6 +321,30 @@ func TestSweepSimsCountOnlyLocalCells(t *testing.T) {
 	}
 }
 
+// TestCacheLimitKeepsSweepSims: a cold sweep on a server whose cache
+// holds one cell counts as many completed simulations in wsd_sims_total,
+// and answers the same result, as on an unbounded server. Evicting a
+// cell while the sweep runs does not take its run from the sweep's twins.
+func TestCacheLimitKeepsSweepSims(t *testing.T) {
+	const body = `{"suite":"spec2000","scale":"tiny","max_points":8}`
+	var (
+		sims    [2]uint64
+		results [2]string
+	)
+	for i, opts := range [][]Option{nil, {WithCacheLimit(1)}} {
+		srv, ts := newTestServer(t, opts...)
+		results[i] = sweepResult(t, ts.URL, body)
+		waitUntil(t, "the sweep counted", func() bool { return srv.counter(&srv.metrics.jobsCompleted) == 1 })
+		sims[i] = srv.counter(&srv.metrics.simsCompleted)
+	}
+	if sims[0] != sims[1] {
+		t.Errorf("%d simulations completed under a one-cell cache, %d unbounded", sims[1], sims[0])
+	}
+	if results[0] != results[1] {
+		t.Errorf("results differ:\none-cell cache %s\nunbounded      %s", results[1], results[0])
+	}
+}
+
 func TestJobNotFound(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999999")
