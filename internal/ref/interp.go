@@ -3,6 +3,23 @@
 // matching store and enforces wave-ordered memory exactly as the store
 // buffer does, making it both a golden model for the cycle-level simulator
 // and a validator for the memory annotations the graph builder emits.
+//
+// One Run executes one thread, so a partial match is named by its
+// (instruction, wave) pair alone: the matching store is a map from
+// inst<<32 | wave to an index into a slab of entries, recycled through a
+// free list, so a partial match costs no heap object. A per-instruction
+// count of live entries lets a one-input instruction fire without the map
+// when its port-0 token arrives and no entry of it is live. That is the
+// step the map path would take — make an entry, find it complete, delete
+// it, fire — so the firing order and every error stay the same; a stray
+// token parked on another port of the instruction keeps its count above
+// zero and sends later tokens through the map, where they block on it.
+//
+// Waves issue memory strictly in order, so only the oldest incomplete
+// wave has ripple state; operations that arrive for younger waves wait
+// in a slice indexed by their distance from it. A wave that completes
+// while one of its operations waits, and an operation that arrives for a
+// wave that has completed, are errors: the annotations are inconsistent.
 package ref
 
 import (
@@ -51,39 +68,81 @@ func New(prog *isa.Program, mem Memory) *Interp {
 // Memory returns the interpreter's memory.
 func (ip *Interp) Memory() Memory { return ip.mem }
 
-type matchKey struct {
-	inst isa.InstID
-	tag  isa.Tag
-}
-
+// matchEntry is one partial match: the operands that have arrived and a
+// bit per arrived port.
 type matchEntry struct {
 	vals    [3]uint64
 	present uint8
 }
 
+// memPending is a memory operation waiting for its wave's order.
 type memPending struct {
 	inst isa.InstID
-	tag  isa.Tag
 	addr uint64
 	data uint64
+}
+
+// token is a value in flight to one input port, at a wave of the
+// running thread.
+type token struct {
+	value uint64
+	wave  uint32
+	dest  isa.Target
+}
+
+// run is the state of one thread's execution.
+type run struct {
+	prog   *isa.Program
+	mem    Memory
+	thread uint32
+	res    *Result
+	byOp   [256]uint64
+	halted bool
+
+	work []token
+
+	// mask is the present-bit mask each instruction needs to fire, and
+	// partial counts each instruction's live entries in the slab.
+	mask    []uint8
+	partial []int32
+	index   map[uint64]int32 // inst<<32 | wave -> slab index
+	slab    []matchEntry
+	free    []int32
+
+	// wave is the ripple state of nextWave, the oldest incomplete wave;
+	// pending[i] holds the operations waiting in wave nextWave+i.
+	wave     waveorder.Wave
+	nextWave uint32
+	pending  [][]memPending
 }
 
 // Run executes the program for one thread with the given parameter
 // bindings. The "start" parameter defaults to 1 if the program declares it
 // and the caller did not bind it.
 func (ip *Interp) Run(thread uint32, params map[string]uint64) (*Result, error) {
-	res := &Result{
-		ByOpcode: make(map[isa.Opcode]uint64),
-		Fired:    make([]uint64, len(ip.prog.Insts)),
+	prog := ip.prog
+	r := &run{
+		prog:   prog,
+		mem:    ip.mem,
+		thread: thread,
+		res: &Result{
+			ByOpcode: make(map[isa.Opcode]uint64),
+			Fired:    make([]uint64, len(prog.Insts)),
+		},
+		mask:    make([]uint8, len(prog.Insts)),
+		partial: make([]int32, len(prog.Insts)),
+		index:   make(map[uint64]int32),
+	}
+	for i := range prog.Insts {
+		r.mask[i] = requiredMask(&prog.Insts[i])
 	}
 	maxSteps := ip.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 100_000_000
 	}
 
-	var work []isa.Token
 	// Inject parameters as wave-0 tokens.
-	for _, p := range ip.prog.Params {
+	for _, p := range prog.Params {
 		v, ok := params[p.Name]
 		if !ok {
 			if p.Name == "start" {
@@ -92,144 +151,187 @@ func (ip *Interp) Run(thread uint32, params map[string]uint64) (*Result, error) 
 				return nil, fmt.Errorf("ref: parameter %q not bound", p.Name)
 			}
 		}
-		for _, t := range p.Targets {
-			work = append(work, isa.Token{
-				Tag:   isa.Tag{Thread: thread, Wave: 0},
-				Value: v,
-				Dest:  t,
-			})
-		}
-	}
-
-	matches := make(map[matchKey]*matchEntry)
-	waves := make(map[isa.Tag]*waveorder.Wave)
-	pendingMem := make(map[isa.Tag][]memPending) // ops waiting for wave order
-	nextWave := uint32(0)                        // waves complete strictly in order
-	halted := false
-	steps := uint64(0)
-
-	// route delivers a result to the consumers in dests.
-	route := func(tag isa.Tag, v uint64, dests []isa.Target) {
-		for _, d := range dests {
-			work = append(work, isa.Token{Tag: tag, Value: v, Dest: d})
-		}
-	}
-
-	// issueReady drains every wave-order-ready memory operation for tag.
-	// Wave-ordered memory is sequential across waves: only the thread's
-	// oldest incomplete wave may issue.
-	var issueReady func(tag isa.Tag)
-	issueReady = func(tag isa.Tag) {
-		if tag.Wave != nextWave {
-			return
-		}
-		w := waves[tag]
-		if w == nil {
-			w = waveorder.NewWave()
-			waves[tag] = w
-		}
-		for {
-			issued := false
-			rest := pendingMem[tag][:0]
-			for _, pm := range pendingMem[tag] {
-				in := ip.prog.Inst(pm.inst)
-				if !issued && w.CanIssue(*in.Mem) {
-					w.Issue(*in.Mem)
-					issued = true
-					switch in.Op {
-					case isa.OpLoad:
-						route(tag, ip.mem[pm.addr], in.Dests)
-					case isa.OpStore:
-						ip.mem[pm.addr] = pm.data
-						route(tag, pm.data, in.Dests)
-					case isa.OpMemNop:
-						route(tag, pm.addr, in.Dests)
-					}
-				} else {
-					rest = append(rest, pm)
-				}
-			}
-			pendingMem[tag] = rest
-			if !issued {
-				break
-			}
-		}
-		if w.Complete() {
-			delete(waves, tag)
-			if len(pendingMem[tag]) > 0 {
-				// Operations arrived for a wave that already completed:
-				// the annotations are inconsistent. Surface loudly.
-				panic(fmt.Sprintf("ref: %d memory ops pending after wave %v completed", len(pendingMem[tag]), tag))
-			}
-			delete(pendingMem, tag)
-			nextWave++
-			issueReady(isa.Tag{Thread: tag.Thread, Wave: nextWave})
-		}
-	}
-
-	fire := func(id isa.InstID, tag isa.Tag, e *matchEntry) {
-		in := ip.prog.Inst(id)
-		res.Dynamic++
-		res.Fired[id]++
-		res.ByOpcode[in.Op]++
-		if in.Op.Countable() {
-			res.Countable++
-		}
-		switch in.Op {
-		case isa.OpHalt:
-			halted = true
-			res.HaltValue = e.vals[0]
-		case isa.OpSteer:
-			if e.vals[2] != 0 {
-				route(tag, e.vals[0], in.DestsT)
-			} else {
-				route(tag, e.vals[0], in.Dests)
-			}
-		case isa.OpWaveAdv:
-			route(isa.Tag{Thread: tag.Thread, Wave: tag.Wave + 1}, e.vals[0], in.Dests)
-		case isa.OpLoad, isa.OpStore, isa.OpMemNop:
-			pendingMem[tag] = append(pendingMem[tag], memPending{
-				inst: id, tag: tag, addr: e.vals[0], data: e.vals[1],
-			})
-			issueReady(tag)
-		default:
-			v := isa.Eval(in.Op, in.Imm, e.vals[0], e.vals[1], e.vals[2])
-			route(tag, v, in.Dests)
-		}
+		r.route(0, v, p.Targets)
 	}
 
 	// Run until all tokens drain: in-flight memory operations complete even
 	// after halt fires, as they would in the machine.
-	for len(work) > 0 {
-		tok := work[len(work)-1]
-		work = work[:len(work)-1]
+	steps := uint64(0)
+	for len(r.work) > 0 {
+		tok := r.work[len(r.work)-1]
+		r.work = r.work[:len(r.work)-1]
 		if steps++; steps > maxSteps {
 			return nil, fmt.Errorf("ref: exceeded %d steps (livelock?)", maxSteps)
 		}
-		in := ip.prog.Inst(tok.Dest.Inst)
-		key := matchKey{inst: tok.Dest.Inst, tag: tok.Tag}
-		e := matches[key]
-		if e == nil {
-			e = &matchEntry{}
-			matches[key] = e
+		id := tok.dest.Inst
+		bit := uint8(1) << tok.dest.Port
+		if bit == r.mask[id] && r.partial[id] == 0 {
+			if err := r.fire(id, tok.wave, [3]uint64{tok.value}); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		bit := uint8(1) << tok.Dest.Port
+		key := uint64(uint32(id))<<32 | uint64(tok.wave)
+		slot, ok := r.index[key]
+		if !ok {
+			slot = r.alloc()
+			r.index[key] = slot
+			r.partial[id]++
+		}
+		e := &r.slab[slot]
 		if e.present&bit != 0 {
+			in := prog.Inst(id)
 			return nil, fmt.Errorf("ref: duplicate token for %s %q port %d tag %v",
-				in.Op, in.Name, tok.Dest.Port, tok.Tag)
+				in.Op, in.Name, tok.dest.Port, r.tag(tok.wave))
 		}
-		e.vals[tok.Dest.Port] = tok.Value
+		e.vals[tok.dest.Port] = tok.value
 		e.present |= bit
-		if e.present == requiredMask(in) {
-			delete(matches, key)
-			fire(tok.Dest.Inst, tok.Tag, e)
+		if e.present == r.mask[id] {
+			vals := e.vals
+			delete(r.index, key)
+			r.partial[id]--
+			r.free = append(r.free, slot)
+			if err := r.fire(id, tok.wave, vals); err != nil {
+				return nil, err
+			}
 		}
 	}
 
-	if !halted {
-		return nil, ip.deadlockError(matches, pendingMem)
+	if !r.halted {
+		return nil, r.deadlockError()
+	}
+	res := r.res
+	for op, n := range &r.byOp {
+		if n == 0 {
+			continue
+		}
+		res.ByOpcode[isa.Opcode(op)] = n
+		res.Dynamic += n
+		if isa.Opcode(op).Countable() {
+			res.Countable += n
+		}
 	}
 	return res, nil
+}
+
+// alloc returns the index of a zeroed slab entry.
+func (r *run) alloc() int32 {
+	if n := len(r.free); n > 0 {
+		slot := r.free[n-1]
+		r.free = r.free[:n-1]
+		r.slab[slot] = matchEntry{}
+		return slot
+	}
+	r.slab = append(r.slab, matchEntry{})
+	return int32(len(r.slab) - 1)
+}
+
+func (r *run) tag(wave uint32) isa.Tag { return isa.Tag{Thread: r.thread, Wave: wave} }
+
+// route delivers a result to the consumers in dests.
+func (r *run) route(wave uint32, v uint64, dests []isa.Target) {
+	for _, d := range dests {
+		r.work = append(r.work, token{value: v, wave: wave, dest: d})
+	}
+}
+
+// fire executes instruction id at wave with its operands.
+func (r *run) fire(id isa.InstID, wave uint32, vals [3]uint64) error {
+	in := r.prog.Inst(id)
+	r.res.Fired[id]++
+	r.byOp[in.Op]++
+	switch in.Op {
+	case isa.OpHalt:
+		r.halted = true
+		r.res.HaltValue = vals[0]
+	case isa.OpSteer:
+		if vals[2] != 0 {
+			r.route(wave, vals[0], in.DestsT)
+		} else {
+			r.route(wave, vals[0], in.Dests)
+		}
+	case isa.OpWaveAdv:
+		r.route(wave+1, vals[0], in.Dests)
+	case isa.OpLoad, isa.OpStore, isa.OpMemNop:
+		return r.memory(id, wave, vals[0], vals[1])
+	default:
+		r.route(wave, isa.Eval(in.Op, in.Imm, vals[0], vals[1], vals[2]), in.Dests)
+	}
+	return nil
+}
+
+// memory accepts a fired memory operation and issues every operation
+// the wave order allows. Wave-ordered memory is sequential across waves:
+// only the thread's oldest incomplete wave may issue.
+func (r *run) memory(id isa.InstID, wave uint32, addr, data uint64) error {
+	in := r.prog.Inst(id)
+	if wave < r.nextWave {
+		return fmt.Errorf("ref: memory op inst %d %s %q %v arrived after wave %v completed",
+			id, in.Op, in.Name, *in.Mem, r.tag(wave))
+	}
+	op := memPending{inst: id, addr: addr, data: data}
+	d := int(wave - r.nextWave)
+	if d == 0 && r.wave.CanIssue(*in.Mem) {
+		// No operation already waiting could issue when it arrived, and
+		// the wave has not moved since, so the new one goes first.
+		r.issue(op)
+		return r.drain()
+	}
+	for len(r.pending) <= d {
+		r.pending = append(r.pending, nil)
+	}
+	r.pending[d] = append(r.pending[d], op)
+	return nil
+}
+
+// drain issues the oldest incomplete wave's waiting operations while
+// one can go, each time the first in arrival order, and moves on to the
+// next wave when one completes.
+func (r *run) drain() error {
+	for {
+		if len(r.pending) > 0 {
+			ops := r.pending[0]
+			for i := 0; i < len(ops); {
+				if !r.wave.CanIssue(*r.prog.Inst(ops[i].inst).Mem) {
+					i++
+					continue
+				}
+				op := ops[i]
+				ops = append(ops[:i], ops[i+1:]...)
+				r.issue(op)
+				i = 0
+			}
+			r.pending[0] = ops
+		}
+		if !r.wave.Complete() {
+			return nil
+		}
+		if len(r.pending) > 0 {
+			if n := len(r.pending[0]); n > 0 {
+				// The wave's chain ended with operations still
+				// waiting: the annotations are inconsistent.
+				return fmt.Errorf("ref: %d memory ops pending after wave %v completed", n, r.tag(r.nextWave))
+			}
+			r.pending = r.pending[1:]
+		}
+		r.nextWave++
+		r.wave = waveorder.Wave{}
+	}
+}
+
+// issue performs one memory operation of the oldest incomplete wave.
+func (r *run) issue(op memPending) {
+	in := r.prog.Inst(op.inst)
+	r.wave.Issue(*in.Mem)
+	switch in.Op {
+	case isa.OpLoad:
+		r.route(r.nextWave, r.mem[op.addr], in.Dests)
+	case isa.OpStore:
+		r.mem[op.addr] = op.data
+		r.route(r.nextWave, op.data, in.Dests)
+	case isa.OpMemNop:
+		r.route(r.nextWave, op.addr, in.Dests)
+	}
 }
 
 // requiredMask returns the present-bit mask an instruction needs to fire.
@@ -248,18 +350,19 @@ func requiredMask(in *isa.Instruction) uint8 {
 }
 
 // deadlockError reports why execution stopped before Halt fired.
-func (ip *Interp) deadlockError(matches map[matchKey]*matchEntry, pendingMem map[isa.Tag][]memPending) error {
+func (r *run) deadlockError() error {
 	var lines []string
-	for k, e := range matches {
-		in := ip.prog.Inst(k.inst)
+	for key, slot := range r.index {
+		id := isa.InstID(key >> 32)
+		in := r.prog.Inst(id)
 		lines = append(lines, fmt.Sprintf("  partial match: inst %d %s %q tag %v present=%03b",
-			k.inst, in.Op, in.Name, k.tag, e.present))
+			id, in.Op, in.Name, r.tag(uint32(key)), r.slab[slot].present))
 	}
-	for tag, ops := range pendingMem {
+	for d, ops := range r.pending {
 		for _, pm := range ops {
-			in := ip.prog.Inst(pm.inst)
+			in := r.prog.Inst(pm.inst)
 			lines = append(lines, fmt.Sprintf("  blocked mem op: inst %d %s %q tag %v %v",
-				pm.inst, in.Op, in.Name, tag, *in.Mem))
+				pm.inst, in.Op, in.Name, r.tag(r.nextWave+uint32(d)), *in.Mem))
 		}
 	}
 	sort.Strings(lines)

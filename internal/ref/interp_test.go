@@ -166,3 +166,40 @@ func TestResultCounters(t *testing.T) {
 		t.Errorf("byOpcode = %v", res.ByOpcode)
 	}
 }
+
+// TestWaveChainErrors breaks a wave's memory chain at run time in the
+// two ways a valid program can; both are errors, not a panic or a
+// silently dropped operation.
+func TestWaveChainErrors(t *testing.T) {
+	whole := &isa.MemInfo{Pred: isa.SeqNone, Seq: 0, Succ: isa.SeqNone}
+	cases := []struct {
+		name string
+		prog *isa.Program
+		want string
+	}{
+		// The const feeds a load <0,1,.>, which arrives first and cannot
+		// issue, then a load <.,0,.> that starts and ends the wave.
+		{"left behind", prog(3, start(isa.Target{Inst: 0, Port: 0}),
+			isa.Instruction{ID: 0, Op: isa.OpConst, Imm: 8, Dests: []isa.Target{{Inst: 1, Port: 0}, {Inst: 2, Port: 0}}},
+			isa.Instruction{ID: 1, Op: isa.OpLoad, Mem: whole, Dests: []isa.Target{{Inst: 3, Port: 0}}},
+			isa.Instruction{ID: 2, Op: isa.OpLoad, Mem: &isa.MemInfo{Pred: 0, Seq: 1, Succ: isa.SeqNone},
+				Dests: []isa.Target{{Inst: 3, Port: 0}}},
+			isa.Instruction{ID: 3, Op: isa.OpHalt},
+		), "ref: 1 memory ops pending after wave t0.w0 completed"},
+		// The const feeds the one-operation wave's load and, through a
+		// nop, a second load of wave 0 that arrives after the wave ended.
+		{"late", prog(4, start(isa.Target{Inst: 0, Port: 0}),
+			isa.Instruction{ID: 0, Op: isa.OpConst, Imm: 8, Dests: []isa.Target{{Inst: 2, Port: 0}, {Inst: 1, Port: 0}}},
+			isa.Instruction{ID: 1, Op: isa.OpLoad, Mem: whole, Dests: []isa.Target{{Inst: 4, Port: 0}}},
+			isa.Instruction{ID: 2, Op: isa.OpNop, Dests: []isa.Target{{Inst: 3, Port: 0}}},
+			isa.Instruction{ID: 3, Op: isa.OpLoad, Name: "late", Mem: whole},
+			isa.Instruction{ID: 4, Op: isa.OpHalt},
+		), `ref: memory op inst 3 load "late" <.,0,.> arrived after wave t0.w0 completed`},
+	}
+	for _, c := range cases {
+		_, err := New(c.prog, Memory{8: 1}).Run(0, nil)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
+		}
+	}
+}

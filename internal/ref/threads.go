@@ -1,6 +1,10 @@
 package ref
 
-import "wavescalar/internal/isa"
+import (
+	"maps"
+
+	"wavescalar/internal/isa"
+)
 
 // ThreadsResult aggregates the functional execution of several threads of
 // one program over a shared memory image — the reference-side counterpart
@@ -30,9 +34,9 @@ type ThreadsResult struct {
 // The initial memory is copied, never mutated, so one built workload
 // instance can feed both the reference and the simulator.
 func RunThreads(prog *isa.Program, initial map[uint64]uint64, params []map[string]uint64) (*ThreadsResult, error) {
-	mem := make(Memory, len(initial))
-	for k, v := range initial {
-		mem[k] = v
+	mem := Memory(maps.Clone(initial))
+	if mem == nil {
+		mem = make(Memory)
 	}
 	out := &ThreadsResult{
 		PerThread:  make([]*Result, len(params)),

@@ -39,6 +39,7 @@ package wavescalar
 import (
 	"context"
 	"fmt"
+	"maps"
 	"time"
 
 	"wavescalar/internal/area"
@@ -290,10 +291,8 @@ func RunWorkloadContext(ctx context.Context, name string, opts ...RunOption) (*S
 // dynamic and countable instruction counts plus the halt value. It is the
 // reference semantics the cycle simulator is validated against.
 func Interpret(prog *Program, params map[string]uint64, mem map[uint64]uint64) (dynamic, countable, haltValue uint64, err error) {
-	m := ref.Memory{}
-	for a, v := range mem {
-		m[a] = v
-	}
+	m := make(ref.Memory, len(mem))
+	maps.Copy(m, mem)
 	res, err := ref.New(prog, m).Run(0, params)
 	if err != nil {
 		return 0, 0, 0, err
