@@ -336,27 +336,6 @@ func BenchmarkAblationPlacement(b *testing.B) {
 	b.ReportMetric(100*sShare, "%pod-local-scatter")
 }
 
-// BenchmarkEnergyEstimate reports the energy-per-instruction estimate for one
-// representative kernel per suite on the baseline machine.
-func BenchmarkEnergyEstimate(b *testing.B) {
-	cfg := wavescalar.Baseline(wavescalar.BaselineArch())
-	for _, app := range []string{"gzip", "djpeg", "fft"} {
-		app := app
-		b.Run(app, func(b *testing.B) {
-			var epi float64
-			for i := 0; i < b.N; i++ {
-				st, err := runWorkload(cfg, app, wavescalar.ScaleTiny, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				br := wavescalar.EstimateEnergy(st, cfg.Arch)
-				epi = br.EPI(st.Countable)
-			}
-			b.ReportMetric(epi, "pJ/inst")
-		})
-	}
-}
-
 // BenchmarkMatchingCapacitySweep sweeps matching-table sizes on a narrow
 // machine (Section 4.2: when demands on matching table space are too
 // great, thrashing can cost up to 50%).

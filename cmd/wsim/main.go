@@ -51,7 +51,6 @@ func main() {
 	l1 := flag.Int("l1", 32, "L1 KB per cluster")
 	l2 := flag.Int("l2", 1, "total L2 MB")
 	k := flag.Int("k", 4, "k-loop bound")
-	showEnergy := flag.Bool("energy", false, "print the energy-model breakdown")
 	jsonOut := flag.Bool("json", false, "print machine-readable stats JSON to stdout")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON to this path")
 	csvPath := flag.String("csv", "", "write the per-interval counter CSV to this path")
@@ -130,10 +129,6 @@ func main() {
 		return
 	}
 	fmt.Print(st.Format())
-	if *showEnergy {
-		fmt.Println("\nenergy estimate (90nm event model; comparative, not absolute):")
-		fmt.Print(wavescalar.EstimateEnergy(st, arch).Format(st.Countable))
-	}
 	if rec != nil {
 		printTraceSummary(rec, wrote)
 	}

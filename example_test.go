@@ -64,7 +64,7 @@ func ExampleNewTraceRecorder() {
 	cfg := wavescalar.Baseline(wavescalar.BaselineArch())
 	rec := wavescalar.NewTraceRecorder(wavescalar.TraceOptions{})
 	cfg.Trace = rec
-	if _, err := wavescalar.RunWorkloadContext(ctx, "fft", wavescalar.WithConfig(cfg)); err != nil { // ScaleTiny, 1 thread
+	if _, err := wavescalar.RunWorkloadContext(ctx, "fft", wavescalar.WithConfig(cfg), wavescalar.AtScale(wavescalar.ScaleTiny)); err != nil { // 1 thread
 		panic(err)
 	}
 	rec.WriteChromeTrace(f) // load at https://ui.perfetto.dev

@@ -128,16 +128,6 @@ func (op Opcode) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
-// OpcodeByName maps an assembly mnemonic back to its Opcode.
-func OpcodeByName(name string) (Opcode, bool) {
-	for op, n := range opcodeNames {
-		if n == name {
-			return Opcode(op), true
-		}
-	}
-	return 0, false
-}
-
 // NumInputs reports how many input ports an opcode requires before it can
 // fire.
 func (op Opcode) NumInputs() int {
@@ -152,15 +142,6 @@ func (op Opcode) NumInputs() int {
 	default:
 		return 2
 	}
-}
-
-// HasImmediate reports whether the opcode consumes its Imm field.
-func (op Opcode) HasImmediate() bool {
-	switch op {
-	case OpConst, OpParam, OpAddI, OpMulI, OpAndI, OpShlI, OpShrI, OpLTI:
-		return true
-	}
-	return false
 }
 
 // IsMemory reports whether the opcode participates in wave-ordered memory.

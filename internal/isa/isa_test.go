@@ -6,22 +6,19 @@ import (
 	"testing/quick"
 )
 
+// TestOpcodeNamesRoundTrip: every opcode has its own mnemonic, so a name
+// in a statistics table or a trace maps back to exactly one opcode.
 func TestOpcodeNamesRoundTrip(t *testing.T) {
+	seen := map[string]Opcode{}
 	for op := Opcode(0); op < opcodeCount; op++ {
 		name := op.String()
-		got, ok := OpcodeByName(name)
-		if !ok {
-			t.Fatalf("OpcodeByName(%q) not found", name)
+		if int(op) >= len(opcodeNames) || opcodeNames[op] == "" {
+			t.Errorf("opcode %d has no mnemonic", uint8(op))
 		}
-		if got != op {
-			t.Errorf("OpcodeByName(%q) = %v, want %v", name, got, op)
+		if prev, dup := seen[name]; dup {
+			t.Errorf("opcodes %d and %d share the mnemonic %q", uint8(prev), uint8(op), name)
 		}
-	}
-}
-
-func TestOpcodeByNameUnknown(t *testing.T) {
-	if _, ok := OpcodeByName("frobnicate"); ok {
-		t.Error("OpcodeByName accepted an unknown mnemonic")
+		seen[name] = op
 	}
 }
 

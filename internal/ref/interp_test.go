@@ -156,8 +156,8 @@ func TestResultCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Dynamic != 3 || res.Countable != 1 {
-		t.Errorf("dynamic=%d countable=%d, want 3/1", res.Dynamic, res.Countable)
+	if res.Dynamic != 3 || res.Countable != 1 || res.HaltValue != 42 {
+		t.Errorf("dynamic=%d countable=%d halt=%d, want 3/1/42", res.Dynamic, res.Countable, res.HaltValue)
 	}
 	if res.Fired[1] != 1 {
 		t.Errorf("fired[1] = %d", res.Fired[1])

@@ -3,8 +3,6 @@ package workload
 import (
 	"reflect"
 	"testing"
-
-	"wavescalar/internal/wasm"
 )
 
 // TestBuildDeterminism: building the same workload twice yields identical
@@ -13,7 +11,7 @@ func TestBuildDeterminism(t *testing.T) {
 	for _, w := range All() {
 		a := w.Build(Tiny)
 		b := w.Build(Tiny)
-		if wasm.Disassemble(a.Prog) != wasm.Disassemble(b.Prog) {
+		if !reflect.DeepEqual(a.Prog, b.Prog) {
 			t.Errorf("%s: programs differ between builds", w.Name)
 		}
 		if !reflect.DeepEqual(a.Mem, b.Mem) {

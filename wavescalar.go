@@ -31,7 +31,7 @@
 // on the daemon).
 //
 // The package is a facade over internal/*: it exports what the binaries
-// under cmd/, the programs under examples/ and the README's code use, plus
+// under cmd/, the program under examples/ and the README's code use, plus
 // the types and error sentinels those calls hand back. Code inside the
 // module imports internal/* directly (TestFacadeNamesHaveCallers).
 package wavescalar
@@ -39,16 +39,13 @@ package wavescalar
 import (
 	"context"
 	"fmt"
-	"maps"
 	"time"
 
 	"wavescalar/internal/area"
 	"wavescalar/internal/design"
-	"wavescalar/internal/energy"
 	"wavescalar/internal/explore"
 	"wavescalar/internal/graph"
 	"wavescalar/internal/isa"
-	"wavescalar/internal/ref"
 	"wavescalar/internal/scenario"
 	"wavescalar/internal/server"
 	"wavescalar/internal/sim"
@@ -287,19 +284,6 @@ func RunWorkloadContext(ctx context.Context, name string, opts ...RunOption) (*S
 	return design.RunOnceContext(ctx, o.cfg, inst, o.threads)
 }
 
-// Interpret executes a program functionally (no timing) and returns its
-// dynamic and countable instruction counts plus the halt value. It is the
-// reference semantics the cycle simulator is validated against.
-func Interpret(prog *Program, params map[string]uint64, mem map[uint64]uint64) (dynamic, countable, haltValue uint64, err error) {
-	m := make(ref.Memory, len(mem))
-	maps.Copy(m, mem)
-	res, err := ref.New(prog, m).Run(0, params)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return res.Dynamic, res.Countable, res.HaltValue, nil
-}
-
 // Area model (Table 3).
 
 // TotalArea returns a configuration's modeled die area in mm² at 90nm.
@@ -432,16 +416,3 @@ func ServerTenantQuota(n int) ServerOption { return server.WithTenantQuota(n) }
 // created scenarios append as canonical JSON lines and reload at
 // startup, so a warm restart still serves every stored digest.
 func ServerScenarioStore(path string) ServerOption { return server.WithScenarioStore(path) }
-
-// Energy model (an extension beyond the paper, which defers power to
-// future work).
-
-// EnergyBreakdown is a run's estimated energy by component.
-type EnergyBreakdown = energy.Breakdown
-
-// EstimateEnergy computes a run's energy breakdown under the 90nm
-// reference constants from its statistics and the machine's architecture
-// parameters.
-func EstimateEnergy(st *Stats, arch ArchParams) EnergyBreakdown {
-	return energy.Estimate(st, arch)
-}

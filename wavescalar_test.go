@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"wavescalar"
-	"wavescalar/internal/isa"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -130,61 +129,6 @@ func TestWorkloadsAPI(t *testing.T) {
 	}
 }
 
-func TestInterpret(t *testing.T) {
-	b := wavescalar.NewProgram("tiny")
-	s := b.Start()
-	b.Halt(b.AddI(b.Const(s, 40), 2))
-	prog := b.MustFinish()
-	dyn, cnt, hv, err := wavescalar.Interpret(prog, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hv != 42 || cnt != 1 || dyn < 3 {
-		t.Errorf("dyn=%d cnt=%d hv=%d", dyn, cnt, hv)
-	}
-}
-
-// TestInterpretWaveChainErrors breaks a wave's memory chain at run time
-// in the two ways a program Validate accepts can: a wave completes while
-// one of its operations waits, and an operation arrives for a wave that
-// has completed. Interpret reports each as an error.
-func TestInterpretWaveChainErrors(t *testing.T) {
-	whole := &isa.MemInfo{Pred: isa.SeqNone, Seq: 0, Succ: isa.SeqNone}
-	cases := []struct {
-		name  string
-		insts []isa.Instruction
-		want  string
-	}{
-		{"left behind", []isa.Instruction{
-			{Op: isa.OpConst, Imm: 8, Dests: []isa.Target{{Inst: 1}, {Inst: 2}}},
-			{Op: isa.OpLoad, Mem: whole, Dests: []isa.Target{{Inst: 3}}},
-			{Op: isa.OpLoad, Mem: &isa.MemInfo{Pred: 0, Seq: 1, Succ: isa.SeqNone}, Dests: []isa.Target{{Inst: 3}}},
-			{Op: isa.OpHalt},
-		}, "ref: 1 memory ops pending after wave t0.w0 completed"},
-		{"late", []isa.Instruction{
-			{Op: isa.OpConst, Imm: 8, Dests: []isa.Target{{Inst: 2}, {Inst: 1}}},
-			{Op: isa.OpLoad, Mem: whole, Dests: []isa.Target{{Inst: 3}}},
-			{Op: isa.OpNop, Dests: []isa.Target{{Inst: 4}}},
-			{Op: isa.OpHalt},
-			{Op: isa.OpLoad, Name: "late", Mem: whole},
-		}, `ref: memory op inst 4 load "late" <.,0,.> arrived after wave t0.w0 completed`},
-	}
-	for _, c := range cases {
-		for i := range c.insts {
-			c.insts[i].ID = isa.InstID(i)
-		}
-		prog := &wavescalar.Program{Name: c.name, Insts: c.insts, Halt: 3,
-			Params: []isa.Param{{Name: "start", Targets: []isa.Target{{Inst: 0}}}}}
-		if err := prog.Validate(); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		_, _, _, err := wavescalar.Interpret(prog, nil, map[uint64]uint64{8: 1})
-		if err == nil || err.Error() != c.want {
-			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
-		}
-	}
-}
-
 func mustWL(t *testing.T, name string) wavescalar.Workload {
 	t.Helper()
 	w, err := wavescalar.WorkloadByName(name)
@@ -196,21 +140,3 @@ func mustWL(t *testing.T, name string) wavescalar.Workload {
 
 func f64(v float64) uint64 { return math.Float64bits(v) }
 func u2f(v uint64) float64 { return math.Float64frombits(v) }
-
-func TestEnergyAPI(t *testing.T) {
-	cfg := wavescalar.Baseline(wavescalar.BaselineArch())
-	st, err := runWorkload(cfg, "ammp", wavescalar.ScaleTiny, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := wavescalar.EstimateEnergy(st, cfg.Arch)
-	if b.Total() <= 0 {
-		t.Error("energy should be positive")
-	}
-	if b.Matching <= 0 || b.Leakage <= 0 {
-		t.Error("breakdown components missing")
-	}
-	if !strings.Contains(b.Format(st.Countable), "pJ") {
-		t.Error("format missing units")
-	}
-}
