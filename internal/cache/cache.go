@@ -11,10 +11,17 @@
 // which is the standard academic-simulator simplification; invalidation
 // and downgrade messages still traverse the real network so coherence
 // traffic and its distribution are faithfully counted.
+//
+// A warm hierarchy allocates nothing. Each coherence message is one
+// record that holds its noc.Message and its body, with Payload pointing
+// back at the record; records come from a free list and return to it in
+// Deliver, which therefore owns the message it is handed. MSHRs recycle
+// with their waiter slices, and directory entries, carved from slabs,
+// recycle when their line leaves the directory; an entry whose line is
+// in the L2 is linked into the L2's LRU list.
 package cache
 
 import (
-	"container/list"
 	"fmt"
 
 	"wavescalar/internal/noc"
@@ -85,29 +92,41 @@ const (
 	modified
 )
 
-// Message payloads (exported for tests; carried in noc.Message.Payload).
-type (
-	// DirReq travels L1 -> home directory bank.
-	DirReq struct {
-		Line  uint64
-		From  int
-		ReqID uint64
-		Write bool
-		IsWB  bool // victim writeback, no response
-	}
-	// DataResp travels directory -> requesting L1.
-	DataResp struct {
-		Line  uint64
-		ReqID uint64
-		Grant state  // shared / exclusive / modified
-		Delay uint64 // extra cycles (L2/memory/remote-fetch) charged on receipt
-	}
-	// InvMsg invalidates or downgrades a cached line.
-	InvMsg struct {
-		Line      uint64
-		Downgrade bool // true: M -> S; false: drop to invalid
-	}
+// msgKind names what a coherence message asks.
+type msgKind uint8
+
+const (
+	// dirReq travels L1 -> home directory bank: a miss, or with isWB a
+	// victim writeback, which gets no response.
+	dirReq msgKind = iota
+	// dataResp travels directory -> requesting L1 with the line's grant.
+	dataResp
+	// invMsg invalidates or downgrades a line an L1 holds.
+	invMsg
 )
+
+// body is what a coherence message carries; each kind reads its own
+// fields.
+type body struct {
+	kind      msgKind
+	line      uint64
+	from      int    // dirReq: the requesting cluster
+	reqID     uint64 // dirReq, dataResp
+	write     bool   // dirReq: the requester wants the line modified
+	isWB      bool   // dirReq: victim writeback
+	grant     state  // dataResp: shared / exclusive / modified
+	delay     uint64 // dataResp: extra cycles (L2/memory/remote-fetch) charged on receipt
+	downgrade bool   // invMsg: true M -> S; false drop to invalid
+}
+
+// msg is one coherence message: the network message and its body in one
+// record, whose Payload points back at the record. Records come from the
+// System's free list and return to it when delivered, so a message costs
+// no allocation once the list holds as many as are in flight.
+type msg struct {
+	noc.Message
+	body
+}
 
 type way struct {
 	tag     uint64
@@ -115,10 +134,12 @@ type way struct {
 	touched uint64
 }
 
+// mshr merges an L1's outstanding misses to one line. MSHRs recycle
+// through the System's free list with their waiter slices' backing
+// arrays.
 type mshr struct {
 	write   bool
 	waiters []uint64 // request ids
-	issued  bool
 }
 
 type l1 struct {
@@ -128,12 +149,20 @@ type l1 struct {
 	portCycle uint64
 }
 
+// dirEntry is the directory's record of one line. An entry whose line is
+// in the L2 is linked into the L2's LRU list by prev and next. Entries
+// are carved from slabs and recycled when their line leaves the
+// directory.
 type dirEntry struct {
-	inL2    bool
-	owner   int    // cluster with M/E copy, -1 if none
-	sharers uint64 // bitmask of clusters with S copies
-	lruEl   *list.Element
+	line       uint64
+	inL2       bool
+	owner      int    // cluster with M/E copy, -1 if none
+	sharers    uint64 // bitmask of clusters with S copies
+	prev, next *dirEntry
 }
+
+// slabEntries is how many directory entries one slab holds.
+const slabEntries = 128
 
 // event is a scheduled completion.
 type event struct {
@@ -210,7 +239,6 @@ type System struct {
 	cfg     Config
 	l1s     []*l1
 	dir     map[uint64]*dirEntry // line -> entry (line present in L2 iff mapped)
-	l2lru   *list.List           // of line addresses; front = MRU
 	l2cap   int                  // lines; 0 means no L2 at all
 	done    DoneFunc
 	send    SendFunc
@@ -219,10 +247,21 @@ type System struct {
 	seq     uint64
 	stats   Stats
 	numSets int
+	// mru and lru are the ends of the L2's LRU list of directory entries,
+	// l2Len its length.
+	mru, lru *dirEntry
+	l2Len    int
 	// evictions is Footprint's count of fills that displaced or
 	// duplicated a line, l2Evictions its count of L2 installs that
 	// displaced one.
 	evictions, l2Evictions uint64
+	// The free lists: delivered messages, completed MSHRs and dropped
+	// directory entries, and the rest of the slab new entries are carved
+	// from.
+	msgFree  []*msg
+	mshrFree []*mshr
+	dirFree  []*dirEntry
+	dirSlab  []dirEntry
 }
 
 // New builds the hierarchy. done receives access completions; send injects
@@ -234,7 +273,6 @@ func New(cfg Config, done DoneFunc, send SendFunc) *System {
 	s := &System{
 		cfg:   cfg,
 		dir:   make(map[uint64]*dirEntry),
-		l2lru: list.New(),
 		l2cap: cfg.l2Lines(),
 		done:  done,
 		send:  send,
@@ -380,8 +418,7 @@ func (s *System) Access(cycle uint64, cluster int, reqID uint64, addr uint64, wr
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.CacheMiss(cycle, cluster, 1, ln)
 	}
-	m := c.mshrs[ln]
-	if m != nil {
+	if m := c.mshrs[ln]; m != nil {
 		m.waiters = append(m.waiters, reqID)
 		if write && !m.write {
 			// A write joining a read miss: the fill handler re-requests
@@ -391,11 +428,24 @@ func (s *System) Access(cycle uint64, cluster int, reqID uint64, addr uint64, wr
 		s.stats.MSHRMerges++
 		return
 	}
-	c.mshrs[ln] = &mshr{write: write, waiters: []uint64{reqID}, issued: true}
-	s.post(cycle, &noc.Message{
-		Src: cluster, Dst: s.Bank(ln), ToMem: true, VC: noc.VCMemory,
-		Payload: DirReq{Line: ln, From: cluster, ReqID: reqID, Write: write},
-	})
+	m := s.newMSHR()
+	m.write = write
+	m.waiters = append(m.waiters, reqID)
+	c.mshrs[ln] = m
+	s.post(cluster, s.Bank(ln), body{kind: dirReq, line: ln, from: cluster, reqID: reqID, write: write})
+}
+
+// newMSHR returns an MSHR with no waiters from the free list, or a new
+// one.
+func (s *System) newMSHR() *mshr {
+	n := len(s.mshrFree) - 1
+	if n < 0 {
+		return new(mshr)
+	}
+	m := s.mshrFree[n]
+	s.mshrFree = s.mshrFree[:n]
+	m.waiters = m.waiters[:0]
+	return m
 }
 
 // lookup finds a valid way for the line.
@@ -409,67 +459,72 @@ func (s *System) lookup(cluster int, ln uint64) *way {
 	return nil
 }
 
-// Deliver handles a message arriving on a cluster's memory port.
+// Deliver handles a message arriving on a cluster's memory port. It takes
+// ownership of m, which must be one the System sent: m returns to the
+// System's free list and may carry another message the next time the
+// System sends, so the caller must not touch it after Deliver.
 func (s *System) Deliver(cycle uint64, cluster int, m *noc.Message) {
-	switch p := m.Payload.(type) {
-	case DirReq:
-		s.handleDirReq(cycle, cluster, p)
-	case DataResp:
-		s.handleDataResp(cycle, cluster, p)
-	case InvMsg:
-		s.handleInv(cycle, cluster, p)
-	default:
+	r, ok := m.Payload.(*msg)
+	if !ok {
 		panic(fmt.Sprintf("cache: unknown memory payload %T", m.Payload))
+	}
+	b := r.body
+	s.msgFree = append(s.msgFree, r)
+	switch b.kind {
+	case dirReq:
+		s.handleDirReq(cycle, cluster, b)
+	case dataResp:
+		s.handleDataResp(cycle, cluster, b)
+	case invMsg:
+		s.handleInv(cluster, b)
 	}
 }
 
 // handleDirReq processes a request at the line's home directory bank.
-func (s *System) handleDirReq(cycle uint64, bank int, r DirReq) {
-	if r.IsWB {
+func (s *System) handleDirReq(cycle uint64, bank int, r body) {
+	if r.isWB {
 		// Victim writeback: the owner gave up its modified copy, which
 		// lands in the L2 (when there is one).
-		if e, ok := s.dir[r.Line]; ok && e.owner == r.From {
+		if e, ok := s.dir[r.line]; ok && e.owner == r.from {
 			e.owner = -1
 			if s.l2cap > 0 && !e.inL2 {
-				s.installL2(cycle, r.Line, e)
+				s.installL2(cycle, e)
 			}
-			s.maybeDrop(r.Line, e)
+			s.maybeDrop(e)
 		}
 		return
 	}
-	e := s.dir[r.Line]
+	e := s.dir[r.line]
 	if e == nil {
-		e = &dirEntry{owner: -1}
-		s.dir[r.Line] = e
+		e = s.newEntry(r.line)
+		s.dir[r.line] = e
 	}
 	extra := uint64(s.cfg.L2Lat)
 	switch {
-	case e.owner >= 0 && e.owner != r.From:
+	case e.owner >= 0 && e.owner != r.from:
 		// Data comes cache-to-cache from the remote owner; the transfer
 		// latency is charged below where the owner is downgraded.
 	case e.inL2:
 		s.stats.L2Hits++
-		s.l2lru.MoveToFront(e.lruEl)
+		s.l2Unlink(e)
+		s.l2PushMRU(e)
 	default:
 		// Not cached anywhere useful: fetch from main memory.
 		extra += uint64(s.cfg.MemLat)
 		s.stats.L2Misses++
 		if s.cfg.Trace != nil {
-			s.cfg.Trace.CacheMiss(cycle, bank, 2, r.Line)
+			s.cfg.Trace.CacheMiss(cycle, bank, 2, r.line)
 		}
 		if s.l2cap > 0 {
-			s.installL2(cycle, r.Line, e)
+			s.installL2(cycle, e)
 		}
 	}
 
-	if e.owner >= 0 && e.owner != r.From {
+	if e.owner >= 0 && e.owner != r.from {
 		// A remote L1 holds the line M/E: downgrade or invalidate it and
 		// charge the round trip to the owner.
-		down := !r.Write
-		s.post(cycle, &noc.Message{
-			Src: bank, Dst: e.owner, ToMem: true, VC: noc.VCMemory,
-			Payload: InvMsg{Line: r.Line, Downgrade: down},
-		})
+		down := !r.write
+		s.post(bank, e.owner, body{kind: invMsg, line: r.line, downgrade: down})
 		extra += 2 * uint64(distanceGuess(s.cfg.Clusters, bank, e.owner))
 		extra += uint64(s.cfg.L1Lat)
 		if down {
@@ -481,15 +536,12 @@ func (s *System) handleDirReq(cycle uint64, bank int, r DirReq) {
 			e.owner = -1
 		}
 	}
-	if r.Write {
+	if r.write {
 		// Invalidate all sharers other than the requester.
 		maxD := 0
 		for c := 0; c < s.cfg.Clusters; c++ {
-			if c != r.From && e.sharers&(1<<uint(c)) != 0 {
-				s.post(cycle, &noc.Message{
-					Src: bank, Dst: c, ToMem: true, VC: noc.VCMemory,
-					Payload: InvMsg{Line: r.Line},
-				})
+			if c != r.from && e.sharers&(1<<uint(c)) != 0 {
+				s.post(bank, c, body{kind: invMsg, line: r.line})
 				s.stats.Invalidations++
 				if d := distanceGuess(s.cfg.Clusters, bank, c); d > maxD {
 					maxD = d
@@ -498,90 +550,126 @@ func (s *System) handleDirReq(cycle uint64, bank int, r DirReq) {
 		}
 		extra += 2 * uint64(maxD)
 		e.sharers = 0
-		e.owner = r.From
-		s.post(cycle, &noc.Message{
-			Src: bank, Dst: r.From, ToMem: true, VC: noc.VCMemory,
-			Payload: DataResp{Line: r.Line, ReqID: r.ReqID, Grant: modified, Delay: extra},
-		})
+		e.owner = r.from
+		s.post(bank, r.from, body{kind: dataResp, line: r.line, reqID: r.reqID, grant: modified, delay: extra})
 		return
 	}
 	grant := shared
 	if e.owner < 0 && e.sharers == 0 {
 		grant = exclusive
-		e.owner = r.From
+		e.owner = r.from
 	} else {
-		e.sharers |= 1 << uint(r.From)
+		e.sharers |= 1 << uint(r.from)
 	}
-	s.post(cycle, &noc.Message{
-		Src: bank, Dst: r.From, ToMem: true, VC: noc.VCMemory,
-		Payload: DataResp{Line: r.Line, ReqID: r.ReqID, Grant: grant, Delay: extra},
-	})
+	s.post(bank, r.from, body{kind: dataResp, line: r.line, reqID: r.reqID, grant: grant, delay: extra})
+}
+
+// newEntry returns a directory entry for line with no owner, no sharers
+// and no L2 copy: a recycled one, or one carved from the slab.
+func (s *System) newEntry(line uint64) *dirEntry {
+	var e *dirEntry
+	if n := len(s.dirFree) - 1; n >= 0 {
+		e = s.dirFree[n]
+		s.dirFree = s.dirFree[:n]
+	} else {
+		if len(s.dirSlab) == 0 {
+			s.dirSlab = make([]dirEntry, slabEntries)
+		}
+		e, s.dirSlab = &s.dirSlab[0], s.dirSlab[1:]
+	}
+	*e = dirEntry{line: line, owner: -1}
+	return e
+}
+
+// dropEntry removes e from the directory and recycles it.
+func (s *System) dropEntry(e *dirEntry) {
+	delete(s.dir, e.line)
+	s.dirFree = append(s.dirFree, e)
+}
+
+// l2PushMRU links e in at the MRU end of the L2's LRU list.
+func (s *System) l2PushMRU(e *dirEntry) {
+	e.prev, e.next = nil, s.mru
+	if s.mru != nil {
+		s.mru.prev = e
+	} else {
+		s.lru = e
+	}
+	s.mru = e
+	s.l2Len++
+}
+
+// l2Unlink takes e out of the L2's LRU list.
+func (s *System) l2Unlink(e *dirEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		s.mru = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		s.lru = e.prev
+	}
+	e.prev, e.next = nil, nil
+	s.l2Len--
 }
 
 // installL2 makes a line L2-resident, evicting the LRU line if full
 // (inclusive hierarchy: eviction invalidates L1 copies).
-func (s *System) installL2(cycle uint64, ln uint64, e *dirEntry) {
-	for s.l2lru.Len() >= s.l2cap {
+func (s *System) installL2(cycle uint64, e *dirEntry) {
+	for s.l2Len >= s.l2cap {
 		s.evictions++
 		s.l2Evictions++
-		back := s.l2lru.Back()
-		victim := back.Value.(uint64)
-		ve := s.dir[victim]
+		ve := s.lru
+		victim := ve.line
 		vbank := s.Bank(victim)
 		if ve.owner >= 0 {
-			s.post(cycle, &noc.Message{
-				Src: vbank, Dst: ve.owner, ToMem: true, VC: noc.VCMemory,
-				Payload: InvMsg{Line: victim},
-			})
+			s.post(vbank, ve.owner, body{kind: invMsg, line: victim})
 			s.stats.Invalidations++
 		}
 		for c := 0; c < s.cfg.Clusters; c++ {
 			if ve.sharers&(1<<uint(c)) != 0 {
-				s.post(cycle, &noc.Message{
-					Src: vbank, Dst: c, ToMem: true, VC: noc.VCMemory,
-					Payload: InvMsg{Line: victim},
-				})
+				s.post(vbank, c, body{kind: invMsg, line: victim})
 				s.stats.Invalidations++
 			}
 		}
-		s.l2lru.Remove(back)
-		delete(s.dir, victim)
+		s.l2Unlink(ve)
+		s.dropEntry(ve)
 	}
 	e.inL2 = true
-	e.lruEl = s.l2lru.PushFront(ln)
+	s.l2PushMRU(e)
 	if s.cfg.Trace != nil {
-		s.cfg.Trace.CacheFill(cycle, s.Bank(ln), 2, ln)
+		s.cfg.Trace.CacheFill(cycle, s.Bank(e.line), 2, e.line)
 	}
 }
 
 // maybeDrop garbage-collects a directory entry with no cached copies.
-func (s *System) maybeDrop(ln uint64, e *dirEntry) {
+func (s *System) maybeDrop(e *dirEntry) {
 	if !e.inL2 && e.owner < 0 && e.sharers == 0 {
-		delete(s.dir, ln)
+		s.dropEntry(e)
 	}
 }
 
 // handleDataResp fills the requesting L1 and completes the waiters.
-func (s *System) handleDataResp(cycle uint64, cluster int, r DataResp) {
+func (s *System) handleDataResp(cycle uint64, cluster int, r body) {
 	c := s.l1s[cluster]
-	s.fill(cycle, cluster, r.Line, r.Grant)
-	m := c.mshrs[r.Line]
+	s.fill(cycle, cluster, r.line, r.grant)
+	m := c.mshrs[r.line]
 	if m == nil {
 		return // line was invalidated while in flight; waiters already handled
 	}
-	if m.write && r.Grant != modified {
+	if m.write && r.grant != modified {
 		// Upgrade race: re-request exclusivity.
-		s.post(cycle, &noc.Message{
-			Src: cluster, Dst: s.Bank(r.Line), ToMem: true, VC: noc.VCMemory,
-			Payload: DirReq{Line: r.Line, From: cluster, ReqID: r.ReqID, Write: true},
-		})
+		s.post(cluster, s.Bank(r.line), body{kind: dirReq, line: r.line, from: cluster, reqID: r.reqID, write: true})
 		return
 	}
-	delete(c.mshrs, r.Line)
+	delete(c.mshrs, r.line)
 	for _, id := range m.waiters {
-		s.schedule(event{at: cycle + r.Delay + uint64(s.cfg.L1Lat), kind: evDone,
+		s.schedule(event{at: cycle + r.delay + uint64(s.cfg.L1Lat), kind: evDone,
 			cluster: cluster, reqID: id})
 	}
+	s.mshrFree = append(s.mshrFree, m)
 }
 
 // fill installs a line in the L1, evicting the set's LRU way.
@@ -606,15 +694,10 @@ func (s *System) fill(cycle uint64, cluster int, ln uint64, grant state) {
 	}
 	if victim.st == modified {
 		s.stats.L1Writebacks++
-		s.post(cycle, &noc.Message{
-			Src: cluster, Dst: s.Bank(victim.tag), ToMem: true, VC: noc.VCMemory,
-			Payload: DirReq{Line: victim.tag, From: cluster, IsWB: true},
-		})
-	} else if victim.st != invalid {
-		// Silent drop of a clean line; the directory's sharer list goes
-		// stale, which costs at most a spurious invalidation later.
-		_ = victim
+		s.post(cluster, s.Bank(victim.tag), body{kind: dirReq, line: victim.tag, from: cluster, isWB: true})
 	}
+	// A clean victim drops silently; the directory's sharer list goes
+	// stale, which costs at most a spurious invalidation later.
 	victim.tag = ln
 	victim.st = grant
 	victim.touched = cycle
@@ -624,9 +707,9 @@ func (s *System) fill(cycle uint64, cluster int, ln uint64, grant state) {
 }
 
 // handleInv drops or downgrades a line.
-func (s *System) handleInv(cycle uint64, cluster int, r InvMsg) {
-	if w := s.lookup(cluster, r.Line); w != nil {
-		if r.Downgrade {
+func (s *System) handleInv(cluster int, r body) {
+	if w := s.lookup(cluster, r.line); w != nil {
+		if r.downgrade {
 			w.st = shared
 		} else {
 			w.st = invalid
@@ -634,9 +717,19 @@ func (s *System) handleInv(cycle uint64, cluster int, r InvMsg) {
 	}
 }
 
-// post queues a message for injection.
-func (s *System) post(cycle uint64, m *noc.Message) {
-	s.outbox = append(s.outbox, m)
+// post queues a message from src to dst for injection, in a record from
+// the free list.
+func (s *System) post(src, dst int, b body) {
+	var m *msg
+	if n := len(s.msgFree) - 1; n >= 0 {
+		m = s.msgFree[n]
+		s.msgFree = s.msgFree[:n]
+	} else {
+		m = new(msg)
+	}
+	m.Message = noc.Message{Src: src, Dst: dst, ToMem: true, VC: noc.VCMemory, Payload: m}
+	m.body = b
+	s.outbox = append(s.outbox, &m.Message)
 }
 
 // schedule adds a completion event.

@@ -7,12 +7,20 @@ import (
 )
 
 // harness wires a System to an instant-delivery network and records
-// completions.
+// completions and every message sent.
 type harness struct {
 	sys   *System
 	inbox []*noc.Message
 	dones map[uint64]uint64 // reqID -> completion cycle
-	sent  []*noc.Message
+	sent  []sentMsg
+}
+
+// sentMsg is a message as the System sent it. It is copied at send: the
+// record itself returns to the System's free list when delivered and
+// carries another message after that.
+type sentMsg struct {
+	src, dst int
+	body
 }
 
 func newHarness(cfg Config) *harness {
@@ -21,7 +29,7 @@ func newHarness(cfg Config) *harness {
 		func(cycle uint64, cluster int, reqID uint64) { h.dones[reqID] = cycle },
 		func(cycle uint64, m *noc.Message) bool {
 			h.inbox = append(h.inbox, m)
-			h.sent = append(h.sent, m)
+			h.sent = append(h.sent, sentMsg{m.Src, m.Dst, m.Payload.(*msg).body})
 			return true
 		})
 	return h
@@ -193,7 +201,7 @@ func TestMSHRMergesDuplicateMisses(t *testing.T) {
 	// Only one directory request should have been sent.
 	reqs := 0
 	for _, m := range h.sent {
-		if r, ok := m.Payload.(DirReq); ok && !r.IsWB {
+		if m.kind == dirReq && !m.isWB {
 			reqs++
 		}
 	}

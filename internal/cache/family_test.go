@@ -10,14 +10,15 @@ import (
 )
 
 // familyEvent is one callback a System made: a completion (done) or a
-// message injection (send).
+// message injection (send). A send's body is copied at the callback, since
+// the message record is recycled once delivered.
 type familyEvent struct {
 	cycle    uint64
 	done     bool
 	cluster  int // done: the issuing cluster; send: the source
 	dst      int
 	reqID    uint64
-	payload  any
+	payload  body
 	toMemory bool
 }
 
@@ -58,7 +59,7 @@ func familyRun(cfg Config, ops []familyOp) familyResult {
 			events = append(events, familyEvent{cycle: cycle, done: true, cluster: cluster, reqID: reqID})
 		},
 		func(cycle uint64, m *noc.Message) bool {
-			events = append(events, familyEvent{cycle: cycle, cluster: m.Src, dst: m.Dst, payload: m.Payload, toMemory: m.ToMem})
+			events = append(events, familyEvent{cycle: cycle, cluster: m.Src, dst: m.Dst, payload: m.Payload.(*msg).body, toMemory: m.ToMem})
 			inbox = append(inbox, m)
 			return true
 		})

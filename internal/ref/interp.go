@@ -17,9 +17,11 @@
 //
 // Waves issue memory strictly in order, so only the oldest incomplete
 // wave has ripple state; operations that arrive for younger waves wait
-// in a slice indexed by their distance from it. A wave that completes
-// while one of its operations waits, and an operation that arrives for a
-// wave that has completed, are errors: the annotations are inconsistent.
+// in per-wave lists, linked through one slab and kept in a ring indexed
+// by their distance from it, so a wave's turnover allocates nothing. A
+// wave that completes while one of its operations waits, and an
+// operation that arrives for a wave that has completed, are errors: the
+// annotations are inconsistent.
 package ref
 
 import (
@@ -75,12 +77,18 @@ type matchEntry struct {
 	present uint8
 }
 
-// memPending is a memory operation waiting for its wave's order.
+// memPending is a memory operation waiting for its wave's order, linked
+// into its wave's list by next, an index into run.ops (0 ends the list).
 type memPending struct {
 	inst isa.InstID
 	addr uint64
 	data uint64
+	next int32
 }
+
+// waitList is one wave's waiting operations in arrival order: the indexes
+// of its first and last in run.ops, 0 when it is empty.
+type waitList struct{ head, tail int32 }
 
 // token is a value in flight to one input port, at a wave of the
 // running thread.
@@ -110,10 +118,74 @@ type run struct {
 	free    []int32
 
 	// wave is the ripple state of nextWave, the oldest incomplete wave;
-	// pending[i] holds the operations waiting in wave nextWave+i.
+	// pending holds the lists of operations waiting in it and younger
+	// waves, whose entries live in ops (entry 0 unused) and recycle
+	// through the list that starts at opFree.
 	wave     waveorder.Wave
 	nextWave uint32
-	pending  [][]memPending
+	pending  waveRing
+	ops      []memPending
+	opFree   int32
+}
+
+// waveRing is a ring of the waves from nextWave on, each slot the list of
+// one wave's waiting operations, the head nextWave's. A completed wave's
+// slot serves the wave len(slots) later, so waves turn over without
+// allocating.
+type waveRing struct {
+	slots []waitList // len is a power of two, or 0
+	head  int
+	n     int // waves from nextWave whose lists may be non-empty
+}
+
+// at returns the list of the wave d after nextWave, growing the ring to
+// reach it.
+func (w *waveRing) at(d int) *waitList {
+	if d >= len(w.slots) {
+		size := max(8, len(w.slots))
+		for size <= d {
+			size *= 2
+		}
+		slots := make([]waitList, size)
+		for i := range w.slots {
+			slots[i] = w.slots[(w.head+i)&(len(w.slots)-1)]
+		}
+		w.slots, w.head = slots, 0
+	}
+	w.n = max(w.n, d+1)
+	return &w.slots[(w.head+d)&(len(w.slots)-1)]
+}
+
+// pop retires nextWave's list, which must be empty, and makes the next
+// wave's the head.
+func (w *waveRing) pop() {
+	if w.n == 0 {
+		return
+	}
+	w.head = (w.head + 1) & (len(w.slots) - 1)
+	w.n--
+}
+
+// park appends op to the list of the wave d after nextWave.
+func (r *run) park(d int, op memPending) {
+	i := r.opFree
+	if i != 0 {
+		r.opFree = r.ops[i].next
+		r.ops[i] = op
+	} else {
+		if len(r.ops) == 0 {
+			r.ops = append(r.ops, memPending{})
+		}
+		i = int32(len(r.ops))
+		r.ops = append(r.ops, op)
+	}
+	l := r.pending.at(d)
+	if l.tail == 0 {
+		l.head = i
+	} else {
+		r.ops[l.tail].next = i
+	}
+	l.tail = i
 }
 
 // Run executes the program for one thread with the given parameter
@@ -277,10 +349,7 @@ func (r *run) memory(id isa.InstID, wave uint32, addr, data uint64) error {
 		r.issue(op)
 		return r.drain()
 	}
-	for len(r.pending) <= d {
-		r.pending = append(r.pending, nil)
-	}
-	r.pending[d] = append(r.pending[d], op)
+	r.park(d, op)
 	return nil
 }
 
@@ -289,34 +358,50 @@ func (r *run) memory(id isa.InstID, wave uint32, addr, data uint64) error {
 // next wave when one completes.
 func (r *run) drain() error {
 	for {
-		if len(r.pending) > 0 {
-			ops := r.pending[0]
-			for i := 0; i < len(ops); {
-				if !r.wave.CanIssue(*r.prog.Inst(ops[i].inst).Mem) {
-					i++
+		if r.pending.n > 0 {
+			l := r.pending.at(0)
+			for prev, i := int32(0), l.head; i != 0; {
+				op := r.ops[i]
+				if !r.wave.CanIssue(*r.prog.Inst(op.inst).Mem) {
+					prev, i = i, op.next
 					continue
 				}
-				op := ops[i]
-				ops = append(ops[:i], ops[i+1:]...)
+				if prev == 0 {
+					l.head = op.next
+				} else {
+					r.ops[prev].next = op.next
+				}
+				if l.tail == i {
+					l.tail = prev
+				}
+				r.ops[i].next, r.opFree = r.opFree, i
 				r.issue(op)
-				i = 0
+				prev, i = 0, l.head
 			}
-			r.pending[0] = ops
 		}
 		if !r.wave.Complete() {
 			return nil
 		}
-		if len(r.pending) > 0 {
-			if n := len(r.pending[0]); n > 0 {
+		if r.pending.n > 0 {
+			if n := r.count(*r.pending.at(0)); n > 0 {
 				// The wave's chain ended with operations still
 				// waiting: the annotations are inconsistent.
 				return fmt.Errorf("ref: %d memory ops pending after wave %v completed", n, r.tag(r.nextWave))
 			}
-			r.pending = r.pending[1:]
+			r.pending.pop()
 		}
 		r.nextWave++
 		r.wave = waveorder.Wave{}
 	}
+}
+
+// count returns how many operations l holds.
+func (r *run) count(l waitList) int {
+	n := 0
+	for i := l.head; i != 0; i = r.ops[i].next {
+		n++
+	}
+	return n
 }
 
 // issue performs one memory operation of the oldest incomplete wave.
@@ -358,8 +443,9 @@ func (r *run) deadlockError() error {
 		lines = append(lines, fmt.Sprintf("  partial match: inst %d %s %q tag %v present=%03b",
 			id, in.Op, in.Name, r.tag(uint32(key)), r.slab[slot].present))
 	}
-	for d, ops := range r.pending {
-		for _, pm := range ops {
+	for d := 0; d < r.pending.n; d++ {
+		for i := r.pending.at(d).head; i != 0; i = r.ops[i].next {
+			pm := r.ops[i]
 			in := r.prog.Inst(pm.inst)
 			lines = append(lines, fmt.Sprintf("  blocked mem op: inst %d %s %q tag %v %v",
 				pm.inst, in.Op, in.Name, r.tag(r.nextWave+uint32(d)), *in.Mem))

@@ -377,7 +377,8 @@ func (p *Processor) freeReq(cluster int, r *storebuf.Request) {
 
 // nocSink receives grid deliveries. Operand and store-buffer messages are
 // the simulator's own (built from the free lists) and are recycled here;
-// everything else is cache/coherence traffic owned by the cache system.
+// everything else is cache/coherence traffic, which Deliver takes back
+// into the cache system's own free list, so m is not touched after it.
 func (p *Processor) nocSink(cycle uint64, port noc.OutPort, m *noc.Message) {
 	switch pl := m.Payload.(type) {
 	case *operandPayload:

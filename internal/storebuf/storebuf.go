@@ -189,6 +189,10 @@ func (ts *threadState) slotFor(w uint32) *spillSlot {
 // the way here.
 const spillStart = 8
 
+// maxSpillChunk caps how many spillStart-op slices one block of opChunk
+// holds.
+const maxSpillChunk = 64
+
 // Buffer is one cluster's wave-ordered store buffer.
 type Buffer struct {
 	cfg       Config
@@ -206,9 +210,15 @@ type Buffer struct {
 	psqLive   int
 	// opFree recycles op-slice backing arrays: a completed wave's emptied
 	// pending slice returns here and the next spilled wave reuses its
-	// capacity, so steady-state wave turnover allocates nothing.
-	opFree [][]op
-	stats  Stats
+	// capacity, so steady-state wave turnover allocates nothing. When it
+	// is empty a new wave's slice is carved from opChunk, spillStart ops
+	// at a time; each new block holds as many slices as were carved
+	// before it (at least 2, at most maxSpillChunk), so a burst of
+	// spilled waves costs a few allocations, not one a wave.
+	opFree  [][]op
+	opChunk []op
+	carved  int
+	stats   Stats
 }
 
 // New creates a store buffer that releases ordered operations through fn.
@@ -287,7 +297,13 @@ func (b *Buffer) Enqueue(cycle uint64, r Request) {
 			sp.ops = b.opFree[n-1][:0]
 			b.opFree = b.opFree[:n-1]
 		} else {
-			sp.ops = make([]op, 0, spillStart)
+			if len(b.opChunk) == 0 {
+				b.opChunk = make([]op, spillStart*min(max(b.carved, 2), maxSpillChunk))
+			}
+			// The slice's capacity ends at its share, so an append past
+			// it reallocates rather than running into the next wave's.
+			sp.ops, b.opChunk = b.opChunk[:0:spillStart], b.opChunk[spillStart:]
+			b.carved++
 		}
 	}
 	sp.ops = append(sp.ops, o)
