@@ -10,6 +10,10 @@
 //	wsd -journal wsd.jsonl -resume           # warm restart from journal
 //	wsd -cache-limit 10000                   # bound cache memory (LRU)
 //
+// The daemon's limits are server-wide: -queue bounds admitted jobs (a
+// full queue answers 429 queue_full) and -timeout bounds every
+// synchronous wait (504, the work stays queued and is cached).
+//
 // Endpoints:
 //
 //	POST /v1/runs        synchronous single simulation (cached, deduped)
@@ -53,7 +57,6 @@ func main() {
 	cacheLimit := flag.Int("cache-limit", 0, "max cached cells, LRU-evicted (0 = unlimited)")
 	par := flag.Int("parallel", 0, "concurrent simulations per sweep job (0 = GOMAXPROCS)")
 	drain := flag.Duration("drain", 2*time.Minute, "graceful-shutdown drain deadline for in-flight simulations")
-	tenantQuota := flag.Int("tenant-quota", 0, "max queued-or-running jobs per tenant (X-Tenant header); 0 disables")
 	scenarioStore := flag.String("scenario-store", "", "persist stored scenarios to this JSONL file (default <journal>.scenarios when -journal is set)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -65,16 +68,13 @@ func main() {
 	if *resume && *journalPath == "" {
 		fail(fmt.Errorf("-resume requires -journal"))
 	}
-	if err := cli.NonNegative(flag.CommandLine, "workers", "cache-limit", "parallel", "tenant-quota"); err != nil {
+	if err := cli.NonNegative(flag.CommandLine, "workers", "cache-limit", "parallel"); err != nil {
 		fail(err)
 	}
 
 	opts := []wavescalar.ServerOption{
 		wavescalar.ServerQueueDepth(*queue),
 		wavescalar.ServerRequestTimeout(*timeout),
-	}
-	if *tenantQuota > 0 {
-		opts = append(opts, wavescalar.ServerTenantQuota(*tenantQuota))
 	}
 	if *workers > 0 {
 		opts = append(opts, wavescalar.ServerWorkers(*workers))

@@ -158,13 +158,13 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
-// TestBadFlagValuesRefused: a negative -workers, -cache-limit, -parallel
-// or -tenant-quota, like a zero -queue, exits 1 with a message naming the
+// TestBadFlagValuesRefused: a negative -workers, -cache-limit or
+// -parallel, like a zero -queue, exits 1 with a message naming the
 // flag instead of starting a daemon. A daemon that does start is killed
 // when the context ends, which reads as exit -1.
 func TestBadFlagValuesRefused(t *testing.T) {
 	bin := buildWSD(t)
-	for _, arg := range []string{"-workers=-3", "-cache-limit=-5", "-parallel=-2", "-tenant-quota=-1", "-queue=0"} {
+	for _, arg := range []string{"-workers=-3", "-cache-limit=-5", "-parallel=-2", "-queue=0"} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", arg).CombinedOutput()
 		cancel()

@@ -164,23 +164,14 @@ type dirEntry struct {
 // slabEntries is how many directory entries one slab holds.
 const slabEntries = 128
 
-// event is a scheduled completion.
+// event is a scheduled completion: at cycle at, cluster's request reqID is
+// done.
 type event struct {
 	at      uint64
 	seq     uint64
-	kind    eventKind
 	cluster int
 	reqID   uint64
-	line    uint64
-	grant   state
 }
-
-type eventKind uint8
-
-const (
-	evDone eventKind = iota
-	evFill
-)
 
 // eventHeap is a hand-rolled binary min-heap: container/heap's interface
 // methods box every pushed and popped event, which shows up as the cache's
@@ -408,8 +399,7 @@ func (s *System) Access(cycle uint64, cluster int, reqID uint64, addr uint64, wr
 			}
 			w.touched = cycle
 			s.stats.L1Hits++
-			s.schedule(event{at: cycle + delay + uint64(s.cfg.L1Lat), kind: evDone,
-				cluster: cluster, reqID: reqID})
+			s.schedule(event{at: cycle + delay + uint64(s.cfg.L1Lat), cluster: cluster, reqID: reqID})
 			return
 		}
 		// Write hit on a shared line: upgrade via the directory.
@@ -666,8 +656,7 @@ func (s *System) handleDataResp(cycle uint64, cluster int, r body) {
 	}
 	delete(c.mshrs, r.line)
 	for _, id := range m.waiters {
-		s.schedule(event{at: cycle + r.delay + uint64(s.cfg.L1Lat), kind: evDone,
-			cluster: cluster, reqID: id})
+		s.schedule(event{at: cycle + r.delay + uint64(s.cfg.L1Lat), cluster: cluster, reqID: id})
 	}
 	s.mshrFree = append(s.mshrFree, m)
 }
@@ -743,9 +732,7 @@ func (s *System) schedule(e event) {
 func (s *System) Tick(cycle uint64) {
 	for len(s.events) > 0 && s.events[0].at <= cycle {
 		e := s.events.popMin()
-		if e.kind == evDone {
-			s.done(cycle, e.cluster, e.reqID)
-		}
+		s.done(cycle, e.cluster, e.reqID)
 	}
 	// Drain the outbox in order; stop at the first refusal per
 	// destination attempt to preserve ordering.

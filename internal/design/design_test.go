@@ -255,16 +255,6 @@ func TestTuneSelection(t *testing.T) {
 	}
 }
 
-func TestMaxRatio(t *testing.T) {
-	r := MaxRatio([]Tuning{{Ratio: 0.19}, {Ratio: 0.4}, {Ratio: 0.9}})
-	if r != 1.0 {
-		t.Errorf("MaxRatio = %v, want 1.0 (next power of two above 0.9)", r)
-	}
-	if r := MaxRatio([]Tuning{{Ratio: 0.1}}); r != 0.125 {
-		t.Errorf("MaxRatio = %v, want 0.125", r)
-	}
-}
-
 // sweepDirect evaluates every point on every app with one
 // BestThreadsContext per cell at Tiny scale on the baseline
 // microarchitecture — the rows Frontier and WriteCSV consume, produced

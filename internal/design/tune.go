@@ -114,19 +114,3 @@ func Tune(app string, measure func(sim.Config) (float64, error)) (Tuning, error)
 		Ratio: float64(kOpt) / float64(uOpt),
 	}, nil
 }
-
-// MaxRatio returns the largest (most conservative) virtualization ratio,
-// rounded up to a power of two — the paper's choice for the design sweep.
-func MaxRatio(tunings []Tuning) float64 {
-	m := 0.0
-	for _, t := range tunings {
-		if t.Ratio > m {
-			m = t.Ratio
-		}
-	}
-	r := 1.0 / 8
-	for r < m {
-		r *= 2
-	}
-	return r
-}

@@ -73,25 +73,29 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestRunFaultValidation: a fault block, well-formed or not, on a run, in
-// a scenario document or in one of its phases answers 400 — the strict
+// TestRunFaultValidation: a removed request field answers 400 — the strict
 // decoders refuse the unknown field — and nothing is simulated, cached or
-// journaled for it.
+// journaled for it. A fault block, well-formed or not, is refused on a
+// run, in a scenario document or in one of its phases (fault injection
+// was deleted), and a timeout_s on a plain or scenario run (every wait
+// uses the server-wide request timeout).
 func TestRunFaultValidation(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "wsd.jsonl")
 	srv, ts := newTestServer(t, WithJournal(journal, false))
 	cases := []struct {
-		name, path, body string
+		name, field, path, body string
 	}{
-		{"rate out of range", "/v1/runs", `{"workload":"fft","fault":{"mem_drop_rate":1.5}}`},
-		{"target outside machine", "/v1/runs", `{"workload":"fft","fault":{"events":[{"cycle":1,"kind":"kill_pe","pe":99}]}}`},
-		{"unknown event kind", "/v1/runs", `{"workload":"fft","fault":{"events":[{"cycle":1,"kind":"explode"}]}}`},
-		{"unknown fault field", "/v1/runs", `{"workload":"fft","fault":{"typo_rate":0.5}}`},
-		{"kill a PE", "/v1/runs", `{"workload":"fft","fault":{"events":[{"cycle":100,"kind":"kill_pe","cluster":0,"domain":1,"pe":3}]}}`},
-		{"inline scenario", "/v1/runs", `{"scenario":{"scenario":"v1","workload":{"name":"fft"},"fault":{"seed":7}}}`},
-		{"stored scenario", "/v1/scenarios", `{"scenario":"v1","workload":{"name":"fft"},"fault":{"seed":7,"link_flip_rate":0.001}}`},
-		{"scenario phase", "/v1/scenarios", `{"scenario":"v1","phases":[{"workload":{"name":"fft"},"fault":{"seed":7}}]}`},
-		{"scenario sweep", "/v1/sweeps", `{"max_points":2,"scenario":{"scenario":"v1","workload":{"name":"fft"},"fault":{"seed":7}}}`},
+		{"rate out of range", "fault", "/v1/runs", `{"workload":"fft","fault":{"mem_drop_rate":1.5}}`},
+		{"target outside machine", "fault", "/v1/runs", `{"workload":"fft","fault":{"events":[{"cycle":1,"kind":"kill_pe","pe":99}]}}`},
+		{"unknown event kind", "fault", "/v1/runs", `{"workload":"fft","fault":{"events":[{"cycle":1,"kind":"explode"}]}}`},
+		{"unknown fault field", "fault", "/v1/runs", `{"workload":"fft","fault":{"typo_rate":0.5}}`},
+		{"kill a PE", "fault", "/v1/runs", `{"workload":"fft","fault":{"events":[{"cycle":100,"kind":"kill_pe","cluster":0,"domain":1,"pe":3}]}}`},
+		{"inline scenario", "fault", "/v1/runs", `{"scenario":{"scenario":"v1","workload":{"name":"fft"},"fault":{"seed":7}}}`},
+		{"stored scenario", "fault", "/v1/scenarios", `{"scenario":"v1","workload":{"name":"fft"},"fault":{"seed":7,"link_flip_rate":0.001}}`},
+		{"scenario phase", "fault", "/v1/scenarios", `{"scenario":"v1","phases":[{"workload":{"name":"fft"},"fault":{"seed":7}}]}`},
+		{"scenario sweep", "fault", "/v1/sweeps", `{"max_points":2,"scenario":{"scenario":"v1","workload":{"name":"fft"},"fault":{"seed":7}}}`},
+		{"run timeout", "timeout_s", "/v1/runs", `{"workload":"fft","timeout_s":0.5}`},
+		{"scenario run timeout", "timeout_s", "/v1/runs", `{"scenario":{"scenario":"v1","workload":{"name":"fft"}},"timeout_s":30}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,7 +104,7 @@ func TestRunFaultValidation(t *testing.T) {
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("status %d, want 400 (%+v)", resp.StatusCode, apiErr)
 			}
-			if apiErr.Code != "bad_request" || !strings.Contains(apiErr.Message, `unknown field "fault"`) {
+			if apiErr.Code != "bad_request" || !strings.Contains(apiErr.Message, `unknown field "`+tc.field+`"`) {
 				t.Errorf("error envelope does not name the field: %+v", apiErr)
 			}
 		})

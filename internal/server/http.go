@@ -38,37 +38,18 @@ func (s *Server) routes() *http.ServeMux {
 // retryAfter is the Retry-After hint, in seconds, on every 429.
 const retryAfter = "2"
 
-// writeAdmissionErr maps an admission failure (full queue, over-quota
-// tenant, shutdown) onto the API's backpressure responses. The two 429
-// causes carry distinct machine-readable codes so clients can tell
-// "the daemon is saturated" from "my tenant is over quota".
+// writeAdmissionErr maps an admission failure (full queue, shutdown) onto
+// the API's backpressure responses: a full queue is 429 queue_full with a
+// Retry-After hint, shutdown a 503.
 func (s *Server) writeAdmissionErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
 		s.metrics.add(&s.metrics.rejectedFull, 1)
 		w.Header().Set("Retry-After", retryAfter)
 		writeErrCode(w, http.StatusTooManyRequests, "queue_full", "admission queue full; retry")
-	case errors.Is(err, errQuotaExceeded):
-		w.Header().Set("Retry-After", retryAfter)
-		writeErrCode(w, http.StatusTooManyRequests, "quota_exceeded", "tenant quota exceeded; retry")
 	default:
 		writeErr(w, http.StatusServiceUnavailable, "shutting down")
 	}
-}
-
-// admit charges tenant's quota and enqueues the job, settling the quota on
-// failure. On success the job carries the tenant and the worker pool
-// releases it when the job resolves.
-func (s *Server) admit(jb *job, tenant string) error {
-	if err := s.quotas.acquire(tenant); err != nil {
-		return err
-	}
-	jb.tenant = tenant
-	if err := s.enqueue(jb); err != nil {
-		s.quotas.release(tenant)
-		return err
-	}
-	return nil
 }
 
 // statusWriter captures the response code for metrics and whether any
@@ -149,8 +130,8 @@ type apiError struct {
 }
 
 // errCode maps an HTTP status to its default error code. Handlers that
-// need a more specific code (queue_full vs quota_exceeded, both 429) use
-// writeErrCode directly.
+// need a more specific code (queue_full on a 429) use writeErrCode
+// directly.
 func errCode(status int) string {
 	switch status {
 	case http.StatusBadRequest:

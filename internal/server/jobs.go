@@ -52,9 +52,6 @@ const (
 // (tracked in the job registry).
 type job struct {
 	kind string // jobCells or jobSweep
-	// tenant is the admission-quota bucket this job occupies until it
-	// resolves.
-	tenant string
 
 	// Cells jobs: what to run, in request order, and whom to wake.
 	cells []ledCell
@@ -286,7 +283,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	jb.progress.Total = len(points) * len(apps)
 	id := s.jobs.add(jb)
-	if err := s.admit(jb, tenantOf(r)); err != nil {
+	if err := s.enqueue(jb); err != nil {
 		s.jobs.remove(id)
 		cancel()
 		s.writeAdmissionErr(w, err)

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -142,10 +141,10 @@ func TestRunMemoHonoursEviction(t *testing.T) {
 // there, with four clients storing, serving and resetting it at once.
 func TestRunMemoBounded(t *testing.T) {
 	srv := warmHit(t)
-	// hitBody with a distinct timeout and 6 KiB of padding before its
-	// last brace: a distinct body for the same cached cell.
+	// hitBody with 6 KiB plus i+1 bytes of padding before its last brace:
+	// a distinct body for the same cached cell.
 	padded := func(i int) string {
-		return strings.TrimSuffix(hitBody, "}") + fmt.Sprintf(`,"timeout_s":%d`, i+1) + strings.Repeat(" ", 6<<10) + "}"
+		return strings.TrimSuffix(hitBody, "}") + strings.Repeat(" ", 6<<10+i+1) + "}"
 	}
 	want := serveOnce(t, srv, "POST", "/v1/runs", hitBody)
 	const clients, perClient = 4, 3 * memoBudget / (6 << 10) / 4

@@ -91,9 +91,8 @@ func (h *histogram) observe(v float64) {
 }
 
 // series is one non-histogram metric family of the exposition. Every such
-// family on /metrics — the registry's counters, the live-sampled gauges,
-// build info and the quota counter — is one of these rows, rendered
-// by appendSeries.
+// family on /metrics — the registry's counters, the live-sampled gauges
+// and build info — is one of these rows, rendered by appendSeries.
 type series struct {
 	name, help, typ string
 	samples         []sample
@@ -242,7 +241,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// The constant role label keeps the series byte-identical.
 		{"wsd_build_info", "Build identity of this daemon (value is always 1).", "gauge", []sample{
 			{labels("version", bi.Version, "commit", bi.Commit, "go", bi.Go, "role", "single"), 1}}},
-		counter("wsd_quota_rejected_total", "Requests rejected with 429 because the tenant was over its admission quota.", s.quotas.rejections()),
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

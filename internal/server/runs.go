@@ -62,11 +62,10 @@ func (a *archSpec) resolve() (sim.Config, error) {
 // or an inline scenario document and carries those axes itself.
 type runRequest struct {
 	Workload string          `json:"workload,omitempty"`
-	Scale    string          `json:"scale,omitempty"`     // default "tiny"
-	Threads  int             `json:"threads,omitempty"`   // default 1
-	Config   *archSpec       `json:"config,omitempty"`    // default Table 1 baseline
-	Scenario json.RawMessage `json:"scenario,omitempty"`  // digest string or inline document
-	TimeoutS float64         `json:"timeout_s,omitempty"` // wait bound; default server-wide
+	Scale    string          `json:"scale,omitempty"`    // default "tiny"
+	Threads  int             `json:"threads,omitempty"`  // default 1
+	Config   *archSpec       `json:"config,omitempty"`   // default Table 1 baseline
+	Scenario json.RawMessage `json:"scenario,omitempty"` // digest string or inline document
 }
 
 // runResult is the deterministic payload of one measurement — derived
@@ -167,14 +166,12 @@ type ledCell struct {
 // plain and scenario runs. Hits are answered from the cache (prior holds
 // the lookups runMemo.serve already made for the first cells, which are
 // not repeated); each missing key joins the flight group; the keys this
-// request leads go to the worker pool as one job, run in order, charged
-// to the request's tenant once; then the request waits for every call
-// under one timer (timeoutS seconds, or the server-wide request timeout
-// when it is not positive) and its own context. A request that leads
-// nothing takes no queue slot and no quota unit. On failure cells has
-// written the response, naming what was being waited for, and reports
-// false.
-func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec, prior []answer, what string, timeoutS float64) ([]answer, bool) {
+// request leads go to the worker pool as one job, run in order; then the
+// request waits for every call under one timer (the server-wide request
+// timeout) and its own context. A request that leads nothing takes no
+// queue slot. On failure cells has written the response, naming what was
+// being waited for, and reports false.
+func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec, prior []answer, what string) ([]answer, bool) {
 	out := make([]answer, len(specs))
 	var calls map[string]*flightCall // by missing key; nil while every cell is a hit
 	var led []ledCell
@@ -211,7 +208,7 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec,
 		return out, true
 	}
 	if len(led) > 0 {
-		if err := s.admit(&job{kind: jobCells, cells: led}, tenantOf(r)); err != nil {
+		if err := s.enqueue(&job{kind: jobCells, cells: led}); err != nil {
 			for _, lc := range led {
 				s.flight.complete(lc.spec.key, lc.call, explore.Cell{}, err)
 			}
@@ -220,11 +217,7 @@ func (s *Server) cells(w http.ResponseWriter, r *http.Request, specs []cellSpec,
 		}
 	}
 
-	timeout := s.requestTimeout
-	if timeoutS > 0 {
-		timeout = time.Duration(timeoutS * float64(time.Second))
-	}
-	timer := time.NewTimer(timeout)
+	timer := time.NewTimer(s.requestTimeout)
 	defer timer.Stop()
 	for i := range specs {
 		call := calls[specs[i].key]
@@ -323,7 +316,7 @@ func (s *Server) plainRun(w http.ResponseWriter, r *http.Request, req *runReques
 		writeErr(w, status, "%v", err)
 		return runResponse{}, nil, false
 	}
-	got, ok := s.cells(w, r, []cellSpec{spec}, prior, "simulation", req.TimeoutS)
+	got, ok := s.cells(w, r, []cellSpec{spec}, prior, "simulation")
 	if !ok {
 		return runResponse{}, nil, false
 	}

@@ -258,7 +258,7 @@ func (s *Server) scenarioRun(w http.ResponseWriter, r *http.Request, req *runReq
 	// Phases go through the same pipeline as plain runs, in order: a
 	// re-run is answered entirely from the cache, and a phase someone else
 	// is already simulating is waited for, not simulated twice.
-	got, ok := s.cells(w, r, specs, prior, "scenario", req.TimeoutS)
+	got, ok := s.cells(w, r, specs, prior, "scenario")
 	if !ok {
 		return scenarioRunResponse{}, nil, false
 	}

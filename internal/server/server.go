@@ -129,21 +129,6 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithTenantQuota caps each tenant (the X-Tenant request header;
-// "default" when absent) at n queued-or-running jobs. Over-quota
-// admissions are rejected with 429 + Retry-After, the same backpressure
-// shape as a full queue — so one tenant's sweep storm cannot starve the
-// daemon for everyone else. n = 0 (the default) disables quotas.
-func WithTenantQuota(n int) Option {
-	return func(s *Server) error {
-		if n < 0 {
-			return fmt.Errorf("%w: tenant quota %d must be non-negative", design.ErrBadOptions, n)
-		}
-		s.quotas = newTenantQuotas(n)
-		return nil
-	}
-}
-
 // Server is the daemon: an http.Handler plus the worker pool behind it.
 // Construct with New, serve it with net/http, then Shutdown to drain.
 type Server struct {
@@ -151,7 +136,6 @@ type Server struct {
 	queueDepth     int
 	requestTimeout time.Duration
 	exploreOpts    []explore.Option
-	quotas         *tenantQuotas
 
 	// Scenario-store persistence (WithScenarioStore).
 	scnPath string
@@ -199,9 +183,6 @@ func New(opts ...Option) (*Server, error) {
 		if err := o(s); err != nil {
 			return nil, err
 		}
-	}
-	if s.quotas == nil {
-		s.quotas = newTenantQuotas(0)
 	}
 	exp, err := explore.New(s.exploreOpts...)
 	if err != nil {
@@ -275,7 +256,6 @@ func (s *Server) worker() {
 
 // rejectQueued resolves a job that shutdown overtook before it started.
 func (s *Server) rejectQueued(jb *job) {
-	defer s.quotas.release(jb.tenant)
 	switch jb.kind {
 	case jobCells:
 		for _, lc := range jb.cells {
@@ -291,7 +271,6 @@ func (s *Server) rejectQueued(jb *job) {
 // execute runs one job. Cells run in request order on the server's base
 // context (see runCell); a sweep runs on its own cancellable context.
 func (s *Server) execute(jb *job) {
-	defer s.quotas.release(jb.tenant)
 	switch jb.kind {
 	case jobCells:
 		for _, lc := range jb.cells {

@@ -553,54 +553,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestTenantQuota: with a per-tenant cap of 1, a tenant's second
-// concurrent sweep is rejected with 429 + Retry-After while another
-// tenant still gets in.
-func TestTenantQuota(t *testing.T) {
-	srv, ts := newTestServer(t, WithWorkers(1), WithTenantQuota(1))
-	block := make(chan struct{})
-	defer close(block)
-	// Park the only pool worker so admitted jobs stay queued and the
-	// quota stays charged.
-	if err := srv.enqueue(&job{block: block}); err != nil {
-		t.Fatal(err)
-	}
-
-	fire := func(tenant string) *http.Response {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweeps",
-			strings.NewReader(`{"apps":["fft"],"scale":"tiny","max_points":2}`))
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Tenant", tenant)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	first := fire("alice")
-	first.Body.Close()
-	if first.StatusCode != http.StatusAccepted {
-		t.Fatalf("first sweep: status %d", first.StatusCode)
-	}
-	second := fire("alice")
-	second.Body.Close()
-	if second.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-quota sweep: status %d, want 429", second.StatusCode)
-	}
-	if ra := second.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After %q, want 2", ra)
-	}
-	other := fire("bob")
-	other.Body.Close()
-	if other.StatusCode != http.StatusAccepted {
-		t.Errorf("other tenant: status %d, want 202 (quota is per-tenant)", other.StatusCode)
-	}
-	if srv.quotas.rejections() != 1 {
-		t.Errorf("rejections = %d, want 1", srv.quotas.rejections())
-	}
-}
-
 func TestOptionValidation(t *testing.T) {
 	cases := map[string][]Option{
 		"zero workers":    {WithWorkers(0)},

@@ -99,7 +99,7 @@ func (d *domainUnit) tick(c uint64) {
 			e := d.memQ.popFront()
 			p.sbs[d.cluster].Enqueue(c+1, *e.req)
 			p.actSB.arm(int32(d.cluster))
-			p.freeReq(d.cluster, e.req)
+			p.reqFree = append(p.reqFree, e.req)
 		} else {
 			gm := p.newMsg()
 			*gm = noc.Message{Src: d.cluster, Dst: home, ToMem: true, VC: noc.VCMemory, Payload: m.req}

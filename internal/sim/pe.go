@@ -461,17 +461,17 @@ func (pe *peUnit) execute(c uint64, id isa.InstID, tag isa.Tag, vals [3]uint64, 
 		pe.deliverAt(done, execResult{inst: id, tag: out, value: vals[0]}, in)
 		return
 	case isa.OpLoad:
-		req := p.newReq(pe.addr.Cluster)
+		req := p.newReq()
 		*req = storebuf.Request{Kind: storebuf.ReqLoad, Inst: id, Tag: tag, Mem: *in.Mem, Addr: vals[0]}
 		pe.queueMem(done, id, tag, req)
 		return
 	case isa.OpMemNop:
-		req := p.newReq(pe.addr.Cluster)
+		req := p.newReq()
 		*req = storebuf.Request{Kind: storebuf.ReqNop, Inst: id, Tag: tag, Mem: *in.Mem, Addr: vals[0]}
 		pe.queueMem(done, id, tag, req)
 		return
 	case isa.OpStore:
-		req := p.newReq(pe.addr.Cluster)
+		req := p.newReq()
 		switch {
 		case kind == schedStoreAddr:
 			*req = storebuf.Request{Kind: storebuf.ReqStoreAddr, Inst: id, Tag: tag, Mem: *in.Mem, Addr: vals[0]}

@@ -111,11 +111,10 @@ type Processor struct {
 
 	// Free lists for the token path's transient objects. They hold
 	// steady-state allocations at ~zero: messages and payloads recycle at
-	// the NoC sink, store-buffer requests (kept per cluster) after the
-	// buffer copies them in.
+	// the NoC sink, store-buffer requests after the buffer copies them in.
 	msgFree []*noc.Message
 	payFree []*operandPayload
-	reqFree [][]*storebuf.Request
+	reqFree []*storebuf.Request
 
 	fatalErr error // first fatal error latched by a callback
 
@@ -188,7 +187,6 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 	arch := cfg.Arch
 	gw, gh := noc.DimsFor(arch.Clusters)
 	p.build()
-	p.reqFree = make([][]*storebuf.Request, arch.Clusters)
 	p.actComplete = newActiveSet(len(p.pes))
 	p.actDispatch = newActiveSet(len(p.pes))
 	p.actOutput = newActiveSet(len(p.pes))
@@ -359,20 +357,14 @@ func (p *Processor) newPayload() *operandPayload {
 	return new(operandPayload)
 }
 
-// newReq returns a store-buffer request from cluster's free list.
-func (p *Processor) newReq(cluster int) *storebuf.Request {
-	fl := p.reqFree[cluster]
-	if n := len(fl) - 1; n >= 0 {
-		r := fl[n]
-		p.reqFree[cluster] = fl[:n]
+// newReq returns a store-buffer request from the free list.
+func (p *Processor) newReq() *storebuf.Request {
+	if n := len(p.reqFree) - 1; n >= 0 {
+		r := p.reqFree[n]
+		p.reqFree = p.reqFree[:n]
 		return r
 	}
 	return new(storebuf.Request)
-}
-
-// freeReq recycles a request the store buffer has copied in.
-func (p *Processor) freeReq(cluster int, r *storebuf.Request) {
-	p.reqFree[cluster] = append(p.reqFree[cluster], r)
 }
 
 // nocSink receives grid deliveries. Operand and store-buffer messages are
@@ -390,7 +382,7 @@ func (p *Processor) nocSink(cycle uint64, port noc.OutPort, m *noc.Message) {
 	case *storebuf.Request:
 		p.sbs[m.Dst].Enqueue(cycle+1, *pl)
 		p.actSB.arm(int32(m.Dst))
-		p.freeReq(m.Dst, pl)
+		p.reqFree = append(p.reqFree, pl)
 		p.msgFree = append(p.msgFree, m)
 	default:
 		p.cacheSys.Deliver(cycle, m.Dst, m)

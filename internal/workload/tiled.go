@@ -196,25 +196,6 @@ func TiledInfo(name string) (family, order string, tile [3]int, ok bool) {
 	return parts[0], parts[1], tile, true
 }
 
-// TiledVariants returns the canonical names of the tile-shape × dataflow
-// sweep the design-space tools explore: every dataflow order crossed with
-// a spread of tile shapes. All resolve through ByName whether or not they
-// are registered defaults.
-func TiledVariants() []string {
-	var out []string
-	for _, o := range gemmOrders {
-		for _, t := range [][3]int{{2, 2, 2}, {4, 4, 4}, {8, 8, 8}} {
-			out = append(out, GEMMParams{Order: o, Tm: t[0], Tn: t[1], Tk: t[2]}.Name())
-		}
-	}
-	for _, o := range convOrders {
-		for _, t := range [][3]int{{2, 2, 2}, {4, 4, 2}} {
-			out = append(out, ConvParams{Order: o, Tx: t[0], Ty: t[1], Tc: t[2]}.Name())
-		}
-	}
-	return out
-}
-
 // log2 of a power of two.
 func log2(v int) int { return bits.Len(uint(v)) - 1 }
 

@@ -12,9 +12,18 @@ import (
 )
 
 // TestParseTiled: every valid parameter combination resolves (registered
-// or synthesized) to a canonical name in the Tiled suite.
+// or synthesized) to a canonical name in the Tiled suite: every dataflow
+// order crossed with a spread of tile shapes, and two uneven tiles.
 func TestParseTiled(t *testing.T) {
-	for _, name := range append(TiledVariants(), "gemm-bs-8x2x1", "conv-is-8x8x1") {
+	for _, name := range []string{
+		"gemm-os-2x2x2", "gemm-os-4x4x4", "gemm-os-8x8x8",
+		"gemm-as-2x2x2", "gemm-as-4x4x4", "gemm-as-8x8x8",
+		"gemm-bs-2x2x2", "gemm-bs-4x4x4", "gemm-bs-8x8x8",
+		"conv-ws-2x2x2", "conv-ws-4x4x2",
+		"conv-os-2x2x2", "conv-os-4x4x2",
+		"conv-is-2x2x2", "conv-is-4x4x2",
+		"gemm-bs-8x2x1", "conv-is-8x8x1",
+	} {
 		w, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)

@@ -407,11 +407,6 @@ func ServerJournal(path string, resume bool) ServerOption { return server.WithJo
 // concurrently (default GOMAXPROCS).
 func ServerParallelism(n int) ServerOption { return server.WithParallelism(n) }
 
-// ServerTenantQuota caps each tenant (X-Tenant header; "default" when
-// absent) at n queued-or-running jobs; over-quota work gets 429 +
-// Retry-After. 0 (the default) disables quotas.
-func ServerTenantQuota(n int) ServerOption { return server.WithTenantQuota(n) }
-
 // ServerScenarioStore persists the scenario store to a JSONL file:
 // created scenarios append as canonical JSON lines and reload at
 // startup, so a warm restart still serves every stored digest.
