@@ -22,7 +22,9 @@
 // keyed by (local index, wave) and counted per local index, so the common
 // rejected or first-operand token costs a few loads rather than a K-set
 // scan and a hash of its (instruction, tag). Two (instruction, thread)
-// pairs sharing an index would share one k-quota.
+// pairs sharing an index would share one k-quota. The tables of one NewSet
+// share one in-memory area, keyed by the index's position in the set's
+// per-index block, so it grows once per set rather than once per table.
 //
 // The same per-index state decides most refusals before the table is
 // touched (CertainReject). A token whose arrival bank is free is certainly
@@ -89,11 +91,15 @@ type Entry struct {
 	valid    bool
 }
 
-// memKey names an instance in the in-memory table: its local index above
-// its wave. (The index stands for the instruction and the thread.)
+// memKey names an instance in a set's in-memory table: its local index's
+// position in the set (the table's base plus the index) above its wave.
+// (The position stands for the table, the instruction and the thread.)
 type memKey uint64
 
-func keyOf(localIdx int32, wave uint32) memKey { return memKey(localIdx)<<32 | memKey(wave) }
+// key names the instance (localIdx, wave) of table t.
+func (t *Table) key(localIdx int32, wave uint32) memKey {
+	return memKey(t.base+localIdx)<<32 | memKey(wave)
+}
 
 // Complete reports whether all required operands are present.
 func (e *Entry) Complete() bool { return e.Present == e.Required }
@@ -126,10 +132,10 @@ type instState struct {
 	moved      uint32 // instances displaced so far (KBound)
 }
 
-// Table is one PE's matching table plus its in-memory overflow area. The
-// physical entries and the overflow map are allocated when the first token
-// arrives: most PEs of a many-cluster machine running a few threads never
-// see one, and a table that never does costs its header.
+// Table is one PE's matching table plus its share of the in-memory
+// overflow area. The physical entries are taken from the set's block when
+// the first token arrives: most PEs of a many-cluster machine running a
+// few threads never see one, and a table that never does costs its header.
 type Table struct {
 	cfg     Config
 	numSets int
@@ -143,12 +149,16 @@ type Table struct {
 	idx      []instState // per local index
 	live     int
 	stats    Stats
-	overflow map[memKey]Entry // the in-memory table; nil until the first displacement
 
 	// OnRelease, when set, is told the freed entry's local index whenever
 	// an entry frees. Senders holding k-rejected tokens for that
 	// (instruction, thread) use it to know the quota may have opened.
 	OnRelease Releaser
+
+	// shared is the set's entries block and in-memory table, read only on
+	// a table's first token and on displacements, so it sits last.
+	shared *shared
+	base   int32 // the position of local index 0 in the set's per-index block
 }
 
 // Releaser is what a table's owner implements to hear of freed entries. It
@@ -167,10 +177,23 @@ func New(cfg Config, insts int) *Table {
 	return &NewSet(cfg, []int{insts})[0]
 }
 
+// shared is what the tables of one NewSet hold in common: the block their
+// physical entries are cut from and the one in-memory table.
+type shared struct {
+	block    []Entry          // what is left of the block tables take entries from
+	overflow map[memKey]Entry // nil until the set's first displacement
+}
+
+// entriesBlock is how many tables' entries one block of a set holds. A
+// machine wastes at most the unused end of one block.
+const entriesBlock = 16
+
 // NewSet creates one matching table per entry of insts, the i-th for a PE
 // with insts[i] instructions bound. The tables and their per-index state
-// come from two allocations however many tables there are; each table's
-// share is cut to length.
+// come from three allocations however many tables there are; each table's
+// share is cut to length. The tables' physical entries are cut from blocks
+// of entriesBlock tables' worth as their first tokens arrive, and the
+// tables share one in-memory table.
 func NewSet(cfg Config, insts []int) []Table {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -181,9 +204,12 @@ func NewSet(cfg Config, insts []int) []Table {
 	}
 	idx := make([]instState, total)
 	tables := make([]Table, len(insts))
+	sh := &shared{}
+	base := 0
 	for i, n := range insts {
-		tables[i] = Table{cfg: cfg, numSets: cfg.Entries / cfg.Assoc, idx: idx[:n:n]}
+		tables[i] = Table{cfg: cfg, numSets: cfg.Entries / cfg.Assoc, shared: sh, base: int32(base), idx: idx[:n:n]}
 		idx = idx[n:]
+		base += n
 	}
 	return tables
 }
@@ -191,12 +217,17 @@ func NewSet(cfg Config, insts []int) []Table {
 // NumSets returns the number of sets.
 func (t *Table) NumSets() int { return t.numSets }
 
-// ways returns set si, allocating the physical entries on first use. The
-// read-only callers (Lookup, scanInstances) test for nil entries first, so
-// reading a table no token has reached allocates nothing.
+// ways returns set si, taking the physical entries from the set's block on
+// first use. The read-only callers (Lookup, scanInstances) test for nil
+// entries first, so reading a table no token has reached takes nothing.
 func (t *Table) ways(si int) []Entry {
 	if t.entries == nil {
-		t.entries = make([]Entry, t.cfg.Entries)
+		n, sh := t.cfg.Entries, t.shared
+		if len(sh.block) < n {
+			sh.block = make([]Entry, n*entriesBlock)
+		}
+		// The capacity ends at the table's share, as the per-index state's.
+		t.entries, sh.block = sh.block[:n:n], sh.block[n:]
 	}
 	a := t.cfg.Assoc
 	return t.entries[si*a : (si+1)*a]
@@ -281,7 +312,7 @@ func (t *Table) Insert(tok isa.Token, localIdx int, required uint8, cycle uint64
 		// matching-table miss (the partner was displaced earlier).
 		if oe, ok := t.displaced(st, localIdx, tok.Tag.Wave); ok {
 			t.stats.OverflowHits++
-			delete(t.overflow, keyOf(int32(localIdx), tok.Tag.Wave))
+			delete(t.shared.overflow, t.key(int32(localIdx), tok.Tag.Wave))
 			st.ov--
 			slot = t.allocate(si)
 			*slot = oe
@@ -391,7 +422,7 @@ func (t *Table) displaced(st *instState, localIdx int, wave uint32) (Entry, bool
 	if st.ov == 0 || wave < st.ovLo || wave > st.ovHi {
 		return Entry{}, false
 	}
-	e, ok := t.overflow[keyOf(int32(localIdx), wave)]
+	e, ok := t.shared.overflow[t.key(int32(localIdx), wave)]
 	return e, ok
 }
 
@@ -488,10 +519,11 @@ func (t *Table) release(e *Entry) {
 // displace moves a live entry to the in-memory table, records the instance
 // in the index's displaced range and count, and frees its slot.
 func (t *Table) displace(e *Entry) {
-	if t.overflow == nil {
-		t.overflow = make(map[memKey]Entry)
+	sh := t.shared
+	if sh.overflow == nil {
+		sh.overflow = make(map[memKey]Entry)
 	}
-	t.overflow[keyOf(e.LocalIdx, e.Tag.Wave)] = *e
+	sh.overflow[t.key(e.LocalIdx, e.Tag.Wave)] = *e
 	st := &t.idx[e.LocalIdx]
 	if w := e.Tag.Wave; st.ov == 0 {
 		st.ovLo, st.ovHi = w, w
@@ -524,10 +556,16 @@ func (t *Table) allocate(si int) *Entry {
 	return victim
 }
 
-// OverflowSize returns how many partial matches live in the in-memory
-// table (diagnostic).
-func (t *Table) OverflowSize() int { return len(t.overflow) }
+// OverflowSize returns how many of the table's partial matches live in the
+// in-memory table (diagnostic).
+func (t *Table) OverflowSize() int {
+	n := 0
+	for i := range t.idx {
+		n += int(t.idx[i].ov)
+	}
+	return n
+}
 
 // Allocated reports whether the table holds its physical entries yet: it
-// allocates them when its first token arrives (diagnostic).
+// takes them when its first token arrives (diagnostic).
 func (t *Table) Allocated() bool { return t.entries != nil }

@@ -51,8 +51,8 @@ func TestUntouchedTableHoldsNoEntries(t *testing.T) {
 	if tb.Live() != 0 || tb.OverflowSize() != 0 {
 		t.Errorf("untouched table holds live %d, overflow %d", tb.Live(), tb.OverflowSize())
 	}
-	if tb.entries != nil || tb.overflow != nil {
-		t.Fatalf("reads allocated: %d entries, overflow map %v", len(tb.entries), tb.overflow != nil)
+	if tb.entries != nil || tb.shared.overflow != nil {
+		t.Fatalf("reads allocated: %d entries, overflow map %v", len(tb.entries), tb.shared.overflow != nil)
 	}
 	if tb.NumSets() != 8 {
 		t.Errorf("NumSets = %d before any token, want 8", tb.NumSets())
@@ -61,8 +61,8 @@ func TestUntouchedTableHoldsNoEntries(t *testing.T) {
 	if out, _ := tb.Insert(tok(9, 0, 1, 0, 7), 1, 0b011, 0, 10); out != Stored {
 		t.Fatalf("first insert = %v, want Stored", out)
 	}
-	if len(tb.entries) != cfg().Entries || tb.overflow != nil {
-		t.Errorf("after one token: %d entries (want %d), overflow map %v (want none)", len(tb.entries), cfg().Entries, tb.overflow != nil)
+	if len(tb.entries) != cfg().Entries || tb.shared.overflow != nil {
+		t.Errorf("after one token: %d entries (want %d), overflow map %v (want none)", len(tb.entries), cfg().Entries, tb.shared.overflow != nil)
 	}
 	if neighbour.entries != nil {
 		t.Error("a token for one table allocated its neighbour's entries")
@@ -71,6 +71,19 @@ func TestUntouchedTableHoldsNoEntries(t *testing.T) {
 		if st != (instState{}) {
 			t.Errorf("a token for one table wrote the neighbour's index %d: %+v", li, st)
 		}
+	}
+	// The neighbour's first token cuts its entries from the same block,
+	// capped at its share, so an append to either table's could not reach
+	// the other's.
+	if out, _ := neighbour.Insert(tok(9, 0, 1, 0, 7), 1, 0b011, 0, 10); out != Stored {
+		t.Fatalf("neighbour's first insert = %v, want Stored", out)
+	}
+	if cap(tb.entries) != cfg().Entries || cap(neighbour.entries) != cfg().Entries || &tb.entries[0] == &neighbour.entries[0] {
+		t.Errorf("entries: capacities %d and %d (want %d each), shared first entry %v",
+			cap(tb.entries), cap(neighbour.entries), cfg().Entries, &tb.entries[0] == &neighbour.entries[0])
+	}
+	if tb.shared != neighbour.shared {
+		t.Error("the tables of one set do not share their in-memory table")
 	}
 }
 
@@ -256,6 +269,37 @@ func TestOverflowEvictionAndRetrieval(t *testing.T) {
 	}
 }
 
+// TestSetOverflowKeysPerTable displaces the same (local index, wave) from
+// two tables of one set into their shared in-memory table: each instance is
+// kept under its own key, and each table fetches back its own partner.
+func TestSetOverflowKeysPerTable(t *testing.T) {
+	set := NewSet(Config{Entries: 2, Assoc: 2, Banks: 1, K: 8}, []int{insts, insts})
+	for i := range set {
+		tb := &set[i]
+		v := uint64(100 * (i + 1))
+		tb.Insert(tok(1, 0, 0, 0, v), 1, 0b011, 0, 10)
+		tb.Insert(tok(2, 0, 0, 0, v), 2, 0b011, 1, 10)
+		tb.Insert(tok(3, 0, 0, 0, v), 3, 0b011, 2, 10) // displaces index 1
+		if tb.OverflowSize() != 1 {
+			t.Fatalf("table %d: overflow size = %d, want 1", i, tb.OverflowSize())
+		}
+	}
+	if n := len(set[0].shared.overflow); n != 2 {
+		t.Fatalf("the set's in-memory table holds %d instances, want 2", n)
+	}
+	for i := range set {
+		out, e := set[i].Insert(tok(1, 0, 0, 1, 7), 1, 0b011, 3, 10)
+		if want := uint64(100 * (i + 1)); out != Completed || e.Vals[0] != want {
+			t.Errorf("table %d: partner fetched back = (%v, %d), want (Completed, %d)", i, out, e.Vals[0], want)
+		}
+	}
+	// Each fetch displaced its table's LRU entry, index 2, in turn.
+	if n := len(set[0].shared.overflow); n != 2 || set[0].OverflowSize() != 1 || set[1].OverflowSize() != 1 {
+		t.Errorf("the set's in-memory table holds %d instances, the tables count %d and %d; want 2, 1 and 1",
+			n, set[0].OverflowSize(), set[1].OverflowSize())
+	}
+}
+
 func TestLookupAndRelease(t *testing.T) {
 	tb := New(cfg(), insts)
 	tg := isa.Tag{Thread: 0, Wave: 4}
@@ -328,8 +372,8 @@ func TestThreeInputInstruction(t *testing.T) {
 func checkIndexState(t *testing.T, step int, tb *Table, instOf func(li int) (isa.InstID, uint32)) {
 	t.Helper()
 	ovByIdx := make(map[int32]int32)
-	for k, oe := range tb.overflow {
-		if k != keyOf(oe.LocalIdx, oe.Tag.Wave) {
+	for k, oe := range tb.shared.overflow {
+		if k != tb.key(oe.LocalIdx, oe.Tag.Wave) {
 			t.Fatalf("step %d: overflow key %#x holds index %d, wave %d", step, k, oe.LocalIdx, oe.Tag.Wave)
 		}
 		ovByIdx[oe.LocalIdx]++
@@ -415,7 +459,7 @@ type tableState struct {
 func stateOf(tb *Table) tableState {
 	s := tableState{
 		entries:  slices.Clone(tb.entries),
-		overflow: maps.Clone(tb.overflow),
+		overflow: maps.Clone(tb.shared.overflow),
 		idx:      append([]instState(nil), tb.idx...),
 		live:     tb.Live(),
 		stats:    tb.Stats(),

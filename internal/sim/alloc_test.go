@@ -47,16 +47,18 @@ const steadyTicks = 2000
 // where tokens churn between the input queue, the parked lists and the
 // reinject list. fft on four clusters with four threads adds the grid,
 // remote store-buffer requests and four store buffers turning waves over.
-// The bounds sit a little above the counts measured, 120, 8–9 and
-// 406–410 (maps hash with a random seed, so their growth varies by a few
-// objects from run to run); most of what remains is fft's spilled waves
-// outgrowing their first slices and the matching tables' displacements.
+// The bounds sit above the counts measured, 12–17, 8–9 and 27 (maps hash
+// with a random seed, so their growth varies by a few objects from run to
+// run, and mcf read 13 with the whole module's tests running at once); what remains is queues doubling past a depth they had
+// not reached and a few maps meeting keys they had not held. A store
+// buffer's spilled waves share its one op slab and a machine's matching
+// tables displace into one map, so neither grows per wave or per table.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		app               string
 		clusters, threads int
 		max               uint64 // mallocs over steadyTicks cycles
-	}{{"fft", 1, 1, 128}, {"mcf", 1, 1, 16}, {"fft", 4, 4, 432}} {
+	}{{"fft", 1, 1, 32}, {"mcf", 1, 1, 16}, {"fft", 4, 4, 40}} {
 		p, c := steadyProc(t, tc.app, tc.clusters, tc.threads)
 		before := kRejects(p)
 		var ms0, ms1 runtime.MemStats
@@ -73,6 +75,53 @@ func TestSteadyStateAllocs(t *testing.T) {
 			t.Errorf("mcf: only %d tokens parked over the measured cycles; the fixture is not reject-heavy", parks)
 		}
 	}
+}
+
+// flowCellRunAllocBudget bounds the mallocs of the flow cell's run, from
+// injection to quiescence. The count repeats within a few objects (1 029
+// when this was written: some 160 of the NoC's queues growing, 220 of the
+// caches', 250 of the store buffers' op slabs, wave rings, thread records
+// and pending lists, 190 blocks of the machine's carvers, 50 of the
+// matching tables' entry blocks and overflow map, and 130 token pools and
+// queues doubling past their first buffers); one allocation for each PE
+// the run writes to would add 480.
+const flowCellRunAllocBudget = 1100
+
+// TestRunAllocsDoNotScaleWithPEs runs the flow cell (gemm-as-4x4x4/tiny on
+// sixteen clusters with sixteen threads) and bounds what the whole run
+// allocates, construction left out. A PE's first queue buffers, token
+// nodes and matching-table entries are cut from per-machine blocks, the
+// store buffers link their waves' ops through one slab each and the
+// matching tables displace into one map, so what a run allocates depends
+// on the machine's kinds of structure and on how deep its queues grow, not
+// on how many PEs it touches: the budget is less than the count plus the
+// number of PEs written, so a per-PE allocation does not fit under it.
+func TestRunAllocsDoNotScaleWithPEs(t *testing.T) {
+	cfg, inst := flowCell(t)
+	p, err := New(cfg, inst.Prog, inst.Params(16), Memory(inst.Mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms1)
+	written := 0
+	for i := range p.pes {
+		if p.pes[i].mt.Stats().Inserts > 0 {
+			written++
+		}
+	}
+	n := ms1.Mallocs - ms0.Mallocs
+	if n > flowCellRunAllocBudget {
+		t.Errorf("the flow cell's run allocates %d objects, budget %d", n, flowCellRunAllocBudget)
+	}
+	if slack := flowCellRunAllocBudget - int(n); slack >= written {
+		t.Errorf("the budget leaves room for %d more objects, one for each of the %d PEs written to; lower it toward %d", slack, written, n)
+	}
+	t.Logf("run: %d allocations, %d of %d PEs written to", n, written, len(p.pes))
 }
 
 // BenchmarkInputReject is the ledger's sim.ns_per_input_attempt under

@@ -147,7 +147,7 @@ func checkFifo(t *testing.T, step int, q *fifo[*int], want []int) {
 		t.Fatalf("step %d: ring has %d slots, not a power of two", step, n)
 	}
 	for s, v := range q.buf {
-		if live := (s-q.head)&(len(q.buf)-1) < q.n; !live && v != nil {
+		if live := (s-int(q.head))&(len(q.buf)-1) < q.len(); !live && v != nil {
 			t.Fatalf("step %d: vacated slot %d (head %d, n %d) still holds %d", step, s, q.head, q.n, *v)
 		}
 	}
@@ -330,7 +330,7 @@ func FuzzTokListOps(f *testing.F) {
 		var m tokListModel
 		next := uint64(1)
 		fresh := func(li int, wave uint32) int32 {
-			i := pe.toks.get()
+			i := pe.toks.get(&p.carve.toks)
 			pe.toks.nodes[i] = tokNode{value: next, li: int32(li), tag: isa.Tag{Wave: wave}, bank: uint8(wave % banks)}
 			next++
 			return i

@@ -90,12 +90,12 @@ func (w *walkInput) acceptBypass(c uint64, nd tokNode) {
 	switch w.insert(c, nd.token(), int(nd.li), nd.req) {
 	case match.Rejected:
 		nd.readyAt, nd.sentAt = 0, 0
-		i := w.toks.get()
+		i := w.toks.get(nil)
 		w.toks.nodes[i] = nd
 		w.toks.pushBack(&w.parked[nd.li], i)
 	case match.RejectedBank:
 		nd.readyAt, nd.sentAt = c+1, 0
-		i := w.toks.get()
+		i := w.toks.get(nil)
 		w.toks.nodes[i] = nd
 		w.toks.pushBack(&w.inQ, i)
 	}
@@ -214,7 +214,7 @@ func (hp *herdPair) arrive(c uint64, li int, wave uint32, port isa.PortID, ready
 		return
 	}
 	hp.pe.toks.pushBack(&hp.pe.inQ, hp.pe.newTok(readyAt, c, tok, rt))
-	i := hp.w.toks.get()
+	i := hp.w.toks.get(nil)
 	hp.w.toks.nodes[i] = nd
 	hp.w.toks.pushBack(&hp.w.inQ, i)
 }

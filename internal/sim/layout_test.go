@@ -81,18 +81,26 @@ func TestRunTwiceReturnsErrAlreadyRun(t *testing.T) {
 // of the 512 PEs never receive a token, and each must end the run owning
 // only what the machine's slabs gave it — no matching-table entries, no
 // token pool, no queue buffers — while exactly the PEs whose tables were
-// written to hold entries.
+// written to hold entries. A domain unit none of whose PEs was written to
+// holds no ring buffers either: its NET and MEM pseudo-PEs only carry
+// operands and requests to and from its own PEs.
 func TestUntouchedPEsAllocateNothing(t *testing.T) {
 	p := buildOn(t, "fft", workload.Tiny, 16, 1, nil)
 	for i := range p.pes {
-		if pe := &p.pes[i]; pe.mt.Allocated() || pe.toks.nodes != nil {
+		if pe := &p.pes[i]; pe.mt.Allocated() || pe.toks.nodes != nil || pe.holdsRings() {
 			t.Fatalf("PE %+v holds run-time buffers before the run", pe.addr)
+		}
+	}
+	for i := range p.domains {
+		if d := &p.domains[i]; d.holdsRings() {
+			t.Fatalf("domain %d.%d holds ring buffers before the run", d.cluster, d.index)
 		}
 	}
 	if _, err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
 	touched := 0
+	domainWritten := make([]bool, len(p.domains))
 	for i := range p.pes {
 		pe := &p.pes[i]
 		written := pe.mt.Stats().Inserts > 0
@@ -101,15 +109,31 @@ func TestUntouchedPEsAllocateNothing(t *testing.T) {
 		}
 		if written {
 			touched++
+			domainWritten[i/p.cfg.Arch.PEs] = true
 			continue
 		}
-		if pe.toks.nodes != nil || pe.schedQ.buf != nil || pe.pending.buf != nil || pe.outQ.buf != nil {
+		if pe.toks.nodes != nil || pe.holdsRings() {
 			t.Errorf("PE %+v received no token but allocated a pool or a queue", pe.addr)
 		}
 	}
 	if per := p.cfg.Arch.Domains * p.cfg.Arch.PEs; touched == 0 || touched > per {
 		t.Errorf("%d PEs were written to; one thread should touch between 1 and one cluster's %d", touched, per)
 	}
+	for i := range p.domains {
+		if d := &p.domains[i]; !domainWritten[i] && d.holdsRings() {
+			t.Errorf("domain %d.%d: none of its PEs was written to, but it allocated a ring", d.cluster, d.index)
+		}
+	}
+}
+
+// holdsRings reports whether any of the PE's queues has a buffer.
+func (pe *peUnit) holdsRings() bool {
+	return pe.schedQ.buf != nil || pe.pending.buf != nil || pe.outQ.buf != nil || pe.outDests.buf != nil
+}
+
+// holdsRings reports whether any of the domain unit's queues has a buffer.
+func (d *domainUnit) holdsRings() bool {
+	return d.netOutQ.buf != nil || d.netInQ.buf != nil || d.memQ.buf != nil
 }
 
 // TestRouteMatchesPlacement checks the route table against the placement

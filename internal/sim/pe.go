@@ -134,7 +134,7 @@ func (p *Processor) enqueueIn(rt route, readyAt, sentAt uint64, tok isa.Token) {
 
 // newTok takes a node from the pool for a token on route rt.
 func (pe *peUnit) newTok(readyAt, sentAt uint64, tok isa.Token, rt route) int32 {
-	i := pe.toks.get()
+	i := pe.toks.get(&pe.p.carve.toks)
 	pe.toks.nodes[i] = tokNode{
 		readyAt: readyAt, li: rt.li,
 		tag: tok.Tag, inst: tok.Dest.Inst, port: tok.Dest.Port,

@@ -131,6 +131,12 @@ type Processor struct {
 	progress   uint64
 	cycle      uint64
 	stats      Stats
+
+	// carve cuts first buffers and pooled objects from per-machine blocks
+	// (see carver). It is read only when a queue or pool takes its first
+	// buffer or a free list is empty, so it sits behind every field a
+	// cycle reads.
+	carve carvers
 }
 
 // NewFullScan is New with the reference scheduler, scanTick, which visits
@@ -217,9 +223,12 @@ func New(cfg Config, prog *isa.Program, params []map[string]uint64, mem Memory) 
 // the PEs and domain units themselves, and — sized by how many instructions
 // the placement binds to each PE — the instruction stores, the matching
 // tables' headers and per-index state, and the parked lists. Every PE's
-// share is cut to length (s[:n:n]). What depends on the run waits for it: a PE's queues, its
-// token pool and its matching table's entries are allocated when its first
-// token arrives, so a PE that never receives one costs its headers.
+// share is cut to length (s[:n:n]). What depends on the run waits for it: a
+// PE's queues, its token pool and its matching table's entries are taken
+// when its first token arrives, so a PE that never receives one costs its
+// headers. They are cut from per-machine blocks (p.carve, and the matching
+// tables' set), so a PE that does receive one costs no allocation of its
+// own either.
 //
 // Instructions are bound in (thread, instruction) order, each thread its
 // own instance (the placement isolates threads, so a machine's instruction
@@ -252,7 +261,11 @@ func (p *Processor) build() {
 	for ci := 0; ci < arch.Clusters; ci++ {
 		for di := 0; di < arch.Domains; di++ {
 			gd := ci*arch.Domains + di
-			p.domains[gd] = domainUnit{p: p, cluster: ci, index: di, gidx: int32(gd)}
+			p.domains[gd] = domainUnit{p: p, cluster: ci, index: di, gidx: int32(gd),
+				netOutQ: fifo[netMsg]{src: &p.carve.net},
+				netInQ:  fifo[netMsg]{src: &p.carve.net},
+				memQ:    fifo[memQEntry]{src: &p.carve.mem},
+			}
 			for pi := 0; pi < arch.PEs; pi++ {
 				gi := gd*arch.PEs + pi
 				n := bound[gi]
@@ -260,7 +273,11 @@ func (p *Processor) build() {
 				*pe = peUnit{
 					p: p, addr: place.PEAddr{Cluster: ci, Domain: di, PE: pi},
 					gidx: int32(gi), mt: &tables[gi], ist: &stores[gi],
-					parked: lists[:n:n],
+					parked:   lists[:n:n],
+					schedQ:   fifo[schedEntry]{src: &p.carve.sched},
+					pending:  fifo[execResult]{src: &p.carve.results},
+					outQ:     fifo[outEntry]{src: &p.carve.out},
+					outDests: fifo[isa.Target]{src: &p.carve.dests},
 				}
 				lists = lists[n:]
 				pe.mt.OnRelease = pe
@@ -336,7 +353,8 @@ func (p *Processor) threadHalted(c uint64, thread uint32, value uint64) {
 // instruction (available after Run).
 func (p *Processor) HaltValue(thread uint32) uint64 { return p.haltValues[thread] }
 
-// newMsg returns a grid message from the free list (or a fresh one).
+// newMsg returns a grid message from the free list, or cut from the
+// machine's block when the list is empty.
 // Callers must overwrite it wholesale (*m = noc.Message{...}).
 func (p *Processor) newMsg() *noc.Message {
 	if n := len(p.msgFree) - 1; n >= 0 {
@@ -344,27 +362,29 @@ func (p *Processor) newMsg() *noc.Message {
 		p.msgFree = p.msgFree[:n]
 		return m
 	}
-	return new(noc.Message)
+	return &p.carve.msgs.take(1)[0]
 }
 
-// newPayload returns an operand payload from the free list.
+// newPayload returns an operand payload from the free list, or cut from
+// the machine's block.
 func (p *Processor) newPayload() *operandPayload {
 	if n := len(p.payFree) - 1; n >= 0 {
 		pl := p.payFree[n]
 		p.payFree = p.payFree[:n]
 		return pl
 	}
-	return new(operandPayload)
+	return &p.carve.pays.take(1)[0]
 }
 
-// newReq returns a store-buffer request from the free list.
+// newReq returns a store-buffer request from the free list, or cut from
+// the machine's block.
 func (p *Processor) newReq() *storebuf.Request {
 	if n := len(p.reqFree) - 1; n >= 0 {
 		r := p.reqFree[n]
 		p.reqFree = p.reqFree[:n]
 		return r
 	}
-	return new(storebuf.Request)
+	return &p.carve.reqs.take(1)[0]
 }
 
 // nocSink receives grid deliveries. Operand and store-buffer messages are

@@ -18,6 +18,7 @@ package storebuf
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wavescalar/internal/isa"
 	"wavescalar/internal/trace"
@@ -107,12 +108,19 @@ type Stats struct {
 	WavesDone     uint64
 }
 
-// op is a wave-resident operation awaiting ripple issue.
+// op is a wave-resident operation awaiting ripple issue. In the op slab it
+// is linked into its spilled wave's list by next, the index of the next op
+// (0 ends the list). The fields are ordered to pack an op into 64 bytes.
 type op struct {
-	req     Request
-	hasData bool // for stores: data half present
 	readyAt uint64
+	req     Request
+	next    int32
+	hasData bool // for stores: data half present
 }
+
+// opList is one spilled wave's ops in arrival order: the slab indexes of
+// its first and last (0 when it is empty).
+type opList struct{ head, tail int32 }
 
 // psq is a partial store queue.
 type psq struct {
@@ -127,17 +135,19 @@ type psq struct {
 
 type threadState struct {
 	nextWave uint32
-	// spill holds ops for waves that do not yet own a context, on a
-	// power-of-two ring of slots addressed by wave & (len-1). Every wave it
-	// holds lies in [nextWave, nextWave+len(spill)) — no wave below
+	// spill holds the op lists of waves that do not yet own a context, on
+	// a power-of-two ring of slots addressed by wave & (len-1). Every wave
+	// it holds lies in [nextWave, nextWave+len(spill)) — no wave below
 	// nextWave spills, and nextWave moves past a wave only after a context
 	// has taken its ops — so a held slot is its wave's alone. See spilled
 	// and slotFor.
 	spill []spillSlot
 	// active marks the thread as holding an ordering context, which always
 	// serves nextWave: ripple is that wave's issue state and pending its
-	// ops not yet issued. Both live here by value, reset at each grant, so
-	// wave turnover allocates nothing.
+	// ops not yet issued, copied out of the slab at the grant so that the
+	// ripple's scan of them every cycle reads one array, not a chain. Both
+	// live here, the ripple by value and pending keeping its capacity from
+	// wave to wave, so wave turnover allocates nothing.
 	active  bool
 	ripple  waveorder.Wave
 	pending []op
@@ -149,9 +159,13 @@ type threadState struct {
 // no ops: a data half that merged with its address half leaves the wave's
 // slot behind, and the wave still queues for a context.
 type spillSlot struct {
-	ops  []op
+	ops  opList
 	wave uint32
-	held bool
+	// early counts the data halves among ops still waiting for their
+	// address halves, so an address half of a wave that holds none skips
+	// the walk of its list.
+	early int32
+	held  bool
 }
 
 // spillRingStart is a spill ring's first capacity.
@@ -183,15 +197,17 @@ func (ts *threadState) slotFor(w uint32) *spillSlot {
 	return &ts.spill[w&uint32(len(ts.spill)-1)]
 }
 
-// spillStart is the capacity a wave's op slice starts with when no
-// completed wave has left one to recycle: a wave's ops arrive one at a
-// time, and growing from one by doubling would reallocate three times on
-// the way here.
-const spillStart = 8
+// opChunkShift sizes the op slab's chunks: chunk k holds
+// 1<<(opChunkShift+k) ops, so the slab doubles without copying an op, and
+// opChunks of them cover every int32 index.
+const (
+	opChunkShift = 5
+	opChunks     = 31 - opChunkShift
+)
 
-// maxSpillChunk caps how many spillStart-op slices one block of opChunk
-// holds.
-const maxSpillChunk = 64
+// pendingStart is the capacity of a thread's pending ops at its first
+// grant; it grows by append past that and keeps what it reached.
+const pendingStart = 32
 
 // Buffer is one cluster's wave-ordered store buffer.
 type Buffer struct {
@@ -208,17 +224,15 @@ type Buffer struct {
 	// threads and PSQs.
 	spillLive int
 	psqLive   int
-	// opFree recycles op-slice backing arrays: a completed wave's emptied
-	// pending slice returns here and the next spilled wave reuses its
-	// capacity, so steady-state wave turnover allocates nothing. When it
-	// is empty a new wave's slice is carved from opChunk, spillStart ops
-	// at a time; each new block holds as many slices as were carved
-	// before it (at least 2, at most maxSpillChunk), so a burst of
-	// spilled waves costs a few allocations, not one a wave.
-	opFree  [][]op
-	opChunk []op
-	carved  int
-	stats   Stats
+	// ops is the op slab: every spilled wave's ops, each wave's linked
+	// into its slot's list, op i at at(i) (entry 0 unused). An op copied
+	// out at its wave's grant or merged away returns to the list that
+	// starts at free, so wave turnover reuses entries, and a burst of
+	// spilled waves adds chunks, each twice the last, to the one slab.
+	ops   [opChunks][]op
+	used  int32 // entries handed out, entry 0 included
+	free  int32
+	stats Stats
 }
 
 // New creates a store buffer that releases ordered operations through fn.
@@ -258,6 +272,68 @@ func (b *Buffer) thread(id uint32) *threadState {
 	return ts
 }
 
+// at returns op i of the slab.
+func (b *Buffer) at(i int32) *op {
+	k, j := chunkOf(i)
+	return &b.ops[k][j]
+}
+
+// chunkOf returns the chunk of the op slab holding op i and its place there.
+func chunkOf(i int32) (k, j int) {
+	u := uint32(i) + 1<<opChunkShift
+	k = bits.Len32(u) - opChunkShift - 1
+	return k, int(u - 1<<(opChunkShift+k))
+}
+
+// push appends o to l, taking an entry from the free list before growing
+// the slab.
+func (b *Buffer) push(l *opList, o op) {
+	i := b.free
+	if i != 0 {
+		b.free = b.at(i).next
+	} else {
+		i = max(b.used, 1) // entry 0 ends every list
+		if k, _ := chunkOf(i); b.ops[k] == nil {
+			b.ops[k] = make([]op, 1<<(opChunkShift+k))
+		}
+		b.used = i + 1
+	}
+	*b.at(i) = o
+	if l.tail == 0 {
+		l.head = i
+	} else {
+		b.at(l.tail).next = i
+	}
+	l.tail = i
+}
+
+// unlink removes op i from l and frees it; prev is the op before it (0 if
+// i is the head).
+func (b *Buffer) unlink(l *opList, prev, i int32) {
+	next := b.at(i).next
+	if prev == 0 {
+		l.head = next
+	} else {
+		b.at(prev).next = next
+	}
+	if l.tail == i {
+		l.tail = prev
+	}
+	b.at(i).next, b.free = b.free, i
+}
+
+// takeAll appends l's ops to dst in order and frees their entries.
+func (b *Buffer) takeAll(dst []op, l opList) []op {
+	for i := l.head; i != 0; {
+		o := b.at(i)
+		dst = append(dst, *o)
+		next := o.next
+		o.next, b.free = b.free, i
+		i = next
+	}
+	return dst
+}
+
 // Enqueue accepts a request at the given cycle; it becomes visible to the
 // ripple after the processing-pipeline latency.
 func (b *Buffer) Enqueue(cycle uint64, r Request) {
@@ -293,22 +369,13 @@ func (b *Buffer) Enqueue(cycle uint64, r Request) {
 	sp := ts.slotFor(r.Tag.Wave)
 	if !sp.held {
 		sp.held, sp.wave = true, r.Tag.Wave
-		if n := len(b.opFree); n > 0 {
-			sp.ops = b.opFree[n-1][:0]
-			b.opFree = b.opFree[:n-1]
-		} else {
-			if len(b.opChunk) == 0 {
-				b.opChunk = make([]op, spillStart*min(max(b.carved, 2), maxSpillChunk))
-			}
-			// The slice's capacity ends at its share, so an append past
-			// it reallocates rather than running into the next wave's.
-			sp.ops, b.opChunk = b.opChunk[:0:spillStart], b.opChunk[spillStart:]
-			b.carved++
-		}
 	}
-	sp.ops = append(sp.ops, o)
+	b.push(&sp.ops, o)
+	if o.req.Kind == ReqStoreData {
+		sp.early++
+	}
 	b.spillLive++
-	if r.Tag.Wave == ts.nextWave && !ts.active && !ts.waiting {
+	if r.Tag.Wave == ts.nextWave && !ts.waiting {
 		ts.waiting = true
 		b.grantQ = append(b.grantQ, r.Tag.Thread)
 	}
@@ -326,48 +393,59 @@ func (b *Buffer) mergeStoreData(cycle uint64, ts *threadState, r Request) bool {
 			return true
 		}
 	}
-	merge := func(ops []op) bool {
-		for i := range ops {
-			o := &ops[i]
-			if o.req.Inst == r.Inst && o.req.Tag == r.Tag &&
-				(o.req.Kind == ReqStoreAddr) && !o.hasData {
-				o.hasData = true
-				o.req.Data = r.Data
-				o.req.Kind = ReqStoreFull
+	merge := func(o *op) bool {
+		if o.req.Inst == r.Inst && o.req.Tag == r.Tag &&
+			(o.req.Kind == ReqStoreAddr) && !o.hasData {
+			o.hasData = true
+			o.req.Data = r.Data
+			o.req.Kind = ReqStoreFull
+			return true
+		}
+		return false
+	}
+	if ts.active && r.Tag.Wave == ts.nextWave {
+		for i := range ts.pending {
+			if merge(&ts.pending[i]) {
 				return true
 			}
 		}
 		return false
 	}
-	if ts.active && r.Tag.Wave == ts.nextWave && merge(ts.pending) {
-		return true
+	if sp := ts.spilled(r.Tag.Wave); sp != nil {
+		for i := sp.ops.head; i != 0; i = b.at(i).next {
+			if merge(b.at(i)) {
+				return true
+			}
+		}
 	}
-	sp := ts.spilled(r.Tag.Wave)
-	return sp != nil && merge(sp.ops)
+	return false
 }
 
 // takeEarlyData removes a data-half record waiting for store (inst, tag)
 // and returns its value.
 func (b *Buffer) takeEarlyData(ts *threadState, r Request) (uint64, bool) {
-	take := func(ops *[]op) (uint64, bool) {
-		for i := range *ops {
-			o := (*ops)[i]
-			if o.req.Kind == ReqStoreData && o.req.Inst == r.Inst && o.req.Tag == r.Tag {
-				*ops = append((*ops)[:i], (*ops)[i+1:]...)
-				return o.req.Data, true
+	match := func(o *op) bool {
+		return o.req.Kind == ReqStoreData && o.req.Inst == r.Inst && o.req.Tag == r.Tag
+	}
+	if ts.active && r.Tag.Wave == ts.nextWave {
+		for i := range ts.pending {
+			if o := &ts.pending[i]; match(o) {
+				d := o.req.Data
+				ts.pending = append(ts.pending[:i], ts.pending[i+1:]...)
+				return d, true
 			}
 		}
 		return 0, false
 	}
-	if ts.active && r.Tag.Wave == ts.nextWave {
-		if d, ok := take(&ts.pending); ok {
-			return d, true
-		}
-	}
-	if sp := ts.spilled(r.Tag.Wave); sp != nil {
-		if d, ok := take(&sp.ops); ok {
-			b.spillLive--
-			return d, true
+	if sp := ts.spilled(r.Tag.Wave); sp != nil && sp.early > 0 {
+		for prev, i := int32(0), sp.ops.head; i != 0; prev, i = i, b.at(i).next {
+			if o := b.at(i); match(o) {
+				d := o.req.Data
+				b.unlink(&sp.ops, prev, i)
+				sp.early--
+				b.spillLive--
+				return d, true
+			}
 		}
 	}
 	return 0, false
@@ -385,12 +463,15 @@ func (b *Buffer) Tick(cycle uint64) {
 		if ts.active {
 			continue
 		}
-		ts.active, ts.ripple, ts.pending = true, waveorder.Wave{}, nil
+		ts.active, ts.ripple = true, waveorder.Wave{}
+		if ts.pending == nil {
+			ts.pending = make([]op, 0, pendingStart)
+		}
 		if sp := ts.spilled(ts.nextWave); sp != nil {
-			ts.pending = sp.ops
+			ts.pending = b.takeAll(ts.pending, sp.ops)
+			b.spillLive -= len(ts.pending)
 			*sp = spillSlot{}
 		}
-		b.spillLive -= len(ts.pending)
 		b.inUse++
 	}
 	b.grantQ = b.grantQ[:copy(b.grantQ, b.grantQ[granted:])]
@@ -406,7 +487,8 @@ func (b *Buffer) Tick(cycle uint64) {
 	}
 }
 
-// ripple issues every currently issuable op of the thread's active wave.
+// ripple issues every currently issuable op of the thread's active wave,
+// each time the first in arrival order that can go.
 func (b *Buffer) ripple(cycle uint64, tid uint32, ts *threadState) {
 	for {
 		progress := false
@@ -441,10 +523,6 @@ func (b *Buffer) ripple(cycle uint64, tid uint32, ts *threadState) {
 				tid, ts.nextWave, len(ts.pending)))
 		}
 		ts.active = false
-		if cap(ts.pending) > 0 {
-			b.opFree = append(b.opFree, ts.pending[:0])
-		}
-		ts.pending = nil
 		b.inUse--
 		b.stats.WavesDone++
 		if b.cfg.Trace != nil {

@@ -3,6 +3,7 @@ package storebuf
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"wavescalar/internal/isa"
 )
@@ -343,5 +344,55 @@ func TestWaveTurnoverAllocatesNothing(t *testing.T) {
 	}
 	if want := 3 * int(wave); issued != want {
 		t.Errorf("%d ops issued, want %d", issued, want)
+	}
+}
+
+// TestOpSize pins a slab entry at one 64-byte cache line: every spilled
+// wave's ops share the slab, and a burst of them adds chunks to it.
+func TestOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(op{}); n != 64 {
+		t.Errorf("op is %d bytes, want 64", n)
+	}
+}
+
+// BenchmarkSpillBurst is fft's store-buffer pattern in miniature: four
+// threads each send the ops of 64 waves, youngest wave first, so every wave
+// spills before its thread holds a context, and the buffer then drains
+// them in order. One op is one such burst on a fresh buffer, from the first
+// arrival to quiet; -benchmem reports what a burst allocates — the thread
+// records with their spill rings and pending arrays, and the op slab's
+// chunks, each grown by doubling — which grows with the logarithm of the
+// number of waves spilled, not with the number.
+func BenchmarkSpillBurst(b *testing.B) {
+	const threads, waves, perWave = 4, 64, 8
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf := New(cfg(), func(uint64, Issued) {})
+		for th := uint32(0); th < threads; th++ {
+			for w := uint32(waves); w > 0; w-- {
+				for s := int32(0); s < perWave; s++ {
+					pred, succ := s-1, s+1
+					if s == 0 {
+						pred = isa.SeqNone
+					}
+					if s == perWave-1 {
+						succ = isa.SeqNone
+					}
+					kind := ReqLoad
+					if s%2 == 1 {
+						kind = ReqStoreFull
+					}
+					buf.Enqueue(0, Request{Kind: kind, Inst: isa.InstID(s), Tag: tag(th, w-1), Mem: mi(pred, s, succ),
+						Addr: uint64(th)<<32 | uint64(w)<<8 | uint64(s)<<3})
+				}
+			}
+		}
+		cycle := uint64(0)
+		for ; !buf.Quiet() && cycle < threads*waves*perWave; cycle++ {
+			buf.Tick(cycle + 1)
+		}
+		if st := buf.Stats(); st.WavesDone != threads*waves {
+			b.Fatalf("%d of %d waves done after %d cycles", st.WavesDone, threads*waves, cycle)
+		}
 	}
 }
