@@ -41,7 +41,10 @@ func (s *activeSet) len() int {
 }
 
 // drain returns the armed indices in ascending order and empties the set.
-// The returned slice is valid until the next drain.
+// The returned slice is valid until the next drain. s.out has room for
+// every component, so append never reallocates and the header is not
+// stored back (a store would cost a write barrier per drain while the
+// collector marks).
 func (s *activeSet) drain() []int32 {
 	out := s.out[:0]
 	for wi, w := range s.bits {
@@ -53,7 +56,6 @@ func (s *activeSet) drain() []int32 {
 			out = append(out, int32(wi<<6+bits.TrailingZeros64(w)))
 		}
 	}
-	s.out = out
 	return out
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"wavescalar/internal/isa"
 )
@@ -83,7 +84,11 @@ var (
 )
 
 // Instance is a ready-to-run workload: a program plus its per-thread
-// parameters and initial memory image.
+// parameters and initial memory image. An instance built at a named scale
+// is shared by every caller in the process (see Workload.Build), so
+// nothing may write into it: not its program, its memory image, nor the
+// maps Params returns. sim.New copies the image and ref.RunThreads clones
+// it; a caller that wants to change a program or an image copies it first.
 type Instance struct {
 	Prog *isa.Program
 	Mem  map[uint64]uint64
@@ -110,8 +115,14 @@ func (in *Instance) Params(n int) []map[string]uint64 {
 type Workload struct {
 	Name  string
 	Suite Suite
-	// Build constructs an instance at the given scale.
+	// Build returns the workload's instance at the given scale. At a named
+	// scale (Tiny, Small, Medium) every call returns one shared instance,
+	// built on the first call; any other scale builds a fresh one, so ad-hoc
+	// scales never accumulate. A shared instance must not be written (see
+	// Instance).
 	Build func(sc Scale) *Instance
+	// build constructs a fresh instance at any scale: what Build memoizes.
+	build func(sc Scale) *Instance
 }
 
 // MaxThreads returns the largest thread count the workload runs at, which
@@ -136,16 +147,46 @@ func CheckThreads(name string, n, limit int) error {
 }
 
 // newWorkload names a kernel builder. Its instances carry the workload's
-// thread limit, so a builder does not state it.
+// thread limit, so a builder does not state it. Build keeps one instance
+// per named scale, each built under its own sync.Once: concurrent callers
+// of one (workload, scale) share a single build, and a build of one
+// workload never waits on another's.
 func newWorkload(name string, suite Suite, build func(Scale) *Instance) Workload {
 	w := Workload{Name: name, Suite: suite}
 	limit := w.MaxThreads()
-	w.Build = func(sc Scale) *Instance {
+	fresh := func(sc Scale) *Instance {
 		in := build(sc)
 		in.MaxThreads = limit
 		return in
 	}
+	w.build = fresh
+	var memo [3]struct {
+		once sync.Once
+		in   *Instance
+	}
+	w.Build = func(sc Scale) *Instance {
+		i := namedScale(sc)
+		if i < 0 {
+			return fresh(sc)
+		}
+		e := &memo[i]
+		e.once.Do(func() { e.in = fresh(sc) })
+		return e.in
+	}
 	return w
+}
+
+// namedScale returns the index of sc among Tiny, Small and Medium, or -1.
+func namedScale(sc Scale) int {
+	switch sc {
+	case Tiny:
+		return 0
+	case Small:
+		return 1
+	case Medium:
+		return 2
+	}
+	return -1
 }
 
 var registry = map[string]Workload{}
@@ -229,7 +270,8 @@ func xorshift(x uint64) uint64 {
 // f bits of a float64.
 func f(v float64) uint64 { return isa.F2U(v) }
 
-// singleThread wraps a params function for single-threaded kernels.
+// singleThread wraps a params function for single-threaded kernels. Every
+// call returns p itself, so p is shared like the rest of the instance.
 func singleThread(p map[string]uint64) func(int, int) map[string]uint64 {
 	return func(int, int) map[string]uint64 { return p }
 }
