@@ -24,7 +24,7 @@ func testPoints(t *testing.T, n int) []design.Point {
 	return pts[:n]
 }
 
-func testApps(t *testing.T, names ...string) []workload.Workload {
+func testApps(t testing.TB, names ...string) []workload.Workload {
 	t.Helper()
 	var out []workload.Workload
 	for _, n := range names {

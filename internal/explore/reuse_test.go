@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -601,6 +602,62 @@ func TestCacheLimitKeepsSweepReuse(t *testing.T) {
 			} else if !reflect.DeepEqual(got, want) {
 				t.Errorf("limit %d, parallelism %d: results differ from the unbounded sweep's", limit, par)
 			}
+		}
+	}
+}
+
+// copiedCell sets up the cell TestCopiedCellAllocs measures: an explorer
+// whose cache holds w's cell on the baseline machine with an 8 KB L1 and
+// a 1 MB L2, and the configuration with a 2 MB L2, which RunOne answers
+// by copying that cell's run.
+func copiedCell(tb testing.TB, w workload.Workload) (*Explorer, sim.Config) {
+	tb.Helper()
+	arch := sim.BaselineArch()
+	arch.L1KB, arch.L2MB = 8, 1
+	exp, err := New()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, p, err := exp.RunOne(context.Background(), sim.Baseline(arch), w, workload.Tiny, []int{1}); err != nil || p.Sims != 1 {
+		tb.Fatalf("%s: base cell ran %d simulations (error %v), want 1", w.Name, p.Sims, err)
+	}
+	arch.L2MB = 2
+	return exp, sim.Baseline(arch)
+}
+
+// TestCopiedCellAllocs: a RunOne answered by copying its twin's run
+// costs the work around the copy, not a rebuild of its workload. The
+// instance is shared per scale (workload.Workload.Build), so the copy
+// allocates a handful of objects whatever the size of the workload's
+// image.
+func TestCopiedCellAllocs(t *testing.T) {
+	const budget = 16
+	for _, w := range testApps(t, "lu", "ocean", "mcf", "djpeg") {
+		exp, cfg := copiedCell(t, w)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, p, err := exp.RunOne(context.Background(), cfg, w, workload.Tiny, []int{1})
+		runtime.ReadMemStats(&after)
+		if err != nil || p.Reused != 1 || p.Sims != 0 {
+			t.Fatalf("%s: reused %d cells with %d simulations (error %v), want a copy", w.Name, p.Reused, p.Sims, err)
+		}
+		if n := after.Mallocs - before.Mallocs; n > budget {
+			t.Errorf("%s: a copied cell made %d mallocs (%d bytes), budget %d", w.Name, n, after.TotalAlloc-before.TotalAlloc, budget)
+		}
+	}
+}
+
+// BenchmarkCopiedCell is TestCopiedCellAllocs's cell on lu: one RunOne
+// copied from its twin, on a fresh explorer each iteration.
+func BenchmarkCopiedCell(b *testing.B) {
+	w := testApps(b, "lu")[0]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		exp, cfg := copiedCell(b, w)
+		b.StartTimer()
+		if _, p, err := exp.RunOne(context.Background(), cfg, w, workload.Tiny, []int{1}); err != nil || p.Reused != 1 {
+			b.Fatalf("reused %d cells (error %v), want a copy", p.Reused, err)
 		}
 	}
 }

@@ -6,11 +6,12 @@ import (
 )
 
 // TestBuildDeterminism: building the same workload twice yields identical
-// programs and memory images — required for reproducible sweeps.
+// programs and memory images — required for reproducible sweeps. The
+// second build is a fresh one, not the shared instance Build keeps.
 func TestBuildDeterminism(t *testing.T) {
 	for _, w := range All() {
 		a := w.Build(Tiny)
-		b := w.Build(Tiny)
+		b := w.build(Tiny)
 		if !reflect.DeepEqual(a.Prog, b.Prog) {
 			t.Errorf("%s: programs differ between builds", w.Name)
 		}
